@@ -24,6 +24,7 @@ from .fisher_lab import (
 )
 from .info_core import ChannelSpec
 from .io_files import (
+    emit_csv,
     emit_region_csv,
     parse_aux_file,
     parse_channel_file,
@@ -33,7 +34,6 @@ from .io_files import (
 )
 from .polytope_fm import vertices
 from .regions_discrete import (
-    SweepConfig,
     eval_degraded_inner,
     eval_degraded_outer,
     eval_general_inner,
@@ -99,24 +99,23 @@ def cmd_region_eval(args) -> int:
 
 def cmd_region_sweep(args) -> int:
     ch = _load_discrete(args.channel)
-    cfg = SweepConfig(budget=args.budget, seed=args.seed)
-    res = sweep_inner_region(ch, cfg, mode=args.mode)
+    res = sweep_inner_region(ch, args.budget, seed=args.seed, mode=args.mode)
     _emit(res, args)
     return OK
 
 
 def cmd_fm_verify(args) -> int:
     rep = fm_script.verify_builtin_chain(seed=args.seed, instantiations=args.instantiations,
-                                         tol=max(args.tol, 1e-9), strict=False)
-    lines = ["step,op,detail,expect,matched,extras_dropped,worst_drop_slack,message"]
+                                         tol=args.tol, strict=False)
+    rows = []
     for s in rep.steps:
         print(f"step {s.index:2d}  {s.op:14s} {s.detail:24s} -> {s.expect or '-':7s} "
               f"{'ok' if s.matched else 'MISMATCH':9s} extras={s.extras_dropped} {s.message}")
-        lines.append(f"{s.index},{s.op},{s.detail},{s.expect or ''},{int(s.matched)},"
-                     f"{s.extras_dropped},{s.worst_drop_slack:.3e},{s.message}")
+        rows.append([s.index, s.op, s.detail, s.expect or "", int(s.matched),
+                     s.extras_dropped, f"{s.worst_drop_slack:.3e}", s.message])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        emit_csv(args.out, ["step", "op", "detail", "expect", "matched", "extras_dropped",
+                            "worst_drop_slack", "message"], rows)
     if not rep.ok:
         print("violated invariant: derivation chain reproduces every recorded system")
         return VIOLATION
@@ -188,7 +187,7 @@ def cmd_gauss_degraded(args) -> int:
 
 def cmd_fisher_debruijn(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rows = ["kind,instance,residual"]
+    rows = []
     worst = 0.0
     for i in range(args.budget):
         d = 1 + i % args.dim
@@ -196,16 +195,15 @@ def cmd_fisher_debruijn(args) -> int:
         a = rng.normal(size=(d, d))
         sn = a @ a.T + 0.3 * np.eye(d)
         r = debruijn_check(pair, sn, step=args.step)
-        rows.append(f"gauss,{i},{r:.6e}")
+        rows.append(["gauss", i, f"{r:.6e}"])
         worst = max(worst, r)
     for i in range(max(1, args.budget // 5)):
         mix = random_mixture(rng)
         r = debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]], step=args.step)
-        rows.append(f"mixture,{i},{r:.6e}")
+        rows.append(["mixture", i, f"{r:.6e}"])
         worst = max(worst, r)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        emit_csv(args.out, ["kind", "instance", "residual"], rows)
     print(f"max entropy-gradient residual: {worst:.3e}")
     if worst > args.tol:
         print(f"violated invariant: entropy-gradient identity within {args.tol}")
@@ -216,12 +214,9 @@ def cmd_fisher_debruijn(args) -> int:
 def cmd_fisher_lemmas(args) -> int:
     rep = lemma_suite_check(seed=args.seed, count=args.budget,
                             include_mixtures=args.mixtures)
-    lines = ["lemma,kind,instance,min_slack"]
-    for lemma, kind, idx, slack in rep.rows:
-        lines.append(f"{lemma},{kind},{idx},{slack:.6e}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        emit_csv(args.out, ["lemma", "kind", "instance", "min_slack"],
+                 [[lemma, kind, idx, f"{slack:.6e}"] for lemma, kind, idx, slack in rep.rows])
         print(f"wrote {args.out}")
     for lemma, slack in sorted(rep.min_slack().items()):
         print(f"  {lemma:4s} min slack {slack: .3e}")
@@ -237,19 +232,18 @@ def cmd_fisher_evidence(args) -> int:
         raise ValidationError("the evidence harness is scalar only")
     rng = np.random.default_rng(args.seed)
     sweep = sweep_covariances(ch, budget=max(40, args.budget), seed=args.seed)
-    worst = 0.0
-    rows = ["mixture,max_slack,contained"]
+    slacks, rows = [], []
     s_cap = float(ch.S[0, 0])
     for i in range(args.budget):
         mix = random_mixture(rng)
         scale = np.sqrt(0.98 * s_cap / max(mix.second_moment(), 1e-12))
         mix = type(mix)(mix.u_points, mix.x_points * min(1.0, scale), mix.weights)
         rep = sufficiency_evidence_scalar(mix, ch, sweep.points, slack_tol=args.tol)
-        worst = max(worst, rep.max_slack)
-        rows.append(f"{i},{rep.max_slack:.6e},{int(rep.contained)}")
+        slacks.append(rep.max_slack)
+        rows.append([i, f"{rep.max_slack:.6e}", int(rep.contained)])
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(rows) + "\n")
+        emit_csv(args.out, ["mixture", "max_slack", "contained"], rows)
+    worst = max(slacks)
     print(f"max dominance slack over {args.budget} mixtures: {worst:.3e}")
     if worst > args.tol:
         print(f"violated invariant: mixture regions inside the Gaussian envelope "
@@ -323,31 +317,24 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--step", type=float, default=1e-4)
     q.add_argument("--out")
     _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_debruijn)
+    q.set_defaults(fn=cmd_fisher_debruijn, tol=1e-4)
     q = fisher.add_parser("lemmas")
     q.add_argument("--budget", type=int, default=200)
     q.add_argument("--mixtures", action="store_true")
     q.add_argument("--out")
     _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_lemmas)
+    q.set_defaults(fn=cmd_fisher_lemmas, tol=1e-8)
     q = fisher.add_parser("evidence")
     q.add_argument("--channel", required=True)
     q.add_argument("--budget", type=int, default=50)
     q.add_argument("--out")
     _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_evidence)
+    q.set_defaults(fn=cmd_fisher_evidence, tol=1e-3)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    # per-command tolerance defaults where 1e-9 is too strict
-    if args.fn is cmd_fisher_debruijn and args.tol == 1e-9:
-        args.tol = 1e-4
-    if args.fn is cmd_fisher_lemmas and args.tol == 1e-9:
-        args.tol = 1e-8
-    if args.fn is cmd_fisher_evidence and args.tol == 1e-9:
-        args.tol = 1e-3
     if args.tol <= 0:
         print("input error: tolerances must be positive", file=sys.stderr)
         return INPUT_ERROR

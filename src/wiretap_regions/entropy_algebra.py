@@ -237,9 +237,8 @@ class EqualitySet:
     inference.
     """
 
-    def __init__(self, equalities, structure: FactorStructure | None = None):
+    def __init__(self, equalities):
         self.equalities: tuple[InfoExpr, ...] = tuple(equalities)
-        self.structure = structure
         self._pivots: dict = {}
         for e in self.equalities:
             self._insert(e)
@@ -294,7 +293,7 @@ def derive_equalities(st: FactorStructure) -> EqualitySet:
             for cond in combinations(rest, r):
                 if d_separated(st, a, b, cond):
                     eqs.append(expand_mi({a}, {b}, set(cond)))
-    return EqualitySet(eqs, structure=st)
+    return EqualitySet(eqs)
 
 
 def exprs_equal(e1: InfoExpr, e2: InfoExpr, eqs: EqualitySet | None = None) -> bool:

@@ -15,7 +15,7 @@ densities) with step-halving verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .errors import (
     SingularConditionalCovariance,
     StepTooLarge,
 )
-from .polytope_fm import IneqSystem, LinIneq, vertices
-from .regions_discrete import RATES, dominance_slack
+from .polytope_fm import vertices
+from .regions_discrete import dominance_slack, five_bound_system
 from .regions_gaussian import GaussChannel, check_psd, logdet
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -426,14 +426,15 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
 
 @dataclass
 class DominanceReport:
-    constants: dict[str, float]
+    constants: dict[str, float]     # bound values by label, before any clamp
     vertex_slacks: list
     max_slack: float
     contained: bool
 
 
 def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, float]:
-    """Five bound constants of the degraded region for a scalar mixture input."""
+    """The five information quantities of :func:`five_bound_system` for a
+    scalar mixture input."""
     s1 = float(ch.Sigma1[0, 0])
     s2 = float(ch.Sigma2[0, 0])
     sz = float(ch.SigmaZ[0, 0])
@@ -442,17 +443,12 @@ def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, 
     h_y1_u = mixture_cond_entropy(mix, s1)
     h_y2_u = mixture_cond_entropy(mix, s2)
     h_z_u = mixture_cond_entropy(mix, sz)
-    iuy2 = h_y2 - h_y2_u
-    iuz = h_z - h_z_u
-    ixy1_u = h_y1_u - 0.5 * math.log(TWO_PI_E * s1)
-    ixz = h_z - 0.5 * math.log(TWO_PI_E * sz)
-    ixz_u = h_z_u - 0.5 * math.log(TWO_PI_E * sz)
     return {
-        "rs2": iuy2 - iuz,
-        "rs12": iuy2 + ixy1_u - ixz,
-        "rs2p2": iuy2,
-        "rs12p2": iuy2 + ixy1_u - ixz_u,
-        "total": iuy2 + ixy1_u,
+        "iuy2": h_y2 - h_y2_u,
+        "iuz": h_z - h_z_u,
+        "ixy1_u": h_y1_u - 0.5 * math.log(TWO_PI_E * s1),
+        "ixz": h_z - 0.5 * math.log(TWO_PI_E * sz),
+        "ixz_u": h_z_u - 0.5 * math.log(TWO_PI_E * sz),
     }
 
 
@@ -469,20 +465,12 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
         raise QuadratureNonConvergent("mixture second moment exceeds the input cap")
     if not np.asarray(gauss_points).size:
         raise QuadratureNonConvergent("empty Gaussian envelope")
-    consts = mixture_region_constants(mix, ch)
-    coeffs = {
-        "rs2": {"Rs2": 1},
-        "rs12": {"Rs1": 1, "Rs2": 1},
-        "rs2p2": {"Rp2": 1, "Rs2": 1},
-        "rs12p2": {"Rs1": 1, "Rp2": 1, "Rs2": 1},
-        "total": {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1},
-    }
+    bounds = five_bound_system(**mixture_region_constants(mix, ch))
     # clamp negative constants (possible for strongly non-degraded-looking
     # mixtures only through quadrature noise) to keep the polytope well formed
-    sys = IneqSystem.of(RATES, [
-        LinIneq.of(coeffs[l], max(float(v), 0.0), label=l) for l, v in consts.items()])
-    vp = vertices(sys)
+    vp = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
     slacks = [(tuple(p), dominance_slack(p, gauss_points)) for p in vp.vertices]
     worst = max((s for _, s in slacks), default=0.0)
-    return DominanceReport(constants=consts, vertex_slacks=slacks,
-                           max_slack=float(worst), contained=bool(worst <= slack_tol))
+    return DominanceReport(constants={q.label: q.rhs for q in bounds.ineqs},
+                           vertex_slacks=slacks, max_slack=float(worst),
+                           contained=bool(worst <= slack_tol))

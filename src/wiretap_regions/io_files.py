@@ -8,6 +8,9 @@ are written with ``%.17g`` so a parse/emit round trip is bit exact.
 
 from __future__ import annotations
 
+import csv
+import io
+
 import numpy as np
 
 from .entropy_algebra import FactorStructure
@@ -220,6 +223,16 @@ def _write(path, text: str) -> None:
             fh.write(text)
     except OSError as e:
         raise IoError(f"cannot write {path}: {e}") from e
+
+
+def emit_csv(path, header, rows) -> None:
+    """Write a header and rows as CSV; fields holding commas or quotes are
+    quoted, so every row parses to as many fields as the header."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _write(path, buf.getvalue())
 
 
 def emit_region_csv(obj, path) -> None:

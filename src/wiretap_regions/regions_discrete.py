@@ -10,6 +10,7 @@ constants are in nats.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,22 +92,33 @@ def _system(rows) -> IneqSystem:
     return IneqSystem.of(RATES, [LinIneq.of(c, float(r), label=l) for c, r, l in rows])
 
 
-def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Five-bound achievable region of the degraded channel for a fixed aux."""
-    c = _degraded_constants(aux, ch)
+def five_bound_system(iuy2: float, iuz: float, ixy1_u: float, ixz: float,
+                      ixz_u: float) -> IneqSystem:
+    """Five-bound degraded-channel region from its five information quantities
+    I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the input law
+    (discrete auxiliaries, Gaussian covariances or scalar mixtures)."""
     return _system([
-        ({"Rs2": 1}, c["iuy2"] - c["iuz"], "rs2"),
-        ({"Rs1": 1, "Rs2": 1}, c["iuy2"] + c["ixy1_u"] - c["ixz"], "rs12"),
-        ({"Rp2": 1, "Rs2": 1}, c["iuy2"], "rs2p2"),
-        ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, c["iuy2"] + c["ixy1_u"] - c["ixz_u"], "rs12p2"),
-        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, c["iuy2"] + c["ixy1_u"], "total"),
+        ({"Rs2": 1}, iuy2 - iuz, "rs2"),
+        ({"Rs1": 1, "Rs2": 1}, iuy2 + ixy1_u - ixz, "rs12"),
+        ({"Rp2": 1, "Rs2": 1}, iuy2, "rs2p2"),
+        ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, iuy2 + ixy1_u - ixz_u, "rs12p2"),
+        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, iuy2 + ixy1_u, "total"),
     ])
 
 
-def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Outer bound: the inner system without the Rs1+Rp2+Rs2 constraint."""
-    inner = eval_degraded_inner(aux, ch)
+def outer_of(inner: IneqSystem) -> IneqSystem:
+    """Outer bound: the five-bound inner system without the Rs1+Rp2+Rs2 constraint."""
     return inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
+
+
+def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
+    """Five-bound achievable region of the degraded channel for a fixed aux."""
+    return five_bound_system(**_degraded_constants(aux, ch))
+
+
+def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
+    """Outer bound of the degraded channel for a fixed aux."""
+    return outer_of(eval_degraded_inner(aux, ch))
 
 
 def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
@@ -248,24 +260,12 @@ def to_equivocation(rates) -> tuple[float, float, float, float]:
 # --- sweeps -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepConfig:
-    budget: int
-    seed: int = 0
-    card_u: int | None = None   # default |X| + 3
-    card_q: int = 2
-    card_v: int | None = None   # default |X| + 1
-
-
 @dataclass
 class SweepResult:
     rates: tuple[str, ...]
     points: np.ndarray
     hull_points: np.ndarray
-    rows: list = field(default_factory=list)   # (sample id, aux hash, constants, n vertices)
-
-    def csv_rows(self):
-        return self.rows
+    rows: list = field(default_factory=list)   # (sample id, tag, constants, n vertices)
 
 
 def _aux_hash(table: ProbTable) -> str:
@@ -299,21 +299,6 @@ def in_hull(point, points, tol: float = 1e-9) -> bool:
     b_eq = np.concatenate([p, [1.0]])
     res = linprog(c=np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
                   method="highs", options={"primal_feasibility_tolerance": max(tol, 1e-10)})
-    return res.status == 0
-
-
-def dominated_in_hull(point, points, slack: float = 0.0) -> bool:
-    """True when some convex combination of rows dominates ``point - slack``
-    componentwise (rate regions are downward closed)."""
-    from scipy.optimize import linprog
-
-    pts = np.asarray(points, dtype=float)
-    p = np.asarray(point, dtype=float) - slack
-    n = pts.shape[0]
-    # find lambda >= 0, sum lambda = 1, pts.T @ lambda >= p
-    res = linprog(c=np.zeros(n), A_ub=-pts.T, b_ub=-p,
-                  A_eq=np.ones((1, n)), b_eq=[1.0], bounds=[(0, None)] * n,
-                  method="highs")
     return res.status == 0
 
 
@@ -373,46 +358,45 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
     return AuxJoint(table, kind="layered")
 
 
-def sweep_inner_region(ch: ChannelSpec, config: SweepConfig, mode: str = "degraded") -> SweepResult:
+def sweep_systems(samples) -> SweepResult:
+    """Merge the vertex clouds of a stream of ``(tag, system)`` samples into
+    one sweep: a CSV row per sample, the point cloud and its hull."""
+    pts, rows = [], []
+    for idx, (tag, sys) in enumerate(samples):
+        vp = vertices(sys)
+        if vp.vertices.size:
+            pts.append(vp.vertices)
+        rows.append((idx, tag, [float(q.rhs) for q in sys.ineqs], vp.vertices.shape[0]))
+    cloud = np.vstack(pts) if pts else np.empty((0, len(RATES)))
+    return SweepResult(rates=RATES, points=cloud, hull_points=hull_of(cloud), rows=rows)
+
+
+def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
+                       mode: str = "degraded") -> SweepResult:
     """Seeded sweep of auxiliary joints; returns the merged vertex cloud and
     its hull.  Samples are a fixed prefix sequence, so a larger budget extends
     a smaller one and the hull can only grow.
     """
-    if config.budget < 1:
+    if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     card_x = ch.input.cardinality
-    card_u = config.card_u or card_x + 3
-    pts = []
-    rows = []
-    count = 0
+    card_u = card_x + 3
+    card_v = card_x + 1
 
-    def add(aux: AuxJoint, sys_builder):
-        nonlocal count
-        sys = sys_builder(aux)
-        vp = vertices(sys)
-        if vp.vertices.size:
-            pts.append(vp.vertices)
-        consts = [float(q.rhs) for q in sys.ineqs]
-        rows.append((count, _aux_hash(aux.table), consts, vp.vertices.shape[0]))
-        count += 1
+    def samples():
+        if mode == "degraded":
+            for arr in _corner_aux_ux(card_u, card_x):
+                yield AuxJoint(make_table((VarId("U", card_u), VarId("X", card_x)), arr))
+            while True:
+                yield random_aux_ux(rng, card_u, card_x)
+        elif mode == "general":
+            for i in itertools.count():
+                yield random_aux_layered(rng, 2, card_u, card_v, card_v, card_x,
+                                         indep_v=(i % 2 == 0))
+        else:
+            raise BudgetZero(f"unknown sweep mode {mode!r}")
 
-    if mode == "degraded":
-        corners = _corner_aux_ux(card_u, card_x)
-        for arr in corners[:config.budget]:
-            add(AuxJoint(make_table((VarId("U", card_u), VarId("X", card_x)), arr)),
-                lambda a: eval_degraded_inner(a, ch))
-        while count < config.budget:
-            add(random_aux_ux(rng, card_u, card_x),
-                lambda a: eval_degraded_inner(a, ch))
-    elif mode == "general":
-        card_v = config.card_v or card_x + 1
-        while count < config.budget:
-            add(random_aux_layered(rng, config.card_q, card_u, card_v, card_v, card_x,
-                                   indep_v=(count % 2 == 0)),
-                lambda a: eval_general_inner(a, ch))
-    else:
-        raise BudgetZero(f"unknown sweep mode {mode!r}")
-
-    cloud = np.vstack(pts) if pts else np.empty((0, 4))
-    return SweepResult(rates=RATES, points=cloud, hull_points=hull_of(cloud), rows=rows)
+    build = eval_general_inner if mode == "general" else eval_degraded_inner
+    return sweep_systems((_aux_hash(aux.table), build(aux, ch))
+                         for aux in itertools.islice(samples(), budget))

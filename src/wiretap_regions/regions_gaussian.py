@@ -9,6 +9,7 @@ natural-log determinant ratios, in nats.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .errors import (
     SingularMatrix,
     UnknownCorollary,
 )
-from .polytope_fm import IneqSystem, LinIneq, vertices
-from .regions_discrete import RATES, SweepResult, hull_of
+from .polytope_fm import IneqSystem, LinIneq
+from .regions_discrete import RATES, SweepResult, five_bound_system, outer_of, sweep_systems
 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -189,28 +190,16 @@ def _half_logdet_ratio(num, den) -> float:
 
 
 def _gauss_constants(K, ch: GaussChannel) -> dict[str, float]:
+    """The five information quantities of :func:`five_bound_system` for X = U + V
+    with Cov(V) = K and Cov(U) = S - K."""
     S, s1, s2, sz = ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ
-    lead = _half_logdet_ratio(S + s2, K + s2)
-    private = _half_logdet_ratio(K + s1, s1)
     return {
-        "rs2": lead - _half_logdet_ratio(S + sz, K + sz),
-        "rs12": lead + private - _half_logdet_ratio(S + sz, sz),
-        "rs2p2": lead,
-        "rs12p2": lead + private - _half_logdet_ratio(K + sz, sz),
-        "total": lead + private,
+        "iuy2": _half_logdet_ratio(S + s2, K + s2),
+        "iuz": _half_logdet_ratio(S + sz, K + sz),
+        "ixy1_u": _half_logdet_ratio(K + s1, s1),
+        "ixz": _half_logdet_ratio(S + sz, sz),
+        "ixz_u": _half_logdet_ratio(K + sz, sz),
     }
-
-
-def _rate_system(values: dict[str, float]) -> IneqSystem:
-    coeffs = {
-        "rs2": {"Rs2": 1},
-        "rs12": {"Rs1": 1, "Rs2": 1},
-        "rs2p2": {"Rp2": 1, "Rs2": 1},
-        "rs12p2": {"Rs1": 1, "Rp2": 1, "Rs2": 1},
-        "total": {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1},
-    }
-    return IneqSystem.of(RATES, [LinIneq.of(coeffs[l], float(v), label=l)
-                                 for l, v in values.items()])
 
 
 def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> IneqSystem:
@@ -220,13 +209,12 @@ def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> IneqSystem:
     if split.K is None:
         raise NotPSD("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
-    return _rate_system(_gauss_constants(split.K, ch))
+    return five_bound_system(**_gauss_constants(split.K, ch))
 
 
 def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> IneqSystem:
-    """Outer bound: the inner system without the Rs1+Rp2+Rs2 constraint."""
-    inner = eval_gauss_inner(split, ch)
-    return inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
+    """Outer bound of the degraded channel for a fixed K <= S."""
+    return outer_of(eval_gauss_inner(split, ch))
 
 
 def specialize_gauss_corollary(sys: IneqSystem, which: str) -> IneqSystem:
@@ -437,36 +425,24 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
         raise NotDegraded("covariance sweep expects a degraded channel")
     rng = np.random.default_rng(seed)
     d = ch.dim
-    pts, rows = [], []
-    corner_ks = [np.zeros((d, d)), ch.S.copy(), 0.5 * ch.S]
 
-    def add(idx, K, channel):
-        sys = eval_gauss_inner(CovSplit(K=K), channel)
-        vp = vertices(sys)
-        if vp.vertices.size:
-            pts.append(vp.vertices)
-        rows.append((idx, f"K{idx}", [float(q.rhs) for q in sys.ineqs],
-                     vp.vertices.shape[0]))
+    def samples():
+        if mode == "fixed_S":
+            for K in (np.zeros((d, d)), ch.S.copy(), 0.5 * ch.S):
+                yield K, ch
+            while True:
+                yield random_psd_under(rng, ch.S), ch
+        elif mode == "trace_P":
+            p = trace_p if trace_p is not None else float(np.trace(ch.S))
+            while True:
+                q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+                lam = rng.dirichlet(np.ones(d)) * p
+                S = (q * np.clip(lam, 1e-9 * p, None)) @ q.T
+                S = check_pd(0.5 * (S + S.T), "S")
+                channel = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
+                yield random_psd_under(rng, S), channel
+        else:
+            raise BudgetZero(f"unknown sweep mode {mode!r}")
 
-    count = 0
-    if mode == "fixed_S":
-        for K in corner_ks[:budget]:
-            add(count, K, ch)
-            count += 1
-        while count < budget:
-            add(count, random_psd_under(rng, ch.S), ch)
-            count += 1
-    elif mode == "trace_P":
-        p = trace_p if trace_p is not None else float(np.trace(ch.S))
-        while count < budget:
-            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-            lam = rng.dirichlet(np.ones(d)) * p
-            S = (q * np.clip(lam, 1e-9 * p, None)) @ q.T
-            S = check_pd(0.5 * (S + S.T), "S")
-            channel = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
-            add(count, random_psd_under(rng, S), channel)
-            count += 1
-    else:
-        raise BudgetZero(f"unknown sweep mode {mode!r}")
-    cloud = np.vstack(pts) if pts else np.empty((0, 4))
-    return SweepResult(rates=RATES, points=cloud, hull_points=hull_of(cloud), rows=rows)
+    return sweep_systems((f"K{i}", eval_gauss_inner(CovSplit(K=K), channel))
+                         for i, (K, channel) in enumerate(itertools.islice(samples(), budget)))

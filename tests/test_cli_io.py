@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -169,7 +171,36 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--seed", "1", "--tol", "1e-30"]) == 1
 
 
-def test_cli_verify_appendix(capsys):
-    assert main(["fm", "verify-appendix", "--instantiations", "1", "--seed", "2"]) == 0
+def test_cli_verify_appendix(tmp_path, capsys):
+    out = tmp_path / "chain.csv"
+    assert main(["fm", "verify-appendix", "--instantiations", "1", "--seed", "2",
+                 "--out", str(out)]) == 0
     outerr = capsys.readouterr()
     assert "chain verified" in outerr.out
+    # transfer-step details hold commas; every row must still parse to the header width
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert {len(r) for r in rows} == {len(rows[0])}
+    assert any("," in r[2] for r in rows[1:])
+
+
+def test_cli_tol_is_what_the_user_typed():
+    # the entropy-gradient residual of this run is about 3e-8
+    argv = ["fisher", "debruijn", "--budget", "5", "--seed", "1"]
+    assert main(argv) == 0
+    assert main(argv + ["--tol", "1e-9"]) == 1
+
+
+def test_cli_out_directory_is_an_input_error(tmp_path):
+    assert main(["fisher", "debruijn", "--budget", "1", "--out", str(tmp_path)]) == 2
+    assert main(["fisher", "lemmas", "--budget", "1", "--out", str(tmp_path)]) == 2
+
+
+def test_fisher_evidence_prints_worst_slack(tmp_path, capsys):
+    out = tmp_path / "evidence.csv"
+    assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--budget", "3", "--seed", "4", "--out", str(out)]) == 0
+    line = [l for l in capsys.readouterr().out.splitlines() if "dominance slack" in l][0]
+    with open(out, newline="") as fh:
+        worst = max(float(r["max_slack"]) for r in csv.DictReader(fh))
+    assert float(line.rsplit(":", 1)[1]) == pytest.approx(worst, rel=1e-3)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions.errors import BudgetZero, InconsistentAux, NegativeRate, UnknownCorollary
 from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
@@ -10,16 +12,19 @@ from wiretap_regions.polytope_fm import (
     fm_eliminate,
     max_violation,
     region_equal,
+    support_value,
     vertices,
 )
 from wiretap_regions.regions_discrete import (
+    RATES,
     AuxJoint,
-    SweepConfig,
     eval_degraded_inner,
     eval_degraded_outer,
     eval_general_inner,
     eval_original_inner,
+    five_bound_system,
     in_hull,
+    outer_of,
     random_aux_ux,
     reduction_aux,
     specialize_corollary,
@@ -256,7 +261,7 @@ def first_corner_aux(ch):
 
 def test_sweep_budget_one_singleton():
     ch = cascade_channel()
-    res = sweep_inner_region(ch, SweepConfig(budget=1, seed=5))
+    res = sweep_inner_region(ch, 1, seed=5)
     assert len(res.rows) == 1
     single = vertices(eval_degraded_inner(first_corner_aux(ch), ch)).vertices
     assert res.points.shape[0] == single.shape[0]
@@ -264,18 +269,41 @@ def test_sweep_budget_one_singleton():
 
 
 def test_sweep_identity_channel_no_secrecy():
-    res = sweep_inner_region(identity_channel(), SweepConfig(budget=5, seed=6))
+    res = sweep_inner_region(identity_channel(), 5, seed=6)
     assert np.abs(res.points[:, [1, 3]]).max() <= 1e-9
 
 
 def test_sweep_budget_monotone():
     ch = cascade_channel()
-    small = sweep_inner_region(ch, SweepConfig(budget=4, seed=7))
-    big = sweep_inner_region(ch, SweepConfig(budget=8, seed=7))
+    small = sweep_inner_region(ch, 4, seed=7)
+    big = sweep_inner_region(ch, 8, seed=7)
     for p in small.hull_points:
         assert in_hull(p, big.points, tol=1e-9)
 
 
 def test_sweep_zero_budget():
     with pytest.raises(BudgetZero):
-        sweep_inner_region(cascade_channel(), SweepConfig(budget=0, seed=1))
+        sweep_inner_region(cascade_channel(), 0, seed=1)
+
+
+# Constants and directions on dyadic grids: every bound is then exactly 0 or at
+# least 1/64 away from it, and every LP reduced cost is 0 or far above HiGHS's
+# 1e-7 optimality tolerance, so the properties hold exactly up to rounding.
+_CONST = st.integers(-64, 128).map(lambda k: k / 64)
+_DIRECTION = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[_CONST] * 5), st.lists(_DIRECTION, min_size=3, max_size=3))
+def test_five_bound_vertices_agree_with_support_values(consts, directions):
+    sys = five_bound_system(*consts)
+    pts = vertices(sys).vertices
+    for d in directions:
+        value = support_value(sys, dict(zip(RATES, d)))
+        if pts.shape[0] == 0:
+            assert value == float("-inf")
+        else:
+            assert abs(float((pts @ np.array(d)).max()) - value) <= 1e-7
+    outer = outer_of(sys)
+    for p in pts:
+        assert max_violation(outer, p) <= 1e-9
