@@ -37,6 +37,7 @@ from .regions_discrete import (
     eval_degraded_inner,
     eval_degraded_outer,
     eval_general_inner,
+    pareto_front,
     sweep_inner_region,
 )
 from .regions_gaussian import (
@@ -231,14 +232,15 @@ def cmd_fisher_evidence(args) -> int:
     if ch.dim != 1:
         raise ValidationError("the evidence harness is scalar only")
     rng = np.random.default_rng(args.seed)
-    sweep = sweep_covariances(ch, budget=max(40, args.budget), seed=args.seed)
+    envelope = pareto_front(
+        sweep_covariances(ch, budget=max(40, args.budget), seed=args.seed).points)
     slacks, rows = [], []
     s_cap = float(ch.S[0, 0])
     for i in range(args.budget):
         mix = random_mixture(rng)
         scale = np.sqrt(0.98 * s_cap / max(mix.second_moment(), 1e-12))
         mix = type(mix)(mix.u_points, mix.x_points * min(1.0, scale), mix.weights)
-        rep = sufficiency_evidence_scalar(mix, ch, sweep.points, slack_tol=args.tol)
+        rep = sufficiency_evidence_scalar(mix, ch, envelope, slack_tol=args.tol)
         slacks.append(rep.max_slack)
         rows.append([i, f"{rep.max_slack:.6e}", int(rep.contained)])
     if args.out:

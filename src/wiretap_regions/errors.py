@@ -68,6 +68,10 @@ class DimensionTooLarge(WiretapError):
     """Vertex enumeration requested beyond the supported dimension."""
 
 
+class LPFailure(WiretapError):
+    """The LP solver stopped without an optimum on an LP that has one."""
+
+
 class ScriptStepMismatch(WiretapError):
     """A derivation-script step produced a system that disagrees with the
     recorded one.  Carries the offending step and constraint description."""

@@ -26,7 +26,7 @@ from .errors import (
     StepTooLarge,
 )
 from .polytope_fm import vertices
-from .regions_discrete import dominance_slack, five_bound_system
+from .regions_discrete import dominance_slack, five_bound_system, pareto_front
 from .regions_gaussian import GaussChannel, check_psd, logdet
 
 TWO_PI_E = 2.0 * math.pi * math.e
@@ -424,10 +424,16 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
     return t_star, k_star
 
 
+# Bounds in [-CLAMP_TOL, 0) are clamped to 0 and recorded; lower ones raise.
+# Each bound is a difference of quadrature entropies checked to rtol 1e-7
+# (mixture_entropy); 1e-6 is ten times that, so a lower bound is no noise.
+CLAMP_TOL = 1e-6
+
+
 @dataclass
 class DominanceReport:
     constants: dict[str, float]     # bound values by label, before any clamp
-    vertex_slacks: list
+    clamped: list[str]              # labels of the bounds clamped to 0
     max_slack: float
     contained: bool
 
@@ -459,18 +465,24 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
     allocation envelope (point cloud from a covariance sweep), within a slack.
 
     Rate regions are downward closed, so a vertex is covered when some convex
-    combination of envelope points dominates it componentwise.
+    combination of envelope points dominates it componentwise.  The slack is
+    monotone in the vertex, so only the vertices on the polytope's Pareto
+    front are checked.  Passing ``pareto_front(gauss_points)`` instead of the
+    whole cloud gives the same slacks from smaller LPs.
     """
     if mix.second_moment() > float(ch.S[0, 0]) + 1e-9:
         raise QuadratureNonConvergent("mixture second moment exceeds the input cap")
     if not np.asarray(gauss_points).size:
         raise QuadratureNonConvergent("empty Gaussian envelope")
     bounds = five_bound_system(**mixture_region_constants(mix, ch))
-    # clamp negative constants (possible for strongly non-degraded-looking
-    # mixtures only through quadrature noise) to keep the polytope well formed
+    negative = [q for q in bounds.ineqs if q.rhs < 0.0]
+    for q in negative:
+        if q.rhs < -CLAMP_TOL:
+            raise QuadratureNonConvergent(
+                f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
     vp = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
-    slacks = [(tuple(p), dominance_slack(p, gauss_points)) for p in vp.vertices]
-    worst = max((s for _, s in slacks), default=0.0)
+    worst = max((dominance_slack(p, gauss_points) for p in pareto_front(vp.vertices)),
+                default=0.0)
     return DominanceReport(constants={q.label: q.rhs for q in bounds.ineqs},
-                           vertex_slacks=slacks, max_slack=float(worst),
+                           clamped=[q.label for q in negative], max_slack=float(worst),
                            contained=bool(worst <= slack_tol))

@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BudgetZero,
     InconsistentAux,
+    LPFailure,
     NegativeRate,
     UnknownCorollary,
 )
@@ -303,7 +304,10 @@ def in_hull(point, points, tol: float = 1e-9) -> bool:
 
 
 def dominance_slack(point, points) -> float:
-    """Smallest uniform slack s making ``point - s`` dominated by the cloud."""
+    """Smallest uniform slack s making ``point - s`` dominated by the cloud.
+
+    Raises LPFailure when the solver stops without an optimum.
+    """
     from scipy.optimize import linprog
 
     pts = np.asarray(points, dtype=float)
@@ -315,9 +319,31 @@ def dominance_slack(point, points) -> float:
     A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
     res = linprog(c=c, A_ub=A_ub, b_ub=-p, A_eq=A_eq, b_eq=[1.0],
                   bounds=[(0, None)] * n + [(None, None)], method="highs")
+    # always feasible (any simplex lambda with s large enough satisfies it)
+    # and bounded (s >= p_k - max of column k), so any other status is a failure
     if res.status != 0:
-        return float("inf")
+        raise LPFailure(f"dominance LP failed with status {res.status}: {res.message}")
     return float(res.x[-1])
+
+
+def pareto_front(points) -> np.ndarray:
+    """Rows of ``points`` that no other row dominates componentwise, in their
+    original order; of equal rows the first is kept.
+
+    Dropping dominated rows changes no :func:`dominance_slack` value: a convex
+    combination using a dominated row is dominated by the same combination
+    using the row that dominates it.
+    """
+    pts = np.asarray(points, dtype=float)
+    # descending lexicographic order puts every row after the rows dominating
+    # it and after its earlier duplicates (the index breaks ties)
+    order = np.lexsort((np.arange(len(pts)), *(-pts[:, ::-1].T)))
+    front, kept = np.empty_like(pts), []
+    for i in order:
+        if not (front[:len(kept)] >= pts[i]).all(axis=1).any():
+            front[len(kept)] = pts[i]
+            kept.append(i)
+    return pts[np.sort(np.asarray(kept, dtype=int))]
 
 
 def _corner_aux_ux(card_u: int, card_x: int):

@@ -204,3 +204,21 @@ def test_fisher_evidence_prints_worst_slack(tmp_path, capsys):
     with open(out, newline="") as fh:
         worst = max(float(r["max_slack"]) for r in csv.DictReader(fh))
     assert float(line.rsplit(":", 1)[1]) == pytest.approx(worst, rel=1e-3)
+
+
+def test_fisher_evidence_names_a_dominance_lp_failure(tmp_path, monkeypatch, capsys):
+    import scipy.optimize
+
+    real = scipy.optimize.linprog
+
+    def linprog(*args, **kw):
+        # the dominance LP is the only one with a free last variable
+        if kw["bounds"][-1] == (None, None):
+            return scipy.optimize.OptimizeResult(status=4, message="numerical difficulties",
+                                                 x=None)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--budget", "1"]) == 1
+    assert "dominance LP failed with status 4" in capsys.readouterr().err

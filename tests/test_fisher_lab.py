@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from wiretap_regions import fisher_lab
 from wiretap_regions.errors import NoRoot, QuadratureNonConvergent, StepTooLarge
 from wiretap_regions.fisher_lab import (
     GaussPair,
@@ -14,10 +16,13 @@ from wiretap_regions.fisher_lab import (
     mixture_cond_entropy,
     mixture_cond_fisher,
     mixture_entropy,
+    mixture_region_constants,
     random_gauss_pair,
     random_mixture,
     sufficiency_evidence_scalar,
 )
+from wiretap_regions.polytope_fm import vertices
+from wiretap_regions.regions_discrete import dominance_slack, five_bound_system, pareto_front
 from wiretap_regions.regions_gaussian import GaussChannel, sweep_covariances
 
 I1 = np.eye(1)
@@ -211,9 +216,19 @@ def test_evidence_antipodal_dominated():
     assert rep.contained and rep.max_slack <= 1e-3
 
 
+def brute_force_max_slack(mix, ch, env):
+    """Largest dominance slack over every vertex of the clamped polytope."""
+    bounds = five_bound_system(**mixture_region_constants(mix, ch))
+    pts = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0))
+                                      for q in bounds.ineqs])).vertices
+    return max(dominance_slack(p, env) for p in pts)
+
+
 def test_evidence_random_mixtures_dominated():
     ch = scalar_channel()
     env = gauss_envelope(ch)
+    front = pareto_front(env)
+    assert len(front) < len(env)
     rng = np.random.default_rng(37)
     for _ in range(10):
         mix = random_mixture(rng)
@@ -221,6 +236,33 @@ def test_evidence_random_mixtures_dominated():
         mix = ScalarMixture(mix.u_points, mix.x_points * scale, mix.weights)
         rep = sufficiency_evidence_scalar(mix, ch, env)
         assert rep.contained, rep.max_slack
+        brute = brute_force_max_slack(mix, ch, env)
+        assert abs(rep.max_slack - brute) <= 1e-9
+        assert abs(sufficiency_evidence_scalar(mix, ch, front).max_slack - brute) <= 1e-9
+
+
+def antipodal_constants_with(monkeypatch, rs2):
+    """Patch the mixture constants so that the rs2 bound I(U;Y2) - I(U;Z) is ``rs2``."""
+    ch = scalar_channel()
+    mix = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
+    consts = mixture_region_constants(mix, ch)
+    consts["iuz"] = consts["iuy2"] - rs2
+    monkeypatch.setattr(fisher_lab, "mixture_region_constants", lambda m, c: dict(consts))
+    return mix, ch
+
+
+def test_evidence_clamps_and_records_a_tiny_negative_bound(monkeypatch):
+    mix, ch = antipodal_constants_with(monkeypatch, -5e-7)
+    rep = sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
+    assert rep.clamped == ["rs2"]
+    assert rep.constants["rs2"] == pytest.approx(-5e-7, rel=1e-6)
+    assert rep.contained
+
+
+def test_evidence_rejects_a_bound_below_the_clamp_tolerance(monkeypatch):
+    mix, ch = antipodal_constants_with(monkeypatch, -2e-6)
+    with pytest.raises(QuadratureNonConvergent, match="rs2"):
+        sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
 
 
 def test_evidence_rejects_over_cap():

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap_regions.errors import BudgetZero, InconsistentAux, NegativeRate, UnknownCorollary
+from wiretap_regions.errors import (
+    BudgetZero,
+    InconsistentAux,
+    LPFailure,
+    NegativeRate,
+    UnknownCorollary,
+)
 from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
 from wiretap_regions.polytope_fm import (
     apply_rate_transfer,
@@ -18,6 +24,7 @@ from wiretap_regions.polytope_fm import (
 from wiretap_regions.regions_discrete import (
     RATES,
     AuxJoint,
+    dominance_slack,
     eval_degraded_inner,
     eval_degraded_outer,
     eval_general_inner,
@@ -25,6 +32,7 @@ from wiretap_regions.regions_discrete import (
     five_bound_system,
     in_hull,
     outer_of,
+    pareto_front,
     random_aux_ux,
     reduction_aux,
     specialize_corollary,
@@ -307,3 +315,42 @@ def test_five_bound_vertices_agree_with_support_values(consts, directions):
     outer = outer_of(sys)
     for p in pts:
         assert max_violation(outer, p) <= 1e-9
+
+
+# dyadic coordinates, so that rows tie and dominate each other often and no
+# slack sits inside the solver tolerances
+_COORD = st.integers(0, 4).map(lambda k: k / 4)
+_ROW = st.tuples(*[_COORD] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(st.integers(0, 9), max_size=4),
+       st.lists(st.tuples(*[st.integers(-4, 12).map(lambda k: k / 8)] * 4),
+                min_size=2, max_size=2))
+def test_pareto_front_keeps_what_dominance_needs(rows, dups, probes):
+    cloud = np.array(rows + [rows[i % len(rows)] for i in dups])
+    front = pareto_front(cloud)
+    it = iter(map(tuple, cloud))
+    assert all(row in it for row in map(tuple, front))   # a subsequence of the input
+    for row in cloud:
+        assert (front >= row).all(axis=1).any()
+    for i, row in enumerate(front):
+        others = np.delete(front, i, axis=0)
+        assert not (others >= row).all(axis=1).any()
+    for p in probes:
+        assert abs(dominance_slack(p, front) - dominance_slack(p, cloud)) <= 1e-9
+
+
+def test_pareto_front_keeps_order_and_first_duplicate():
+    cloud = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0], [0.4, 0.4]])
+    np.testing.assert_array_equal(pareto_front(cloud), cloud[:3])
+    assert pareto_front(np.empty((0, 4))).shape == (0, 4)
+
+
+def test_dominance_slack_raises_on_solver_failure(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
+        status=4, message="numerical difficulties", x=None))
+    with pytest.raises(LPFailure, match="status 4"):
+        dominance_slack([0.5, 0.5], np.eye(2))
