@@ -57,18 +57,20 @@ OK, VIOLATION, INPUT_ERROR = 0, 1, 2
 
 
 def _emit(obj, args) -> None:
-    if getattr(args, "out", None):
+    if args.out:
         emit_region_csv(obj, args.out)
         print(f"wrote {args.out}")
-    elif getattr(args, "format", "pretty") == "csv":
+    elif args.format == "csv":
         sys.stdout.write(region_csv_text(obj))
     else:
         print(pretty_text(obj))
 
 
-def _common(p, out=True):
-    p.add_argument("--seed", type=int, default=0, help="PCG64 seed for all randomness")
-    p.add_argument("--tol", type=float, default=1e-9)
+def _common(p, seed=True, tol=None, out=False):
+    if seed:
+        p.add_argument("--seed", type=int, default=0, help="PCG64 seed for all randomness")
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol)
     if out:
         p.add_argument("--out", help="write CSV here instead of stdout")
         p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
@@ -265,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--channel", required=True)
         q.add_argument("--aux", required=True)
         q.add_argument("--vertices", action="store_true", help="emit vertices, not constraints")
-        _common(q)
+        _common(q, seed=False, out=True)
         q.set_defaults(fn=cmd_region_eval)
     q = region.add_parser("sweep")
     q.add_argument("--channel", required=True)
     q.add_argument("--budget", type=int, required=True)
     q.add_argument("--mode", choices=("degraded", "general"), default="degraded")
-    _common(q)
+    _common(q, out=True)
     q.set_defaults(fn=cmd_region_sweep)
 
     fm = sub.add_parser("fm", help="inequality-system machinery").add_subparsers(
@@ -280,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--instantiations", "--budget", dest="instantiations", type=int, default=3,
                    help="random instantiations certifying each dropped row")
     q.add_argument("--out")
-    _common(q, out=False)
+    _common(q, tol=1e-9)
     q.set_defaults(fn=cmd_fm_verify)
 
     gauss = sub.add_parser("gauss", help="Gaussian vector channels").add_subparsers(
@@ -291,24 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--bound", choices=("inner", "outer", "general"), default="inner")
     q.add_argument("--order", choices=("21", "12"), default="21")
     q.add_argument("--vertices", action="store_true")
-    _common(q)
+    _common(q, seed=False, out=True)
     q.set_defaults(fn=cmd_gauss_eval)
     q = gauss.add_parser("sweep")
     q.add_argument("--channel", required=True)
     q.add_argument("--budget", type=int, required=True)
     q.add_argument("--mode", choices=("fixed_S", "trace_P"), default="fixed_S")
     q.add_argument("--trace-p", type=float, default=None)
-    _common(q)
+    _common(q, out=True)
     q.set_defaults(fn=cmd_gauss_sweep)
     q = gauss.add_parser("dpc-check")
     q.add_argument("--channel", required=True)
     q.add_argument("--split")
     q.add_argument("--budget", type=int, default=100)
-    _common(q, out=False)
+    _common(q, tol=1e-9)
     q.set_defaults(fn=cmd_gauss_dpc)
     q = gauss.add_parser("degraded-check")
     q.add_argument("--channel", required=True)
-    _common(q, out=False)
     q.set_defaults(fn=cmd_gauss_degraded)
 
     fisher = sub.add_parser("fisher", help="Fisher-information lab").add_subparsers(
@@ -318,26 +319,26 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--dim", type=int, default=3)
     q.add_argument("--step", type=float, default=1e-4)
     q.add_argument("--out")
-    _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_debruijn, tol=1e-4)
+    _common(q, tol=1e-4)
+    q.set_defaults(fn=cmd_fisher_debruijn)
     q = fisher.add_parser("lemmas")
     q.add_argument("--budget", type=int, default=200)
     q.add_argument("--mixtures", action="store_true")
     q.add_argument("--out")
-    _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_lemmas, tol=1e-8)
+    _common(q, tol=1e-8)
+    q.set_defaults(fn=cmd_fisher_lemmas)
     q = fisher.add_parser("evidence")
     q.add_argument("--channel", required=True)
     q.add_argument("--budget", type=int, default=50)
     q.add_argument("--out")
-    _common(q, out=False)
-    q.set_defaults(fn=cmd_fisher_evidence, tol=1e-3)
+    _common(q, tol=1e-3)
+    q.set_defaults(fn=cmd_fisher_evidence)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol <= 0:
+    if getattr(args, "tol", 1) <= 0:
         print("input error: tolerances must be positive", file=sys.stderr)
         return INPUT_ERROR
     if getattr(args, "budget", 1) < 1:

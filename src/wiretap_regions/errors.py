@@ -69,7 +69,7 @@ class DimensionTooLarge(WiretapError):
 
 
 class LPFailure(WiretapError):
-    """The LP solver stopped without an optimum on an LP that has one."""
+    """The LP solver neither solved the LP nor proved it infeasible or unbounded."""
 
 
 class ScriptStepMismatch(WiretapError):

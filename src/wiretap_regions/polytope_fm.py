@@ -21,6 +21,7 @@ from .entropy_algebra import InfoExpr
 from .errors import (
     DimensionTooLarge,
     DuplicateSlackName,
+    LPFailure,
     UnboundedRegion,
     ZeroCoefficient,
 )
@@ -364,26 +365,19 @@ def _numeric_rows(sys: IneqSystem, allow_eq: bool = False):
     return A, np.array(bub, dtype=float)
 
 
-def _feasible(A: np.ndarray, b: np.ndarray, d: int) -> bool:
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), what="LP"):
+    """Solve ``min c.x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``bounds`` by HiGHS.
+
+    Returns scipy's result when the LP is solved (status 0), infeasible (2) or
+    unbounded (3); raises LPFailure naming ``what`` on any other status.
+    """
     from scipy.optimize import linprog
 
-    if A.shape[0] == 0:
-        return True
-    res = linprog(c=np.zeros(d), A_ub=A, b_ub=b, bounds=[(0, None)] * d, method="highs")
-    return res.status == 0
-
-
-def _check_bounded(A: np.ndarray, d: int) -> None:
-    """Raise UnboundedRegion when a nonzero recession direction d>=0 exists."""
-    from scipy.optimize import linprog
-
-    if A.shape[0] == 0:
-        raise UnboundedRegion("no constraints besides the orthant")
-    res = linprog(c=np.zeros(d), A_ub=A, b_ub=np.zeros(A.shape[0]),
-                  A_eq=np.ones((1, d)), b_eq=[1.0], bounds=[(0, None)] * d,
+    res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs")
-    if res.status == 0:
-        raise UnboundedRegion("system has a recession direction inside the orthant")
+    if res.status not in (0, 2, 3):
+        raise LPFailure(f"{what} LP failed with status {res.status}: {res.message}")
+    return res
 
 
 def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
@@ -397,9 +391,12 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     if d > 6:
         raise DimensionTooLarge(f"vertex enumeration supports dimension <= 6, got {d}")
     A_exp, b_exp = _numeric_rows(sys)
-    if not _feasible(A_exp, b_exp, d):
+    if solve_lp(np.zeros(d), A_exp, b_exp, what="feasibility").status == 2:
         return VPolytope(sys.vars, np.empty((0, d)))
-    _check_bounded(A_exp, d)
+    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
+    if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
+                what="recession").status == 0:
+        raise UnboundedRegion("system has a recession direction inside the orthant")
     A = np.vstack([A_exp, -np.eye(d)])
     b = np.concatenate([b_exp, np.zeros(d)])
     m = A.shape[0]
@@ -461,24 +458,18 @@ def support_value(sys: IneqSystem, objective: dict[str, float]):
     """``max objective . x`` over the numeric system.
 
     Returns ``-inf`` for an empty region and ``None`` when the objective is
-    unbounded above.  Unlike :func:`vertices` this accepts equality rows.
+    unbounded above; raises LPFailure when the solver fails.  Unlike
+    :func:`vertices` this accepts equality rows.
     """
-    from scipy.optimize import linprog
-
     A, b, A_eq, b_eq = _numeric_rows(sys, allow_eq=True)
-    d = len(sys.vars)
-    c = np.zeros(d)
+    c = np.zeros(len(sys.vars))
     for v, k in objective.items():
         c[sys.vars.index(v)] = k
-    res = linprog(c=-c, A_ub=A if A.size else None, b_ub=b if A.size else None,
-                  A_eq=A_eq if A_eq.size else None, b_eq=b_eq if A_eq.size else None,
-                  bounds=[(0, None)] * d, method="highs")
+    res = solve_lp(-c, A, b, A_eq, b_eq, what="support")
     if res.status == 2:
         return float("-inf")
     if res.status == 3:
         return None
-    if res.status != 0:
-        raise UnboundedRegion(f"LP failed with status {res.status}")
     return float(-res.fun)
 
 

@@ -9,6 +9,7 @@ constants are in nats.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 from dataclasses import dataclass, field
@@ -18,7 +19,6 @@ import numpy as np
 from .errors import (
     BudgetZero,
     InconsistentAux,
-    LPFailure,
     NegativeRate,
     UnknownCorollary,
 )
@@ -30,7 +30,7 @@ from .info_core import (
     mutual_information,
     require_degraded,
 )
-from .polytope_fm import IneqSystem, LinIneq, vertices
+from .polytope_fm import IneqSystem, LinIneq, solve_lp, vertices
 
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
 AUX_TOL = 1e-10
@@ -265,8 +265,11 @@ def to_equivocation(rates) -> tuple[float, float, float, float]:
 class SweepResult:
     rates: tuple[str, ...]
     points: np.ndarray
-    hull_points: np.ndarray
     rows: list = field(default_factory=list)   # (sample id, tag, constants, n vertices)
+
+    @functools.cached_property
+    def hull_points(self) -> np.ndarray:
+        return hull_of(self.points)
 
 
 def _aux_hash(table: ProbTable) -> str:
@@ -275,32 +278,38 @@ def _aux_hash(table: ProbTable) -> str:
 
 
 def hull_of(points: np.ndarray) -> np.ndarray:
-    """Vertices of the convex hull of a point cloud (cloud itself when the
-    cloud is degenerate for the hull code)."""
+    """Vertices of the convex hull of a point cloud, as rows of the cloud.  A
+    cloud that Qhull refuses as flat is hulled inside its own affine span."""
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.unique(np.round(points, 12), axis=0)
     if pts.shape[0] <= pts.shape[1] + 1:
         return pts
     try:
-        hull = ConvexHull(pts)
-        return pts[hull.vertices]
+        return pts[ConvexHull(pts).vertices]
     except QhullError:
-        return pts
+        centred = pts - pts.mean(axis=0)
+        _, sv, vt = np.linalg.svd(centred, full_matrices=False)
+        coords = centred @ vt[:int((sv > 1e-9 * sv[0]).sum())].T
+        if coords.shape[1] <= 1:
+            return pts[[coords[:, 0].argmin(), coords[:, 0].argmax()]]
+        return pts[ConvexHull(coords).vertices]
 
 
 def in_hull(point, points, tol: float = 1e-9) -> bool:
-    """Feasibility of expressing ``point`` as a convex combination of rows."""
-    from scipy.optimize import linprog
-
+    """True when ``point`` is within ``tol`` (max norm) of a convex combination
+    of the rows of ``points``, checked on the weights the LP returns."""
     pts = np.asarray(points, dtype=float)
     p = np.asarray(point, dtype=float)
-    n = pts.shape[0]
-    A_eq = np.vstack([pts.T, np.ones((1, n))])
-    b_eq = np.concatenate([p, [1.0]])
-    res = linprog(c=np.zeros(n), A_eq=A_eq, b_eq=b_eq, bounds=[(0, None)] * n,
-                  method="highs", options={"primal_feasibility_tolerance": max(tol, 1e-10)})
-    return res.status == 0
+    n, d = pts.shape
+    # variables (lambda, s): minimize s subject to |pts.T @ lambda - p| <= s
+    c = np.concatenate([np.zeros(n), [1.0]])
+    A_ub = np.hstack([np.vstack([pts.T, -pts.T]), -np.ones((2 * d, 1))])
+    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
+    # always feasible and bounded below by 0, so the solver returns an optimum
+    res = solve_lp(c, A_ub, np.concatenate([p, -p]), A_eq, [1.0], what="hull distance")
+    lam = np.clip(res.x[:n], 0.0, None)
+    return float(np.abs(pts.T @ (lam / lam.sum()) - p).max()) <= tol
 
 
 def dominance_slack(point, points) -> float:
@@ -308,8 +317,6 @@ def dominance_slack(point, points) -> float:
 
     Raises LPFailure when the solver stops without an optimum.
     """
-    from scipy.optimize import linprog
-
     pts = np.asarray(points, dtype=float)
     p = np.asarray(point, dtype=float)
     n, d = pts.shape
@@ -317,12 +324,10 @@ def dominance_slack(point, points) -> float:
     c = np.concatenate([np.zeros(n), [1.0]])
     A_ub = np.hstack([-pts.T, -np.ones((d, 1))])
     A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    res = linprog(c=c, A_ub=A_ub, b_ub=-p, A_eq=A_eq, b_eq=[1.0],
-                  bounds=[(0, None)] * n + [(None, None)], method="highs")
     # always feasible (any simplex lambda with s large enough satisfies it)
-    # and bounded (s >= p_k - max of column k), so any other status is a failure
-    if res.status != 0:
-        raise LPFailure(f"dominance LP failed with status {res.status}: {res.message}")
+    # and bounded (s >= p_k - max of column k), so the solver returns an optimum
+    res = solve_lp(c, A_ub, -p, A_eq, [1.0], bounds=[(0, None)] * n + [(None, None)],
+                   what="dominance")
     return float(res.x[-1])
 
 
@@ -394,7 +399,7 @@ def sweep_systems(samples) -> SweepResult:
             pts.append(vp.vertices)
         rows.append((idx, tag, [float(q.rhs) for q in sys.ineqs], vp.vertices.shape[0]))
     cloud = np.vstack(pts) if pts else np.empty((0, len(RATES)))
-    return SweepResult(rates=RATES, points=cloud, hull_points=hull_of(cloud), rows=rows)
+    return SweepResult(rates=RATES, points=cloud, rows=rows)
 
 
 def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,

@@ -222,3 +222,24 @@ def test_fisher_evidence_names_a_dominance_lp_failure(tmp_path, monkeypatch, cap
     assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
                  "--budget", "1"]) == 1
     assert "dominance LP failed with status 4" in capsys.readouterr().err
+
+
+def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):
+    from wiretap_regions import regions_discrete
+
+    def hull_of(points):
+        raise AssertionError("fisher evidence reads only the sweep cloud")
+
+    monkeypatch.setattr(regions_discrete, "hull_of", hull_of)
+    assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--budget", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "sweep", "--budget", "2", "--tol", "1e-3"],
+    ["gauss", "degraded-check", "--seed", "1"],
+])
+def test_cli_rejects_an_option_the_command_ignores(tmp_path, argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv + ["--channel", write(tmp_path, "c.txt", DISCRETE)])
+    assert e.value.code == 2

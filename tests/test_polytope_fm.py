@@ -1,11 +1,15 @@
+import ast
 import itertools
+import pathlib
 
 import numpy as np
 import pytest
 
+import wiretap_regions
 from wiretap_regions.errors import (
     DimensionTooLarge,
     DuplicateSlackName,
+    LPFailure,
     UnboundedRegion,
     ZeroCoefficient,
 )
@@ -238,6 +242,32 @@ def test_support_value_and_infeasible():
     assert support_value(empty, {"x": 1}) == float("-inf")
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
     assert support_value(unb, {"y": 1}) is None
+
+
+def test_lp_solver_failure_raises(monkeypatch):
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
+        status=4, message="numerical difficulties", x=None, fun=None))
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    with pytest.raises(LPFailure, match="feasibility LP failed with status 4"):
+        vertices(sq)
+    with pytest.raises(LPFailure, match="support LP failed with status 4"):
+        support_value(sq, {"x": 1})
+
+
+def test_linprog_is_named_only_in_solve_lp():
+    # one LP entry point: a second call site would need its own status policy
+    for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        funcs = [n for n in ast.walk(ast.parse(text))
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for lineno, line in enumerate(text.splitlines(), 1):
+            if "linprog" in line:
+                around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+                owner = max(around, key=lambda f: f.lineno).name if around else None
+                assert (path.name, owner) == ("polytope_fm.py", "solve_lp"), \
+                    f"linprog named at {path.name}:{lineno}"
 
 
 def test_elimination_order_invariance():

@@ -289,6 +289,17 @@ def test_sweep_budget_monotone():
         assert in_hull(p, big.points, tol=1e-9)
 
 
+def test_flat_cloud_is_hulled_in_its_span():
+    # Rs1 = Rs2 = 0 throughout: the cloud is the triangle Rp1 + Rp2 <= log 2
+    res = sweep_inner_region(identity_channel(), 40, seed=6)
+    cloud = np.round(res.points, 12)
+    assert res.hull_points.shape[0] == 3
+    for h in res.hull_points:
+        assert (cloud == h).all(axis=1).any()
+    for p in res.points:
+        assert in_hull(p, res.hull_points, tol=1e-9)
+
+
 def test_sweep_zero_budget():
     with pytest.raises(BudgetZero):
         sweep_inner_region(cascade_channel(), 0, seed=1)
@@ -339,6 +350,20 @@ def test_pareto_front_keeps_what_dominance_needs(rows, dups, probes):
         assert not (others >= row).all(axis=1).any()
     for p in probes:
         assert abs(dominance_slack(p, front) - dominance_slack(p, cloud)) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(st.integers(0, 8), min_size=10,
+       max_size=10), st.integers(0, 3), st.integers(1, 8).map(lambda k: k / 8))
+def test_in_hull_on_dyadic_clouds(rows, weights, col, gap):
+    cloud = np.array(rows)
+    w = np.array(weights[:len(rows)], dtype=float)
+    w[0] += w.sum() == 0
+    inside = (w / w.sum()) @ cloud
+    assert in_hull(inside, cloud, tol=1e-9)
+    outside = inside.copy()
+    outside[col] = cloud[:, col].max() + gap
+    assert not in_hull(outside, cloud, tol=1e-9)
 
 
 def test_pareto_front_keeps_order_and_first_duplicate():
