@@ -7,9 +7,9 @@ the semidefinite order, the entropy-gradient (de Bruijn) identity, the
 interpolation argument producing the matched covariance of the Gaussian
 bounds, and the scalar evidence harness for Gaussian sufficiency.
 
-Gaussian instances use closed forms; scalar mixtures use trapezoid quadrature
-on +-8-standard-deviation grids (spectrally accurate for smooth decaying
-densities) with step-halving verification.
+Gaussian instances use closed forms.  For scalar mixtures one trapezoid pass
+on a +-8-standard-deviation grid gives both h and J and checks each by step
+halving; a value that moves raises QuadratureNonConvergent, never returns.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import (
     QuadratureNonConvergent,
     SingularConditionalCovariance,
     StepTooLarge,
+    ValidationError,
 )
 from .polytope_fm import vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
@@ -69,12 +70,9 @@ class ScalarMixture:
 
     def __post_init__(self):
         u = np.asarray(self.u_points, dtype=float).ravel()
-        x = np.asarray(self.x_points, dtype=float).ravel()
-        w = np.asarray(self.weights, dtype=float).ravel()
-        if not (u.size == x.size == w.size) or u.size == 0:
-            raise QuadratureNonConvergent("mixture support arrays must have equal nonzero size")
-        if w.min() < 0 or abs(w.sum() - 1.0) > 1e-12:
-            raise QuadratureNonConvergent("mixture weights must be a distribution")
+        x, w = _check_mixture(self.x_points, self.weights)
+        if u.size != x.size:
+            raise ValidationError("mixture support arrays must have equal size")
         for a in (u, x, w):
             a.setflags(write=False)
         object.__setattr__(self, "u_points", u)
@@ -98,70 +96,75 @@ class ScalarMixture:
 
 # --- quadrature on mixture + Gaussian densities --------------------------------
 
-
-def _grid(centers, sigma: float, n: int, span: float):
-    lo = centers.min() - span * sigma
-    hi = centers.max() + span * sigma
-    return np.linspace(lo, hi, n)
+# Largest relative move of h or J from the half-resolution grid.
+QUAD_RTOL = 1e-7
 
 
-def _log_density(y, centers, weights, var: float):
-    # log sum_j w_j phi(y - c_j; var), numerically stable
-    z = -(y[:, None] - centers[None, :]) ** 2 / (2.0 * var)
-    z += np.log(weights)[None, :] - 0.5 * np.log(2.0 * math.pi * var)
-    zmax = z.max(axis=1, keepdims=True)
-    return (zmax + np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)))[:, 0]
+def _check_mixture(centers, weights):
+    """Flat float arrays; ValidationError unless a distribution on finite centers."""
+    c = np.asarray(centers, dtype=float).ravel()
+    w = np.asarray(weights, dtype=float).ravel()
+    if c.size != w.size or c.size == 0:
+        raise ValidationError("mixture centers and weights must have equal nonzero size")
+    if not np.isfinite(c).all():
+        raise ValidationError("mixture centers must be finite")
+    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12):
+        raise ValidationError("mixture weights must be a distribution")
+    return c, w
 
 
-def mixture_entropy(centers, weights, var: float, n: int = 4001, span: float = 8.0,
-                    rtol: float = 1e-7) -> float:
-    """Differential entropy of ``sum_j w_j N(c_j, var)`` by trapezoid quadrature.
-
-    The value on the full grid is verified against the half-resolution grid;
-    disagreement beyond ``rtol`` raises QuadratureNonConvergent.
-    """
-    centers = np.asarray(centers, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
+def _quadrature(centers, weights, var: float, n: int) -> tuple[float, float]:
+    """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` by the
+    trapezoid rule on ``n`` points over [min c - 8 sigma, max c + 8 sigma].
+    Either value moving by more than QUAD_RTOL * (1 + |value|) on the
+    half-resolution grid raises QuadratureNonConvergent."""
+    centers, weights = _check_mixture(centers, weights)
+    if not var > 0.0:
+        raise ValidationError(f"noise variance must be positive, got {var}")
+    centers, weights = centers[weights > 0.0], weights[weights > 0.0]   # no log(0)
     sigma = math.sqrt(var)
-    y = _grid(centers, sigma, n, span)
-    logf = _log_density(y, centers, weights, var)
-    f = np.exp(logf)
-    h = float(np.trapezoid(-f * logf, y))
-    h_half = float(np.trapezoid(-(f * logf)[::2], y[::2]))
-    if abs(h - h_half) > rtol * (1.0 + abs(h)):
-        raise QuadratureNonConvergent(
-            f"entropy quadrature moved by {abs(h - h_half):.2e} under refinement")
-    return h
-
-
-def mixture_fisher(centers, weights, var: float, n: int = 4001, span: float = 8.0) -> float:
-    """Fisher information of the smoothed mixture: integral of f'^2 / f."""
-    centers = np.asarray(centers, dtype=float).ravel()
-    weights = np.asarray(weights, dtype=float).ravel()
-    sigma = math.sqrt(var)
-    y = _grid(centers, sigma, n, span)
-    z = -(y[:, None] - centers[None, :]) ** 2 / (2.0 * var)
-    z += np.log(weights)[None, :] - 0.5 * np.log(2.0 * math.pi * var)
-    zmax = z.max(axis=1, keepdims=True)
+    y = np.linspace(centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma, n)
+    # log(w_j phi(y - c_j; var)): one row per component, shifted by the column max
+    d = y[None, :] - centers[:, None]
+    z = -d ** 2 / (2.0 * var)
+    z += np.log(weights)[:, None] - 0.5 * np.log(2.0 * math.pi * var)
+    zmax = z.max(axis=0)
     expz = np.exp(z - zmax)
-    f = expz.sum(axis=1) * np.exp(zmax[:, 0])
-    fprime = (expz * (-(y[:, None] - centers[None, :]) / var)).sum(axis=1) * np.exp(zmax[:, 0])
+    total = expz.sum(axis=0)
+    logf = zmax + np.log(total)
+    scale = np.exp(zmax)
+    f = total * scale
+    fprime = (expz * (-d / var)).sum(axis=0) * scale
     mask = f > 1e-300
-    return float(np.trapezoid(np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0), y))
+    # rows: integrands of h and J; exp(logf) and f differ only in rounding
+    terms = np.stack([-np.exp(logf) * logf,
+                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
+    full = np.trapezoid(terms, y, axis=1)
+    moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
+    if (moved > QUAD_RTOL * (1.0 + np.abs(full))).any():
+        raise QuadratureNonConvergent(
+            f"quadrature of (h, J) moved by ({moved[0]:.2e}, {moved[1]:.2e}) under refinement")
+    return float(full[0]), float(full[1])
 
 
-def mixture_cond_entropy(mix: ScalarMixture, var: float, **kw) -> float:
+def mixture_entropy(centers, weights, var: float, n: int = 4001) -> float:
+    """Differential entropy of ``sum_j w_j N(c_j, var)``, checked by refinement."""
+    return _quadrature(centers, weights, var, n)[0]
+
+
+def mixture_fisher(centers, weights, var: float, n: int = 4001) -> float:
+    """Fisher information of ``sum_j w_j N(c_j, var)``, checked by refinement."""
+    return _quadrature(centers, weights, var, n)[1]
+
+
+def mixture_cond_entropy(mix: ScalarMixture, var: float) -> float:
     """h(X + N | U) for Gaussian noise of the given variance."""
-    return sum(pu * mixture_entropy(c, w, var, **kw) for pu, c, w in mix.groups())
+    return sum(pu * mixture_entropy(c, w, var) for pu, c, w in mix.groups())
 
 
-def mixture_cond_fisher(mix: ScalarMixture, var: float, **kw) -> float:
+def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
-    return sum(pu * mixture_fisher(c, w, var, **kw) for pu, c, w in mix.groups())
-
-
-def mixture_entropy_uncond(mix: ScalarMixture, var: float, **kw) -> float:
-    return mixture_entropy(mix.x_points, mix.weights, var, **kw)
+    return sum(pu * mixture_fisher(c, w, var) for pu, c, w in mix.groups())
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -197,13 +200,12 @@ def _sym_basis(d: int):
             yield e
 
 
-def debruijn_check(obj, sigma_n, step: float = 1e-4, fail_tol: float = 1e-4,
-                   quad_n: int = 4001) -> float:
+def debruijn_check(obj, sigma_n, step: float = 1e-4) -> float:
     """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2.
 
     Central differences of h along every symmetric direction are compared with
-    ``tr(J D)/2``.  If the residual at the requested step is large but halving
-    the step shrinks it, the residual is truncation-dominated and
+    ``tr(J D)/2``.  If the residual at the requested step is above 1e-4 but
+    halving the step shrinks it, the residual is truncation-dominated and
     StepTooLarge is raised instead of returning a misleading number.
     """
 
@@ -222,15 +224,15 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4, fail_tol: float = 1e-4,
         if isinstance(obj, ScalarMixture):
             var = float(np.atleast_2d(np.asarray(sigma_n, dtype=float))[0, 0])
             t_abs = t * max(1.0, var)
-            J = mixture_cond_fisher(obj, var, n=quad_n)
-            hp = mixture_cond_entropy(obj, var + t_abs, n=quad_n)
-            hm = mixture_cond_entropy(obj, var - t_abs, n=quad_n)
+            J = mixture_cond_fisher(obj, var)
+            hp = mixture_cond_entropy(obj, var + t_abs)
+            hm = mixture_cond_entropy(obj, var - t_abs)
             fd = (hp - hm) / (2.0 * t_abs)
             return abs(fd - 0.5 * J)
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
     r1 = residual(step)
-    if r1 > fail_tol:
+    if r1 > 1e-4:
         r2 = residual(step / 2.0)
         if r2 < 0.5 * r1:
             raise StepTooLarge(
@@ -265,8 +267,8 @@ def random_gauss_pair(rng: np.random.Generator, d: int) -> GaussPair:
     return GaussPair(_rand_psd(rng, 2 * d), d_u=d, d_x=d)
 
 
-def random_mixture(rng: np.random.Generator, max_support: int = 4) -> ScalarMixture:
-    n = int(rng.integers(2, max_support + 1))
+def random_mixture(rng: np.random.Generator) -> ScalarMixture:
+    n = int(rng.integers(2, 5))
     u = rng.integers(0, 2, size=n).astype(float)
     x = rng.normal(scale=1.5, size=n)
     w = rng.dirichlet(np.ones(n))
@@ -277,9 +279,9 @@ def _min_eig(m) -> float:
     return float(np.linalg.eigvalsh(np.atleast_2d(m)).min())
 
 
-def lemma_suite_check(seed: int = 0, count: int = 200, dims=(1, 2, 3),
+def lemma_suite_check(seed: int = 0, count: int = 200,
                       include_mixtures: bool = False) -> SuiteReport:
-    """Evaluate the six matrix lemmas on seeded random instances.
+    """Evaluate the six matrix lemmas on seeded instances of dimension 1, 2, 3 in turn.
 
     Reports the minimum slack (eigenvalue or scalar) per instance; every slack
     must be >= -1e-8.  Gaussian instances check the Cramer-Rao and
@@ -290,7 +292,7 @@ def lemma_suite_check(seed: int = 0, count: int = 200, dims=(1, 2, 3),
     rng = np.random.default_rng(seed)
     rep = SuiteReport()
     for i in range(count):
-        d = dims[i % len(dims)]
+        d = 1 + i % 3
         pair = random_gauss_pair(rng, d)
         s1 = _rand_psd(rng, d)
         s2 = s1 + _rand_psd(rng, d, jitter=0.05)
@@ -362,14 +364,14 @@ def _cond_var(mix: ScalarMixture) -> float:
 # --- interpolation and the sufficiency evidence harness -------------------------
 
 
-def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
-                         s_cap: float | None = None, tol: float = 1e-10):
+def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     """Find t* with f(t*) = h(Z|U) - h(Y2|U) on the scalar interpolation path.
 
     ``K(t) = (1-t) [J^{-1}(X+NZ|U) - sigmaZ^2] + t [J^{-1}(X+N2|U) - sigma2^2]``
     and ``f(t) = log((K+sigmaZ^2)/(K+sigma2^2))/2``.  Continuity gives a root
-    in [0, 1]; the returned K satisfies the sandwich
-    ``J^{-1}(X+N2|U) - sigma2^2 <= K <= s_cap`` within 1e-8.
+    in [0, 1], found by bisection to 1e-10; the returned K satisfies the
+    sandwich ``J^{-1}(X+N2|U) - sigma2^2 <= K <= E[X^2]`` (``Cov(X)`` for a
+    Gaussian pair) within 1e-8.
     """
     if sigma2_sq > sigmaz_sq:
         raise NoRoot("interpolation requires the degraded order sigma2^2 <= sigmaZ^2")
@@ -377,12 +379,12 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
         cxu = float(obj.cov_x_given_u()[0, 0])
         j2, jz = 1.0 / (cxu + sigma2_sq), 1.0 / (cxu + sigmaz_sq)
         g = 0.5 * math.log((cxu + sigmaz_sq) / (cxu + sigma2_sq))
-        cap = s_cap if s_cap is not None else float(obj.cov_x()[0, 0])
+        cap = float(obj.cov_x()[0, 0])
     elif isinstance(obj, ScalarMixture):
         j2 = mixture_cond_fisher(obj, sigma2_sq)
         jz = mixture_cond_fisher(obj, sigmaz_sq)
         g = mixture_cond_entropy(obj, sigmaz_sq) - mixture_cond_entropy(obj, sigma2_sq)
-        cap = s_cap if s_cap is not None else obj.second_moment()
+        cap = obj.second_moment()
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
@@ -406,7 +408,7 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
     else:
         lo, hi = 0.0, 1.0
         flo = f0
-        while hi - lo > tol:
+        while hi - lo > 1e-10:
             mid = 0.5 * (lo + hi)
             fm = f(mid) - g
             if fm == 0.0:
@@ -425,9 +427,9 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float,
 
 
 # Bounds in [-CLAMP_TOL, 0) are clamped to 0 and recorded; lower ones raise.
-# Each bound is a difference of quadrature entropies checked to rtol 1e-7
-# (mixture_entropy); 1e-6 is ten times that, so a lower bound is no noise.
-CLAMP_TOL = 1e-6
+# Each bound is a difference of quadrature entropies checked to QUAD_RTOL;
+# ten times that is no quadrature noise.
+CLAMP_TOL = 10 * QUAD_RTOL
 
 
 @dataclass
@@ -444,8 +446,8 @@ def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, 
     s1 = float(ch.Sigma1[0, 0])
     s2 = float(ch.Sigma2[0, 0])
     sz = float(ch.SigmaZ[0, 0])
-    h_y2 = mixture_entropy_uncond(mix, s2)
-    h_z = mixture_entropy_uncond(mix, sz)
+    h_y2 = mixture_entropy(mix.x_points, mix.weights, s2)
+    h_z = mixture_entropy(mix.x_points, mix.weights, sz)
     h_y1_u = mixture_cond_entropy(mix, s1)
     h_y2_u = mixture_cond_entropy(mix, s2)
     h_z_u = mixture_cond_entropy(mix, sz)
@@ -471,9 +473,9 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
     whole cloud gives the same slacks from smaller LPs.
     """
     if mix.second_moment() > float(ch.S[0, 0]) + 1e-9:
-        raise QuadratureNonConvergent("mixture second moment exceeds the input cap")
+        raise ValidationError("mixture second moment exceeds the input cap")
     if not np.asarray(gauss_points).size:
-        raise QuadratureNonConvergent("empty Gaussian envelope")
+        raise ValidationError("empty Gaussian envelope")
     bounds = five_bound_system(**mixture_region_constants(mix, ch))
     negative = [q for q in bounds.ineqs if q.rhs < 0.0]
     for q in negative:

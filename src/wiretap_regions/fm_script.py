@@ -45,6 +45,7 @@ from .polytope_fm import (
     substitute_equality,
     support_value,
 )
+from .regions_discrete import random_aux_layered
 
 MIN_UY = "Imin(U;Yj)"
 MIN_UYQ = "Imin(U;Yj|Q)"
@@ -257,14 +258,7 @@ def random_layered_joint(rng: np.random.Generator, card: int = 2,
     draws often give empty instantiated regions, which certify nothing).
     """
     c = card
-    p_qu = rng.dirichlet(np.ones(c * c)).reshape(c, c)
-    if indep_v:
-        p_v1_u = rng.dirichlet(np.ones(c), size=c)
-        p_v2_u = rng.dirichlet(np.ones(c), size=c)
-        p_x_uv = rng.dirichlet(np.ones(c), size=c * c * c).reshape(c, c, c, c)
-        p_vvx_u = np.einsum("ua,ub,uabx->uabx", p_v1_u, p_v2_u, p_x_uv)
-    else:
-        p_vvx_u = rng.dirichlet(np.ones(c ** 3), size=c).reshape(c, c, c, c)
+    aux = random_aux_layered(rng, c, c, c, c, c, indep_v=indep_v)
     if degraded:
         s1 = rng.dirichlet(np.ones(c), size=c)
         s2 = rng.dirichlet(np.ones(c), size=c)
@@ -272,7 +266,7 @@ def random_layered_joint(rng: np.random.Generator, card: int = 2,
         p_out_x = np.einsum("xi,ij,jk->xijk", s1, s2, s3)
     else:
         p_out_x = rng.dirichlet(np.ones(c ** 3), size=c).reshape(c, c, c, c)
-    joint = np.einsum("qu,uabx,xijk->quabxijk", p_qu, p_vvx_u, p_out_x)
+    joint = np.einsum("quabx,xijk->quabxijk", aux.table.probs, p_out_x)
     names = ["Q", "U", "V1", "V2", "X", "Y1", "Y2", "Z"]
     return make_table(tuple(VarId(n, c) for n in names), joint)
 

@@ -283,7 +283,7 @@ def hull_of(points: np.ndarray) -> np.ndarray:
     from scipy.spatial import ConvexHull, QhullError
 
     pts = np.unique(np.round(points, 12), axis=0)
-    if pts.shape[0] <= pts.shape[1] + 1:
+    if pts.shape[0] <= 1:
         return pts
     try:
         return pts[ConvexHull(pts).vertices]

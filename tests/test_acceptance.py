@@ -198,7 +198,7 @@ def test_c07_fisher_lab():
             worst_m = max(worst_m, debruijn_check(mix, [[0.6 + rng.uniform(0, 1)]],
                                                   step=1e-4))
         assert worst_m <= 1e-4
-        rep = lemma_suite_check(seed=505, count=200, dims=(1, 2, 3))
+        rep = lemma_suite_check(seed=505, count=200)
         assert rep.worst >= -1e-8
         assert len({l for l, _, _, _ in rep.rows}) == 6
         for _ in range(25):

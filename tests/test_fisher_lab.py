@@ -1,12 +1,16 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions import fisher_lab
-from wiretap_regions.errors import NoRoot, QuadratureNonConvergent, StepTooLarge
+from wiretap_regions.errors import NoRoot, QuadratureNonConvergent, StepTooLarge, ValidationError
 from wiretap_regions.fisher_lab import (
+    TWO_PI_E,
     GaussPair,
     ScalarMixture,
     debruijn_check,
@@ -16,6 +20,7 @@ from wiretap_regions.fisher_lab import (
     mixture_cond_entropy,
     mixture_cond_fisher,
     mixture_entropy,
+    mixture_fisher,
     mixture_region_constants,
     random_gauss_pair,
     random_mixture,
@@ -97,7 +102,7 @@ def test_debruijn_step_too_large():
 def test_quadrature_nonconvergence_detected():
     # a 31-point grid cannot resolve two narrow spikes ten units apart
     with pytest.raises(QuadratureNonConvergent):
-        mixture_entropy([0.0, 10.37], [0.5, 0.5], 1e-2, n=31, span=8.0)
+        mixture_entropy([0.0, 10.37], [0.5, 0.5], 1e-2, n=31)
 
 
 def test_mixture_entropy_gaussian_closed_form():
@@ -106,13 +111,54 @@ def test_mixture_entropy_gaussian_closed_form():
 
 
 def test_mixture_fisher_gaussian_closed_form():
-    j = mixture_fisher_one_center(2.3)
-    assert j == pytest.approx(1 / 2.3, abs=1e-9)
+    assert mixture_fisher([0.0], [1.0], 2.3) == pytest.approx(1 / 2.3, abs=1e-9)
 
 
-def mixture_fisher_one_center(var):
-    from wiretap_regions.fisher_lab import mixture_fisher
-    return mixture_fisher([0.0], [1.0], var)
+def test_separated_components_closed_forms():
+    # components 40 standard deviations apart barely overlap: h adds H(w), J is 1/var
+    c, w, var = [-20.0, 0.0, 20.0], [0.2, 0.3, 0.5], 0.25
+    h_w = -sum(p * math.log(p) for p in w)
+    assert mixture_entropy(c, w, var) == pytest.approx(
+        h_w + 0.5 * math.log(TWO_PI_E * var), abs=1e-12)
+    assert mixture_fisher(c, w, var) == pytest.approx(1 / var, abs=1e-12)
+
+
+def test_fisher_quadrature_checks_itself():
+    # the grid cannot resolve spikes of width 0.03 two hundred units apart
+    with pytest.raises(QuadratureNonConvergent):
+        mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
+
+
+def test_quadrature_rejects_bad_input():
+    for routine in (mixture_entropy, mixture_fisher):
+        for c, w, var in [([0.0, 1.0], [1.5, -0.5], 1.0), ([0.0, 1.0], [0.5, 0.6], 1.0),
+                          ([0.0, np.nan], [0.5, 0.5], 1.0), ([0.0], [0.5, 0.5], 1.0),
+                          ([0.0, 1.0], [0.5, 0.5], 0.0)]:
+            with pytest.raises(ValidationError):
+                routine(c, w, var)
+    with pytest.raises(ValidationError):
+        ScalarMixture([0.0, 0.0], [0.0, 1.0], [1.5, -0.5])
+
+
+def test_zero_weight_is_dropped_silently():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for routine in (mixture_entropy, mixture_fisher):
+            assert routine([-5.0, 0.0, 1.0], [0.0, 0.4, 0.6], 0.8) == \
+                routine([0.0, 1.0], [0.4, 0.6], 0.8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(0.01, 1.0)), min_size=1, max_size=5),
+       st.floats(0.1, 3.0))
+def test_mixture_within_gaussian_bounds(components, var):
+    c = np.array([x for x, _ in components])
+    w = np.array([p for _, p in components])
+    w /= w.sum()
+    total = var + float(w @ c ** 2) - float(w @ c) ** 2   # Var(X + N)
+    # Cramer-Rao for X + N, and the Gaussian maximizes entropy at fixed variance
+    assert mixture_fisher(c, w, var) * total >= 1.0 - 1e-9
+    assert mixture_entropy(c, w, var) <= 0.5 * math.log(TWO_PI_E * total) + 1e-9
 
 
 def test_lemma_suite_slacks():
@@ -268,5 +314,5 @@ def test_evidence_rejects_a_bound_below_the_clamp_tolerance(monkeypatch):
 def test_evidence_rejects_over_cap():
     ch = scalar_channel()
     mix = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
-    with pytest.raises(QuadratureNonConvergent):
+    with pytest.raises(ValidationError):
         sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch, n=5))

@@ -30,6 +30,7 @@ from wiretap_regions.regions_discrete import (
     eval_general_inner,
     eval_original_inner,
     five_bound_system,
+    hull_of,
     in_hull,
     outer_of,
     pareto_front,
@@ -298,6 +299,12 @@ def test_flat_cloud_is_hulled_in_its_span():
         assert (cloud == h).all(axis=1).any()
     for p in res.points:
         assert in_hull(p, res.hull_points, tol=1e-9)
+
+
+def test_small_cloud_keeps_only_its_vertices():
+    # three collinear points: fewer than d + 1, and the middle one is no vertex
+    hull = hull_of(np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0], [2.0, 0, 0, 0]]))
+    assert sorted(map(tuple, hull)) == [(0.0, 0, 0, 0), (2.0, 0, 0, 0)]
 
 
 def test_sweep_zero_budget():
