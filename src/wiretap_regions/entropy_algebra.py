@@ -229,11 +229,13 @@ def d_separated(st: FactorStructure, a: str, b: str, cond) -> bool:
 
 
 class EqualitySet:
-    """A set of InfoExpr values asserted equal to zero, with a reduced basis.
+    """A set of InfoExpr values asserted equal to zero, with a fully reduced basis.
 
-    Membership of an expression in the rational span of the equalities is the
-    equality decision used throughout: it is sound (never claims equality that
-    can fail numerically) though deliberately not complete for all of Shannon
+    Each pivot atom appears in its own basis row only, so every expression has
+    one reduced form: the one free of pivot atoms.  Membership of an
+    expression in the rational span of the equalities is the equality decision
+    used throughout: it is sound (never claims equality that can fail
+    numerically) though deliberately not complete for all of Shannon
     inference.
     """
 
@@ -249,14 +251,19 @@ class EqualitySet:
         return sorted(expr.terms, key=lambda a: (-len(a.subset), a.subset))
 
     def _reduce(self, expr: InfoExpr) -> InfoExpr:
-        changed = True
-        while changed:
-            changed = False
-            for a in list(expr.terms):
-                if a in self._pivots and a in expr.terms:
-                    expr = expr - self._pivots[a] * expr.terms[a]
-                    changed = True
-        return expr
+        # no pivot row holds another row's pivot atom, so subtracting one row
+        # leaves every other pivot coefficient as it was: one pass suffices
+        terms, syms, constant = dict(expr.terms), dict(expr.syms), expr.constant
+        for a in [a for a in expr.terms if a in self._pivots]:
+            k = terms.pop(a)
+            row = self._pivots[a]
+            for b, c in row.terms.items():
+                if b != a:
+                    terms[b] = terms.get(b, ZERO) - k * c
+            for n, c in row.syms.items():
+                syms[n] = syms.get(n, ZERO) - k * c
+            constant -= k * row.constant
+        return InfoExpr(terms, syms, constant)
 
     def _insert(self, e: InfoExpr):
         e = self._reduce(e)
@@ -265,6 +272,11 @@ class EqualitySet:
             return
         pivot = order[0]
         e = e * (ONE / e.terms[pivot])
+        # keep the basis fully reduced: the new pivot leaves every older row
+        for a, row in self._pivots.items():
+            k = row.terms.get(pivot)
+            if k:
+                self._pivots[a] = row - e * k
         self._pivots[pivot] = e
 
     def reduce(self, expr: InfoExpr) -> InfoExpr:

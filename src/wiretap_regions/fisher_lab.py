@@ -98,6 +98,8 @@ class ScalarMixture:
 
 # Largest relative move of h or J from the half-resolution grid.
 QUAD_RTOL = 1e-7
+# Grid points of every mixture quadrature.
+QUAD_N = 4001
 
 
 def _check_mixture(centers, weights):
@@ -147,12 +149,12 @@ def _quadrature(centers, weights, var: float, n: int) -> tuple[float, float]:
     return float(full[0]), float(full[1])
 
 
-def mixture_entropy(centers, weights, var: float, n: int = 4001) -> float:
+def mixture_entropy(centers, weights, var: float, n: int = QUAD_N) -> float:
     """Differential entropy of ``sum_j w_j N(c_j, var)``, checked by refinement."""
     return _quadrature(centers, weights, var, n)[0]
 
 
-def mixture_fisher(centers, weights, var: float, n: int = 4001) -> float:
+def mixture_fisher(centers, weights, var: float, n: int = QUAD_N) -> float:
     """Fisher information of ``sum_j w_j N(c_j, var)``, checked by refinement."""
     return _quadrature(centers, weights, var, n)[1]
 
@@ -165,6 +167,13 @@ def mixture_cond_entropy(mix: ScalarMixture, var: float) -> float:
 def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
     return sum(pu * mixture_fisher(c, w, var) for pu, c, w in mix.groups())
+
+
+def _mixture_cond(mix: ScalarMixture, var: float) -> tuple[float, float]:
+    """(h(X + N | U), J(X + N | U)) from one quadrature pass per u value;
+    each equals what mixture_cond_entropy and mixture_cond_fisher return."""
+    parts = [(pu, _quadrature(c, w, var, QUAD_N)) for pu, c, w in mix.groups()]
+    return (sum(pu * h for pu, (h, _) in parts), sum(pu * j for pu, (_, j) in parts))
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -343,12 +352,11 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
             mix = random_mixture(rng)
             var1 = 0.5 + rng.uniform(0.0, 1.0)
             var2 = var1 + rng.uniform(0.1, 1.0)
-            jm1 = mixture_cond_fisher(mix, var1)
+            hm, jm1 = _mixture_cond(mix, var1)
             jm2 = mixture_cond_fisher(mix, var2)
             v1 = _cond_var(mix) + var1
             rep.rows.append(("L6", "mixture", i, jm1 - 1.0 / v1))
             rep.rows.append(("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)))
-            hm = mixture_cond_entropy(mix, var1)
             rep.rows.append(("L11", "mixture", i, hm - 0.5 * math.log(TWO_PI_E / jm1)))
     return rep
 
@@ -381,9 +389,9 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         g = 0.5 * math.log((cxu + sigmaz_sq) / (cxu + sigma2_sq))
         cap = float(obj.cov_x()[0, 0])
     elif isinstance(obj, ScalarMixture):
-        j2 = mixture_cond_fisher(obj, sigma2_sq)
-        jz = mixture_cond_fisher(obj, sigmaz_sq)
-        g = mixture_cond_entropy(obj, sigmaz_sq) - mixture_cond_entropy(obj, sigma2_sq)
+        h2, j2 = _mixture_cond(obj, sigma2_sq)
+        hz, jz = _mixture_cond(obj, sigmaz_sq)
+        g = hz - h2
         cap = obj.second_moment()
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")

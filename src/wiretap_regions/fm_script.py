@@ -280,34 +280,36 @@ def min_sym_values(table: ProbTable) -> dict[str, float]:
     }
 
 
-def _certify_redundant(kept: IneqSystem, extras, tables,
-                       tol: float) -> list[tuple[LinIneq, float, int]]:
+def _certify_redundant(kept: IneqSystem, extras, tables) -> list[tuple[LinIneq, float, int]]:
     """Max violation of each dropped row over the kept region, per instantiation.
 
-    Instantiations whose kept region is empty certify nothing (the dropped row
-    was vacuous there) and are skipped.  Returns, per extra row, the worst
-    slack over informative instantiations (<= tol required) and the count of
-    informative instantiations (0 means the row was never exercised).
+    ``tables`` holds ``(table, min_sym_values(table))`` pairs.  Each is
+    instantiated once; an instantiation whose kept region is empty certifies
+    nothing (every dropped row is vacuous there), and the first LP that finds
+    it empty ends it for every row.  Returns, per extra row, the worst slack
+    over informative instantiations (<= tol required; ``inf`` once the kept
+    region is unbounded in the row's direction) and the count of informative
+    instantiations (0 means the row was never exercised).
     """
-    results = []
-    for q in extras:
-        worst = -np.inf
-        informative = 0
-        for table in tables:
-            syms = min_sym_values(table)
-            kept_num = instantiate(kept, table, syms)
-            rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
-            obj = {v: float(c) for v, c in q.coeffs}
-            val = support_value(kept_num, obj)
+    worst = [-np.inf] * len(extras)
+    informative = [0] * len(extras)
+    objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
+    for table, syms in tables:
+        kept_num = instantiate(kept, table, syms)
+        for i, q in enumerate(extras):
+            if worst[i] == np.inf:
+                continue  # already unbounded: nothing can lower its slack
+            val = support_value(kept_num, objs[i])
             if val == float("-inf"):
-                continue  # empty instantiated region: the dropped row is vacuous here
+                break  # empty instantiated region: emptiness ignores the objective
             if val is None:
-                worst = np.inf  # unbounded in the dropped direction
-                break
-            informative += 1
-            worst = max(worst, val - rhs)
-        results.append((q, float(worst) if informative else 0.0, informative))
-    return results
+                worst[i] = np.inf  # unbounded in the dropped direction
+                continue
+            rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+            informative[i] += 1
+            worst[i] = max(worst[i], val - rhs)
+    return [(q, 0.0 if w == -np.inf else w, n)   # -inf: never exercised
+            for q, w, n in zip(extras, worst, informative)]
 
 
 # --- script ---------------------------------------------------------------------
@@ -382,6 +384,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
+    tables = [(t, min_sym_values(t)) for t in tables]
     cur = start
     reports = []
     for i, step in enumerate(steps):
@@ -400,8 +403,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
             # removed rows hold, the region with and without them must coincide
             dropped = [q for q in cur.ineqs if not q.coeffs]
             exercised = 0
-            for table in tables:
-                syms = min_sym_values(table)
+            for table, syms in tables:
                 vals = [q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr)
                         else float(q.rhs) for q in dropped]
                 if any(v < -1e-9 for v in vals):
@@ -418,7 +420,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         elif res.matched and res.extras:
             kept = produced.with_ineqs(
                 [q for q in produced.ineqs if q not in res.extras])
-            certs = _certify_redundant(kept, res.extras, tables, tol)
+            certs = _certify_redundant(kept, res.extras, tables)
             worst = max(s for _, s, _ in certs) if certs else 0.0
             starved = [q for q, _, n in certs if n == 0]
             if worst > tol:

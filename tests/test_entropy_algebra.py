@@ -1,7 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions.entropy_algebra import (
+    ONE,
     EqualitySet,
     FactorStructure,
     InfoExpr,
@@ -136,3 +141,53 @@ def test_empty_equality_set():
     e = expand_mi({"A"}, {"B"})
     assert not eqs.contains_zero(e)
     assert eqs.contains_zero(InfoExpr())
+
+
+def _fixed_point_reduce(pivots, expr):
+    """Reference: subtract pivot rows until no pivot atom is left."""
+    changed = True
+    while changed:
+        changed = False
+        for a in list(expr.terms):
+            if a in pivots and a in expr.terms:
+                expr = expr - pivots[a] * expr.terms[a]
+                changed = True
+    return expr
+
+
+@lru_cache(maxsize=1)
+def _layered_bases():
+    """The layered equality set and the reference basis: each row reduced
+    only against the rows before it, by the fixed-point reduction."""
+    eqs = derive_equalities(layered_structure())
+    pivots = {}
+    for e in eqs.equalities:
+        e = _fixed_point_reduce(pivots, e)
+        if e.terms:
+            pivot = min(e.terms, key=lambda a: (-len(a.subset), a.subset))
+            pivots[pivot] = e * (ONE / e.terms[pivot])
+    return eqs, pivots
+
+
+_NAMES = ["Q", "U", "V1", "V2", "X", "Y1", "Y2", "Z"]
+_terms = st.lists(st.tuples(st.sets(st.sampled_from(_NAMES), min_size=1),
+                            st.integers(-3, 3)), max_size=8)
+_combination = st.lists(st.tuples(st.integers(0, 10**6), st.integers(-3, 3)), max_size=5)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_terms, st.integers(-2, 2), _combination)
+def test_reduce_is_the_unique_pivot_free_form(terms, constant, combination):
+    eqs, reference = _layered_bases()
+    expr = InfoExpr(constant=constant)
+    for names, k in terms:
+        expr = expr + ent(names) * k
+    shifted = expr
+    for i, k in combination:
+        shifted = shifted + eqs.equalities[i % len(eqs.equalities)] * k
+    r = eqs.reduce(expr)
+    assert eqs.reduce(shifted) == r
+    assert eqs.reduce(r) == r
+    assert not set(r.terms) & set(eqs._pivots)
+    assert set(eqs._pivots) == set(reference)
+    assert _fixed_point_reduce(reference, shifted) == r

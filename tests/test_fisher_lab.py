@@ -196,6 +196,27 @@ def test_lemma7_closed_form_oracle():
     assert (1 / j2 - v2) - (1 / j1 - v1) >= -1e-10
 
 
+def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        mix = random_mixture(rng)
+        var = 0.5 + rng.uniform(0.0, 1.0)
+        assert fisher_lab._mixture_cond(mix, var) == (mixture_cond_entropy(mix, var),
+                                                      mixture_cond_fisher(mix, var))
+    passes = []
+    quadrature = fisher_lab._quadrature
+
+    def counting(*args):
+        passes.append(args)
+        return quadrature(*args)
+
+    monkeypatch.setattr(fisher_lab, "_quadrature", counting)
+    rep = lemma_suite_check(seed=1, count=200, include_mixtures=True)
+    # each mixture row needs (h, J) at var1 and J at var2: two passes a group
+    assert len(passes) == 70
+    assert sum(kind == "mixture" for _, kind, _, _ in rep.rows) == 3 * 20
+
+
 def test_interpolation_gaussian_constant_path():
     pair = GaussPair(np.array([[1.0, 0.5], [0.5, 1.0]]), 1, 1)
     t, k = interpolation_t_star(pair, 1.0, 2.0)

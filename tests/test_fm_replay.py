@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from wiretap_regions.entropy_algebra import derive_equalities
+from wiretap_regions import fm_script
+from wiretap_regions.entropy_algebra import InfoExpr, derive_equalities, sym
 from wiretap_regions.errors import ScriptStepMismatch
 from wiretap_regions.fm_script import (
     Step,
+    _certify_redundant,
     layered_structure,
     load_builtin_chain,
     match_systems,
+    min_sym_values,
     parse_constraint,
     parse_system,
+    random_layered_joint,
+    run_step,
     verify_builtin_chain,
     verify_elimination_script,
 )
-from wiretap_regions.polytope_fm import IneqSystem
+from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate, support_value
 
 
 def test_full_chain_replays():
@@ -89,3 +94,104 @@ def test_chain_runtime_budget():
     rep = verify_builtin_chain(seed=1, instantiations=1)
     assert rep.ok
     assert time.monotonic() - t0 < 10.0
+
+
+def _certify_row_by_row(kept, extras, tables):
+    """Reference: the per-(row, table) loop, instantiating for every pair."""
+    results = []
+    for q in extras:
+        worst = -np.inf
+        informative = 0
+        for table in tables:
+            syms = min_sym_values(table)
+            kept_num = instantiate(kept, table, syms)
+            rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+            val = support_value(kept_num, {v: float(c) for v, c in q.coeffs})
+            if val == float("-inf"):
+                continue
+            if val is None:
+                worst = np.inf
+                break
+            informative += 1
+            worst = max(worst, val - rhs)
+        results.append((q, worst if informative or worst == np.inf else 0.0, informative))
+    return results
+
+
+@pytest.mark.parametrize("seed", [0, 3, 12])
+def test_certification_gives_each_row_its_own_answer(seed):
+    start, steps, fixtures, _ = load_builtin_chain()
+    eqs = derive_equalities(layered_structure())
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(3):
+        tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
+        tables.append(random_layered_joint(rng, degraded=True))
+        tables.append(random_layered_joint(rng))
+    pairs = [(t, min_sym_values(t)) for t in tables]
+    cur, certified = start, 0
+    for step in steps:
+        produced = run_step(cur, step)
+        res = match_systems(produced, fixtures[step.expect], eqs)
+        if res.extras and step.op != "drop_signs":
+            kept = produced.with_ineqs([q for q in produced.ineqs if q not in res.extras])
+            got = _certify_redundant(kept, res.extras, pairs)
+            want = _certify_row_by_row(kept, res.extras, tables)
+            assert [(s, n) for _, s, n in got] == [(s, n) for _, s, n in want]
+            certified += len(got)
+        cur = fixtures[step.expect]
+    assert certified == 40
+
+
+def test_empty_instantiation_costs_one_lp(monkeypatch):
+    # the kept region x <= s - 1 (x >= 0) is empty exactly when s < 1
+    kept = IneqSystem.of(("x",), [LinIneq.of({"x": 1}, sym("s") - 1)])
+    extras = [LinIneq.of({"x": 1}, sym("s")),
+              LinIneq.of({"x": 2}, sym("s") + 1),
+              LinIneq.of({"x": 1}, InfoExpr(constant=5))]
+    calls = []
+
+    def counting(sys, objective):
+        calls.append(objective)
+        return support_value(sys, objective)
+
+    monkeypatch.setattr(fm_script, "support_value", counting)
+    empty, nonempty = (None, {"s": 0.5}), (None, {"s": 3.0})
+    assert [(s, n) for _, s, n in _certify_redundant(kept, extras, [empty])] == \
+        [(0.0, 0)] * 3
+    assert len(calls) == 1
+    calls.clear()
+    got = _certify_redundant(kept, extras, [empty, nonempty, empty])
+    assert len(calls) == 1 + 3 + 1
+    assert [(s, n) for _, s, n in got] == [(pytest.approx(-1.0), 1), (pytest.approx(0.0), 1),
+                                          (pytest.approx(-3.0), 1)]
+
+
+def test_unbounded_support_fails_the_step(monkeypatch):
+    # a support LP that reports "unbounded" before any table was informative
+    # must fail the row, not pass it as never exercised
+    monkeypatch.setattr(fm_script, "support_value", lambda sys, objective: None)
+    rep = verify_builtin_chain(seed=0, instantiations=1, strict=False)
+    assert not rep.ok
+    first = next(s for s in rep.steps if s.extras_dropped)
+    assert not first.matched
+    assert first.worst_drop_slack == np.inf
+    assert "not redundant" in first.message
+
+
+def test_unbounded_row_stops_its_own_lps(monkeypatch):
+    # x is free in the kept region y <= s: the row on x is unbounded on the
+    # first table and is not solved again; the row on y goes on
+    kept = IneqSystem.of(("x", "y"), [LinIneq.of({"y": 1}, sym("s"))])
+    extras = [LinIneq.of({"x": 1}, InfoExpr(constant=1)),
+              LinIneq.of({"y": 1}, sym("s") + 1)]
+    calls = []
+
+    def counting(sys, objective):
+        calls.append(objective)
+        return support_value(sys, objective)
+
+    monkeypatch.setattr(fm_script, "support_value", counting)
+    got = _certify_redundant(kept, extras, [(None, {"s": 1.0}), (None, {"s": 2.0})])
+    assert len(calls) == 3
+    assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]
