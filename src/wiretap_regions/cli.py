@@ -108,13 +108,13 @@ def cmd_region_sweep(args) -> int:
 
 
 def cmd_fm_verify(args) -> int:
-    rep = fm_script.verify_builtin_chain(seed=args.seed, instantiations=args.instantiations,
+    rep = fm_script.verify_builtin_chain(seed=args.seed, instantiations=args.budget,
                                          tol=args.tol, strict=False)
     rows = []
     for s in rep.steps:
-        print(f"step {s.index:2d}  {s.op:14s} {s.detail:24s} -> {s.expect or '-':7s} "
+        print(f"step {s.index:2d}  {s.op:14s} {s.detail:24s} -> {s.expect:7s} "
               f"{'ok' if s.matched else 'MISMATCH':9s} extras={s.extras_dropped} {s.message}")
-        rows.append([s.index, s.op, s.detail, s.expect or "", int(s.matched),
+        rows.append([s.index, s.op, s.detail, s.expect, int(s.matched),
                      s.extras_dropped, f"{s.worst_drop_slack:.3e}", s.message])
     if args.out:
         emit_csv(args.out, ["step", "op", "detail", "expect", "matched", "extras_dropped",
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     fm = sub.add_parser("fm", help="inequality-system machinery").add_subparsers(
         dest="cmd", required=True)
     q = fm.add_parser("verify-appendix", help="replay the bundled derivation chain")
-    q.add_argument("--instantiations", "--budget", dest="instantiations", type=int, default=3,
+    q.add_argument("--instantiations", "--budget", dest="budget", type=int, default=3,
                    help="random instantiations certifying each dropped row")
     q.add_argument("--out")
     _common(q, tol=1e-9)

@@ -41,7 +41,6 @@ from .polytope_fm import (
     apply_rate_transfer,
     fm_eliminate,
     instantiate,
-    region_equal,
     substitute_equality,
     support_value,
 )
@@ -143,24 +142,26 @@ def parse_system(text: str, ratevars) -> list[LinIneq]:
 # --- canonical matching --------------------------------------------------------
 
 
+def _substitute_pivots(coeffs: dict, rhs, pivots):
+    """Remove every pivot variable from ``coeffs`` using its pivot row.
+
+    ``pivot = row_rhs - sum(row[v] * v)`` is substituted, moving the
+    information part to the right-hand side.  One pass in insertion order
+    removes every pivot, because each pivot row holds only pivots inserted
+    after it.  Returns the nonzero coefficients and the new right-hand side.
+    """
+    for pivot, (row, row_rhs) in pivots.items():
+        a = coeffs.get(pivot)
+        if a:
+            coeffs[pivot] = Fraction(0)
+            for v, c in row.items():
+                coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
+            rhs = rhs - row_rhs * a
+    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+
+
 def _reduce_mod_equalities(q: LinIneq, eq_pivots, entropy_eqs: EqualitySet | None) -> LinIneq:
-    coeffs = q.coeff_dict()
-    rhs = q.rhs
-    changed = True
-    while changed:
-        changed = False
-        for pivot, (row, row_rhs) in eq_pivots.items():
-            a = coeffs.get(pivot)
-            if a:
-                # pivot = row_rhs - sum(row[v] * v); substitute and move the
-                # information part to the right-hand side
-                coeffs[pivot] = Fraction(0)
-                for v, c in row.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
-                if isinstance(rhs, InfoExpr):
-                    rhs = rhs - row_rhs * a
-                changed = True
-    coeffs = {v: c for v, c in coeffs.items() if c != 0}
+    coeffs, rhs = _substitute_pivots(q.coeff_dict(), q.rhs, eq_pivots)
     if entropy_eqs is not None and isinstance(rhs, InfoExpr):
         rhs = entropy_eqs.reduce(rhs)
     return LinIneq.of(coeffs, rhs, q.rel, q.label).canonical()
@@ -170,16 +171,7 @@ def _equality_pivots(equalities, var_order):
     """Triangularize the equalities: pivot each on its first variable."""
     pivots = {}
     for eq in equalities:
-        coeffs = eq.coeff_dict()
-        rhs = eq.rhs
-        for pivot, (row, row_rhs) in pivots.items():
-            a = coeffs.get(pivot)
-            if a:
-                coeffs[pivot] = Fraction(0)
-                for v, c in row.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
-                rhs = rhs - row_rhs * a
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
+        coeffs, rhs = _substitute_pivots(eq.coeff_dict(), eq.rhs, pivots)
         if not coeffs:
             continue
         pivot = next(v for v in var_order if coeffs.get(v))
@@ -318,9 +310,9 @@ def _certify_redundant(kept: IneqSystem, extras, tables) -> list[tuple[LinIneq, 
 @dataclass(frozen=True)
 class Step:
     op: str                       # eliminate | transfer | transfer_full | drop_signs
+    expect: str                   # fixture name
     var: str | None = None
     transfers: tuple = ()         # ((src, dst, slack), ...)
-    expect: str | None = None     # fixture name
 
 
 @dataclass
@@ -328,7 +320,7 @@ class StepReport:
     index: int
     op: str
     detail: str
-    expect: str | None
+    expect: str
     matched: bool
     extras_dropped: int
     worst_drop_slack: float
@@ -338,11 +330,10 @@ class StepReport:
 @dataclass
 class ChainReport:
     steps: list[StepReport]
-    final_matched: bool
 
     @property
     def ok(self) -> bool:
-        return self.final_matched and all(s.matched for s in self.steps)
+        return all(s.matched for s in self.steps)
 
 
 def run_step(sys: IneqSystem, step: Step) -> IneqSystem:
@@ -371,10 +362,12 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
     """Replay a scripted chain against its recorded systems.
 
     Each step is executed, the produced system is matched against the recorded
-    fixture (exact constraint-for-constraint match modulo entropy-algebra
-    equality of right-hand sides), and any produced-but-not-recorded rows are
-    certified redundant numerically before being dropped.  With ``strict`` a
-    mismatch raises :class:`ScriptStepMismatch`; otherwise it is reported.
+    fixture its ``expect`` names (exact constraint-for-constraint match modulo
+    entropy-algebra equality of right-hand sides), and any
+    produced-but-not-recorded rows are certified redundant numerically before
+    being dropped; a ``drop_signs`` step is checked the same way.  With
+    ``strict`` a mismatch raises :class:`ScriptStepMismatch`; otherwise it is
+    reported.
     """
     rng = rng or np.random.default_rng(0)
     # biased pool: empty instantiated regions certify nothing, so lead with
@@ -390,38 +383,15 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
     for i, step in enumerate(steps):
         produced = run_step(cur, step)
         detail = step.var or ",".join(f"{s}>{d}:{t}" for s, d, t in step.transfers)
-        expect_sys = fixtures[step.expect] if step.expect else None
-        if expect_sys is None:
-            cur = produced
-            reports.append(StepReport(i, step.op, detail, None, True, 0, 0.0))
-            continue
+        expect_sys = fixtures[step.expect]
         res = match_systems(produced, expect_sys, entropy_eqs)
         worst = 0.0
         msg = ""
-        if res.matched and step.op == "drop_signs":
-            # removal of variable-free sign rows: on instantiations where the
-            # removed rows hold, the region with and without them must coincide
-            dropped = [q for q in cur.ineqs if not q.coeffs]
-            exercised = 0
-            for table, syms in tables:
-                vals = [q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr)
-                        else float(q.rhs) for q in dropped]
-                if any(v < -1e-9 for v in vals):
-                    continue
-                exercised += 1
-                with_signs = instantiate(cur, table, syms)
-                without = instantiate(produced, table, syms)
-                if not region_equal(with_signs, without, 1e-9):
-                    res.matched = False
-                    msg = "region changed by removing sign rows"
-                    break
-            if res.matched and not exercised:
-                msg = "sign-row removal never exercised (rows negative on all instantiations)"
-        elif res.matched and res.extras:
+        if res.matched and res.extras:
             kept = produced.with_ineqs(
                 [q for q in produced.ineqs if q not in res.extras])
             certs = _certify_redundant(kept, res.extras, tables)
-            worst = max(s for _, s, _ in certs) if certs else 0.0
+            worst = max(s for _, s, _ in certs)
             starved = [q for q, _, n in certs if n == 0]
             if worst > tol:
                 bad = max(certs, key=lambda c: c[1])[0]
@@ -440,8 +410,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         # continue from the recorded system (also after a mismatch, so every
         # later step is still certified against its own recorded input)
         cur = expect_sys
-    final_ok = all(r.matched for r in reports)
-    return ChainReport(steps=reports, final_matched=final_ok)
+    return ChainReport(steps=reports)
 
 
 # --- bundled chain ---------------------------------------------------------------
@@ -474,12 +443,14 @@ def load_builtin_chain():
             start_name = parts[1]
         elif parts[0] == "step":
             op = parts[1]
-            expect = parts[parts.index("expect") + 1] if "expect" in parts else None
+            if parts[-2:-1] != ["expect"]:
+                raise ParseError(f"step line does not end in 'expect <system>': {line!r}")
+            expect = parts[-1]
             if op == "eliminate":
                 steps.append(Step(op="eliminate", var=parts[2], expect=expect))
             elif op in ("transfer", "transfer_full"):
                 transfers = []
-                for spec in parts[2:parts.index("expect")]:
+                for spec in parts[2:-2]:
                     sd, slack = spec.split(":")
                     s, d = sd.split(">")
                     transfers.append((s, d, slack))
@@ -490,7 +461,7 @@ def load_builtin_chain():
                 raise ParseError(f"unknown script op {op!r}")
         else:
             raise ParseError(f"unknown script line {line!r}")
-    names = {start_name} | {s.expect for s in steps if s.expect}
+    names = {start_name} | {s.expect for s in steps}
     for name in sorted(names):
         body = parse_system(_data_text(name + ".sys"), ratevars)
         var_order = [v for v in CHAIN_VARS

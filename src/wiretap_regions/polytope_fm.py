@@ -384,19 +384,17 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     """Exact vertex enumeration by active-set basis enumeration.
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
-    are solved and filtered by feasibility; vertices are deduplicated at
-    ``1e-9``.  Requires a bounded region and dimension at most 6.
+    are solved and filtered by feasibility at ``tol``; vertices are
+    deduplicated at ``tol``.  The region lies in the orthant, so it holds no
+    line, and when nonempty it has a vertex: no surviving basis means an
+    empty region, with no LP solved.  A nonempty region must be bounded: one
+    recession LP checks it and raises :class:`UnboundedRegion` otherwise.
+    Requires dimension at most 6.
     """
     d = len(sys.vars)
     if d > 6:
         raise DimensionTooLarge(f"vertex enumeration supports dimension <= 6, got {d}")
     A_exp, b_exp = _numeric_rows(sys)
-    if solve_lp(np.zeros(d), A_exp, b_exp, what="feasibility").status == 2:
-        return VPolytope(sys.vars, np.empty((0, d)))
-    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
-    if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
-                what="recession").status == 0:
-        raise UnboundedRegion("system has a recession direction inside the orthant")
     A = np.vstack([A_exp, -np.eye(d)])
     b = np.concatenate([b_exp, np.zeros(d)])
     m = A.shape[0]
@@ -406,13 +404,15 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     dets = np.linalg.det(mats)
     scale = np.abs(mats).max(axis=(1, 2)) + 1.0
     ok = np.abs(dets) > 1e-12 * scale**d
-    if not ok.any():
-        return VPolytope(sys.vars, np.empty((0, d)))
     sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]   # (k, d)
     feas = (sols @ A.T <= b[None, :] + tol).all(axis=1)
     pts = sols[feas]
     if pts.shape[0] == 0:
         return VPolytope(sys.vars, np.empty((0, d)))
+    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
+    if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
+                what="recession").status == 0:
+        raise UnboundedRegion("system has a recession direction inside the orthant")
     # dedup at tolerance: sort lexicographically, then single pass
     order = np.lexsort(pts.T[::-1])
     pts = pts[order]

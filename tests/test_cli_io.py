@@ -184,6 +184,16 @@ def test_cli_verify_appendix(tmp_path, capsys):
     assert any("," in r[2] for r in rows[1:])
 
 
+@pytest.mark.parametrize("flag", ["--instantiations", "--budget"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_cli_verify_appendix_needs_an_instantiation(flag, value, capsys):
+    # with no instantiation no dropped row is certified: not a verified chain
+    assert main(["fm", "verify-appendix", flag, value]) == 2
+    outerr = capsys.readouterr()
+    assert "chain verified" not in outerr.out
+    assert "budget must be at least 1" in outerr.err
+
+
 def test_cli_tol_is_what_the_user_typed():
     # the entropy-gradient residual of this run is about 3e-8
     argv = ["fisher", "debruijn", "--budget", "5", "--seed", "1"]

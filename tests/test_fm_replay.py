@@ -1,12 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions import fm_script
 from wiretap_regions.entropy_algebra import InfoExpr, derive_equalities, sym
-from wiretap_regions.errors import ScriptStepMismatch
+from wiretap_regions.errors import ParseError, ScriptStepMismatch
 from wiretap_regions.fm_script import (
     Step,
     _certify_redundant,
+    _equality_pivots,
+    _substitute_pivots,
     layered_structure,
     load_builtin_chain,
     match_systems,
@@ -86,6 +92,84 @@ def test_parser_round_trip_forms():
     assert not q2.coeffs
     sys_rows = parse_system("# comment\nRs1 <= I(U;Z|Q)\n\nRp1 <= H(X)\n", ratevars)
     assert len(sys_rows) == 2
+
+
+_VARS = ("a", "b", "c", "d", "e")
+_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+_ROW = st.tuples(st.dictionaries(st.sampled_from(_VARS), _RATIONAL, max_size=5),
+                 st.dictionaries(st.sampled_from(("s0", "s1", "s2")), _RATIONAL, max_size=3),
+                 _RATIONAL)
+
+
+def _linineq(row, rel):
+    coeffs, syms, constant = row
+    return LinIneq.of(coeffs, InfoExpr(syms=syms, constant=constant), rel)
+
+
+def _fixed_point_substitution(coeffs, rhs, pivots):
+    """Reference: the substitution repeated over all pivots until none is left."""
+    coeffs = dict(coeffs)
+    changed = True
+    while changed:
+        changed = False
+        for pivot, (row, row_rhs) in pivots.items():
+            a = coeffs.get(pivot)
+            if a:
+                coeffs[pivot] = Fraction(0)
+                for v, c in row.items():
+                    coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
+                rhs = rhs - row_rhs * a
+                changed = True
+    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, max_size=4), st.lists(_ROW, min_size=1, max_size=3))
+def test_one_substitution_pass_removes_every_pivot(equalities, rows):
+    pivots = _equality_pivots([_linineq(r, "==") for r in equalities], _VARS)
+    for row in rows:
+        q = _linineq(row, "<=")
+        got = _substitute_pivots(q.coeff_dict(), q.rhs, pivots)
+        assert got == _fixed_point_substitution(q.coeff_dict(), q.rhs, pivots)
+        assert not set(got[0]) & set(pivots)
+
+
+def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
+    # a target without one of the ten bounds leaves that row as an extra of
+    # the sign-row step; it is not redundant, and certification must say so
+    _, steps, fixtures, target_name = load_builtin_chain()
+    eqs = derive_equalities(layered_structure())
+    target = fixtures[target_name]
+    short = dict(fixtures)
+    short[target_name] = target.with_ineqs(target.ineqs[:4] + target.ineqs[5:])
+    calls = []
+
+    def counting(sys, objective):
+        calls.append(objective)
+        return support_value(sys, objective)
+
+    monkeypatch.setattr(fm_script, "support_value", counting)
+    assert steps[-1].op == "drop_signs"
+    rep = verify_elimination_script(fixtures[steps[-2].expect], steps[-1:], short, eqs,
+                                    rng=np.random.default_rng(0), instantiations=1,
+                                    strict=False)
+    [step] = rep.steps
+    assert len(calls) > 0
+    assert step.extras_dropped == 1
+    assert not step.matched and "not redundant" in step.message
+
+
+@pytest.mark.parametrize("line", ["step eliminate D0", "step transfer Rs1>Rp1:a1",
+                                  "step drop_signs", "step drop_signs expect"])
+def test_script_step_without_expect_is_a_parse_error(monkeypatch, line):
+    data_text = fm_script._data_text
+
+    def script(name):
+        return f"start v01\n{line}\n" if name == "chain.script" else data_text(name)
+
+    monkeypatch.setattr(fm_script, "_data_text", script)
+    with pytest.raises(ParseError, match="expect"):
+        load_builtin_chain()
 
 
 def test_chain_runtime_budget():

@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wiretap_regions
 from wiretap_regions.errors import (
@@ -219,6 +221,32 @@ def test_vertices_unbounded_raises():
         vertices(s)
 
 
+_DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
+
+
+@st.composite
+def _mixed_sign_system(draw):
+    d = draw(st.integers(1, 3))
+    names = tuple(f"v{i}" for i in range(d))
+    rows = draw(st.lists(st.tuples(st.lists(_DYADIC, min_size=d, max_size=d), _DYADIC),
+                         max_size=5))
+    return num_sys(names, [(dict(zip(names, a)), b) for a, b in rows])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_mixed_sign_system())
+def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
+    empty = support_value(s, {}) == float("-inf")
+    unbounded = not empty and support_value(s, {v: 1 for v in s.vars}) is None
+    try:
+        got = vertices(s).vertices
+    except UnboundedRegion:
+        assert unbounded
+        return
+    assert not unbounded
+    assert (got.shape[0] == 0) == empty
+
+
 def test_vertices_dimension_cap():
     names = tuple(f"v{i}" for i in range(7))
     s = num_sys(names, [({n: 1 for n in names}, 1)])
@@ -250,7 +278,7 @@ def test_lp_solver_failure_raises(monkeypatch):
     monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
         status=4, message="numerical difficulties", x=None, fun=None))
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    with pytest.raises(LPFailure, match="feasibility LP failed with status 4"):
+    with pytest.raises(LPFailure, match="recession LP failed with status 4"):
         vertices(sq)
     with pytest.raises(LPFailure, match="support LP failed with status 4"):
         support_value(sq, {"x": 1})
