@@ -189,6 +189,8 @@ def cmd_gauss_degraded(args) -> int:
 
 
 def cmd_fisher_debruijn(args) -> int:
+    if args.dim < 1:
+        raise ValidationError("--dim must be at least 1")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0

@@ -217,6 +217,8 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4) -> float:
     halving the step shrinks it, the residual is truncation-dominated and
     StepTooLarge is raised instead of returning a misleading number.
     """
+    if not step > 0:
+        raise ValidationError(f"finite-difference step must be positive, got {step}")
 
     def residual(t: float) -> float:
         if isinstance(obj, GaussPair):
@@ -477,8 +479,9 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
     Rate regions are downward closed, so a vertex is covered when some convex
     combination of envelope points dominates it componentwise.  The slack is
     monotone in the vertex, so only the vertices on the polytope's Pareto
-    front are checked.  Passing ``pareto_front(gauss_points)`` instead of the
-    whole cloud gives the same slacks from smaller LPs.
+    front are checked, all of them by one :func:`dominance_slack` LP.  Passing
+    ``pareto_front(gauss_points)`` instead of the whole cloud gives the same
+    slacks from a smaller LP.
     """
     if mix.second_moment() > float(ch.S[0, 0]) + 1e-9:
         raise ValidationError("mixture second moment exceeds the input cap")
@@ -491,8 +494,8 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
             raise QuadratureNonConvergent(
                 f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
     vp = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
-    worst = max((dominance_slack(p, gauss_points) for p in pareto_front(vp.vertices)),
-                default=0.0)
+    # the clamped region holds the origin, so its front is never empty
+    worst = dominance_slack(pareto_front(vp.vertices), gauss_points).max()
     return DominanceReport(constants={q.label: q.rhs for q in bounds.ineqs},
                            clamped=[q.label for q in negative], max_slack=float(worst),
                            contained=bool(worst <= slack_tol))

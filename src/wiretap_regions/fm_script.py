@@ -16,6 +16,7 @@ region over ``(Rp1, Rs1, Rp2, Rs2)``.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -425,12 +426,20 @@ CHAIN_VARS = ("Rp0", "Rpp0", "Rs0", "Rp1", "Rs1", "Rp2", "Rs2",
               "D0", "D1", "D2", "L1", "L2", "a1", "a2", "al", "be")
 
 
+@functools.lru_cache(maxsize=None)
+def _parse_fixture(text: str) -> IneqSystem:
+    """A recorded ``.sys`` system over the chain variables it mentions, parsed
+    once per file text (systems are immutable, so callers share them)."""
+    body = parse_system(text, set(CHAIN_VARS))
+    var_order = [v for v in CHAIN_VARS if any(q.coeff(v) != 0 for q in body)]
+    return IneqSystem.of(tuple(var_order), body)
+
+
 def load_builtin_chain():
     """Load the bundled start system, step list and recorded fixtures.
 
     Returns ``(start, steps, fixtures, target_name)``.
     """
-    ratevars = set(CHAIN_VARS)
     fixtures = {}
     steps = []
     start_name = None
@@ -463,10 +472,7 @@ def load_builtin_chain():
             raise ParseError(f"unknown script line {line!r}")
     names = {start_name} | {s.expect for s in steps}
     for name in sorted(names):
-        body = parse_system(_data_text(name + ".sys"), ratevars)
-        var_order = [v for v in CHAIN_VARS
-                     if any(q.coeff(v) != 0 for q in body)]
-        fixtures[name] = IneqSystem.of(tuple(var_order), body)
+        fixtures[name] = _parse_fixture(_data_text(name + ".sys"))
     start = fixtures[start_name]
     return start, steps, fixtures, steps[-1].expect
 

@@ -2,8 +2,9 @@
 
 All logarithms are natural (nats).  Zero-probability cells follow the
 convention ``0 * log 0 = 0``; conditional terms with zero conditioning mass
-contribute nothing.  Tables are immutable after construction and all
-operations are pure functions, so values can be shared freely across threads.
+contribute nothing.  Tables are immutable after construction (each memoises
+the joint entropies asked of it) and all operations are pure functions, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -54,6 +55,8 @@ class ProbTable:
 
     vars: tuple[VarId, ...]
     probs: np.ndarray = field(repr=False)
+    # joint entropies already computed, by frozenset of names (None: all)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [v.name for v in self.vars]
@@ -119,10 +122,15 @@ def validate_table(t: ProbTable) -> None:
 
 
 def entropy(t: ProbTable, names=None) -> float:
-    """Joint entropy H(names) in nats (all variables when ``names`` is None)."""
-    arr = t.probs if names is None else _marginal_array(t, names)
-    p = arr[arr > 0.0]
-    return float(-(p * np.log(p)).sum())
+    """Joint entropy H(names) in nats (all variables when ``names`` is None),
+    computed once per table and set of names."""
+    key = None if names is None else frozenset(names)
+    h = t._entropies.get(key)
+    if h is None:
+        arr = t.probs if names is None else _marginal_array(t, names)
+        p = arr[arr > 0.0]
+        h = t._entropies[key] = float(-(p * np.log(p)).sum())
+    return h
 
 
 def mutual_information(t: ProbTable, a, b, c=()) -> float:

@@ -9,6 +9,7 @@ coefficients, so everything on the left stays in ``Fraction`` arithmetic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -397,8 +398,7 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     A_exp, b_exp = _numeric_rows(sys)
     A = np.vstack([A_exp, -np.eye(d)])
     b = np.concatenate([b_exp, np.zeros(d)])
-    m = A.shape[0]
-    combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)
+    combos = _bases(A.shape[0], d)
     mats = A[combos]                       # (n, d, d)
     rhs = b[combos]                        # (n, d)
     dets = np.linalg.det(mats)
@@ -413,20 +413,33 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
                 what="recession").status == 0:
         raise UnboundedRegion("system has a recession direction inside the orthant")
-    # dedup at tolerance: sort lexicographically, then single pass
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
+    return VPolytope(sys.vars, _unique_points(pts, tol))
+
+
+@functools.lru_cache(maxsize=None)
+def _bases(m: int, d: int) -> np.ndarray:
+    """Index array of every ``d``-subset of ``m`` rows, shared read-only."""
+    combos = np.array(list(itertools.combinations(range(m), d)), dtype=int)
+    combos.setflags(write=False)
+    return combos
+
+
+def _unique_points(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Rows of ``pts`` in lexicographic order, deduplicated at ``tol`` in the
+    max norm: each row is dropped when it lies within ``tol`` of the last kept
+    lexsort neighbour, then each survivor when it lies within ``tol`` of an
+    earlier kept survivor (lexsort adjacency can split near-duplicates)."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= tol
     keep = [0]
     for i in range(1, pts.shape[0]):
-        if np.abs(pts[i] - pts[keep[-1]]).max() > tol:
+        if not close[i, keep[-1]]:
             keep.append(i)
-    # lexsort adjacency can split near-duplicates; final O(n^2) sweep on survivors
-    pts = pts[keep]
     uniq = []
-    for p in pts:
-        if not any(np.abs(p - q).max() <= tol for q in uniq):
-            uniq.append(p)
-    return VPolytope(sys.vars, np.array(uniq))
+    for i in keep:
+        if not close[i, uniq].any():
+            uniq.append(i)
+    return pts[uniq]
 
 
 def max_violation(sys: IneqSystem, point, var_order=None) -> float:

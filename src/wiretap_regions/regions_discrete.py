@@ -312,23 +312,38 @@ def in_hull(point, points, tol: float = 1e-9) -> bool:
     return float(np.abs(pts.T @ (lam / lam.sum()) - p).max()) <= tol
 
 
-def dominance_slack(point, points) -> float:
-    """Smallest uniform slack s making ``point - s`` dominated by the cloud.
+def dominance_slack(points, cloud) -> np.ndarray:
+    """Smallest uniform slack s_k making ``points[k] - s_k`` dominated by a
+    convex combination of the rows of ``cloud``, for every row of ``points``,
+    from one LP.
+
+    The slack of p is ``min s`` over simplex weights lambda with
+    ``cloud.T @ lambda + s >= p``.  Each row of ``points`` solves its dual
+    block, ``max mu.p - t`` over simplex mu with ``mu.g <= t`` for every cloud
+    row g, and the blocks are stacked block-diagonally.  The block's row
+    multipliers, clipped to >= 0 and renormalised, are weights lambda, and the
+    value returned is ``max(p - cloud.T @ lambda)``: the slack that explicit
+    combination of cloud rows achieves.
 
     Raises LPFailure when the solver stops without an optimum.
     """
-    pts = np.asarray(points, dtype=float)
-    p = np.asarray(point, dtype=float)
-    n, d = pts.shape
-    # variables (lambda, s): minimize s subject to pts.T @ lambda + s >= p
-    c = np.concatenate([np.zeros(n), [1.0]])
-    A_ub = np.hstack([-pts.T, -np.ones((d, 1))])
-    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    # always feasible (any simplex lambda with s large enough satisfies it)
-    # and bounded (s >= p_k - max of column k), so the solver returns an optimum
-    res = solve_lp(c, A_ub, -p, A_eq, [1.0], bounds=[(0, None)] * n + [(None, None)],
-                   what="dominance")
-    return float(res.x[-1])
+    from scipy.sparse import block_diag
+
+    cloud = np.asarray(cloud, dtype=float)
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    n, d = cloud.shape
+    k = p.shape[0]
+    # variables (mu, t) per block: minimize t - mu.p subject to cloud @ mu <= t, sum(mu) = 1;
+    # always feasible (any simplex mu with t = max of cloud @ mu) and bounded
+    # (t - mu.p >= mu.(g - p) for any cloud row g), so the solver returns an optimum
+    c = np.hstack([-p, np.ones((k, 1))]).ravel()
+    A_ub = block_diag([np.hstack([cloud, -np.ones((n, 1))])] * k, format="csr")
+    A_eq = block_diag([np.append(np.ones(d), 0.0)[None, :]] * k, format="csr")
+    res = solve_lp(c, A_ub, np.zeros(k * n), A_eq, np.ones(k),
+                   bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance")
+    lam = np.clip(-res.ineqlin.marginals.reshape(k, n), 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    return (p - lam @ cloud).max(axis=1)
 
 
 def pareto_front(points) -> np.ndarray:

@@ -21,6 +21,7 @@ from .errors import (
     NotPSD,
     SingularMatrix,
     UnknownCorollary,
+    ValidationError,
 )
 from .polytope_fm import IneqSystem, LinIneq
 from .regions_discrete import RATES, SweepResult, five_bound_system, outer_of, sweep_systems
@@ -421,6 +422,8 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
     trace simplex ``tr(S) <= P``."""
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
+    if trace_p is not None and not trace_p > 0:
+        raise ValidationError(f"trace cap must be positive, got {trace_p}")
     if not check_degraded_order(ch):
         raise NotDegraded("covariance sweep expects a degraded channel")
     rng = np.random.default_rng(seed)

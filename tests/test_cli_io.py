@@ -234,6 +234,21 @@ def test_fisher_evidence_names_a_dominance_lp_failure(tmp_path, monkeypatch, cap
     assert "dominance LP failed with status 4" in capsys.readouterr().err
 
 
+def test_fisher_evidence_solves_one_dominance_lp_per_mixture(tmp_path, monkeypatch):
+    from wiretap_regions import regions_discrete
+
+    real, whats = regions_discrete.solve_lp, []
+
+    def solve_lp(*args, what="LP", **kw):
+        whats.append(what)
+        return real(*args, what=what, **kw)
+
+    monkeypatch.setattr(regions_discrete, "solve_lp", solve_lp)
+    assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--budget", "5"]) == 0
+    assert whats.count("dominance") == 5
+
+
 def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):
     from wiretap_regions import regions_discrete
 
@@ -243,6 +258,21 @@ def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):
     monkeypatch.setattr(regions_discrete, "hull_of", hull_of)
     assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
                  "--budget", "1"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["fisher", "debruijn", "--budget", "2", "--dim", "0"],
+    ["fisher", "debruijn", "--budget", "2", "--dim", "-2"],
+    ["fisher", "debruijn", "--budget", "2", "--step", "0"],
+    ["fisher", "debruijn", "--budget", "2", "--step", "-1"],
+    ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "0", "--channel"],
+    ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "-1", "--channel"],
+])
+def test_cli_bad_numeric_option_is_an_input_error(tmp_path, argv, capsys):
+    if argv[-1] == "--channel":
+        argv = argv + [write(tmp_path, "g.txt", GAUSS)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("argv", [

@@ -288,7 +288,7 @@ def brute_force_max_slack(mix, ch, env):
     bounds = five_bound_system(**mixture_region_constants(mix, ch))
     pts = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0))
                                       for q in bounds.ineqs])).vertices
-    return max(dominance_slack(p, env) for p in pts)
+    return max(dominance_slack([p], env)[0] for p in pts)
 
 
 def test_evidence_random_mixtures_dominated():

@@ -172,6 +172,18 @@ def test_script_step_without_expect_is_a_parse_error(monkeypatch, line):
         load_builtin_chain()
 
 
+def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):
+    _, _, fixtures, _ = load_builtin_chain()
+
+    def parse_system(text, ratevars):
+        raise AssertionError("a bundled fixture was parsed again")
+
+    monkeypatch.setattr(fm_script, "parse_system", parse_system)
+    _, _, again, _ = load_builtin_chain()
+    assert again.keys() == fixtures.keys()
+    assert all(again[k] is fixtures[k] for k in fixtures)
+
+
 def test_chain_runtime_budget():
     import time
     t0 = time.monotonic()

@@ -15,6 +15,7 @@ from wiretap_regions.info_core import (
     build_degraded_joint,
     channel_joint,
     check_markov,
+    entropy,
     make_table,
     mutual_information,
     validate_table,
@@ -225,3 +226,29 @@ def test_difference_identity_with_side_message():
             rhs += mutual_information(t, {"W"}, {names_a[i - 1]}, cond)
             rhs -= mutual_information(t, {"W"}, {names_b[i - 1]}, cond)
         assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def test_entropy_computes_each_marginal_once(monkeypatch):
+    from wiretap_regions import info_core
+
+    rng = np.random.default_rng(5)
+    table = make_table((VarId("A", 2), VarId("B", 3), VarId("C", 4)),
+                       rng.dirichlet(np.ones(24)).reshape(2, 3, 4))
+    subsets = [None, ["A"], ["B", "A"], ["A", "B"], {"C", "A"}, ["C"], ("A", "B", "C"), []]
+
+    def uncached(names):
+        arr = table.probs if names is None else info_core._marginal_array(table, names)
+        q = arr[arr > 0.0]
+        return float(-(q * np.log(q)).sum())
+
+    expected = [uncached(s) for s in subsets]
+    real, marginals = info_core._marginal_array, []
+
+    def marginal_array(t, names):
+        marginals.append(frozenset(names))
+        return real(t, names)
+
+    monkeypatch.setattr(info_core, "_marginal_array", marginal_array)
+    for _ in range(3):
+        assert [entropy(table, s) for s in subsets] == expected
+    assert len(marginals) == len(set(marginals)) == len({frozenset(s) for s in subsets[1:]})

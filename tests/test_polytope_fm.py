@@ -17,8 +17,10 @@ from wiretap_regions.errors import (
 )
 from wiretap_regions.polytope_fm import (
     EQ,
+    VERTEX_TOL,
     IneqSystem,
     LinIneq,
+    _unique_points,
     apply_rate_transfer,
     fm_eliminate,
     max_violation,
@@ -245,6 +247,42 @@ def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
         return
     assert not unbounded
     assert (got.shape[0] == 0) == empty
+
+
+def two_pass_unique(pts, tol):
+    """Reference: the lexsort-neighbour pass, then the all-pairs sweep on its
+    survivors, one point pair at a time."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    keep = [0]
+    for i in range(1, pts.shape[0]):
+        if np.abs(pts[i] - pts[keep[-1]]).max() > tol:
+            keep.append(i)
+    uniq = []
+    for p in pts[keep]:
+        if not any(np.abs(p - q).max() <= tol for q in uniq):
+            uniq.append(p)
+    return np.array(uniq)
+
+
+@st.composite
+def _cloud_with_near_duplicates(draw):
+    d = draw(st.integers(1, 4))
+    base = draw(st.lists(st.lists(_DYADIC, min_size=d, max_size=d), min_size=1, max_size=6))
+    offsets = st.sampled_from([0.0, VERTEX_TOL / 2, -VERTEX_TOL / 2,
+                               2 * VERTEX_TOL, -2 * VERTEX_TOL])
+    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
+                                     st.lists(offsets, min_size=d, max_size=d)), max_size=12))
+    rows = base + [[x + o for x, o in zip(base[i], offs)] for i, offs in copies]
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([rows[i] for i in order])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cloud_with_near_duplicates())
+def test_unique_points_matches_the_two_pass_loop(pts):
+    got = _unique_points(pts, VERTEX_TOL)
+    np.testing.assert_array_equal(got, two_pass_unique(pts, VERTEX_TOL))
+    assert got.dtype == pts.dtype
 
 
 def test_vertices_dimension_cap():

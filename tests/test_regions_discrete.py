@@ -18,6 +18,7 @@ from wiretap_regions.polytope_fm import (
     fm_eliminate,
     max_violation,
     region_equal,
+    solve_lp,
     support_value,
     vertices,
 )
@@ -356,7 +357,31 @@ def test_pareto_front_keeps_what_dominance_needs(rows, dups, probes):
         others = np.delete(front, i, axis=0)
         assert not (others >= row).all(axis=1).any()
     for p in probes:
-        assert abs(dominance_slack(p, front) - dominance_slack(p, cloud)) <= 1e-9
+        assert abs(dominance_slack([p], front)[0] - dominance_slack([p], cloud)[0]) <= 1e-9
+
+
+def primal_dominance_slack(point, cloud) -> float:
+    """Reference: one point's slack from the primal LP, min s over simplex
+    weights lambda with cloud.T @ lambda + s >= point."""
+    n, d = cloud.shape
+    res = solve_lp(np.append(np.zeros(n), 1.0), np.hstack([-cloud.T, -np.ones((d, 1))]),
+                   -np.asarray(point, dtype=float), np.append(np.ones(n), 0.0)[None, :],
+                   [1.0], bounds=[(0, None)] * n + [(None, None)], what="primal dominance")
+    return float(res.x[-1])
+
+
+_PROBE = st.tuples(*[st.integers(-4, 12).map(lambda k: k / 8)] * 4)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(_PROBE, min_size=1, max_size=8))
+def test_batched_dominance_slack_matches_one_lp_per_point(rows, probes):
+    cloud = np.array(rows)
+    batched = dominance_slack(probes, cloud)
+    assert batched.shape == (len(probes),)
+    for p, s in zip(probes, batched):
+        assert abs(s - dominance_slack([p], cloud)[0]) <= 1e-9
+        assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -191,7 +191,7 @@ def test_cor6_alt_union_matches_cor6_union():
 
 def _dominated(p, cloud, slack):
     from wiretap_regions.regions_discrete import dominance_slack
-    return dominance_slack(p, cloud) <= slack
+    return dominance_slack([p], cloud)[0] <= slack
 
 
 def test_dpc_matrix_examples():
