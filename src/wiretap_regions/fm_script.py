@@ -29,6 +29,7 @@ from .entropy_algebra import (
     FactorStructure,
     InfoExpr,
     derive_equalities,
+    ent,
     expand_mi,
     sym,
 )
@@ -65,9 +66,7 @@ def _parse_atom(tok: str) -> InfoExpr:
             a, c = inner.split("|")
             names = [s.strip() for s in a.split(",")]
             cond = [s.strip() for s in c.split(",")]
-            from .entropy_algebra import ent
             return ent(set(names) | set(cond)) - ent(set(cond))
-        from .entropy_algebra import ent
         return ent({s.strip() for s in inner.split(",")})
     # I(A;B|C)
     cond = set()
@@ -239,10 +238,10 @@ def layered_structure() -> FactorStructure:
         return parse_dag_file(p)
 
 
-def random_layered_joint(rng: np.random.Generator, card: int = 2,
-                         degraded: bool = False, indep_v: bool = False) -> ProbTable:
+def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
+                         indep_v: bool = False) -> ProbTable:
     """Random joint over (Q,U,V1,V2,X,Y1,Y2,Z) consistent with the layered
-    factorization, all alphabets of the given size.
+    factorization, every alphabet binary.
 
     ``degraded`` draws the channel as a cascade X -> Y1 -> Y2 -> Z (a special
     case of the general factorization); ``indep_v`` draws V1 and V2
@@ -250,7 +249,7 @@ def random_layered_joint(rng: np.random.Generator, card: int = 2,
     secrecy differences, which the redundancy certification needs (generic
     draws often give empty instantiated regions, which certify nothing).
     """
-    c = card
+    c = 2
     aux = random_aux_layered(rng, c, c, c, c, c, indep_v=indep_v)
     if degraded:
         s1 = rng.dirichlet(np.ones(c), size=c)

@@ -77,17 +77,6 @@ class ProbTable:
         except ValueError:
             raise UnknownVariable(f"variable {name!r} not in table {self.names}") from None
 
-    def marginal(self, names) -> "ProbTable":
-        """Marginal table over ``names``, in the given order."""
-        names = list(names)
-        keep = [self.axis(n) for n in names]
-        drop = tuple(i for i in range(len(self.vars)) if i not in keep)
-        arr = self.probs.sum(axis=drop) if drop else self.probs
-        # axes of `arr` follow table order; permute into the requested order
-        perm = np.argsort(np.argsort(keep))
-        arr = np.moveaxis(arr, perm, range(len(keep)))
-        return ProbTable(tuple(self.vars[i] for i in keep), arr)
-
 
 def _marginal_array(t: ProbTable, names) -> np.ndarray:
     """Marginal of ``t.probs`` over ``names`` in table order (not reordered)."""
@@ -241,9 +230,8 @@ class ChannelSpec:
         return k
 
 
-def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2,
-                         names=("X", "Y1", "Y2", "Z")) -> ChannelSpec:
-    """Compose three stage kernels into a degraded channel.
+def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSpec:
+    """Compose three stage kernels into a degraded channel over (X, Y1, Y2, Z).
 
     Each argument is a row-stochastic matrix; the composed channel satisfies
     p(y1,y2,z|x) = p(y1|x) p(y2|y1) p(z|y2) and is flagged degraded.
@@ -254,8 +242,8 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2,
     if s1.shape[1] != s2.shape[0] or s2.shape[1] != s3.shape[0]:
         raise DimensionMismatch(
             f"cascade stages {s1.shape}, {s2.shape}, {s3.shape} do not chain")
-    x = VarId(names[0], s1.shape[0])
-    outs = (VarId(names[1], s1.shape[1]), VarId(names[2], s2.shape[1]), VarId(names[3], s3.shape[1]))
+    x = VarId("X", s1.shape[0])
+    outs = (VarId("Y1", s1.shape[1]), VarId("Y2", s2.shape[1]), VarId("Z", s3.shape[1]))
     return ChannelSpec(input=x, outputs=outs, stages=(s1, s2, s3), degraded_flag=True)
 
 
@@ -283,8 +271,9 @@ def require_degraded(ch: ChannelSpec) -> None:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
 
 
-def infer_degraded(ch: ChannelSpec, tol: float = 1e-10) -> bool:
-    """Degradedness test for a dense-kernel channel.
+def infer_degraded(ch: ChannelSpec) -> bool:
+    """Degradedness test for a dense-kernel channel, at the 1e-10 tolerance
+    of :func:`check_markov`.
 
     The chain holds for every input distribution iff it holds under one with
     full support, so the uniform input decides it.
@@ -293,4 +282,4 @@ def infer_degraded(ch: ChannelSpec, tol: float = 1e-10) -> bool:
         return True
     n = ch.input.cardinality
     t = channel_joint(ch, np.full(n, 1.0 / n))
-    return check_markov(t, (ch.input.name,) + ch.output_names, tol)
+    return check_markov(t, (ch.input.name,) + ch.output_names)

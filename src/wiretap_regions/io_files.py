@@ -58,18 +58,14 @@ class _Doc:
             except ValueError:
                 raise ParseError(f"bad numeric row {line!r}", line=no) from None
 
-    def scalar(self, key: str, required: bool = True) -> str | None:
+    def scalar(self, key: str) -> str:
         if key not in self.scalars:
-            if required:
-                raise ParseError(f"missing key {key!r}")
-            return None
+            raise ParseError(f"missing key {key!r}")
         return self.scalars[key][0]
 
-    def matrix(self, name: str, required: bool = True) -> np.ndarray | None:
+    def matrix(self, name: str) -> np.ndarray:
         if name not in self.blocks:
-            if required:
-                raise ParseError(f"missing matrix block {name!r}")
-            return None
+            raise ParseError(f"missing matrix block {name!r}")
         rows, no = self.blocks[name]
         widths = {len(r) for r in rows}
         if len(widths) != 1:

@@ -5,6 +5,9 @@ implicit ``v >= 0`` constraint (the "ambient" bounds).  Coefficients are exact
 rationals; right-hand sides are either :class:`~.entropy_algebra.InfoExpr`
 values (symbolic systems) or floats (numeric systems).  Elimination doubles
 coefficients, so everything on the left stays in ``Fraction`` arithmetic.
+A numeric right-hand side becomes a ``float`` in :meth:`LinIneq.of`, the one
+place rows are built from coefficients, so the row arithmetic is plain
+operators: ``float * Fraction`` is a float, and ``InfoExpr`` absorbs either.
 """
 
 from __future__ import annotations
@@ -33,22 +36,6 @@ EQ = "=="
 VERTEX_TOL = 1e-9
 
 
-def _as_rhs_zero(template):
-    return InfoExpr() if isinstance(template, InfoExpr) else 0.0
-
-
-def _rhs_scale(rhs, k: Fraction):
-    if isinstance(rhs, InfoExpr):
-        return rhs * k
-    return float(rhs) * float(k)
-
-
-def _rhs_add(r1, r2):
-    if isinstance(r1, InfoExpr) or isinstance(r2, InfoExpr):
-        return r1 + r2
-    return float(r1) + float(r2)
-
-
 def _rhs_is_zero(rhs) -> bool:
     if isinstance(rhs, InfoExpr):
         return rhs.is_zero()
@@ -67,7 +54,7 @@ class LinIneq:
     @staticmethod
     def of(coeffs: dict, rhs, rel: str = LE, label: str | None = None) -> "LinIneq":
         items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return LinIneq(items, rhs, rel, label)
+        return LinIneq(items, rhs if isinstance(rhs, InfoExpr) else float(rhs), rel, label)
 
     def coeff(self, var: str) -> Fraction:
         for v, c in self.coeffs:
@@ -86,14 +73,14 @@ class LinIneq:
         k = Fraction(k)
         if k <= 0 and self.rel == LE:
             raise ValueError("inequalities may only be scaled by positive rationals")
-        return LinIneq.of({v: c * k for v, c in self.coeffs}, _rhs_scale(self.rhs, k),
-                          self.rel, self.label)
+        return LinIneq.of({v: c * k for v, c in self.coeffs}, self.rhs * k, self.rel,
+                          self.label)
 
     def plus(self, other: "LinIneq") -> "LinIneq":
         coeffs = self.coeff_dict()
         for v, c in other.coeffs:
             coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        return LinIneq.of(coeffs, _rhs_add(self.rhs, other.rhs), LE, None)
+        return LinIneq.of(coeffs, self.rhs + other.rhs, LE, None)
 
     def canonical(self) -> "LinIneq":
         """Positive content normalization of the coefficient vector.
@@ -108,14 +95,12 @@ class LinIneq:
         g = reduce(math.gcd, nums)
         l = reduce(math.lcm, dens)
         scale = Fraction(l, g) if g else Fraction(1)
-        if self.rel == EQ and self.coeffs[0][1] * scale < 0:
+        if self.rel == EQ and self.coeffs[0][1] < 0:
             scale = -scale
-            return LinIneq.of({v: c * scale for v, c in self.coeffs},
-                              _rhs_scale(self.rhs, scale), self.rel, self.label)
         return self.scaled(scale) if scale != 1 else self
 
     def rhs_key(self):
-        return self.rhs.key() if isinstance(self.rhs, InfoExpr) else float(self.rhs)
+        return self.rhs.key() if isinstance(self.rhs, InfoExpr) else self.rhs
 
     def key(self):
         return (self.rel, self.coeffs, self.rhs_key())
@@ -150,13 +135,9 @@ class IneqSystem:
     def equalities(self) -> tuple[LinIneq, ...]:
         return tuple(q for q in self.ineqs if q.rel == EQ)
 
-    @property
-    def inequalities(self) -> tuple[LinIneq, ...]:
-        return tuple(q for q in self.ineqs if q.rel == LE)
-
     def rhs_zero(self):
         for q in self.ineqs:
-            return _as_rhs_zero(q.rhs)
+            return InfoExpr() if isinstance(q.rhs, InfoExpr) else 0.0
         return 0.0
 
     def with_ineqs(self, ineqs) -> "IneqSystem":
@@ -175,17 +156,8 @@ def _dedup(ineqs) -> list[LinIneq]:
 
 def _ambient_implied(q: LinIneq) -> bool:
     """True when the row follows from the nonnegative orthant alone."""
-    if q.rel != LE:
-        return False
-    if not q.coeffs:
-        if isinstance(q.rhs, InfoExpr):
-            return q.rhs.is_zero()
-        return q.rhs >= 0.0
-    if all(c <= 0 for _, c in q.coeffs):
-        if isinstance(q.rhs, InfoExpr):
-            return q.rhs.is_zero()
-        return q.rhs >= 0.0
-    return False
+    return (q.rel == LE and all(c <= 0 for _, c in q.coeffs)
+            and (q.rhs.is_zero() if isinstance(q.rhs, InfoExpr) else q.rhs >= 0.0))
 
 
 def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str | None = None) -> IneqSystem:
@@ -217,15 +189,14 @@ def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str | None = None) ->
         coeffs = {v: k for v, k in q.coeffs if v != var}
         for v, k in rest.items():
             coeffs[v] = coeffs.get(v, Fraction(0)) - k * a / c
-        rhs = _rhs_add(q.rhs, _rhs_scale(eq.rhs, -a / c))
-        out = LinIneq.of(coeffs, rhs, q.rel, q.label)
+        out = LinIneq.of(coeffs, q.rhs + eq.rhs * (-a / c), q.rel, q.label)
         if out.rel == EQ and not out.coeffs and _rhs_is_zero(out.rhs):
             return None  # the consumed equality itself
         return out
 
     new = [r for r in (replace(q) for q in sys.ineqs) if r is not None]
     # ambient var >= 0  =>  -(substituted expression) <= 0
-    ambient = replace(LinIneq.of({var: Fraction(-1)}, _as_rhs_zero(sys.rhs_zero())))
+    ambient = replace(LinIneq.of({var: Fraction(-1)}, sys.rhs_zero()))
     if ambient is not None and not _ambient_implied(ambient):
         new.append(ambient)
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(new)))
@@ -245,7 +216,6 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     for eq in sys.equalities:
         if eq.coeff(var) != 0:
             return substitute_equality(sys, eq, var)
-    zero_rhs = sys.rhs_zero()
     uppers, lowers, rest = [], [], []
     for q in sys.ineqs:
         a = q.coeff(var)
@@ -256,7 +226,7 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
         else:
             rest.append(q)
     # ambient lower bound 0 <= var
-    lowers.append(LinIneq.of({var: Fraction(-1)}, _as_rhs_zero(zero_rhs)))
+    lowers.append(LinIneq.of({var: Fraction(-1)}, sys.rhs_zero()))
     out = list(rest)
     for lo, up in itertools.product(lowers, uppers):
         combo = lo.scaled(Fraction(1) / -lo.coeff(var)).plus(
@@ -266,22 +236,21 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(out)))
 
 
-def apply_rate_transfer(sys: IneqSystem, transfers, slack_names=None) -> IneqSystem:
+def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
     """Augment the system with rate-transfer slack variables.
 
     Each transfer ``(source, dest)`` introduces a fresh nonnegative slack
-    ``t``: the achievable tuple ``(source, dest)`` is rewritten to
-    ``(source + t, dest - t)`` in old coordinates, i.e. the new region point
-    gave up ``t`` of ``source`` in favor of ``dest``.  Nonnegativity of the
-    old destination rate becomes ``sum of incoming slacks <= dest``; the bound
-    of the slack total by the old source rate is the ambient nonnegativity of
-    the new source.  Destinations absent from the system are treated as zero
-    in old coordinates (they enter as fresh variables equal to their incoming
+    ``t``, named by the matching entry of ``slack_names``: the achievable
+    tuple ``(source, dest)`` is rewritten to ``(source + t, dest - t)`` in old
+    coordinates, i.e. the new region point gave up ``t`` of ``source`` in
+    favor of ``dest``.  Nonnegativity of the old destination rate becomes
+    ``sum of incoming slacks <= dest``; the bound of the slack total by the
+    old source rate is the ambient nonnegativity of the new source.
+    Destinations absent from the system are treated as zero in old
+    coordinates (they enter as fresh variables equal to their incoming
     slack).  The result is ready for :func:`fm_eliminate` of the slacks.
     """
     transfers = list(transfers)
-    if slack_names is None:
-        slack_names = [f"x{i}_{s}_{d}" for i, (s, d) in enumerate(transfers)]
     if len(slack_names) != len(transfers):
         raise DuplicateSlackName("one slack name per transfer required")
     taken = set(sys.vars)
@@ -302,7 +271,6 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names=None) -> IneqSys
         if d not in new_vars:
             new_vars.append(d)
     new_vars.extend(slack_names)
-    zero = sys.rhs_zero()
 
     def rewrite(q: LinIneq) -> LinIneq:
         coeffs = q.coeff_dict()
@@ -319,7 +287,7 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names=None) -> IneqSys
         row[dest] = Fraction(-1)
         # old dest >= 0 when dest existed; otherwise dest is exactly its inflow
         rel = LE if dest in sys.vars else EQ
-        out.append(LinIneq.of(row, _as_rhs_zero(zero), rel=rel))
+        out.append(LinIneq.of(row, sys.rhs_zero(), rel=rel))
     return IneqSystem(tuple(new_vars), tuple(_dedup(out)))
 
 
@@ -332,14 +300,12 @@ class VPolytope:
 
     vars: tuple[str, ...]
     vertices: np.ndarray = field(repr=False)
-    dim: int = 0
 
     def __post_init__(self):
         arr = np.asarray(self.vertices, dtype=float).reshape(-1, len(self.vars))
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
-        object.__setattr__(self, "dim", len(self.vars))
 
 
 def _numeric_rows(sys: IneqSystem, allow_eq: bool = False):
@@ -354,10 +320,10 @@ def _numeric_rows(sys: IneqSystem, allow_eq: bool = False):
             row[idx[v]] = float(c)
         if q.rel == LE:
             ub.append(row)
-            bub.append(float(q.rhs))
+            bub.append(q.rhs)
         elif allow_eq:
             eq.append(row)
-            beq.append(float(q.rhs))
+            beq.append(q.rhs)
         else:
             raise ZeroCoefficient("numeric vertex enumeration expects pure <= systems")
     A = np.array(ub).reshape(-1, d)
@@ -381,15 +347,15 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     return res
 
 
-def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
+def vertices(sys: IneqSystem) -> VPolytope:
     """Exact vertex enumeration by active-set basis enumeration.
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
-    are solved and filtered by feasibility at ``tol``; vertices are
-    deduplicated at ``tol``.  The region lies in the orthant, so it holds no
-    line, and when nonempty it has a vertex: no surviving basis means an
-    empty region, with no LP solved.  A nonempty region must be bounded: one
-    recession LP checks it and raises :class:`UnboundedRegion` otherwise.
+    are solved and filtered by feasibility at ``VERTEX_TOL``; vertices are
+    deduplicated at ``VERTEX_TOL``.  The region lies in the orthant, so it
+    holds no line, and when nonempty it has a vertex: no surviving basis means
+    an empty region, with no LP solved.  A nonempty region must be bounded:
+    one recession LP checks it and raises :class:`UnboundedRegion` otherwise.
     Requires dimension at most 6.
     """
     d = len(sys.vars)
@@ -405,7 +371,7 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     scale = np.abs(mats).max(axis=(1, 2)) + 1.0
     ok = np.abs(dets) > 1e-12 * scale**d
     sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]   # (k, d)
-    feas = (sols @ A.T <= b[None, :] + tol).all(axis=1)
+    feas = (sols @ A.T <= b[None, :] + VERTEX_TOL).all(axis=1)
     pts = sols[feas]
     if pts.shape[0] == 0:
         return VPolytope(sys.vars, np.empty((0, d)))
@@ -413,7 +379,7 @@ def vertices(sys: IneqSystem, tol: float = VERTEX_TOL) -> VPolytope:
     if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
                 what="recession").status == 0:
         raise UnboundedRegion("system has a recession direction inside the orthant")
-    return VPolytope(sys.vars, _unique_points(pts, tol))
+    return VPolytope(sys.vars, _unique_points(pts, VERTEX_TOL))
 
 
 @functools.lru_cache(maxsize=None)
@@ -453,16 +419,16 @@ def max_violation(sys: IneqSystem, point, var_order=None) -> float:
     return max(worst, float((-x).max()) if x.size else 0.0)
 
 
-def region_equal(a: IneqSystem, b: IneqSystem, tol: float = VERTEX_TOL) -> bool:
-    """True iff the two numeric regions coincide (mutual vertex containment)."""
-    va = vertices(a, tol)
-    vb = vertices(b, tol)
-    order = va.vars
+def region_equal(a: IneqSystem, b: IneqSystem) -> bool:
+    """True iff the two numeric regions coincide (mutual vertex containment
+    within ``VERTEX_TOL``)."""
+    va = vertices(a)
+    vb = vertices(b)
     for p in va.vertices:
-        if max_violation(b, p, var_order=order) > tol:
+        if max_violation(b, p, var_order=va.vars) > VERTEX_TOL:
             return False
     for p in vb.vertices:
-        if max_violation(a, p, var_order=vb.vars) > tol:
+        if max_violation(a, p, var_order=vb.vars) > VERTEX_TOL:
             return False
     return True
 
@@ -490,6 +456,6 @@ def instantiate(sys: IneqSystem, table, sym_values=None) -> IneqSystem:
     """Replace symbolic right-hand sides by their numeric values on a table."""
     out = []
     for q in sys.ineqs:
-        rhs = q.rhs.evaluate(table, sym_values) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+        rhs = q.rhs.evaluate(table, sym_values) if isinstance(q.rhs, InfoExpr) else q.rhs
         out.append(LinIneq(q.coeffs, rhs, q.rel, q.label))
     return sys.with_ineqs(out)

@@ -21,6 +21,7 @@ from .errors import (
     InconsistentAux,
     NegativeRate,
     UnknownCorollary,
+    ValidationError,
 )
 from .info_core import (
     ChannelSpec,
@@ -191,8 +192,9 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
     return AuxJoint(table, kind="layered")
 
 
-def _prune_dominated(sys: IneqSystem, tol: float = 1e-12) -> IneqSystem:
-    """Drop constraints implied by another one on the nonnegative orthant."""
+def _prune_dominated(sys: IneqSystem) -> IneqSystem:
+    """Drop constraints implied by another one on the nonnegative orthant
+    (right-hand sides compared within 1e-12)."""
     rows = list(sys.ineqs)
     keep = []
     for i, qi in enumerate(rows):
@@ -205,8 +207,8 @@ def _prune_dominated(sys: IneqSystem, tol: float = 1e-12) -> IneqSystem:
             # qj implies qi when qj has at least qi's coefficients and a
             # smaller right-hand side; ties broken by keeping the earlier row
             geq = all(cj.get(v, 0) >= c for v, c in ci.items())
-            if geq and float(qj.rhs) <= float(qi.rhs) + tol:
-                if float(qj.rhs) < float(qi.rhs) - tol or ci != cj or j < i:
+            if geq and qj.rhs <= qi.rhs + 1e-12:
+                if qj.rhs < qi.rhs - 1e-12 or ci != cj or j < i:
                     dominated = True
                     break
         if not dominated:
@@ -425,6 +427,8 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     """
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
+    if mode not in ("degraded", "general"):
+        raise ValidationError(f"unknown sweep mode {mode!r}")
     rng = np.random.default_rng(seed)
     card_x = ch.input.cardinality
     card_u = card_x + 3
@@ -436,12 +440,10 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
                 yield AuxJoint(make_table((VarId("U", card_u), VarId("X", card_x)), arr))
             while True:
                 yield random_aux_ux(rng, card_u, card_x)
-        elif mode == "general":
+        else:
             for i in itertools.count():
                 yield random_aux_layered(rng, 2, card_u, card_v, card_v, card_x,
                                          indep_v=(i % 2 == 0))
-        else:
-            raise BudgetZero(f"unknown sweep mode {mode!r}")
 
     build = eval_general_inner if mode == "general" else eval_degraded_inner
     return sweep_systems((_aux_hash(aux.table), build(aux, ch))

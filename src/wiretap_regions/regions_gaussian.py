@@ -62,10 +62,11 @@ def check_pd(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def psd_leq(a, b, tol: float = ORDER_TOL) -> bool:
-    """a <= b in the semidefinite order, within an absolute eigenvalue slack."""
+def psd_leq(a, b) -> bool:
+    """a <= b in the semidefinite order, within the absolute eigenvalue slack
+    ``ORDER_TOL``."""
     w = np.linalg.eigvalsh(_sym(b) - _sym(a))
-    return bool(w.min() >= -tol)
+    return bool(w.min() >= -ORDER_TOL)
 
 
 def logdet(m) -> float:
@@ -208,7 +209,7 @@ def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> IneqSystem:
     if not check_degraded_order(ch):
         raise NotDegraded("inner bound needs the degraded noise order")
     if split.K is None:
-        raise NotPSD("inner bound takes a single-matrix split K")
+        raise ValidationError("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
     return five_bound_system(**_gauss_constants(split.K, ch))
 
@@ -239,9 +240,9 @@ def dpc_matrix(K1, Sigma1) -> np.ndarray:
         raise SingularMatrix("K1 + Sigma1 is singular") from None
 
 
-def _project_range(cov, tol: float = 1e-12):
+def _project_range(cov):
     w, v = np.linalg.eigh(_sym(cov))
-    keep = w > tol * max(w.max(), 1.0)
+    keep = w > 1e-12 * max(w.max(), 1.0)
     return v[:, keep]
 
 
@@ -294,7 +295,7 @@ def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> 
     users (indices of K, Sigma and the rate labels all swap).
     """
     if split.K is not None:
-        raise NotPSD("general region takes a triple split (K0, K1, K2)")
+        raise ValidationError("general region takes a triple split (K0, K1, K2)")
     split.validate_cap(ch.S)
     if order == "12":
         swapped = GaussChannel(ch.S, ch.Sigma2, ch.Sigma1, ch.SigmaZ)
@@ -321,40 +322,33 @@ def _general_bounds(K0, K1, K2, ch: GaussChannel) -> list[LinIneq]:
     cloud_cap = min_j(lambda s: _half_logdet_ratio(S + s, inner12 + s))
     dirty = _half_logdet_ratio(K1 + s1, s1)
     layer2 = _half_logdet_ratio(inner12 + s2, K1 + s2)
-    b = {
-        "rs1": cloud + dirty - _half_logdet_ratio(tot + sz, inner12 + sz)
-               - _half_logdet_ratio(K1 + sz, sz),
-        "rs2": cloud + layer2 - _half_logdet_ratio(tot + sz, K1 + sz),
-        "rs12": cloud + layer2 + dirty - _half_logdet_ratio(tot + sz, sz),
-        "rs1p1": cloud_cap + dirty,
-        "rs2p2": cloud_cap + layer2,
-        "rs1p1s2": cloud_cap + dirty + layer2
-                   - _half_logdet_ratio(inner12 + sz, K1 + sz),
-        "rs12p2": cloud_cap + layer2 + dirty - _half_logdet_ratio(K1 + sz, sz),
-        "total": cloud_cap + layer2 + dirty,
-    }
-    coeffs = {
-        "rs1": {"Rs1": 1},
-        "rs2": {"Rs2": 1},
-        "rs12": {"Rs1": 1, "Rs2": 1},
-        "rs1p1": {"Rs1": 1, "Rp1": 1},
-        "rs2p2": {"Rs2": 1, "Rp2": 1},
-        "rs1p1s2": {"Rs1": 1, "Rp1": 1, "Rs2": 1},
-        "rs12p2": {"Rs1": 1, "Rs2": 1, "Rp2": 1},
-        "total": {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1},
-    }
-    return [LinIneq.of(coeffs[l], float(v), label=l) for l, v in b.items()]
+    rows = [
+        ({"Rs1": 1}, cloud + dirty - _half_logdet_ratio(tot + sz, inner12 + sz)
+         - _half_logdet_ratio(K1 + sz, sz), "rs1"),
+        ({"Rs2": 1}, cloud + layer2 - _half_logdet_ratio(tot + sz, K1 + sz), "rs2"),
+        ({"Rs1": 1, "Rs2": 1}, cloud + layer2 + dirty - _half_logdet_ratio(tot + sz, sz),
+         "rs12"),
+        ({"Rs1": 1, "Rp1": 1}, cloud_cap + dirty, "rs1p1"),
+        ({"Rs2": 1, "Rp2": 1}, cloud_cap + layer2, "rs2p2"),
+        ({"Rs1": 1, "Rp1": 1, "Rs2": 1}, cloud_cap + dirty + layer2
+         - _half_logdet_ratio(inner12 + sz, K1 + sz), "rs1p1s2"),
+        ({"Rs1": 1, "Rs2": 1, "Rp2": 1}, cloud_cap + layer2 + dirty
+         - _half_logdet_ratio(K1 + sz, sz), "rs12p2"),
+        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, cloud_cap + layer2 + dirty, "total"),
+    ]
+    return [LinIneq.of(c, v, label=l) for c, v, l in rows]
 
 
 # --- scalar discretization ---------------------------------------------------
 
 
-def discretize_scalar(ch: GaussChannel, k_alloc: float, m: int = 61, span: float = 6.0):
+def discretize_scalar(ch: GaussChannel, k_alloc: float):
     """Fine discrete twin of a scalar channel and its Gaussian aux selection.
 
     Returns ``(aux, channel)`` suitable for the discrete degraded evaluation:
-    U on a grid carrying N(0, S-K), X | U ~ N(u, K) quantized onto a grid, and
-    the cascade stages of the degraded noise increments row-discretized.  Used
+    U on a 61-point grid carrying N(0, S-K) out to 6 standard deviations,
+    X | U ~ N(u, K) quantized onto a 61-point grid, and the cascade stages of
+    the degraded noise increments row-discretized on 122 points each.  Used
     to cross-check the closed-form bounds against the discrete path.
     """
     import math
@@ -369,6 +363,7 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float, m: int = 61, span: float
     s2 = float(ch.Sigma2[0, 0])
     sz = float(ch.SigmaZ[0, 0])
     su = S - k_alloc
+    m, span = 61, 6.0
 
     def centered_grid(var, n):
         if var > 1e-12:
@@ -397,7 +392,7 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float, m: int = 61, span: float
     y1g, k1 = stage(xg, s1, 2 * m)
     y2g, k2 = stage(y1g, s2 - s1, 2 * m)
     _, k3 = stage(y2g, sz - s2, 2 * m)
-    channel = build_degraded_joint(k1, k2, k3, names=("X", "Y1", "Y2", "Z"))
+    channel = build_degraded_joint(k1, k2, k3)
     aux = AuxJoint(make_table((VarId("U", ug.size), VarId("X", xg.size)), aux_arr))
     return aux, channel
 
@@ -419,9 +414,14 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
                       mode: str = "fixed_S", trace_p: float | None = None) -> SweepResult:
     """Seeded sweep of covariance splits; fixed-prefix sampling as in the
     discrete sweeps.  ``trace_P`` mode additionally samples the cap S on the
-    trace simplex ``tr(S) <= P``."""
+    trace simplex ``tr(S) <= P``, with ``P = trace_p`` (default ``tr(S)``);
+    ``trace_p`` in any other mode is an input error."""
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
+    if mode not in ("fixed_S", "trace_P"):
+        raise ValidationError(f"unknown sweep mode {mode!r}")
+    if trace_p is not None and mode != "trace_P":
+        raise ValidationError("a trace cap applies only to the trace_P mode")
     if trace_p is not None and not trace_p > 0:
         raise ValidationError(f"trace cap must be positive, got {trace_p}")
     if not check_degraded_order(ch):
@@ -435,7 +435,7 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
                 yield K, ch
             while True:
                 yield random_psd_under(rng, ch.S), ch
-        elif mode == "trace_P":
+        else:
             p = trace_p if trace_p is not None else float(np.trace(ch.S))
             while True:
                 q, _ = np.linalg.qr(rng.normal(size=(d, d)))
@@ -444,8 +444,6 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
                 S = check_pd(0.5 * (S + S.T), "S")
                 channel = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
                 yield random_psd_under(rng, S), channel
-        else:
-            raise BudgetZero(f"unknown sweep mode {mode!r}")
 
     return sweep_systems((f"K{i}", eval_gauss_inner(CovSplit(K=K), channel))
                          for i, (K, channel) in enumerate(itertools.islice(samples(), budget)))

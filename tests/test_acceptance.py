@@ -94,7 +94,7 @@ def test_c02_rate_transfer_equivalence():
             s = fm_eliminate(fm_eliminate(s, "t3"), "t4")
             s = apply_rate_transfer(s, [("Rp2", "Rp1")], ["t5"])
             s = fm_eliminate(s, "t5")
-            assert region_equal(s, eval_degraded_inner(aux, ch), tol=1e-9)
+            assert region_equal(s, eval_degraded_inner(aux, ch))
 
 
 def test_c03_partial_match_discrete():
@@ -105,17 +105,17 @@ def test_c03_partial_match_discrete():
             for p in vertices(inner).vertices:
                 assert max_violation(outer, p, var_order=inner.vars) <= 1e-9
             trimmed = inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
-            assert region_equal(trimmed, outer, tol=1e-9)
+            assert region_equal(trimmed, outer)
             for which in ("cor1", "cor2", "cor3"):
                 assert region_equal(specialize_corollary(inner, which),
-                                    specialize_corollary(outer, which), tol=1e-9)
+                                    specialize_corollary(outer, which))
 
 
 def test_c04_layered_reduction():
     with Budget("C4 layered-to-degraded reduction (50 channels)", 60.0):
         for aux, ch in seeded_pairs(202, 50, cx=2, cy=2, cu=3):
             gen = eval_general_inner(reduction_aux(aux), ch)
-            assert region_equal(gen, eval_degraded_inner(aux, ch), tol=1e-9)
+            assert region_equal(gen, eval_degraded_inner(aux, ch))
 
 
 # frozen 30-digit evaluation of the scalar fixture's secrecy bound
@@ -154,7 +154,7 @@ def test_c05_gaussian_partial_match():
                 assert max_violation(outer, p, var_order=inner.vars) <= 1e-9
             for which in ("cor4", "cor5", "cor6"):
                 assert region_equal(specialize_gauss_corollary(inner, which),
-                                    specialize_gauss_corollary(outer, which), tol=1e-9)
+                                    specialize_gauss_corollary(outer, which))
 
 
 def test_c06_general_gaussian_consistency():
@@ -169,7 +169,7 @@ def test_c06_general_gaussian_consistency():
             triple = CovSplit(K0=ch.S - K, K1=K, K2=np.zeros((d, d)))
             gen = eval_general_gauss(triple, ch)
             inner = eval_gauss_inner(CovSplit(K=K), ch)
-            assert region_equal(gen, inner, tol=1e-9)
+            assert region_equal(gen, inner)
             count += 1
         worst = 0.0
         for _ in range(100):
@@ -242,7 +242,7 @@ def test_c09_scalar_cross_check():
             ch = GaussChannel(S * I1, s1 * I1, s2 * I1, sz * I1)
             closed = {q.label: float(q.rhs)
                       for q in eval_gauss_inner(CovSplit(K=K * I1), ch).ineqs}
-            aux, disc_ch = discretize_scalar(ch, K, m=61)
+            aux, disc_ch = discretize_scalar(ch, K)
             disc = {q.label: float(q.rhs) for q in eval_degraded_inner(aux, disc_ch).ineqs}
             for label, val in closed.items():
                 assert disc[label] == pytest.approx(val, abs=5e-3), (label, S, s1, s2, sz, K)

@@ -267,11 +267,24 @@ def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):
     ["fisher", "debruijn", "--budget", "2", "--step", "-1"],
     ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "0", "--channel"],
     ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "-1", "--channel"],
+    # the default fixed_S mode reads no trace cap
+    ["gauss", "sweep", "--budget", "2", "--trace-p", "2.0", "--channel"],
 ])
 def test_cli_bad_numeric_option_is_an_input_error(tmp_path, argv, capsys):
     if argv[-1] == "--channel":
         argv = argv + [write(tmp_path, "g.txt", GAUSS)]
     assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+@pytest.mark.parametrize("split, bound", [
+    ("kind: split\nK0:\n0.1\nK1:\n0.2\nK2:\n0.3\n", "inner"),
+    ("kind: split\nK:\n0.5\n", "general"),
+], ids=["triple-inner", "single-general"])
+def test_cli_gauss_eval_split_of_the_wrong_shape_is_an_input_error(tmp_path, split, bound,
+                                                                  capsys):
+    assert main(["gauss", "eval", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--split", write(tmp_path, "s.txt", split), "--bound", bound]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
+from wiretap_regions.entropy_algebra import InfoExpr, sym
 from wiretap_regions.errors import (
     DimensionTooLarge,
     DuplicateSlackName,
@@ -23,6 +24,7 @@ from wiretap_regions.polytope_fm import (
     _unique_points,
     apply_rate_transfer,
     fm_eliminate,
+    instantiate,
     max_violation,
     region_equal,
     substitute_equality,
@@ -348,7 +350,60 @@ def test_elimination_order_invariance():
         s = num_sys(names, rows)
         p1 = fm_eliminate(fm_eliminate(s, "c"), "d")
         p2 = fm_eliminate(fm_eliminate(s, "d"), "c")
-        assert region_equal(p1, p2, tol=1e-9)
+        assert region_equal(p1, p2)
+
+
+_NONZERO_QUARTER = st.sampled_from([k / 4 for k in range(-8, 9) if k])
+
+
+@st.composite
+def _symbolic_projection_case(draw):
+    """A system over 2-3 rates with coefficients on a 1/4 grid and right-hand
+    sides combining 2-3 symbols, the rate to eliminate, values for the
+    symbols and dyadic directions over the remaining rates.  The first row
+    has positive coefficients, so every instantiation is bounded; an optional
+    equality row mentions the eliminated rate, so elimination substitutes it."""
+    d = draw(st.integers(2, 3))
+    names = tuple(f"v{i}" for i in range(d))
+    syms = ("a", "b", "c")[:draw(st.integers(2, 3))]
+
+    def coeffs():
+        return draw(st.lists(_DYADIC, min_size=d, max_size=d))
+
+    def rhs():
+        return sum((sym(n) * draw(_DYADIC) for n in syms), InfoExpr(constant=draw(_DYADIC)))
+
+    var = draw(st.sampled_from(names))
+    box = draw(st.lists(st.integers(1, 8).map(lambda k: k / 4), min_size=d, max_size=d))
+    rows = [LinIneq.of(dict(zip(names, box)), rhs())]
+    rows += [LinIneq.of(dict(zip(names, coeffs())), rhs())
+             for _ in range(draw(st.integers(1, 4)))]
+    if draw(st.booleans()):
+        eq = dict(zip(names, coeffs()))
+        eq[var] = draw(_NONZERO_QUARTER)
+        rows.append(LinIneq.of(eq, rhs(), rel=EQ))
+    values = dict(zip(syms, draw(st.lists(st.integers(0, 12).map(lambda k: k / 4),
+                                          min_size=len(syms), max_size=len(syms)))))
+    directions = draw(st.lists(st.lists(_DYADIC, min_size=d - 1, max_size=d - 1),
+                               min_size=1, max_size=3))
+    return IneqSystem.of(names, rows), var, values, directions
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_symbolic_projection_case())
+def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case):
+    s, var, values, directions = case
+    projected = instantiate(fm_eliminate(s, var), None, values)
+    numeric = instantiate(s, None, values)
+    assert region_equal(projected, fm_eliminate(numeric, var))
+    for w in directions:
+        objective = dict(zip(projected.vars, w))
+        got = support_value(projected, objective)
+        want = support_value(numeric, {**objective, var: 0.0})
+        if want == float("-inf"):
+            assert got == want
+        else:
+            assert abs(got - want) <= 1e-9
 
 
 def test_transfer_monotone_on_instantiations():

@@ -11,6 +11,7 @@ from wiretap_regions.errors import (
     LPFailure,
     NegativeRate,
     UnknownCorollary,
+    ValidationError,
 )
 from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
 from wiretap_regions.polytope_fm import (
@@ -167,7 +168,7 @@ def test_transfer_equivalence_sampled():
         s = fm_eliminate(fm_eliminate(s, "t3"), "t4")
         s = apply_rate_transfer(s, [("Rp2", "Rp1")], ["t5"])
         s = fm_eliminate(s, "t5")
-        assert region_equal(s, eval_degraded_inner(aux, ch), tol=1e-9)
+        assert region_equal(s, eval_degraded_inner(aux, ch))
 
 
 def test_inner_inside_outer_sampled():
@@ -187,7 +188,7 @@ def test_general_reduction_matches_degraded():
         ch = rand_degraded_channel(rng, cx=2, c1=2, c2=2, cz=2)
         aux = random_aux_ux(rng, 3, 2)
         gen = eval_general_inner(reduction_aux(aux), ch)
-        assert region_equal(gen, eval_degraded_inner(aux, ch), tol=1e-9)
+        assert region_equal(gen, eval_degraded_inner(aux, ch))
 
 
 def test_general_inner_vacuous_v_layers():
@@ -222,7 +223,7 @@ def test_corollaries_match_inner_outer():
         for which in ("cor1", "cor2", "cor3"):
             a = specialize_corollary(inner, which)
             b = specialize_corollary(outer, which)
-            assert region_equal(a, b, tol=1e-9), which
+            assert region_equal(a, b), which
 
 
 def test_corollary_shapes_generic_aux():
@@ -311,6 +312,11 @@ def test_small_cloud_keeps_only_its_vertices():
 def test_sweep_zero_budget():
     with pytest.raises(BudgetZero):
         sweep_inner_region(cascade_channel(), 0, seed=1)
+
+
+def test_sweep_unknown_mode_is_an_input_error():
+    with pytest.raises(ValidationError):
+        sweep_inner_region(cascade_channel(), 2, seed=1, mode="layered")
 
 
 # Constants and directions on dyadic grids: every bound is then exactly 0 or at

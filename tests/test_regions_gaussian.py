@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from wiretap_regions.errors import CapExceeded, NotDegraded, NotPSD, UnknownCorollary
+from wiretap_regions.errors import (
+    CapExceeded,
+    NotDegraded,
+    NotPSD,
+    UnknownCorollary,
+    ValidationError,
+)
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
 from wiretap_regions.regions_gaussian import (
     CovSplit,
@@ -164,7 +170,7 @@ def test_corollaries_match_and_alt_form():
         outer = eval_gauss_outer(split, ch)
         for which in ("cor4", "cor5", "cor6"):
             assert region_equal(specialize_gauss_corollary(inner, which),
-                                specialize_gauss_corollary(outer, which), tol=1e-9)
+                                specialize_gauss_corollary(outer, which))
         alt = specialize_gauss_corollary(inner, "cor6_alt")
         cor6 = specialize_gauss_corollary(inner, "cor6")
         for p in vertices(alt).vertices:
@@ -234,7 +240,7 @@ def test_general_gauss_reduction_to_inner():
         split = CovSplit(K0=chS.S - K, K1=K, K2=np.zeros((d, d)))
         gen = eval_general_gauss(split, chS)
         inner = eval_gauss_inner(CovSplit(K=K), chS)
-        assert region_equal(gen, inner, tol=1e-9)
+        assert region_equal(gen, inner)
 
 
 def test_general_gauss_zero_split():
@@ -299,6 +305,10 @@ def test_sweep_modes_and_monotonicity():
         assert in_hull(p, big.points, tol=1e-9)
     traced = sweep_covariances(ch, budget=6, seed=9, mode="trace_P", trace_p=1.0)
     assert traced.points.shape[0] > 0
+    with pytest.raises(ValidationError):
+        sweep_covariances(ch, budget=6, seed=9, mode="trace")
+    with pytest.raises(ValidationError):
+        sweep_covariances(ch, budget=6, seed=9, trace_p=1.0)   # fixed_S reads no cap
     fixed = sweep_covariances(ch, budget=6, seed=10)
     for p in fixed.hull_points:
         assert _dominated(p, traced.points, 5e-2) or in_hull(p, traced.points, 1e-6)
