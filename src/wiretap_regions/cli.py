@@ -9,6 +9,7 @@ invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .fisher_lab import (
 )
 from .info_core import ChannelSpec
 from .io_files import (
+    check_matches_channel,
     emit_csv,
     emit_region_csv,
     parse_aux_file,
@@ -93,6 +95,7 @@ def _load_gauss(path) -> GaussChannel:
 def cmd_region_eval(args) -> int:
     ch = _load_discrete(args.channel)
     aux = parse_aux_file(args.aux)
+    check_matches_channel(ch, aux)
     fn = {"eval-inner": eval_degraded_inner, "eval-outer": eval_degraded_outer,
           "eval-general": eval_general_inner}[args.cmd]
     sys_ = fn(aux, ch)
@@ -129,6 +132,7 @@ def cmd_fm_verify(args) -> int:
 def cmd_gauss_eval(args) -> int:
     ch = _load_gauss(args.channel)
     split = parse_split_file(args.split)
+    check_matches_channel(ch, split)
     if args.bound == "general":
         sys_ = eval_general_gauss(split, ch, order=args.order)
     elif args.bound == "outer":
@@ -153,6 +157,7 @@ def cmd_gauss_dpc(args) -> int:
     worst = 0.0
     if args.split:
         split = parse_split_file(args.split)
+        check_matches_channel(ch, split)
         if split.K is not None:
             raise ValidationError("dpc-check needs a triple split (K0, K1, K2)")
         worst = dpc_identity_check(split.K1, split.K2, split.K0, ch)
@@ -258,6 +263,7 @@ def cmd_fisher_evidence(args) -> int:
     return OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wtr", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)

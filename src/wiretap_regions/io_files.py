@@ -158,6 +158,24 @@ def parse_split_file(path) -> CovSplit:
         raise ValidationError(f"NonPSD: {e}") from e
 
 
+def check_matches_channel(ch, part) -> None:
+    """Raise ValidationError unless an aux joint's X alphabet matches a discrete
+    channel's input, or every matrix of a covariance split matches a Gaussian
+    channel's dimension."""
+    if isinstance(part, AuxJoint):
+        card = part.table.vars[part.table.axis("X")].cardinality
+        if card != ch.input.cardinality:
+            raise ValidationError(f"aux X has {card} symbols, the channel input "
+                                  f"{ch.input.cardinality}")
+        return
+    d = ch.dim
+    for name in ("K", "K0", "K1", "K2"):
+        m = getattr(part, name)
+        if m is not None and m.shape != (d, d):
+            raise ValidationError(f"split {name} is {m.shape[0]}x{m.shape[1]}, "
+                                  f"the channel is {d}x{d}")
+
+
 def parse_dag_file(path) -> FactorStructure:
     """Factorization fixture: one ``node: NAME [PARENTS...]`` line per variable."""
     parents = {}

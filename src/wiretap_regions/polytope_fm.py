@@ -347,7 +347,7 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     return res
 
 
-def vertices(sys: IneqSystem) -> VPolytope:
+def vertices(sys: IneqSystem, recession: dict | None = None) -> VPolytope:
     """Exact vertex enumeration by active-set basis enumeration.
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
@@ -357,6 +357,12 @@ def vertices(sys: IneqSystem) -> VPolytope:
     an empty region, with no LP solved.  A nonempty region must be bounded:
     one recession LP checks it and raises :class:`UnboundedRegion` otherwise.
     Requires dimension at most 6.
+
+    The recession cone of a nonempty ``{x >= 0, A x <= b}`` is
+    ``{r >= 0, A r <= 0}``, so the verdict depends on the explicit rows ``A``
+    only.  A caller building many systems with equal rows may pass one
+    ``recession`` dict to every call: it maps ``(A.shape, A.tobytes())`` to
+    the verdict, and the LP is solved only for rows it does not hold yet.
     """
     d = len(sys.vars)
     if d > 6:
@@ -375,9 +381,13 @@ def vertices(sys: IneqSystem) -> VPolytope:
     pts = sols[feas]
     if pts.shape[0] == 0:
         return VPolytope(sys.vars, np.empty((0, d)))
-    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
-    if solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)), [1.0],
-                what="recession").status == 0:
+    recession = {} if recession is None else recession
+    key = (A_exp.shape, A_exp.tobytes())
+    if key not in recession:
+        # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
+        recession[key] = solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]),
+                                  np.ones((1, d)), [1.0], what="recession").status == 0
+    if recession[key]:
         raise UnboundedRegion("system has a recession direction inside the orthant")
     return VPolytope(sys.vars, _unique_points(pts, VERTEX_TOL))
 

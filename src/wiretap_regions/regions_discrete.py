@@ -408,10 +408,12 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
 
 def sweep_systems(samples) -> SweepResult:
     """Merge the vertex clouds of a stream of ``(tag, system)`` samples into
-    one sweep: a CSV row per sample, the point cloud and its hull."""
-    pts, rows = [], []
+    one sweep: a CSV row per sample, the point cloud and its hull.  The
+    samples share their coefficient rows, so one recession verdict per
+    distinct row matrix serves the whole sweep."""
+    pts, rows, recession = [], [], {}
     for idx, (tag, sys) in enumerate(samples):
-        vp = vertices(sys)
+        vp = vertices(sys, recession)
         if vp.vertices.size:
             pts.append(vp.vertices)
         rows.append((idx, tag, [float(q.rhs) for q in sys.ineqs], vp.vertices.shape[0]))

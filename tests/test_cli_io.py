@@ -1,12 +1,16 @@
 import csv
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions.cli import main
-from wiretap_regions.errors import ParseError, ValidationError
+from wiretap_regions.errors import ParseError, ValidationError, WiretapError
 from wiretap_regions.info_core import ChannelSpec, build_degraded_joint
 from wiretap_regions.io_files import (
+    check_matches_channel,
     emit_channel_file,
     parse_aux_file,
     parse_channel_file,
@@ -15,7 +19,19 @@ from wiretap_regions.io_files import (
     region_csv_text,
 )
 from wiretap_regions.polytope_fm import IneqSystem, LinIneq, VPolytope, vertices
-from wiretap_regions.regions_gaussian import GaussChannel, HGaussChannel
+from wiretap_regions.regions_discrete import (
+    eval_degraded_inner,
+    eval_general_inner,
+    random_aux_layered,
+    random_aux_ux,
+)
+from wiretap_regions.regions_gaussian import (
+    CovSplit,
+    GaussChannel,
+    HGaussChannel,
+    eval_gauss_inner,
+    eval_general_gauss,
+)
 
 
 DISCRETE = """\
@@ -160,6 +176,18 @@ def test_cli_round_trip_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_cli_calls_share_no_state(tmp_path, capsys):
+    ch = write(tmp_path, "c.txt", DISCRETE)
+    out = tmp_path / "a.csv"
+    argv = ["region", "sweep", "--channel", ch, "--budget", "3", "--format", "csv"]
+    assert main(argv + ["--out", str(out)]) == 0
+    written = out.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == written
+    assert out.read_bytes() == written
+
+
 def test_cli_exit_codes(tmp_path, capsys):
     assert main(["region", "sweep", "--channel", str(tmp_path / "missing.txt"),
                  "--budget", "2"]) == 2
@@ -286,6 +314,111 @@ def test_cli_gauss_eval_split_of_the_wrong_shape_is_an_input_error(tmp_path, spl
     assert main(["gauss", "eval", "--channel", write(tmp_path, "g.txt", GAUSS),
                  "--split", write(tmp_path, "s.txt", split), "--bound", bound]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+GAUSS_2X2 = """\
+kind: gauss
+S:
+2 0.3
+0.3 1.5
+Sigma1:
+0.5 0
+0 0.5
+Sigma2:
+1 0
+0 1
+SigmaZ:
+2 0
+0 2
+"""
+
+TERNARY = """\
+kind: discrete
+input: X 3
+outputs: Y1 3 Y2 3 Z 3
+stage Y1|X:
+1 0 0
+0 1 0
+0 0 1
+stage Y2|Y1:
+1 0 0
+0 1 0
+0 0 1
+stage Z|Y2:
+1 0 0
+0 1 0
+0 0 1
+"""
+
+
+TRIPLE_1X1 = "kind: split\nK0:\n0.1\nK1:\n0.2\nK2:\n0.3\n"
+
+
+@pytest.mark.parametrize("split, cmd", [
+    ("kind: split\nK:\n0.5\n", ["eval", "--bound", "inner"]),
+    ("kind: split\nK:\n0.5\n", ["eval", "--bound", "outer"]),
+    (TRIPLE_1X1, ["eval", "--bound", "general"]),
+    (TRIPLE_1X1, ["dpc-check"]),
+], ids=["inner", "outer", "general", "dpc-check"])
+def test_cli_gauss_split_smaller_than_the_channel_is_an_input_error(tmp_path, split, cmd,
+                                                                   capsys):
+    assert main(["gauss", *cmd, "--channel", write(tmp_path, "g.txt", GAUSS_2X2),
+                 "--split", write(tmp_path, "s.txt", split)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+LAYERED_AUX = "kind: aux\nvars: Q 1 U 1 V1 1 V2 1 X 2\ntable:\n0.5 0.5\n"
+
+
+@pytest.mark.parametrize("cmd, aux", [("eval-inner", AUX), ("eval-outer", AUX),
+                                      ("eval-general", LAYERED_AUX)],
+                         ids=["inner", "outer", "general"])
+def test_cli_region_eval_aux_alphabet_other_than_the_input_is_an_input_error(tmp_path, cmd,
+                                                                             aux, capsys):
+    assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", TERNARY),
+                 "--aux", write(tmp_path, "a.txt", aux)]) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def _passes_check_or_raises(ch, part, evaluate):
+    """True when ``check_matches_channel`` accepts the pair; then the evaluator
+    must end in a result or a typed error, never a numpy error."""
+    try:
+        check_matches_channel(ch, part)
+    except ValidationError:
+        return False
+    try:
+        evaluate(part, ch)
+    except WiretapError:
+        pass
+    return True
+
+
+@pytest.mark.parametrize("card_in, card_x, layered",
+                         list(itertools.product((2, 3), (2, 3), (False, True))))
+def test_mismatched_aux_is_refused_before_it_reaches_numpy(card_in, card_x, layered):
+    stage = 0.5 * np.eye(card_in) + 0.5 / card_in
+    ch = build_degraded_joint(stage, stage, stage)
+    rng = np.random.default_rng(card_in * 10 + card_x)
+    if layered:
+        aux, evaluate = random_aux_layered(rng, 1, 2, 1, 2, card_x), eval_general_inner
+    else:
+        aux, evaluate = random_aux_ux(rng, 2, card_x), eval_degraded_inner
+    assert _passes_check_or_raises(ch, aux, evaluate) == (card_x == card_in)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 3), st.one_of(st.tuples(st.integers(1, 3)),
+                                    st.tuples(*[st.integers(1, 3)] * 3)))
+def test_mismatched_split_is_refused_before_it_reaches_numpy(d, dims):
+    eye = np.eye(d)
+    ch = GaussChannel(S=2 * eye, Sigma1=0.5 * eye, Sigma2=eye, SigmaZ=2 * eye)
+    if len(dims) == 1:
+        split, evaluate = CovSplit(K=0.5 * np.eye(dims[0])), eval_gauss_inner
+    else:
+        split = CovSplit(**{f"K{i}": 0.2 * np.eye(k) for i, k in enumerate(dims)})
+        evaluate = eval_general_gauss
+    assert _passes_check_or_raises(ch, split, evaluate) == all(k == d for k in dims)
 
 
 @pytest.mark.parametrize("argv", [

@@ -16,6 +16,7 @@ from wiretap_regions.errors import (
     UnboundedRegion,
     ZeroCoefficient,
 )
+from wiretap_regions.info_core import build_degraded_joint
 from wiretap_regions.polytope_fm import (
     EQ,
     VERTEX_TOL,
@@ -31,6 +32,8 @@ from wiretap_regions.polytope_fm import (
     support_value,
     vertices,
 )
+from wiretap_regions.regions_discrete import sweep_inner_region
+from wiretap_regions.regions_gaussian import GaussChannel, sweep_covariances
 
 
 def num_sys(varnames, rows):
@@ -249,6 +252,108 @@ def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
         return
     assert not unbounded
     assert (got.shape[0] == 0) == empty
+
+
+_HALF = st.integers(-4, 4).map(lambda k: k / 2)
+
+
+@st.composite
+def _shared_rows_with_rhs_list(draw):
+    d = draw(st.integers(1, 4))
+    names = tuple(f"v{i}" for i in range(d))
+    rows = draw(st.lists(st.lists(_HALF, min_size=d, max_size=d), max_size=4))
+    # a first row v0 <= b0 makes every draw with b0 < 0 empty, between nonempty ones
+    coeffs = [{names[0]: 1}] + [dict(zip(names, a)) for a in rows]
+    rhs_list = draw(st.lists(st.lists(_HALF, min_size=len(coeffs), max_size=len(coeffs)),
+                             min_size=2, max_size=6))
+    return [num_sys(names, list(zip(coeffs, b))) for b in rhs_list]
+
+
+def _vertices_or_unbounded(s, recession=None):
+    try:
+        return vertices(s, recession).vertices
+    except UnboundedRegion:
+        return "unbounded"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shared_rows_with_rhs_list())
+def test_shared_recession_verdict_matches_one_lp_per_call(systems):
+    memo = {}
+    for s in systems:
+        shared, alone = _vertices_or_unbounded(s, memo), _vertices_or_unbounded(s)
+        if isinstance(alone, str):
+            assert isinstance(shared, str)
+        else:
+            np.testing.assert_array_equal(shared, alone)
+    assert len(memo) <= 1
+
+
+def test_shared_recession_verdict_keys_on_the_row_shape():
+    # both coefficient matrices hold the bytes of 1, -1, -1, 1
+    unbounded = num_sys(("x", "y"), [({"x": 1, "y": -1}, 1), ({"x": -1, "y": 1}, 1)])
+    bounded = num_sys(("x",), [({"x": 1}, 1), ({"x": -1}, 1), ({"x": -1}, 2),
+                               ({"x": 1}, 2)])
+    for first, second in ((unbounded, bounded), (bounded, unbounded)):
+        memo = {}
+        for s in (first, second):
+            assert isinstance(_vertices_or_unbounded(s, memo), str) == (s is unbounded)
+        assert len(memo) == 2
+
+
+@pytest.fixture
+def lp_whats(monkeypatch):
+    """The ``what`` of every LP solved through ``polytope_fm.solve_lp``."""
+    import wiretap_regions.polytope_fm as pf
+
+    real, whats = pf.solve_lp, []
+
+    def solve_lp(*args, what="LP", **kw):
+        whats.append(what)
+        return real(*args, what=what, **kw)
+
+    monkeypatch.setattr(pf, "solve_lp", solve_lp)
+    return whats
+
+
+def test_vertices_solve_one_recession_lp_a_call_without_a_shared_verdict(lp_whats):
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    vertices(sq)
+    assert lp_whats == ["recession"]
+    vertices(sq)
+    assert lp_whats == ["recession"] * 2
+
+
+def _readme_channel_sweep():
+    stages = [np.array([[1 - p, p], [p, 1 - p]]) for p in (0.05, 0.1, 0.15)]
+    return sweep_inner_region(build_degraded_joint(*stages), budget=20)
+
+
+def _covariance_sweep_2x2():
+    eye = np.eye(2)
+    ch = GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * eye, Sigma2=eye,
+                      SigmaZ=2 * eye)
+    return sweep_covariances(ch, budget=10, seed=4)
+
+
+@pytest.mark.parametrize("sweep", [_readme_channel_sweep, _covariance_sweep_2x2])
+def test_a_sweep_solves_one_recession_lp(lp_whats, sweep):
+    res = sweep()
+    assert sum(n > 0 for *_, n in res.rows) > 1
+    assert lp_whats == ["recession"]
+
+
+def test_failed_recession_lp_leaves_no_shared_verdict(monkeypatch):
+    import wiretap_regions.polytope_fm as pf
+
+    def solve_lp(*args, what="LP", **kw):
+        raise LPFailure(f"{what} LP failed with status 4: numerical difficulties")
+
+    monkeypatch.setattr(pf, "solve_lp", solve_lp)
+    memo = {}
+    with pytest.raises(LPFailure):
+        vertices(num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)]), memo)
+    assert memo == {}
 
 
 def two_pass_unique(pts, tol):
