@@ -25,6 +25,7 @@ from .fisher_lab import (
 )
 from .info_core import ChannelSpec
 from .io_files import (
+    check_aux_kind,
     check_matches_channel,
     emit_csv,
     emit_region_csv,
@@ -94,10 +95,12 @@ def _load_gauss(path) -> GaussChannel:
 
 def cmd_region_eval(args) -> int:
     ch = _load_discrete(args.channel)
+    fn, kind = {"eval-inner": (eval_degraded_inner, "ux"),
+                "eval-outer": (eval_degraded_outer, "ux"),
+                "eval-general": (eval_general_inner, "layered")}[args.cmd]
     aux = parse_aux_file(args.aux)
+    check_aux_kind(aux, kind)
     check_matches_channel(ch, aux)
-    fn = {"eval-inner": eval_degraded_inner, "eval-outer": eval_degraded_outer,
-          "eval-general": eval_general_inner}[args.cmd]
     sys_ = fn(aux, ch)
     _emit(vertices(sys_) if args.vertices else sys_, args)
     return OK

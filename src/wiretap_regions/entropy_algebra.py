@@ -11,10 +11,12 @@ membership over that set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
-from .errors import CyclicStructure, EmptyArgument, OverlappingSets
+from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -152,57 +154,71 @@ def expand_mi(a, b, c=()) -> InfoExpr:
 # --- factorization structures and d-separation --------------------------------
 
 
-@dataclass(frozen=True)
 class FactorStructure:
-    """Directed acyclic factorization over named variables."""
+    """Directed acyclic factorization over named variables, immutable and
+    hashable.
 
-    parents: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    Hash and equality use the ordered ``(node, parents)`` items: node order
+    fixes the order in which :func:`derive_equalities` inserts equalities,
+    and so the basis rows it returns.
+    """
 
-    def __post_init__(self):
-        # topological check
-        order, seen = [], {}
+    __slots__ = ("parents", "children", "ancestors")
+
+    def __init__(self, parents=None):
+        par = {n: tuple(ps) for n, ps in (parents or {}).items()}
+        ch = {n: [] for n in par}
+        for n, ps in par.items():
+            for p in ps:
+                if p not in ch:
+                    raise UnknownVariable(f"parent {p!r} of {n!r} is not a node")
+                ch[p].append(n)
+        # ancestors by depth-first search, which also rejects cycles
+        anc, state = {}, {}
 
         def visit(n):
-            state = seen.get(n)
-            if state == 1:
+            if state.get(n) == 1:
                 raise CyclicStructure(f"cycle through {n!r}")
-            if state == 2:
-                return
-            seen[n] = 1
-            for p in self.parents.get(n, ()):
-                visit(p)
-            seen[n] = 2
-            order.append(n)
+            if n not in anc:
+                state[n] = 1
+                anc[n] = frozenset().union(*(visit(p) | {p} for p in par[n]))
+                state[n] = 2
+            return anc[n]
 
-        for n in self.parents:
+        for n in par:
             visit(n)
+        object.__setattr__(self, "parents", MappingProxyType(par))
+        object.__setattr__(self, "children",
+                           MappingProxyType({n: tuple(c) for n, c in ch.items()}))
+        object.__setattr__(self, "ancestors", MappingProxyType(anc))
+
+    def __setattr__(self, *a):
+        raise AttributeError("FactorStructure is immutable")
+
+    def __eq__(self, other):
+        return (isinstance(other, FactorStructure)
+                and tuple(self.parents.items()) == tuple(other.parents.items()))
+
+    def __hash__(self):
+        return hash(tuple(self.parents.items()))
+
+    def __repr__(self):
+        return f"FactorStructure({dict(self.parents)!r})"
 
     @property
     def nodes(self) -> tuple[str, ...]:
         return tuple(self.parents)
 
-    def children(self):
-        ch = {n: [] for n in self.parents}
-        for n, ps in self.parents.items():
-            for p in ps:
-                ch[p].append(n)
-        return ch
-
 
 def d_separated(st: FactorStructure, a: str, b: str, cond) -> bool:
     """Classic active-trail reachability test between single nodes a, b given cond."""
     cond = set(cond)
-    children = st.children()
-    # ancestors of the conditioning set (for v-structure activation)
-    anc = set()
-    stack = list(cond)
-    while stack:
-        n = stack.pop()
-        for p in st.parents.get(n, ()):
-            if p not in anc:
-                anc.add(p)
-                stack.append(p)
-    anc |= cond
+    parents, children = st.parents, st.children
+    unknown = ({a, b} | cond) - parents.keys()
+    if unknown:
+        raise UnknownVariable(f"{sorted(unknown)} are not nodes of the structure")
+    # the conditioning set and its ancestors (for v-structure activation)
+    anc = cond.union(*(st.ancestors[n] for n in cond))
     # (node, direction): direction "up" = arrived from a child, "down" = from a parent
     visited = set()
     frontier = [(a, "up")]
@@ -214,16 +230,16 @@ def d_separated(st: FactorStructure, a: str, b: str, cond) -> bool:
         if node not in cond and node == b:
             return False
         if d == "up" and node not in cond:
-            for p in st.parents.get(node, ()):
+            for p in parents[node]:
                 frontier.append((p, "up"))
-            for c in children.get(node, ()):
+            for c in children[node]:
                 frontier.append((c, "down"))
         elif d == "down":
             if node not in cond:
-                for c in children.get(node, ()):
+                for c in children[node]:
                     frontier.append((c, "down"))
             if node in anc:
-                for p in st.parents.get(node, ()):
+                for p in parents[node]:
                     frontier.append((p, "up"))
     return True
 
@@ -239,53 +255,57 @@ class EqualitySet:
     inference.
     """
 
+    __slots__ = ("equalities", "_pivots")
+
     def __init__(self, equalities):
-        self.equalities: tuple[InfoExpr, ...] = tuple(equalities)
-        self._pivots: dict = {}
-        for e in self.equalities:
-            self._insert(e)
+        equalities = tuple(equalities)
+        pivots = {}
+        for e in equalities:
+            e = _reduce(pivots, e)
+            # deterministic pivot choice: largest subset first, then lexicographic
+            order = sorted(e.terms, key=lambda a: (-len(a.subset), a.subset))
+            if not order:
+                continue
+            pivot = order[0]
+            e = e * (ONE / e.terms[pivot])
+            # keep the basis fully reduced: the new pivot leaves every older row
+            for a, row in pivots.items():
+                k = row.terms.get(pivot)
+                if k:
+                    pivots[a] = row - e * k
+            pivots[pivot] = e
+        object.__setattr__(self, "equalities", equalities)
+        # read-only, so one derived set can be shared by every caller
+        object.__setattr__(self, "_pivots", MappingProxyType(pivots))
 
-    @staticmethod
-    def _atom_order(expr):
-        # deterministic pivot choice: largest subset first, then lexicographic
-        return sorted(expr.terms, key=lambda a: (-len(a.subset), a.subset))
-
-    def _reduce(self, expr: InfoExpr) -> InfoExpr:
-        # no pivot row holds another row's pivot atom, so subtracting one row
-        # leaves every other pivot coefficient as it was: one pass suffices
-        terms, syms, constant = dict(expr.terms), dict(expr.syms), expr.constant
-        for a in [a for a in expr.terms if a in self._pivots]:
-            k = terms.pop(a)
-            row = self._pivots[a]
-            for b, c in row.terms.items():
-                if b != a:
-                    terms[b] = terms.get(b, ZERO) - k * c
-            for n, c in row.syms.items():
-                syms[n] = syms.get(n, ZERO) - k * c
-            constant -= k * row.constant
-        return InfoExpr(terms, syms, constant)
-
-    def _insert(self, e: InfoExpr):
-        e = self._reduce(e)
-        order = self._atom_order(e)
-        if not order:
-            return
-        pivot = order[0]
-        e = e * (ONE / e.terms[pivot])
-        # keep the basis fully reduced: the new pivot leaves every older row
-        for a, row in self._pivots.items():
-            k = row.terms.get(pivot)
-            if k:
-                self._pivots[a] = row - e * k
-        self._pivots[pivot] = e
+    def __setattr__(self, *a):
+        raise AttributeError("EqualitySet is immutable")
 
     def reduce(self, expr: InfoExpr) -> InfoExpr:
-        return self._reduce(expr)
+        return _reduce(self._pivots, expr)
 
     def contains_zero(self, expr: InfoExpr) -> bool:
-        return self._reduce(expr).is_zero()
+        return _reduce(self._pivots, expr).is_zero()
 
 
+def _reduce(pivots, expr: InfoExpr) -> InfoExpr:
+    """The pivot-free form of ``expr`` over a fully reduced basis."""
+    # no pivot row holds another row's pivot atom, so subtracting one row
+    # leaves every other pivot coefficient as it was: one pass suffices
+    terms, syms, constant = dict(expr.terms), dict(expr.syms), expr.constant
+    for a in [a for a in expr.terms if a in pivots]:
+        k = terms.pop(a)
+        row = pivots[a]
+        for b, c in row.terms.items():
+            if b != a:
+                terms[b] = terms.get(b, ZERO) - k * c
+        for n, c in row.syms.items():
+            syms[n] = syms.get(n, ZERO) - k * c
+        constant -= k * row.constant
+    return InfoExpr(terms, syms, constant)
+
+
+@functools.lru_cache(maxsize=None)
 def derive_equalities(st: FactorStructure) -> EqualitySet:
     """Emit I(a;b|C) = 0 for every d-separated single pair (a,b) and every
     conditioning subset C of the remaining variables.
@@ -294,6 +314,9 @@ def derive_equalities(st: FactorStructure) -> EqualitySet:
     independence implied by the structure lies in the rational span of this
     family together with atom-level chain-rule identities, so span membership
     over the returned set decides all of them.
+
+    Derived once per structure and process; every caller shares the
+    (immutable) set.
     """
     from itertools import combinations
 

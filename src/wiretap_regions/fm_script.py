@@ -227,9 +227,10 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
 # --- numeric certification of dropped rows -------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
 def layered_structure() -> FactorStructure:
     """The two-layer encoding factorization p(q,u) p(v1,v2,x|u) p(y1,y2,z|x),
-    loaded from the bundled factorization fixture."""
+    loaded from the bundled factorization fixture once per process."""
     from .io_files import parse_dag_file
 
     path = resources.files("wiretap_regions").joinpath("data").joinpath(

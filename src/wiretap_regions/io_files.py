@@ -14,7 +14,7 @@ import io
 import numpy as np
 
 from .entropy_algebra import FactorStructure
-from .errors import IoError, NotPSD, ParseError, ValidationError
+from .errors import InconsistentAux, IoError, NotPSD, ParseError, ValidationError
 from .info_core import ChannelSpec, VarId, make_table
 from .polytope_fm import IneqSystem, VPolytope
 from .regions_discrete import AuxJoint, SweepResult
@@ -143,7 +143,11 @@ def parse_aux_file(path) -> AuxJoint:
     if flat.size != int(np.prod(shape)):
         raise ValidationError(f"table has {flat.size} entries, expected {np.prod(shape)}")
     kind = "layered" if len(vars_) == 5 else "ux"
-    return AuxJoint(make_table(tuple(vars_), flat.reshape(shape)), kind=kind)
+    table = make_table(tuple(vars_), flat.reshape(shape))
+    try:
+        return AuxJoint(table, kind=kind)
+    except InconsistentAux as e:
+        raise ValidationError(str(e)) from e
 
 
 def parse_split_file(path) -> CovSplit:
@@ -174,6 +178,14 @@ def check_matches_channel(ch, part) -> None:
         if m is not None and m.shape != (d, d):
             raise ValidationError(f"split {name} is {m.shape[0]}x{m.shape[1]}, "
                                   f"the channel is {d}x{d}")
+
+
+def check_aux_kind(aux: AuxJoint, kind: str) -> None:
+    """Raise ValidationError unless the aux joint is of the kind a command takes
+    (``"ux"`` over (U, X) or ``"layered"`` over (Q, U, V1, V2, X))."""
+    if aux.kind != kind:
+        raise ValidationError(f"this command takes a {kind} aux, got a {aux.kind} aux "
+                              f"over {', '.join(aux.table.names)}")
 
 
 def parse_dag_file(path) -> FactorStructure:

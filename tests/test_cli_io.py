@@ -3,12 +3,12 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from wiretap_regions.cli import main
 from wiretap_regions.errors import ParseError, ValidationError, WiretapError
-from wiretap_regions.info_core import ChannelSpec, build_degraded_joint
+from wiretap_regions.info_core import ChannelSpec, VarId, build_degraded_joint
 from wiretap_regions.io_files import (
     check_matches_channel,
     emit_channel_file,
@@ -126,6 +126,65 @@ def test_round_trip_channels(tmp_path):
     assert np.array_equal(h.H2, hb.H2)
 
 
+_entries = st.floats(1e-3, 1e3, allow_subnormal=False)
+_reals = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+def _stochastic(rows, cols):
+    """Row-stochastic matrix of drawn positive entries."""
+    return st.lists(_entries, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: (lambda m: m / m.sum(axis=1, keepdims=True))(
+            np.array(v).reshape(rows, cols)))
+
+
+def _matrix(rows, cols):
+    return st.lists(_reals, min_size=rows * cols, max_size=rows * cols).map(
+        lambda v: np.array(v).reshape(rows, cols))
+
+
+@st.composite
+def _channels(draw):
+    kind = draw(st.sampled_from(["cascade", "kernel", "gauss", "gauss_h"]))
+    if kind in ("cascade", "kernel"):
+        cards = draw(st.lists(st.integers(1, 3), min_size=4, max_size=4))
+        inp = VarId("X", cards[0])
+        outs = tuple(VarId(n, c) for n, c in zip(("Y1", "Y2", "Z"), cards[1:]))
+        if kind == "cascade":
+            stages = tuple(draw(_stochastic(a, b)) for a, b in zip(cards, cards[1:]))
+            return ChannelSpec(input=inp, outputs=outs, stages=stages, degraded_flag=True)
+        k = draw(_stochastic(cards[0], int(np.prod(cards[1:]))))
+        return ChannelSpec(input=inp, outputs=outs, kernel=k.reshape(cards))
+    d = draw(st.integers(1, 3))
+    if kind == "gauss":
+        # A A^T + I is positive definite whatever A holds
+        pd = [(lambda a: a @ a.T + np.eye(d))(draw(_matrix(d, d))) for _ in range(4)]
+        return GaussChannel(*pd)
+    return HGaussChannel(*(draw(_matrix(draw(st.integers(1, 3)), d)) for _ in range(3)))
+
+
+def _arrays(ch):
+    if isinstance(ch, ChannelSpec):
+        return [ch.kernel] if ch.stages is None else list(ch.stages)
+    if isinstance(ch, GaussChannel):
+        return [ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ]
+    return [ch.H1, ch.H2, ch.HZ]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_channels())
+def test_channel_file_round_trip_is_bit_exact(tmp_path, ch):
+    path = tmp_path / "rt.txt"
+    emit_channel_file(ch, path)
+    back = parse_channel_file(path)
+    assert type(back) is type(ch)
+    if isinstance(ch, ChannelSpec):
+        assert (back.input, back.outputs) == (ch.input, ch.outputs)
+        assert (back.stages is None) == (ch.stages is None)
+    for a, b in zip(_arrays(ch), _arrays(back), strict=True):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def test_parse_aux_and_split(tmp_path):
     aux = parse_aux_file(write(tmp_path, "a.txt", AUX))
     assert aux.kind == "ux"
@@ -210,6 +269,19 @@ def test_cli_verify_appendix(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert {len(r) for r in rows} == {len(rows[0])}
     assert any("," in r[2] for r in rows[1:])
+
+
+def test_cli_verify_appendix_replays_share_no_state(tmp_path, capsys):
+    # the derived equality span is shared across replays in one process; a
+    # replay between two runs of one seed must not change the second run
+    runs = []
+    for i, seed in enumerate(("3", "5", "3")):
+        out = tmp_path / f"chain{i}.csv"
+        rc = main(["fm", "verify-appendix", "--seed", seed, "--out", str(out)])
+        outerr = capsys.readouterr()
+        runs.append((rc, outerr.out, outerr.err, out.read_bytes()))
+    assert runs[0] == runs[2]
+    assert runs[0][3] != runs[1][3]
 
 
 @pytest.mark.parametrize("flag", ["--instantiations", "--budget"])
@@ -378,6 +450,40 @@ def test_cli_region_eval_aux_alphabet_other_than_the_input_is_an_input_error(tmp
     assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", TERNARY),
                  "--aux", write(tmp_path, "a.txt", aux)]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+UNFACTORED_AUX = "kind: aux\nvars: Q 2 U 1 V1 1 V2 1 X 2\ntable:\n0.5 0\n0 0.5\n"
+
+
+@pytest.mark.parametrize("cmd, aux, reason", [
+    ("eval-general", AUX, "takes a layered aux"),
+    ("eval-inner", LAYERED_AUX, "takes a ux aux"),
+    ("eval-outer", LAYERED_AUX, "takes a ux aux"),
+    ("eval-general", UNFACTORED_AUX, "violates the layered factorization"),
+    ("eval-general", LAYERED_AUX.replace("Q 1", "W 1"), "must be over"),
+], ids=["ux-for-general", "layered-for-inner", "layered-for-outer", "unfactored",
+        "layered-names"])
+def test_cli_region_eval_aux_of_the_wrong_kind_is_an_input_error(tmp_path, cmd, aux,
+                                                                 reason, capsys):
+    assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", DISCRETE),
+                 "--aux", write(tmp_path, "a.txt", aux)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and reason in err
+
+
+def test_cli_internal_aux_inconsistency_stays_a_violated_invariant(tmp_path, monkeypatch,
+                                                                   capsys):
+    # only what the aux file says is an input error; an evaluator's own check is not
+    from wiretap_regions import cli
+    from wiretap_regions.errors import InconsistentAux
+
+    def eval_general_inner(aux, ch):
+        raise InconsistentAux("reduction embeds a (U, X) aux")
+
+    monkeypatch.setattr(cli, "eval_general_inner", eval_general_inner)
+    assert main(["region", "eval-general", "--channel", write(tmp_path, "c.txt", DISCRETE),
+                 "--aux", write(tmp_path, "a.txt", LAYERED_AUX)]) == 1
+    assert capsys.readouterr().err.startswith("violated invariant: ")
 
 
 def _passes_check_or_raises(ch, part, evaluate):

@@ -1,4 +1,5 @@
 from functools import lru_cache
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,8 +17,15 @@ from wiretap_regions.entropy_algebra import (
     expand_mi,
     exprs_equal,
 )
-from wiretap_regions.errors import CyclicStructure, EmptyArgument, OverlappingSets
-from wiretap_regions.fm_script import layered_structure, random_layered_joint
+from wiretap_regions import entropy_algebra, fm_script
+from wiretap_regions.errors import (
+    CyclicStructure,
+    EmptyArgument,
+    OverlappingSets,
+    UnknownVariable,
+)
+from wiretap_regions.fm_script import layered_structure, random_layered_joint, verify_builtin_chain
+from wiretap_regions.io_files import parse_dag_file
 from wiretap_regions.info_core import mutual_information
 
 
@@ -41,6 +49,25 @@ def test_expand_rejects_overlap_and_empty():
 def test_cyclic_structure_rejected():
     with pytest.raises(CyclicStructure):
         FactorStructure({"A": ("B",), "B": ("A",)})
+
+
+def test_unknown_parent_or_node_rejected():
+    with pytest.raises(UnknownVariable):
+        FactorStructure({"A": ("B",)})
+    with pytest.raises(UnknownVariable):
+        d_separated(FactorStructure({"A": ()}), "A", "B", ())
+
+
+def test_factor_structure_is_frozen_and_keyed_by_ordered_items():
+    st = FactorStructure({"Q": [], "U": ["Q"], "X": ["U"]})
+    assert st == FactorStructure({"Q": (), "U": ("Q",), "X": ("U",)})
+    assert hash(st) == hash(FactorStructure({"Q": (), "U": ("Q",), "X": ("U",)}))
+    assert st != FactorStructure({"X": ("U",), "U": ("Q",), "Q": ()})
+    assert st.children == {"Q": ("U",), "U": ("X",), "X": ()}
+    with pytest.raises(TypeError):
+        st.parents["Z"] = ("X",)
+    with pytest.raises(AttributeError):
+        st.parents = {}
 
 
 def test_three_node_chain_equality():
@@ -141,6 +168,64 @@ def test_empty_equality_set():
     e = expand_mi({"A"}, {"B"})
     assert not eqs.contains_zero(e)
     assert eqs.contains_zero(InfoExpr())
+
+
+def test_second_replay_derives_nothing(monkeypatch):
+    verify_builtin_chain(seed=2, instantiations=1)
+    calls = {"d_separated": 0, "expand_mi": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (entropy_algebra, fm_script):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert verify_builtin_chain(seed=2, instantiations=1).ok
+    assert calls == {"d_separated": 0, "expand_mi": 0}
+
+
+def test_shared_equality_set_cannot_be_changed():
+    eqs = derive_equalities(layered_structure())
+    assert derive_equalities(layered_structure()) is eqs
+    pivot = next(iter(eqs._pivots))
+    with pytest.raises(TypeError):
+        eqs._pivots[pivot] = InfoExpr()
+    with pytest.raises(AttributeError):
+        eqs._pivots = {}
+    with pytest.raises(AttributeError):
+        eqs.equalities = ()
+
+
+def test_node_order_is_part_of_the_cache_key():
+    chain = {"Q": (), "U": ("Q",), "X": ("U",)}
+    forward = derive_equalities(FactorStructure(chain))
+    backward = derive_equalities(FactorStructure(dict(reversed(chain.items()))))
+    assert forward is not backward
+    assert derive_equalities(FactorStructure(dict(chain))) is forward
+    assert derive_equalities(FactorStructure(dict(reversed(chain.items())))) is backward
+
+
+def _degraded_chain():
+    path = resources.files("wiretap_regions") / "data" / "factorizations" / "degraded_chain.dag"
+    with resources.as_file(path) as p:
+        return parse_dag_file(p)
+
+
+def test_degraded_chain_yields_markov_equalities():
+    st = _degraded_chain()
+    assert st.nodes == ("U", "X", "Y1", "Y2", "Z")
+    eqs = derive_equalities(st)
+    assert eqs is not derive_equalities(layered_structure())
+    assert derive_equalities(_degraded_chain()) is eqs
+    assert eqs.contains_zero(expand_mi({"U"}, {"Y1"}, {"X"}))
+    assert eqs.contains_zero(expand_mi({"U", "X"}, {"Y2", "Z"}, {"Y1"}))
+    assert eqs.contains_zero(expand_mi({"U"}, {"Z"}, {"Y2"}))
+    assert not eqs.contains_zero(expand_mi({"U"}, {"Z"}))
+    assert not eqs.contains_zero(expand_mi({"X"}, {"Y2"}, {"U"}))
 
 
 def _fixed_point_reduce(pivots, expr):
