@@ -25,7 +25,6 @@ from .fisher_lab import (
 )
 from .info_core import ChannelSpec
 from .io_files import (
-    check_aux_kind,
     check_matches_channel,
     emit_csv,
     emit_region_csv,
@@ -79,27 +78,24 @@ def _common(p, seed=True, tol=None, out=False):
         p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
 
 
-def _load_discrete(path) -> ChannelSpec:
+def _load_channel(path, kind: str):
+    """Parse a channel file and refuse a channel of another kind than the
+    command takes (``"discrete"`` or ``"gauss"``)."""
     ch = parse_channel_file(path)
-    if not isinstance(ch, ChannelSpec):
-        raise ValidationError("this command needs a discrete channel file")
-    return ch
-
-
-def _load_gauss(path) -> GaussChannel:
-    ch = parse_channel_file(path)
-    if not isinstance(ch, GaussChannel):
-        raise ValidationError("this command needs a gauss channel file")
+    if not isinstance(ch, {"discrete": ChannelSpec, "gauss": GaussChannel}[kind]):
+        raise ValidationError(f"this command needs a {kind} channel file")
     return ch
 
 
 def cmd_region_eval(args) -> int:
-    ch = _load_discrete(args.channel)
+    ch = _load_channel(args.channel, "discrete")
     fn, kind = {"eval-inner": (eval_degraded_inner, "ux"),
                 "eval-outer": (eval_degraded_outer, "ux"),
                 "eval-general": (eval_general_inner, "layered")}[args.cmd]
     aux = parse_aux_file(args.aux)
-    check_aux_kind(aux, kind)
+    if aux.kind != kind:
+        raise ValidationError(f"this command takes a {kind} aux, got a {aux.kind} aux "
+                              f"over {', '.join(aux.table.names)}")
     check_matches_channel(ch, aux)
     sys_ = fn(aux, ch)
     _emit(vertices(sys_) if args.vertices else sys_, args)
@@ -107,7 +103,7 @@ def cmd_region_eval(args) -> int:
 
 
 def cmd_region_sweep(args) -> int:
-    ch = _load_discrete(args.channel)
+    ch = _load_channel(args.channel, "discrete")
     res = sweep_inner_region(ch, args.budget, seed=args.seed, mode=args.mode)
     _emit(res, args)
     return OK
@@ -133,7 +129,7 @@ def cmd_fm_verify(args) -> int:
 
 
 def cmd_gauss_eval(args) -> int:
-    ch = _load_gauss(args.channel)
+    ch = _load_channel(args.channel, "gauss")
     split = parse_split_file(args.split)
     check_matches_channel(ch, split)
     if args.bound == "general":
@@ -147,7 +143,7 @@ def cmd_gauss_eval(args) -> int:
 
 
 def cmd_gauss_sweep(args) -> int:
-    ch = _load_gauss(args.channel)
+    ch = _load_channel(args.channel, "gauss")
     res = sweep_covariances(ch, budget=args.budget, seed=args.seed, mode=args.mode,
                             trace_p=args.trace_p)
     _emit(res, args)
@@ -155,7 +151,7 @@ def cmd_gauss_sweep(args) -> int:
 
 
 def cmd_gauss_dpc(args) -> int:
-    ch = _load_gauss(args.channel)
+    ch = _load_channel(args.channel, "gauss")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     if args.split:
@@ -240,7 +236,7 @@ def cmd_fisher_lemmas(args) -> int:
 
 
 def cmd_fisher_evidence(args) -> int:
-    ch = _load_gauss(args.channel)
+    ch = _load_channel(args.channel, "gauss")
     if ch.dim != 1:
         raise ValidationError("the evidence harness is scalar only")
     rng = np.random.default_rng(args.seed)
@@ -357,7 +353,7 @@ def main(argv=None) -> int:
         return INPUT_ERROR
     try:
         return args.fn(args)
-    except (ParseError, ValidationError, IoError, FileNotFoundError) as e:
+    except (ParseError, ValidationError, IoError) as e:
         print(f"input error: {e}", file=sys.stderr)
         return INPUT_ERROR
     except WiretapError as e:

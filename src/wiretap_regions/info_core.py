@@ -9,6 +9,7 @@ values can be shared freely across threads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,6 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NegativeMass,
-    NotDegraded,
     NotNormalized,
     OverlappingSets,
     ShapeMismatch,
@@ -162,6 +162,14 @@ def mutual_information(t: ProbTable, a, b, c=()) -> float:
     return val
 
 
+def _check_stochastic(name: str, m: np.ndarray) -> None:
+    """Raise unless every row of ``m`` is a probability distribution."""
+    if m.min() < NEGATIVE_MASS_TOL:
+        raise NegativeMass(f"{name} entry {m.min()} below tolerance {NEGATIVE_MASS_TOL}")
+    if np.abs(m.sum(axis=1) - 1.0).max() > NORMALIZATION_TOL:
+        raise NotNormalized(f"{name} rows must each sum to 1")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Memoryless channel p(y1, y2, z | x).
@@ -176,30 +184,42 @@ class ChannelSpec:
     outputs: tuple[VarId, VarId, VarId]
     kernel: np.ndarray | None = field(default=None, repr=False)
     stages: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-    degraded_flag: bool | None = None
 
     def __post_init__(self):
         if (self.kernel is None) == (self.stages is None):
             raise ShapeMismatch("exactly one of kernel/stages must be given")
+        names = [self.input.name, *self.output_names]
+        if len(set(names)) != len(names):
+            raise ShapeMismatch(f"duplicate variable names in {names}")
+        dims = [self.input.cardinality] + [o.cardinality for o in self.outputs]
         if self.kernel is not None:
             k = _readonly(self.kernel)
-            expected = (self.input.cardinality,) + tuple(o.cardinality for o in self.outputs)
-            if k.shape != expected:
-                raise ShapeMismatch(f"kernel shape {k.shape} != {expected}")
-            rows = k.reshape(k.shape[0], -1).sum(axis=1)
-            if np.abs(rows - 1.0).max() > NORMALIZATION_TOL:
-                raise NotNormalized("kernel rows must each sum to 1")
+            if k.shape != tuple(dims):
+                raise ShapeMismatch(f"kernel shape {k.shape} != {tuple(dims)}")
+            _check_stochastic("kernel", k.reshape(k.shape[0], -1))
             object.__setattr__(self, "kernel", k)
         else:
             st = tuple(_readonly(s) for s in self.stages)
-            dims = [self.input.cardinality] + [o.cardinality for o in self.outputs]
             for i, s in enumerate(st):
                 if s.shape != (dims[i], dims[i + 1]):
                     raise DimensionMismatch(
                         f"stage {i} shape {s.shape} incompatible with {(dims[i], dims[i + 1])}")
-                if np.abs(s.sum(axis=1) - 1.0).max() > NORMALIZATION_TOL:
-                    raise NotNormalized(f"stage {i} rows must each sum to 1")
+                _check_stochastic(f"stage {i}", s)
             object.__setattr__(self, "stages", st)
+
+    @functools.cached_property
+    def degraded(self) -> bool:
+        """Whether X -> Y1 -> Y2 -> Z is a Markov chain: always for a cascade,
+        and for a dense kernel at the 1e-10 tolerance of :func:`check_markov`.
+
+        The chain holds for every input distribution iff it holds under one with
+        full support, so the uniform input decides it.
+        """
+        if self.stages is not None:
+            return True
+        n = self.input.cardinality
+        t = channel_joint(self, np.full(n, 1.0 / n))
+        return check_markov(t, (self.input.name,) + self.output_names)
 
     @property
     def output_names(self) -> tuple[str, str, str]:
@@ -234,7 +254,7 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSp
     """Compose three stage kernels into a degraded channel over (X, Y1, Y2, Z).
 
     Each argument is a row-stochastic matrix; the composed channel satisfies
-    p(y1,y2,z|x) = p(y1|x) p(y2|y1) p(z|y2) and is flagged degraded.
+    p(y1,y2,z|x) = p(y1|x) p(y2|y1) p(z|y2) and is degraded.
     """
     s1 = np.asarray(p_y1_given_x, dtype=float)
     s2 = np.asarray(p_y2_given_y1, dtype=float)
@@ -244,7 +264,7 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSp
             f"cascade stages {s1.shape}, {s2.shape}, {s3.shape} do not chain")
     x = VarId("X", s1.shape[0])
     outs = (VarId("Y1", s1.shape[1]), VarId("Y2", s2.shape[1]), VarId("Z", s3.shape[1]))
-    return ChannelSpec(input=x, outputs=outs, stages=(s1, s2, s3), degraded_flag=True)
+    return ChannelSpec(input=x, outputs=outs, stages=(s1, s2, s3))
 
 
 def channel_joint(ch: ChannelSpec, p_x) -> ProbTable:
@@ -264,22 +284,3 @@ def check_markov(t: ProbTable, chain, tol: float = 1e-10) -> bool:
         if mutual_information(t, past, future, present) > tol:
             return False
     return True
-
-
-def require_degraded(ch: ChannelSpec) -> None:
-    if ch.degraded_flag is not True:
-        raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
-
-
-def infer_degraded(ch: ChannelSpec) -> bool:
-    """Degradedness test for a dense-kernel channel, at the 1e-10 tolerance
-    of :func:`check_markov`.
-
-    The chain holds for every input distribution iff it holds under one with
-    full support, so the uniform input decides it.
-    """
-    if ch.stages is not None:
-        return True
-    n = ch.input.cardinality
-    t = channel_joint(ch, np.full(n, 1.0 / n))
-    return check_markov(t, (ch.input.name,) + ch.output_names)

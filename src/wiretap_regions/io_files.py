@@ -8,13 +8,15 @@ are written with ``%.17g`` so a parse/emit round trip is bit exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
+import math
 
 import numpy as np
 
 from .entropy_algebra import FactorStructure
-from .errors import InconsistentAux, IoError, NotPSD, ParseError, ValidationError
+from .errors import IoError, ParseError, ValidationError, WiretapError
 from .info_core import ChannelSpec, VarId, make_table
 from .polytope_fm import IneqSystem, VPolytope
 from .regions_discrete import AuxJoint, SweepResult
@@ -54,9 +56,12 @@ class _Doc:
             if current is None:
                 raise ParseError(f"numeric row outside a block: {line!r}", line=no)
             try:
-                self.blocks[current][0].append([float(t) for t in line.split()])
+                row = [float(t) for t in line.split()]
             except ValueError:
                 raise ParseError(f"bad numeric row {line!r}", line=no) from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError(f"non-finite entry in row {line!r}", line=no)
+            self.blocks[current][0].append(row)
 
     def scalar(self, key: str) -> str:
         if key not in self.scalars:
@@ -71,6 +76,14 @@ class _Doc:
         if len(widths) != 1:
             raise ParseError(f"ragged rows in block {name!r}", line=no)
         return np.array(rows, dtype=float)
+
+    def tensor(self, name: str, shape) -> np.ndarray:
+        """Block ``name`` read in row order into an array of ``shape``."""
+        m = self.matrix(name)
+        if m.size != math.prod(shape):
+            raise ParseError(f"block {name!r} has {m.size} entries, expected "
+                             f"{math.prod(shape)}", line=self.blocks[name][1])
+        return m.reshape(shape)
 
 
 def _parse_vars(spec: str) -> list[VarId]:
@@ -94,42 +107,48 @@ def _read(path) -> str:
         raise IoError(f"cannot read {path}: {e}") from e
 
 
+@contextlib.contextmanager
+def _model_from_file():
+    """Report a model constructor's refusal of what a file says as a
+    ValidationError, so the CLI exits 2; ParseError and ValidationError pass
+    through unchanged."""
+    try:
+        yield
+    except (ParseError, ValidationError):
+        raise
+    except WiretapError as e:
+        raise ValidationError(str(e)) from e
+
+
 def parse_channel_file(path):
     """Parse a channel file into a ChannelSpec, GaussChannel or HGaussChannel.
 
     Discrete channels may be given as three degraded cascade stages or as a
-    dense kernel; the degraded flag is set for cascades.  Gaussian matrices
-    are validated for positive (semi)definiteness on construction.
+    dense kernel.  Gaussian matrices are validated for positive
+    (semi)definiteness on construction.
     """
     doc = _Doc(_read(path))
     kind = doc.scalar("kind")
-    try:
+    with _model_from_file():
         if kind == "discrete":
-            inp = _parse_vars(doc.scalar("input"))[0]
-            outs = _parse_vars(doc.scalar("outputs"))
-            if len(outs) != 3:
-                raise ValidationError("a channel needs exactly three outputs (Y1, Y2, Z)")
+            ins, outs = _parse_vars(doc.scalar("input")), _parse_vars(doc.scalar("outputs"))
+            if len(ins) != 1 or len(outs) != 3:
+                raise ValidationError("a channel needs exactly one input (X) and three "
+                                      "outputs (Y1, Y2, Z)")
+            inp = ins[0]
             names = [f"{outs[0].name}|{inp.name}", f"{outs[1].name}|{outs[0].name}",
                      f"{outs[2].name}|{outs[1].name}"]
             if all(f"stage {n}" in doc.blocks for n in names):
-                stages = [doc.matrix(f"stage {n}") for n in names]
                 return ChannelSpec(input=inp, outputs=tuple(outs),
-                                   stages=tuple(stages), degraded_flag=True)
-            k = doc.matrix("kernel")
+                                   stages=tuple(doc.matrix(f"stage {n}") for n in names))
             shape = (inp.cardinality,) + tuple(o.cardinality for o in outs)
-            ch = ChannelSpec(input=inp, outputs=tuple(outs),
-                             kernel=k.reshape(shape), degraded_flag=None)
-            from .info_core import infer_degraded
-            return ChannelSpec(input=inp, outputs=tuple(outs), kernel=ch.kernel,
-                               degraded_flag=infer_degraded(ch))
+            return ChannelSpec(input=inp, outputs=tuple(outs), kernel=doc.tensor("kernel", shape))
         if kind == "gauss":
             return GaussChannel(S=doc.matrix("S"), Sigma1=doc.matrix("Sigma1"),
                                 Sigma2=doc.matrix("Sigma2"), SigmaZ=doc.matrix("SigmaZ"))
         if kind == "gauss_h":
             return HGaussChannel(H1=doc.matrix("H1"), H2=doc.matrix("H2"),
                                  HZ=doc.matrix("HZ"))
-    except NotPSD as e:
-        raise ValidationError(f"NonPSD: {e}") from e
     raise ParseError(f"unknown channel kind {kind!r}")
 
 
@@ -137,29 +156,20 @@ def parse_aux_file(path) -> AuxJoint:
     doc = _Doc(_read(path))
     if doc.scalar("kind") != "aux":
         raise ParseError("expected kind: aux")
-    vars_ = _parse_vars(doc.scalar("vars"))
-    flat = doc.matrix("table").ravel()
-    shape = tuple(v.cardinality for v in vars_)
-    if flat.size != int(np.prod(shape)):
-        raise ValidationError(f"table has {flat.size} entries, expected {np.prod(shape)}")
-    kind = "layered" if len(vars_) == 5 else "ux"
-    table = make_table(tuple(vars_), flat.reshape(shape))
-    try:
-        return AuxJoint(table, kind=kind)
-    except InconsistentAux as e:
-        raise ValidationError(str(e)) from e
+    with _model_from_file():
+        vars_ = tuple(_parse_vars(doc.scalar("vars")))
+        table = doc.tensor("table", [v.cardinality for v in vars_])
+        return AuxJoint(make_table(vars_, table))
 
 
 def parse_split_file(path) -> CovSplit:
     doc = _Doc(_read(path))
     if doc.scalar("kind") != "split":
         raise ParseError("expected kind: split")
-    try:
+    with _model_from_file():
         if "K" in doc.blocks:
             return CovSplit(K=doc.matrix("K"))
         return CovSplit(K0=doc.matrix("K0"), K1=doc.matrix("K1"), K2=doc.matrix("K2"))
-    except NotPSD as e:
-        raise ValidationError(f"NonPSD: {e}") from e
 
 
 def check_matches_channel(ch, part) -> None:
@@ -178,14 +188,6 @@ def check_matches_channel(ch, part) -> None:
         if m is not None and m.shape != (d, d):
             raise ValidationError(f"split {name} is {m.shape[0]}x{m.shape[1]}, "
                                   f"the channel is {d}x{d}")
-
-
-def check_aux_kind(aux: AuxJoint, kind: str) -> None:
-    """Raise ValidationError unless the aux joint is of the kind a command takes
-    (``"ux"`` over (U, X) or ``"layered"`` over (Q, U, V1, V2, X))."""
-    if aux.kind != kind:
-        raise ValidationError(f"this command takes a {kind} aux, got a {aux.kind} aux "
-                              f"over {', '.join(aux.table.names)}")
 
 
 def parse_dag_file(path) -> FactorStructure:

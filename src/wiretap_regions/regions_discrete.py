@@ -20,6 +20,7 @@ from .errors import (
     BudgetZero,
     InconsistentAux,
     NegativeRate,
+    NotDegraded,
     UnknownCorollary,
     ValidationError,
 )
@@ -29,7 +30,6 @@ from .info_core import (
     VarId,
     make_table,
     mutual_information,
-    require_degraded,
 )
 from .polytope_fm import IneqSystem, LinIneq, solve_lp, vertices
 
@@ -39,30 +39,27 @@ AUX_TOL = 1e-10
 
 @dataclass(frozen=True)
 class AuxJoint:
-    """Auxiliary joint distribution with its factorization tag.
-
-    ``kind="ux"`` is a table over (U, X); ``kind="layered"`` is a table over
-    (Q, U, V1, V2, X) that must factor as p(q,u) p(v1,v2,x|u).
-    """
+    """Auxiliary joint distribution: a table over (U, X) (kind ``"ux"``) or one
+    over (Q, U, V1, V2, X) that factors as p(q,u) p(v1,v2,x|u) (kind
+    ``"layered"``)."""
 
     table: ProbTable
-    kind: str = "ux"
 
     def __post_init__(self):
         names = self.table.names
-        if self.kind == "ux":
-            if names != ("U", "X"):
-                raise InconsistentAux(f"ux aux must be over (U, X), got {names}")
-        elif self.kind == "layered":
-            if names != ("Q", "U", "V1", "V2", "X"):
-                raise InconsistentAux(
-                    f"layered aux must be over (Q, U, V1, V2, X), got {names}")
+        if names not in (("U", "X"), ("Q", "U", "V1", "V2", "X")):
+            raise InconsistentAux(f"an aux must be over (U, X) or (Q, U, V1, V2, X), "
+                                  f"got {names}")
+        if self.kind == "layered":
             resid = mutual_information(self.table, {"Q"}, {"V1", "V2", "X"}, {"U"})
             if resid > AUX_TOL:
                 raise InconsistentAux(
                     f"I(Q; V1,V2,X | U) = {resid:.2e} violates the layered factorization")
-        else:
-            raise InconsistentAux(f"unknown aux kind {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        """``"ux"`` or ``"layered"``, as the table's variables say."""
+        return "ux" if len(self.table.vars) == 2 else "layered"
 
 
 def _joint_with_output(aux: ProbTable, ch: ChannelSpec, out_name: str) -> ProbTable:
@@ -76,7 +73,8 @@ def _joint_with_output(aux: ProbTable, ch: ChannelSpec, out_name: str) -> ProbTa
 def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
     if aux.kind != "ux":
         raise InconsistentAux("degraded-channel bounds take an aux over (U, X)")
-    require_degraded(ch)
+    if not ch.degraded:
+        raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
     t1 = _joint_with_output(aux.table, ch, ch.output_names[0])
     t2 = _joint_with_output(aux.table, ch, ch.output_names[1])
     tz = _joint_with_output(aux.table, ch, ch.output_names[2])
@@ -189,7 +187,7 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
     table = make_table(
         (VarId("Q", 1), VarId("U", cu), VarId("V1", cx), VarId("V2", cu), VarId("X", cx)),
         arr)
-    return AuxJoint(table, kind="layered")
+    return AuxJoint(table)
 
 
 def _prune_dominated(sys: IneqSystem) -> IneqSystem:
@@ -403,7 +401,7 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
     arr = np.einsum("qu,uabx->quabx", p_qu, p_rest)
     table = make_table((VarId("Q", card_q), VarId("U", card_u), VarId("V1", card_v1),
                         VarId("V2", card_v2), VarId("X", card_x)), arr)
-    return AuxJoint(table, kind="layered")
+    return AuxJoint(table)
 
 
 def sweep_systems(samples) -> SweepResult:

@@ -79,7 +79,7 @@ def write(tmp_path, name, text):
 def test_parse_discrete_identity(tmp_path):
     ch = parse_channel_file(write(tmp_path, "c.txt", DISCRETE))
     assert isinstance(ch, ChannelSpec)
-    assert ch.degraded_flag is True
+    assert ch.degraded is True
     assert ch.input.cardinality == 2
 
 
@@ -93,7 +93,7 @@ def test_parse_indefinite_sigma_rejected(tmp_path):
     bad = GAUSS.replace("Sigma1:\n0.5", "Sigma1:\n1 2\n2 1").replace(
         "S:\n1", "S:\n1 0\n0 1").replace("Sigma2:\n1", "Sigma2:\n1 0\n0 1").replace(
         "SigmaZ:\n2", "SigmaZ:\n2 0\n0 2")
-    with pytest.raises(ValidationError, match="NonPSD"):
+    with pytest.raises(ValidationError, match="Sigma1 must be positive definite"):
         parse_channel_file(write(tmp_path, "bad.txt", bad))
 
 
@@ -151,7 +151,7 @@ def _channels(draw):
         outs = tuple(VarId(n, c) for n, c in zip(("Y1", "Y2", "Z"), cards[1:]))
         if kind == "cascade":
             stages = tuple(draw(_stochastic(a, b)) for a, b in zip(cards, cards[1:]))
-            return ChannelSpec(input=inp, outputs=outs, stages=stages, degraded_flag=True)
+            return ChannelSpec(input=inp, outputs=outs, stages=stages)
         k = draw(_stochastic(cards[0], int(np.prod(cards[1:]))))
         return ChannelSpec(input=inp, outputs=outs, kernel=k.reshape(cards))
     d = draw(st.integers(1, 3))
@@ -535,3 +535,90 @@ def test_cli_rejects_an_option_the_command_ignores(tmp_path, argv):
     with pytest.raises(SystemExit) as e:
         main(argv + ["--channel", write(tmp_path, "c.txt", DISCRETE)])
     assert e.value.code == 2
+
+
+def _replace_once(text, old, new):
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+DISCRETE_HEAD = DISCRETE[:DISCRETE.index("stage")]
+
+
+@pytest.mark.parametrize("channel, aux", [
+    (DISCRETE, _replace_once(AUX, "0.5 0\n", "0.5 0.2\n")),
+    (DISCRETE, _replace_once(AUX, "0.5 0\n", "0.7 -0.2\n")),
+    (_replace_once(DISCRETE, "stage Y1|X:\n1 0\n", "stage Y1|X:\n0.5 0.2\n"), AUX),
+    (_replace_once(DISCRETE, "stage Y1|X:\n1 0\n", "stage Y1|X:\n1.2 -0.2\n"), AUX),
+    (_replace_once(DISCRETE, "stage Y1|X:\n1 0\n0 1\n", "stage Y1|X:\n1 0 0\n0 1 0\n"), AUX),
+    (DISCRETE, _replace_once(AUX, "U 2 X 2", "U 0 X 2")),
+    (DISCRETE, _replace_once(AUX, "U 2 X 2", "U 2 U 2")),
+    (DISCRETE.replace("Y2", "Y1"), AUX),
+    (_replace_once(DISCRETE, "stage Y1|X:\n1 0\n", "stage Y1|X:\nnan 1\n"), AUX),
+    (DISCRETE, _replace_once(AUX, "0.5 0\n", "0.5 nan\n")),
+    (_replace_once(GAUSS, "S:\n1\n", "S:\nnan\n"), None),
+    (DISCRETE_HEAD + "kernel:\n0.5 0.5\n0.5 0.5\n", AUX),
+    (_replace_once(DISCRETE, "input: X 2", "input: X 2 W 5"), AUX),
+], ids=["aux-mass-1.2", "aux-entry-negative", "stage-row-0.7", "stage-entry-negative",
+        "stage-2x3", "aux-cardinality-0", "aux-duplicate-name", "channel-duplicate-name",
+        "stage-nan", "aux-nan", "gauss-nan", "kernel-4-entries", "two-inputs"])
+def test_cli_file_a_model_refuses_is_an_input_error(tmp_path, channel, aux, capsys):
+    argv = ["--channel", write(tmp_path, "c.txt", channel)]
+    if aux is None:
+        argv = ["gauss", "degraded-check", *argv]
+    else:
+        argv = ["region", "eval-inner", *argv, "--aux", write(tmp_path, "a.txt", aux)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_non_finite_entry_names_its_line(tmp_path):
+    with pytest.raises(ParseError, match="line 6: non-finite entry"):
+        parse_channel_file(write(tmp_path, "c.txt", _replace_once(DISCRETE, "0 1\n", "inf 1\n")))
+
+
+def test_dense_kernel_channel_derives_its_degradedness(tmp_path, capsys):
+    path = write(tmp_path, "c.txt",
+                 DISCRETE_HEAD + "kernel:\n1 0 0 0 0 0 0 0\n0 0 0 0 0 0 0 1\n")
+    ch = parse_channel_file(path)
+    assert ch.degraded and ch.kernel.shape == (2, 2, 2, 2)
+    argv = ["region", "eval-inner", "--channel", path, "--aux", write(tmp_path, "a.txt", AUX)]
+    assert main(argv) == 0
+    dense_out = capsys.readouterr()
+    assert main(argv[:3] + [write(tmp_path, "d.txt", DISCRETE)] + argv[4:]) == 0
+    assert capsys.readouterr() == dense_out
+
+
+_VALID_FILES = [
+    (parse_channel_file, DISCRETE),
+    (parse_channel_file, DISCRETE_HEAD + "kernel:\n" + 2 * ("0.125 " * 8 + "\n")),
+    (parse_channel_file, GAUSS_2X2),
+    (parse_aux_file, AUX),
+    (parse_aux_file, LAYERED_AUX),
+    (parse_split_file, "kind: split\nK:\n0.5 0.1\n0.1 0.5\n"),
+    (parse_split_file, TRIPLE_1X1),
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(_VALID_FILES), st.integers(0, 10**6),
+       st.sampled_from(["nan", "inf", "negative", "drop", "zero", "extra variable"]))
+def test_a_mutated_file_parses_to_a_model_or_an_input_error(tmp_path, case, pick, how):
+    # one token of a valid file, replaced: a parser returns a model of finite
+    # numbers or refuses the file as an input error, never anything else
+    parse, text = case
+    lines = [line.split() for line in text.splitlines()]
+    spots = [(i, j) for i, toks in enumerate(lines) for j in range(len(toks))]
+    i, j = spots[pick % len(spots)]
+    lines[i][j] = {"nan": "nan", "inf": "inf", "negative": f"-{lines[i][j]}", "drop": "",
+                   "zero": "0", "extra variable": f"{lines[i][j]} W 2"}[how]
+    try:
+        model = parse(write(tmp_path, "m.txt", "\n".join(" ".join(t) for t in lines) + "\n"))
+    except (ParseError, ValidationError):
+        return
+    if isinstance(model, CovSplit):
+        arrays = [m for m in (model.K, model.K0, model.K1, model.K2) if m is not None]
+    else:
+        arrays = [model.table.probs] if hasattr(model, "table") else _arrays(model)
+    assert all(np.isfinite(a).all() for a in arrays)

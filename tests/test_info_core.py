@@ -134,11 +134,11 @@ def test_cell_cap_enforced():
 
 
 def test_infer_degraded_on_dense_kernels():
-    from wiretap_regions.info_core import ChannelSpec, infer_degraded
+    from wiretap_regions.info_core import ChannelSpec
     casc = build_degraded_joint(bsc(0.1), bsc(0.1), bsc(0.1))
     dense = ChannelSpec(input=casc.input, outputs=casc.outputs,
                         kernel=casc.full_kernel())
-    assert infer_degraded(dense)
+    assert dense.degraded
     # Z a fresh copy of X (not through Y2): not degraded
     arr = np.zeros((2, 2, 2, 2))
     for x in range(2):
@@ -147,7 +147,7 @@ def test_infer_degraded_on_dense_kernels():
     bad = ChannelSpec(input=VarId("X", 2),
                       outputs=(VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
                       kernel=arr)
-    assert not infer_degraded(bad)
+    assert not bad.degraded
 
 
 def test_cascade_dimension_mismatch():

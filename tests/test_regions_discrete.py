@@ -199,7 +199,7 @@ def test_general_inner_vacuous_v_layers():
     p_x_u = rng.dirichlet(np.ones(2), size=2)
     arr = np.einsum("qu,a,b,ux->quabx", p_qu, np.full(2, 0.5), np.full(2, 0.5), p_x_u)
     aux = AuxJoint(make_table((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
-                               VarId("V2", 2), VarId("X", 2)), arr), kind="layered")
+                               VarId("V2", 2), VarId("X", 2)), arr))
     by = {q.label: float(q.rhs) for q in eval_general_inner(aux, ch).ineqs}
     assert by["rs1"] == pytest.approx(by["rs2"], abs=1e-10)
     assert by["rs12"] == pytest.approx(by["rs1"], abs=1e-10)
@@ -210,7 +210,7 @@ def test_layered_aux_validation():
     arr = rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2)
     with pytest.raises(InconsistentAux):
         AuxJoint(make_table((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
-                             VarId("V2", 2), VarId("X", 2)), arr), kind="layered")
+                             VarId("V2", 2), VarId("X", 2)), arr))
 
 
 def test_corollaries_match_inner_outer():
