@@ -36,7 +36,6 @@ from .entropy_algebra import (  # noqa: F401
     InfoExpr,
     derive_equalities,
     expand_mi,
-    exprs_equal,
 )
 from .polytope_fm import (  # noqa: F401
     IneqSystem,

@@ -111,7 +111,7 @@ def cmd_region_sweep(args) -> int:
 
 def cmd_fm_verify(args) -> int:
     rep = fm_script.verify_builtin_chain(seed=args.seed, instantiations=args.budget,
-                                         tol=args.tol, strict=False)
+                                         tol=args.tol)
     rows = []
     for s in rep.steps:
         print(f"step {s.index:2d}  {s.op:14s} {s.detail:24s} -> {s.expect:7s} "
@@ -286,10 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
     fm = sub.add_parser("fm", help="inequality-system machinery").add_subparsers(
         dest="cmd", required=True)
     q = fm.add_parser("verify-appendix", help="replay the bundled derivation chain")
-    q.add_argument("--instantiations", "--budget", dest="budget", type=int, default=3,
+    q.add_argument("--instantiations", "--budget", dest="budget", type=int,
+                   default=fm_script.CERT_INSTANTIATIONS,
                    help="random instantiations certifying each dropped row")
     q.add_argument("--out")
-    _common(q, tol=1e-9)
+    _common(q, tol=fm_script.CERT_TOL)
     q.set_defaults(fn=cmd_fm_verify)
 
     gauss = sub.add_parser("gauss", help="Gaussian vector channels").add_subparsers(

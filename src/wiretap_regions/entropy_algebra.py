@@ -329,12 +329,3 @@ def derive_equalities(st: FactorStructure) -> EqualitySet:
                 if d_separated(st, a, b, cond):
                     eqs.append(expand_mi({a}, {b}, set(cond)))
     return EqualitySet(eqs)
-
-
-def exprs_equal(e1: InfoExpr, e2: InfoExpr, eqs: EqualitySet | None = None) -> bool:
-    """True iff e1 - e2 lies in the rational span of ``eqs`` (identically zero
-    when ``eqs`` is None)."""
-    d = e1 - e2
-    if eqs is None:
-        return d.is_zero()
-    return eqs.contains_zero(d)

@@ -73,13 +73,7 @@ class LPFailure(WiretapError):
 
 
 class ScriptStepMismatch(WiretapError):
-    """A derivation-script step produced a system that disagrees with the
-    recorded one.  Carries the offending step and constraint description."""
-
-    def __init__(self, message, step=None, constraint=None):
-        super().__init__(message)
-        self.step = step
-        self.constraint = constraint
+    """A derivation-script step names an operation the replay does not know."""
 
 
 # --- region evaluation ------------------------------------------------------

@@ -296,9 +296,10 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
 
     Reports the minimum slack (eigenvalue or scalar) per instance; every slack
     must be >= -1e-8.  Gaussian instances check the Cramer-Rao and
-    noise-perturbation facts at their equality point, conditioning
-    monotonicity and the inverse order strictly; optional scalar mixtures
-    exercise the strict side of the equality cases by quadrature.
+    noise-perturbation facts at their equality point, and conditioning
+    monotonicity and the inverse order where their slack is positive;
+    optional scalar mixtures give the equality cases positive slack, by
+    quadrature.
     """
     rng = np.random.default_rng(seed)
     rep = SuiteReport()

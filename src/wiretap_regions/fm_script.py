@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -47,6 +47,9 @@ from .polytope_fm import (
     support_value,
 )
 from .regions_discrete import random_aux_layered
+
+CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant
+CERT_INSTANTIATIONS = 3   # rounds of three random joints that certify dropped rows
 
 MIN_UY = "Imin(U;Yj)"
 MIN_UYQ = "Imin(U;Yj|Q)"
@@ -160,9 +163,9 @@ def _substitute_pivots(coeffs: dict, rhs, pivots):
     return {v: c for v, c in coeffs.items() if c != 0}, rhs
 
 
-def _reduce_mod_equalities(q: LinIneq, eq_pivots, entropy_eqs: EqualitySet | None) -> LinIneq:
+def _reduce_mod_equalities(q: LinIneq, eq_pivots, entropy_eqs: EqualitySet) -> LinIneq:
     coeffs, rhs = _substitute_pivots(q.coeff_dict(), q.rhs, eq_pivots)
-    if entropy_eqs is not None and isinstance(rhs, InfoExpr):
+    if isinstance(rhs, InfoExpr):
         rhs = entropy_eqs.reduce(rhs)
     return LinIneq.of(coeffs, rhs, q.rel, q.label).canonical()
 
@@ -181,19 +184,23 @@ def _equality_pivots(equalities, var_order):
     return pivots
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchResult:
-    matched: bool
-    missing: list[LinIneq] = field(default_factory=list)
-    extras: list[LinIneq] = field(default_factory=list)
+    missing: list[LinIneq]
+    extras: list[LinIneq]
+
+    @property
+    def matched(self) -> bool:
+        return not self.missing
 
 
 def match_systems(produced: IneqSystem, recorded: IneqSystem,
-                  entropy_eqs: EqualitySet | None) -> MatchResult:
+                  entropy_eqs: EqualitySet) -> MatchResult:
     """Compare constraint sets modulo equalities (left) and entropy span (right).
 
     Every recorded constraint must appear among the produced ones; produced
-    constraints beyond the recorded set are returned as extras.
+    constraints beyond the recorded set are returned as extras.  An empty
+    ``entropy_eqs`` compares right-hand sides exactly.
     """
     pivots = _equality_pivots(produced.equalities, produced.vars)
 
@@ -201,9 +208,9 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
         # equalities compare by their own sign-normalized form (reducing them
         # against the pivot set would collapse every one of them to 0 = 0)
         r = q.canonical()
-        rhs = entropy_eqs.reduce(r.rhs) if entropy_eqs is not None and \
-            isinstance(r.rhs, InfoExpr) else r.rhs
-        return (r.coeffs, rhs.key() if isinstance(rhs, InfoExpr) else float(rhs))
+        if isinstance(r.rhs, InfoExpr):
+            return (r.coeffs, entropy_eqs.reduce(r.rhs).key())
+        return (r.coeffs, float(r.rhs))
 
     def canon_set(sys):
         eqs, ineqs = {}, {}
@@ -221,7 +228,7 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
     missing += [v for k, v in r_ineqs.items() if k not in p_ineqs]
     extras = [v for k, v in p_eqs.items() if k not in r_eqs]
     extras += [v for k, v in p_ineqs.items() if k not in r_ineqs]
-    return MatchResult(matched=not missing, missing=missing, extras=extras)
+    return MatchResult(missing=missing, extras=extras)
 
 
 # --- numeric certification of dropped rows -------------------------------------
@@ -355,22 +362,19 @@ def run_step(sys: IneqSystem, step: Step) -> IneqSystem:
 
 
 def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
-                              entropy_eqs: EqualitySet,
-                              rng: np.random.Generator | None = None,
-                              instantiations: int = 3,
-                              tol: float = 1e-7,
-                              strict: bool = True) -> ChainReport:
+                              entropy_eqs: EqualitySet, rng: np.random.Generator,
+                              instantiations: int = CERT_INSTANTIATIONS,
+                              tol: float = CERT_TOL) -> ChainReport:
     """Replay a scripted chain against its recorded systems.
 
     Each step is executed, the produced system is matched against the recorded
     fixture its ``expect`` names (exact constraint-for-constraint match modulo
     entropy-algebra equality of right-hand sides), and any
     produced-but-not-recorded rows are certified redundant numerically before
-    being dropped; a ``drop_signs`` step is checked the same way.  With
-    ``strict`` a mismatch raises :class:`ScriptStepMismatch`; otherwise it is
-    reported.
+    being dropped; a ``drop_signs`` step is checked the same way.  A step
+    matches when no recorded row is missing and no dropped row's slack
+    exceeds ``tol``; every step is reported, matched or not.
     """
-    rng = rng or np.random.default_rng(0)
     # biased pool: empty instantiated regions certify nothing, so lead with
     # degraded channels and conditionally independent inner layers
     tables = []
@@ -386,28 +390,25 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         detail = step.var or ",".join(f"{s}>{d}:{t}" for s, d, t in step.transfers)
         expect_sys = fixtures[step.expect]
         res = match_systems(produced, expect_sys, entropy_eqs)
-        worst = 0.0
-        msg = ""
+        worst, starved, redundant = 0.0, 0, True
         if res.matched and res.extras:
             kept = produced.with_ineqs(
                 [q for q in produced.ineqs if q not in res.extras])
             certs = _certify_redundant(kept, res.extras, tables)
-            worst = max(s for _, s, _ in certs)
-            starved = [q for q, _, n in certs if n == 0]
-            if worst > tol:
-                bad = max(certs, key=lambda c: c[1])[0]
-                res.matched = False
-                msg = f"dropped row is not redundant: {bad!r} (slack {worst:.3e})"
-            elif starved:
-                msg = f"{len(starved)} dropped row(s) never exercised (all instantiations empty)"
-        elif not res.matched:
+            bad, worst, _ = max(certs, key=lambda c: c[1])
+            starved = sum(n == 0 for _, _, n in certs)
+            redundant = worst <= tol
+        matched = res.matched and redundant
+        if not res.matched:
             msg = f"missing recorded constraint: {res.missing[0]!r}"
-        reports.append(StepReport(i, step.op, detail, step.expect, res.matched,
+        elif not matched:
+            msg = f"dropped row is not redundant: {bad!r} (slack {worst:.3e})"
+        elif starved:
+            msg = f"{starved} dropped row(s) never exercised (all instantiations empty)"
+        else:
+            msg = ""
+        reports.append(StepReport(i, step.op, detail, step.expect, matched,
                                   len(res.extras), worst, msg))
-        if not res.matched and strict:
-            raise ScriptStepMismatch(
-                f"step {i} ({step.op} {detail}): {msg}",
-                step=i, constraint=(res.missing[0] if res.missing else None))
         # continue from the recorded system (also after a mismatch, so every
         # later step is still certified against its own recorded input)
         cur = expect_sys
@@ -438,7 +439,8 @@ def _parse_fixture(text: str) -> IneqSystem:
 def load_builtin_chain():
     """Load the bundled start system, step list and recorded fixtures.
 
-    Returns ``(start, steps, fixtures, target_name)``.
+    Returns ``(start, steps, fixtures)``; the last step's ``expect`` names
+    the target system.
     """
     fixtures = {}
     steps = []
@@ -474,15 +476,13 @@ def load_builtin_chain():
     for name in sorted(names):
         fixtures[name] = _parse_fixture(_data_text(name + ".sys"))
     start = fixtures[start_name]
-    return start, steps, fixtures, steps[-1].expect
+    return start, steps, fixtures
 
 
-def verify_builtin_chain(seed: int = 0, instantiations: int = 3,
-                         tol: float = 1e-7, strict: bool = True) -> ChainReport:
+def verify_builtin_chain(seed: int, instantiations: int = CERT_INSTANTIATIONS,
+                         tol: float = CERT_TOL) -> ChainReport:
     """Replay the bundled elimination chain end to end."""
-    start, steps, fixtures, _ = load_builtin_chain()
-    eqs = derive_equalities(layered_structure())
-    rng = np.random.default_rng(seed)
-    return verify_elimination_script(start, steps, fixtures, eqs, rng=rng,
-                                     instantiations=instantiations, tol=tol,
-                                     strict=strict)
+    start, steps, fixtures = load_builtin_chain()
+    return verify_elimination_script(start, steps, fixtures,
+                                     derive_equalities(layered_structure()),
+                                     np.random.default_rng(seed), instantiations, tol)

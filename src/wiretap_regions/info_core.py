@@ -102,11 +102,12 @@ def validate_table(t: ProbTable) -> None:
     expected = tuple(v.cardinality for v in t.vars)
     if t.probs.shape != expected:
         raise ShapeMismatch(f"tensor shape {t.probs.shape} != cardinalities {expected}")
+    # written so that a NaN entry fails each comparison
     mn = float(t.probs.min()) if t.probs.size else 0.0
-    if mn < NEGATIVE_MASS_TOL:
+    if not mn >= NEGATIVE_MASS_TOL:
         raise NegativeMass(f"entry {mn} below tolerance {NEGATIVE_MASS_TOL}")
     s = float(t.probs.sum())
-    if abs(s - 1.0) > NORMALIZATION_TOL:
+    if not abs(s - 1.0) <= NORMALIZATION_TOL:
         raise NotNormalized(f"total mass {s} deviates from 1 by more than {NORMALIZATION_TOL}")
 
 
@@ -163,10 +164,11 @@ def mutual_information(t: ProbTable, a, b, c=()) -> float:
 
 
 def _check_stochastic(name: str, m: np.ndarray) -> None:
-    """Raise unless every row of ``m`` is a probability distribution."""
-    if m.min() < NEGATIVE_MASS_TOL:
+    """Raise unless every row of ``m`` is a probability distribution (a NaN
+    entry fails both comparisons)."""
+    if not m.min() >= NEGATIVE_MASS_TOL:
         raise NegativeMass(f"{name} entry {m.min()} below tolerance {NEGATIVE_MASS_TOL}")
-    if np.abs(m.sum(axis=1) - 1.0).max() > NORMALIZATION_TOL:
+    if not np.abs(m.sum(axis=1) - 1.0).max() <= NORMALIZATION_TOL:
         raise NotNormalized(f"{name} rows must each sum to 1")
 
 

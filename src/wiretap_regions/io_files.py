@@ -49,8 +49,10 @@ class _Doc:
                 current = name
                 continue
             if ":" in line:
-                key, val = line.split(":", 1)
-                self.scalars[key.strip()] = (val.strip(), no)
+                key, val = (s.strip() for s in line.split(":", 1))
+                if key in self.scalars:
+                    raise ParseError(f"duplicate key {key!r}", line=no)
+                self.scalars[key] = (val, no)
                 current = None
                 continue
             if current is None:
@@ -99,6 +101,13 @@ def _parse_vars(spec: str) -> list[VarId]:
     return out
 
 
+def _stage_blocks(inp: VarId, outs) -> list[str]:
+    """Block names of a cascade's stages: ``stage Y1|X``, ``stage Y2|Y1``,
+    ``stage Z|Y2``."""
+    chain = [inp.name] + [o.name for o in outs]
+    return [f"stage {b}|{a}" for a, b in zip(chain, chain[1:])]
+
+
 def _read(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -136,11 +145,10 @@ def parse_channel_file(path):
                 raise ValidationError("a channel needs exactly one input (X) and three "
                                       "outputs (Y1, Y2, Z)")
             inp = ins[0]
-            names = [f"{outs[0].name}|{inp.name}", f"{outs[1].name}|{outs[0].name}",
-                     f"{outs[2].name}|{outs[1].name}"]
-            if all(f"stage {n}" in doc.blocks for n in names):
+            names = _stage_blocks(inp, outs)
+            if all(n in doc.blocks for n in names):
                 return ChannelSpec(input=inp, outputs=tuple(outs),
-                                   stages=tuple(doc.matrix(f"stage {n}") for n in names))
+                                   stages=tuple(doc.matrix(n) for n in names))
             shape = (inp.cardinality,) + tuple(o.cardinality for o in outs)
             return ChannelSpec(input=inp, outputs=tuple(outs), kernel=doc.tensor("kernel", shape))
         if kind == "gauss":
@@ -174,9 +182,13 @@ def parse_split_file(path) -> CovSplit:
 
 def check_matches_channel(ch, part) -> None:
     """Raise ValidationError unless an aux joint's X alphabet matches a discrete
-    channel's input, or every matrix of a covariance split matches a Gaussian
-    channel's dimension."""
+    channel's input and no aux variable is named like a channel output, or
+    every matrix of a covariance split matches a Gaussian channel's dimension."""
     if isinstance(part, AuxJoint):
+        clash = [n for n in part.table.names if n in ch.output_names]
+        if clash:
+            raise ValidationError(f"aux variables {', '.join(clash)} are named like "
+                                  f"channel outputs")
         card = part.table.vars[part.table.axis("X")].cardinality
         if card != ch.input.cardinality:
             raise ValidationError(f"aux X has {card} symbols, the channel input "
@@ -224,11 +236,8 @@ def emit_channel_file(ch, path) -> None:
         lines.append(f"input: {ch.input.name} {ch.input.cardinality}")
         lines.append("outputs: " + " ".join(f"{o.name} {o.cardinality}" for o in ch.outputs))
         if ch.stages is not None:
-            names = [f"{ch.outputs[0].name}|{ch.input.name}",
-                     f"{ch.outputs[1].name}|{ch.outputs[0].name}",
-                     f"{ch.outputs[2].name}|{ch.outputs[1].name}"]
-            for n, s in zip(names, ch.stages):
-                lines.extend(_mat_lines(f"stage {n}", s))
+            for n, s in zip(_stage_blocks(ch.input, ch.outputs), ch.stages):
+                lines.extend(_mat_lines(n, s))
         else:
             lines.extend(_mat_lines("kernel", ch.kernel.reshape(ch.kernel.shape[0], -1)))
     elif isinstance(ch, GaussChannel):
@@ -310,8 +319,7 @@ def pretty_text(obj) -> str:
     if isinstance(obj, IneqSystem):
         out = []
         for q in obj.ineqs:
-            lhs = " + ".join((f"{c}*{v}" if c != 1 else v) for v, c in q.coeffs) or "0"
-            out.append(f"  {q.label or '':10s} {lhs:28s} <= {_fmt(q.rhs)}")
+            out.append(f"  {q.label or '':10s} {q.lhs_text():28s} <= {_fmt(q.rhs)}")
         return "\n".join(out)
     if isinstance(obj, VPolytope):
         if obj.vertices.shape[0] == 0:

@@ -105,12 +105,11 @@ class LinIneq:
     def key(self):
         return (self.rel, self.coeffs, self.rhs_key())
 
+    def lhs_text(self) -> str:
+        return " + ".join(f"{c}*{v}" if c != 1 else v for v, c in self.coeffs) or "0"
+
     def __repr__(self):
-        if self.coeffs:
-            lhs = " + ".join(f"{c}*{v}" if c != 1 else v for v, c in self.coeffs)
-        else:
-            lhs = "0"
-        return f"{lhs} {self.rel} {self.rhs!r}"
+        return f"{self.lhs_text()} {self.rel} {self.rhs!r}"
 
 
 @dataclass(frozen=True)

@@ -62,12 +62,13 @@ class AuxJoint:
         return "ux" if len(self.table.vars) == 2 else "layered"
 
 
-def _joint_with_output(aux: ProbTable, ch: ChannelSpec, out_name: str) -> ProbTable:
-    """Joint table over (aux vars..., out) without materializing the full kernel."""
-    k = ch.pair_kernel(out_name)
-    arr = np.einsum("...x,xw->...xw", aux.probs, k)
-    out_var = ch.outputs[ch.output_names.index(out_name)]
-    return make_table(aux.vars + (out_var,), arr)
+def _output_joints(aux: AuxJoint, ch: ChannelSpec) -> tuple[ProbTable, ...]:
+    """Joint tables over (aux vars..., out), one per output Y1, Y2, Z, without
+    materializing the full kernel."""
+    t = aux.table
+    return tuple(make_table(t.vars + (out,),
+                            np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
+                 for out in ch.outputs)
 
 
 def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
@@ -75,9 +76,7 @@ def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
         raise InconsistentAux("degraded-channel bounds take an aux over (U, X)")
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
-    t1 = _joint_with_output(aux.table, ch, ch.output_names[0])
-    t2 = _joint_with_output(aux.table, ch, ch.output_names[1])
-    tz = _joint_with_output(aux.table, ch, ch.output_names[2])
+    t1, t2, tz = _output_joints(aux, ch)
     y1, y2, z = ch.output_names
     return {
         "iuy2": mutual_information(t2, {"U"}, {y2}),
@@ -142,9 +141,7 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     if aux.kind != "layered":
         raise InconsistentAux("general inner bound takes a layered aux")
     y1, y2, z = ch.output_names
-    t1 = _joint_with_output(aux.table, ch, y1)
-    t2 = _joint_with_output(aux.table, ch, y2)
-    tz = _joint_with_output(aux.table, ch, z)
+    t1, t2, tz = _output_joints(aux, ch)
 
     m = min(mutual_information(t1, {"U"}, {y1}),
             mutual_information(t2, {"U"}, {y2}))

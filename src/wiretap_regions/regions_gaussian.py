@@ -36,7 +36,7 @@ def _sym(m) -> np.ndarray:
         a = a.reshape(1, 1)
     if a.shape[0] != a.shape[1]:
         raise NotPSD(f"matrix of shape {a.shape} is not square")
-    if np.abs(a - a.T).max() > SYM_TOL:
+    if not np.abs(a - a.T).max() <= SYM_TOL:  # a NaN entry gives a NaN residual
         raise NotPSD(f"symmetry residual {np.abs(a - a.T).max():.2e} exceeds {SYM_TOL}")
     return 0.5 * (a + a.T)
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from wiretap_regions.cli import main
+from wiretap_regions import fm_script
+from wiretap_regions.cli import build_parser, main
 from wiretap_regions.errors import ParseError, ValidationError, WiretapError
 from wiretap_regions.info_core import ChannelSpec, VarId, build_degraded_joint
 from wiretap_regions.io_files import (
@@ -294,6 +295,11 @@ def test_cli_verify_appendix_needs_an_instantiation(flag, value, capsys):
     assert "budget must be at least 1" in outerr.err
 
 
+def test_verify_appendix_defaults_are_the_library_constants():
+    args = build_parser().parse_args(["fm", "verify-appendix"])
+    assert (args.tol, args.budget) == (fm_script.CERT_TOL, fm_script.CERT_INSTANTIATIONS)
+
+
 def test_cli_tol_is_what_the_user_typed():
     # the entropy-gradient residual of this run is about 3e-8
     argv = ["fisher", "debruijn", "--budget", "5", "--seed", "1"]
@@ -570,6 +576,28 @@ def test_cli_file_a_model_refuses_is_an_input_error(tmp_path, channel, aux, caps
         argv = ["region", "eval-inner", *argv, "--aux", write(tmp_path, "a.txt", aux)]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+def test_cli_repeated_key_is_an_input_error(tmp_path, capsys):
+    # the first `input:` line must not be dropped in favour of the second
+    channel = _replace_once(DISCRETE, "input: X 2\n", "input: X 3\ninput: X 2\n")
+    assert main(["region", "eval-inner", "--channel", write(tmp_path, "c.txt", channel),
+                 "--aux", write(tmp_path, "a.txt", AUX)]) == 2
+    assert capsys.readouterr().err == "input error: line 3: duplicate key 'input'\n"
+
+
+@pytest.mark.parametrize("cmd, output, aux_var, aux", [
+    ("eval-inner", "Y1", "U", AUX),
+    ("eval-outer", "Y2", "U", AUX),
+    ("eval-general", "Y2", "V1", LAYERED_AUX),
+], ids=["inner-Y1", "outer-Y2", "general-Y2"])
+def test_cli_aux_named_like_a_channel_output_is_an_input_error(tmp_path, cmd, output,
+                                                                aux_var, aux, capsys):
+    channel = DISCRETE.replace(output, aux_var)
+    assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", channel),
+                 "--aux", write(tmp_path, "a.txt", aux)]) == 2
+    assert capsys.readouterr().err == (f"input error: aux variables {aux_var} are named "
+                                       f"like channel outputs\n")
 
 
 def test_non_finite_entry_names_its_line(tmp_path):

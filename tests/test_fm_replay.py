@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretap_regions import fm_script
-from wiretap_regions.entropy_algebra import InfoExpr, derive_equalities, sym
+from wiretap_regions.entropy_algebra import EqualitySet, InfoExpr, derive_equalities, sym
 from wiretap_regions.errors import ParseError, ScriptStepMismatch
 from wiretap_regions.fm_script import (
     Step,
@@ -36,33 +36,36 @@ def test_full_chain_replays():
 
 
 def test_chain_final_system_is_ten_bounds():
-    _, _, fixtures, target_name = load_builtin_chain()
-    target = fixtures[target_name]
+    _, steps, fixtures = load_builtin_chain()
+    target = fixtures[steps[-1].expect]
     assert len(target.ineqs) == 10
     assert set(target.vars) == {"Rp1", "Rs1", "Rp2", "Rs2"}
     assert all(q.rel == "<=" for q in target.ineqs)
 
 
 def test_empty_script_on_matching_systems_passes():
-    start, _, fixtures, _ = load_builtin_chain()
+    start, _, fixtures = load_builtin_chain()
     eqs = derive_equalities(layered_structure())
-    rep = verify_elimination_script(start, [], {}, eqs)
+    rep = verify_elimination_script(start, [], {}, eqs, np.random.default_rng(0))
     assert rep.ok and rep.steps == []
 
 
 def test_wrong_order_pinpoints_first_divergence():
-    start, steps, fixtures, _ = load_builtin_chain()
+    start, steps, fixtures = load_builtin_chain()
     eqs = derive_equalities(layered_structure())
     # swap the first two eliminations but keep the recorded systems
     bad = [Step(op="eliminate", var=steps[1].var, expect=steps[0].expect)] + list(steps[1:])
-    with pytest.raises(ScriptStepMismatch) as exc:
-        verify_elimination_script(start, bad, fixtures, eqs,
-                                  rng=np.random.default_rng(0), instantiations=1)
-    assert exc.value.step == 0
-    rep = verify_elimination_script(start, bad, fixtures, eqs, strict=False,
-                                    rng=np.random.default_rng(0), instantiations=1)
-    assert not rep.steps[0].matched
-    assert rep.steps[0].message
+    rep = verify_elimination_script(start, bad, fixtures, eqs, np.random.default_rng(0),
+                                    instantiations=1)
+    assert not rep.ok
+    assert [s.index for s in rep.steps if not s.matched] == [0]
+    assert rep.steps[0].message.startswith("missing recorded constraint: ")
+
+
+def test_unknown_step_op_raises():
+    start, _, _ = load_builtin_chain()
+    with pytest.raises(ScriptStepMismatch, match="unknown step op 'rotate'"):
+        run_step(start, Step(op="rotate", expect="v01"))
 
 
 def test_match_systems_modulo_equalities():
@@ -72,7 +75,7 @@ def test_match_systems_modulo_equalities():
     s1 = IneqSystem.of(("a", "b", "c"), [eq, parse_constraint("c + a <= I(V1;Y1|U)", ratevars)])
     s2 = IneqSystem.of(("a", "b", "c"),
                        [eq, parse_constraint("c - b <= I(V1;Y1|U) - I(V1;V2|U)", ratevars)])
-    res = match_systems(s1, s2, None)
+    res = match_systems(s1, s2, EqualitySet([]))
     assert res.matched and not res.extras
 
 
@@ -80,8 +83,9 @@ def test_match_systems_detects_wrong_rhs():
     ratevars = {"a"}
     s1 = IneqSystem.of(("a",), [parse_constraint("a <= I(V1;Y1|U)", ratevars)])
     s2 = IneqSystem.of(("a",), [parse_constraint("a <= I(V2;Y2|U)", ratevars)])
-    res = match_systems(s1, s2, None)
+    res = match_systems(s1, s2, EqualitySet([]))
     assert not res.matched
+    assert res.missing == list(s2.ineqs) and res.extras == list(s1.ineqs)
 
 
 def test_parser_round_trip_forms():
@@ -137,8 +141,9 @@ def test_one_substitution_pass_removes_every_pivot(equalities, rows):
 def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
     # a target without one of the ten bounds leaves that row as an extra of
     # the sign-row step; it is not redundant, and certification must say so
-    _, steps, fixtures, target_name = load_builtin_chain()
+    _, steps, fixtures = load_builtin_chain()
     eqs = derive_equalities(layered_structure())
+    target_name = steps[-1].expect
     target = fixtures[target_name]
     short = dict(fixtures)
     short[target_name] = target.with_ineqs(target.ineqs[:4] + target.ineqs[5:])
@@ -151,8 +156,7 @@ def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
     monkeypatch.setattr(fm_script, "support_value", counting)
     assert steps[-1].op == "drop_signs"
     rep = verify_elimination_script(fixtures[steps[-2].expect], steps[-1:], short, eqs,
-                                    rng=np.random.default_rng(0), instantiations=1,
-                                    strict=False)
+                                    np.random.default_rng(0), instantiations=1)
     [step] = rep.steps
     assert len(calls) > 0
     assert step.extras_dropped == 1
@@ -173,13 +177,13 @@ def test_script_step_without_expect_is_a_parse_error(monkeypatch, line):
 
 
 def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):
-    _, _, fixtures, _ = load_builtin_chain()
+    _, _, fixtures = load_builtin_chain()
 
     def parse_system(text, ratevars):
         raise AssertionError("a bundled fixture was parsed again")
 
     monkeypatch.setattr(fm_script, "parse_system", parse_system)
-    _, _, again, _ = load_builtin_chain()
+    _, _, again = load_builtin_chain()
     assert again.keys() == fixtures.keys()
     assert all(again[k] is fixtures[k] for k in fixtures)
 
@@ -216,7 +220,7 @@ def _certify_row_by_row(kept, extras, tables):
 
 @pytest.mark.parametrize("seed", [0, 3, 12])
 def test_certification_gives_each_row_its_own_answer(seed):
-    start, steps, fixtures, _ = load_builtin_chain()
+    start, steps, fixtures = load_builtin_chain()
     eqs = derive_equalities(layered_structure())
     rng = np.random.default_rng(seed)
     tables = []
@@ -267,7 +271,7 @@ def test_unbounded_support_fails_the_step(monkeypatch):
     # a support LP that reports "unbounded" before any table was informative
     # must fail the row, not pass it as never exercised
     monkeypatch.setattr(fm_script, "support_value", lambda sys, objective: None)
-    rep = verify_builtin_chain(seed=0, instantiations=1, strict=False)
+    rep = verify_builtin_chain(seed=0, instantiations=1)
     assert not rep.ok
     first = next(s for s in rep.steps if s.extras_dropped)
     assert not first.matched

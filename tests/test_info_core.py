@@ -8,6 +8,7 @@ from wiretap_regions.errors import (
     NotNormalized,
     OverlappingSets,
     ShapeMismatch,
+    WiretapError,
 )
 from wiretap_regions.info_core import (
     ChannelSpec,
@@ -20,6 +21,7 @@ from wiretap_regions.info_core import (
     mutual_information,
     validate_table,
 )
+from wiretap_regions.regions_gaussian import CovSplit, GaussChannel
 
 X2 = VarId("X", 2)
 Y2 = VarId("Y", 2)
@@ -44,6 +46,30 @@ def test_validate_negative_mass():
 def test_validate_not_normalized():
     with pytest.raises(NotNormalized):
         make_table((X2, Y2), np.full((2, 2), 0.225))
+
+
+OUTS = (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2))
+NAN_ROW = np.array([[np.nan, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_table((VarId("U", 2),), np.array([np.nan, 1.0])),
+    lambda: make_table((X2, Y2), 0.5 * NAN_ROW),
+    lambda: ChannelSpec(input=X2, outputs=OUTS, stages=(NAN_ROW, bsc(0.1), bsc(0.1))),
+    lambda: ChannelSpec(input=X2, outputs=OUTS, stages=(bsc(0.1), bsc(0.1), NAN_ROW)),
+    lambda: ChannelSpec(input=X2, outputs=OUTS,
+                        kernel=np.full((2, 2, 2, 2), 0.125) * np.where(
+                            np.arange(16).reshape(2, 2, 2, 2) == 3, np.nan, 1.0)),
+    lambda: CovSplit(K=[[np.nan]]),
+    lambda: CovSplit(K0=[[0.1]], K1=[[np.nan]], K2=[[0.1]]),
+    lambda: GaussChannel(S=[[np.nan]], Sigma1=[[0.5]], Sigma2=[[1.0]], SigmaZ=[[2.0]]),
+    lambda: GaussChannel(S=[[1.0, np.nan], [np.nan, 1.0]], Sigma1=np.eye(2),
+                         Sigma2=np.eye(2), SigmaZ=np.eye(2)),
+], ids=["table", "table-2d", "stage-first", "stage-last", "kernel", "split-K",
+        "split-K1", "gauss-S", "gauss-S-offdiagonal"])
+def test_constructor_refuses_nan(build):
+    with pytest.raises(WiretapError):
+        build()
 
 
 def test_validate_shape_mismatch():
