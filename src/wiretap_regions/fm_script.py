@@ -6,7 +6,8 @@ the produced one must match.  Matching is symbolic: constraints are compared
 modulo the system's own equalities on the left and modulo the entropy-algebra
 equality span on the right.  Constraints the projection produces beyond the
 recorded ones are dropped and certified redundant numerically on random
-instantiations (an LP per dropped row), never silently.
+instantiations (one LP per nonempty instantiation serves every dropped
+row), never silently.
 
 The bundled chain (``builtin_chain``) certifies that the superposition /
 binning / joint-encoding constraint system for two receivers with common
@@ -33,7 +34,7 @@ from .entropy_algebra import (
     expand_mi,
     sym,
 )
-from .errors import ParseError, ScriptStepMismatch
+from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import ProbTable, VarId, make_table, mutual_information
 from .polytope_fm import (
     EQ,
@@ -280,31 +281,42 @@ def min_sym_values(table: ProbTable) -> dict[str, float]:
     }
 
 
+def _trivially_empty(sys: IneqSystem) -> bool:
+    """True when a ``<=`` row with no negative coefficient has a negative rhs:
+    its left side is >= 0 on the orthant, so no point satisfies it."""
+    return any(q.rel == LE and q.rhs < 0 and all(c >= 0 for _, c in q.coeffs)
+               for q in sys.ineqs)
+
+
 def _certify_redundant(kept: IneqSystem, extras, tables) -> list[tuple[LinIneq, float, int]]:
     """Max violation of each dropped row over the kept region, per instantiation.
 
     ``tables`` holds ``(table, min_sym_values(table))`` pairs.  Each is
-    instantiated once; an instantiation whose kept region is empty certifies
-    nothing (every dropped row is vacuous there), and the first LP that finds
-    it empty ends it for every row.  Returns, per extra row, the worst slack
-    over informative instantiations (<= tol required; ``inf`` once the kept
-    region is unbounded in the row's direction) and the count of informative
-    instantiations (0 means the row was never exercised).
+    instantiated once, and one support LP answers every row not yet
+    unbounded.  An instantiation whose kept region is empty certifies nothing
+    (every dropped row is vacuous there); one that a single row proves empty
+    costs no LP.  Returns, per extra row, the worst slack over informative
+    instantiations (<= tol required; ``inf`` once the kept region is unbounded
+    in the row's direction) and the count of informative instantiations (0
+    means the row was never exercised).
     """
     worst = [-np.inf] * len(extras)
     informative = [0] * len(extras)
     objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
     for table, syms in tables:
         kept_num = instantiate(kept, table, syms)
-        for i, q in enumerate(extras):
-            if worst[i] == np.inf:
-                continue  # already unbounded: nothing can lower its slack
-            val = support_value(kept_num, objs[i])
-            if val == float("-inf"):
-                break  # empty instantiated region: emptiness ignores the objective
+        # already unbounded: nothing can lower the slack of that row
+        live = [i for i in range(len(extras)) if worst[i] != np.inf]
+        if not live or _trivially_empty(kept_num):
+            continue
+        vals = support_value(kept_num, [objs[i] for i in live])
+        if vals[0] == float("-inf"):
+            continue  # empty instantiated region
+        for i, val in zip(live, vals):
             if val is None:
                 worst[i] = np.inf  # unbounded in the dropped direction
                 continue
+            q = extras[i]
             rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
             informative[i] += 1
             worst[i] = max(worst[i], val - rhs)
@@ -373,8 +385,12 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
     produced-but-not-recorded rows are certified redundant numerically before
     being dropped; a ``drop_signs`` step is checked the same way.  A step
     matches when no recorded row is missing and no dropped row's slack
-    exceeds ``tol``; every step is reported, matched or not.
+    exceeds ``tol``; every step is reported, matched or not.  Raises
+    ValidationError unless ``instantiations >= 1``: with none, no dropped row
+    would be certified.
     """
+    if instantiations < 1:
+        raise ValidationError(f"instantiations must be at least 1, got {instantiations}")
     # biased pool: empty instantiated regions certify nothing, so lead with
     # degraded channels and conditionally independent inner layers
     tables = []

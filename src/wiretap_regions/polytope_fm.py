@@ -34,6 +34,15 @@ LE = "<="
 EQ = "=="
 
 VERTEX_TOL = 1e-9
+# HiGHS options of every support LP.  At the default feasibility tolerances
+# (1e-7) a certification slack carries noise up to about 6.5e-8, above the
+# 1e-9 a dropped FM row may keep, and the optimum can stop up to 1e-7 * |x|_1
+# short of the maximum.  HiGHS's presolve reports some unbounded LPs as
+# infeasible (x >= 0, x0 + x1 - x2 <= 0, x0 - x1 + x2 <= 1, max sum x), which
+# would read a nonempty region as empty.
+CERT_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
+                   "dual_feasibility_tolerance": 1e-10,
+                   "presolve": False}
 
 
 def _rhs_is_zero(rhs) -> bool:
@@ -331,16 +340,19 @@ def _numeric_rows(sys: IneqSystem, allow_eq: bool = False):
     return A, np.array(bub, dtype=float)
 
 
-def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), what="LP"):
+def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), what="LP",
+             options=None):
     """Solve ``min c.x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``bounds`` by HiGHS.
 
-    Returns scipy's result when the LP is solved (status 0), infeasible (2) or
-    unbounded (3); raises LPFailure naming ``what`` on any other status.
+    ``options`` is passed to ``linprog`` as is (``None`` keeps HiGHS's
+    defaults).  Returns scipy's result when the LP is solved (status 0),
+    infeasible (2) or unbounded (3); raises LPFailure naming ``what`` on any
+    other status.
     """
     from scipy.optimize import linprog
 
     res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
+                  method="highs", options=options)
     if res.status not in (0, 2, 3):
         raise LPFailure(f"{what} LP failed with status {res.status}: {res.message}")
     return res
@@ -442,23 +454,41 @@ def region_equal(a: IneqSystem, b: IneqSystem) -> bool:
     return True
 
 
-def support_value(sys: IneqSystem, objective: dict[str, float]):
-    """``max objective . x`` over the numeric system.
+def support_value(sys: IneqSystem, objectives) -> list:
+    """``max objective . x`` over the numeric system for each of ``objectives``,
+    from one LP.
 
-    Returns ``-inf`` for an empty region and ``None`` when the objective is
-    unbounded above; raises LPFailure when the solver fails.  Unlike
+    The LP stacks one block per objective block-diagonally: each block holds
+    its own copy of the variables and rows and maximizes its own objective, so
+    the stacked optimum is optimal in every block.  Returns one value per
+    objective: ``-inf`` for every objective when the region is empty, and
+    ``None`` for an objective unbounded above.  When the stacked LP is
+    unbounded, each objective is solved alone to tell which.  Every LP runs
+    at ``CERT_LP_OPTIONS``; raises LPFailure when the solver fails.  Unlike
     :func:`vertices` this accepts equality rows.
     """
+    from scipy.sparse import block_diag
+
     A, b, A_eq, b_eq = _numeric_rows(sys, allow_eq=True)
-    c = np.zeros(len(sys.vars))
-    for v, k in objective.items():
-        c[sys.vars.index(v)] = k
-    res = solve_lp(-c, A, b, A_eq, b_eq, what="support")
+    k = len(objectives)
+    C = np.zeros((k, len(sys.vars)))
+    for row, objective in zip(C, objectives):
+        for v, w in objective.items():
+            row[sys.vars.index(v)] = w
+    res = solve_lp(-C.ravel(), block_diag([A] * k, format="csr"), np.tile(b, k),
+                   block_diag([A_eq] * k, format="csr"), np.tile(b_eq, k),
+                   what="support", options=CERT_LP_OPTIONS)
     if res.status == 2:
-        return float("-inf")
-    if res.status == 3:
-        return None
-    return float(-res.fun)
+        return [float("-inf")] * k
+    if res.status == 0:
+        return [float(v) for v in (C * res.x.reshape(k, -1)).sum(axis=1)]
+    if k == 1:
+        return [None]
+    out = []
+    for c in C:   # a nonempty region: each LP is solved or unbounded
+        res = solve_lp(-c, A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
+        out.append(None if res.status == 3 else float(c @ res.x))
+    return out
 
 
 def instantiate(sys: IneqSystem, table, sym_values=None) -> IneqSystem:

@@ -116,6 +116,8 @@ class HGaussChannel:
         hz = np.atleast_2d(np.asarray(self.HZ, dtype=float))
         if not (h1.shape[1] == h2.shape[1] == hz.shape[1]):
             raise NotPSD("gain matrices must agree on the input dimension")
+        if not all(np.isfinite(h).all() for h in (h1, h2, hz)):
+            raise ValidationError("gain matrices must be finite")
         object.__setattr__(self, "H1", h1)
         object.__setattr__(self, "H2", h2)
         object.__setattr__(self, "HZ", hz)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from wiretap_regions import fm_script
 from wiretap_regions.entropy_algebra import EqualitySet, InfoExpr, derive_equalities, sym
-from wiretap_regions.errors import ParseError, ScriptStepMismatch
+from wiretap_regions.errors import ParseError, ScriptStepMismatch, ValidationError
 from wiretap_regions.fm_script import (
     Step,
     _certify_redundant,
@@ -149,9 +149,9 @@ def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
     short[target_name] = target.with_ineqs(target.ineqs[:4] + target.ineqs[5:])
     calls = []
 
-    def counting(sys, objective):
-        calls.append(objective)
-        return support_value(sys, objective)
+    def counting(sys, objectives):
+        calls.append(objectives)
+        return support_value(sys, objectives)
 
     monkeypatch.setattr(fm_script, "support_value", counting)
     assert steps[-1].op == "drop_signs"
@@ -196,6 +196,21 @@ def test_chain_runtime_budget():
     assert time.monotonic() - t0 < 10.0
 
 
+@pytest.mark.parametrize("seed", [3, 10, 12, 13, 14, 15])
+def test_chain_replays_at_the_default_tolerance(seed):
+    # at HiGHS's default feasibility tolerances (1e-7) these seeds left
+    # dropped-row slacks of about 6.5e-8, above CERT_TOL
+    rep = verify_builtin_chain(seed)
+    assert rep.ok, [s.message for s in rep.steps if not s.matched]
+    assert max(s.worst_drop_slack for s in rep.steps) <= fm_script.CERT_TOL
+
+
+@pytest.mark.parametrize("instantiations", [0, -1])
+def test_replay_without_instantiations_is_refused(instantiations):
+    with pytest.raises(ValidationError, match="instantiations"):
+        verify_builtin_chain(seed=0, instantiations=instantiations)
+
+
 def _certify_row_by_row(kept, extras, tables):
     """Reference: the per-(row, table) loop, instantiating for every pair."""
     results = []
@@ -206,7 +221,7 @@ def _certify_row_by_row(kept, extras, tables):
             syms = min_sym_values(table)
             kept_num = instantiate(kept, table, syms)
             rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
-            val = support_value(kept_num, {v: float(c) for v, c in q.coeffs})
+            val = support_value(kept_num, [{v: float(c) for v, c in q.coeffs}])[0]
             if val == float("-inf"):
                 continue
             if val is None:
@@ -237,40 +252,46 @@ def test_certification_gives_each_row_its_own_answer(seed):
             kept = produced.with_ineqs([q for q in produced.ineqs if q not in res.extras])
             got = _certify_redundant(kept, res.extras, pairs)
             want = _certify_row_by_row(kept, res.extras, tables)
-            assert [(s, n) for _, s, n in got] == [(s, n) for _, s, n in want]
+            # one stacked LP per table against one LP per row: the same optima
+            # up to the LP's rounding, and the same informative tables
+            assert [n for *_, n in got] == [n for *_, n in want]
+            assert all(abs(g - w) <= 1e-12 or g == w
+                       for (_, g, _), (_, w, _) in zip(got, want))
             certified += len(got)
         cur = fixtures[step.expect]
     assert certified == 40
 
 
-def test_empty_instantiation_costs_one_lp(monkeypatch):
-    # the kept region x <= s - 1 (x >= 0) is empty exactly when s < 1
+def test_empty_instantiation_costs_one_lp(lp_whats):
+    # the kept region x <= s - 1 (x >= 0) is empty exactly when s < 1, and its
+    # one row says so: a nonnegative left side below a negative rhs costs no LP
     kept = IneqSystem.of(("x",), [LinIneq.of({"x": 1}, sym("s") - 1)])
     extras = [LinIneq.of({"x": 1}, sym("s")),
               LinIneq.of({"x": 2}, sym("s") + 1),
               LinIneq.of({"x": 1}, InfoExpr(constant=5))]
-    calls = []
-
-    def counting(sys, objective):
-        calls.append(objective)
-        return support_value(sys, objective)
-
-    monkeypatch.setattr(fm_script, "support_value", counting)
     empty, nonempty = (None, {"s": 0.5}), (None, {"s": 3.0})
     assert [(s, n) for _, s, n in _certify_redundant(kept, extras, [empty])] == \
         [(0.0, 0)] * 3
-    assert len(calls) == 1
-    calls.clear()
+    assert lp_whats == []
     got = _certify_redundant(kept, extras, [empty, nonempty, empty])
-    assert len(calls) == 1 + 3 + 1
+    assert lp_whats == ["support"]
     assert [(s, n) for _, s, n in got] == [(pytest.approx(-1.0), 1), (pytest.approx(0.0), 1),
                                           (pytest.approx(-3.0), 1)]
+    # x >= 1 and x <= s - 2 is empty at s = 2.5 although no single row says
+    # so: one LP finds it empty for every row
+    lp_whats.clear()
+    hidden = IneqSystem.of(("x",), [LinIneq.of({"x": -1}, InfoExpr(constant=-1)),
+                                    LinIneq.of({"x": 1}, sym("s") - 2)])
+    got = _certify_redundant(hidden, extras, [(None, {"s": 2.5})])
+    assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
+    assert lp_whats == ["support"]
 
 
 def test_unbounded_support_fails_the_step(monkeypatch):
     # a support LP that reports "unbounded" before any table was informative
     # must fail the row, not pass it as never exercised
-    monkeypatch.setattr(fm_script, "support_value", lambda sys, objective: None)
+    monkeypatch.setattr(fm_script, "support_value",
+                        lambda sys, objectives: [None] * len(objectives))
     rep = verify_builtin_chain(seed=0, instantiations=1)
     assert not rep.ok
     first = next(s for s in rep.steps if s.extras_dropped)
@@ -279,19 +300,21 @@ def test_unbounded_support_fails_the_step(monkeypatch):
     assert "not redundant" in first.message
 
 
-def test_unbounded_row_stops_its_own_lps(monkeypatch):
-    # x is free in the kept region y <= s: the row on x is unbounded on the
-    # first table and is not solved again; the row on y goes on
+def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
+    # x is free in the kept region y <= s: on the first table the stacked LP
+    # of both rows is unbounded, so each row is solved alone; the row on x is
+    # unbounded and is not solved again, the row on y goes on
     kept = IneqSystem.of(("x", "y"), [LinIneq.of({"y": 1}, sym("s"))])
     extras = [LinIneq.of({"x": 1}, InfoExpr(constant=1)),
               LinIneq.of({"y": 1}, sym("s") + 1)]
     calls = []
 
-    def counting(sys, objective):
-        calls.append(objective)
-        return support_value(sys, objective)
+    def counting(sys, objectives):
+        calls.append(objectives)
+        return support_value(sys, objectives)
 
     monkeypatch.setattr(fm_script, "support_value", counting)
     got = _certify_redundant(kept, extras, [(None, {"s": 1.0}), (None, {"s": 2.0})])
-    assert len(calls) == 3
+    assert [len(objectives) for objectives in calls] == [2, 1]
+    assert lp_whats == ["support"] * (1 + 2 + 1)
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]

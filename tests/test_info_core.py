@@ -21,7 +21,7 @@ from wiretap_regions.info_core import (
     mutual_information,
     validate_table,
 )
-from wiretap_regions.regions_gaussian import CovSplit, GaussChannel
+from wiretap_regions.regions_gaussian import CovSplit, GaussChannel, HGaussChannel
 
 X2 = VarId("X", 2)
 Y2 = VarId("Y", 2)
@@ -65,8 +65,10 @@ NAN_ROW = np.array([[np.nan, 1.0], [0.0, 1.0]])
     lambda: GaussChannel(S=[[np.nan]], Sigma1=[[0.5]], Sigma2=[[1.0]], SigmaZ=[[2.0]]),
     lambda: GaussChannel(S=[[1.0, np.nan], [np.nan, 1.0]], Sigma1=np.eye(2),
                          Sigma2=np.eye(2), SigmaZ=np.eye(2)),
+    lambda: HGaussChannel(H1=[[np.nan]], H2=[[1.0]], HZ=[[0.5]]),
+    lambda: HGaussChannel(H1=[[1.0, 0.0]], H2=[[0.5, 0.0]], HZ=[[0.0, np.inf]]),
 ], ids=["table", "table-2d", "stage-first", "stage-last", "kernel", "split-K",
-        "split-K1", "gauss-S", "gauss-S-offdiagonal"])
+        "split-K1", "gauss-S", "gauss-S-offdiagonal", "gauss-H1", "gauss-HZ-inf"])
 def test_constructor_refuses_nan(build):
     with pytest.raises(WiretapError):
         build()

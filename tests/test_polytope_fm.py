@@ -243,8 +243,8 @@ def _mixed_sign_system(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_mixed_sign_system())
 def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
-    empty = support_value(s, {}) == float("-inf")
-    unbounded = not empty and support_value(s, {v: 1 for v in s.vars}) is None
+    empty = support_value(s, [{}])[0] == float("-inf")
+    unbounded = not empty and support_value(s, [{v: 1 for v in s.vars}])[0] is None
     try:
         got = vertices(s).vertices
     except UnboundedRegion:
@@ -299,21 +299,6 @@ def test_shared_recession_verdict_keys_on_the_row_shape():
         for s in (first, second):
             assert isinstance(_vertices_or_unbounded(s, memo), str) == (s is unbounded)
         assert len(memo) == 2
-
-
-@pytest.fixture
-def lp_whats(monkeypatch):
-    """The ``what`` of every LP solved through ``polytope_fm.solve_lp``."""
-    import wiretap_regions.polytope_fm as pf
-
-    real, whats = pf.solve_lp, []
-
-    def solve_lp(*args, what="LP", **kw):
-        whats.append(what)
-        return real(*args, what=what, **kw)
-
-    monkeypatch.setattr(pf, "solve_lp", solve_lp)
-    return whats
 
 
 def test_vertices_solve_one_recession_lp_a_call_without_a_shared_verdict(lp_whats):
@@ -410,11 +395,36 @@ def test_region_equal_cases():
 
 def test_support_value_and_infeasible():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    assert support_value(sq, {"x": 1, "y": 1}) == pytest.approx(3.0)
+    assert support_value(sq, [{"x": 1, "y": 1}])[0] == pytest.approx(3.0)
     empty = num_sys(("x",), [({"x": 1}, -1)])
-    assert support_value(empty, {"x": 1}) == float("-inf")
+    assert support_value(empty, [{"x": 1}])[0] == float("-inf")
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
-    assert support_value(unb, {"y": 1}) is None
+    assert support_value(unb, [{"y": 1}])[0] is None
+
+
+def test_support_value_answers_each_objective_from_one_lp(lp_whats):
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    assert support_value(sq, [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}]) == \
+        [pytest.approx(1.0), pytest.approx(3.0), pytest.approx(0.0)]
+    assert lp_whats == ["support"]
+    empty = num_sys(("x",), [({"x": 1}, -1)])
+    assert support_value(empty, [{"x": 1}, {"x": -1}]) == [float("-inf")] * 2
+    assert lp_whats == ["support"] * 2
+
+
+def test_unbounded_support_is_not_read_as_empty():
+    # x = 0 is feasible and x1 = x2 = t is a ray; HiGHS's presolve calls this
+    # LP infeasible
+    s = num_sys(("x0", "x1", "x2"), [({"x0": 1, "x1": 1, "x2": -1}, 0),
+                                     ({"x0": 1, "x1": -1, "x2": 1}, 1)])
+    assert support_value(s, [{"x0": 1, "x1": 1, "x2": 1}]) == [None]
+
+
+def test_unbounded_stacked_lp_solves_each_objective_alone(lp_whats):
+    unb = num_sys(("x", "y"), [({"x": 1}, 1)])
+    assert support_value(unb, [{"x": 1}, {"y": 1}, {"y": -1}]) == \
+        [pytest.approx(1.0), None, pytest.approx(0.0)]
+    assert lp_whats == ["support"] * 4
 
 
 def test_lp_solver_failure_raises(monkeypatch):
@@ -426,7 +436,7 @@ def test_lp_solver_failure_raises(monkeypatch):
     with pytest.raises(LPFailure, match="recession LP failed with status 4"):
         vertices(sq)
     with pytest.raises(LPFailure, match="support LP failed with status 4"):
-        support_value(sq, {"x": 1})
+        support_value(sq, [{"x": 1}])[0]
 
 
 def test_linprog_is_named_only_in_solve_lp():
@@ -503,8 +513,8 @@ def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case
     assert region_equal(projected, fm_eliminate(numeric, var))
     for w in directions:
         objective = dict(zip(projected.vars, w))
-        got = support_value(projected, objective)
-        want = support_value(numeric, {**objective, var: 0.0})
+        got = support_value(projected, [objective])[0]
+        want = support_value(numeric, [{**objective, var: 0.0}])[0]
         if want == float("-inf"):
             assert got == want
         else:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretap_regions.errors import (
@@ -332,7 +332,7 @@ def test_five_bound_vertices_agree_with_support_values(consts, directions):
     sys = five_bound_system(*consts)
     pts = vertices(sys).vertices
     for d in directions:
-        value = support_value(sys, dict(zip(RATES, d)))
+        value = support_value(sys, [dict(zip(RATES, d))])[0]
         if pts.shape[0] == 0:
             assert value == float("-inf")
         else:
@@ -340,6 +340,34 @@ def test_five_bound_vertices_agree_with_support_values(consts, directions):
     outer = outer_of(sys)
     for p in pts:
         assert max_violation(outer, p) <= 1e-9
+
+
+# Continuous constants and directions, some components scaled down to 1e-7 or
+# 1e-9: reduced costs near HiGHS's default tolerances, where an LP at those
+# tolerances stops short of the maximum.
+_CONST_CONT = st.floats(-1.0, 2.0)
+_COMPONENT = st.builds(lambda x, scale: x * scale, st.floats(-1.0, 1.0),
+                       st.sampled_from([1.0, 1.0, 1e-7, 1e-9]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[_CONST_CONT] * 5),
+       st.lists(st.tuples(*[_COMPONENT] * 4), min_size=1, max_size=4))
+@example((1.8527390215858563, -0.6321863097597636, -0.6552903102988145, 0.3144915126272878,
+          1.0), [(1e-07, 0.2535958247649386, 0.03570986999225689, 0.08667615142540286)])
+def test_stacked_support_values_are_vertex_maxima(consts, directions):
+    sys = five_bound_system(*consts)
+    objectives = [dict(zip(RATES, d)) for d in directions]
+    values = support_value(sys, objectives)
+    alone = [support_value(sys, [o])[0] for o in objectives]
+    pts = vertices(sys).vertices
+    if pts.shape[0] == 0:
+        assert values == alone == [float("-inf")] * len(directions)
+        return
+    tol = 1e-9 * (1.0 + np.abs(pts).sum(axis=1).max())
+    for d, value, one in zip(directions, values, alone):
+        assert abs(float((pts @ np.array(d)).max()) - value) <= tol
+        assert abs(value - one) <= tol
 
 
 # dyadic coordinates, so that rows tie and dominate each other often and no
