@@ -27,12 +27,12 @@ from .info_core import ChannelSpec
 from .io_files import (
     check_matches_channel,
     emit_csv,
-    emit_region_csv,
     parse_aux_file,
     parse_channel_file,
     parse_split_file,
     pretty_text,
     region_csv_text,
+    write_text,
 )
 from .polytope_fm import vertices
 from .regions_discrete import (
@@ -60,7 +60,7 @@ OK, VIOLATION, INPUT_ERROR = 0, 1, 2
 
 def _emit(obj, args) -> None:
     if args.out:
-        emit_region_csv(obj, args.out)
+        write_text(args.out, region_csv_text(obj))
         print(f"wrote {args.out}")
     elif args.format == "csv":
         sys.stdout.write(region_csv_text(obj))
@@ -75,20 +75,30 @@ def _common(p, seed=True, tol=None, out=False):
         p.add_argument("--tol", type=float, default=tol)
     if out:
         p.add_argument("--out", help="write CSV here instead of stdout")
-        p.add_argument("--format", choices=("csv", "pretty"), default="pretty")
+        p.add_argument("--format", choices=("csv", "pretty"))  # stdout only; default pretty
 
 
-def _load_channel(path, kind: str):
-    """Parse a channel file and refuse a channel of another kind than the
-    command takes (``"discrete"`` or ``"gauss"``)."""
+_KINDS = {ChannelSpec: "discrete", GaussChannel: "gauss", HGaussChannel: "gauss_h"}
+
+
+def _load_channel(path, *classes):
+    """Parse a channel file and refuse a class the command does not take."""
     ch = parse_channel_file(path)
-    if not isinstance(ch, {"discrete": ChannelSpec, "gauss": GaussChannel}[kind]):
-        raise ValidationError(f"this command needs a {kind} channel file")
+    if not isinstance(ch, classes):
+        raise ValidationError(f"this command needs a "
+                              f"{' or '.join(_KINDS[c] for c in classes)} channel file")
     return ch
 
 
+def _verdict(violated: bool, invariant: str) -> int:
+    if violated:
+        print(f"violated invariant: {invariant}")
+        return VIOLATION
+    return OK
+
+
 def cmd_region_eval(args) -> int:
-    ch = _load_channel(args.channel, "discrete")
+    ch = _load_channel(args.channel, ChannelSpec)
     fn, kind = {"eval-inner": (eval_degraded_inner, "ux"),
                 "eval-outer": (eval_degraded_outer, "ux"),
                 "eval-general": (eval_general_inner, "layered")}[args.cmd]
@@ -103,7 +113,7 @@ def cmd_region_eval(args) -> int:
 
 
 def cmd_region_sweep(args) -> int:
-    ch = _load_channel(args.channel, "discrete")
+    ch = _load_channel(args.channel, ChannelSpec)
     res = sweep_inner_region(ch, args.budget, seed=args.seed, mode=args.mode)
     _emit(res, args)
     return OK
@@ -121,15 +131,13 @@ def cmd_fm_verify(args) -> int:
     if args.out:
         emit_csv(args.out, ["step", "op", "detail", "expect", "matched", "extras_dropped",
                             "worst_drop_slack", "message"], rows)
-    if not rep.ok:
-        print("violated invariant: derivation chain reproduces every recorded system")
-        return VIOLATION
-    print("chain verified: every recorded system reproduced")
-    return OK
+    if rep.ok:
+        print("chain verified: every recorded system reproduced")
+    return _verdict(not rep.ok, "derivation chain reproduces every recorded system")
 
 
 def cmd_gauss_eval(args) -> int:
-    ch = _load_channel(args.channel, "gauss")
+    ch = _load_channel(args.channel, GaussChannel)
     split = parse_split_file(args.split)
     check_matches_channel(ch, split)
     if args.bound == "general":
@@ -143,7 +151,7 @@ def cmd_gauss_eval(args) -> int:
 
 
 def cmd_gauss_sweep(args) -> int:
-    ch = _load_channel(args.channel, "gauss")
+    ch = _load_channel(args.channel, GaussChannel)
     res = sweep_covariances(ch, budget=args.budget, seed=args.seed, mode=args.mode,
                             trace_p=args.trace_p)
     _emit(res, args)
@@ -151,7 +159,7 @@ def cmd_gauss_sweep(args) -> int:
 
 
 def cmd_gauss_dpc(args) -> int:
-    ch = _load_channel(args.channel, "gauss")
+    ch = _load_channel(args.channel, GaussChannel)
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     if args.split:
@@ -167,18 +175,15 @@ def cmd_gauss_dpc(args) -> int:
             k2 = random_psd_under(rng, ch.S / 3.0)
             worst = max(worst, dpc_identity_check(k1, k2, k0, ch))
     print(f"max precoding-identity residual: {worst:.3e}")
-    if worst > args.tol:
-        print(f"violated invariant: precoding identity within {args.tol}")
-        return VIOLATION
-    return OK
+    return _verdict(worst > args.tol, f"precoding identity within {args.tol}")
 
 
 def cmd_gauss_degraded(args) -> int:
-    ch = parse_channel_file(args.channel)
+    ch = _load_channel(args.channel, GaussChannel, HGaussChannel)
     if isinstance(ch, GaussChannel):
         ok = check_degraded_order(ch)
         print(f"noise-covariance order holds: {ok}")
-    elif isinstance(ch, HGaussChannel):
+    else:
         ok, d21, dz2 = check_degraded_H(ch)
         print(f"gain-quotient degradedness holds: {ok}")
         print("D21:")
@@ -187,8 +192,6 @@ def cmd_gauss_degraded(args) -> int:
         print("DZ2:")
         for row in dz2:
             print("  " + " ".join(f"{x: .6g}" for x in row))
-    else:
-        raise ValidationError("degraded-check needs a gauss or gauss_h channel")
     return OK if ok else VIOLATION
 
 
@@ -214,10 +217,7 @@ def cmd_fisher_debruijn(args) -> int:
     if args.out:
         emit_csv(args.out, ["kind", "instance", "residual"], rows)
     print(f"max entropy-gradient residual: {worst:.3e}")
-    if worst > args.tol:
-        print(f"violated invariant: entropy-gradient identity within {args.tol}")
-        return VIOLATION
-    return OK
+    return _verdict(worst > args.tol, f"entropy-gradient identity within {args.tol}")
 
 
 def cmd_fisher_lemmas(args) -> int:
@@ -229,14 +229,11 @@ def cmd_fisher_lemmas(args) -> int:
         print(f"wrote {args.out}")
     for lemma, slack in sorted(rep.min_slack().items()):
         print(f"  {lemma:4s} min slack {slack: .3e}")
-    if rep.worst < -args.tol:
-        print(f"violated invariant: lemma slacks >= -{args.tol}")
-        return VIOLATION
-    return OK
+    return _verdict(rep.worst < -args.tol, f"lemma slacks >= -{args.tol}")
 
 
 def cmd_fisher_evidence(args) -> int:
-    ch = _load_channel(args.channel, "gauss")
+    ch = _load_channel(args.channel, GaussChannel)
     if ch.dim != 1:
         raise ValidationError("the evidence harness is scalar only")
     rng = np.random.default_rng(args.seed)
@@ -255,11 +252,8 @@ def cmd_fisher_evidence(args) -> int:
         emit_csv(args.out, ["mixture", "max_slack", "contained"], rows)
     worst = max(slacks)
     print(f"max dominance slack over {args.budget} mixtures: {worst:.3e}")
-    if worst > args.tol:
-        print(f"violated invariant: mixture regions inside the Gaussian envelope "
-              f"within {args.tol}")
-        return VIOLATION
-    return OK
+    return _verdict(worst > args.tol,
+                    f"mixture regions inside the Gaussian envelope within {args.tol}")
 
 
 @functools.cache
@@ -346,13 +340,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1) <= 0:
-        print("input error: tolerances must be positive", file=sys.stderr)
-        return INPUT_ERROR
-    if getattr(args, "budget", 1) < 1:
-        print("input error: budget must be at least 1", file=sys.stderr)
-        return INPUT_ERROR
     try:
+        if getattr(args, "tol", 1) <= 0:
+            raise ValidationError("tolerances must be positive")
+        if getattr(args, "budget", 1) < 1:
+            raise ValidationError("budget must be at least 1")
+        if getattr(args, "format", None) == "pretty" and args.out:
+            raise ValidationError("--out writes CSV, so it takes no --format pretty")
         return args.fn(args)
     except (ParseError, ValidationError, IoError) as e:
         print(f"input error: {e}", file=sys.stderr)

@@ -14,9 +14,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from types import MappingProxyType
 
 from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
+from .info_core import entropy
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -118,8 +120,6 @@ class InfoExpr:
 
     def evaluate(self, table, sym_values=None) -> float:
         """Numeric value on a :class:`~.info_core.ProbTable` (entropies in nats)."""
-        from .info_core import entropy
-
         val = float(self.constant)
         for a, c in self.terms.items():
             val += float(c) * entropy(table, a.subset)
@@ -318,8 +318,6 @@ def derive_equalities(st: FactorStructure) -> EqualitySet:
     Derived once per structure and process; every caller shares the
     (immutable) set.
     """
-    from itertools import combinations
-
     nodes = st.nodes
     eqs = []
     for a, b in combinations(nodes, 2):

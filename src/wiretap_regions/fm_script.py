@@ -36,6 +36,7 @@ from .entropy_algebra import (
 )
 from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import ProbTable, VarId, make_table, mutual_information
+from .io_files import parse_dag_file, text_lines
 from .polytope_fm import (
     EQ,
     LE,
@@ -134,13 +135,7 @@ def parse_constraint(line: str, ratevars, line_no=None) -> LinIneq:
 
 
 def parse_system(text: str, ratevars) -> list[LinIneq]:
-    out = []
-    for i, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        out.append(parse_constraint(line, ratevars, line_no=i))
-    return out
+    return [parse_constraint(line, ratevars, line_no=no) for no, line in text_lines(text)]
 
 
 # --- canonical matching --------------------------------------------------------
@@ -239,8 +234,6 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
 def layered_structure() -> FactorStructure:
     """The two-layer encoding factorization p(q,u) p(v1,v2,x|u) p(y1,y2,z|x),
     loaded from the bundled factorization fixture once per process."""
-    from .io_files import parse_dag_file
-
     path = resources.files("wiretap_regions").joinpath("data").joinpath(
         "factorizations").joinpath("layered.dag")
     with resources.as_file(path) as p:
@@ -461,17 +454,15 @@ def load_builtin_chain():
     fixtures = {}
     steps = []
     start_name = None
-    for raw in _data_text("chain.script").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for no, line in text_lines(_data_text("chain.script")):
         parts = line.split()
         if parts[0] == "start":
             start_name = parts[1]
         elif parts[0] == "step":
             op = parts[1]
             if parts[-2:-1] != ["expect"]:
-                raise ParseError(f"step line does not end in 'expect <system>': {line!r}")
+                raise ParseError(f"step line does not end in 'expect <system>': {line!r}",
+                                 line=no)
             expect = parts[-1]
             if op == "eliminate":
                 steps.append(Step(op="eliminate", var=parts[2], expect=expect))
@@ -485,9 +476,9 @@ def load_builtin_chain():
             elif op == "drop_signs":
                 steps.append(Step(op="drop_signs", expect=expect))
             else:
-                raise ParseError(f"unknown script op {op!r}")
+                raise ParseError(f"unknown script op {op!r}", line=no)
         else:
-            raise ParseError(f"unknown script line {line!r}")
+            raise ParseError(f"unknown script line {line!r}", line=no)
     names = {start_name} | {s.expect for s in steps}
     for name in sorted(names):
         fixtures[name] = _parse_fixture(_data_text(name + ".sys"))

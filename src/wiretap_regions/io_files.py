@@ -1,9 +1,8 @@
-"""Channel/aux/split file formats and deterministic CSV emission.
-
-The file format is line-based: ``key: value`` headers plus named matrix
-blocks.  A block starts with ``NAME:`` on its own line and collects the
-following whitespace-separated numeric rows until the next header.  Floats
-are written with ``%.17g`` so a parse/emit round trip is bit exact.
+"""Every file the package reads or writes: ``text_lines`` reads each
+line-based format (``#`` comments and blank lines skipped), ``csv_text``
+writes every CSV.  Channel, aux and split files hold ``key: value`` headers
+plus matrix blocks: ``NAME:`` on its own line, then numeric rows.  Channels
+are written with ``%.17g`` floats, so a parse/emit round trip is bit exact.
 """
 
 from __future__ import annotations
@@ -30,6 +29,16 @@ def _fmt(x: float) -> str:
     return CSV_FMT % float(x)
 
 
+def text_lines(text: str):
+    """Yield ``(line number, line)`` for each line of ``text`` that holds
+    anything but a ``#`` comment, with the comment and surrounding blanks
+    stripped."""
+    for no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield no, line
+
+
 class _Doc:
     """Parsed key/value headers and matrix blocks with line numbers."""
 
@@ -37,10 +46,7 @@ class _Doc:
         self.scalars: dict[str, tuple[str, int]] = {}
         self.blocks: dict[str, tuple[list[list[float]], int]] = {}
         current = None
-        for no, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].rstrip()
-            if not line.strip():
-                continue
+        for no, line in text_lines(text):
             if line.endswith(":"):
                 name = line[:-1].strip()
                 if name in self.blocks:
@@ -203,19 +209,22 @@ def check_matches_channel(ch, part) -> None:
 
 
 def parse_dag_file(path) -> FactorStructure:
-    """Factorization fixture: one ``node: NAME [PARENTS...]`` line per variable."""
+    """Factorization fixture: ``kind: dag`` and one ``node: NAME [PARENTS...]``
+    line per variable, each variable named once."""
     parents = {}
-    for no, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for no, line in text_lines(_read(path)):
+        key, _, rest = line.partition(":")
+        toks = rest.split()
+        if key == "kind":
+            if toks != ["dag"]:
+                raise ParseError(f"expected kind: dag, got {line!r}", line=no)
             continue
-        if line.startswith("kind"):
-            continue
-        if not line.startswith("node:"):
+        if key != "node":
             raise ParseError(f"expected node: lines, got {line!r}", line=no)
-        toks = line[5:].split()
         if not toks:
             raise ParseError("empty node line", line=no)
+        if toks[0] in parents:
+            raise ParseError(f"duplicate node {toks[0]!r}", line=no)
         parents[toks[0]] = tuple(toks[1:])
     return FactorStructure(parents)
 
@@ -251,10 +260,10 @@ def emit_channel_file(ch, path) -> None:
             lines.extend(_mat_lines(name, m))
     else:
         raise ValidationError(f"cannot emit {type(ch).__name__}")
-    _write(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def _write(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -262,56 +271,46 @@ def _write(path, text: str) -> None:
         raise IoError(f"cannot write {path}: {e}") from e
 
 
-def emit_csv(path, header, rows) -> None:
-    """Write a header and rows as CSV; fields holding commas or quotes are
-    quoted, so every row parses to as many fields as the header."""
+def csv_text(header, rows) -> str:
+    """A header and rows as CSV; fields holding commas or quotes are quoted,
+    so every row parses to as many fields as the header."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _write(path, buf.getvalue())
+    return buf.getvalue()
 
 
-def emit_region_csv(obj, path) -> None:
+def emit_csv(path, header, rows) -> None:
+    write_text(path, csv_text(header, rows))
+
+
+def region_csv_text(obj) -> str:
     """Deterministic CSV for a numeric system, a vertex list or a sweep.
 
     The ``kind`` column distinguishes constraint, vertex, sample and
     hull_vertex rows; floats use 12 significant digits.  An empty polytope
     yields the header plus a single ``EMPTY`` note row.
     """
-    _write(path, region_csv_text(obj))
-
-
-def region_csv_text(obj) -> str:
-    lines = []
     if isinstance(obj, IneqSystem):
-        rates = obj.vars
-        lines.append("kind,label," + ",".join(rates) + ",rhs")
-        for q in obj.ineqs:
-            coeffs = q.coeff_dict()
-            row = [_fmt(float(coeffs.get(v, 0))) for v in rates]
-            lines.append(f"constraint,{q.label or ''}," + ",".join(row) + f",{_fmt(q.rhs)}")
+        header = ["kind", "label", *obj.vars, "rhs"]
+        rows = [["constraint", q.label or "", *(_fmt(q.coeff(v)) for v in obj.vars),
+                 _fmt(q.rhs)] for q in obj.ineqs]
     elif isinstance(obj, VPolytope):
-        lines.append("kind,label," + ",".join(obj.vars) + ",rhs")
-        if obj.vertices.shape[0] == 0:
-            lines.append("note,EMPTY," + "," * len(obj.vars))
-        for i, p in enumerate(obj.vertices):
-            lines.append(f"vertex,v{i}," + ",".join(_fmt(x) for x in p) + ",")
+        header = ["kind", "label", *obj.vars, "rhs"]
+        rows = [["vertex", f"v{i}", *map(_fmt, p), ""] for i, p in enumerate(obj.vertices)]
+        if not rows:
+            rows = [["note", "EMPTY"] + [""] * (len(obj.vars) + 1)]
     elif isinstance(obj, SweepResult):
-        width = max((len(r[2]) for r in obj.rows), default=4)
-        width = max(width, len(obj.rates))
-        cols = ",".join(f"v{i}" for i in range(width))
-        lines.append(f"kind,id,hash,nverts,{cols}")
-        for i, p in enumerate(obj.hull_points):
-            pad = [""] * (width - len(obj.rates))
-            lines.append(f"hull_vertex,{i},,," + ",".join(_fmt(x) for x in p) + "".join("," + s for s in pad))
-        for idx, h, consts, nv in obj.rows:
-            pad = [""] * (width - len(consts))
-            lines.append(f"sample,{idx},{h},{nv}," + ",".join(_fmt(c) for c in consts)
-                         + "".join("," + s for s in pad))
+        width = max([len(obj.rates)] + [len(consts) for _, _, consts, _ in obj.rows])
+        header = ["kind", "id", "hash", "nverts", *(f"v{i}" for i in range(width))]
+        rows = [["hull_vertex", i, "", "", *map(_fmt, p)]
+                for i, p in enumerate(obj.hull_points)]
+        rows += [["sample", idx, h, nv, *map(_fmt, consts)] for idx, h, consts, nv in obj.rows]
+        rows = [r + [""] * (len(header) - len(r)) for r in rows]
     else:
         raise ValidationError(f"cannot serialize {type(obj).__name__}")
-    return "\n".join(lines) + "\n"
+    return csv_text(header, rows)
 
 
 def pretty_text(obj) -> str:

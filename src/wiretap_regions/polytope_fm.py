@@ -27,6 +27,7 @@ from .errors import (
     DuplicateSlackName,
     LPFailure,
     UnboundedRegion,
+    UnknownVariable,
     ZeroCoefficient,
 )
 
@@ -133,7 +134,7 @@ class IneqSystem:
         for q in self.ineqs:
             for v in q.variables:
                 if v not in known:
-                    raise ZeroCoefficient(f"constraint mentions unknown variable {v!r}")
+                    raise UnknownVariable(f"constraint mentions unknown variable {v!r}")
 
     @staticmethod
     def of(vars, ineqs) -> "IneqSystem":

@@ -10,6 +10,7 @@ natural-log determinant ratios, in nats.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +18,17 @@ import numpy as np
 from .errors import (
     BudgetZero,
     CapExceeded,
+    DimensionMismatch,
     NotDegraded,
     NotPSD,
     SingularMatrix,
     UnknownCorollary,
     ValidationError,
 )
+from .info_core import VarId, build_degraded_joint, make_table
 from .polytope_fm import IneqSystem, LinIneq
-from .regions_discrete import RATES, SweepResult, five_bound_system, outer_of, sweep_systems
+from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, outer_of,
+                               specialize_corollary, sweep_systems)
 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
@@ -95,7 +99,7 @@ class GaussChannel:
         d = self.S.shape[0]
         for m in (self.Sigma1, self.Sigma2, self.SigmaZ):
             if m.shape != (d, d):
-                raise NotPSD("all channel matrices must share one dimension")
+                raise DimensionMismatch("all channel matrices must share one dimension")
 
     @property
     def dim(self) -> int:
@@ -115,7 +119,7 @@ class HGaussChannel:
         h2 = np.atleast_2d(np.asarray(self.H2, dtype=float))
         hz = np.atleast_2d(np.asarray(self.HZ, dtype=float))
         if not (h1.shape[1] == h2.shape[1] == hz.shape[1]):
-            raise NotPSD("gain matrices must agree on the input dimension")
+            raise DimensionMismatch("gain matrices must agree on the input dimension")
         if not all(np.isfinite(h).all() for h in (h1, h2, hz)):
             raise ValidationError("gain matrices must be finite")
         object.__setattr__(self, "H1", h1)
@@ -136,7 +140,7 @@ class CovSplit:
         single = self.K is not None
         triple = all(m is not None for m in (self.K0, self.K1, self.K2))
         if single == triple:
-            raise NotPSD("provide either K or the triple (K0, K1, K2)")
+            raise ValidationError("provide either K or the triple (K0, K1, K2)")
         if single:
             object.__setattr__(self, "K", check_psd(self.K, "K"))
         else:
@@ -223,8 +227,6 @@ def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> IneqSystem:
 
 def specialize_gauss_corollary(sys: IneqSystem, which: str) -> IneqSystem:
     """Specializations mirroring the discrete ones (cor4/cor5/cor6/cor6_alt)."""
-    from .regions_discrete import specialize_corollary
-
     mapping = {"cor4": "cor1", "cor5": "cor2", "cor6": "cor3", "cor6_alt": "cor3_alt"}
     if which not in mapping:
         raise UnknownCorollary(f"unknown specialization {which!r}")
@@ -353,13 +355,8 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
     the degraded noise increments row-discretized on 122 points each.  Used
     to cross-check the closed-form bounds against the discrete path.
     """
-    import math
-
-    from .info_core import VarId, build_degraded_joint, make_table
-    from .regions_discrete import AuxJoint
-
     if ch.dim != 1:
-        raise NotPSD("discretization is defined for scalar channels")
+        raise ValidationError("discretization is defined for scalar channels")
     S = float(ch.S[0, 0])
     s1 = float(ch.Sigma1[0, 0])
     s2 = float(ch.Sigma2[0, 0])

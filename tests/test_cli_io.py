@@ -1,14 +1,28 @@
+import ast
 import csv
 import itertools
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import wiretap_regions
 from wiretap_regions import fm_script
 from wiretap_regions.cli import build_parser, main
-from wiretap_regions.errors import ParseError, ValidationError, WiretapError
+from wiretap_regions.entropy_algebra import FactorStructure
+from wiretap_regions.errors import (
+    DimensionMismatch,
+    ParseError,
+    UnknownVariable,
+    ValidationError,
+    WiretapError,
+)
 from wiretap_regions.info_core import ChannelSpec, VarId, build_degraded_joint
 from wiretap_regions.io_files import (
     check_matches_channel,
@@ -30,6 +44,7 @@ from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
     HGaussChannel,
+    discretize_scalar,
     eval_gauss_inner,
     eval_general_gauss,
 )
@@ -650,3 +665,106 @@ def test_a_mutated_file_parses_to_a_model_or_an_input_error(tmp_path, case, pick
     else:
         arrays = [model.table.probs] if hasattr(model, "table") else _arrays(model)
     assert all(np.isfinite(a).all() for a in arrays)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "eval-inner", "--aux", "a.txt"],
+    ["region", "sweep", "--budget", "2"],
+    ["gauss", "eval", "--split", "s.txt"],
+    ["gauss", "sweep", "--budget", "2"],
+])
+def test_cli_out_with_format_pretty_is_an_input_error(tmp_path, argv, capsys):
+    # --out always writes CSV, so a pretty format would be silently ignored
+    out = tmp_path / "x.csv"
+    argv = argv + ["--channel", "c.txt", "--out", str(out), "--format", "pretty"]
+    assert main(argv) == 2
+    assert "--format pretty" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BUNDLED_DAGS = {
+    "layered.dag": {"Q": (), "U": ("Q",), "V1": ("U",), "V2": ("U", "V1"),
+                    "X": ("U", "V1", "V2"), "Y1": ("X",), "Y2": ("X", "Y1"),
+                    "Z": ("X", "Y1", "Y2")},
+    "degraded_chain.dag": {"U": (), "X": ("U",), "Y1": ("X",), "Y2": ("Y1",),
+                           "Z": ("Y2",)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUNDLED_DAGS))
+def test_bundled_dag_files_parse_to_their_structures(name):
+    path = pathlib.Path(wiretap_regions.__file__).parent / "data" / "factorizations" / name
+    assert parse_dag_file(path) == FactorStructure(_BUNDLED_DAGS[name])
+
+
+@pytest.mark.parametrize("text, line, what", [
+    ("kind: discrete\nnode: U\n", 1, "expected kind: dag"),
+    ("kind: dag\nnode: U\nkinda sorta\n", 3, "expected node: lines"),
+    ("kind: dag\nnode: A\nnode: B A\n# B again\nnode: B\n", 5, "duplicate node 'B'"),
+    ("kind: dag\nnode:\n", 2, "empty node line"),
+], ids=["other-kind", "kind-prefix", "repeated-node", "empty-node"])
+def test_dag_file_refusals_name_their_line(tmp_path, text, line, what):
+    with pytest.raises(ParseError, match=f"line {line}: {what}"):
+        parse_dag_file(write(tmp_path, "d.dag", text))
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda: GaussChannel(S=np.eye(2), Sigma1=0.5 * np.eye(1), Sigma2=np.eye(2),
+                          SigmaZ=2 * np.eye(2)), DimensionMismatch),
+    (lambda: HGaussChannel(H1=[[1.0, 0.0]], H2=[[1.0]], HZ=[[0.5, 0.0]]), DimensionMismatch),
+    (lambda: CovSplit(), ValidationError),
+    (lambda: discretize_scalar(GaussChannel(S=np.eye(2), Sigma1=0.5 * np.eye(2),
+                                            Sigma2=np.eye(2), SigmaZ=2 * np.eye(2)), 0.5),
+     ValidationError),
+    (lambda: IneqSystem.of(("x",), [LinIneq.of({"y": 1}, 1.0)]), UnknownVariable),
+], ids=["gauss-sizes", "gauss-h-widths", "split-empty", "discretize-2x2", "unknown-rate"])
+def test_model_errors_name_what_went_wrong(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_only_io_files_reads_or_writes_files():
+    # one home for file I/O: every other module goes through io_files
+    for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                names = [node.func.id]
+            else:
+                continue
+            if "csv" in names or "open" in names:
+                assert path.name == "io_files.py", f"{names} at {path.name}:{node.lineno}"
+
+
+_NO_SCIPY = """\
+import json, sys
+from wiretap_regions.cli import main
+rc = main(json.loads(sys.argv[1]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+def test_commands_without_an_lp_load_no_scipy(tmp_path):
+    # scipy is imported inside the functions that solve LPs or hull clouds, so
+    # the commands that need neither start without it
+    files = {"c": DISCRETE, "a": AUX, "l": LAYERED_AUX, "g": GAUSS, "k": "kind: split\nK:\n0.5\n",
+             "t": TRIPLE_1X1, "h": "kind: gauss_h\nH1:\n2\nH2:\n1\nHZ:\n0.5\n"}
+    f = {k: write(tmp_path, k + ".txt", v) for k, v in files.items()}
+    commands = [
+        ["region", "eval-inner", "--channel", f["c"], "--aux", f["a"]],
+        ["region", "eval-outer", "--channel", f["c"], "--aux", f["a"], "--format", "csv"],
+        ["region", "eval-general", "--channel", f["c"], "--aux", f["l"]],
+        ["gauss", "eval", "--channel", f["g"], "--split", f["k"]],
+        ["gauss", "dpc-check", "--channel", f["g"], "--split", f["t"]],
+        ["gauss", "degraded-check", "--channel", f["h"]],
+        ["fisher", "lemmas", "--mixtures", "--budget", "2"],
+        ["fisher", "debruijn", "--budget", "2"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(wiretap_regions.__file__).parents[1])}
+    for argv in commands:
+        run = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argv)], env=env,
+                             capture_output=True, text=True, check=True)
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, []], argv
