@@ -26,7 +26,7 @@ from .fisher_lab import (
 from .info_core import ChannelSpec
 from .io_files import (
     check_matches_channel,
-    emit_csv,
+    csv_text,
     parse_aux_file,
     parse_channel_file,
     parse_split_file,
@@ -58,10 +58,15 @@ from .regions_gaussian import (
 OK, VIOLATION, INPUT_ERROR = 0, 1, 2
 
 
+def _write_csv(path, text: str) -> None:
+    """Write a command's CSV to its --out file and confirm it on stdout."""
+    write_text(path, text)
+    print(f"wrote {path}")
+
+
 def _emit(obj, args) -> None:
     if args.out:
-        write_text(args.out, region_csv_text(obj))
-        print(f"wrote {args.out}")
+        _write_csv(args.out, region_csv_text(obj))
     elif args.format == "csv":
         sys.stdout.write(region_csv_text(obj))
     else:
@@ -129,8 +134,8 @@ def cmd_fm_verify(args) -> int:
         rows.append([s.index, s.op, s.detail, s.expect, int(s.matched),
                      s.extras_dropped, f"{s.worst_drop_slack:.3e}", s.message])
     if args.out:
-        emit_csv(args.out, ["step", "op", "detail", "expect", "matched", "extras_dropped",
-                            "worst_drop_slack", "message"], rows)
+        _write_csv(args.out, csv_text(["step", "op", "detail", "expect", "matched",
+                                       "extras_dropped", "worst_drop_slack", "message"], rows))
     if rep.ok:
         print("chain verified: every recorded system reproduced")
     return _verdict(not rep.ok, "derivation chain reproduces every recorded system")
@@ -183,6 +188,7 @@ def cmd_gauss_degraded(args) -> int:
     if isinstance(ch, GaussChannel):
         ok = check_degraded_order(ch)
         print(f"noise-covariance order holds: {ok}")
+        invariant = "noise covariances ordered Sigma1 <= Sigma2 <= SigmaZ"
     else:
         ok, d21, dz2 = check_degraded_H(ch)
         print(f"gain-quotient degradedness holds: {ok}")
@@ -192,7 +198,8 @@ def cmd_gauss_degraded(args) -> int:
         print("DZ2:")
         for row in dz2:
             print("  " + " ".join(f"{x: .6g}" for x in row))
-    return OK if ok else VIOLATION
+        invariant = "H2 = D21 H1 and HZ = DZ2 H2 with contractions D21, DZ2"
+    return _verdict(not ok, invariant)
 
 
 def cmd_fisher_debruijn(args) -> int:
@@ -215,7 +222,7 @@ def cmd_fisher_debruijn(args) -> int:
         rows.append(["mixture", i, f"{r:.6e}"])
         worst = max(worst, r)
     if args.out:
-        emit_csv(args.out, ["kind", "instance", "residual"], rows)
+        _write_csv(args.out, csv_text(["kind", "instance", "residual"], rows))
     print(f"max entropy-gradient residual: {worst:.3e}")
     return _verdict(worst > args.tol, f"entropy-gradient identity within {args.tol}")
 
@@ -224,9 +231,9 @@ def cmd_fisher_lemmas(args) -> int:
     rep = lemma_suite_check(seed=args.seed, count=args.budget,
                             include_mixtures=args.mixtures)
     if args.out:
-        emit_csv(args.out, ["lemma", "kind", "instance", "min_slack"],
-                 [[lemma, kind, idx, f"{slack:.6e}"] for lemma, kind, idx, slack in rep.rows])
-        print(f"wrote {args.out}")
+        _write_csv(args.out, csv_text(
+            ["lemma", "kind", "instance", "min_slack"],
+            [[lemma, kind, idx, f"{slack:.6e}"] for lemma, kind, idx, slack in rep.rows]))
     for lemma, slack in sorted(rep.min_slack().items()):
         print(f"  {lemma:4s} min slack {slack: .3e}")
     return _verdict(rep.worst < -args.tol, f"lemma slacks >= -{args.tol}")
@@ -249,7 +256,7 @@ def cmd_fisher_evidence(args) -> int:
         slacks.append(rep.max_slack)
         rows.append([i, f"{rep.max_slack:.6e}", int(rep.contained)])
     if args.out:
-        emit_csv(args.out, ["mixture", "max_slack", "contained"], rows)
+        _write_csv(args.out, csv_text(["mixture", "max_slack", "contained"], rows))
     worst = max(slacks)
     print(f"max dominance slack over {args.budget} mixtures: {worst:.3e}")
     return _verdict(worst > args.tol,

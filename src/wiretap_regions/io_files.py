@@ -281,10 +281,6 @@ def csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def emit_csv(path, header, rows) -> None:
-    write_text(path, csv_text(header, rows))
-
-
 def region_csv_text(obj) -> str:
     """Deterministic CSV for a numeric system, a vertex list or a sweep.
 

@@ -291,8 +291,8 @@ def test_cli_verify_appendix_replays_share_no_state(tmp_path, capsys):
     # the derived equality span is shared across replays in one process; a
     # replay between two runs of one seed must not change the second run
     runs = []
-    for i, seed in enumerate(("3", "5", "3")):
-        out = tmp_path / f"chain{i}.csv"
+    for seed in ("3", "5", "3"):
+        out = tmp_path / f"chain{seed}.csv"   # stdout names the file
         rc = main(["fm", "verify-appendix", "--seed", seed, "--out", str(out)])
         outerr = capsys.readouterr()
         runs.append((rc, outerr.out, outerr.err, out.read_bytes()))
@@ -768,3 +768,41 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
         run = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argv)], env=env,
                              capture_output=True, text=True, check=True)
         assert json.loads(run.stdout.splitlines()[-1]) == [0, []], argv
+
+
+_CSV_COMMANDS = {
+    "region-eval-inner": ["region", "eval-inner", "--channel", "c", "--aux", "a"],
+    "region-eval-outer": ["region", "eval-outer", "--channel", "c", "--aux", "a", "--vertices"],
+    "region-eval-general": ["region", "eval-general", "--channel", "c", "--aux", "l"],
+    "region-sweep": ["region", "sweep", "--channel", "c", "--budget", "2"],
+    "gauss-eval": ["gauss", "eval", "--channel", "g", "--split", "t", "--bound", "general"],
+    "gauss-sweep": ["gauss", "sweep", "--channel", "g", "--budget", "2"],
+    "fm-verify-appendix": ["fm", "verify-appendix", "--instantiations", "1"],
+    "fisher-debruijn": ["fisher", "debruijn", "--budget", "2"],
+    "fisher-lemmas": ["fisher", "lemmas", "--budget", "2"],
+    "fisher-evidence": ["fisher", "evidence", "--channel", "g", "--budget", "1"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CSV_COMMANDS))
+def test_every_out_file_is_confirmed_once_on_stdout(tmp_path, name, capsys):
+    files = {"c": DISCRETE, "a": AUX, "l": LAYERED_AUX, "g": GAUSS, "t": TRIPLE_1X1}
+    argv = [write(tmp_path, a + ".txt", files[a]) if a in files else a
+            for a in _CSV_COMMANDS[name]]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [l for l in lines if "wrote" in l] == [f"wrote {out}"]
+    assert out.read_text().count("\n") >= 2
+
+
+@pytest.mark.parametrize("channel, holds", [
+    ("kind: gauss\nS:\n1\nSigma1:\n2\nSigma2:\n1\nSigmaZ:\n0.5\n",
+     "noise-covariance order holds: False"),
+    ("kind: gauss_h\nH1:\n1\nH2:\n2\nHZ:\n0.5\n", "gain-quotient degradedness holds: False"),
+], ids=["gauss", "gauss_h"])
+def test_cli_degraded_check_names_the_violated_invariant(tmp_path, channel, holds, capsys):
+    assert main(["gauss", "degraded-check", "--channel", write(tmp_path, "g.txt", channel)]) == 1
+    out = capsys.readouterr().out
+    assert holds in out
+    assert "violated invariant: " in out

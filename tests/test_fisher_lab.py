@@ -172,6 +172,44 @@ def test_lemma_suite_slacks():
     assert min(l12) > 0.0
 
 
+def _segment_integral_loop(k1, k2, sn):
+    # one solve per trapezoid node: the L9 integral before it was batched
+    ts = np.linspace(0.0, 1.0, 65)
+    vals = [float(np.trace(np.linalg.solve(k1 + t * (k2 - k1) + sn, k2 - k1))) for t in ts]
+    return float(np.trapezoid(vals, ts))
+
+
+@st.composite
+def _psd_triples(draw):
+    d = draw(st.integers(1, 3))
+    a, b, c = (np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=d * d, max_size=d * d)))
+               .reshape(d, d) for _ in range(3))
+    k1 = a @ a.T
+    return k1, k1 + b @ b.T, c @ c.T + 0.1 * np.eye(d)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_psd_triples())
+def test_batched_segment_integral_equals_the_per_node_loop(triple):
+    assert fisher_lab._segment_integral(*triple) == _segment_integral_loop(*triple)
+
+
+@pytest.mark.parametrize("d_u", [0, 1, 2])
+def test_gauss_pair_derives_its_conditional_covariance_once(d_u):
+    rng = np.random.default_rng(40 + d_u)
+    a = rng.normal(size=(d_u + 2, d_u + 2))
+    pair = GaussPair(a @ a.T + 0.1 * np.eye(d_u + 2), d_u=d_u, d_x=2)
+    cxu = pair.cov_x_given_u()
+    assert pair.cov_x_given_u() is cxu
+    with pytest.raises(ValueError):
+        cxu[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        pair.cov[0, 0] = 1.0
+    c, k = pair.cov, d_u
+    schur = c[k:, k:] - c[:k, k:].T @ np.linalg.pinv(c[:k, :k]) @ c[:k, k:]
+    assert np.array_equal(cxu, schur)
+
+
 def test_lemma12_explicit_example():
     # A = I, B = 2I: A^{-1} - B^{-1} = I/2
     rep_val = np.linalg.inv(np.eye(2)) - np.linalg.inv(2 * np.eye(2))
