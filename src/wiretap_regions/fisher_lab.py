@@ -28,7 +28,7 @@ from .errors import (
 )
 from .polytope_fm import vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
-from .regions_gaussian import GaussChannel, check_psd, logdet
+from .regions_gaussian import GaussChannel, check_psd, logdet, project_range
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -196,6 +196,20 @@ def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     return np.linalg.inv(m)
 
 
+def _joint_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
+    """Conditional Fisher information of Y = X + N given U for a Gaussian
+    pair, from the joint covariance: the Y-block of the inverse covariance of
+    (U, Y), with U first projected onto the range of Cov(U) as ``gauss_mi``
+    does.  It does not read ``Cov(X|U)``, so it checks
+    :func:`gaussian_fisher`."""
+    k = pair.d_u
+    c = pair.cov
+    p = project_range(c[:k, :k]) if k else np.zeros((0, 0))
+    joint = np.block([[p.T @ c[:k, :k] @ p, p.T @ c[:k, k:]],
+                      [c[k:, :k] @ p, c[k:, k:] + np.atleast_2d(sigma_n)]])
+    return np.linalg.inv(joint)[p.shape[1]:, p.shape[1]:]
+
+
 def _gauss_cond_entropy(pair: GaussPair, sn: np.ndarray) -> float:
     m = pair.cov_x_given_u() + sn
     d = m.shape[0]
@@ -324,10 +338,12 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
         s1 = _rand_psd(rng, d)
         s2 = s1 + _rand_psd(rng, d, jitter=0.05)
 
-        # conditional Cramer-Rao: J(X+N|U) >= (Cov(X|U)+Sigma)^{-1}
+        # conditional Cramer-Rao: J(X+N|U) >= (Cov(X|U)+Sigma)^{-1}, with J
+        # from the joint covariance and the bound from the Schur complement
         j1 = gaussian_fisher(pair, s1)
+        jy = _joint_fisher(pair, s1)
         cxu = pair.cov_x_given_u() + s1
-        rep.rows.append(("L6", "gauss", i, _min_eig(j1 - np.linalg.inv(cxu))))
+        rep.rows.append(("L6", "gauss", i, _min_eig(jy - j1)))
 
         # noise perturbation: J^{-1}(X+N2|U)-S2 >= J^{-1}(X+N1|U)-S1
         j2 = gaussian_fisher(pair, s2)
@@ -353,7 +369,7 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
 
         # entropy lower bound h >= log|2 pi e J^{-1}|/2 (equality when Gaussian)
         h = 0.5 * (d * math.log(TWO_PI_E) + logdet(cxu))
-        bound = 0.5 * (d * math.log(TWO_PI_E) + logdet(np.linalg.inv(j1)))
+        bound = 0.5 * (d * math.log(TWO_PI_E) - logdet(jy))
         rep.rows.append(("L11", "gauss", i, h - bound))
 
         # inverse reverses the semidefinite order

@@ -6,8 +6,8 @@ the produced one must match.  Matching is symbolic: constraints are compared
 modulo the system's own equalities on the left and modulo the entropy-algebra
 equality span on the right.  Constraints the projection produces beyond the
 recorded ones are dropped and certified redundant numerically on random
-instantiations (one LP per nonempty instantiation serves every dropped
-row), never silently.
+instantiations (two LPs per replay serve every dropped row of every step and
+instantiation), never silently.
 
 The bundled chain (``builtin_chain``) certifies that the superposition /
 binning / joint-encoding constraint system for two receivers with common
@@ -38,6 +38,7 @@ from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import ProbTable, VarId, make_table, mutual_information
 from .io_files import parse_dag_file, text_lines
 from .polytope_fm import (
+    CERT_TOL,
     EQ,
     LE,
     IneqSystem,
@@ -50,7 +51,6 @@ from .polytope_fm import (
 )
 from .regions_discrete import random_aux_layered
 
-CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant
 CERT_INSTANTIATIONS = 3   # rounds of three random joints that certify dropped rows
 
 MIN_UY = "Imin(U;Yj)"
@@ -281,40 +281,48 @@ def _trivially_empty(sys: IneqSystem) -> bool:
                for q in sys.ineqs)
 
 
-def _certify_redundant(kept: IneqSystem, extras, tables) -> list[tuple[LinIneq, float, int]]:
-    """Max violation of each dropped row over the kept region, per instantiation.
+def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
+    """Max violation of each dropped row over its kept region, per instantiation.
 
-    ``tables`` holds ``(table, min_sym_values(table))`` pairs.  Each is
-    instantiated once, and one support LP answers every row not yet
-    unbounded.  An instantiation whose kept region is empty certifies nothing
-    (every dropped row is vacuous there); one that a single row proves empty
-    costs no LP.  Returns, per extra row, the worst slack over informative
+    ``jobs`` holds one ``(kept, extras)`` pair per step and ``tables`` holds
+    ``(table, min_sym_values(table))`` pairs.  Every kept region is
+    instantiated once per table, and one :func:`support_value` call answers
+    every row of every (step, table), from two LPs per replay.  An
+    instantiation whose kept region is empty certifies nothing (every dropped
+    row is vacuous there); one that a single row proves empty costs no LP.
+    Returns, per job and per extra row, the worst slack over informative
     instantiations (<= tol required; ``inf`` once the kept region is unbounded
-    in the row's direction) and the count of informative instantiations (0
-    means the row was never exercised).
+    in the row's direction, and later tables are then not read for that row)
+    and the count of informative instantiations (0 means the row was never
+    exercised).
     """
-    worst = [-np.inf] * len(extras)
-    informative = [0] * len(extras)
-    objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
-    for table, syms in tables:
-        kept_num = instantiate(kept, table, syms)
-        # already unbounded: nothing can lower the slack of that row
-        live = [i for i in range(len(extras)) if worst[i] != np.inf]
-        if not live or _trivially_empty(kept_num):
-            continue
-        vals = support_value(kept_num, [objs[i] for i in live])
-        if vals[0] == float("-inf"):
-            continue  # empty instantiated region
-        for i, val in zip(live, vals):
-            if val is None:
-                worst[i] = np.inf  # unbounded in the dropped direction
-                continue
-            q = extras[i]
-            rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
-            informative[i] += 1
-            worst[i] = max(worst[i], val - rhs)
-    return [(q, 0.0 if w == -np.inf else w, n)   # -inf: never exercised
-            for q, w, n in zip(extras, worst, informative)]
+    lp_jobs, where = [], []
+    for n, (kept, extras) in enumerate(jobs):
+        objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
+        for t, (table, syms) in enumerate(tables):
+            kept_num = instantiate(kept, table, syms)
+            if not _trivially_empty(kept_num):
+                lp_jobs.append((kept_num, objs))
+                where.append((n, t))
+    answers = dict(zip(where, support_value(lp_jobs)))
+    out = []
+    for n, (_, extras) in enumerate(jobs):
+        worst = [-np.inf] * len(extras)
+        informative = [0] * len(extras)
+        for t, (table, syms) in enumerate(tables):
+            for i, val in enumerate(answers.get((n, t), ())):
+                if worst[i] == np.inf or val == float("-inf"):
+                    continue  # already unbounded, or an empty instantiated region
+                if val is None:
+                    worst[i] = np.inf  # unbounded in the dropped direction
+                    continue
+                q = extras[i]
+                rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+                informative[i] += 1
+                worst[i] = max(worst[i], val - rhs)
+        out.append([(q, 0.0 if w == -np.inf else w, k)   # -inf: never exercised
+                    for q, w, k in zip(extras, worst, informative)])
+    return out
 
 
 # --- script ---------------------------------------------------------------------
@@ -392,18 +400,25 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
     tables = [(t, min_sym_values(t)) for t in tables]
-    cur = start
-    reports = []
-    for i, step in enumerate(steps):
+    # symbolic pass first: each step restarts from its recorded input, so no
+    # step waits on the certification of an earlier one
+    cur, matches = start, []
+    for step in steps:
         produced = run_step(cur, step)
+        matches.append((match_systems(produced, fixtures[step.expect], entropy_eqs),
+                        produced))
+        # continue from the recorded system (also after a mismatch, so every
+        # later step is still certified against its own recorded input)
+        cur = fixtures[step.expect]
+    jobs = [(produced.with_ineqs([q for q in produced.ineqs if q not in res.extras]),
+             res.extras) for res, produced in matches if res.matched and res.extras]
+    certified = iter(_certify_redundant(jobs, tables))
+    reports = []
+    for i, (step, (res, _)) in enumerate(zip(steps, matches)):
         detail = step.var or ",".join(f"{s}>{d}:{t}" for s, d, t in step.transfers)
-        expect_sys = fixtures[step.expect]
-        res = match_systems(produced, expect_sys, entropy_eqs)
         worst, starved, redundant = 0.0, 0, True
         if res.matched and res.extras:
-            kept = produced.with_ineqs(
-                [q for q in produced.ineqs if q not in res.extras])
-            certs = _certify_redundant(kept, res.extras, tables)
+            certs = next(certified)
             bad, worst, _ = max(certs, key=lambda c: c[1])
             starved = sum(n == 0 for _, _, n in certs)
             redundant = worst <= tol
@@ -418,9 +433,6 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
             msg = ""
         reports.append(StepReport(i, step.op, detail, step.expect, matched,
                                   len(res.extras), worst, msg))
-        # continue from the recorded system (also after a mismatch, so every
-        # later step is still certified against its own recorded input)
-        cur = expect_sys
     return ChainReport(steps=reports)
 
 

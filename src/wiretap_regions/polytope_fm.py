@@ -35,6 +35,8 @@ LE = "<="
 EQ = "=="
 
 VERTEX_TOL = 1e-9
+CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant,
+                          # and the largest row violation of a support LP's point
 # HiGHS options of every support LP.  At the default feasibility tolerances
 # (1e-7) a certification slack carries noise up to about 6.5e-8, above the
 # 1e-9 a dropped FM row may keep, and the optimum can stop up to 1e-7 * |x|_1
@@ -455,41 +457,118 @@ def region_equal(a: IneqSystem, b: IneqSystem) -> bool:
     return True
 
 
-def support_value(sys: IneqSystem, objectives) -> list:
-    """``max objective . x`` over the numeric system for each of ``objectives``,
-    from one LP.
+def support_value(jobs) -> list[list]:
+    """``max objective . x`` over a numeric system, for every ``(system,
+    objectives)`` job.
 
-    The LP stacks one block per objective block-diagonally: each block holds
-    its own copy of the variables and rows and maximizes its own objective, so
-    the stacked optimum is optimal in every block.  Returns one value per
-    objective: ``-inf`` for every objective when the region is empty, and
-    ``None`` for an objective unbounded above.  When the stacked LP is
-    unbounded, each objective is solved alone to tell which.  Every LP runs
-    at ``CERT_LP_OPTIONS``; raises LPFailure when the solver fails.  Unlike
-    :func:`vertices` this accepts equality rows.
+    Returns, per job, one value per objective: ``-inf`` for every objective
+    of an empty region and ``None`` for one unbounded above.  Several jobs
+    cost two LPs at ``CERT_LP_OPTIONS``: the emptiness LP of
+    :func:`_nonempty`, then one support LP that stacks one block per
+    (nonempty job, objective) block-diagonally, each with its own copy of the
+    job's variables and rows, so the stacked optimum is optimal in every
+    block.  A single job skips the emptiness LP: its support LP reports an
+    empty region itself.  Raises LPFailure when the solver fails, when the
+    support LP is infeasible after the emptiness LP, or when a returned point
+    violates its rows by more than ``CERT_TOL``.  Unlike :func:`vertices`
+    this accepts equality rows.
     """
+    rows = [_numeric_rows(sys, allow_eq=True) for sys, _ in jobs]
+    dirs = [_directions(sys, objectives) for sys, objectives in jobs]
+    out = [[float("-inf")] * len(c) for c in dirs]
+    live = _nonempty(rows) if len(jobs) > 1 else range(len(jobs))
+    blocks = [(j, c) for j in live for c in dirs[j]]
+    if not blocks:
+        return out
+    vals = _stacked_support(blocks, rows)
+    if vals is None:
+        if len(jobs) > 1:
+            raise LPFailure("support LP is infeasible although the emptiness LP found "
+                            "every block nonempty")
+        return out
+    vals = iter(vals)
+    for j in live:
+        out[j] = [None if v is None else float(v) for v in itertools.islice(vals, len(dirs[j]))]
+    return out
+
+
+def _stacked_support(blocks, rows) -> list | None:
+    """Maximum of each ``(job, direction)`` block over the job's region, from
+    one block-diagonal LP; ``None`` when that LP is infeasible.  When it is
+    unbounded, or HiGHS cannot classify it, each block is solved alone, and
+    a lone unbounded block gives ``None`` as its value."""
     from scipy.sparse import block_diag
 
-    A, b, A_eq, b_eq = _numeric_rows(sys, allow_eq=True)
-    k = len(objectives)
-    C = np.zeros((k, len(sys.vars)))
-    for row, objective in zip(C, objectives):
-        for v, w in objective.items():
-            row[sys.vars.index(v)] = w
-    res = solve_lp(-C.ravel(), block_diag([A] * k, format="csr"), np.tile(b, k),
-                   block_diag([A_eq] * k, format="csr"), np.tile(b_eq, k),
-                   what="support", options=CERT_LP_OPTIONS)
+    A = block_diag([rows[j][0] for j, _ in blocks], format="csr")
+    b = np.concatenate([rows[j][1] for j, _ in blocks])
+    A_eq = block_diag([rows[j][2] for j, _ in blocks], format="csr")
+    b_eq = np.concatenate([rows[j][3] for j, _ in blocks])
+    try:
+        res = solve_lp(-np.concatenate([c for _, c in blocks]), A, b, A_eq, b_eq,
+                       what="support", options=CERT_LP_OPTIONS)
+    except LPFailure:
+        if len(blocks) == 1:
+            raise
+        # HiGHS can end a stack of several unbounded blocks in model status
+        # "unknown"; each block alone tells which, or raises itself
+        res = None
+    if res is None or res.status == 3:
+        if len(blocks) == 1:
+            return [None]
+        alone = [_stacked_support([block], rows) for block in blocks]
+        if None in alone:
+            raise LPFailure("support LP of one direction is infeasible although "
+                            "its region is nonempty")
+        return [v for [v] in alone]
     if res.status == 2:
-        return [float("-inf")] * k
-    if res.status == 0:
-        return [float(v) for v in (C * res.x.reshape(k, -1)).sum(axis=1)]
-    if k == 1:
-        return [None]
+        return None
+    _check_point(res.x, A, b, A_eq, b_eq)
+    ends = np.cumsum([len(c) for _, c in blocks])
+    return [c @ res.x[end - len(c):end] for (_, c), end in zip(blocks, ends)]
+
+
+def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
+    """Each objective as a dense vector over ``sys.vars``."""
+    pos = {v: i for i, v in enumerate(sys.vars)}
     out = []
-    for c in C:   # a nonempty region: each LP is solved or unbounded
-        res = solve_lp(-c, A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
-        out.append(None if res.status == 3 else float(c @ res.x))
+    for objective in objectives:
+        c = np.zeros(len(sys.vars))
+        for v, w in objective.items():
+            c[pos[v]] = w
+        out.append(c)
     return out
+
+
+def _nonempty(rows) -> list[int]:
+    """Indices of the nonempty ``(A, b, A_eq, b_eq)`` regions, from one
+    emptiness LP: each region gets an elastic variable ``e >= 0`` (``A x - e
+    <= b`` and ``|A_eq x - b_eq| <= e``), and the LP minimizes the sum of the
+    ``e``.  A region is nonempty when its ``e`` is at most the primal
+    feasibility tolerance of ``CERT_LP_OPTIONS``."""
+    from scipy.sparse import block_diag, csr_array, hstack
+
+    stacked = [np.vstack([A, A_eq, -A_eq]) for A, _, A_eq, _ in rows]
+    heights = [m.shape[0] for m in stacked]
+    elastic = csr_array((np.full(sum(heights), -1.0),
+                         (np.arange(sum(heights)), np.repeat(np.arange(len(rows)), heights))),
+                        shape=(sum(heights), len(rows)))
+    A = hstack([block_diag(stacked), elastic], format="csr")
+    rhs = np.concatenate([np.concatenate([b, b_eq, -b_eq]) for _, b, _, b_eq in rows])
+    c = np.concatenate([np.zeros(A.shape[1] - len(rows)), np.ones(len(rows))])
+    res = solve_lp(c, A, rhs, what="support", options=CERT_LP_OPTIONS)
+    if res.status != 0:
+        raise LPFailure(f"support emptiness LP ended with status {res.status}: {res.message}")
+    e = res.x[-len(rows):]
+    return [j for j in range(len(rows))
+            if e[j] <= CERT_LP_OPTIONS["primal_feasibility_tolerance"]]
+
+
+def _check_point(x, A, b, A_eq, b_eq) -> None:
+    """Raise LPFailure when an LP point violates its rows by more than CERT_TOL."""
+    worst = max((float(r.max()) for r in (A @ x - b, np.abs(A_eq @ x - b_eq), -x) if r.size),
+                default=0.0)
+    if worst > CERT_TOL:
+        raise LPFailure(f"support LP point violates its rows by {worst:.3e}")
 
 
 def instantiate(sys: IneqSystem, table, sym_values=None) -> IneqSystem:

@@ -244,7 +244,8 @@ def dpc_matrix(K1, Sigma1) -> np.ndarray:
         raise SingularMatrix("K1 + Sigma1 is singular") from None
 
 
-def _project_range(cov):
+def project_range(cov):
+    """Orthonormal basis of the range of a covariance, as columns."""
     w, v = np.linalg.eigh(_sym(cov))
     keep = w > 1e-12 * max(w.max(), 1.0)
     return v[:, keep]
@@ -258,8 +259,8 @@ def gauss_mi(Saa, Sab, Sbb) -> float:
     """
     Saa, Sbb = _sym(Saa), _sym(Sbb)
     Sab = np.atleast_2d(np.asarray(Sab, dtype=float))
-    Pa = _project_range(Saa)
-    Pb = _project_range(Sbb)
+    Pa = project_range(Saa)
+    Pb = project_range(Sbb)
     if Pa.shape[1] == 0 or Pb.shape[1] == 0:
         return 0.0
     a = Pa.T @ Saa @ Pa

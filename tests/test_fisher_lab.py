@@ -172,6 +172,15 @@ def test_lemma_suite_slacks():
     assert min(l12) > 0.0
 
 
+def test_lemma6_fails_on_a_wrong_conditional_covariance(monkeypatch):
+    # L6 compares J(X+N|U) from the joint covariance with the bound from the
+    # Schur complement: halving Cov(X|U) raises the bound above J
+    monkeypatch.setattr(GaussPair, "cov_x_given_u", lambda self: 0.5 * self._cxu)
+    rep = lemma_suite_check(seed=2, count=9)
+    l6 = [s for l, k, _, s in rep.rows if l == "L6" and k == "gauss"]
+    assert max(l6) < -1e-3
+
+
 def _segment_integral_loop(k1, k2, sn):
     # one solve per trapezoid node: the L9 integral before it was batched
     ts = np.linspace(0.0, 1.0, 65)

@@ -149,9 +149,9 @@ def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
     short[target_name] = target.with_ineqs(target.ineqs[:4] + target.ineqs[5:])
     calls = []
 
-    def counting(sys, objectives):
-        calls.append(objectives)
-        return support_value(sys, objectives)
+    def counting(jobs):
+        calls.append(jobs)
+        return support_value(jobs)
 
     monkeypatch.setattr(fm_script, "support_value", counting)
     assert steps[-1].op == "drop_signs"
@@ -221,7 +221,7 @@ def _certify_row_by_row(kept, extras, tables):
             syms = min_sym_values(table)
             kept_num = instantiate(kept, table, syms)
             rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
-            val = support_value(kept_num, [{v: float(c) for v, c in q.coeffs}])[0]
+            val = support_value([(kept_num, [{v: float(c) for v, c in q.coeffs}])])[0][0]
             if val == float("-inf"):
                 continue
             if val is None:
@@ -244,21 +244,23 @@ def test_certification_gives_each_row_its_own_answer(seed):
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
     pairs = [(t, min_sym_values(t)) for t in tables]
-    cur, certified = start, 0
+    cur, jobs = start, []
     for step in steps:
         produced = run_step(cur, step)
         res = match_systems(produced, fixtures[step.expect], eqs)
         if res.extras and step.op != "drop_signs":
-            kept = produced.with_ineqs([q for q in produced.ineqs if q not in res.extras])
-            got = _certify_redundant(kept, res.extras, pairs)
-            want = _certify_row_by_row(kept, res.extras, tables)
-            # one stacked LP per table against one LP per row: the same optima
-            # up to the LP's rounding, and the same informative tables
-            assert [n for *_, n in got] == [n for *_, n in want]
-            assert all(abs(g - w) <= 1e-12 or g == w
-                       for (_, g, _), (_, w, _) in zip(got, want))
-            certified += len(got)
+            jobs.append((produced.with_ineqs(
+                [q for q in produced.ineqs if q not in res.extras]), res.extras))
         cur = fixtures[step.expect]
+    certified = 0
+    for (kept, extras), got in zip(jobs, _certify_redundant(jobs, pairs), strict=True):
+        want = _certify_row_by_row(kept, extras, tables)
+        # two stacked LPs for every step and table against one LP per row: the
+        # same optima up to the LP's rounding, and the same informative tables
+        assert [n for *_, n in got] == [n for *_, n in want]
+        assert all(abs(g - w) <= 1e-12 or g == w
+                   for (_, g, _), (_, w, _) in zip(got, want))
+        certified += len(got)
     assert certified == 40
 
 
@@ -270,10 +272,10 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
               LinIneq.of({"x": 2}, sym("s") + 1),
               LinIneq.of({"x": 1}, InfoExpr(constant=5))]
     empty, nonempty = (None, {"s": 0.5}), (None, {"s": 3.0})
-    assert [(s, n) for _, s, n in _certify_redundant(kept, extras, [empty])] == \
-        [(0.0, 0)] * 3
+    [got] = _certify_redundant([(kept, extras)], [empty])
+    assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
     assert lp_whats == []
-    got = _certify_redundant(kept, extras, [empty, nonempty, empty])
+    [got] = _certify_redundant([(kept, extras)], [empty, nonempty, empty])
     assert lp_whats == ["support"]
     assert [(s, n) for _, s, n in got] == [(pytest.approx(-1.0), 1), (pytest.approx(0.0), 1),
                                           (pytest.approx(-3.0), 1)]
@@ -282,16 +284,22 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
     lp_whats.clear()
     hidden = IneqSystem.of(("x",), [LinIneq.of({"x": -1}, InfoExpr(constant=-1)),
                                     LinIneq.of({"x": 1}, sym("s") - 2)])
-    got = _certify_redundant(hidden, extras, [(None, {"s": 2.5})])
+    [got] = _certify_redundant([(hidden, extras)], [(None, {"s": 2.5})])
     assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
     assert lp_whats == ["support"]
+
+
+def test_replay_solves_two_support_lps(lp_whats):
+    # one emptiness LP and one stacked support LP serve every step and table
+    assert verify_builtin_chain(seed=0).ok
+    assert lp_whats == ["support", "support"]
 
 
 def test_unbounded_support_fails_the_step(monkeypatch):
     # a support LP that reports "unbounded" before any table was informative
     # must fail the row, not pass it as never exercised
     monkeypatch.setattr(fm_script, "support_value",
-                        lambda sys, objectives: [None] * len(objectives))
+                        lambda jobs: [[None] * len(objectives) for _, objectives in jobs])
     rep = verify_builtin_chain(seed=0, instantiations=1)
     assert not rep.ok
     first = next(s for s in rep.steps if s.extras_dropped)
@@ -301,20 +309,21 @@ def test_unbounded_support_fails_the_step(monkeypatch):
 
 
 def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
-    # x is free in the kept region y <= s: on the first table the stacked LP
-    # of both rows is unbounded, so each row is solved alone; the row on x is
-    # unbounded and is not solved again, the row on y goes on
+    # x is free in the kept region y <= s: the stacked LP of both rows on both
+    # tables is unbounded, so each (table, row) is solved alone; the row on x
+    # is unbounded on the first table and its later answers are not read, the
+    # row on y goes on
     kept = IneqSystem.of(("x", "y"), [LinIneq.of({"y": 1}, sym("s"))])
     extras = [LinIneq.of({"x": 1}, InfoExpr(constant=1)),
               LinIneq.of({"y": 1}, sym("s") + 1)]
     calls = []
 
-    def counting(sys, objectives):
-        calls.append(objectives)
-        return support_value(sys, objectives)
+    def counting(jobs):
+        calls.append(jobs)
+        return support_value(jobs)
 
     monkeypatch.setattr(fm_script, "support_value", counting)
-    got = _certify_redundant(kept, extras, [(None, {"s": 1.0}), (None, {"s": 2.0})])
-    assert [len(objectives) for objectives in calls] == [2, 1]
-    assert lp_whats == ["support"] * (1 + 2 + 1)
+    [got] = _certify_redundant([(kept, extras)], [(None, {"s": 1.0}), (None, {"s": 2.0})])
+    assert [[len(objectives) for _, objectives in jobs] for jobs in calls] == [[2, 2]]
+    assert lp_whats == ["support"] * (1 + 1 + 4)
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]

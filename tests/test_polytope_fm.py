@@ -243,8 +243,8 @@ def _mixed_sign_system(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_mixed_sign_system())
 def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
-    empty = support_value(s, [{}])[0] == float("-inf")
-    unbounded = not empty and support_value(s, [{v: 1 for v in s.vars}])[0] is None
+    empty = support_value([(s, [{}])])[0][0] == float("-inf")
+    unbounded = not empty and support_value([(s, [{v: 1 for v in s.vars}])])[0][0] is None
     try:
         got = vertices(s).vertices
     except UnboundedRegion:
@@ -395,20 +395,20 @@ def test_region_equal_cases():
 
 def test_support_value_and_infeasible():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    assert support_value(sq, [{"x": 1, "y": 1}])[0] == pytest.approx(3.0)
+    assert support_value([(sq, [{"x": 1, "y": 1}])])[0][0] == pytest.approx(3.0)
     empty = num_sys(("x",), [({"x": 1}, -1)])
-    assert support_value(empty, [{"x": 1}])[0] == float("-inf")
+    assert support_value([(empty, [{"x": 1}])])[0][0] == float("-inf")
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
-    assert support_value(unb, [{"y": 1}])[0] is None
+    assert support_value([(unb, [{"y": 1}])])[0][0] is None
 
 
 def test_support_value_answers_each_objective_from_one_lp(lp_whats):
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    assert support_value(sq, [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}]) == \
+    assert support_value([(sq, [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), pytest.approx(3.0), pytest.approx(0.0)]
     assert lp_whats == ["support"]
     empty = num_sys(("x",), [({"x": 1}, -1)])
-    assert support_value(empty, [{"x": 1}, {"x": -1}]) == [float("-inf")] * 2
+    assert support_value([(empty, [{"x": 1}, {"x": -1}])])[0] == [float("-inf")] * 2
     assert lp_whats == ["support"] * 2
 
 
@@ -417,14 +417,90 @@ def test_unbounded_support_is_not_read_as_empty():
     # LP infeasible
     s = num_sys(("x0", "x1", "x2"), [({"x0": 1, "x1": 1, "x2": -1}, 0),
                                      ({"x0": 1, "x1": -1, "x2": 1}, 1)])
-    assert support_value(s, [{"x0": 1, "x1": 1, "x2": 1}]) == [None]
+    assert support_value([(s, [{"x0": 1, "x1": 1, "x2": 1}])])[0] == [None]
 
 
 def test_unbounded_stacked_lp_solves_each_objective_alone(lp_whats):
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
-    assert support_value(unb, [{"x": 1}, {"y": 1}, {"y": -1}]) == \
+    assert support_value([(unb, [{"x": 1}, {"y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), None, pytest.approx(0.0)]
     assert lp_whats == ["support"] * 4
+
+
+@st.composite
+def _support_job(draw):
+    """A numeric system of mixed-sign rows, some of them equalities, and up to
+    three directions over it: empty, unbounded and bounded regions all occur."""
+    d = draw(st.integers(1, 3))
+    names = tuple(f"v{i}" for i in range(d))
+    rows = draw(st.lists(st.tuples(st.lists(_DYADIC, min_size=d, max_size=d), _DYADIC,
+                                   st.sampled_from(["<=", "<=", "<=", EQ])), max_size=5))
+    sys = IneqSystem.of(names, [LinIneq.of(dict(zip(names, a)), b, rel)
+                                for a, b, rel in rows])
+    objectives = draw(st.lists(st.lists(_DYADIC, min_size=d, max_size=d), max_size=3))
+    return sys, [dict(zip(names, w)) for w in objectives]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_support_job(), min_size=2, max_size=5))
+def test_batched_support_values_equal_each_job_alone(jobs):
+    batched = support_value(jobs)
+    alone = [support_value([job])[0] for job in jobs]
+
+    def pattern(vals):
+        return [v if v is None or v == float("-inf") else "value" for v in vals]
+
+    assert [pattern(v) for v in batched] == [pattern(v) for v in alone]
+    for got, want in zip(batched, alone):
+        for g, w in zip(got, want):
+            if g is not None and g != float("-inf"):
+                assert abs(g - w) <= 1e-9
+
+
+def test_batched_support_values_cost_two_lps(lp_whats):
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    empty = num_sys(("x",), [({"x": 1}, -1)])
+    pinned = IneqSystem.of(("x",), [LinIneq.of({"x": 1}, 0.5, rel=EQ)])
+    assert support_value([(sq, [{"x": 1}, {"x": 1, "y": 1}]), (empty, [{"x": 1}]),
+                          (pinned, [{"x": 1}, {"x": -1}])]) == \
+        [[pytest.approx(1.0), pytest.approx(3.0)], [float("-inf")],
+         [pytest.approx(0.5), pytest.approx(-0.5)]]
+    assert lp_whats == ["support"] * 2
+
+
+def _patched_support_lp(monkeypatch, change):
+    """Hand the result of the second LP (the stacked support LP) to ``change``."""
+    import wiretap_regions.polytope_fm as pf
+
+    real, calls = pf.solve_lp, []
+
+    def solve_lp(*args, **kw):
+        calls.append(args)
+        res = real(*args, **kw)
+        return change(res) if len(calls) == 2 else res
+
+    monkeypatch.setattr(pf, "solve_lp", solve_lp)
+
+
+def test_infeasible_stacked_support_lp_after_the_emptiness_lp_raises(monkeypatch):
+    import scipy.optimize
+
+    _patched_support_lp(monkeypatch, lambda res: scipy.optimize.OptimizeResult(
+        status=2, message="infeasible", x=None, fun=None))
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    with pytest.raises(LPFailure, match="support LP is infeasible"):
+        support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
+
+
+def test_support_point_outside_its_rows_raises(monkeypatch):
+    def shifted(res):
+        res.x = res.x + 1e-8
+        return res
+
+    _patched_support_lp(monkeypatch, shifted)
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    with pytest.raises(LPFailure, match="violates its rows"):
+        support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
 
 
 def test_lp_solver_failure_raises(monkeypatch):
@@ -436,7 +512,7 @@ def test_lp_solver_failure_raises(monkeypatch):
     with pytest.raises(LPFailure, match="recession LP failed with status 4"):
         vertices(sq)
     with pytest.raises(LPFailure, match="support LP failed with status 4"):
-        support_value(sq, [{"x": 1}])[0]
+        support_value([(sq, [{"x": 1}])])[0][0]
 
 
 def test_linprog_is_named_only_in_solve_lp():
@@ -513,8 +589,8 @@ def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case
     assert region_equal(projected, fm_eliminate(numeric, var))
     for w in directions:
         objective = dict(zip(projected.vars, w))
-        got = support_value(projected, [objective])[0]
-        want = support_value(numeric, [{**objective, var: 0.0}])[0]
+        got = support_value([(projected, [objective])])[0][0]
+        want = support_value([(numeric, [{**objective, var: 0.0}])])[0][0]
         if want == float("-inf"):
             assert got == want
         else:

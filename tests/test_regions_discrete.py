@@ -332,7 +332,7 @@ def test_five_bound_vertices_agree_with_support_values(consts, directions):
     sys = five_bound_system(*consts)
     pts = vertices(sys).vertices
     for d in directions:
-        value = support_value(sys, [dict(zip(RATES, d))])[0]
+        value = support_value([(sys, [dict(zip(RATES, d))])])[0][0]
         if pts.shape[0] == 0:
             assert value == float("-inf")
         else:
@@ -358,8 +358,8 @@ _COMPONENT = st.builds(lambda x, scale: x * scale, st.floats(-1.0, 1.0),
 def test_stacked_support_values_are_vertex_maxima(consts, directions):
     sys = five_bound_system(*consts)
     objectives = [dict(zip(RATES, d)) for d in directions]
-    values = support_value(sys, objectives)
-    alone = [support_value(sys, [o])[0] for o in objectives]
+    values = support_value([(sys, objectives)])[0]
+    alone = [support_value([(sys, [o])])[0][0] for o in objectives]
     pts = vertices(sys).vertices
     if pts.shape[0] == 0:
         assert values == alone == [float("-inf")] * len(directions)
