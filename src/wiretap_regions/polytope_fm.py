@@ -462,69 +462,69 @@ def support_value(jobs) -> list[list]:
     objectives)`` job.
 
     Returns, per job, one value per objective: ``-inf`` for every objective
-    of an empty region and ``None`` for one unbounded above.  Several jobs
-    cost two LPs at ``CERT_LP_OPTIONS``: the emptiness LP of
-    :func:`_nonempty`, then one support LP that stacks one block per
-    (nonempty job, objective) block-diagonally, each with its own copy of the
-    job's variables and rows, so the stacked optimum is optimal in every
-    block.  A single job skips the emptiness LP: its support LP reports an
-    empty region itself.  Raises LPFailure when the solver fails, when the
-    support LP is infeasible after the emptiness LP, or when a returned point
-    violates its rows by more than ``CERT_TOL``.  Unlike :func:`vertices`
-    this accepts equality rows.
+    of an empty region and ``None`` for one unbounded above.  Any list of jobs
+    costs at most two LPs of :func:`_block_lp`, both feasible and bounded by
+    construction.  The classification LP gives each job an elastic block
+    (``A x - e <= b``, ``|A_eq x - b_eq| <= e``, minimizing ``e``: the region
+    is nonempty when ``e`` is at most the primal feasibility tolerance of
+    ``CERT_LP_OPTIONS``) and each distinct (rows, objective) pair a recession
+    block (``r >= 0``, ``A r <= 0``, ``A_eq r = 0``, ``sum(r) <= 1``,
+    maximizing ``objective . r``: a nonempty region is unbounded in that
+    direction when the optimum exceeds ``CERT_TOL``).  The support LP then
+    maximizes each (nonempty job, bounded objective) block over its own copy
+    of the job's variables and rows.  Unlike :func:`vertices` this accepts
+    equality rows.
     """
     rows = [_numeric_rows(sys, allow_eq=True) for sys, _ in jobs]
     dirs = [_directions(sys, objectives) for sys, objectives in jobs]
-    out = [[float("-inf")] * len(c) for c in dirs]
-    live = _nonempty(rows) if len(jobs) > 1 else range(len(jobs))
-    blocks = [(j, c) for j in live for c in dirs[j]]
-    if not blocks:
-        return out
-    vals = _stacked_support(blocks, rows)
-    if vals is None:
-        if len(jobs) > 1:
-            raise LPFailure("support LP is infeasible although the emptiness LP found "
-                            "every block nonempty")
-        return out
-    vals = iter(vals)
-    for j in live:
-        out[j] = [None if v is None else float(v) for v in itertools.islice(vals, len(dirs[j]))]
+    keys = [(A.tobytes(), A_eq.tobytes()) for A, _, A_eq, _ in rows]
+    elastic, cones = [], {}   # a recession cone depends on A and A_eq only
+    for k, (A, b, A_eq, b_eq), cs in zip(keys, rows, dirs):
+        M = np.vstack([A, A_eq, -A_eq])
+        elastic.append((np.hstack([M, -np.ones((len(M), 1))]), np.concatenate([b, b_eq, -b_eq]),
+                        np.zeros((0, M.shape[1] + 1)), np.zeros(0),
+                        np.append(np.zeros(M.shape[1]), -1.0)))
+        for c in cs:
+            cones.setdefault((k, c.tobytes()), (A, A_eq, c))
+    parts = _block_lp(elastic + [(np.vstack([A, np.ones(len(c))]), np.append(np.zeros(len(A)), 1.0),
+                                  A_eq, np.zeros(len(A_eq)), c) for A, A_eq, c in cones.values()])
+    bounded = {k: c @ r <= CERT_TOL for (k, (_, _, c)), r in zip(cones.items(), parts[len(jobs):])}
+    out, blocks, slots = [], [], []
+    for j, ((A, b, A_eq, b_eq), cs, k, x) in enumerate(zip(rows, dirs, keys, parts)):
+        empty = x[-1] > CERT_LP_OPTIONS["primal_feasibility_tolerance"]
+        out.append([float("-inf") if empty else None] * len(cs))   # None: unbounded
+        for i, c in enumerate(cs):
+            if not empty and bounded[(k, c.tobytes())]:
+                blocks.append((A, b, A_eq, b_eq, c))
+                slots.append((j, i))
+    for (j, i), (*_, c), x in zip(slots, blocks, _block_lp(blocks)):
+        out[j][i] = float(c @ x)
     return out
 
 
-def _stacked_support(blocks, rows) -> list | None:
-    """Maximum of each ``(job, direction)`` block over the job's region, from
-    one block-diagonal LP; ``None`` when that LP is infeasible.  When it is
-    unbounded, or HiGHS cannot classify it, each block is solved alone, and
-    a lone unbounded block gives ``None`` as its value."""
+def _block_lp(blocks) -> list[np.ndarray]:
+    """Each block's part of the point that maximizes ``sum(c . x)`` over
+    independent ``(A, b, A_eq, b_eq, c)`` blocks (``A x <= b``, ``A_eq x =
+    b_eq``, ``x >= 0``), stacked block-diagonally into one LP at
+    ``CERT_LP_OPTIONS``.  Raises LPFailure unless the LP ends optimal at a
+    point that violates its rows by at most ``CERT_TOL``.  Only
+    :func:`support_value` calls it, so the benchmark tracer charges every
+    certification LP to that function."""
     from scipy.sparse import block_diag
 
-    A = block_diag([rows[j][0] for j, _ in blocks], format="csr")
-    b = np.concatenate([rows[j][1] for j, _ in blocks])
-    A_eq = block_diag([rows[j][2] for j, _ in blocks], format="csr")
-    b_eq = np.concatenate([rows[j][3] for j, _ in blocks])
-    try:
-        res = solve_lp(-np.concatenate([c for _, c in blocks]), A, b, A_eq, b_eq,
-                       what="support", options=CERT_LP_OPTIONS)
-    except LPFailure:
-        if len(blocks) == 1:
-            raise
-        # HiGHS can end a stack of several unbounded blocks in model status
-        # "unknown"; each block alone tells which, or raises itself
-        res = None
-    if res is None or res.status == 3:
-        if len(blocks) == 1:
-            return [None]
-        alone = [_stacked_support([block], rows) for block in blocks]
-        if None in alone:
-            raise LPFailure("support LP of one direction is infeasible although "
-                            "its region is nonempty")
-        return [v for [v] in alone]
-    if res.status == 2:
-        return None
-    _check_point(res.x, A, b, A_eq, b_eq)
-    ends = np.cumsum([len(c) for _, c in blocks])
-    return [c @ res.x[end - len(c):end] for (_, c), end in zip(blocks, ends)]
+    if not blocks:
+        return []
+    A, b, A_eq, b_eq, c = zip(*blocks)
+    A, A_eq = block_diag(A, format="csr"), block_diag(A_eq, format="csr")
+    b, b_eq = np.concatenate(b), np.concatenate(b_eq)
+    res = solve_lp(-np.concatenate(c), A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
+    if res.status != 0:
+        raise LPFailure(f"support LP ended with status {res.status}: {res.message}")
+    worst = max((float(r.max()) for r in (A @ res.x - b, np.abs(A_eq @ res.x - b_eq), -res.x)
+                 if r.size), default=0.0)
+    if worst > CERT_TOL:
+        raise LPFailure(f"support LP point violates its rows by {worst:.3e}")
+    return np.split(res.x, np.cumsum([len(ci) for ci in c])[:-1])
 
 
 def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
@@ -537,38 +537,6 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
             c[pos[v]] = w
         out.append(c)
     return out
-
-
-def _nonempty(rows) -> list[int]:
-    """Indices of the nonempty ``(A, b, A_eq, b_eq)`` regions, from one
-    emptiness LP: each region gets an elastic variable ``e >= 0`` (``A x - e
-    <= b`` and ``|A_eq x - b_eq| <= e``), and the LP minimizes the sum of the
-    ``e``.  A region is nonempty when its ``e`` is at most the primal
-    feasibility tolerance of ``CERT_LP_OPTIONS``."""
-    from scipy.sparse import block_diag, csr_array, hstack
-
-    stacked = [np.vstack([A, A_eq, -A_eq]) for A, _, A_eq, _ in rows]
-    heights = [m.shape[0] for m in stacked]
-    elastic = csr_array((np.full(sum(heights), -1.0),
-                         (np.arange(sum(heights)), np.repeat(np.arange(len(rows)), heights))),
-                        shape=(sum(heights), len(rows)))
-    A = hstack([block_diag(stacked), elastic], format="csr")
-    rhs = np.concatenate([np.concatenate([b, b_eq, -b_eq]) for _, b, _, b_eq in rows])
-    c = np.concatenate([np.zeros(A.shape[1] - len(rows)), np.ones(len(rows))])
-    res = solve_lp(c, A, rhs, what="support", options=CERT_LP_OPTIONS)
-    if res.status != 0:
-        raise LPFailure(f"support emptiness LP ended with status {res.status}: {res.message}")
-    e = res.x[-len(rows):]
-    return [j for j in range(len(rows))
-            if e[j] <= CERT_LP_OPTIONS["primal_feasibility_tolerance"]]
-
-
-def _check_point(x, A, b, A_eq, b_eq) -> None:
-    """Raise LPFailure when an LP point violates its rows by more than CERT_TOL."""
-    worst = max((float(r.max()) for r in (A @ x - b, np.abs(A_eq @ x - b_eq), -x) if r.size),
-                default=0.0)
-    if worst > CERT_TOL:
-        raise LPFailure(f"support LP point violates its rows by {worst:.3e}")
 
 
 def instantiate(sys: IneqSystem, table, sym_values=None) -> IneqSystem:

@@ -276,7 +276,7 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
     assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
     assert lp_whats == []
     [got] = _certify_redundant([(kept, extras)], [empty, nonempty, empty])
-    assert lp_whats == ["support"]
+    assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(pytest.approx(-1.0), 1), (pytest.approx(0.0), 1),
                                           (pytest.approx(-3.0), 1)]
     # x >= 1 and x <= s - 2 is empty at s = 2.5 although no single row says
@@ -290,9 +290,27 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
 
 
 def test_replay_solves_two_support_lps(lp_whats):
-    # one emptiness LP and one stacked support LP serve every step and table
+    # one classification LP and one stacked support LP serve every step and table
     assert verify_builtin_chain(seed=0).ok
     assert lp_whats == ["support", "support"]
+
+
+def test_every_replay_lp_runs_inside_support_value(monkeypatch):
+    # the benchmark tracer charges an LP to its innermost traced caller: a
+    # certification LP solved outside support_value would count as another LP
+    import inspect
+
+    import wiretap_regions.polytope_fm as pf
+
+    real, inside = pf.solve_lp, []
+
+    def solve_lp(*args, **kw):
+        inside.append(any(f.function == "support_value" for f in inspect.stack(0)))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(pf, "solve_lp", solve_lp)
+    assert verify_builtin_chain(seed=0).ok
+    assert inside == [True, True]
 
 
 def test_unbounded_support_fails_the_step(monkeypatch):
@@ -309,10 +327,9 @@ def test_unbounded_support_fails_the_step(monkeypatch):
 
 
 def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
-    # x is free in the kept region y <= s: the stacked LP of both rows on both
-    # tables is unbounded, so each (table, row) is solved alone; the row on x
-    # is unbounded on the first table and its later answers are not read, the
-    # row on y goes on
+    # x is free in the kept region y <= s: the classification LP finds the row
+    # on x unbounded on both tables, and its later answers are not read; only
+    # the row on y reaches the support LP
     kept = IneqSystem.of(("x", "y"), [LinIneq.of({"y": 1}, sym("s"))])
     extras = [LinIneq.of({"x": 1}, InfoExpr(constant=1)),
               LinIneq.of({"y": 1}, sym("s") + 1)]
@@ -325,5 +342,5 @@ def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
     monkeypatch.setattr(fm_script, "support_value", counting)
     [got] = _certify_redundant([(kept, extras)], [(None, {"s": 1.0}), (None, {"s": 2.0})])
     assert [[len(objectives) for _, objectives in jobs] for jobs in calls] == [[2, 2]]
-    assert lp_whats == ["support"] * (1 + 1 + 4)
+    assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]

@@ -4,7 +4,7 @@ import pathlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
@@ -402,14 +402,16 @@ def test_support_value_and_infeasible():
     assert support_value([(unb, [{"y": 1}])])[0][0] is None
 
 
-def test_support_value_answers_each_objective_from_one_lp(lp_whats):
+def test_support_value_answers_each_objective_from_two_lps(lp_whats):
+    # a nonempty region costs the classification LP and one support LP; an
+    # empty one only the classification LP
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     assert support_value([(sq, [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), pytest.approx(3.0), pytest.approx(0.0)]
-    assert lp_whats == ["support"]
+    assert lp_whats == ["support"] * 2
     empty = num_sys(("x",), [({"x": 1}, -1)])
     assert support_value([(empty, [{"x": 1}, {"x": -1}])])[0] == [float("-inf")] * 2
-    assert lp_whats == ["support"] * 2
+    assert lp_whats == ["support"] * 3
 
 
 def test_unbounded_support_is_not_read_as_empty():
@@ -421,10 +423,19 @@ def test_unbounded_support_is_not_read_as_empty():
 
 
 def test_unbounded_stacked_lp_solves_each_objective_alone(lp_whats):
+    # the classification LP finds y unbounded; the support LP gets the other two
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
     assert support_value([(unb, [{"x": 1}, {"y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), None, pytest.approx(0.0)]
-    assert lp_whats == ["support"] * 4
+    assert lp_whats == ["support"] * 2
+
+
+def test_unbounded_lp_of_unknown_status_is_classified():
+    # HiGHS without presolve ends this one-direction support LP in model
+    # status "unknown"; the recession block of the classification LP says
+    # unbounded
+    s = num_sys(("v0", "v1"), [({"v0": -2, "v1": 1.5}, 0.25), ({"v0": -1.75, "v1": -1}, 2)])
+    assert support_value([(s, [{"v0": 2, "v1": -1}])]) == [[None]]
 
 
 @st.composite
@@ -441,11 +452,38 @@ def _support_job(draw):
     return sys, [dict(zip(names, w)) for w in objectives]
 
 
+def _support_alone(sys, objective):
+    """One LP for one direction at the certification options: ``-inf`` when
+    it is infeasible, ``None`` when it is unbounded."""
+    import wiretap_regions.polytope_fm as pf
+
+    d = len(sys.vars)
+
+    def dense(coeffs):
+        row = np.zeros(d)
+        for v, c in coeffs:
+            row[sys.vars.index(v)] = float(c)
+        return row
+
+    ub = [q for q in sys.ineqs if q.rel != EQ]
+    eq = [q for q in sys.ineqs if q.rel == EQ]
+    res = pf.solve_lp(-dense(objective.items()),
+                      np.array([dense(q.coeffs) for q in ub]).reshape(-1, d), [q.rhs for q in ub],
+                      np.array([dense(q.coeffs) for q in eq]).reshape(-1, d), [q.rhs for q in eq],
+                      options=pf.CERT_LP_OPTIONS)
+    if res.status == 0:
+        return -res.fun
+    return float("-inf") if res.status == 2 else None
+
+
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(_support_job(), min_size=2, max_size=5))
 def test_batched_support_values_equal_each_job_alone(jobs):
     batched = support_value(jobs)
-    alone = [support_value([job])[0] for job in jobs]
+    try:
+        alone = [[_support_alone(sys, o) for o in objectives] for sys, objectives in jobs]
+    except LPFailure:
+        assume(False)   # the one-direction reference itself ended in status 4
 
     def pattern(vals):
         return [v if v is None or v == float("-inf") else "value" for v in vals]
@@ -468,8 +506,9 @@ def test_batched_support_values_cost_two_lps(lp_whats):
     assert lp_whats == ["support"] * 2
 
 
-def _patched_support_lp(monkeypatch, change):
-    """Hand the result of the second LP (the stacked support LP) to ``change``."""
+def _patched_support_lp(monkeypatch, which, change):
+    """Hand the result of LP number ``which`` (1: the classification LP, 2:
+    the support LP) to ``change``."""
     import wiretap_regions.polytope_fm as pf
 
     real, calls = pf.solve_lp, []
@@ -477,27 +516,30 @@ def _patched_support_lp(monkeypatch, change):
     def solve_lp(*args, **kw):
         calls.append(args)
         res = real(*args, **kw)
-        return change(res) if len(calls) == 2 else res
+        return change(res) if len(calls) == which else res
 
     monkeypatch.setattr(pf, "solve_lp", solve_lp)
 
 
-def test_infeasible_stacked_support_lp_after_the_emptiness_lp_raises(monkeypatch):
+@pytest.mark.parametrize("which", [1, 2])
+@pytest.mark.parametrize("status", [2, 3, 4])
+def test_support_lp_that_does_not_end_optimal_raises(monkeypatch, which, status):
     import scipy.optimize
 
-    _patched_support_lp(monkeypatch, lambda res: scipy.optimize.OptimizeResult(
-        status=2, message="infeasible", x=None, fun=None))
+    _patched_support_lp(monkeypatch, which, lambda res: scipy.optimize.OptimizeResult(
+        status=status, message="patched", x=None, fun=None))
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    with pytest.raises(LPFailure, match="support LP is infeasible"):
+    with pytest.raises(LPFailure, match=f"support LP ended with status {status}"):
         support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
 
 
-def test_support_point_outside_its_rows_raises(monkeypatch):
+@pytest.mark.parametrize("which", [1, 2])
+def test_support_point_outside_its_rows_raises(monkeypatch, which):
     def shifted(res):
         res.x = res.x + 1e-8
         return res
 
-    _patched_support_lp(monkeypatch, shifted)
+    _patched_support_lp(monkeypatch, which, shifted)
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     with pytest.raises(LPFailure, match="violates its rows"):
         support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
