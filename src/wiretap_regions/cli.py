@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 import numpy as np
@@ -64,23 +65,73 @@ def _write_csv(path, text: str) -> None:
     print(f"wrote {path}")
 
 
-def _emit(obj, args) -> None:
+def _emit(obj, args) -> int:
+    """End a region command: write the CSV to --out, else show it in --format."""
     if args.out:
         _write_csv(args.out, region_csv_text(obj))
     elif args.format == "csv":
         sys.stdout.write(region_csv_text(obj))
     else:
         print(pretty_text(obj))
+    return OK
 
 
-def _common(p, seed=True, tol=None, out=False):
-    if seed:
-        p.add_argument("--seed", type=int, default=0, help="PCG64 seed for all randomness")
-    if tol is not None:
-        p.add_argument("--tol", type=float, default=tol)
-    if out:
-        p.add_argument("--out", help="write CSV here instead of stdout")
-        p.add_argument("--format", choices=("csv", "pretty"))  # stdout only; default pretty
+def _conclude(args, table, summary, violated: bool, invariant: str) -> int:
+    """End a checking command: write ``table`` (header, rows) as CSV to --out,
+    print the ``summary`` lines, then give the verdict."""
+    if table is not None and args.out:
+        _write_csv(args.out, csv_text(*table))
+    for line in summary:
+        print(line)
+    if violated:
+        print(f"violated invariant: {invariant}")
+        return VIOLATION
+    return OK
+
+
+def _integer(flag: str, low: int):
+    """argparse type of an integer option whose values start at ``low``."""
+    def integer(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise ValidationError(f"{flag} must be at least {low}")
+        return n
+    return integer
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a positive, finite float."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"--tol must be positive and finite, got {text}")
+    return tol
+
+
+# The options several commands share, each declared once with its type and range.
+_SHARED = {
+    "channel": {},
+    "budget": {"type": _integer("--budget", 1)},
+    "instantiations": {"flags": ("--instantiations", "--budget"), "dest": "budget",
+                       "type": _integer("--instantiations/--budget", 1),
+                       "help": "random instantiations certifying each dropped row"},
+    "seed": {"type": _integer("--seed", 0), "help": "PCG64 seed for all randomness"},
+    "tol": {"type": _tolerance},
+    "out": {"help": "write the CSV to this file"},
+    "format": {"choices": ("csv", "pretty"), "help": "stdout only; default pretty"},
+}
+
+
+def _command(group, name, fn, *required, help=None, **defaults):
+    """Add subcommand ``name`` running ``fn`` with the shared options it reads:
+    those in ``required`` must be given, those in ``defaults`` default to the
+    value given."""
+    q = group.add_parser(name, help=help)
+    for opt in (*required, *defaults):
+        kw = {**_SHARED[opt], **({"default": defaults[opt]} if opt in defaults
+                                 else {"required": True})}
+        q.add_argument(*kw.pop("flags", (f"--{opt}",)), **kw)
+    q.set_defaults(fn=fn)
+    return q
 
 
 _KINDS = {ChannelSpec: "discrete", GaussChannel: "gauss", HGaussChannel: "gauss_h"}
@@ -95,13 +146,6 @@ def _load_channel(path, *classes):
     return ch
 
 
-def _verdict(violated: bool, invariant: str) -> int:
-    if violated:
-        print(f"violated invariant: {invariant}")
-        return VIOLATION
-    return OK
-
-
 def cmd_region_eval(args) -> int:
     ch = _load_channel(args.channel, ChannelSpec)
     fn, kind = {"eval-inner": (eval_degraded_inner, "ux"),
@@ -113,15 +157,18 @@ def cmd_region_eval(args) -> int:
                               f"over {', '.join(aux.table.names)}")
     check_matches_channel(ch, aux)
     sys_ = fn(aux, ch)
-    _emit(vertices(sys_) if args.vertices else sys_, args)
-    return OK
+    return _emit(vertices(sys_) if args.vertices else sys_, args)
 
 
-def cmd_region_sweep(args) -> int:
-    ch = _load_channel(args.channel, ChannelSpec)
-    res = sweep_inner_region(ch, args.budget, seed=args.seed, mode=args.mode)
-    _emit(res, args)
-    return OK
+def cmd_sweep(args) -> int:
+    """``region sweep`` over aux joints, ``gauss sweep`` over covariance splits."""
+    if args.group == "region":
+        res = sweep_inner_region(_load_channel(args.channel, ChannelSpec), args.budget,
+                                 seed=args.seed, mode=args.mode)
+    else:
+        res = sweep_covariances(_load_channel(args.channel, GaussChannel), args.budget,
+                                seed=args.seed, mode=args.mode, trace_p=args.trace_p)
+    return _emit(res, args)
 
 
 def cmd_fm_verify(args) -> int:
@@ -133,110 +180,87 @@ def cmd_fm_verify(args) -> int:
               f"{'ok' if s.matched else 'MISMATCH':9s} extras={s.extras_dropped} {s.message}")
         rows.append([s.index, s.op, s.detail, s.expect, int(s.matched),
                      s.extras_dropped, f"{s.worst_drop_slack:.3e}", s.message])
-    if args.out:
-        _write_csv(args.out, csv_text(["step", "op", "detail", "expect", "matched",
-                                       "extras_dropped", "worst_drop_slack", "message"], rows))
-    if rep.ok:
-        print("chain verified: every recorded system reproduced")
-    return _verdict(not rep.ok, "derivation chain reproduces every recorded system")
+    return _conclude(args, (["step", "op", "detail", "expect", "matched", "extras_dropped",
+                             "worst_drop_slack", "message"], rows),
+                     ["chain verified: every recorded system reproduced"] if rep.ok else [],
+                     not rep.ok, "derivation chain reproduces every recorded system")
 
 
 def cmd_gauss_eval(args) -> int:
+    if args.order and args.bound != "general":
+        raise ValidationError("--order is read only by --bound general")
     ch = _load_channel(args.channel, GaussChannel)
     split = parse_split_file(args.split)
     check_matches_channel(ch, split)
     if args.bound == "general":
-        sys_ = eval_general_gauss(split, ch, order=args.order)
-    elif args.bound == "outer":
-        sys_ = eval_gauss_outer(split, ch)
+        sys_ = eval_general_gauss(split, ch, order=args.order or "21")
     else:
-        sys_ = eval_gauss_inner(split, ch)
-    _emit(vertices(sys_) if args.vertices else sys_, args)
-    return OK
-
-
-def cmd_gauss_sweep(args) -> int:
-    ch = _load_channel(args.channel, GaussChannel)
-    res = sweep_covariances(ch, budget=args.budget, seed=args.seed, mode=args.mode,
-                            trace_p=args.trace_p)
-    _emit(res, args)
-    return OK
+        sys_ = {"inner": eval_gauss_inner, "outer": eval_gauss_outer}[args.bound](split, ch)
+    return _emit(vertices(sys_) if args.vertices else sys_, args)
 
 
 def cmd_gauss_dpc(args) -> int:
     ch = _load_channel(args.channel, GaussChannel)
-    rng = np.random.default_rng(args.seed)
-    worst = 0.0
     if args.split:
+        if args.budget is not None or args.seed is not None:
+            raise ValidationError("--split checks the one split given, so it takes no "
+                                  "--budget or --seed")
         split = parse_split_file(args.split)
         check_matches_channel(ch, split)
         if split.K is not None:
             raise ValidationError("dpc-check needs a triple split (K0, K1, K2)")
-        worst = dpc_identity_check(split.K1, split.K2, split.K0, ch)
+        triples = [(split.K0, split.K1, split.K2)]
     else:
-        for _ in range(args.budget):
-            k0 = random_psd_under(rng, ch.S / 3.0)
-            k1 = random_psd_under(rng, ch.S / 3.0)
-            k2 = random_psd_under(rng, ch.S / 3.0)
-            worst = max(worst, dpc_identity_check(k1, k2, k0, ch))
-    print(f"max precoding-identity residual: {worst:.3e}")
-    return _verdict(worst > args.tol, f"precoding identity within {args.tol}")
+        rng = np.random.default_rng(args.seed or 0)
+        triples = ([random_psd_under(rng, ch.S / 3.0) for _ in range(3)]
+                   for _ in range(args.budget or 100))
+    worst = max(0.0, *(dpc_identity_check(k1, k2, k0, ch) for k0, k1, k2 in triples))
+    return _conclude(args, None, [f"max precoding-identity residual: {worst:.3e}"],
+                     worst > args.tol, f"precoding identity within {args.tol}")
 
 
 def cmd_gauss_degraded(args) -> int:
     ch = _load_channel(args.channel, GaussChannel, HGaussChannel)
     if isinstance(ch, GaussChannel):
         ok = check_degraded_order(ch)
-        print(f"noise-covariance order holds: {ok}")
+        lines = [f"noise-covariance order holds: {ok}"]
         invariant = "noise covariances ordered Sigma1 <= Sigma2 <= SigmaZ"
     else:
         ok, d21, dz2 = check_degraded_H(ch)
-        print(f"gain-quotient degradedness holds: {ok}")
-        print("D21:")
-        for row in d21:
-            print("  " + " ".join(f"{x: .6g}" for x in row))
-        print("DZ2:")
-        for row in dz2:
-            print("  " + " ".join(f"{x: .6g}" for x in row))
+        lines = [f"gain-quotient degradedness holds: {ok}"]
+        for name, m in (("D21", d21), ("DZ2", dz2)):
+            lines += [f"{name}:", *("  " + " ".join(f"{x: .6g}" for x in row) for row in m)]
         invariant = "H2 = D21 H1 and HZ = DZ2 H2 with contractions D21, DZ2"
-    return _verdict(not ok, invariant)
+    return _conclude(args, None, lines, not ok, invariant)
 
 
 def cmd_fisher_debruijn(args) -> int:
-    if args.dim < 1:
-        raise ValidationError("--dim must be at least 1")
     rng = np.random.default_rng(args.seed)
     rows = []
-    worst = 0.0
     for i in range(args.budget):
         d = 1 + i % args.dim
         pair = random_gauss_pair(rng, d)
         a = rng.normal(size=(d, d))
-        sn = a @ a.T + 0.3 * np.eye(d)
-        r = debruijn_check(pair, sn, step=args.step)
-        rows.append(["gauss", i, f"{r:.6e}"])
-        worst = max(worst, r)
+        rows.append(["gauss", i, debruijn_check(pair, a @ a.T + 0.3 * np.eye(d), step=args.step)])
     for i in range(max(1, args.budget // 5)):
         mix = random_mixture(rng)
-        r = debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]], step=args.step)
-        rows.append(["mixture", i, f"{r:.6e}"])
-        worst = max(worst, r)
-    if args.out:
-        _write_csv(args.out, csv_text(["kind", "instance", "residual"], rows))
-    print(f"max entropy-gradient residual: {worst:.3e}")
-    return _verdict(worst > args.tol, f"entropy-gradient identity within {args.tol}")
+        rows.append(["mixture", i, debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]],
+                                                  step=args.step)])
+    worst = max(0.0, *(r for _, _, r in rows))
+    return _conclude(args, (["kind", "instance", "residual"],
+                            [[kind, i, f"{r:.6e}"] for kind, i, r in rows]),
+                     [f"max entropy-gradient residual: {worst:.3e}"],
+                     worst > args.tol, f"entropy-gradient identity within {args.tol}")
 
 
 def cmd_fisher_lemmas(args) -> int:
     rep = lemma_suite_check(seed=args.seed, count=args.budget,
                             include_mixtures=args.mixtures)
-    if args.out:
-        _write_csv(args.out, csv_text(
-            ["lemma", "kind", "instance", "min_slack"],
-            [[lemma, kind, idx, f"{slack:.6e}"] for lemma, kind, idx, slack in rep.rows]))
-    for lemma, slack in sorted(rep.min_slack().items()):
-        print(f"  {lemma:4s} min slack {slack: .3e}")
-    return _verdict(rep.worst < -args.tol, f"lemma slacks >= -{args.tol}")
+    rows = [[lemma, kind, idx, f"{slack:.6e}"] for lemma, kind, idx, slack in rep.rows]
+    return _conclude(args, (["lemma", "kind", "instance", "min_slack"], rows),
+                     [f"  {lemma:4s} min slack {slack: .3e}"
+                      for lemma, slack in sorted(rep.min_slack().items())],
+                     rep.worst < -args.tol, f"lemma slacks >= -{args.tol}")
 
 
 def cmd_fisher_evidence(args) -> int:
@@ -255,103 +279,64 @@ def cmd_fisher_evidence(args) -> int:
         rep = sufficiency_evidence_scalar(mix, ch, envelope, slack_tol=args.tol)
         slacks.append(rep.max_slack)
         rows.append([i, f"{rep.max_slack:.6e}", int(rep.contained)])
-    if args.out:
-        _write_csv(args.out, csv_text(["mixture", "max_slack", "contained"], rows))
     worst = max(slacks)
-    print(f"max dominance slack over {args.budget} mixtures: {worst:.3e}")
-    return _verdict(worst > args.tol,
-                    f"mixture regions inside the Gaussian envelope within {args.tol}")
+    return _conclude(args, (["mixture", "max_slack", "contained"], rows),
+                     [f"max dominance slack over {args.budget} mixtures: {worst:.3e}"],
+                     worst > args.tol,
+                     f"mixture regions inside the Gaussian envelope within {args.tol}")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="wtr", description=__doc__)
     sub = p.add_subparsers(dest="group", required=True)
+    region, fm, gauss, fisher = (
+        sub.add_parser(name, help=help).add_subparsers(dest="cmd", required=True)
+        for name, help in (("region", "discrete-channel regions"),
+                           ("fm", "inequality-system machinery"),
+                           ("gauss", "Gaussian vector channels"),
+                           ("fisher", "Fisher-information lab")))
 
-    region = sub.add_parser("region", help="discrete-channel regions").add_subparsers(
-        dest="cmd", required=True)
     for name in ("eval-inner", "eval-outer", "eval-general"):
-        q = region.add_parser(name)
-        q.add_argument("--channel", required=True)
+        q = _command(region, name, cmd_region_eval, "channel", out=None, format=None)
         q.add_argument("--aux", required=True)
         q.add_argument("--vertices", action="store_true", help="emit vertices, not constraints")
-        _common(q, seed=False, out=True)
-        q.set_defaults(fn=cmd_region_eval)
-    q = region.add_parser("sweep")
-    q.add_argument("--channel", required=True)
-    q.add_argument("--budget", type=int, required=True)
+    q = _command(region, "sweep", cmd_sweep, "channel", "budget", seed=0, out=None, format=None)
     q.add_argument("--mode", choices=("degraded", "general"), default="degraded")
-    _common(q, out=True)
-    q.set_defaults(fn=cmd_region_sweep)
 
-    fm = sub.add_parser("fm", help="inequality-system machinery").add_subparsers(
-        dest="cmd", required=True)
-    q = fm.add_parser("verify-appendix", help="replay the bundled derivation chain")
-    q.add_argument("--instantiations", "--budget", dest="budget", type=int,
-                   default=fm_script.CERT_INSTANTIATIONS,
-                   help="random instantiations certifying each dropped row")
-    q.add_argument("--out")
-    _common(q, tol=fm_script.CERT_TOL)
-    q.set_defaults(fn=cmd_fm_verify)
+    _command(fm, "verify-appendix", cmd_fm_verify, help="replay the bundled derivation chain",
+             instantiations=fm_script.CERT_INSTANTIATIONS, seed=0, tol=fm_script.CERT_TOL,
+             out=None)
 
-    gauss = sub.add_parser("gauss", help="Gaussian vector channels").add_subparsers(
-        dest="cmd", required=True)
-    q = gauss.add_parser("eval")
-    q.add_argument("--channel", required=True)
+    q = _command(gauss, "eval", cmd_gauss_eval, "channel", out=None, format=None)
     q.add_argument("--split", required=True)
     q.add_argument("--bound", choices=("inner", "outer", "general"), default="inner")
-    q.add_argument("--order", choices=("21", "12"), default="21")
+    q.add_argument("--order", choices=("21", "12"), help="--bound general only; default 21")
     q.add_argument("--vertices", action="store_true")
-    _common(q, seed=False, out=True)
-    q.set_defaults(fn=cmd_gauss_eval)
-    q = gauss.add_parser("sweep")
-    q.add_argument("--channel", required=True)
-    q.add_argument("--budget", type=int, required=True)
+    q = _command(gauss, "sweep", cmd_sweep, "channel", "budget", seed=0, out=None, format=None)
     q.add_argument("--mode", choices=("fixed_S", "trace_P"), default="fixed_S")
     q.add_argument("--trace-p", type=float, default=None)
-    _common(q, out=True)
-    q.set_defaults(fn=cmd_gauss_sweep)
-    q = gauss.add_parser("dpc-check")
-    q.add_argument("--channel", required=True)
+    # --budget (default 100) and --seed (default 0) draw random triples; a
+    # --split reads neither, so None marks an option the user did not give
+    q = _command(gauss, "dpc-check", cmd_gauss_dpc, "channel", budget=None, seed=None,
+                 tol=1e-9)
     q.add_argument("--split")
-    q.add_argument("--budget", type=int, default=100)
-    _common(q, tol=1e-9)
-    q.set_defaults(fn=cmd_gauss_dpc)
-    q = gauss.add_parser("degraded-check")
-    q.add_argument("--channel", required=True)
-    q.set_defaults(fn=cmd_gauss_degraded)
+    _command(gauss, "degraded-check", cmd_gauss_degraded, "channel")
 
-    fisher = sub.add_parser("fisher", help="Fisher-information lab").add_subparsers(
-        dest="cmd", required=True)
-    q = fisher.add_parser("debruijn")
-    q.add_argument("--budget", type=int, default=20)
-    q.add_argument("--dim", type=int, default=3)
+    q = _command(fisher, "debruijn", cmd_fisher_debruijn, budget=20, seed=0, tol=1e-4,
+                 out=None)
+    q.add_argument("--dim", type=_integer("--dim", 1), default=3)
     q.add_argument("--step", type=float, default=1e-4)
-    q.add_argument("--out")
-    _common(q, tol=1e-4)
-    q.set_defaults(fn=cmd_fisher_debruijn)
-    q = fisher.add_parser("lemmas")
-    q.add_argument("--budget", type=int, default=200)
+    q = _command(fisher, "lemmas", cmd_fisher_lemmas, budget=200, seed=0, tol=1e-8, out=None)
     q.add_argument("--mixtures", action="store_true")
-    q.add_argument("--out")
-    _common(q, tol=1e-8)
-    q.set_defaults(fn=cmd_fisher_lemmas)
-    q = fisher.add_parser("evidence")
-    q.add_argument("--channel", required=True)
-    q.add_argument("--budget", type=int, default=50)
-    q.add_argument("--out")
-    _common(q, tol=1e-3)
-    q.set_defaults(fn=cmd_fisher_evidence)
+    _command(fisher, "evidence", cmd_fisher_evidence, "channel", budget=50, seed=0, tol=1e-3,
+             out=None)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "tol", 1) <= 0:
-            raise ValidationError("tolerances must be positive")
-        if getattr(args, "budget", 1) < 1:
-            raise ValidationError("budget must be at least 1")
+        args = build_parser().parse_args(argv)
         if getattr(args, "format", None) == "pretty" and args.out:
             raise ValidationError("--out writes CSV, so it takes no --format pretty")
         return args.fn(args)

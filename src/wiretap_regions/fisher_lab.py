@@ -236,8 +236,8 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4) -> float:
     halving the step shrinks it, the residual is truncation-dominated and
     StepTooLarge is raised instead of returning a misleading number.
     """
-    if not step > 0:
-        raise ValidationError(f"finite-difference step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValidationError(f"finite-difference step must be positive and finite, got {step}")
 
     def residual(t: float) -> float:
         if isinstance(obj, GaussPair):

@@ -313,8 +313,8 @@ class VPolytope:
     vertices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.vertices, dtype=float).reshape(-1, len(self.vars))
-        arr = arr.copy()
+        # "+ 0.0" copies the array and turns the -0.0 entries of a solve into 0.0
+        arr = np.asarray(self.vertices, dtype=float).reshape(-1, len(self.vars)) + 0.0
         arr.setflags(write=False)
         object.__setattr__(self, "vertices", arr)
 

@@ -279,7 +279,7 @@ def hull_of(points: np.ndarray) -> np.ndarray:
     cloud that Qhull refuses as flat is hulled inside its own affine span."""
     from scipy.spatial import ConvexHull, QhullError
 
-    pts = np.unique(np.round(points, 12), axis=0)
+    pts = np.unique(np.round(points, 12) + 0.0, axis=0)   # + 0.0: no -0.0 from rounding
     if pts.shape[0] <= 1:
         return pts
     try:

@@ -422,8 +422,8 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
         raise ValidationError(f"unknown sweep mode {mode!r}")
     if trace_p is not None and mode != "trace_P":
         raise ValidationError("a trace cap applies only to the trace_P mode")
-    if trace_p is not None and not trace_p > 0:
-        raise ValidationError(f"trace cap must be positive, got {trace_p}")
+    if trace_p is not None and not 0 < trace_p < math.inf:
+        raise ValidationError(f"trace cap must be positive and finite, got {trace_p}")
     if not check_degraded_order(ch):
         raise NotDegraded("covariance sweep expects a degraded channel")
     rng = np.random.default_rng(seed)

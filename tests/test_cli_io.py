@@ -390,10 +390,20 @@ def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):
     ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "-1", "--channel"],
     # the default fixed_S mode reads no trace cap
     ["gauss", "sweep", "--budget", "2", "--trace-p", "2.0", "--channel"],
+    ["fisher", "debruijn", "--budget", "2", "--step", "inf"],
+    ["gauss", "sweep", "--budget", "2", "--mode", "trace_P", "--trace-p", "inf", "--channel"],
+    # a NaN tolerance would pass every check, an infinite one would check nothing
+    *([*cmd, "--tol", tol] for tol in ("nan", "inf") for cmd in (
+        ["fm", "verify-appendix"], ["fisher", "debruijn"], ["fisher", "lemmas"],
+        ["fisher", "evidence", "--channel"], ["gauss", "dpc-check", "--channel"])),
+    # numpy's PCG64 takes no negative seed
+    ["fisher", "lemmas", "--budget", "2", "--seed", "-1"],
+    ["gauss", "sweep", "--budget", "2", "--seed", "-5", "--channel"],
 ])
 def test_cli_bad_numeric_option_is_an_input_error(tmp_path, argv, capsys):
-    if argv[-1] == "--channel":
-        argv = argv + [write(tmp_path, "g.txt", GAUSS)]
+    if "--channel" in argv:
+        i = argv.index("--channel") + 1
+        argv = argv[:i] + [write(tmp_path, "g.txt", GAUSS)] + argv[i:]
     assert main(argv) == 2
     assert capsys.readouterr().err.startswith("input error: ")
 
@@ -551,11 +561,21 @@ def test_mismatched_split_is_refused_before_it_reaches_numpy(d, dims):
 @pytest.mark.parametrize("argv", [
     ["region", "sweep", "--budget", "2", "--tol", "1e-3"],
     ["gauss", "degraded-check", "--seed", "1"],
+    # the options below are declared, but not read in this combination
+    ["gauss", "eval", "--split", "k", "--order", "12"],
+    ["gauss", "eval", "--split", "k", "--bound", "outer", "--order", "21"],
+    ["gauss", "dpc-check", "--split", "t", "--budget", "3"],
+    ["gauss", "dpc-check", "--split", "t", "--seed", "0"],
 ])
-def test_cli_rejects_an_option_the_command_ignores(tmp_path, argv):
-    with pytest.raises(SystemExit) as e:
-        main(argv + ["--channel", write(tmp_path, "c.txt", DISCRETE)])
-    assert e.value.code == 2
+def test_cli_rejects_an_option_the_command_ignores(tmp_path, argv, capsys):
+    files = {"k": "kind: split\nK:\n0.5\n", "t": TRIPLE_1X1}
+    argv = [write(tmp_path, a + ".txt", files[a]) if a in files else a for a in argv]
+    channel = GAUSS if argv[1] in ("eval", "dpc-check") else DISCRETE
+    try:
+        assert main(argv + ["--channel", write(tmp_path, "c.txt", channel)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+    except SystemExit as e:             # argparse: the command declares no such option
+        assert e.code == 2
 
 
 def _replace_once(text, old, new):
@@ -794,6 +814,46 @@ def test_every_out_file_is_confirmed_once_on_stdout(tmp_path, name, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert [l for l in lines if "wrote" in l] == [f"wrote {out}"]
     assert out.read_text().count("\n") >= 2
+
+
+NOISY = """\
+kind: discrete
+input: X 2
+outputs: Y1 2 Y2 2 Z 2
+stage Y1|X:
+0.9 0.1
+0.2 0.8
+stage Y2|Y1:
+0.85 0.15
+0.1 0.9
+stage Z|Y2:
+0.7 0.3
+0.25 0.75
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "eval-inner", "--channel", "n", "--aux", "a", "--vertices"],
+    ["region", "eval-outer", "--channel", "n", "--aux", "a", "--vertices"],
+    ["region", "eval-general", "--channel", "n", "--aux", "l", "--vertices"],
+    ["region", "sweep", "--channel", "n", "--budget", "5"],
+    ["region", "sweep", "--channel", "n", "--budget", "5", "--mode", "general"],
+    ["gauss", "eval", "--channel", "g", "--split", "k", "--vertices"],
+    ["gauss", "eval", "--channel", "g", "--split", "t", "--bound", "general", "--vertices"],
+    ["gauss", "sweep", "--channel", "g", "--budget", "5"],
+], ids=["region-inner", "region-outer", "region-general", "region-sweep-degraded",
+        "region-sweep-general", "gauss-inner", "gauss-general", "gauss-sweep"])
+def test_no_csv_field_reads_negative_zero(tmp_path, argv):
+    # the zero coordinates of a vertex solve and of a rounded hull point can
+    # come out as -0.0, which would print as "-0"
+    files = {"n": NOISY, "a": AUX, "l": LAYERED_AUX, "g": GAUSS, "k": "kind: split\nK:\n0.5\n",
+             "t": TRIPLE_1X1}
+    argv = [write(tmp_path, a + ".txt", files[a]) if a in files else a for a in argv]
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    with open(out, newline="") as fh:
+        fields = [f for row in csv.reader(fh) for f in row]
+    assert "0" in fields and "-0" not in fields
 
 
 @pytest.mark.parametrize("channel, holds", [

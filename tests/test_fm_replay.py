@@ -24,7 +24,9 @@ from wiretap_regions.fm_script import (
     verify_builtin_chain,
     verify_elimination_script,
 )
+from wiretap_regions.info_core import ChannelSpec, VarId, make_table
 from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate, support_value
+from wiretap_regions.regions_discrete import RATES, eval_general_inner, random_aux_layered
 
 
 def test_full_chain_replays():
@@ -33,6 +35,31 @@ def test_full_chain_replays():
     assert all(s.matched for s in rep.steps)
     # the last two recorded systems are the ten-bound region
     assert rep.steps[-1].expect == "target"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_ten_bound_region_is_the_chain_target(seed, indep_v):
+    # what `region eval-general` and `region sweep --mode general` print is the
+    # system the replayed chain ends in, instantiated on the same joint
+    _, steps, fixtures = load_builtin_chain()
+    target = fixtures[steps[-1].expect]
+    rng = np.random.default_rng(seed)
+    cards = [int(c) for c in rng.integers(1, 4, size=4)] + [int(rng.integers(2, 4))]
+    aux = random_aux_layered(rng, *cards, indep_v=indep_v)
+    kernel = rng.dirichlet(np.ones(8), size=cards[-1]).reshape(cards[-1], 2, 2, 2)
+    ch = ChannelSpec(VarId("X", cards[-1]), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
+                     kernel=kernel)
+    joint = make_table(aux.table.vars + ch.outputs,
+                       np.einsum("quabx,xijk->quabxijk", aux.table.probs, kernel))
+    got = eval_general_inner(aux, ch)
+    want = instantiate(target, joint, min_sym_values(joint))
+
+    def rows(sys_):
+        return [([q.coeff(v) for v in RATES], q.rel) for q in sys_.ineqs]
+
+    assert rows(got) == rows(want)
+    assert max(abs(a.rhs - b.rhs) for a, b in zip(got.ineqs, want.ineqs)) <= 1e-12
 
 
 def test_chain_final_system_is_ten_bounds():
