@@ -18,7 +18,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
-from .info_core import entropy
+from .info_core import entropy, smallest_holding
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -118,14 +118,17 @@ class InfoExpr:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, table, sym_values=None) -> float:
-        """Numeric value on a :class:`~.info_core.ProbTable` (entropies in nats)."""
+    def evaluate(self, tables, sym_values=None) -> float:
+        """Numeric value in nats, each entropy read from the smallest of
+        ``tables`` (one :class:`~.info_core.ProbTable` or a sequence) holding
+        its variables.  Raises UnknownVariable for a symbol without a value in
+        ``sym_values`` or an atom that no table holds."""
         val = float(self.constant)
         for a, c in self.terms.items():
-            val += float(c) * entropy(table, a.subset)
+            val += float(c) * entropy(smallest_holding(tables, a.subset), a.subset)
         for n, c in self.syms.items():
             if not sym_values or n not in sym_values:
-                raise KeyError(f"no numeric value supplied for symbol {n!r}")
+                raise UnknownVariable(f"no numeric value supplied for symbol {n!r}")
             val += float(c) * sym_values[n]
         return val
 

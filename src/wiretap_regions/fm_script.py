@@ -9,10 +9,11 @@ recorded ones are dropped and certified redundant numerically on random
 instantiations (two LPs per replay serve every dropped row of every step and
 instantiation), never silently.
 
-The bundled chain (``builtin_chain``) certifies that the superposition /
-binning / joint-encoding constraint system for two receivers with common
+The bundled chain (``load_builtin_chain``) certifies that the superposition
+/ binning / joint-encoding constraint system for two receivers with common
 public and confidential rates projects exactly onto the ten-bound achievable
-region over ``(Rp1, Rs1, Rp2, Rs2)``.
+region over ``(Rp1, Rs1, Rp2, Rs2)``, ``target.sys``; the general inner
+region (:func:`~.regions_discrete.eval_general_inner`) evaluates that target.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .entropy_algebra import (
     sym,
 )
 from .errors import ParseError, ScriptStepMismatch, ValidationError
-from .info_core import ProbTable, VarId, make_table, mutual_information
+from .info_core import ProbTable, VarId, make_table, mutual_information, smallest_holding
 from .io_files import parse_dag_file, text_lines
 from .polytope_fm import (
     CERT_TOL,
@@ -49,13 +50,14 @@ from .polytope_fm import (
     substitute_equality,
     support_value,
 )
-from .regions_discrete import random_aux_layered
+from .regions_discrete import OUTPUTS, random_aux_layered
 
 CERT_INSTANTIATIONS = 3   # rounds of three random joints that certify dropped rows
 
 MIN_UY = "Imin(U;Yj)"
 MIN_UYQ = "Imin(U;Yj|Q)"
 
+_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TERM = re.compile(
     r"\s*([+-])?\s*(?:(\d+(?:/\d+)?)\s*\*?\s*)?"
     r"(Imin\([^)]*\)|I\([^)]*\)|H\([^)]*\)|[A-Za-z_][A-Za-z0-9_]*|\d+(?:/\d+)?)"
@@ -113,12 +115,19 @@ def _parse_side(text: str, ratevars: set[str], line_no):
 
 
 def parse_constraint(line: str, ratevars, line_no=None) -> LinIneq:
-    """Parse ``<combo> <= <combo>`` or ``<combo> = <combo>`` into a LinIneq.
+    """Parse ``[label:] <combo> <= <combo>`` or ``[label:] <combo> = <combo>``
+    into a LinIneq.
 
     Rate-variable terms are collected on the left, information terms on the
-    right, regardless of which side they were written on.
+    right, regardless of which side they were written on.  The label, an
+    identifier, names the row in printed output; matching ignores it.
     """
     ratevars = set(ratevars)
+    label = None
+    if ":" in line:
+        label, line = (part.strip() for part in line.split(":", 1))
+        if not _LABEL.fullmatch(label):
+            raise ParseError(f"malformed label {label!r}", line=line_no)
     if "<=" in line:
         lhs, rhs = line.split("<=")
         rel = LE
@@ -131,7 +140,7 @@ def parse_constraint(line: str, ratevars, line_no=None) -> LinIneq:
     cr, er = _parse_side(rhs, ratevars, line_no)
     for v, k in cr.items():
         cl[v] = cl.get(v, Fraction(0)) - k
-    return LinIneq.of(cl, er - el, rel)
+    return LinIneq.of(cl, er - el, rel, label)
 
 
 def parse_system(text: str, ratevars) -> list[LinIneq]:
@@ -261,17 +270,18 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
     else:
         p_out_x = rng.dirichlet(np.ones(c ** 3), size=c).reshape(c, c, c, c)
     joint = np.einsum("quabx,xijk->quabxijk", aux.table.probs, p_out_x)
-    names = ["Q", "U", "V1", "V2", "X", "Y1", "Y2", "Z"]
+    names = ("Q", "U", "V1", "V2", "X") + OUTPUTS
     return make_table(tuple(VarId(n, c) for n in names), joint)
 
 
-def min_sym_values(table: ProbTable) -> dict[str, float]:
-    return {
-        MIN_UY: min(mutual_information(table, {"U"}, {"Y1"}),
-                    mutual_information(table, {"U"}, {"Y2"})),
-        MIN_UYQ: min(mutual_information(table, {"U"}, {"Y1"}, {"Q"}),
-                     mutual_information(table, {"U"}, {"Y2"}, {"Q"})),
-    }
+def min_sym_values(tables) -> dict[str, float]:
+    """The two ``Imin`` symbols on one table or a sequence of tables, each
+    mutual information read from the smallest table that holds it."""
+    def mi(y, cond=()):
+        return mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
+
+    return {MIN_UY: min(mi(y) for y in OUTPUTS[:2]),
+            MIN_UYQ: min(mi(y, {"Q"}) for y in OUTPUTS[:2])}
 
 
 def _trivially_empty(sys: IneqSystem) -> bool:
@@ -449,10 +459,11 @@ CHAIN_VARS = ("Rp0", "Rpp0", "Rs0", "Rp1", "Rs1", "Rp2", "Rs2",
 
 
 @functools.lru_cache(maxsize=None)
-def _parse_fixture(text: str) -> IneqSystem:
-    """A recorded ``.sys`` system over the chain variables it mentions, parsed
-    once per file text (systems are immutable, so callers share them)."""
-    body = parse_system(text, set(CHAIN_VARS))
+def load_fixture(name: str) -> IneqSystem:
+    """The bundled recorded system ``<name>.sys`` over the chain variables it
+    mentions, parsed once per process (systems are immutable, so callers
+    share them)."""
+    body = parse_system(_data_text(name + ".sys"), set(CHAIN_VARS))
     var_order = [v for v in CHAIN_VARS if any(q.coeff(v) != 0 for q in body)]
     return IneqSystem.of(tuple(var_order), body)
 
@@ -493,7 +504,7 @@ def load_builtin_chain():
             raise ParseError(f"unknown script line {line!r}", line=no)
     names = {start_name} | {s.expect for s in steps}
     for name in sorted(names):
-        fixtures[name] = _parse_fixture(_data_text(name + ".sys"))
+        fixtures[name] = load_fixture(name)
     start = fixtures[start_name]
     return start, steps, fixtures
 

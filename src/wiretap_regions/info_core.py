@@ -67,7 +67,7 @@ class ProbTable:
         if ncells > MAX_CELLS:
             raise TableTooLarge(f"{ncells} cells exceeds the cap of {MAX_CELLS}")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.vars)
 
@@ -121,6 +121,22 @@ def entropy(t: ProbTable, names=None) -> float:
         p = arr[arr > 0.0]
         h = t._entropies[key] = float(-(p * np.log(p)).sum())
     return h
+
+
+def smallest_holding(tables, names) -> ProbTable:
+    """The table with the fewest cells, the first of equal ones, among the
+    sequence ``tables`` whose variables include every name in ``names``;
+    raises UnknownVariable when none does.  A single :class:`ProbTable` is
+    returned as it is (reading a name it lacks raises UnknownVariable)."""
+    if isinstance(tables, ProbTable):
+        return tables
+    names, best = set(names), None
+    for t in tables or ():
+        if names.issubset(t.names) and (best is None or t.probs.size < best.probs.size):
+            best = t
+    if best is None:
+        raise UnknownVariable(f"no supplied table holds {sorted(names)}")
+    return best
 
 
 def mutual_information(t: ProbTable, a, b, c=()) -> float:

@@ -539,10 +539,12 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
     return out
 
 
-def instantiate(sys: IneqSystem, table, sym_values=None) -> IneqSystem:
-    """Replace symbolic right-hand sides by their numeric values on a table."""
+def instantiate(sys: IneqSystem, tables, sym_values=None) -> IneqSystem:
+    """Replace symbolic right-hand sides by their numeric values on one table
+    or a sequence of tables, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
+    reads them."""
     out = []
     for q in sys.ineqs:
-        rhs = q.rhs.evaluate(table, sym_values) if isinstance(q.rhs, InfoExpr) else q.rhs
+        rhs = q.rhs.evaluate(tables, sym_values) if isinstance(q.rhs, InfoExpr) else q.rhs
         out.append(LinIneq(q.coeffs, rhs, q.rel, q.label))
     return sys.with_ineqs(out)

@@ -31,9 +31,10 @@ from .info_core import (
     make_table,
     mutual_information,
 )
-from .polytope_fm import IneqSystem, LinIneq, solve_lp, vertices
+from .polytope_fm import IneqSystem, LinIneq, instantiate, solve_lp, vertices
 
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
+OUTPUTS = ("Y1", "Y2", "Z")   # what the regions call a channel's outputs, by position
 AUX_TOL = 1e-10
 
 
@@ -63,12 +64,12 @@ class AuxJoint:
 
 
 def _output_joints(aux: AuxJoint, ch: ChannelSpec) -> tuple[ProbTable, ...]:
-    """Joint tables over (aux vars..., out), one per output Y1, Y2, Z, without
-    materializing the full kernel."""
+    """Joint tables over (aux vars..., out), one per output, the outputs named
+    Y1, Y2, Z by position, without materializing the full kernel."""
     t = aux.table
-    return tuple(make_table(t.vars + (out,),
+    return tuple(make_table(t.vars + (VarId(name, out.cardinality),),
                             np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
-                 for out in ch.outputs)
+                 for name, out in zip(OUTPUTS, ch.outputs))
 
 
 def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
@@ -77,7 +78,7 @@ def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
     t1, t2, tz = _output_joints(aux, ch)
-    y1, y2, z = ch.output_names
+    y1, y2, z = OUTPUTS
     return {
         "iuy2": mutual_information(t2, {"U"}, {y2}),
         "iuz": mutual_information(tz, {"U"}, {z}),
@@ -136,39 +137,18 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
 
 
 def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Ten-bound layered inner region; the min over the two receivers is
-    evaluated numerically per bound.  The channel need not be degraded."""
+    """Ten-bound layered inner region: the bundled chain's certified target
+    (``data/elimination_chain/target.sys``, rows and labels in file order)
+    evaluated on the aux and the channel's outputs, taken by position as Y1,
+    Y2, Z.  The channel need not be degraded."""
     if aux.kind != "layered":
         raise InconsistentAux("general inner bound takes a layered aux")
-    y1, y2, z = ch.output_names
-    t1, t2, tz = _output_joints(aux, ch)
-
-    m = min(mutual_information(t1, {"U"}, {y1}),
-            mutual_information(t2, {"U"}, {y2}))
-    m_q = min(mutual_information(t1, {"U"}, {y1}, {"Q"}),
-              mutual_information(t2, {"U"}, {y2}, {"Q"}))
-    a1 = mutual_information(t1, {"V1"}, {y1}, {"U"})
-    a2 = mutual_information(t2, {"V2"}, {y2}, {"U"})
-    b12 = mutual_information(aux.table, {"V1"}, {"V2"}, {"U"})
-    z_uv1_q = mutual_information(tz, {"U", "V1"}, {z}, {"Q"})
-    z_uv2_q = mutual_information(tz, {"U", "V2"}, {z}, {"Q"})
-    z_uv12_q = mutual_information(tz, {"U", "V1", "V2"}, {z}, {"Q"})
-    z_v1 = mutual_information(tz, {"V1"}, {z}, {"U"})
-    z_v2 = mutual_information(tz, {"V2"}, {z}, {"U"})
-    z_v12 = mutual_information(tz, {"V1", "V2"}, {z}, {"U"})
-
-    return _system([
-        ({"Rs1": 1}, m_q + a1 - z_uv1_q, "rs1"),
-        ({"Rs2": 1}, m_q + a2 - z_uv2_q, "rs2"),
-        ({"Rs1": 1, "Rs2": 1}, m_q + a1 + a2 - b12 - z_uv12_q, "rs12"),
-        ({"Rs1": 1, "Rp1": 1}, m + a1, "rs1p1"),
-        ({"Rs2": 1, "Rp2": 1}, m + a2, "rs2p2"),
-        ({"Rs1": 1, "Rp1": 1, "Rs2": 1}, m + a1 + a2 - z_v2, "rs1p1s2_a"),
-        ({"Rs1": 1, "Rp1": 1, "Rs2": 1}, m + 2 * a1 + a2 - b12 - z_v12, "rs1p1s2_b"),
-        ({"Rs1": 1, "Rs2": 1, "Rp2": 1}, m + a1 + a2 - z_v1, "rs12p2_a"),
-        ({"Rs1": 1, "Rs2": 1, "Rp2": 1}, m + a1 + 2 * a2 - b12 - z_v12, "rs12p2_b"),
-        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, m + a1 + a2 - b12, "total"),
-    ])
+    # fm_script imports this module, directly and through io_files, so it is
+    # imported here; loading the target (once per process) derives no equality span
+    from . import fm_script
+    tables = (aux.table, *_output_joints(aux, ch))
+    return instantiate(fm_script.load_fixture("target"), tables,
+                       fm_script.min_sym_values(tables))
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:
@@ -291,22 +271,6 @@ def hull_of(points: np.ndarray) -> np.ndarray:
         if coords.shape[1] <= 1:
             return pts[[coords[:, 0].argmin(), coords[:, 0].argmax()]]
         return pts[ConvexHull(coords).vertices]
-
-
-def in_hull(point, points, tol: float = 1e-9) -> bool:
-    """True when ``point`` is within ``tol`` (max norm) of a convex combination
-    of the rows of ``points``, checked on the weights the LP returns."""
-    pts = np.asarray(points, dtype=float)
-    p = np.asarray(point, dtype=float)
-    n, d = pts.shape
-    # variables (lambda, s): minimize s subject to |pts.T @ lambda - p| <= s
-    c = np.concatenate([np.zeros(n), [1.0]])
-    A_ub = np.hstack([np.vstack([pts.T, -pts.T]), -np.ones((2 * d, 1))])
-    A_eq = np.concatenate([np.ones(n), [0.0]])[None, :]
-    # always feasible and bounded below by 0, so the solver returns an optimum
-    res = solve_lp(c, A_ub, np.concatenate([p, -p]), A_eq, [1.0], what="hull distance")
-    lam = np.clip(res.x[:n], 0.0, None)
-    return float(np.abs(pts.T @ (lam / lam.sum()) - p).max()) <= tol
 
 
 def dominance_slack(points, cloud) -> np.ndarray:

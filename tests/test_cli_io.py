@@ -517,6 +517,37 @@ def test_cli_internal_aux_inconsistency_stays_a_violated_invariant(tmp_path, mon
     assert capsys.readouterr().err.startswith("violated invariant: ")
 
 
+def _layered_aux_text(aux):
+    t = aux.table
+    rows = t.probs.reshape(-1, t.vars[-1].cardinality)
+    return ("kind: aux\nvars: " + " ".join(f"{v.name} {v.cardinality}" for v in t.vars)
+            + "\ntable:\n" + "".join(" ".join(map(repr, r.tolist())) + "\n" for r in rows))
+
+
+@pytest.mark.parametrize("cascade", [False, True], ids=["kernel", "cascade"])
+def test_general_region_follows_output_position_not_name(tmp_path, cascade):
+    # the target names its outputs Y1, Y2, Z; a channel's outputs are read by
+    # position whatever the file calls them
+    rng = np.random.default_rng(21)
+    if cascade:
+        data = {"stages": [rng.dirichlet(np.ones(k), size=n) for n, k in ((2, 3), (3, 2), (2, 3))]}
+    else:
+        data = {"kernel": rng.dirichlet(np.ones(18), size=2).reshape(2, 3, 2, 3)}
+    aux = write(tmp_path, "a.txt", _layered_aux_text(random_aux_layered(rng, 2, 3, 2, 2, 2)))
+    csvs = []
+    for names in (("Y1", "Y2", "Z"), ("A", "B", "E"), ("Y2", "Y1", "Z")):
+        ch = ChannelSpec(VarId("X", 2), tuple(map(VarId, names, (3, 2, 3))), **data)
+        path = tmp_path / f"c_{''.join(names)}.txt"
+        emit_channel_file(ch, path)
+        for argv in (["region", "eval-general", "--aux", aux],
+                     ["region", "sweep", "--mode", "general", "--budget", "5"]):
+            out = tmp_path / "out.csv"
+            assert main([*argv, "--channel", str(path), "--out", str(out)]) == 0
+            csvs.append(out.read_text())
+    assert csvs[0] != csvs[1]
+    assert csvs[0::2] == [csvs[0]] * 3 and csvs[1::2] == [csvs[1]] * 3
+
+
 def _passes_check_or_raises(ch, part, evaluate):
     """True when ``check_matches_channel`` accepts the pair; then the evaluator
     must end in a result or a typed error, never a numpy error."""
@@ -762,14 +793,18 @@ def test_only_io_files_reads_or_writes_files():
 _NO_SCIPY = """\
 import json, sys
 from wiretap_regions.cli import main
+from wiretap_regions.entropy_algebra import derive_equalities
 rc = main(json.loads(sys.argv[1]))
-print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  derive_equalities.cache_info().currsize]))
 """
 
 
 def test_commands_without_an_lp_load_no_scipy(tmp_path):
     # scipy is imported inside the functions that solve LPs or hull clouds, so
-    # the commands that need neither start without it
+    # the commands that need neither start without it; none of them derives
+    # an entropy equality span (`region eval-general` parses the chain's
+    # target, which needs none)
     files = {"c": DISCRETE, "a": AUX, "l": LAYERED_AUX, "g": GAUSS, "k": "kind: split\nK:\n0.5\n",
              "t": TRIPLE_1X1, "h": "kind: gauss_h\nH1:\n2\nH2:\n1\nHZ:\n0.5\n"}
     f = {k: write(tmp_path, k + ".txt", v) for k, v in files.items()}
@@ -787,7 +822,7 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
     for argv in commands:
         run = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argv)], env=env,
                              capture_output=True, text=True, check=True)
-        assert json.loads(run.stdout.splitlines()[-1]) == [0, []], argv
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, [], 0], argv
 
 
 _CSV_COMMANDS = {

@@ -25,7 +25,7 @@ from wiretap_regions.errors import (
 )
 from wiretap_regions.fm_script import layered_structure, random_layered_joint, verify_builtin_chain
 from wiretap_regions.io_files import parse_dag_file
-from wiretap_regions.info_core import mutual_information
+from wiretap_regions.info_core import make_table, mutual_information
 
 
 def test_expand_unconditional():
@@ -143,6 +143,37 @@ def test_expand_matches_mutual_information_numerically():
             sym = expand_mi(a, b, c).evaluate(t)
             num = mutual_information(t, a, b, c)
             assert sym == pytest.approx(num, abs=1e-10)
+
+
+def _aux_marginal(t):
+    """The (Q, U, V1, V2, X) marginal of a layered joint."""
+    return make_table(t.vars[:5], t.probs.sum(axis=(5, 6, 7)))
+
+
+def test_evaluate_reads_each_atom_from_the_smallest_table_holding_it():
+    t = random_layered_joint(np.random.default_rng(4))
+    aux = _aux_marginal(t)
+    e = expand_mi({"U"}, {"Y1"}, {"Q"})
+    got = e.evaluate([t, aux])
+    # H(Q,U) is held by both tables and read from the smaller one
+    assert frozenset({"Q", "U"}) in aux._entropies
+    assert frozenset({"Q", "U"}) not in t._entropies
+    assert got == pytest.approx(e.evaluate(t), abs=1e-15)
+
+
+def test_evaluate_without_a_symbol_value_is_an_unknown_variable():
+    t = random_layered_joint(np.random.default_rng(5))
+    e = expand_mi({"U"}, {"Y1"}) + InfoExpr(syms={"Imin(U;Yj)": 1})
+    for values in (None, {"Imin(U;Yj|Q)": 0.0}):
+        with pytest.raises(UnknownVariable, match=r"Imin\(U;Yj\)"):
+            e.evaluate(t, values)
+
+
+def test_evaluate_on_tables_that_miss_a_variable_is_an_unknown_variable():
+    aux = _aux_marginal(random_layered_joint(np.random.default_rng(6)))
+    for tables in (aux, [aux], [], None):
+        with pytest.raises(UnknownVariable, match="Y1|no supplied table holds"):
+            expand_mi({"U"}, {"Y1"}).evaluate(tables)
 
 
 def test_d_separation_basics():

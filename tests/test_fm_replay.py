@@ -24,7 +24,7 @@ from wiretap_regions.fm_script import (
     verify_builtin_chain,
     verify_elimination_script,
 )
-from wiretap_regions.info_core import ChannelSpec, VarId, make_table
+from wiretap_regions.info_core import ChannelSpec, VarId, make_table, mutual_information
 from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate, support_value
 from wiretap_regions.regions_discrete import RATES, eval_general_inner, random_aux_layered
 
@@ -37,29 +37,78 @@ def test_full_chain_replays():
     assert rep.steps[-1].expect == "target"
 
 
+def _ten_bounds_by_hand(joint):
+    """Reference: the ten bounds written out as (label, coefficients, rhs),
+    every quantity a mutual_information on the full joint."""
+    def mi(a, b, c=()):
+        return mutual_information(joint, set(a), set(b), set(c))
+
+    m = min(mi("U", ["Y1"]), mi("U", ["Y2"]))
+    m_q = min(mi("U", ["Y1"], "Q"), mi("U", ["Y2"], "Q"))
+    a1, a2 = mi(["V1"], ["Y1"], "U"), mi(["V2"], ["Y2"], "U")
+    b12 = mi(["V1"], ["V2"], "U")
+    z_uv1_q, z_uv2_q = mi(["U", "V1"], "Z", "Q"), mi(["U", "V2"], "Z", "Q")
+    z_uv12_q = mi(["U", "V1", "V2"], "Z", "Q")
+    z_v1, z_v2, z_v12 = mi(["V1"], "Z", "U"), mi(["V2"], "Z", "U"), mi(["V1", "V2"], "Z", "U")
+    s1, s2, p1, p2 = "Rs1", "Rs2", "Rp1", "Rp2"
+    return [
+        ("rs1", {s1}, m_q + a1 - z_uv1_q),
+        ("rs2", {s2}, m_q + a2 - z_uv2_q),
+        ("rs12", {s1, s2}, m_q + a1 + a2 - b12 - z_uv12_q),
+        ("rs1p1", {s1, p1}, m + a1),
+        ("rs2p2", {s2, p2}, m + a2),
+        ("rs1p1s2_a", {s1, p1, s2}, m + a1 + a2 - z_v2),
+        ("rs1p1s2_b", {s1, p1, s2}, m + 2 * a1 + a2 - b12 - z_v12),
+        ("rs12p2_a", {s1, s2, p2}, m + a1 + a2 - z_v1),
+        ("rs12p2_b", {s1, s2, p2}, m + a1 + 2 * a2 - b12 - z_v12),
+        ("total", {s1, p1, s2, p2}, m + a1 + a2 - b12),
+    ]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(st.integers(0, 2**32 - 1), st.booleans())
-def test_ten_bound_region_is_the_chain_target(seed, indep_v):
+@given(st.lists(st.integers(1, 3), min_size=8, max_size=8), st.integers(0, 2**32 - 1),
+       st.booleans())
+def test_ten_bound_region_is_the_chain_target(cards, seed, indep_v):
     # what `region eval-general` and `region sweep --mode general` print is the
-    # system the replayed chain ends in, instantiated on the same joint
+    # chain's target, row for row, and its values are the ten bounds written out
     _, steps, fixtures = load_builtin_chain()
     target = fixtures[steps[-1].expect]
     rng = np.random.default_rng(seed)
-    cards = [int(c) for c in rng.integers(1, 4, size=4)] + [int(rng.integers(2, 4))]
-    aux = random_aux_layered(rng, *cards, indep_v=indep_v)
-    kernel = rng.dirichlet(np.ones(8), size=cards[-1]).reshape(cards[-1], 2, 2, 2)
-    ch = ChannelSpec(VarId("X", cards[-1]), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
+    aux = random_aux_layered(rng, *cards[:5], indep_v=indep_v)
+    cx, cy1, cy2, cz = cards[4:]
+    kernel = rng.dirichlet(np.ones(cy1 * cy2 * cz), size=cx).reshape(cx, cy1, cy2, cz)
+    ch = ChannelSpec(VarId("X", cx), (VarId("Y1", cy1), VarId("Y2", cy2), VarId("Z", cz)),
                      kernel=kernel)
     joint = make_table(aux.table.vars + ch.outputs,
                        np.einsum("quabx,xijk->quabxijk", aux.table.probs, kernel))
     got = eval_general_inner(aux, ch)
-    want = instantiate(target, joint, min_sym_values(joint))
+    assert got.vars == RATES == target.vars
+    assert [(q.label, q.coeffs, q.rel) for q in got.ineqs] == \
+        [(q.label, q.coeffs, q.rel) for q in target.ineqs]
+    want = _ten_bounds_by_hand(joint)
+    assert [(q.label, {v for v, c in q.coeffs if c == 1}) for q in got.ineqs] == \
+        [(label, coeffs) for label, coeffs, _ in want]
+    assert all(q.rel == "<=" and len(q.coeffs) == len(c) for q, (_, c, _) in zip(got.ineqs, want))
+    assert max(abs(q.rhs - rhs) for q, (_, _, rhs) in zip(got.ineqs, want)) <= 1e-12
 
-    def rows(sys_):
-        return [([q.coeff(v) for v in RATES], q.rel) for q in sys_.ineqs]
 
-    assert rows(got) == rows(want)
-    assert max(abs(a.rhs - b.rhs) for a, b in zip(got.ineqs, want.ineqs)) <= 1e-12
+def test_sys_labels_are_read_and_ignored_by_matching():
+    ratevars = {"Rs1", "Rp1"}
+    labelled = parse_system("# two rows\nrs1: Rs1 <= I(V1;Y1|U)\n"
+                            "total :Rs1 + Rp1 <= Imin(U;Yj)\n", ratevars)
+    bare = parse_system("Rs1 <= I(V1;Y1|U)\nRs1 + Rp1 <= Imin(U;Yj)\n", ratevars)
+    assert [q.label for q in labelled] == ["rs1", "total"]
+    assert [q.label for q in bare] == [None, None]
+    assert [q.key() for q in labelled] == [q.key() for q in bare]
+    res = match_systems(IneqSystem.of(("Rp1", "Rs1"), labelled),
+                        IneqSystem.of(("Rp1", "Rs1"), bare), EqualitySet([]))
+    assert res.matched and not res.extras
+
+
+@pytest.mark.parametrize("label", ["rs 1", "", "1rs", "rs-1", "Imin(U;Yj)"])
+def test_malformed_sys_label_is_a_parse_error_naming_its_line(label):
+    with pytest.raises(ParseError, match=f"line 3: malformed label"):
+        parse_system(f"# comment\nRs1 <= I(V1;Y1|U)\n{label}: Rs1 <= I(V1;Y1|U)\n", {"Rs1"})
 
 
 def test_chain_final_system_is_ten_bounds():
@@ -201,6 +250,20 @@ def test_script_step_without_expect_is_a_parse_error(monkeypatch, line):
     monkeypatch.setattr(fm_script, "_data_text", script)
     with pytest.raises(ParseError, match="expect"):
         load_builtin_chain()
+
+
+def test_general_region_reads_the_target_once(monkeypatch):
+    rng = np.random.default_rng(3)
+    aux = random_aux_layered(rng, 2, 2, 2, 2, 2)
+    ch = ChannelSpec(VarId("X", 2), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
+                     kernel=rng.dirichlet(np.ones(8), size=2).reshape(2, 2, 2, 2))
+    first = eval_general_inner(aux, ch)
+
+    def data_text(name):
+        raise AssertionError(f"{name} was read again")
+
+    monkeypatch.setattr(fm_script, "_data_text", data_text)
+    assert eval_general_inner(aux, ch) == first
 
 
 def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):

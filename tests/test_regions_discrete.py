@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hull_oracle import in_hull
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
@@ -33,7 +34,6 @@ from wiretap_regions.regions_discrete import (
     eval_original_inner,
     five_bound_system,
     hull_of,
-    in_hull,
     outer_of,
     pareto_front,
     random_aux_ux,

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hull_oracle import in_hull
 from wiretap_regions.errors import (
     CapExceeded,
     NotDegraded,
@@ -27,7 +28,6 @@ from wiretap_regions.regions_gaussian import (
     specialize_gauss_corollary,
     sweep_covariances,
 )
-from wiretap_regions.regions_discrete import in_hull
 
 I1 = np.eye(1)
 
