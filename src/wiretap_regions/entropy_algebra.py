@@ -119,9 +119,9 @@ class InfoExpr:
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, tables, sym_values=None) -> float:
-        """Numeric value in nats, each entropy read from the smallest of
-        ``tables`` (one :class:`~.info_core.ProbTable` or a sequence) holding
-        its variables.  Raises UnknownVariable for a symbol without a value in
+        """Numeric value in nats, each entropy read from the smallest of the
+        sequence ``tables`` of :class:`~.info_core.ProbTable` holding its
+        variables.  Raises UnknownVariable for a symbol without a value in
         ``sym_values`` or an atom that no table holds."""
         val = float(self.constant)
         for a, c in self.terms.items():

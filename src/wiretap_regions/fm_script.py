@@ -275,8 +275,8 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
 
 
 def min_sym_values(tables) -> dict[str, float]:
-    """The two ``Imin`` symbols on one table or a sequence of tables, each
-    mutual information read from the smallest table that holds it."""
+    """The two ``Imin`` symbols on the sequence ``tables``, each mutual
+    information read from the smallest table that holds it."""
     def mi(y, cond=()):
         return mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
 
@@ -295,7 +295,7 @@ def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
     """Max violation of each dropped row over its kept region, per instantiation.
 
     ``jobs`` holds one ``(kept, extras)`` pair per step and ``tables`` holds
-    ``(table, min_sym_values(table))`` pairs.  Every kept region is
+    ``((table,), min_sym_values((table,)))`` pairs.  Every kept region is
     instantiated once per table, and one :func:`support_value` call answers
     every row of every (step, table), from two LPs per replay.  An
     instantiation whose kept region is empty certifies nothing (every dropped
@@ -409,7 +409,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
-    tables = [(t, min_sym_values(t)) for t in tables]
+    tables = [((t,), min_sym_values((t,))) for t in tables]
     # symbolic pass first: each step restarts from its recorded input, so no
     # step waits on the certification of an earlier one
     cur, matches = start, []

@@ -126,12 +126,9 @@ def entropy(t: ProbTable, names=None) -> float:
 def smallest_holding(tables, names) -> ProbTable:
     """The table with the fewest cells, the first of equal ones, among the
     sequence ``tables`` whose variables include every name in ``names``;
-    raises UnknownVariable when none does.  A single :class:`ProbTable` is
-    returned as it is (reading a name it lacks raises UnknownVariable)."""
-    if isinstance(tables, ProbTable):
-        return tables
+    raises UnknownVariable when none does."""
     names, best = set(names), None
-    for t in tables or ():
+    for t in tables:
         if names.issubset(t.names) and (best is None or t.probs.size < best.probs.size):
             best = t
     if best is None:

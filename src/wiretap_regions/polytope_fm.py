@@ -540,8 +540,8 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
 
 
 def instantiate(sys: IneqSystem, tables, sym_values=None) -> IneqSystem:
-    """Replace symbolic right-hand sides by their numeric values on one table
-    or a sequence of tables, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
+    """Replace symbolic right-hand sides by their numeric values on the
+    sequence ``tables``, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
     reads them."""
     out = []
     for q in sys.ineqs:

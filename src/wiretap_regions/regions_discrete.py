@@ -36,6 +36,7 @@ from .polytope_fm import IneqSystem, LinIneq, instantiate, solve_lp, vertices
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
 OUTPUTS = ("Y1", "Y2", "Z")   # what the regions call a channel's outputs, by position
 AUX_TOL = 1e-10
+ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 0
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,12 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
     tables = (aux.table, *_output_joints(aux, ch))
-    return instantiate(fm_script.load_fixture("target"), tables,
-                       fm_script.min_sym_values(tables))
+    region = instantiate(fm_script.load_fixture("target"), tables,
+                         fm_script.min_sym_values(tables))
+    # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
+    # reads about +-1e-16; the clamped mutual informations it stands for give 0
+    return region.with_ineqs([LinIneq(q.coeffs, 0.0, q.rel, q.label)
+                              if abs(q.rhs) <= ZERO_BOUND_TOL else q for q in region.ineqs])
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:

@@ -548,6 +548,19 @@ def test_general_region_follows_output_position_not_name(tmp_path, cascade):
     assert csvs[0::2] == [csvs[0]] * 3 and csvs[1::2] == [csvs[1]] * 3
 
 
+def test_general_region_prints_a_zero_bound_as_zero(tmp_path):
+    # V1 and V2 are constant and every output is X, so the three secrecy-only
+    # bounds are I(U;X) - I(U;X) = 0; their summed entropies read about 2.6e-16
+    aux = "kind: aux\nvars: Q 1 U 2 V1 1 V2 1 X 2\ntable:\n0.4 0.1\n0.2 0.3\n"
+    out = tmp_path / "out.csv"
+    assert main(["region", "eval-general", "--channel", write(tmp_path, "c.txt", DISCRETE),
+                 "--aux", write(tmp_path, "a.txt", aux), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.read_text().splitlines()))
+    assert [(r["label"], r["rhs"]) for r in rows[:3]] == [("rs1", "0"), ("rs2", "0"),
+                                                           ("rs12", "0")]
+    assert all(float(r["rhs"]) > 0.05 for r in rows[3:])
+
+
 def _passes_check_or_raises(ch, part, evaluate):
     """True when ``check_matches_channel`` accepts the pair; then the evaluator
     must end in a result or a typed error, never a numpy error."""

@@ -26,7 +26,12 @@ from wiretap_regions.fm_script import (
 )
 from wiretap_regions.info_core import ChannelSpec, VarId, make_table, mutual_information
 from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate, support_value
-from wiretap_regions.regions_discrete import RATES, eval_general_inner, random_aux_layered
+from wiretap_regions.regions_discrete import (
+    RATES,
+    ZERO_BOUND_TOL,
+    eval_general_inner,
+    random_aux_layered,
+)
 
 
 def test_full_chain_replays():
@@ -90,6 +95,8 @@ def test_ten_bound_region_is_the_chain_target(cards, seed, indep_v):
         [(label, coeffs) for label, coeffs, _ in want]
     assert all(q.rel == "<=" and len(q.coeffs) == len(c) for q, (_, c, _) in zip(got.ineqs, want))
     assert max(abs(q.rhs - rhs) for q, (_, _, rhs) in zip(got.ineqs, want)) <= 1e-12
+    # a bound within ZERO_BOUND_TOL of 0 is printed as 0, not as rounding noise
+    assert all(q.rhs == 0.0 or abs(q.rhs) > ZERO_BOUND_TOL for q in got.ineqs)
 
 
 def test_sys_labels_are_read_and_ignored_by_matching():
@@ -252,22 +259,8 @@ def test_script_step_without_expect_is_a_parse_error(monkeypatch, line):
         load_builtin_chain()
 
 
-def test_general_region_reads_the_target_once(monkeypatch):
-    rng = np.random.default_rng(3)
-    aux = random_aux_layered(rng, 2, 2, 2, 2, 2)
-    ch = ChannelSpec(VarId("X", 2), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
-                     kernel=rng.dirichlet(np.ones(8), size=2).reshape(2, 2, 2, 2))
-    first = eval_general_inner(aux, ch)
-
-    def data_text(name):
-        raise AssertionError(f"{name} was read again")
-
-    monkeypatch.setattr(fm_script, "_data_text", data_text)
-    assert eval_general_inner(aux, ch) == first
-
-
 def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):
-    _, _, fixtures = load_builtin_chain()
+    _, steps, fixtures = load_builtin_chain()
 
     def parse_system(text, ratevars):
         raise AssertionError("a bundled fixture was parsed again")
@@ -276,6 +269,12 @@ def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):
     _, _, again = load_builtin_chain()
     assert again.keys() == fixtures.keys()
     assert all(again[k] is fixtures[k] for k in fixtures)
+    # the general region reads the same parsed target
+    rng = np.random.default_rng(3)
+    ch = ChannelSpec(VarId("X", 2), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
+                     kernel=rng.dirichlet(np.ones(8), size=2).reshape(2, 2, 2, 2))
+    region = eval_general_inner(random_aux_layered(rng, 2, 2, 2, 2, 2), ch)
+    assert [q.label for q in region.ineqs] == [q.label for q in fixtures[steps[-1].expect].ineqs]
 
 
 def test_chain_runtime_budget():
@@ -308,9 +307,9 @@ def _certify_row_by_row(kept, extras, tables):
         worst = -np.inf
         informative = 0
         for table in tables:
-            syms = min_sym_values(table)
-            kept_num = instantiate(kept, table, syms)
-            rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+            syms = min_sym_values((table,))
+            kept_num = instantiate(kept, (table,), syms)
+            rhs = q.rhs.evaluate((table,), syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
             val = support_value([(kept_num, [{v: float(c) for v, c in q.coeffs}])])[0][0]
             if val == float("-inf"):
                 continue
@@ -333,7 +332,7 @@ def test_certification_gives_each_row_its_own_answer(seed):
         tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
-    pairs = [(t, min_sym_values(t)) for t in tables]
+    pairs = [((t,), min_sym_values((t,))) for t in tables]
     cur, jobs = start, []
     for step in steps:
         produced = run_step(cur, step)

@@ -626,8 +626,8 @@ def _symbolic_projection_case(draw):
 @given(_symbolic_projection_case())
 def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case):
     s, var, values, directions = case
-    projected = instantiate(fm_eliminate(s, var), None, values)
-    numeric = instantiate(s, None, values)
+    projected = instantiate(fm_eliminate(s, var), (), values)
+    numeric = instantiate(s, (), values)
     assert region_equal(projected, fm_eliminate(numeric, var))
     for w in directions:
         objective = dict(zip(projected.vars, w))
