@@ -16,11 +16,11 @@ import sys
 import numpy as np
 
 from . import fm_script
-from .errors import WiretapError, ParseError, ValidationError, IoError
+from .errors import WiretapError, ParseError, ValidationError, IoError, numbered
 from .fisher_lab import (
     debruijn_check,
+    gauss_pair_of,
     lemma_suite_check,
-    random_gauss_pair,
     random_mixture,
     sufficiency_evidence_scalar,
 )
@@ -209,12 +209,12 @@ def cmd_gauss_dpc(args) -> int:
         check_matches_channel(ch, split)
         if split.K is not None:
             raise ValidationError("dpc-check needs a triple split (K0, K1, K2)")
-        triples = [(split.K0, split.K1, split.K2)]
-    else:
+        k0, k1, k2 = split.K0, split.K1, split.K2
+    else:   # triple i is draws 3i, 3i + 1 and 3i + 2, checked as three stacks
         rng = np.random.default_rng(args.seed or 0)
-        triples = ([random_psd_under(rng, ch.S / 3.0) for _ in range(3)]
-                   for _ in range(args.budget or 100))
-    worst = max(0.0, *(dpc_identity_check(k1, k2, k0, ch) for k0, k1, k2 in triples))
+        k0, k1, k2 = (random_psd_under(rng, ch.S / 3.0, size=3 * (args.budget or 100))
+                      .reshape(-1, 3, ch.dim, ch.dim).swapaxes(0, 1))
+    worst = max(0.0, *np.ravel(dpc_identity_check(k1, k2, k0, ch)).tolist())
     return _conclude(args, None, [f"max precoding-identity residual: {worst:.3e}"],
                      worst > args.tol, f"precoding identity within {args.tol}")
 
@@ -236,12 +236,19 @@ def cmd_gauss_degraded(args) -> int:
 
 def cmd_fisher_debruijn(args) -> int:
     rng = np.random.default_rng(args.seed)
-    rows = []
+    draws = {}   # every Gaussian instance first, in stream order, then one call per dimension
     for i in range(args.budget):
         d = 1 + i % args.dim
-        pair = random_gauss_pair(rng, d)
-        a = rng.normal(size=(d, d))
-        rows.append(["gauss", i, debruijn_check(pair, a @ a.T + 0.3 * np.eye(d), step=args.step)])
+        draws.setdefault(d, []).append((i, rng.normal(size=(2 * d, 2 * d)),
+                                        rng.normal(size=(d, d))))
+    residual = {}
+    for nums, joint, a in (zip(*stack) for stack in draws.values()):
+        a = np.stack(a)
+        with numbered(nums):
+            r = debruijn_check(gauss_pair_of(np.stack(joint)),
+                               a @ a.mT + 0.3 * np.eye(a.shape[-1]), step=args.step)
+        residual.update(zip(nums, r.tolist()))
+    rows = [["gauss", i, residual[i]] for i in range(args.budget)]
     for i in range(max(1, args.budget // 5)):
         mix = random_mixture(rng)
         rows.append(["mixture", i, debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]],

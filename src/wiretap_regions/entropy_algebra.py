@@ -41,7 +41,8 @@ class EntropyAtom:
 class InfoExpr:
     """Immutable rational-linear combination of atoms, symbols and a constant."""
 
-    __slots__ = ("terms", "syms", "constant")
+    # _floats: the float constant and coefficients, set by the first evaluate
+    __slots__ = ("terms", "syms", "constant", "_floats")
 
     def __init__(self, terms=None, syms=None, constant=ZERO):
         t = {a: Fraction(c) for a, c in (terms or {}).items() if c != 0}
@@ -123,13 +124,19 @@ class InfoExpr:
         sequence ``tables`` of :class:`~.info_core.ProbTable` holding its
         variables.  Raises UnknownVariable for a symbol without a value in
         ``sym_values`` or an atom that no table holds."""
-        val = float(self.constant)
-        for a, c in self.terms.items():
-            val += float(c) * entropy(smallest_holding(tables, a.subset), a.subset)
-        for n, c in self.syms.items():
+        try:
+            val, terms, syms = self._floats
+        except AttributeError:   # converted once, and only for expressions evaluated
+            val, terms, syms = floats = (
+                float(self.constant), [(a.subset, float(c)) for a, c in self.terms.items()],
+                [(n, float(c)) for n, c in self.syms.items()])
+            object.__setattr__(self, "_floats", floats)
+        for subset, c in terms:
+            val += c * entropy(smallest_holding(tables, subset), subset)
+        for n, c in syms:
             if not sym_values or n not in sym_values:
                 raise UnknownVariable(f"no numeric value supplied for symbol {n!r}")
-            val += float(c) * sym_values[n]
+            val += c * sym_values[n]
         return val
 
 

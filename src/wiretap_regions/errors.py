@@ -2,12 +2,52 @@
 
 Every error raised by the public API derives from :class:`WiretapError`, so
 callers can catch one base class.  Input/parsing problems additionally derive
-from ``ValueError`` where that is the natural builtin.
+from ``ValueError`` where that is the natural builtin.  A check run on a stack
+of instances raises for one instance and names it (:func:`at_instance`).
 """
+
+from contextlib import contextmanager
+
+import numpy as np
 
 
 class WiretapError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    An error raised on a stack of instances names the instance that broke the
+    check: ``instance`` is its index in the stack and ``detail`` the message
+    without it.  A single instance has ``instance == ()``."""
+
+    instance: tuple = ()
+    detail: str = ""
+
+
+def at_instance(err: type, k: tuple, message: str) -> WiretapError:
+    """``err`` for instance ``k`` of a stack, its message prefixed by
+    ``instance k:``; ``k == ()`` (a single instance) keeps the message bare."""
+    e = err(f"instance {k[0] if len(k) == 1 else k}: {message}" if k else message)
+    e.instance, e.detail = k, message
+    return e
+
+
+def raise_for_first(bad: np.ndarray, err: type, describe) -> None:
+    """Raise ``err`` with message ``describe(k)`` for the first instance k
+    of a stack where ``bad`` (one flag per instance) holds."""
+    if bad.any():
+        k = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise at_instance(err, k, describe(k))
+
+
+@contextmanager
+def numbered(numbers):
+    """Name the caller's instance in an error a stacked call raises: instance
+    j of a one-axis stack is instance ``numbers[j]`` of the caller."""
+    try:
+        yield
+    except WiretapError as e:
+        if not e.instance:
+            raise
+        raise at_instance(type(e), (numbers[e.instance[0]],), e.detail) from None
 
 
 # --- probability tables ----------------------------------------------------

@@ -25,6 +25,8 @@ from .errors import (
     SingularConditionalCovariance,
     StepTooLarge,
     ValidationError,
+    numbered,
+    raise_for_first,
 )
 from .polytope_fm import vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
@@ -35,7 +37,8 @@ TWO_PI_E = 2.0 * math.pi * math.e
 
 @dataclass(frozen=True)
 class GaussPair:
-    """Jointly Gaussian (U, X) given by the joint covariance block matrix.
+    """Jointly Gaussian (U, X) given by the joint covariance block matrix, or
+    a stack of such pairs given by a ``(..., d_u + d_x, d_u + d_x)`` stack.
 
     ``Cov(X|U)`` is derived once, at construction; it and ``cov`` are read-only.
     """
@@ -47,12 +50,13 @@ class GaussPair:
 
     def __post_init__(self):
         c = check_psd(self.cov, "joint covariance")
-        if c.shape[0] != self.d_u + self.d_x:
+        if c.shape[-1] != self.d_u + self.d_x:
             raise SingularConditionalCovariance(
                 f"covariance of shape {c.shape} does not match d_u+d_x")
         k, cxu = self.d_u, c
         if k:   # Schur complement Sxx - Sux^T Suu^+ Sux
-            cxu = c[k:, k:] - c[:k, k:].T @ np.linalg.pinv(c[:k, :k]) @ c[:k, k:]
+            sux = c[..., :k, k:]
+            cxu = c[..., k:, k:] - sux.mT @ np.linalg.pinv(c[..., :k, :k]) @ sux
         for a in (c, cxu):
             a.setflags(write=False)
         object.__setattr__(self, "cov", c)
@@ -62,7 +66,7 @@ class GaussPair:
         return self._cxu
 
     def cov_x(self) -> np.ndarray:
-        return self.cov[self.d_u:, self.d_u:]
+        return self.cov[..., self.d_u:, self.d_u:]
 
 
 @dataclass(frozen=True)
@@ -187,12 +191,12 @@ def _mixture_cond(mix: ScalarMixture, var: float) -> tuple[float, float]:
 def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     """Conditional Fisher information of X + N given U for a Gaussian pair:
     the inverse of Cov(X|U) + Sigma_N."""
-    sn = np.atleast_2d(np.asarray(sigma_n, dtype=float))
-    m = pair.cov_x_given_u() + sn
+    m = pair.cov_x_given_u() + np.atleast_2d(np.asarray(sigma_n, dtype=float))
     w = np.linalg.eigvalsh(m)
-    if w.min() <= 1e-14 * max(1.0, w.max()):
-        raise SingularConditionalCovariance(
-            f"Cov(X|U) + Sigma_N has near-zero eigenvalue {w.min():.3e}")
+    low = w.min(axis=-1)
+    raise_for_first(low <= 1e-14 * np.maximum(1.0, w.max(axis=-1)),
+                    SingularConditionalCovariance,
+                    lambda k: f"Cov(X|U) + Sigma_N has near-zero eigenvalue {low[k]:.3e}")
     return np.linalg.inv(m)
 
 
@@ -204,15 +208,22 @@ def _joint_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     :func:`gaussian_fisher`."""
     k = pair.d_u
     c = pair.cov
-    p = project_range(c[:k, :k]) if k else np.zeros((0, 0))
-    joint = np.block([[p.T @ c[:k, :k] @ p, p.T @ c[:k, k:]],
-                      [c[k:, :k] @ p, c[k:, k:] + np.atleast_2d(sigma_n)]])
-    return np.linalg.inv(joint)[p.shape[1]:, p.shape[1]:]
+    cy = c[..., k:, k:] + np.atleast_2d(sigma_n)
+    if not k:
+        return np.linalg.inv(cy)
+    out = np.empty(cy.shape)
+    for where, p in project_range(c[..., :k, :k]):
+        cw = c[where]
+        joint = np.block([[p.mT @ cw[..., :k, :k] @ p, p.mT @ cw[..., :k, k:]],
+                          [cw[..., k:, :k] @ p, cy[where]]])
+        out[where] = np.linalg.inv(joint)[..., p.shape[-1]:, p.shape[-1]:]
+    return out
 
 
-def _gauss_cond_entropy(pair: GaussPair, sn: np.ndarray) -> float:
-    m = pair.cov_x_given_u() + sn
-    d = m.shape[0]
+def _gauss_cond_entropy(cxu: np.ndarray, sn: np.ndarray):
+    """h(X + N | U) of Gaussian pairs with Cov(X|U) = ``cxu`` and Cov(N) = ``sn``."""
+    m = cxu + sn
+    d = m.shape[-1]
     return 0.5 * (d * math.log(TWO_PI_E) + logdet(m))
 
 
@@ -228,8 +239,9 @@ def _sym_basis(d: int):
             yield e
 
 
-def debruijn_check(obj, sigma_n, step: float = 1e-4) -> float:
-    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2.
+def debruijn_check(obj, sigma_n, step: float = 1e-4):
+    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2, a
+    float (an array for a stack of Gaussian pairs).
 
     Central differences of h along every symmetric direction are compared with
     ``tr(J D)/2``.  If the residual at the requested step is above 1e-4 but
@@ -238,36 +250,41 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4) -> float:
     """
     if not 0 < step < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {step}")
+    if isinstance(obj, GaussPair):
+        sn = np.atleast_2d(np.asarray(sigma_n, dtype=float))
+        cxu, J = obj.cov_x_given_u(), gaussian_fisher(obj, sn)
+        d = sn.shape[-1]
+        scale = np.maximum(1.0, np.trace(sn, axis1=-2, axis2=-1) / d)
 
-    def residual(t: float) -> float:
-        if isinstance(obj, GaussPair):
-            sn = np.atleast_2d(np.asarray(sigma_n, dtype=float))
-            J = gaussian_fisher(obj, sn)
-            scale = max(1.0, float(np.trace(sn)) / sn.shape[0])
-            worst = 0.0
-            for D in _sym_basis(sn.shape[0]):
-                hp = _gauss_cond_entropy(obj, sn + t * scale * D)
-                hm = _gauss_cond_entropy(obj, sn - t * scale * D)
-                fd = (hp - hm) / (2.0 * t * scale)
-                worst = max(worst, abs(fd - 0.5 * float(np.trace(J @ D))))
+        def residual(t: float) -> np.ndarray:
+            worst = np.zeros(J.shape[:-2])
+            for D in _sym_basis(d):
+                move = (t * scale)[..., None, None] * D
+                fd = ((_gauss_cond_entropy(cxu, sn + move) - _gauss_cond_entropy(cxu, sn - move))
+                      / (2.0 * t * scale))
+                gap = np.abs(fd - 0.5 * np.trace(J @ D, axis1=-2, axis2=-1))
+                worst = np.where(gap > worst, gap, worst)   # the builtin max, per instance
             return worst
-        if isinstance(obj, ScalarMixture):
-            var = float(np.atleast_2d(np.asarray(sigma_n, dtype=float))[0, 0])
+    elif isinstance(obj, ScalarMixture):
+        var = float(np.atleast_2d(np.asarray(sigma_n, dtype=float))[0, 0])
+
+        def residual(t: float) -> float:
             t_abs = t * max(1.0, var)
             J = mixture_cond_fisher(obj, var)
             hp = mixture_cond_entropy(obj, var + t_abs)
             hm = mixture_cond_entropy(obj, var - t_abs)
             fd = (hp - hm) / (2.0 * t_abs)
             return abs(fd - 0.5 * J)
+    else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
-    r1 = residual(step)
-    if r1 > 1e-4:
-        r2 = residual(step / 2.0)
-        if r2 < 0.5 * r1:
-            raise StepTooLarge(
-                f"residual {r1:.3e} is truncation-dominated (halving gives {r2:.3e})")
-    return r1
+    r1 = np.asarray(residual(step))
+    if (r1 > 1e-4).any():
+        r2 = np.asarray(residual(step / 2.0))
+        raise_for_first((r1 > 1e-4) & (r2 < 0.5 * r1), StepTooLarge,
+                        lambda k: f"residual {r1[k]:.3e} is truncation-dominated "
+                                  f"(halving gives {r2[k]:.3e})")
+    return float(r1) if r1.ndim == 0 else r1
 
 
 # --- lemma suite -----------------------------------------------------------------
@@ -288,13 +305,20 @@ class SuiteReport:
         return min((s for _, _, _, s in self.rows), default=0.0)
 
 
-def _rand_psd(rng, d, jitter=0.1):
-    a = rng.normal(size=(d, d))
-    return a @ a.T + jitter * np.eye(d)
+def _psd(g: np.ndarray, jitter: float) -> np.ndarray:
+    """``g g^T + jitter I`` for a factor ``g``, or for each factor of a stack."""
+    return g @ g.mT + jitter * np.eye(g.shape[-1])
+
+
+def gauss_pair_of(g: np.ndarray) -> GaussPair:
+    """The pair :func:`random_gauss_pair` builds from its normal draw ``g``
+    (2d x 2d), or the stack of pairs from a stack of draws."""
+    d = g.shape[-1] // 2
+    return GaussPair(_psd(g, 0.1), d_u=d, d_x=d)
 
 
 def random_gauss_pair(rng: np.random.Generator, d: int) -> GaussPair:
-    return GaussPair(_rand_psd(rng, 2 * d), d_u=d, d_x=d)
+    return gauss_pair_of(rng.normal(size=(2 * d, 2 * d)))
 
 
 def random_mixture(rng: np.random.Generator) -> ScalarMixture:
@@ -305,18 +329,72 @@ def random_mixture(rng: np.random.Generator) -> ScalarMixture:
     return ScalarMixture(u, x, w)
 
 
-def _min_eig(m) -> float:
-    return float(np.linalg.eigvalsh(np.atleast_2d(m)).min())
+def _min_eig(m) -> np.ndarray:
+    return np.linalg.eigvalsh(m).min(axis=-1)
 
 
-def _segment_integral(k1, k2, sn) -> float:
+def _segment_integral(k1, k2, sn):
     """Trapezoid value, on 65 nodes, of the integral over t in [0, 1] of
-    ``tr((K1 + t (K2 - K1) + S)^{-1} (K2 - K1))``, all nodes in one solve."""
+    ``tr((K1 + t (K2 - K1) + S)^{-1} (K2 - K1))``, all nodes in one solve; a
+    float (an array for stacks)."""
     ts = np.linspace(0.0, 1.0, 65)
-    step = k2 - k1
+    k1, step, sn = (m[..., None, :, :] for m in (k1, k2 - k1, sn))
     stack = k1 + ts[:, None, None] * step + sn
-    vals = np.trace(np.linalg.solve(stack, np.broadcast_to(step, stack.shape)), axis1=1, axis2=2)
-    return float(np.trapezoid(vals, ts))
+    vals = np.trace(np.linalg.solve(stack, np.broadcast_to(step, stack.shape)),
+                    axis1=-2, axis2=-1)
+    out = np.trapezoid(vals, ts, axis=-1)
+    return float(out) if out.ndim == 0 else out
+
+
+# The d x d normal draws of one lemma instance after its joint covariance's
+# 2d x 2d draw, in stream order; "d" names an increment (s2 = s1 + psd(ds2)).
+_LEMMA_DRAWS = ("s1", "ds2", "su", "a", "b", "wa", "wb", "k1m", "dk2m", "sN", "A", "dB")
+
+
+def _gauss_lemmas(joint: np.ndarray, draws: np.ndarray) -> dict[str, np.ndarray]:
+    """Slacks of the six lemmas on a stack of Gaussian instances of one
+    dimension, from their draws: ``joint`` (n, 2d, 2d) and ``draws``
+    (n, len(_LEMMA_DRAWS), d, d)."""
+    g = dict(zip(_LEMMA_DRAWS, np.moveaxis(draws, -3, 0)))
+    pair = gauss_pair_of(joint)
+    d = pair.d_x
+    s1 = _psd(g["s1"], 0.1)
+    s2 = s1 + _psd(g["ds2"], 0.05)
+
+    # conditional Cramer-Rao: J(X+N|U) >= (Cov(X|U)+Sigma)^{-1}, with J
+    # from the joint covariance and the bound from the Schur complement
+    j1 = gaussian_fisher(pair, s1)
+    jy = _joint_fisher(pair, s1)
+
+    # noise perturbation: J^{-1}(X+N2|U)-S2 >= J^{-1}(X+N1|U)-S1
+    j2 = gaussian_fisher(pair, s2)
+    gap = (np.linalg.inv(j2) - s2) - (np.linalg.inv(j1) - s1)
+
+    # conditioning monotonicity on a Gaussian chain U -> V -> X; the draws su
+    # and a are never used: they are drawn only to keep the instance stream,
+    # so removing them would change every later instance
+    b, wa, wb = g["b"], _psd(g["wa"], 0.1), _psd(g["wb"], 0.1)
+    cov_x_v = wb
+    cov_x_u = b @ wa @ b.mT + wb
+
+    # segment integral of a PSD matrix field f(K) = (K+S)^{-1}
+    k1m = _psd(g["k1m"], 0.0)
+    k2m = k1m + _psd(g["dk2m"], 0.0)
+    sN = _psd(g["sN"], 0.1)
+
+    # entropy lower bound h >= log|2 pi e J^{-1}|/2 (equality when Gaussian)
+    h = 0.5 * (d * math.log(TWO_PI_E) + logdet(pair.cov_x_given_u() + s1))
+    bound = 0.5 * (d * math.log(TWO_PI_E) - logdet(jy))
+
+    # inverse reverses the semidefinite order
+    A = _psd(g["A"], 0.1)
+    B = A + _psd(g["dB"], 0.0)
+    return {"L6": _min_eig(jy - j1),
+            "L7": _min_eig(gap),
+            "L8": _min_eig(np.linalg.inv(cov_x_v) - np.linalg.inv(cov_x_u)),
+            "L9": _segment_integral(k1m, k2m, sN),
+            "L11": h - bound,
+            "L12": _min_eig(np.linalg.inv(A) - np.linalg.inv(B))}
 
 
 def lemma_suite_check(seed: int = 0, count: int = 200,
@@ -328,66 +406,35 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
     noise-perturbation facts at their equality point, and conditioning
     monotonicity and the inverse order where their slack is positive;
     optional scalar mixtures give the equality cases positive slack, by
-    quadrature.
+    quadrature.  Every instance is drawn first, in stream order; the
+    Gaussian lemmas then take one stacked call per dimension.
     """
     rng = np.random.default_rng(seed)
-    rep = SuiteReport()
+    gauss: dict[int, list] = {}
+    mixtures = []
     for i in range(count):
         d = 1 + i % 3
-        pair = random_gauss_pair(rng, d)
-        s1 = _rand_psd(rng, d)
-        s2 = s1 + _rand_psd(rng, d, jitter=0.05)
-
-        # conditional Cramer-Rao: J(X+N|U) >= (Cov(X|U)+Sigma)^{-1}, with J
-        # from the joint covariance and the bound from the Schur complement
-        j1 = gaussian_fisher(pair, s1)
-        jy = _joint_fisher(pair, s1)
-        cxu = pair.cov_x_given_u() + s1
-        rep.rows.append(("L6", "gauss", i, _min_eig(jy - j1)))
-
-        # noise perturbation: J^{-1}(X+N2|U)-S2 >= J^{-1}(X+N1|U)-S1
-        j2 = gaussian_fisher(pair, s2)
-        gap = (np.linalg.inv(j2) - s2) - (np.linalg.inv(j1) - s1)
-        rep.rows.append(("L7", "gauss", i, _min_eig(gap)))
-
-        # conditioning monotonicity on a Gaussian chain U -> V -> X
-        su = _rand_psd(rng, d)
-        a = rng.normal(size=(d, d))
-        b = rng.normal(size=(d, d))
-        wa = _rand_psd(rng, d)
-        wb = _rand_psd(rng, d)
-        cov_x_v = wb
-        cov_x_u = b @ wa @ b.T + wb
-        rep.rows.append(("L8", "gauss", i,
-                         _min_eig(np.linalg.inv(cov_x_v) - np.linalg.inv(cov_x_u))))
-
-        # segment integral of a PSD matrix field f(K) = (K+S)^{-1}
-        k1m = _rand_psd(rng, d, jitter=0.0)
-        k2m = k1m + _rand_psd(rng, d, jitter=0.0)
-        sN = _rand_psd(rng, d)
-        rep.rows.append(("L9", "gauss", i, _segment_integral(k1m, k2m, sN)))
-
-        # entropy lower bound h >= log|2 pi e J^{-1}|/2 (equality when Gaussian)
-        h = 0.5 * (d * math.log(TWO_PI_E) + logdet(cxu))
-        bound = 0.5 * (d * math.log(TWO_PI_E) - logdet(jy))
-        rep.rows.append(("L11", "gauss", i, h - bound))
-
-        # inverse reverses the semidefinite order
-        A = _rand_psd(rng, d)
-        B = A + _rand_psd(rng, d, jitter=0.0)
-        rep.rows.append(("L12", "gauss", i, _min_eig(np.linalg.inv(A) - np.linalg.inv(B))))
-
+        gauss.setdefault(d, []).append((i, rng.normal(size=(2 * d, 2 * d)),
+                                        rng.normal(size=(len(_LEMMA_DRAWS), d, d))))
         if include_mixtures and i % 10 == 0:
             mix = random_mixture(rng)
             var1 = 0.5 + rng.uniform(0.0, 1.0)
-            var2 = var1 + rng.uniform(0.1, 1.0)
-            hm, jm1 = _mixture_cond(mix, var1)
-            jm2 = mixture_cond_fisher(mix, var2)
-            v1 = _cond_var(mix) + var1
-            rep.rows.append(("L6", "mixture", i, jm1 - 1.0 / v1))
-            rep.rows.append(("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)))
-            rep.rows.append(("L11", "mixture", i, hm - 0.5 * math.log(TWO_PI_E / jm1)))
-    return rep
+            mixtures.append((i, mix, var1, var1 + rng.uniform(0.1, 1.0)))
+    rows: dict[int, list] = {}
+    for nums, joint, draws in (zip(*stack) for stack in gauss.values()):
+        with numbered(nums):
+            slacks = _gauss_lemmas(np.stack(joint), np.stack(draws))
+        for lemma, values in slacks.items():
+            for i, slack in zip(nums, values.tolist()):
+                rows.setdefault(i, []).append((lemma, "gauss", i, slack))
+    for i, mix, var1, var2 in mixtures:
+        hm, jm1 = _mixture_cond(mix, var1)
+        jm2 = mixture_cond_fisher(mix, var2)
+        v1 = _cond_var(mix) + var1
+        rows[i] += [("L6", "mixture", i, jm1 - 1.0 / v1),
+                    ("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)),
+                    ("L11", "mixture", i, hm - 0.5 * math.log(TWO_PI_E / jm1))]
+    return SuiteReport([row for i in range(count) for row in rows[i]])
 
 
 def _cond_var(mix: ScalarMixture) -> float:

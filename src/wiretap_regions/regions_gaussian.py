@@ -24,6 +24,9 @@ from .errors import (
     SingularMatrix,
     UnknownCorollary,
     ValidationError,
+    WiretapError,
+    at_instance,
+    raise_for_first,
 )
 from .info_core import VarId, build_degraded_joint, make_table
 from .polytope_fm import IneqSystem, LinIneq
@@ -33,16 +36,38 @@ from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
 
+# _sym, check_psd, logdet, dpc_matrix, project_range, gauss_mi,
+# dpc_identity_check and random_psd_under take a matrix or a stack of
+# matrices (..., d, d) and compute each matrix of a stack exactly as alone.  A
+# matrix that breaks a check raises for the first such instance k of the
+# stack, naming k (see errors.at_instance); a single matrix is a stack with no
+# leading axis, and its messages name no instance.
+
+
+def _first_failure(fn, *stacks) -> tuple[tuple, Exception]:
+    """``(k, error)`` for the first instance k of ``stacks`` on which ``fn``
+    fails when called on that instance alone."""
+    lead = np.broadcast_shapes(*(s.shape[:-2] for s in stacks))
+    for k in np.ndindex(lead):
+        try:
+            fn(*(np.broadcast_to(s, lead + s.shape[-2:])[k] for s in stacks))
+        except (WiretapError, np.linalg.LinAlgError) as e:
+            return k, e
+    raise RuntimeError("a stack failed where none of its instances fails alone")
+
 
 def _sym(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
     if a.ndim == 0:
         a = a.reshape(1, 1)
-    if a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotPSD(f"matrix of shape {a.shape} is not square")
-    if not np.abs(a - a.T).max() <= SYM_TOL:  # a NaN entry gives a NaN residual
-        raise NotPSD(f"symmetry residual {np.abs(a - a.T).max():.2e} exceeds {SYM_TOL}")
-    return 0.5 * (a + a.T)
+    at = a.mT
+    if not np.abs(a - at).max() <= SYM_TOL:  # a NaN entry gives a NaN residual
+        r = np.abs(a - at).max(axis=(-2, -1))
+        raise_for_first(~(r <= SYM_TOL), NotPSD,
+                        lambda k: f"symmetry residual {r[k]:.2e} exceeds {SYM_TOL}")
+    return 0.5 * (a + at)
 
 
 def check_psd(m, name: str = "matrix") -> np.ndarray:
@@ -50,12 +75,12 @@ def check_psd(m, name: str = "matrix") -> np.ndarray:
     tolerance -1e-10 * trace/d, clipping tiny negatives to zero."""
     a = _sym(m)
     w, v = np.linalg.eigh(a)
-    d = a.shape[0]
-    floor = -1e-10 * max(np.trace(a) / d, 1.0)
-    if w.min() < floor:
-        raise NotPSD(f"{name} has eigenvalue {w.min():.3e} below tolerance {floor:.1e}")
+    low = w.min(axis=-1)
+    floor = -1e-10 * np.maximum(a.trace(axis1=-2, axis2=-1) / a.shape[-1], 1.0)
+    raise_for_first(low < floor, NotPSD, lambda k: f"{name} has eigenvalue {low[k]:.3e} "
+                                                   f"below tolerance {floor[k]:.1e}")
     w = np.clip(w, 0.0, None)
-    return (v * w) @ v.T
+    return (v * w[..., None, :]) @ v.mT
 
 
 def check_pd(m, name: str = "matrix") -> np.ndarray:
@@ -73,13 +98,17 @@ def psd_leq(a, b) -> bool:
     return bool(w.min() >= -ORDER_TOL)
 
 
-def logdet(m) -> float:
-    """log det of a positive definite matrix via Cholesky; raises on failure."""
+def logdet(m):
+    """log det of a positive definite matrix via Cholesky, a float (an array
+    for a stack); raises on failure."""
+    a = _sym(m)
     try:
-        chol = np.linalg.cholesky(_sym(m))
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrix("nonpositive pivot in Cholesky factorization") from None
-    return float(2.0 * np.log(np.diag(chol)).sum())
+        raise at_instance(SingularMatrix, _first_failure(np.linalg.cholesky, a)[0],
+                          "nonpositive pivot in Cholesky factorization") from None
+    out = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -239,39 +268,80 @@ def dpc_matrix(K1, Sigma1) -> np.ndarray:
     s1 = _sym(Sigma1)
     m = k1 + s1
     try:
-        return np.linalg.solve(m.T, k1.T).T
+        return np.linalg.solve(m.mT, k1.mT).mT
     except np.linalg.LinAlgError:
-        raise SingularMatrix("K1 + Sigma1 is singular") from None
+        raise at_instance(SingularMatrix, _first_failure(np.linalg.solve, m.mT, k1.mT)[0],
+                          "K1 + Sigma1 is singular") from None
 
 
-def project_range(cov):
-    """Orthonormal basis of the range of a covariance, as columns."""
-    w, v = np.linalg.eigh(_sym(cov))
-    keep = w > 1e-12 * max(w.max(), 1.0)
-    return v[:, keep]
+def _range_columns(a: np.ndarray):
+    """Eigenvectors of each covariance and which of them span its range."""
+    w, v = np.linalg.eigh(a)
+    return v, w > 1e-12 * np.maximum(w.max(axis=-1), 1.0)[..., None]
 
 
-def gauss_mi(Saa, Sab, Sbb) -> float:
-    """Mutual information of a jointly Gaussian pair from covariance blocks.
+def _by_pattern(*keeps):
+    """Group a stack's instances by their kept-column patterns, one mask
+    ``(..., d_i)`` per covariance: yields ``(where, patterns)`` with ``where``
+    selecting the instances whose masks equal ``patterns``.  A single
+    instance is one group with ``where == ()``."""
+    if keeps[0].ndim == 1:
+        yield (), keeps
+        return
+    joint = np.concatenate(keeps, axis=-1)
+    patterns, which = np.unique(joint.reshape(-1, joint.shape[-1]), axis=0,
+                                return_inverse=True)
+    cuts = np.cumsum([k.shape[-1] for k in keeps])[:-1]
+    for g, pattern in enumerate(patterns):
+        yield which.reshape(joint.shape[:-1]) == g, np.split(pattern, cuts)
+
+
+def project_range(cov) -> list:
+    """Orthonormal bases of the range of a covariance, as columns, grouped
+    by the eigenvector columns kept: ``[(where, basis)]``, ``basis`` the
+    ``(n, d, r)`` stack of the bases of the n covariances ``where`` selects
+    in a stack, or the ``(d, r)`` basis of a single covariance
+    (``where == ()``)."""
+    v, keep = _range_columns(_sym(cov))
+    return [(where, v[where][..., p]) for where, (p,) in _by_pattern(keep)]
+
+
+def gauss_mi(Saa, Sab, Sbb):
+    """Mutual information of a jointly Gaussian pair from covariance blocks,
+    a float (an array for a stack).
 
     Degenerate marginals are projected onto their range first; a singular
     conditional covariance (deterministic dependence) raises SingularMatrix.
+    Each instance of a stack is computed with the others of its range
+    pattern.
     """
     Saa, Sbb = _sym(Saa), _sym(Sbb)
     Sab = np.atleast_2d(np.asarray(Sab, dtype=float))
-    Pa = project_range(Saa)
-    Pb = project_range(Sbb)
-    if Pa.shape[1] == 0 or Pb.shape[1] == 0:
-        return 0.0
-    a = Pa.T @ Saa @ Pa
-    b = Pb.T @ Sbb @ Pb
-    c = Pa.T @ Sab @ Pb
-    cond = b - c.T @ np.linalg.solve(a, c)
-    return 0.5 * (logdet(b) - logdet(cond))
+    lead = np.broadcast_shapes(Saa.shape[:-2], Sab.shape[:-2], Sbb.shape[:-2])
+    Saa, Sab, Sbb = (np.broadcast_to(m, lead + m.shape[-2:]) for m in (Saa, Sab, Sbb))
+    (va, ka), (vb, kb) = _range_columns(Saa), _range_columns(Sbb)
+    out = np.zeros(lead)
+    try:
+        for where, (pa, pb) in _by_pattern(ka, kb):
+            if not (pa.any() and pb.any()):
+                continue
+            Pa, Pb = va[where][..., pa], vb[where][..., pb]
+            a = Pa.mT @ Saa[where] @ Pa
+            b = Pb.mT @ Sbb[where] @ Pb
+            c = Pa.mT @ Sab[where] @ Pb
+            cond = b - c.mT @ np.linalg.solve(a, c)
+            out[where] = 0.5 * (logdet(b) - logdet(cond))
+    except WiretapError:
+        if not lead:
+            raise
+        k, e = _first_failure(gauss_mi, Saa, Sab, Sbb)
+        raise at_instance(type(e), k, str(e)) from None
+    return float(out) if not lead else out
 
 
-def dpc_identity_check(K1, K2, K0, ch: GaussChannel) -> float:
-    """Residual of the interference-free rate identity under precoding.
+def dpc_identity_check(K1, K2, K0, ch: GaussChannel):
+    """Residual of the interference-free rate identity under precoding, a
+    float (an array for stacks of covariance triples).
 
     Builds the jointly Gaussian layered selection (V1 = U1 + A U2 + U with
     A = K1 (K1+Sigma1)^{-1}, V2 = U + U2, X = U + U1 + U2) and compares
@@ -283,7 +353,7 @@ def dpc_identity_check(K1, K2, K0, ch: GaussChannel) -> float:
     s1 = ch.Sigma1
     A = dpc_matrix(k1, s1)
     # conditioned on U everything is a function of (U1, U2, N1)
-    v1 = k1 + A @ k2 @ A.T               # Cov(V1 - U)
+    v1 = k1 + A @ k2 @ A.mT              # Cov(V1 - U)
     y1 = k1 + k2 + s1                    # Cov(Y1 - U)
     v1y1 = k1 + A @ k2                   # Cov(V1 - U, Y1 - U)
     v1v2 = A @ k2                        # Cov(V1 - U, V2 - U)
@@ -400,13 +470,21 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
 # --- sweeps -----------------------------------------------------------------
 
 
-def random_psd_under(rng: np.random.Generator, S: np.ndarray) -> np.ndarray:
-    """Random PSD matrix K <= S: congruence of a random contraction by S^1/2."""
+def random_psd_under(rng: np.random.Generator, S: np.ndarray,
+                     size: int | None = None) -> np.ndarray:
+    """Random PSD matrix K <= S: congruence of a random contraction by S^1/2.
+    With ``size``, a stack of that many, drawn in the order of as many calls."""
     d = S.shape[0]
     w, v = np.linalg.eigh(S)
     root = (v * np.sqrt(np.clip(w, 0, None))) @ v.T
-    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-    contraction = (q * rng.uniform(0.0, 1.0, size=d)) @ q.T
+    n = 1 if size is None else size
+    g, u = np.empty((n, d, d)), np.empty((n, d))
+    for k in range(n):
+        g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
+    if size is None:
+        g, u = g[0], u[0]
+    q, _ = np.linalg.qr(g)
+    contraction = (q * u[..., None, :]) @ q.mT
     return check_psd(root @ contraction @ root, "K")
 
 
