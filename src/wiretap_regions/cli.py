@@ -46,8 +46,6 @@ from .regions_discrete import (
 from .regions_gaussian import (
     GaussChannel,
     HGaussChannel,
-    check_degraded_H,
-    check_degraded_order,
     dpc_identity_check,
     eval_gauss_inner,
     eval_gauss_outer,
@@ -222,16 +220,14 @@ def cmd_gauss_dpc(args) -> int:
 def cmd_gauss_degraded(args) -> int:
     ch = _load_channel(args.channel, GaussChannel, HGaussChannel)
     if isinstance(ch, GaussChannel):
-        ok = check_degraded_order(ch)
-        lines = [f"noise-covariance order holds: {ok}"]
+        lines = [f"noise-covariance order holds: {ch.degraded}"]
         invariant = "noise covariances ordered Sigma1 <= Sigma2 <= SigmaZ"
     else:
-        ok, d21, dz2 = check_degraded_H(ch)
-        lines = [f"gain-quotient degradedness holds: {ok}"]
-        for name, m in (("D21", d21), ("DZ2", dz2)):
+        lines = [f"gain-quotient degradedness holds: {ch.degraded}"]
+        for name, m in zip(("D21", "DZ2"), ch.quotients):
             lines += [f"{name}:", *("  " + " ".join(f"{x: .6g}" for x in row) for row in m)]
         invariant = "H2 = D21 H1 and HZ = DZ2 H2 with contractions D21, DZ2"
-    return _conclude(args, None, lines, not ok, invariant)
+    return _conclude(args, None, lines, not ch.degraded, invariant)
 
 
 def cmd_fisher_debruijn(args) -> int:
@@ -272,13 +268,11 @@ def cmd_fisher_lemmas(args) -> int:
 
 def cmd_fisher_evidence(args) -> int:
     ch = _load_channel(args.channel, GaussChannel)
-    if ch.dim != 1:
-        raise ValidationError("the evidence harness is scalar only")
+    s_cap = ch.scalars[0]
     rng = np.random.default_rng(args.seed)
     envelope = pareto_front(
         sweep_covariances(ch, budget=max(40, args.budget), seed=args.seed).points)
     slacks, rows = [], []
-    s_cap = float(ch.S[0, 0])
     for i in range(args.budget):
         mix = random_mixture(rng)
         scale = np.sqrt(0.98 * s_cap / max(mix.second_moment(), 1e-12))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    DimensionMismatch,
     NoRoot,
     QuadratureNonConvergent,
     SingularConditionalCovariance,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .polytope_fm import vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
-from .regions_gaussian import GaussChannel, check_psd, logdet, project_range
+from .regions_gaussian import GaussChannel, check_psd, logdet, project_range, scalar_of
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -51,8 +52,7 @@ class GaussPair:
     def __post_init__(self):
         c = check_psd(self.cov, "joint covariance")
         if c.shape[-1] != self.d_u + self.d_x:
-            raise SingularConditionalCovariance(
-                f"covariance of shape {c.shape} does not match d_u+d_x")
+            raise DimensionMismatch(f"covariance of shape {c.shape} does not match d_u+d_x")
         k, cxu = self.d_u, c
         if k:   # Schur complement Sxx - Sux^T Suu^+ Sux
             sux = c[..., :k, k:]
@@ -266,7 +266,7 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                 worst = np.where(gap > worst, gap, worst)   # the builtin max, per instance
             return worst
     elif isinstance(obj, ScalarMixture):
-        var = float(np.atleast_2d(np.asarray(sigma_n, dtype=float))[0, 0])
+        var = scalar_of(np.atleast_2d(sigma_n), "mixture noise covariance")
 
         def residual(t: float) -> float:
             t_abs = t * max(1.0, var)
@@ -383,7 +383,7 @@ def _gauss_lemmas(joint: np.ndarray, draws: np.ndarray) -> dict[str, np.ndarray]
     sN = _psd(g["sN"], 0.1)
 
     # entropy lower bound h >= log|2 pi e J^{-1}|/2 (equality when Gaussian)
-    h = 0.5 * (d * math.log(TWO_PI_E) + logdet(pair.cov_x_given_u() + s1))
+    h = _gauss_cond_entropy(pair.cov_x_given_u(), s1)
     bound = 0.5 * (d * math.log(TWO_PI_E) - logdet(jy))
 
     # inverse reverses the semidefinite order
@@ -460,10 +460,10 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     if sigma2_sq > sigmaz_sq:
         raise NoRoot("interpolation requires the degraded order sigma2^2 <= sigmaZ^2")
     if isinstance(obj, GaussPair):
-        cxu = float(obj.cov_x_given_u()[0, 0])
+        cxu = scalar_of(obj.cov_x_given_u(), "Cov(X|U)")
         j2, jz = 1.0 / (cxu + sigma2_sq), 1.0 / (cxu + sigmaz_sq)
         g = 0.5 * math.log((cxu + sigmaz_sq) / (cxu + sigma2_sq))
-        cap = float(obj.cov_x()[0, 0])
+        cap = scalar_of(obj.cov_x(), "Cov(X)")
     elif isinstance(obj, ScalarMixture):
         h2, j2 = _mixture_cond(obj, sigma2_sq)
         hz, jz = _mixture_cond(obj, sigmaz_sq)
@@ -527,9 +527,7 @@ class DominanceReport:
 def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, float]:
     """The five information quantities of :func:`five_bound_system` for a
     scalar mixture input."""
-    s1 = float(ch.Sigma1[0, 0])
-    s2 = float(ch.Sigma2[0, 0])
-    sz = float(ch.SigmaZ[0, 0])
+    _, s1, s2, sz = ch.scalars
     h_y2 = mixture_entropy(mix.x_points, mix.weights, s2)
     h_z = mixture_entropy(mix.x_points, mix.weights, sz)
     h_y1_u = mixture_cond_entropy(mix, s1)
@@ -557,7 +555,7 @@ def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
     ``pareto_front(gauss_points)`` instead of the whole cloud gives the same
     slacks from a smaller LP.
     """
-    if mix.second_moment() > float(ch.S[0, 0]) + 1e-9:
+    if mix.second_moment() > ch.scalars[0] + 1e-9:
         raise ValidationError("mixture second moment exceeds the input cap")
     if not np.asarray(gauss_points).size:
         raise ValidationError("empty Gaussian envelope")

@@ -173,27 +173,13 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
 
 
 def _prune_dominated(sys: IneqSystem) -> IneqSystem:
-    """Drop constraints implied by another one on the nonnegative orthant
-    (right-hand sides compared within 1e-12)."""
-    rows = list(sys.ineqs)
-    keep = []
-    for i, qi in enumerate(rows):
-        ci = qi.coeff_dict()
-        dominated = False
-        for j, qj in enumerate(rows):
-            if i == j:
-                continue
-            cj = qj.coeff_dict()
-            # qj implies qi when qj has at least qi's coefficients and a
-            # smaller right-hand side; ties broken by keeping the earlier row
-            geq = all(cj.get(v, 0) >= c for v, c in ci.items())
-            if geq and qj.rhs <= qi.rhs + 1e-12:
-                if qj.rhs < qi.rhs - 1e-12 or ci != cj or j < i:
-                    dominated = True
-                    break
-        if not dominated:
-            keep.append(qi)
-    return sys.with_ineqs(keep)
+    """Drop the rows another row implies on the nonnegative orthant: a row
+    with at least another's coefficients and at most its right-hand side
+    implies it, so the rows kept are those :func:`pareto_front` keeps of
+    (coefficients, -rhs)."""
+    rows = np.array([[float(q.coeff(v)) for v in sys.vars] + [-q.rhs] for q in sys.ineqs],
+                    dtype=float).reshape(-1, len(sys.vars) + 1)
+    return sys.with_ineqs([sys.ineqs[i] for i in _undominated(rows)])
 
 
 def _zero_rates(sys: IneqSystem, names) -> IneqSystem:
@@ -312,6 +298,20 @@ def dominance_slack(points, cloud) -> np.ndarray:
     return (p - lam @ cloud).max(axis=1)
 
 
+def _undominated(pts: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of ``pts`` that no other row dominates
+    componentwise; of equal rows the first is kept."""
+    # descending lexicographic order puts every row after the rows dominating
+    # it and after its earlier duplicates (the index breaks ties)
+    order = np.lexsort((np.arange(len(pts)), *(-pts[:, ::-1].T)))
+    front, kept = np.empty_like(pts), []
+    for i in order:
+        if not (front[:len(kept)] >= pts[i]).all(axis=1).any():
+            front[len(kept)] = pts[i]
+            kept.append(i)
+    return np.sort(np.asarray(kept, dtype=int))
+
+
 def pareto_front(points) -> np.ndarray:
     """Rows of ``points`` that no other row dominates componentwise, in their
     original order; of equal rows the first is kept.
@@ -321,15 +321,7 @@ def pareto_front(points) -> np.ndarray:
     using the row that dominates it.
     """
     pts = np.asarray(points, dtype=float)
-    # descending lexicographic order puts every row after the rows dominating
-    # it and after its earlier duplicates (the index breaks ties)
-    order = np.lexsort((np.arange(len(pts)), *(-pts[:, ::-1].T)))
-    front, kept = np.empty_like(pts), []
-    for i in order:
-        if not (front[:len(kept)] >= pts[i]).all(axis=1).any():
-            front[len(kept)] = pts[i]
-            kept.append(i)
-    return pts[np.sort(np.asarray(kept, dtype=int))]
+    return pts[_undominated(pts)]
 
 
 def _corner_aux_ux(card_u: int, card_x: int):

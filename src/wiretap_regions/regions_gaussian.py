@@ -1,14 +1,15 @@
 """Gaussian vector channel instances and closed-form log-det rate regions.
 
 Channels are ``Y1 = X + N1``, ``Y2 = X + N2``, ``Z = X + NZ`` with an input
-covariance cap ``E[X X'] <= S``; degradedness is the noise-covariance order
-``0 < S1 <= S2 <= SZ`` (or, for channels given by gain matrices with unit
-noise, the contraction test on the gain quotients).  All bounds are halves of
-natural-log determinant ratios, in nats.
+covariance cap ``E[X X'] <= S``; a channel's ``degraded`` property is the
+noise-covariance order ``0 < S1 <= S2 <= SZ`` (or, for channels given by gain
+matrices with unit noise, the contraction test on the gain quotients).  All
+bounds are halves of natural-log determinant ratios, in nats.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -111,6 +112,15 @@ def logdet(m):
     return float(out) if out.ndim == 0 else out
 
 
+def scalar_of(m, what: str) -> float:
+    """The entry of a 1 x 1 matrix; ValidationError for any other shape, a
+    stack of 1 x 1 matrices included."""
+    a = np.asarray(m, dtype=float)
+    if a.shape != (1, 1):
+        raise ValidationError(f"{what} must be a 1x1 matrix, got shape {a.shape}")
+    return float(a[0, 0])
+
+
 @dataclass(frozen=True)
 class GaussChannel:
     """Input covariance cap and the three noise covariances (all d x d)."""
@@ -134,6 +144,19 @@ class GaussChannel:
     def dim(self) -> int:
         return self.S.shape[0]
 
+    @property
+    def scalars(self) -> tuple[float, float, float, float]:
+        """``(S, Sigma1, Sigma2, SigmaZ)`` of a scalar channel; ValidationError
+        for any other dimension."""
+        return tuple(scalar_of(getattr(self, name), name)
+                     for name in ("S", "Sigma1", "Sigma2", "SigmaZ"))
+
+    @functools.cached_property
+    def degraded(self) -> bool:
+        """Noise-covariance order Sigma1 <= Sigma2 <= SigmaZ (Sigma1 > 0 holds
+        by construction)."""
+        return psd_leq(self.Sigma1, self.Sigma2) and psd_leq(self.Sigma2, self.SigmaZ)
+
 
 @dataclass(frozen=True)
 class HGaussChannel:
@@ -154,6 +177,24 @@ class HGaussChannel:
         object.__setattr__(self, "H1", h1)
         object.__setattr__(self, "H2", h2)
         object.__setattr__(self, "HZ", hz)
+
+    @functools.cached_property
+    def quotients(self) -> tuple[np.ndarray, np.ndarray]:
+        """Least-squares gain quotients ``(D21, DZ2) = (H2 H1^+, HZ H2^+)``, read-only."""
+        quotients = self.H2 @ np.linalg.pinv(self.H1), self.HZ @ np.linalg.pinv(self.H2)
+        for q in quotients:
+            q.setflags(write=False)
+        return quotients
+
+    @functools.cached_property
+    def degraded(self) -> bool:
+        """Whether the quotients reproduce the smaller gains (H2 = D21 H1,
+        HZ = DZ2 H2) and are contractions."""
+        d21, dz2 = self.quotients
+        return bool(np.linalg.norm(self.H2 - d21 @ self.H1) <= 1e-9
+                    and np.linalg.norm(self.HZ - dz2 @ self.H2) <= 1e-9
+                    and all(np.linalg.eigvalsh(d @ d.T).max() <= 1.0 + ORDER_TOL
+                            for d in (d21, dz2)))
 
 
 @dataclass(frozen=True)
@@ -183,32 +224,6 @@ class CovSplit:
             raise CapExceeded("covariance allocation exceeds the input cap S")
 
 
-def check_degraded_order(ch: GaussChannel) -> bool:
-    """Noise-covariance order Sigma1 <= Sigma2 <= SigmaZ (Sigma1 > 0 holds by
-    construction)."""
-    return psd_leq(ch.Sigma1, ch.Sigma2) and psd_leq(ch.Sigma2, ch.SigmaZ)
-
-
-def check_degraded_H(ch: HGaussChannel):
-    """Degradedness test for the gain-matrix form.
-
-    Least-squares candidates D21 = H2 H1^+ and DZ2 = HZ H2^+ must reproduce
-    the smaller gains and be contractions.  Returns (ok, D21, DZ2).
-    """
-    d21 = ch.H2 @ np.linalg.pinv(ch.H1)
-    dz2 = ch.HZ @ np.linalg.pinv(ch.H2)
-    ok = True
-    if np.linalg.norm(ch.H2 - d21 @ ch.H1) > 1e-9:
-        ok = False
-    if np.linalg.norm(ch.HZ - dz2 @ ch.H2) > 1e-9:
-        ok = False
-    for d in (d21, dz2):
-        w = np.linalg.eigvalsh(d @ d.T)
-        if w.max() > 1.0 + ORDER_TOL:
-            ok = False
-    return ok, d21, dz2
-
-
 def construct_joint_noise(ch: GaussChannel) -> np.ndarray:
     """Joint covariance of (N1, N2, NZ) realizing the degraded chain.
 
@@ -216,7 +231,7 @@ def construct_joint_noise(ch: GaussChannel) -> np.ndarray:
     covariance Sigma2-Sigma1 and SigmaZ-Sigma2, so the blocks reproduce the
     marginal noise covariances exactly and X -> Y1 -> Y2 -> Z holds.
     """
-    if not check_degraded_order(ch):
+    if not ch.degraded:
         raise NotDegraded("noise covariances are not ordered")
     s1, s2, sz = ch.Sigma1, ch.Sigma2, ch.SigmaZ
     return np.block([[s1, s1, s1], [s1, s2, s2], [s1, s2, sz]])
@@ -241,7 +256,7 @@ def _gauss_constants(K, ch: GaussChannel) -> dict[str, float]:
 
 def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> IneqSystem:
     """Five-bound achievable region for a degraded channel and a fixed K <= S."""
-    if not check_degraded_order(ch):
+    if not ch.degraded:
         raise NotDegraded("inner bound needs the degraded noise order")
     if split.K is None:
         raise ValidationError("inner bound takes a single-matrix split K")
@@ -426,12 +441,7 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
     the degraded noise increments row-discretized on 122 points each.  Used
     to cross-check the closed-form bounds against the discrete path.
     """
-    if ch.dim != 1:
-        raise ValidationError("discretization is defined for scalar channels")
-    S = float(ch.S[0, 0])
-    s1 = float(ch.Sigma1[0, 0])
-    s2 = float(ch.Sigma2[0, 0])
-    sz = float(ch.SigmaZ[0, 0])
+    S, s1, s2, sz = ch.scalars
     su = S - k_alloc
     m, span = 61, 6.0
 
@@ -502,7 +512,7 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
         raise ValidationError("a trace cap applies only to the trace_P mode")
     if trace_p is not None and not 0 < trace_p < math.inf:
         raise ValidationError(f"trace cap must be positive and finite, got {trace_p}")
-    if not check_degraded_order(ch):
+    if not ch.degraded:
         raise NotDegraded("covariance sweep expects a degraded channel")
     rng = np.random.default_rng(seed)
     d = ch.dim

@@ -23,6 +23,7 @@ from wiretap_regions.errors import (
     ValidationError,
     WiretapError,
 )
+from wiretap_regions.fisher_lab import GaussPair
 from wiretap_regions.info_core import ChannelSpec, VarId, build_degraded_joint
 from wiretap_regions.io_files import (
     check_matches_channel,
@@ -335,6 +336,14 @@ def test_fisher_evidence_prints_worst_slack(tmp_path, capsys):
     with open(out, newline="") as fh:
         worst = max(float(r["max_slack"]) for r in csv.DictReader(fh))
     assert float(line.rsplit(":", 1)[1]) == pytest.approx(worst, rel=1e-3)
+
+
+def test_fisher_evidence_on_a_2x2_channel_is_an_input_error(tmp_path, capsys):
+    channel = ("kind: gauss\nS:\n2 0\n0 2\nSigma1:\n0.5 0\n0 0.5\n"
+               "Sigma2:\n1 0\n0 1\nSigmaZ:\n2 0\n0 2\n")
+    assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", channel),
+                 "--budget", "1"]) == 2
+    assert capsys.readouterr().err == "input error: S must be a 1x1 matrix, got shape (2, 2)\n"
 
 
 def test_fisher_evidence_names_a_dominance_lp_failure(tmp_path, monkeypatch, capsys):
@@ -781,7 +790,9 @@ def test_dag_file_refusals_name_their_line(tmp_path, text, line, what):
                                             Sigma2=np.eye(2), SigmaZ=2 * np.eye(2)), 0.5),
      ValidationError),
     (lambda: IneqSystem.of(("x",), [LinIneq.of({"y": 1}, 1.0)]), UnknownVariable),
-], ids=["gauss-sizes", "gauss-h-widths", "split-empty", "discretize-2x2", "unknown-rate"])
+    (lambda: GaussPair(np.eye(3), d_u=1, d_x=1), DimensionMismatch),
+], ids=["gauss-sizes", "gauss-h-widths", "split-empty", "discretize-2x2", "unknown-rate",
+        "gauss-pair-size"])
 def test_model_errors_name_what_went_wrong(build, error):
     with pytest.raises(error):
         build()

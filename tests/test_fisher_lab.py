@@ -28,7 +28,7 @@ from wiretap_regions.fisher_lab import (
 )
 from wiretap_regions.polytope_fm import vertices
 from wiretap_regions.regions_discrete import dominance_slack, five_bound_system, pareto_front
-from wiretap_regions.regions_gaussian import GaussChannel, sweep_covariances
+from wiretap_regions.regions_gaussian import GaussChannel, discretize_scalar, sweep_covariances
 
 I1 = np.eye(1)
 
@@ -384,3 +384,22 @@ def test_evidence_rejects_over_cap():
     mix = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
     with pytest.raises(ValidationError):
         sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch, n=5))
+
+
+ANTIPODAL = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
+CHANNEL_2X2 = GaussChannel(S=2 * np.eye(2), Sigma1=0.5 * np.eye(2), Sigma2=np.eye(2),
+                           SigmaZ=2 * np.eye(2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: interpolation_t_star(GaussPair(np.eye(4), d_u=2, d_x=2), 1.0, 2.0),
+    lambda: interpolation_t_star(GaussPair(np.stack([np.eye(2)] * 3), d_u=1, d_x=1), 1.0, 2.0),
+    lambda: debruijn_check(ANTIPODAL, np.eye(2)),
+    lambda: mixture_region_constants(ANTIPODAL, CHANNEL_2X2),
+    lambda: sufficiency_evidence_scalar(ANTIPODAL, CHANNEL_2X2, np.ones((1, 4))),
+    lambda: discretize_scalar(CHANNEL_2X2, 0.5),
+], ids=["interpolation-2x2", "interpolation-stack", "debruijn-mixture-2x2",
+        "region-constants-2x2", "evidence-2x2", "discretize-2x2"])
+def test_scalar_only_entry_points_refuse_other_shapes(call):
+    with pytest.raises(ValidationError, match="must be a 1x1 matrix"):
+        call()

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hull_oracle import in_hull
+from wiretap_regions import regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
@@ -16,6 +17,8 @@ from wiretap_regions.errors import (
 )
 from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
 from wiretap_regions.polytope_fm import (
+    IneqSystem,
+    LinIneq,
     apply_rate_transfer,
     fm_eliminate,
     max_violation,
@@ -249,6 +252,42 @@ def test_cor3_alt_contained_per_aux():
         specialize_corollary(eval_degraded_outer(aux, ch), "cor3_alt")
     with pytest.raises(UnknownCorollary):
         specialize_corollary(inner, "cor9")
+
+
+def test_corollary_pruning_keeps_a_row_a_mixed_sign_row_does_not_imply():
+    # a - b <= 0.5 does not bound a on its own: (a, b) = (3.5, 3) meets it and b <= 3
+    sys = IneqSystem.of(("a", "b"), [LinIneq.of({"a": 1}, 1.0, label="a"),
+                                     LinIneq.of({"a": 1, "b": -1}, 0.5, label="a-b"),
+                                     LinIneq.of({"b": 1}, 3.0, label="b")])
+    pruned = regions_discrete._prune_dominated(sys)
+    assert [q.label for q in pruned.ineqs] == ["a", "a-b", "b"]
+    assert region_equal(pruned, sys)
+
+
+# Rows with coefficients in {-1, 0, 1}, at least one of them 1, and a dyadic
+# right-hand side >= 0: one such row implies another on the orthant exactly
+# when it has at least its coefficients and at most its right-hand side.
+_PRUNE_VARS = ("a", "b", "c")
+_SIGNED_ROW = st.tuples(st.tuples(*[st.integers(-1, 1)] * 3).filter(lambda c: 1 in c),
+                        st.integers(0, 12).map(lambda k: k / 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_SIGNED_ROW, min_size=1, max_size=8))
+def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
+    box = LinIneq.of(dict.fromkeys(_PRUNE_VARS, 1), 4.0)   # keeps the region bounded
+    sys = IneqSystem.of(_PRUNE_VARS, [LinIneq.of(dict(zip(_PRUNE_VARS, c)), b)
+                                      for c, b in rows] + [box])
+    pruned = regions_discrete._prune_dominated(sys)
+    assert region_equal(pruned, sys)
+    kept = pruned.ineqs
+    # max of each kept row's left side over the orthant part of another kept row
+    jobs = [(pruned.with_ineqs([qj]), [{v: float(c) for v, c in qi.coeffs}
+                                       for qi in kept if qi is not qj]) for qj in kept]
+    for qj, values in zip(kept, support_value(jobs)):
+        others = [qi for qi in kept if qi is not qj]
+        for qi, value in zip(others, values):
+            assert value is None or value > qi.rhs + 1e-9, (qj, qi)
 
 
 def test_to_equivocation():

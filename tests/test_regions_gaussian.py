@@ -1,9 +1,13 @@
+import ast
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+import wiretap_regions
 from hull_oracle import in_hull
+from wiretap_regions import regions_gaussian
 from wiretap_regions.errors import (
     CapExceeded,
     NotDegraded,
@@ -16,8 +20,6 @@ from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
     HGaussChannel,
-    check_degraded_H,
-    check_degraded_order,
     construct_joint_noise,
     dpc_identity_check,
     dpc_matrix,
@@ -59,20 +61,45 @@ def rand_degraded(rng, d):
 
 
 def test_degraded_order_examples():
-    assert check_degraded_order(GaussChannel(I1, I1, I1, I1))
+    assert GaussChannel(I1, I1, I1, I1).degraded
     d2 = np.eye(2)
-    assert not check_degraded_order(GaussChannel(d2, 2 * d2, d2, 2 * d2))
-    assert check_degraded_order(GaussChannel(np.eye(2), np.diag([0.5, 1.0]),
-                                             np.diag([1.0, 1.0]), np.diag([2.0, 3.0])))
+    assert not GaussChannel(d2, 2 * d2, d2, 2 * d2).degraded
+    assert GaussChannel(np.eye(2), np.diag([0.5, 1.0]),
+                        np.diag([1.0, 1.0]), np.diag([2.0, 3.0])).degraded
 
 
 def test_degraded_H_examples():
-    ok, d21, _ = check_degraded_H(HGaussChannel(np.eye(2), np.eye(2), np.eye(2)))
-    assert ok and np.allclose(d21, np.eye(2))
-    ok, d21, _ = check_degraded_H(HGaussChannel(np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2)))
-    assert ok and np.allclose(d21, 0.5 * np.eye(2))
-    ok, _, _ = check_degraded_H(HGaussChannel(np.eye(2), 2.0 * np.eye(2), np.eye(2)))
-    assert not ok
+    ch = HGaussChannel(np.eye(2), np.eye(2), np.eye(2))
+    assert ch.degraded and np.allclose(ch.quotients[0], np.eye(2))
+    ch = HGaussChannel(np.eye(2), 0.5 * np.eye(2), 0.25 * np.eye(2))
+    assert ch.degraded and np.allclose(ch.quotients[0], 0.5 * np.eye(2))
+    assert not HGaussChannel(np.eye(2), 2.0 * np.eye(2), np.eye(2)).degraded
+
+
+def test_fixed_S_sweep_decides_degradedness_once(monkeypatch):
+    # the order test is the only psd_leq call that compares against SigmaZ
+    calls, real = [], regions_gaussian.psd_leq
+    monkeypatch.setattr(regions_gaussian, "psd_leq",
+                        lambda a, b: calls.append(b) or real(a, b))
+    ch = scalar_channel()
+    sweep_covariances(ch, budget=10, seed=3)
+    assert sum(b is ch.SigmaZ for b in calls) == 1
+
+
+def test_only_scalar_of_reads_entry_0_0():
+    # one scalar reader: every other [0, 0] read would need its own shape check
+    for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [n for n in ast.walk(tree)
+                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            index = node.slice if isinstance(node, ast.Subscript) else None
+            if (isinstance(index, ast.Tuple) and len(index.elts) == 2
+                    and all(isinstance(e, ast.Constant) and e.value == 0 for e in index.elts)):
+                around = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                owner = max(around, key=lambda f: f.lineno).name if around else None
+                assert (path.name, owner) == ("regions_gaussian.py", "scalar_of"), \
+                    f"[0, 0] read at {path.name}:{node.lineno}"
 
 
 def test_joint_noise_scalar_forced_covariances():
