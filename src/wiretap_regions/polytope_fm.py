@@ -23,9 +23,11 @@ import numpy as np
 
 from .entropy_algebra import InfoExpr
 from .errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     DuplicateSlackName,
     LPFailure,
+    RowsDiffer,
     UnboundedRegion,
     UnknownVariable,
     ZeroCoefficient,
@@ -307,40 +309,66 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
 
 @dataclass(frozen=True)
 class VPolytope:
-    """Vertex list of a bounded numeric system inside the orthant."""
+    """Vertex lists of a stack of bounded numeric systems inside the orthant:
+    ``vertices`` holds every member's vertices in member order and ``counts``
+    how many each member has.  A lone polytope is a stack of one, its
+    ``counts`` defaulting to ``[len(vertices)]``."""
 
     vars: tuple[str, ...]
     vertices: np.ndarray = field(repr=False)
+    counts: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         # "+ 0.0" copies the array and turns the -0.0 entries of a solve into 0.0
         arr = np.asarray(self.vertices, dtype=float).reshape(-1, len(self.vars)) + 0.0
-        arr.setflags(write=False)
-        object.__setattr__(self, "vertices", arr)
+        counts = np.array([len(arr)] if self.counts is None else self.counts, dtype=int)
+        if counts.sum() != len(arr):
+            raise DimensionMismatch(f"counts add up to {counts.sum()}, not the {len(arr)} vertices")
+        for a, name in ((arr, "vertices"), (counts, "counts")):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
-def _numeric_rows(sys: IneqSystem, allow_eq: bool = False):
+def _numeric_rows(systems, allow_eq: bool = False) -> list[tuple]:
+    """``(A, b)`` of each numeric system, or ``(A, b, A_eq, b_eq)`` with
+    ``allow_eq``.  The coefficient rows become floats once per distinct
+    (variables, rows) set, and the systems that have it share that read-only
+    ``A`` (and ``A_eq``); the right-hand sides are each system's own."""
+    shared, out = [], []
+    for sys in systems:
+        if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
+            raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
+        key = (sys.vars, tuple((q.rel, q.coeffs) for q in sys.ineqs))
+        # systems that share rows come in runs, so the latest set is tried first
+        mats = next((m for k, m in reversed(shared) if k == key), None)
+        if mats is None:
+            mats = _coefficient_rows(sys, allow_eq)
+            shared.append((key, mats))
+        b = np.array([q.rhs for q in sys.ineqs if q.rel == LE], dtype=float)
+        if allow_eq:
+            out.append((mats[0], b, mats[1], np.array([q.rhs for q in sys.ineqs if q.rel == EQ],
+                                                      dtype=float)))
+        else:
+            out.append((mats[0], b))
+    return out
+
+
+def _coefficient_rows(sys: IneqSystem, allow_eq: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float matrices of the ``<=`` and the ``==`` rows of ``sys``."""
     d = len(sys.vars)
     idx = {v: i for i, v in enumerate(sys.vars)}
-    ub, bub, eq, beq = [], [], [], []
+    ub, eq = [], []
     for q in sys.ineqs:
-        if isinstance(q.rhs, InfoExpr):
-            raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
+        if q.rel != LE and not allow_eq:
+            raise ZeroCoefficient("numeric vertex enumeration expects pure <= systems")
         row = np.zeros(d)
         for v, c in q.coeffs:
             row[idx[v]] = float(c)
-        if q.rel == LE:
-            ub.append(row)
-            bub.append(q.rhs)
-        elif allow_eq:
-            eq.append(row)
-            beq.append(q.rhs)
-        else:
-            raise ZeroCoefficient("numeric vertex enumeration expects pure <= systems")
-    A = np.array(ub).reshape(-1, d)
-    if allow_eq:
-        return A, np.array(bub), np.array(eq).reshape(-1, d), np.array(beq)
-    return A, np.array(bub, dtype=float)
+        (ub if q.rel == LE else eq).append(row)
+    mats = np.array(ub).reshape(-1, d), np.array(eq).reshape(-1, d)
+    for m in mats:
+        m.setflags(write=False)
+    return mats
 
 
 def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), what="LP",
@@ -361,49 +389,65 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     return res
 
 
-def vertices(sys: IneqSystem, recession: dict | None = None) -> VPolytope:
-    """Exact vertex enumeration by active-set basis enumeration.
+def vertices(systems) -> VPolytope:
+    """Exact vertex enumeration by active-set basis enumeration, of one
+    numeric system or of a stack of systems that share their variables and
+    coefficient rows (a lone system is a stack of one; members whose rows
+    differ raise :class:`RowsDiffer`).
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
     are solved and filtered by feasibility at ``VERTEX_TOL``; vertices are
     deduplicated at ``VERTEX_TOL``.  The region lies in the orthant, so it
     holds no line, and when nonempty it has a vertex: no surviving basis means
-    an empty region, with no LP solved.  A nonempty region must be bounded:
-    one recession LP checks it and raises :class:`UnboundedRegion` otherwise.
-    Requires dimension at most 6.
+    an empty region, with no LP solved.  A nonempty region must be bounded,
+    and its recession cone ``{r >= 0, A r <= 0}`` depends on the shared rows
+    ``A`` only: one recession LP per call checks it when any member is
+    nonempty, and raises :class:`UnboundedRegion` otherwise.  Requires
+    dimension at most 6.
 
-    The recession cone of a nonempty ``{x >= 0, A x <= b}`` is
-    ``{r >= 0, A r <= 0}``, so the verdict depends on the explicit rows ``A``
-    only.  A caller building many systems with equal rows may pass one
-    ``recession`` dict to every call: it maps ``(A.shape, A.tobytes())`` to
-    the verdict, and the LP is solved only for rows it does not hold yet.
+    The members share their bases, so the determinants and the mask of
+    nonsingular bases are computed once.  Every (member, basis) pair is one
+    instance of a broadcast solve, which gives each member the bits its lone
+    call gets (the multi-right-hand-side form ``solve(M, R)`` does not), in
+    blocks of at most ``_BLOCK_SOLVES`` pairs, so memory does not grow with
+    the stack.  Returns one :class:`VPolytope` holding each member's vertices
+    in member order, with per-member ``counts``.
     """
-    d = len(sys.vars)
+    members = [systems] if isinstance(systems, IneqSystem) else list(systems)
+    names = members[0].vars
+    d = len(names)
     if d > 6:
         raise DimensionTooLarge(f"vertex enumeration supports dimension <= 6, got {d}")
-    A_exp, b_exp = _numeric_rows(sys)
+    rows = _numeric_rows(members)
+    A_exp = rows[0][0]
+    if any(A is not A_exp for A, _ in rows):
+        raise RowsDiffer("stacked systems must share their variables and coefficient rows")
     A = np.vstack([A_exp, -np.eye(d)])
-    b = np.concatenate([b_exp, np.zeros(d)])
+    b = np.stack([np.concatenate([b_exp, np.zeros(d)]) for _, b_exp in rows])   # (N, m)
     combos = _bases(A.shape[0], d)
     mats = A[combos]                       # (n, d, d)
-    rhs = b[combos]                        # (n, d)
     dets = np.linalg.det(mats)
     scale = np.abs(mats).max(axis=(1, 2)) + 1.0
     ok = np.abs(dets) > 1e-12 * scale**d
-    sols = np.linalg.solve(mats[ok], rhs[ok][..., None])[..., 0]   # (k, d)
-    feas = (sols @ A.T <= b[None, :] + VERTEX_TOL).all(axis=1)
-    pts = sols[feas]
-    if pts.shape[0] == 0:
-        return VPolytope(sys.vars, np.empty((0, d)))
-    recession = {} if recession is None else recession
-    key = (A_exp.shape, A_exp.tobytes())
-    if key not in recession:
-        # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
-        recession[key] = solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]),
-                                  np.ones((1, d)), [1.0], what="recession").status == 0
-    if recession[key]:
+    mats, combos = mats[ok], combos[ok]    # (k, d, d), (k, d)
+    per_block = max(1, _BLOCK_SOLVES // max(len(combos), 1))
+    pts = []
+    for lo in range(0, len(b), per_block):
+        blk = b[lo:lo + per_block]
+        sols = np.linalg.solve(mats[None], blk[:, combos][..., None])[..., 0]   # (N, k, d)
+        feas = (sols @ A.T <= blk[:, None, :] + VERTEX_TOL).all(axis=2)
+        pts += [_unique_points(s[f], VERTEX_TOL) if f.any() else s[f] for s, f in zip(sols, feas)]
+    counts = [len(p) for p in pts]
+    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
+    if any(counts) and solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)),
+                                [1.0], what="recession").status == 0:
         raise UnboundedRegion("system has a recession direction inside the orthant")
-    return VPolytope(sys.vars, _unique_points(pts, VERTEX_TOL))
+    return VPolytope(names, np.concatenate(pts), counts)
+
+
+# (member, basis) solves per block of a stacked vertices() call: about 2 MB of
+# feasibility products at the 14 rows of the ten-bound region
+_BLOCK_SOLVES = 1 << 14
 
 
 @functools.lru_cache(maxsize=None)
@@ -420,21 +464,24 @@ def _unique_points(pts: np.ndarray, tol: float) -> np.ndarray:
     lexsort neighbour, then each survivor when it lies within ``tol`` of an
     earlier kept survivor (lexsort adjacency can split near-duplicates)."""
     pts = pts[np.lexsort(pts.T[::-1])]
-    close = np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2) <= tol
+    close = np.ones((len(pts), len(pts)), dtype=bool)
+    for col in pts.T:   # one coordinate at a time: a max over a short axis is slow
+        close &= np.abs(col[:, None] - col[None, :]) <= tol
+    close = close.tolist()
     keep = [0]
-    for i in range(1, pts.shape[0]):
-        if not close[i, keep[-1]]:
+    for i in range(1, len(pts)):
+        if not close[i][keep[-1]]:
             keep.append(i)
     uniq = []
     for i in keep:
-        if not close[i, uniq].any():
+        if not any(close[i][j] for j in uniq):
             uniq.append(i)
     return pts[uniq]
 
 
 def max_violation(sys: IneqSystem, point, var_order=None) -> float:
     """Largest amount by which ``point`` violates the system (<=0 means inside)."""
-    A, b = _numeric_rows(sys)
+    [(A, b)] = _numeric_rows([sys])
     x = np.asarray(point, dtype=float)
     if var_order is not None and tuple(var_order) != sys.vars:
         pos = {v: i for i, v in enumerate(var_order)}
@@ -475,7 +522,7 @@ def support_value(jobs) -> list[list]:
     of the job's variables and rows.  Unlike :func:`vertices` this accepts
     equality rows.
     """
-    rows = [_numeric_rows(sys, allow_eq=True) for sys, _ in jobs]
+    rows = _numeric_rows([sys for sys, _ in jobs], allow_eq=True)
     dirs = [_directions(sys, objectives) for sys, objectives in jobs]
     keys = [(A.tobytes(), A_eq.tobytes()) for A, _, A_eq, _ in rows]
     elastic, cones = [], {}   # a recession cone depends on A and A_eq only

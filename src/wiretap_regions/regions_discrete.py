@@ -363,18 +363,16 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
 
 
 def sweep_systems(samples) -> SweepResult:
-    """Merge the vertex clouds of a stream of ``(tag, system)`` samples into
-    one sweep: a CSV row per sample, the point cloud and its hull.  The
-    samples share their coefficient rows, so one recession verdict per
-    distinct row matrix serves the whole sweep."""
-    pts, rows, recession = [], [], {}
-    for idx, (tag, sys) in enumerate(samples):
-        vp = vertices(sys, recession)
-        if vp.vertices.size:
-            pts.append(vp.vertices)
-        rows.append((idx, tag, [float(q.rhs) for q in sys.ineqs], vp.vertices.shape[0]))
-    cloud = np.vstack(pts) if pts else np.empty((0, len(RATES)))
-    return SweepResult(rates=RATES, points=cloud, rows=rows)
+    """Merge the vertex clouds of ``(tag, system)`` samples into one sweep: a
+    CSV row per sample, the point cloud and its hull.  The samples share their
+    coefficient rows, so the sweep is evaluated as one stack: a single
+    :func:`vertices` call enumerates every sample against one set of bases
+    and solves at most one recession LP."""
+    tags, systems = zip(*samples)
+    vp = vertices(systems)
+    rows = [(idx, tag, [float(q.rhs) for q in sys.ineqs], n)
+            for idx, (tag, sys, n) in enumerate(zip(tags, systems, vp.counts.tolist()))]
+    return SweepResult(rates=RATES, points=vp.vertices, rows=rows)
 
 
 def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,

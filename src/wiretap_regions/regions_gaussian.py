@@ -37,8 +37,8 @@ from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
 
-# _sym, check_psd, logdet, dpc_matrix, project_range, gauss_mi,
-# dpc_identity_check and random_psd_under take a matrix or a stack of
+# _sym, check_psd, check_pd, psd_leq, logdet, dpc_matrix, project_range,
+# gauss_mi, dpc_identity_check and random_psd_under take a matrix or a stack of
 # matrices (..., d, d) and compute each matrix of a stack exactly as alone.  A
 # matrix that breaks a check raises for the first such instance k of the
 # stack, naming k (see errors.at_instance); a single matrix is a stack with no
@@ -86,17 +86,17 @@ def check_psd(m, name: str = "matrix") -> np.ndarray:
 
 def check_pd(m, name: str = "matrix") -> np.ndarray:
     a = _sym(m)
-    w = np.linalg.eigvalsh(a)
-    if w.min() <= 0:
-        raise NotPSD(f"{name} must be positive definite; min eigenvalue {w.min():.3e}")
+    low = np.linalg.eigvalsh(a).min(axis=-1)
+    raise_for_first(low <= 0, NotPSD, lambda k: f"{name} must be positive definite; "
+                                                f"min eigenvalue {low[k]:.3e}")
     return a
 
 
-def psd_leq(a, b) -> bool:
+def psd_leq(a, b):
     """a <= b in the semidefinite order, within the absolute eigenvalue slack
-    ``ORDER_TOL``."""
-    w = np.linalg.eigvalsh(_sym(b) - _sym(a))
-    return bool(w.min() >= -ORDER_TOL)
+    ``ORDER_TOL``: a bool (a bool array for a stack)."""
+    ok = np.linalg.eigvalsh(_sym(b) - _sym(a)).min(axis=-1) >= -ORDER_TOL
+    return bool(ok) if ok.ndim == 0 else ok
 
 
 def logdet(m):
@@ -123,7 +123,8 @@ def scalar_of(m, what: str) -> float:
 
 @dataclass(frozen=True)
 class GaussChannel:
-    """Input covariance cap and the three noise covariances (all d x d)."""
+    """Input covariance cap and the three noise covariances (all d x d).  The
+    cap ``S`` may also be a stack of caps, one per sample of a sweep."""
 
     S: np.ndarray
     Sigma1: np.ndarray
@@ -135,14 +136,14 @@ class GaussChannel:
         object.__setattr__(self, "Sigma1", check_pd(self.Sigma1, "Sigma1"))
         object.__setattr__(self, "Sigma2", check_pd(self.Sigma2, "Sigma2"))
         object.__setattr__(self, "SigmaZ", check_pd(self.SigmaZ, "SigmaZ"))
-        d = self.S.shape[0]
+        d = self.S.shape[-1]
         for m in (self.Sigma1, self.Sigma2, self.SigmaZ):
             if m.shape != (d, d):
                 raise DimensionMismatch("all channel matrices must share one dimension")
 
     @property
     def dim(self) -> int:
-        return self.S.shape[0]
+        return self.S.shape[-1]
 
     @property
     def scalars(self) -> tuple[float, float, float, float]:
@@ -220,8 +221,8 @@ class CovSplit:
 
     def validate_cap(self, S) -> None:
         total = self.K if self.K is not None else self.K0 + self.K1 + self.K2
-        if not psd_leq(total, S):
-            raise CapExceeded("covariance allocation exceeds the input cap S")
+        raise_for_first(~np.asarray(psd_leq(total, S)), CapExceeded,
+                        lambda k: "covariance allocation exceeds the input cap S")
 
 
 def construct_joint_noise(ch: GaussChannel) -> np.ndarray:
@@ -241,27 +242,36 @@ def _half_logdet_ratio(num, den) -> float:
     return 0.5 * (logdet(num) - logdet(den))
 
 
-def _gauss_constants(K, ch: GaussChannel) -> dict[str, float]:
+def _gauss_constants(K, ch: GaussChannel) -> dict:
     """The five information quantities of :func:`five_bound_system` for X = U + V
-    with Cov(V) = K and Cov(U) = S - K."""
+    with Cov(V) = K and Cov(U) = S - K, from one logdet of their ten matrices:
+    floats, or arrays for a stack of K (and of S)."""
     S, s1, s2, sz = ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ
-    return {
-        "iuy2": _half_logdet_ratio(S + s2, K + s2),
-        "iuz": _half_logdet_ratio(S + sz, K + sz),
-        "ixy1_u": _half_logdet_ratio(K + s1, s1),
-        "ixz": _half_logdet_ratio(S + sz, sz),
-        "ixz_u": _half_logdet_ratio(K + sz, sz),
+    ratios = {
+        "iuy2": (S + s2, K + s2),
+        "iuz": (S + sz, K + sz),
+        "ixy1_u": (K + s1, s1),
+        "ixz": (S + sz, sz),
+        "ixz_u": (K + sz, sz),
     }
+    ld = logdet(np.stack(np.broadcast_arrays(*itertools.chain(*ratios.values()))))
+    return {name: 0.5 * (ld[2 * i] - ld[2 * i + 1]) for i, name in enumerate(ratios)}
 
 
-def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> IneqSystem:
-    """Five-bound achievable region for a degraded channel and a fixed K <= S."""
+def eval_gauss_inner(split: CovSplit, ch: GaussChannel):
+    """Five-bound achievable region for a degraded channel and a fixed K <= S.
+
+    A split whose K is a stack (and a channel whose S is one cap or a stack
+    of as many) gives one system per K, from one cap check and one logdet."""
     if not ch.degraded:
         raise NotDegraded("inner bound needs the degraded noise order")
     if split.K is None:
         raise ValidationError("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
-    return five_bound_system(**_gauss_constants(split.K, ch))
+    constants = _gauss_constants(split.K, ch)
+    if split.K.ndim == 2:
+        return five_bound_system(**constants)
+    return [five_bound_system(*c) for c in zip(*(v.tolist() for v in constants.values()))]
 
 
 def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> IneqSystem:
@@ -484,15 +494,22 @@ def random_psd_under(rng: np.random.Generator, S: np.ndarray,
                      size: int | None = None) -> np.ndarray:
     """Random PSD matrix K <= S: congruence of a random contraction by S^1/2.
     With ``size``, a stack of that many, drawn in the order of as many calls."""
-    d = S.shape[0]
-    w, v = np.linalg.eigh(S)
-    root = (v * np.sqrt(np.clip(w, 0, None))) @ v.T
+    d = S.shape[-1]
     n = 1 if size is None else size
     g, u = np.empty((n, d, d)), np.empty((n, d))
     for k in range(n):
         g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
     if size is None:
         g, u = g[0], u[0]
+    return _psd_under(S, g, u)
+
+
+def _psd_under(S, g, u) -> np.ndarray:
+    """``S^1/2 Q diag(u) Q' S^1/2`` for the Q of the QR factorization of the
+    normal draw ``g`` and the uniform draw ``u``; stacks of S broadcast
+    against stacks of draws."""
+    w, v = np.linalg.eigh(S)
+    root = (v * np.sqrt(np.clip(w, 0, None))[..., None, :]) @ v.mT
     q, _ = np.linalg.qr(g)
     contraction = (q * u[..., None, :]) @ q.mT
     return check_psd(root @ contraction @ root, "K")
@@ -503,7 +520,14 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
     """Seeded sweep of covariance splits; fixed-prefix sampling as in the
     discrete sweeps.  ``trace_P`` mode additionally samples the cap S on the
     trace simplex ``tr(S) <= P``, with ``P = trace_p`` (default ``tr(S)``);
-    ``trace_p`` in any other mode is an input error."""
+    ``trace_p`` in any other mode is an input error.
+
+    The sweep is evaluated as one stack: every sample is drawn first, in the
+    order a per-sample loop draws them, then one :func:`eval_gauss_inner`
+    call checks every cap at once and gives one system per sample, and
+    :func:`sweep_systems` enumerates them in one :func:`vertices` call.
+    Nothing about the channel (noise covariances, degradedness) is checked
+    per sample."""
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
     if mode not in ("fixed_S", "trace_P"):
@@ -516,22 +540,21 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
         raise NotDegraded("covariance sweep expects a degraded channel")
     rng = np.random.default_rng(seed)
     d = ch.dim
-
-    def samples():
-        if mode == "fixed_S":
-            for K in (np.zeros((d, d)), ch.S.copy(), 0.5 * ch.S):
-                yield K, ch
-            while True:
-                yield random_psd_under(rng, ch.S), ch
-        else:
-            p = trace_p if trace_p is not None else float(np.trace(ch.S))
-            while True:
-                q, _ = np.linalg.qr(rng.normal(size=(d, d)))
-                lam = rng.dirichlet(np.ones(d)) * p
-                S = (q * np.clip(lam, 1e-9 * p, None)) @ q.T
-                S = check_pd(0.5 * (S + S.T), "S")
-                channel = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
-                yield random_psd_under(rng, S), channel
-
-    return sweep_systems((f"K{i}", eval_gauss_inner(CovSplit(K=K), channel))
-                         for i, (K, channel) in enumerate(itertools.islice(samples(), budget)))
+    if mode == "fixed_S":
+        K = np.stack([np.zeros((d, d)), ch.S, 0.5 * ch.S])[:budget]
+        if budget > 3:
+            K = np.concatenate([K, random_psd_under(rng, ch.S, size=budget - 3)])
+    else:
+        p = trace_p if trace_p is not None else float(np.trace(ch.S))
+        rot, lam = np.empty((budget, d, d)), np.empty((budget, d))
+        g, u = np.empty((budget, d, d)), np.empty((budget, d))
+        for k in range(budget):
+            rot[k], lam[k] = rng.normal(size=(d, d)), rng.dirichlet(np.ones(d)) * p
+            g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
+        q, _ = np.linalg.qr(rot)
+        S = (q * np.clip(lam, 1e-9 * p, None)[:, None, :]) @ q.mT
+        S = check_pd(0.5 * (S + S.mT), "S")
+        ch = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
+        K = _psd_under(S, g, u)
+    return sweep_systems((f"K{i}", sys) for i, sys in enumerate(
+        eval_gauss_inner(CovSplit(K=K), ch)))

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import pathlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,11 +9,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
+from wiretap_regions import polytope_fm
 from wiretap_regions.entropy_algebra import InfoExpr, sym
 from wiretap_regions.errors import (
     DimensionTooLarge,
     DuplicateSlackName,
     LPFailure,
+    RowsDiffer,
     UnboundedRegion,
     ZeroCoefficient,
 )
@@ -269,36 +272,72 @@ def _shared_rows_with_rhs_list(draw):
     return [num_sys(names, list(zip(coeffs, b))) for b in rhs_list]
 
 
-def _vertices_or_unbounded(s, recession=None):
+def _vertices_or_unbounded(s):
     try:
-        return vertices(s, recession).vertices
+        return vertices(s).vertices
     except UnboundedRegion:
         return "unbounded"
+
+
+def _stacked(systems):
+    try:
+        vp = vertices(systems)
+    except UnboundedRegion:
+        return "unbounded"
+    return vp.vertices, vp.counts.tolist()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_shared_rows_with_rhs_list())
+def test_stacked_vertices_match_the_lone_calls_bit_for_bit(systems):
+    alone = [_vertices_or_unbounded(s) for s in systems]
+    got = _stacked(systems)
+    # a nonempty unbounded member raises, as its lone call does
+    if any(isinstance(v, str) for v in alone):
+        assert got == "unbounded"
+        return
+    assert not isinstance(got, str)
+    points, counts = got
+    assert counts == [len(v) for v in alone]            # an empty member counts 0
+    assert points.tobytes() == np.concatenate(alone).tobytes()
+    with mock.patch.object(polytope_fm, "_BLOCK_SOLVES", 1):
+        one_by_one = _stacked(systems)
+    assert one_by_one[0].tobytes() == points.tobytes() and one_by_one[1] == counts
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_shared_rows_with_rhs_list())
 def test_shared_recession_verdict_matches_one_lp_per_call(systems):
-    memo = {}
-    for s in systems:
-        shared, alone = _vertices_or_unbounded(s, memo), _vertices_or_unbounded(s)
-        if isinstance(alone, str):
-            assert isinstance(shared, str)
-        else:
-            np.testing.assert_array_equal(shared, alone)
-    assert len(memo) <= 1
+    whats, real = [], polytope_fm.solve_lp
+
+    def solve_lp(*args, what="LP", **kw):
+        whats.append(what)
+        return real(*args, what=what, **kw)
+
+    alone = [_vertices_or_unbounded(s) for s in systems]
+    with mock.patch.object(polytope_fm, "solve_lp", solve_lp):
+        got = _stacked(systems)
+    assert whats == (["recession"] if any(len(v) for v in alone) else [])
+    assert isinstance(got, str) == any(isinstance(v, str) for v in alone)
 
 
 def test_shared_recession_verdict_keys_on_the_row_shape():
-    # both coefficient matrices hold the bytes of 1, -1, -1, 1
+    # both coefficient matrices hold the bytes of 1, -1, -1, 1, and each
+    # alone gets its own verdict; stacked, they do not share their rows
     unbounded = num_sys(("x", "y"), [({"x": 1, "y": -1}, 1), ({"x": -1, "y": 1}, 1)])
     bounded = num_sys(("x",), [({"x": 1}, 1), ({"x": -1}, 1), ({"x": -1}, 2),
                                ({"x": 1}, 2)])
-    for first, second in ((unbounded, bounded), (bounded, unbounded)):
-        memo = {}
-        for s in (first, second):
-            assert isinstance(_vertices_or_unbounded(s, memo), str) == (s is unbounded)
-        assert len(memo) == 2
+    assert _vertices_or_unbounded(unbounded) == "unbounded"
+    assert _vertices_or_unbounded(bounded).tolist() == [[0.0], [1.0]]
+    for pair in ((unbounded, bounded), (bounded, unbounded)):
+        with pytest.raises(RowsDiffer):
+            vertices(pair)
+    # equal rows over other variables, or other rows over the same variables
+    renamed = num_sys(("x", "z"), [({"x": 1, "z": -1}, 1), ({"x": -1, "z": 1}, 1)])
+    other = num_sys(("x", "y"), [({"x": 1, "y": -1}, 1), ({"x": -1, "y": 2}, 1)])
+    for s in (renamed, other):
+        with pytest.raises(RowsDiffer):
+            vertices([unbounded, s])
 
 
 def test_vertices_solve_one_recession_lp_a_call_without_a_shared_verdict(lp_whats):
@@ -329,16 +368,23 @@ def test_a_sweep_solves_one_recession_lp(lp_whats, sweep):
 
 
 def test_failed_recession_lp_leaves_no_shared_verdict(monkeypatch):
+    # a failed LP raises and is not remembered: the next call solves its own
     import wiretap_regions.polytope_fm as pf
 
+    whats, real = [], pf.solve_lp
+
     def solve_lp(*args, what="LP", **kw):
-        raise LPFailure(f"{what} LP failed with status 4: numerical difficulties")
+        whats.append(what)
+        if len(whats) == 1:
+            raise LPFailure(f"{what} LP failed with status 4: numerical difficulties")
+        return real(*args, what=what, **kw)
 
     monkeypatch.setattr(pf, "solve_lp", solve_lp)
-    memo = {}
+    stack = [num_sys(("x", "y"), [({"x": 1}, b), ({"y": 1}, 2)]) for b in (1, 3)]
     with pytest.raises(LPFailure):
-        vertices(num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)]), memo)
-    assert memo == {}
+        vertices(stack)
+    assert vertices(stack).counts.tolist() == [4, 4]
+    assert whats == ["recession"] * 2
 
 
 def two_pass_unique(pts, tol):

@@ -331,6 +331,36 @@ def test_sweep_budget_monotone():
         assert in_hull(p, big.points, tol=1e-9)
 
 
+def _gauss_2x2():
+    from wiretap_regions.regions_gaussian import GaussChannel
+
+    eye = np.eye(2)
+    return GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * eye, Sigma2=eye,
+                        SigmaZ=2 * eye)
+
+
+def _region_sweep(mode):
+    return lambda budget: sweep_inner_region(cascade_channel(), budget, seed=11, mode=mode)
+
+
+def _gauss_sweep(mode):
+    from wiretap_regions.regions_gaussian import sweep_covariances
+
+    return lambda budget: sweep_covariances(_gauss_2x2(), budget, seed=11, mode=mode)
+
+
+@pytest.mark.parametrize("sweep", [_region_sweep("degraded"), _region_sweep("general"),
+                                   _gauss_sweep("fixed_S"), _gauss_sweep("trace_P")],
+                         ids=["degraded", "general", "fixed_S", "trace_P"])
+def test_a_larger_budget_extends_a_smaller_one(sweep):
+    # every sample is drawn before any is evaluated, in one stream order
+    big = sweep(9)
+    for k in (2, 5):
+        small = sweep(k)
+        assert small.rows == big.rows[:k]
+        assert small.points.tobytes() == big.points[:len(small.points)].tobytes()
+
+
 def test_flat_cloud_is_hulled_in_its_span():
     # Rs1 = Rs2 = 0 throughout: the cloud is the triangle Rp1 + Rp2 <= log 2
     res = sweep_inner_region(identity_channel(), 40, seed=6)

@@ -86,6 +86,41 @@ def test_fixed_S_sweep_decides_degradedness_once(monkeypatch):
     assert sum(b is ch.SigmaZ for b in calls) == 1
 
 
+def test_stacked_split_gives_each_sample_its_lone_system():
+    ch = GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * np.eye(2),
+                      Sigma2=np.eye(2), SigmaZ=2 * np.eye(2))
+    K = random_psd_under(np.random.default_rng(8), ch.S, size=6)
+    stacked = eval_gauss_inner(CovSplit(K=K), ch)
+    alone = [eval_gauss_inner(CovSplit(K=k), ch) for k in K]
+    assert stacked == alone
+    # one cap check for the stack, naming the first sample over the cap
+    K[[2, 4]] = 1.5 * ch.S
+    with pytest.raises(CapExceeded, match="^instance 2: covariance allocation exceeds"):
+        eval_gauss_inner(CovSplit(K=K), ch)
+
+
+def test_trace_P_sweep_checks_the_channel_once(monkeypatch):
+    # the caps of a sweep are one stack: how often the channel and the caps
+    # are checked does not grow with the budget
+    counts = {}
+    for name in ("psd_leq", "check_pd"):
+        real = getattr(regions_gaussian, name)
+        monkeypatch.setattr(regions_gaussian, name,
+                            lambda *a, _real=real, _name=name, **k:
+                            counts.__setitem__(_name, counts.get(_name, 0) + 1) or _real(*a, **k))
+    eye = np.eye(2)
+    ch = GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * eye, Sigma2=eye,
+                      SigmaZ=2 * eye)
+    assert ch.degraded
+    made = []
+    for budget in (10, 40):
+        counts.clear()
+        sweep_covariances(ch, budget=budget, seed=3, mode="trace_P")
+        made.append(dict(counts))
+    assert made[0] == made[1]
+    assert made[0]["psd_leq"] <= 3
+
+
 def test_only_scalar_of_reads_entry_0_0():
     # one scalar reader: every other [0, 0] read would need its own shape check
     for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):
