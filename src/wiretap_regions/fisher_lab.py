@@ -9,7 +9,11 @@ bounds, and the scalar evidence harness for Gaussian sufficiency.
 
 Gaussian instances use closed forms.  For scalar mixtures one trapezoid pass
 on a +-8-standard-deviation grid gives both h and J and checks each by step
-halving; a value that moves raises QuadratureNonConvergent, never returns.
+halving.  The grid sizes itself by that check: it walks the nested ladder of
+251, 501, 1001, 2001 and 4001 points, starting at the coarsest rung with
+spacing at most sigma / 2 and doubling while a value moves; ``n`` (default
+``QUAD_N`` = 4001) is the largest grid, and a value that still moves there
+raises QuadratureNonConvergent, never returns.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .errors import (
     SingularConditionalCovariance,
     StepTooLarge,
     ValidationError,
+    at_instance,
     numbered,
     raise_for_first,
 )
@@ -107,7 +112,7 @@ class ScalarMixture:
 
 # Largest relative move of h or J from the half-resolution grid.
 QUAD_RTOL = 1e-7
-# Grid points of every mixture quadrature.
+# Points of the largest grid of a mixture quadrature, the top rung of its ladder.
 QUAD_N = 4001
 
 
@@ -126,15 +131,42 @@ def _check_mixture(centers, weights):
 
 def _quadrature(centers, weights, var: float, n: int) -> tuple[float, float]:
     """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` by the
-    trapezoid rule on ``n`` points over [min c - 8 sigma, max c + 8 sigma].
-    Either value moving by more than QUAD_RTOL * (1 + |value|) on the
-    half-resolution grid raises QuadratureNonConvergent."""
+    trapezoid rule over [min c - 8 sigma, max c + 8 sigma], on a grid sized by
+    its own check.  The grids are the nested ladder ``m = (n - 1) / 2^k + 1``
+    of odd point counts that ends at ``n`` (251, 501, ..., 4001 for
+    ``QUAD_N``); the pass starts at the coarsest rung whose spacing is at
+    most sigma / 2, so no component falls between grid points, and doubles
+    while either value moves by more than QUAD_RTOL * (1 + |value|) on the
+    half-resolution grid.  Still moving at ``n`` points raises
+    QuadratureNonConvergent."""
     centers, weights = _check_mixture(centers, weights)
     if not var > 0.0:
         raise ValidationError(f"noise variance must be positive, got {var}")
+    if n < 3 or n % 2 == 0:
+        raise ValidationError(f"quadrature grid needs an odd point count >= 3, got {n}")
     centers, weights = centers[weights > 0.0], weights[weights > 0.0]   # no log(0)
     sigma = math.sqrt(var)
-    y = np.linspace(centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma, n)
+    lo, hi = centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma
+    m = n   # the next coarser rung (m - 1) / 2 + 1 is odd when m % 4 == 1
+    while m % 4 == 1 and (hi - lo) / ((m - 1) // 2) <= 0.5 * sigma:
+        m = (m - 1) // 2 + 1
+    while True:
+        y = np.linspace(lo, hi, m)
+        terms = _integrands(y, centers, weights, var)
+        full = np.trapezoid(terms, y, axis=1)
+        moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
+        if (moved <= QUAD_RTOL * (1.0 + np.abs(full))).all():
+            return float(full[0]), float(full[1])
+        if m == n:
+            raise QuadratureNonConvergent(
+                f"quadrature of (h, J) moved by ({moved[0]:.2e}, {moved[1]:.2e}) "
+                f"under refinement at {n} points")
+        m = 2 * m - 1
+
+
+def _integrands(y, centers, weights, var: float) -> np.ndarray:
+    """Rows ``-f log f`` and ``f'^2 / f`` of the mixture density ``f`` at the
+    points ``y``."""
     # log(w_j phi(y - c_j; var)): one row per component, shifted by the column max
     d = y[None, :] - centers[:, None]
     z = -d ** 2 / (2.0 * var)
@@ -147,15 +179,9 @@ def _quadrature(centers, weights, var: float, n: int) -> tuple[float, float]:
     f = total * scale
     fprime = (expz * (-d / var)).sum(axis=0) * scale
     mask = f > 1e-300
-    # rows: integrands of h and J; exp(logf) and f differ only in rounding
-    terms = np.stack([-np.exp(logf) * logf,
-                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
-    full = np.trapezoid(terms, y, axis=1)
-    moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
-    if (moved > QUAD_RTOL * (1.0 + np.abs(full))).any():
-        raise QuadratureNonConvergent(
-            f"quadrature of (h, J) moved by ({moved[0]:.2e}, {moved[1]:.2e}) under refinement")
-    return float(full[0]), float(full[1])
+    # exp(logf) and f differ only in rounding
+    return np.stack([-np.exp(logf) * logf,
+                     np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
 
 
 def mixture_entropy(centers, weights, var: float, n: int = QUAD_N) -> float:
@@ -542,32 +568,47 @@ def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, 
     }
 
 
-def sufficiency_evidence_scalar(mix: ScalarMixture, ch: GaussChannel,
-                                gauss_points: np.ndarray,
-                                slack_tol: float = 1e-3) -> DominanceReport:
-    """Check that the mixture's five-bound polytope lies inside the Gaussian
+def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarray,
+                                slack_tol: float = 1e-3):
+    """Check that each mixture's five-bound polytope lies inside the Gaussian
     allocation envelope (point cloud from a covariance sweep), within a slack.
 
-    Rate regions are downward closed, so a vertex is covered when some convex
-    combination of envelope points dominates it componentwise.  The slack is
-    monotone in the vertex, so only the vertices on the polytope's Pareto
-    front are checked, all of them by one :func:`dominance_slack` LP.  Passing
+    ``mixes`` is one :class:`ScalarMixture`, which gets one report, or a
+    sequence of them, which gets a list of reports in order; a lone mixture
+    is a stack of one.  Every mixture's bounds are computed first, and one
+    stacked :func:`vertices` call gives all their polytopes.  Rate regions are
+    downward closed, so a vertex is covered when some convex combination of
+    envelope points dominates it componentwise.  The slack is monotone in the
+    vertex, so only the vertices on a polytope's Pareto front are checked,
+    all of them by one :func:`dominance_slack` LP per mixture.  Passing
     ``pareto_front(gauss_points)`` instead of the whole cloud gives the same
-    slacks from a smaller LP.
+    slacks from smaller LPs.  An error names the mixture of a sequence it
+    concerns.
     """
-    if mix.second_moment() > ch.scalars[0] + 1e-9:
-        raise ValidationError("mixture second moment exceeds the input cap")
+    lone = isinstance(mixes, ScalarMixture)
+    mixes = [mixes] if lone else list(mixes)
     if not np.asarray(gauss_points).size:
         raise ValidationError("empty Gaussian envelope")
-    bounds = five_bound_system(**mixture_region_constants(mix, ch))
-    negative = [q for q in bounds.ineqs if q.rhs < 0.0]
-    for q in negative:
-        if q.rhs < -CLAMP_TOL:
-            raise QuadratureNonConvergent(
-                f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
-    vp = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
-    # the clamped region holds the origin, so its front is never empty
-    worst = dominance_slack(pareto_front(vp.vertices), gauss_points).max()
-    return DominanceReport(constants={q.label: q.rhs for q in bounds.ineqs},
-                           clamped=[q.label for q in negative], max_slack=float(worst),
-                           contained=bool(worst <= slack_tol))
+    if not mixes:
+        return []
+    systems, found = [], []
+    for k, mix in enumerate(mixes):
+        where = () if lone else (k,)
+        if mix.second_moment() > ch.scalars[0] + 1e-9:
+            raise at_instance(ValidationError, where, "mixture second moment exceeds the input cap")
+        bounds = five_bound_system(**mixture_region_constants(mix, ch))
+        negative = [q for q in bounds.ineqs if q.rhs < 0.0]
+        for q in negative:
+            if q.rhs < -CLAMP_TOL:
+                raise at_instance(QuadratureNonConvergent, where,
+                                  f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
+        systems.append(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
+        found.append(({q.label: q.rhs for q in bounds.ineqs}, [q.label for q in negative]))
+    vp = vertices(systems)
+    reports = []
+    # each clamped region holds the origin, so its front is never empty
+    for (constants, clamped), pts in zip(found, np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):
+        worst = float(dominance_slack(pareto_front(pts), gauss_points).max())
+        reports.append(DominanceReport(constants=constants, clamped=clamped, max_slack=worst,
+                                       contained=worst <= slack_tol))
+    return reports[0] if lone else reports

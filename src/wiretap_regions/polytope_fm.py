@@ -563,6 +563,8 @@ def _block_lp(blocks) -> list[np.ndarray]:
         return []
     A, b, A_eq, b_eq, c = zip(*blocks)
     A, A_eq = block_diag(A, format="csr"), block_diag(A_eq, format="csr")
+    for m in (A, A_eq):   # the dense blocks' zeros are stored entries until dropped
+        m.eliminate_zeros()
     b, b_eq = np.concatenate(b), np.concatenate(b_eq)
     res = solve_lp(-np.concatenate(c), A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
     if res.status != 0:

@@ -93,18 +93,25 @@ def _system(rows) -> IneqSystem:
     return IneqSystem.of(RATES, [LinIneq.of(c, float(r), label=l) for c, r, l in rows])
 
 
+# The five-bound region's rows with a zero right-hand side, built once: every
+# system five_bound_system returns shares their coefficient tuples.
+_FIVE_BOUNDS = _system([
+    ({"Rs2": 1}, 0.0, "rs2"),
+    ({"Rs1": 1, "Rs2": 1}, 0.0, "rs12"),
+    ({"Rp2": 1, "Rs2": 1}, 0.0, "rs2p2"),
+    ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "rs12p2"),
+    ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "total"),
+])
+
+
 def five_bound_system(iuy2: float, iuz: float, ixy1_u: float, ixz: float,
                       ixz_u: float) -> IneqSystem:
     """Five-bound degraded-channel region from its five information quantities
     I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the input law
     (discrete auxiliaries, Gaussian covariances or scalar mixtures)."""
-    return _system([
-        ({"Rs2": 1}, iuy2 - iuz, "rs2"),
-        ({"Rs1": 1, "Rs2": 1}, iuy2 + ixy1_u - ixz, "rs12"),
-        ({"Rp2": 1, "Rs2": 1}, iuy2, "rs2p2"),
-        ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, iuy2 + ixy1_u - ixz_u, "rs12p2"),
-        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, iuy2 + ixy1_u, "total"),
-    ])
+    rhs = (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2, iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u)
+    return _FIVE_BOUNDS.with_ineqs([LinIneq(q.coeffs, float(r), q.rel, q.label)
+                                    for q, r in zip(_FIVE_BOUNDS.ineqs, rhs)])
 
 
 def outer_of(inner: IneqSystem) -> IneqSystem:

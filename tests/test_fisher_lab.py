@@ -129,6 +129,73 @@ def test_fisher_quadrature_checks_itself():
         mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
 
 
+def _fixed_grid_pass(centers, weights, var, n=fisher_lab.QUAD_N):
+    """(h, J) of ``sum_j w_j N(c_j, var)`` by the trapezoid rule on one fixed
+    ``n``-point grid over [min c - 8 sigma, max c + 8 sigma]: the ladder's
+    largest grid, with the densities summed directly."""
+    c, w = np.asarray(centers, dtype=float), np.asarray(weights, dtype=float)
+    sigma = math.sqrt(var)
+    y = np.linspace(c.min() - 8.0 * sigma, c.max() + 8.0 * sigma, n)
+    d = y[None, :] - c[:, None]
+    parts = w[:, None] * np.exp(-d ** 2 / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
+    f, fprime = parts.sum(axis=0), (parts * (-d / var)).sum(axis=0)
+    live = f > 0.0
+    f_or_1 = np.where(live, f, 1.0)
+    return (-np.trapezoid(np.where(live, f * np.log(f_or_1), 0.0), y),
+            np.trapezoid(np.where(live, fprime ** 2 / f_or_1, 0.0), y))
+
+
+def _rungs(monkeypatch):
+    """The point counts of every grid the quadrature evaluates from now on."""
+    seen, integrands = [], fisher_lab._integrands
+
+    def spy(y, *args):
+        seen.append(len(y))
+        return integrands(y, *args)
+
+    monkeypatch.setattr(fisher_lab, "_integrands", spy)
+    return seen
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 2.0))
+def test_grid_ladder_matches_the_largest_grid(seed, var):
+    mix = random_mixture(np.random.default_rng(seed))
+    got = fisher_lab._quadrature(mix.x_points, mix.weights, var, fisher_lab.QUAD_N)
+    for value, ref in zip(got, _fixed_grid_pass(mix.x_points, mix.weights, var)):
+        assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
+
+
+@pytest.mark.parametrize("centers, weights, var, rungs", [
+    ([0.0], [1.0], 1.0, [251]),                           # one component: the first rung
+    ([-0.5, 0.0, 6.0], [0.5, 0.25, 0.25], 1e-2, [251, 501, 1001]),   # the check climbs
+    ([0.0, 30.0], [0.5, 0.5], 1e-3, [2001]),              # sigma / 2 spacing needs 2001
+    ([0.0, 100.0], [0.5, 0.5], 1e-2, [4001]),             # ... or the largest grid
+])
+def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers, weights, var,
+                                                            rungs):
+    seen = _rungs(monkeypatch)
+    got = fisher_lab._quadrature(centers, weights, var, fisher_lab.QUAD_N)
+    assert seen == rungs
+    for value, ref in zip(got, _fixed_grid_pass(centers, weights, var)):
+        assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
+
+
+def test_grid_ladder_raises_when_the_largest_grid_still_moves(monkeypatch):
+    seen = _rungs(monkeypatch)
+    with pytest.raises(QuadratureNonConvergent, match="at 4001 points"):
+        mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
+    assert seen[-1] == 4001
+
+
+def test_quadrature_rejects_an_even_or_tiny_grid():
+    # with an even count, y[::2] stops one point short of the interval's end
+    for n in (4000, 2, 1, 0, -1):
+        with pytest.raises(ValidationError, match="odd point count"):
+            mixture_entropy([0.0], [1.0], 1.0, n=n)
+    assert mixture_fisher([0.0], [1.0], 1.0, n=3001) == pytest.approx(1.0, abs=1e-9)
+
+
 def test_quadrature_rejects_bad_input():
     for routine in (mixture_entropy, mixture_fisher):
         for c, w, var in [([0.0, 1.0], [1.5, -0.5], 1.0), ([0.0, 1.0], [0.5, 0.6], 1.0),
@@ -353,6 +420,29 @@ def test_evidence_random_mixtures_dominated():
         brute = brute_force_max_slack(mix, ch, env)
         assert abs(rep.max_slack - brute) <= 1e-9
         assert abs(sufficiency_evidence_scalar(mix, ch, front).max_slack - brute) <= 1e-9
+
+
+def test_evidence_stack_matches_lone_calls(lp_whats, monkeypatch):
+    ch = scalar_channel()
+    env = gauss_envelope(ch)
+    rng = np.random.default_rng(41)
+    mixes = []
+    for _ in range(6):
+        mix = random_mixture(rng)
+        scale = min(1.0, math.sqrt(0.98 / max(mix.second_moment(), 1e-9)))
+        mixes.append(ScalarMixture(mix.u_points, mix.x_points * scale, mix.weights))
+    lone = [sufficiency_evidence_scalar(mix, ch, env) for mix in mixes]
+    dominance, slack = [], fisher_lab.dominance_slack
+    monkeypatch.setattr(fisher_lab, "dominance_slack",
+                        lambda *args: dominance.append(args) or slack(*args))
+    del lp_whats[:]
+    assert sufficiency_evidence_scalar(mixes, ch, env) == lone
+    # one recession LP for the stacked vertices() call, one dominance LP a mixture
+    assert lp_whats == ["recession"] and len(dominance) == len(mixes)
+    assert sufficiency_evidence_scalar([], ch, env) == []
+    over = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="instance 2: mixture second moment"):
+        sufficiency_evidence_scalar(mixes[:2] + [over], ch, env)
 
 
 def antipodal_constants_with(monkeypatch, rs2):

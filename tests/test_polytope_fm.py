@@ -552,6 +552,21 @@ def test_batched_support_values_cost_two_lps(lp_whats):
     assert lp_whats == ["support"] * 2
 
 
+def test_support_lps_store_no_explicit_zeros(monkeypatch):
+    real, stored = polytope_fm.solve_lp, []
+
+    def solve_lp(c, A_ub, b_ub, A_eq, b_eq, **kw):
+        stored.extend(m for m in (A_ub, A_eq) if m.shape[0])
+        return real(c, A_ub, b_ub, A_eq, b_eq, **kw)
+
+    monkeypatch.setattr(polytope_fm, "solve_lp", solve_lp)
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2), ({"x": 1, "y": 1}, 2.5)])
+    pinned = IneqSystem.of(("x", "y"), [LinIneq.of({"x": 1}, 0.5, rel=EQ)])
+    assert support_value([(sq, [{"x": 1, "y": 1}]), (pinned, [{"x": 1}])]) == \
+        [[pytest.approx(2.5)], [pytest.approx(0.5)]]
+    assert stored and all(m.nnz == m.count_nonzero() for m in stored)
+
+
 def _patched_support_lp(monkeypatch, which, change):
     """Hand the result of LP number ``which`` (1: the classification LP, 2:
     the support LP) to ``change``."""

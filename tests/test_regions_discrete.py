@@ -395,6 +395,16 @@ _CONST = st.integers(-64, 128).map(lambda k: k / 64)
 _DIRECTION = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 4)
 
 
+def test_five_bound_systems_share_their_rows():
+    a, b = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75), five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0)
+    assert all(p.coeffs is q.coeffs for p, q in zip(a.ineqs, b.ineqs))
+    assert [(q.label, q.rhs) for q in a.ineqs] == [
+        ("rs2", 0.75), ("rs12", 2.5), ("rs2p2", 1.0), ("rs12p2", 2.25), ("total", 3.0)]
+    assert [q.coeff_dict() for q in b.ineqs] == [
+        {"Rs2": 1}, {"Rs1": 1, "Rs2": 1}, {"Rp2": 1, "Rs2": 1}, {"Rs1": 1, "Rp2": 1, "Rs2": 1},
+        {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[_CONST] * 5), st.lists(_DIRECTION, min_size=3, max_size=3))
 def test_five_bound_vertices_agree_with_support_values(consts, directions):
