@@ -478,8 +478,10 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     """Find t* with f(t*) = h(Z|U) - h(Y2|U) on the scalar interpolation path.
 
     ``K(t) = (1-t) [J^{-1}(X+NZ|U) - sigmaZ^2] + t [J^{-1}(X+N2|U) - sigma2^2]``
-    and ``f(t) = log((K+sigmaZ^2)/(K+sigma2^2))/2``.  Continuity gives a root
-    in [0, 1], found by bisection to 1e-10; the returned K satisfies the
+    and ``f(t) = log((K+sigmaZ^2)/(K+sigma2^2))/2``.  K is linear in t and f
+    depends on K alone, so a sign change of ``f - g`` on [0, 1] gives the root
+    in closed form: ``K* = (sigmaZ^2 - r sigma2^2)/(r - 1)`` with ``r =
+    exp(2g)``, ``g = h(Z|U) - h(Y2|U)``.  The returned K satisfies the
     sandwich ``J^{-1}(X+N2|U) - sigma2^2 <= K <= E[X^2]`` (``Cov(X)`` for a
     Gaussian pair) within 1e-8.
     """
@@ -501,35 +503,21 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     k_z = 1.0 / jz - sigmaz_sq   # t = 0 endpoint
     k_2 = 1.0 / j2 - sigma2_sq   # t = 1 endpoint
 
-    def k_of(t):
-        return (1.0 - t) * k_z + t * k_2
-
-    def f(t):
-        k = k_of(t)
+    def f(k):
         return 0.5 * math.log((k + sigmaz_sq) / (k + sigma2_sq))
 
-    f0, f1 = f(0.0) - g, f(1.0) - g
+    f0, f1 = f(k_z) - g, f(k_2) - g
     if abs(f0) <= 1e-12:
-        t_star = 0.0
+        t_star, k_star = 0.0, k_z
     elif abs(f1) <= 1e-12:
-        t_star = 1.0
+        t_star, k_star = 1.0, k_2
     elif f0 * f1 > 0:
         raise NoRoot(f"no sign change on [0,1]: f(0)-g={f0:.3e}, f(1)-g={f1:.3e}")
     else:
-        lo, hi = 0.0, 1.0
-        flo = f0
-        while hi - lo > 1e-10:
-            mid = 0.5 * (lo + hi)
-            fm = f(mid) - g
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        t_star = 0.5 * (lo + hi)
-    k_star = k_of(t_star)
+        # f(k) = g solved for k; the sign change puts t* in [0, 1] up to rounding
+        r = math.exp(2.0 * g)
+        k_star = (sigmaz_sq - r * sigma2_sq) / (r - 1.0)
+        t_star = min(max((k_star - k_z) / (k_2 - k_z), 0.0), 1.0)
     if k_star < k_2 - 1e-8 or k_star > cap + 1e-8:
         raise NoRoot(
             f"matched covariance {k_star:.6g} violates the sandwich [{k_2:.6g}, {cap:.6g}]")

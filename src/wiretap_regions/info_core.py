@@ -1,10 +1,11 @@
 """Dense joint probability tables and discrete information quantities.
 
 All logarithms are natural (nats).  Zero-probability cells follow the
-convention ``0 * log 0 = 0``; conditional terms with zero conditioning mass
-contribute nothing.  Tables are immutable after construction (each memoises
-the joint entropies asked of it) and all operations are pure functions, so
-values can be shared freely across threads.
+convention ``0 * log 0 = 0``.  Tables are immutable after construction, and
+each memoises the joint entropies asked of it: every mutual information is a
+signed sum of those entropies, so a table computes each marginal entropy once
+whichever quantity asks for it.  All operations are pure functions, so values
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -137,7 +138,9 @@ def smallest_holding(tables, names) -> ProbTable:
 
 
 def mutual_information(t: ProbTable, a, b, c=()) -> float:
-    """Conditional mutual information I(A;B|C) in nats by direct summation.
+    """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
+    in nats, each joint entropy read from the table's memoised :func:`entropy`
+    (H(C) is dropped when C is empty).
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
     pairwise disjoint.  The result is clamped to zero when it falls in
@@ -148,26 +151,9 @@ def mutual_information(t: ProbTable, a, b, c=()) -> float:
         raise OverlappingSets(f"sets {sorted(a)}, {sorted(b)}, {sorted(c)} overlap")
     for n in a | b | c:
         t.axis(n)
-    names = list(a | b | c)
-    # Work on the joint over a|b|c only; axes of the reduced table.
-    keep = sorted(t.axis(n) for n in names)
-    joint = _marginal_array(t, [t.names[i] for i in keep])
-    sub_names = [t.names[i] for i in keep]
-    ax = {n: i for i, n in enumerate(sub_names)}
-
-    def marg(sub):
-        drop = tuple(i for n, i in ax.items() if n not in sub)
-        return joint.sum(axis=drop, keepdims=True) if drop else joint
-
-    p_abc = joint
-    p_ac = np.broadcast_to(marg(a | c), p_abc.shape)
-    p_bc = np.broadcast_to(marg(b | c), p_abc.shape)
-    p_c = np.broadcast_to(marg(c), p_abc.shape)
-    mask = p_abc > 0.0
-    # sum of p(abc) * log [ p(abc) p(c) / (p(ac) p(bc)) ] over supported cells
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(p_abc) + np.log(p_c) - np.log(p_ac) - np.log(p_bc)
-    val = float((p_abc[mask] * ratio[mask]).sum())
+    val = entropy(t, a | c) + entropy(t, b | c) - entropy(t, a | b | c)
+    if c:
+        val -= entropy(t, c)
     if val < 0.0:
         if val < MI_CLAMP:
             # Beyond accumulated-rounding territory for well-formed tables.

@@ -376,15 +376,15 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     """Solve ``min c.x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``bounds`` by HiGHS.
 
     ``options`` is passed to ``linprog`` as is (``None`` keeps HiGHS's
-    defaults).  Returns scipy's result when the LP is solved (status 0),
-    infeasible (2) or unbounded (3); raises LPFailure naming ``what`` on any
-    other status.
+    defaults).  Every caller builds an LP that is feasible and bounded by
+    construction, so there is one outcome rule: scipy's result when the LP
+    ends optimal (status 0), and LPFailure naming ``what`` on any other status.
     """
     from scipy.optimize import linprog
 
     res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
                   method="highs", options=options)
-    if res.status not in (0, 2, 3):
+    if res.status != 0:
         raise LPFailure(f"{what} LP failed with status {res.status}: {res.message}")
     return res
 
@@ -438,9 +438,11 @@ def vertices(systems) -> VPolytope:
         feas = (sols @ A.T <= blk[:, None, :] + VERTEX_TOL).all(axis=2)
         pts += [_unique_points(s[f], VERTEX_TOL) if f.any() else s[f] for s, f in zip(sols, feas)]
     counts = [len(p) for p in pts]
-    # a nonzero recession direction r >= 0 with A r <= 0, scaled to sum(r) = 1
-    if any(counts) and solve_lp(np.zeros(d), A_exp, np.zeros(A_exp.shape[0]), np.ones((1, d)),
-                                [1.0], what="recession").status == 0:
+    # max sum(r) over r >= 0, A r <= 0, sum(r) <= 1 is 1 when the cone holds a
+    # nonzero direction and 0 otherwise
+    if any(counts) and solve_lp(-np.ones(d), np.vstack([A_exp, np.ones(d)]),
+                                np.append(np.zeros(A_exp.shape[0]), 1.0),
+                                what="recession").fun < -0.5:
         raise UnboundedRegion("system has a recession direction inside the orthant")
     return VPolytope(names, np.concatenate(pts), counts)
 
@@ -567,8 +569,6 @@ def _block_lp(blocks) -> list[np.ndarray]:
         m.eliminate_zeros()
     b, b_eq = np.concatenate(b), np.concatenate(b_eq)
     res = solve_lp(-np.concatenate(c), A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
-    if res.status != 0:
-        raise LPFailure(f"support LP ended with status {res.status}: {res.message}")
     worst = max((float(r.max()) for r in (A @ res.x - b, np.abs(A_eq @ res.x - b_eq), -res.x)
                  if r.size), default=0.0)
     if worst > CERT_TOL:

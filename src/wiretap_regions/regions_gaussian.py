@@ -36,6 +36,10 @@ from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, 
 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
+# Largest magnitude of a GaussChannel entry: eight orders below the largest
+# double, so the sums and constant multiples of channel matrices that the
+# evaluators form (symmetrization included) stay finite.
+MAX_ENTRY = 1e300
 
 # _sym, check_psd, check_pd, psd_leq, logdet, dpc_matrix, project_range,
 # gauss_mi, dpc_identity_check and random_psd_under take a matrix or a stack of
@@ -124,7 +128,9 @@ def scalar_of(m, what: str) -> float:
 @dataclass(frozen=True)
 class GaussChannel:
     """Input covariance cap and the three noise covariances (all d x d).  The
-    cap ``S`` may also be a stack of caps, one per sample of a sweep."""
+    cap ``S`` may also be a stack of caps, one per sample of a sweep.  Every
+    entry must be finite and at most ``MAX_ENTRY`` in magnitude
+    (ValidationError otherwise)."""
 
     S: np.ndarray
     Sigma1: np.ndarray
@@ -132,6 +138,11 @@ class GaussChannel:
     SigmaZ: np.ndarray
 
     def __post_init__(self):
+        for name in ("S", "Sigma1", "Sigma2", "SigmaZ"):
+            big = np.abs(np.asarray(getattr(self, name), dtype=float)).max(initial=0.0)
+            if not big <= MAX_ENTRY:
+                raise ValidationError(f"{name} has an entry of magnitude {big:.3g}; channel "
+                                      f"entries must be finite and at most {MAX_ENTRY:g}")
         object.__setattr__(self, "S", check_pd(self.S, "S"))
         object.__setattr__(self, "Sigma1", check_pd(self.Sigma1, "Sigma1"))
         object.__setattr__(self, "Sigma2", check_pd(self.Sigma2, "Sigma2"))

@@ -1,5 +1,7 @@
 import pathlib
 
+import pytest
+
 import wiretap_regions.cli as cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -22,14 +24,16 @@ def test_benchmark_tracer_wraps_every_traced_function(monkeypatch):
     assert all(tracer.bindings.values())
 
 
-def test_traced_sweep_ops_reach_every_expected_layer(monkeypatch, tmp_path, capsys):
-    # one op of each sweeps kind, in process: a refactor that bypasses a
-    # layer the traced benchmark run expects fails here first
+@pytest.mark.parametrize("name", ["sweeps", "chain_replay", "evidence", "fisher_checks"])
+def test_traced_ops_reach_every_expected_layer(monkeypatch, tmp_path, capsys, name):
+    # one op of each kind of a workload, in process: a refactor that bypasses
+    # a layer the traced benchmark run expects, or reaches one it expects to
+    # stay idle, fails here first
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import spec
     from tracer import Tracer
 
-    workload = spec.SWEEPS
+    workload = spec.WORKLOADS[name]
     indices = range(len(workload.kinds))
     inputs = spec.make_inputs(workload, 1, indices, str(tmp_path))
     tracer = Tracer()
@@ -43,4 +47,4 @@ def test_traced_sweep_ops_reach_every_expected_layer(monkeypatch, tmp_path, caps
     capsys.readouterr()
     metrics = tracer.pass_metrics()
     assert [m for m in workload.expect_nonzero if not metrics[m]] == []
-    assert metrics["lp.other.calls"] == 0
+    assert [m for m in workload.expect_zero if metrics[m]] == []

@@ -6,6 +6,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -477,6 +478,26 @@ def test_cli_gauss_split_smaller_than_the_channel_is_an_input_error(tmp_path, sp
     assert main(["gauss", *cmd, "--channel", write(tmp_path, "g.txt", GAUSS_2X2),
                  "--split", write(tmp_path, "s.txt", split)]) == 2
     assert capsys.readouterr().err.startswith("input error: ")
+
+
+EXTREME_GAUSS = "kind: gauss\nS:\n1e308\nSigma1:\n1e-308\nSigma2:\n1\nSigmaZ:\n2\n"
+
+
+@pytest.mark.parametrize("cmd", [
+    ["gauss", "sweep", "--budget", "5"],
+    ["gauss", "dpc-check", "--budget", "5"],
+    ["fisher", "evidence", "--budget", "2"],
+    ["gauss", "degraded-check"],
+    ["region", "sweep", "--budget", "5"],
+], ids=["gauss-sweep", "dpc-check", "evidence", "degraded-check", "region-sweep"])
+def test_cli_gauss_channel_with_an_overflowing_entry_is_an_input_error(tmp_path, cmd, capsys):
+    # 1e308 + 1e308 overflows when S is symmetrized: the channel is refused
+    # when it is built, before any arithmetic can warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*cmd, "--channel", write(tmp_path, "g.txt", EXTREME_GAUSS)]) == 2
+    assert capsys.readouterr().err == ("input error: S has an entry of magnitude 1e+308; "
+                                       "channel entries must be finite and at most 1e+300\n")
 
 
 LAYERED_AUX = "kind: aux\nvars: Q 1 U 1 V1 1 V2 1 X 2\ntable:\n0.5 0.5\n"

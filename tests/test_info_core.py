@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wiretap_regions.errors import (
     NegativeMass,
@@ -280,3 +282,61 @@ def test_entropy_computes_each_marginal_once(monkeypatch):
     for _ in range(3):
         assert [entropy(table, s) for s in subsets] == expected
     assert len(marginals) == len(set(marginals)) == len({frozenset(s) for s in subsets[1:]})
+
+
+def _direct_mi(t, a, b, c=()):
+    """Reference I(A;B|C): the sum of p(abc) log [p(abc) p(c) / (p(ac) p(bc))]
+    over the supported cells of the joint of A, B and C."""
+    names = [n for n in t.names if n in set(a) | set(b) | set(c)]
+    drop = tuple(i for i, n in enumerate(t.names) if n not in names)
+    joint = t.probs.sum(axis=drop) if drop else t.probs
+
+    def marg(sub):
+        keep = tuple(i for i, n in enumerate(names) if n not in sub)
+        return np.broadcast_to(joint.sum(axis=keep, keepdims=True), joint.shape)
+
+    mask = joint > 0.0
+    p, p_ac, p_bc, p_c = (x[mask] for x in (joint, marg(set(a) | set(c)),
+                                             marg(set(b) | set(c)), marg(set(c))))
+    return float((p * (np.log(p) + np.log(p_c) - np.log(p_ac) - np.log(p_bc))).sum())
+
+
+@st.composite
+def _table_and_groups(draw, groups):
+    """A table over 2-5 variables (cardinalities 1-4) with about a third of
+    its cells zero, and possibly a last variable that is a function of the
+    first, with each variable given to one of ``groups`` sets or to none; the
+    first ``groups`` variables go to distinct sets, so every set is nonempty."""
+    cards = draw(st.lists(st.integers(1, 4), min_size=max(2, groups), max_size=5))
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0))
+    w = np.array(draw(st.lists(cell, min_size=int(np.prod(cards)),
+                               max_size=int(np.prod(cards))))).reshape(cards)
+    w.flat[0] += w.sum() == 0.0
+    if draw(st.booleans()):
+        f = np.array(draw(st.lists(st.integers(0, cards[-1] - 1), min_size=cards[0],
+                                   max_size=cards[0])))
+        det = np.zeros_like(w)
+        at = np.broadcast_to(f.reshape((-1,) + (1,) * (len(cards) - 1)), tuple(cards[:-1]) + (1,))
+        np.put_along_axis(det, at, w.sum(axis=-1, keepdims=True), axis=-1)
+        w = det
+    t = make_table(tuple(VarId(f"T{i}", k) for i, k in enumerate(cards)), w / w.sum())
+    labels = list(range(groups)) + [draw(st.integers(0, groups)) for _ in cards[groups:]]
+    return t, [{n for n, g in zip(t.names, labels) if g == k} for k in range(groups)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_table_and_groups(3), st.booleans())
+def test_mi_from_entropies_matches_direct_summation(case, conditioned):
+    t, (a, b, c) = case
+    c = c if conditioned else set()
+    assert abs(mutual_information(t, a, b, c) - _direct_mi(t, a, b, c)) <= 1e-12
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_table_and_groups(4))
+def test_mi_chain_rule(case):
+    # I(A;BC|D) = I(A;B|D) + I(A;C|BD)
+    t, (a, b, c, d) = case
+    lhs = mutual_information(t, a, b | c, d)
+    rhs = mutual_information(t, a, b, d) + mutual_information(t, a, c, b | d)
+    assert abs(lhs - rhs) <= 1e-12

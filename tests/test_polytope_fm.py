@@ -500,7 +500,11 @@ def _support_job(draw):
 
 def _support_alone(sys, objective):
     """One LP for one direction at the certification options: ``-inf`` when
-    it is infeasible, ``None`` when it is unbounded."""
+    it is infeasible, ``None`` when it is unbounded.  It reads the solver's
+    status itself, since ``solve_lp`` refuses every LP that does not end
+    optimal."""
+    import scipy.optimize
+
     import wiretap_regions.polytope_fm as pf
 
     d = len(sys.vars)
@@ -513,10 +517,13 @@ def _support_alone(sys, objective):
 
     ub = [q for q in sys.ineqs if q.rel != EQ]
     eq = [q for q in sys.ineqs if q.rel == EQ]
-    res = pf.solve_lp(-dense(objective.items()),
-                      np.array([dense(q.coeffs) for q in ub]).reshape(-1, d), [q.rhs for q in ub],
-                      np.array([dense(q.coeffs) for q in eq]).reshape(-1, d), [q.rhs for q in eq],
-                      options=pf.CERT_LP_OPTIONS)
+    res = scipy.optimize.linprog(
+        -dense(objective.items()),
+        np.array([dense(q.coeffs) for q in ub]).reshape(-1, d), [q.rhs for q in ub],
+        np.array([dense(q.coeffs) for q in eq]).reshape(-1, d), [q.rhs for q in eq],
+        method="highs", options=pf.CERT_LP_OPTIONS)
+    if res.status not in (0, 2, 3):
+        raise LPFailure(f"reference LP failed with status {res.status}")
     if res.status == 0:
         return -res.fun
     return float("-inf") if res.status == 2 else None
@@ -585,12 +592,20 @@ def _patched_support_lp(monkeypatch, which, change):
 @pytest.mark.parametrize("which", [1, 2])
 @pytest.mark.parametrize("status", [2, 3, 4])
 def test_support_lp_that_does_not_end_optimal_raises(monkeypatch, which, status):
+    # the solver's own verdict, as solve_lp receives it
     import scipy.optimize
 
-    _patched_support_lp(monkeypatch, which, lambda res: scipy.optimize.OptimizeResult(
-        status=status, message="patched", x=None, fun=None))
+    real, calls = scipy.optimize.linprog, []
+
+    def linprog(*args, **kw):
+        calls.append(args)
+        res = real(*args, **kw)
+        return scipy.optimize.OptimizeResult(status=status, message="patched", x=None,
+                                             fun=None) if len(calls) == which else res
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    with pytest.raises(LPFailure, match=f"support LP ended with status {status}"):
+    with pytest.raises(LPFailure, match=f"support LP failed with status {status}"):
         support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
 
 
@@ -619,17 +634,23 @@ def test_lp_solver_failure_raises(monkeypatch):
 
 
 def test_linprog_is_named_only_in_solve_lp():
-    # one LP entry point: a second call site would need its own status policy
+    # one LP entry point with one outcome rule: a second call site, or a
+    # caller reading an LP's status, would need its own status policy
     for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):
         text = path.read_text()
-        funcs = [n for n in ast.walk(ast.parse(text))
-                 if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
-        for lineno, line in enumerate(text.splitlines(), 1):
-            if "linprog" in line:
-                around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
-                owner = max(around, key=lambda f: f.lineno).name if around else None
-                assert (path.name, owner) == ("polytope_fm.py", "solve_lp"), \
-                    f"linprog named at {path.name}:{lineno}"
+        tree = ast.parse(text)
+        funcs = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+        def owner(lineno):
+            around = [f for f in funcs if f.lineno <= lineno <= f.end_lineno]
+            return max(around, key=lambda f: f.lineno).name if around else None
+
+        lines = [i for i, line in enumerate(text.splitlines(), 1) if "linprog" in line]
+        lines += [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                  and n.attr == "status"]
+        for lineno in lines:
+            assert (path.name, owner(lineno)) == ("polytope_fm.py", "solve_lp"), \
+                f"linprog or an LP status named at {path.name}:{lineno}"
 
 
 def test_elimination_order_invariance():

@@ -524,3 +524,14 @@ def test_dominance_slack_raises_on_solver_failure(monkeypatch):
         status=4, message="numerical difficulties", x=None))
     with pytest.raises(LPFailure, match="status 4"):
         dominance_slack([0.5, 0.5], np.eye(2))
+
+
+@pytest.mark.parametrize("status", [2, 3])
+def test_dominance_slack_raises_when_the_lp_is_not_optimal(monkeypatch, status):
+    # an infeasible or unbounded verdict carries no multipliers to read
+    import scipy.optimize
+
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *a, **k: scipy.optimize.OptimizeResult(
+        status=status, message="patched", x=None, fun=None))
+    with pytest.raises(LPFailure, match=f"dominance LP failed with status {status}"):
+        dominance_slack([0.5, 0.5], np.eye(2))

@@ -60,6 +60,16 @@ def rand_degraded(rng, d):
     return GaussChannel(S=S, Sigma1=s1, Sigma2=s2, SigmaZ=sz)
 
 
+def test_gauss_channel_refuses_entries_beyond_max_entry():
+    # MAX_ENTRY itself is accepted; a larger or infinite entry is refused
+    big = np.array([[1e300, 0.0], [0.0, 1e300]])
+    assert GaussChannel(big, 0.5 * np.eye(2), np.eye(2), big).degraded
+    for off in (2e300, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="Sigma2 has an entry of magnitude"):
+            GaussChannel(np.eye(2), 0.5 * np.eye(2), np.array([[1.0, off], [off, 1.0]]),
+                         2 * np.eye(2))
+
+
 def test_degraded_order_examples():
     assert GaussChannel(I1, I1, I1, I1).degraded
     d2 = np.eye(2)
