@@ -1,18 +1,23 @@
-"""Exact linear algebra over joint-entropy atoms.
+"""Exact linear algebra over joint-entropy atoms, in integer arithmetic.
 
 An :class:`InfoExpr` is a rational-coefficient combination of entropy atoms
 H(S) plus named opaque symbols (used for quantities, such as a minimum of two
-mutual informations, that are linear to carry but not entropy-decomposable).
-Chain-rule manipulations hold identically at the atom level; conditional
-independences contributed by a fixed factorization are carried as an
-:class:`EqualitySet`, and expression equality is decided by exact span
-membership over that set.
+mutual informations, that are linear to carry but not entropy-decomposable),
+held as integer numerators over one positive denominator.  An
+:class:`EntropyAtom` is the bitmask of its variables over a process-wide name
+registry, interned, so hashing, equality and ordering cost one int.
+``Fraction`` appears only at the boundary: :func:`common_denominator` takes
+any rationals in, and the ``terms``, ``syms`` and ``constant`` views and the
+printed form give exact values out.  Chain-rule manipulations hold
+identically at the atom level; conditional independences contributed by a
+fixed factorization are carried as an :class:`EqualitySet`, and expression
+equality is decided by exact span membership over that set.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
@@ -20,84 +25,172 @@ from types import MappingProxyType
 from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
 from .info_core import entropy, smallest_holding
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+
+def common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of the rationals ``values`` over their least common
+    denominator, and that denominator (1 when every value is an int): the one
+    place a coefficient enters the integer core.  Each value is exact in
+    lowest terms, so numerators and denominator share no factor."""
+    values = [v if type(v) is int else Fraction(v) for v in values]
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
-@dataclass(frozen=True, order=True)
-class EntropyAtom:
-    """H(subset) for a nonempty set of variable names (canonical: sorted)."""
+_BITS: dict[str, int] = {}               # variable name -> its bit, in first-seen order
+_ATOMS: dict[int, "EntropyAtom"] = {}    # mask -> the one atom over it
 
-    subset: tuple[str, ...]
+
+class EntropyAtom(int):
+    """H(subset) for a nonempty set of variable names: the bitmask of the
+    names over a process-wide registry, so hashing, equality and ordering are
+    an int's.  :meth:`of` interns one atom per subset; ``subset`` holds its
+    names sorted, which evaluation and printing read.  Atoms order by mask,
+    not by name."""
 
     @staticmethod
     def of(names) -> "EntropyAtom":
-        t = tuple(sorted(set(names)))
-        if not t:
-            raise EmptyArgument("entropy atom over the empty set")
-        return EntropyAtom(t)
+        names = set(names)
+        mask = 0
+        for n in names:
+            bit = _BITS.get(n)
+            if bit is None:
+                bit = _BITS[n] = 1 << len(_BITS)
+            mask |= bit
+        atom = _ATOMS.get(mask)
+        if atom is None:
+            if not mask:
+                raise EmptyArgument("entropy atom over the empty set")
+            atom = _ATOMS[mask] = int.__new__(EntropyAtom, mask)
+            atom.subset = tuple(sorted(names))
+        return atom
+
+    def __repr__(self):
+        return f"H({','.join(self.subset)})"
+
+
+def lincomb(x, a: int, y, b: int) -> dict:
+    """``a * x + b * y`` for iterables ``x`` and ``y`` of ``(key, int)``
+    pairs, as a dict without zero entries: the one integer row operation of
+    expressions, inequality rows and pivot rows."""
+    out = dict(x) if a == 1 else {k: c * a for k, c in x}
+    for k, c in y:
+        v = out.get(k, 0) + b * c
+        if v:
+            out[k] = v
+        else:
+            out.pop(k, None)
+    return out
+
+
+def _fill(e, nums, snums, cnum, den):
+    setattr_ = object.__setattr__
+    setattr_(e, "nums", nums)
+    setattr_(e, "snums", snums)
+    setattr_(e, "cnum", cnum)
+    setattr_(e, "den", den)
+    return e
+
+
+def _expr(nums: dict, snums: dict, cnum: int, den: int) -> "InfoExpr":
+    """The expression ``(nums, snums, cnum) / den`` (``den > 0``, no zero
+    entries), divided by the common factor of all four."""
+    if den != 1:
+        g = math.gcd(den, cnum, *nums.values(), *snums.values())
+        if g != 1:
+            nums = {a: c // g for a, c in nums.items()}
+            snums = {n: c // g for n, c in snums.items()}
+            cnum, den = cnum // g, den // g
+    return _fill(object.__new__(InfoExpr), nums, snums, cnum, den)
 
 
 class InfoExpr:
-    """Immutable rational-linear combination of atoms, symbols and a constant."""
+    """Immutable rational-linear combination of atoms, symbols and a constant.
+
+    Held as integer numerators (``nums`` over atoms, ``snums`` over symbols,
+    ``cnum``) over one positive denominator ``den``, in lowest terms, so the
+    representation of a value is unique.  The constructor takes any
+    rationals; ``terms``, ``syms`` and ``constant`` are the exact values
+    (ints when ``den`` is 1, which they then share with the numerators).
+    """
 
     # _floats: the float constant and coefficients, set by the first evaluate
-    __slots__ = ("terms", "syms", "constant", "_floats")
+    __slots__ = ("nums", "snums", "cnum", "den", "_floats")
 
-    def __init__(self, terms=None, syms=None, constant=ZERO):
-        t = {a: Fraction(c) for a, c in (terms or {}).items() if c != 0}
-        s = {n: Fraction(c) for n, c in (syms or {}).items() if c != 0}
-        object.__setattr__(self, "terms", t)
-        object.__setattr__(self, "syms", s)
-        object.__setattr__(self, "constant", Fraction(constant))
+    def __init__(self, terms=None, syms=None, constant=0):
+        t = [(a, c) for a, c in (terms or {}).items() if c != 0]
+        s = [(n, c) for n, c in (syms or {}).items() if c != 0]
+        nums, den = common_denominator([c for _, c in t] + [c for _, c in s] + [constant])
+        _fill(self, dict(zip([a for a, _ in t], nums)),
+              dict(zip([n for n, _ in s], nums[len(t):])), nums[-1], den)
 
     def __setattr__(self, *a):  # pragma: no cover - guard
         raise AttributeError("InfoExpr is immutable")
 
+    # -- values at the boundary ----------------------------------------------
+
+    def _values(self, nums: dict) -> dict:
+        return nums if self.den == 1 else {k: Fraction(c, self.den) for k, c in nums.items()}
+
+    @property
+    def terms(self) -> dict:
+        return self._values(self.nums)
+
+    @property
+    def syms(self) -> dict:
+        return self._values(self.snums)
+
+    @property
+    def constant(self):
+        return self.cnum if self.den == 1 else Fraction(self.cnum, self.den)
+
     # -- algebra -------------------------------------------------------------
 
-    def _merge(self, other, sign):
-        terms = dict(self.terms)
-        for a, c in other.terms.items():
-            terms[a] = terms.get(a, ZERO) + sign * c
-        syms = dict(self.syms)
-        for n, c in other.syms.items():
-            syms[n] = syms.get(n, ZERO) + sign * c
-        return InfoExpr(terms, syms, self.constant + sign * other.constant)
+    def plus(self, other: "InfoExpr", k: int = 1) -> "InfoExpr":
+        """``self + k * other`` for an int ``k``."""
+        d1, d2 = self.den, other.den
+        g = d1 if d1 == d2 else math.gcd(d1, d2)
+        a, b = d2 // g, k * (d1 // g)
+        return _expr(lincomb(self.nums.items(), a, other.nums.items(), b),
+                     lincomb(self.snums.items(), a, other.snums.items(), b),
+                     self.cnum * a + other.cnum * b, d1 // g * d2)
+
+    def scaled(self, p: int, q: int = 1) -> "InfoExpr":
+        """``self * p / q`` for ints ``p`` and ``q != 0``."""
+        if q < 0:
+            p, q = -p, -q
+        if p == q:
+            return self
+        if p == 0:
+            return InfoExpr()
+        return _expr({a: c * p for a, c in self.nums.items()},
+                     {n: c * p for n, c in self.snums.items()}, self.cnum * p, self.den * q)
 
     def __add__(self, other):
-        if isinstance(other, InfoExpr):
-            return self._merge(other, ONE)
-        return InfoExpr(self.terms, self.syms, self.constant + Fraction(other))
+        return self.plus(other if isinstance(other, InfoExpr) else InfoExpr(constant=other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, InfoExpr):
-            return self._merge(other, -ONE)
-        return InfoExpr(self.terms, self.syms, self.constant - Fraction(other))
+        return self.plus(other if isinstance(other, InfoExpr) else InfoExpr(constant=other), -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __neg__(self):
-        return self * -1
+        return self.scaled(-1)
 
     def __mul__(self, k):
-        k = Fraction(k)
-        return InfoExpr({a: c * k for a, c in self.terms.items()},
-                        {n: c * k for n, c in self.syms.items()},
-                        self.constant * k)
+        k = k if type(k) is int else Fraction(k)
+        return self.scaled(k.numerator, k.denominator)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.terms and not self.syms and self.constant == 0
+        return not self.nums and not self.snums and self.cnum == 0
 
     def key(self):
-        return (tuple(sorted(self.terms.items())),
-                tuple(sorted(self.syms.items())),
-                self.constant)
+        return (tuple(sorted(self.nums.items())), tuple(sorted(self.snums.items())),
+                self.cnum, self.den)
 
     def __eq__(self, other):
         return isinstance(other, InfoExpr) and self.key() == other.key()
@@ -109,8 +202,8 @@ class InfoExpr:
         if self.is_zero():
             return "0"
         bits = []
-        for a, c in sorted(self.terms.items()):
-            bits.append(f"{c}*H({','.join(a.subset)})")
+        for a, c in sorted(self.terms.items(), key=lambda t: t[0].subset):
+            bits.append(f"{c}*{a!r}")
         for n, c in sorted(self.syms.items()):
             bits.append(f"{c}*{n}")
         if self.constant:
@@ -141,11 +234,11 @@ class InfoExpr:
 
 
 def ent(names) -> InfoExpr:
-    return InfoExpr({EntropyAtom.of(names): ONE})
+    return _expr({EntropyAtom.of(names): 1}, {}, 0, 1)
 
 
 def sym(name) -> InfoExpr:
-    return InfoExpr(syms={name: ONE})
+    return _expr({}, {name: 1}, 0, 1)
 
 
 def expand_mi(a, b, c=()) -> InfoExpr:
@@ -263,6 +356,10 @@ class EqualitySet:
     used throughout: it is sound (never claims equality that can fail
     numerically) though deliberately not complete for all of Shannon
     inference.
+
+    The basis is built fraction-free: each row is a primitive integer vector
+    (its content divided out) with a positive pivot coefficient, and a new
+    pivot leaves an older row by cross-multiplication, ``p * row - k * new``.
     """
 
     __slots__ = ("equalities", "_pivots")
@@ -273,16 +370,17 @@ class EqualitySet:
         for e in equalities:
             e = _reduce(pivots, e)
             # deterministic pivot choice: largest subset first, then lexicographic
-            order = sorted(e.terms, key=lambda a: (-len(a.subset), a.subset))
+            order = sorted(e.nums, key=lambda a: (-len(a.subset), a.subset))
             if not order:
                 continue
             pivot = order[0]
-            e = e * (ONE / e.terms[pivot])
+            e = _primitive(e, e.nums[pivot])
+            p = e.nums[pivot]
             # keep the basis fully reduced: the new pivot leaves every older row
             for a, row in pivots.items():
-                k = row.terms.get(pivot)
+                k = row.nums.get(pivot)
                 if k:
-                    pivots[a] = row - e * k
+                    pivots[a] = _primitive(row.scaled(p).plus(e, -k), 1)
             pivots[pivot] = e
         object.__setattr__(self, "equalities", equalities)
         # read-only, so one derived set can be shared by every caller
@@ -298,21 +396,34 @@ class EqualitySet:
         return _reduce(self._pivots, expr).is_zero()
 
 
+def _primitive(e: InfoExpr, sign: int) -> InfoExpr:
+    """The integer numerators of ``e`` divided by their content, negated when
+    ``sign`` is negative: a row that states ``e = 0`` at its smallest scale."""
+    g = math.gcd(e.cnum, *e.nums.values(), *e.snums.values())
+    if sign < 0:
+        g = -g
+    return _expr({a: c // g for a, c in e.nums.items()},
+                 {n: c // g for n, c in e.snums.items()}, e.cnum // g, 1)
+
+
 def _reduce(pivots, expr: InfoExpr) -> InfoExpr:
     """The pivot-free form of ``expr`` over a fully reduced basis."""
     # no pivot row holds another row's pivot atom, so subtracting one row
-    # leaves every other pivot coefficient as it was: one pass suffices
-    terms, syms, constant = dict(expr.terms), dict(expr.syms), expr.constant
-    for a in [a for a in expr.terms if a in pivots]:
-        k = terms.pop(a)
+    # only rescales every other pivot coefficient: one pass suffices
+    hits = [a for a in expr.nums if a in pivots]
+    if not hits:
+        return expr
+    nums, snums, cnum, den = expr.nums, expr.snums, expr.cnum, expr.den
+    for a in hits:
         row = pivots[a]
-        for b, c in row.terms.items():
-            if b != a:
-                terms[b] = terms.get(b, ZERO) - k * c
-        for n, c in row.syms.items():
-            syms[n] = syms.get(n, ZERO) - k * c
-        constant -= k * row.constant
-    return InfoExpr(terms, syms, constant)
+        # expr - k / p * row, fraction-free: scale expr by p / gcd(k, p)
+        k, p = nums[a], row.nums[a]
+        g = math.gcd(k, p)
+        m, k = p // g, k // g
+        nums = lincomb(nums.items(), m, row.nums.items(), -k)
+        snums = lincomb(snums.items(), m, row.snums.items(), -k)
+        cnum, den = cnum * m - k * row.cnum, den * m
+    return _expr(nums, snums, cnum, den)
 
 
 @functools.lru_cache(maxsize=None)

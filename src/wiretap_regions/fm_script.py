@@ -19,6 +19,7 @@ region (:func:`~.regions_discrete.eval_general_inner`) evaluates that target.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .entropy_algebra import (
     derive_equalities,
     ent,
     expand_mi,
+    lincomb,
     sym,
 )
 from .errors import ParseError, ScriptStepMismatch, ValidationError
@@ -47,6 +49,7 @@ from .polytope_fm import (
     apply_rate_transfer,
     fm_eliminate,
     instantiate,
+    scale_rhs,
     substitute_equality,
     support_value,
 )
@@ -150,42 +153,49 @@ def parse_system(text: str, ratevars) -> list[LinIneq]:
 # --- canonical matching --------------------------------------------------------
 
 
-def _substitute_pivots(coeffs: dict, rhs, pivots):
-    """Remove every pivot variable from ``coeffs`` using its pivot row.
+def _substitute_pivots(nums: dict, den: int, rhs, pivots):
+    """Remove every pivot variable from the row ``sum(nums[v] * v) / den``
+    using its pivot row.
 
-    ``pivot = row_rhs - sum(row[v] * v)`` is substituted, moving the
-    information part to the right-hand side.  One pass in insertion order
-    removes every pivot, because each pivot row holds only pivots inserted
-    after it.  Returns the nonzero coefficients and the new right-hand side.
+    A pivot row ``(c, row, row_rhs)`` holds integer pairs ``row`` with ``c >
+    0`` on the pivot and states ``sum(row[v] / c * v) = row_rhs``; a row with
+    ``a`` on the pivot becomes ``(c * row - a * pivot row) / c`` over the
+    integers (both divided by ``gcd(a, c)``), moving the information part to
+    the right-hand side.  One pass in insertion order removes every pivot,
+    because each pivot row holds only pivots inserted after it.  Returns the
+    nonzero numerators, their denominator and the new right-hand side.
     """
-    for pivot, (row, row_rhs) in pivots.items():
-        a = coeffs.get(pivot)
+    for pivot, (c, row, row_rhs) in pivots.items():
+        a = nums.get(pivot)
         if a:
-            coeffs[pivot] = Fraction(0)
-            for v, c in row.items():
-                coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
-            rhs = rhs - row_rhs * a
-    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+            rhs = rhs - scale_rhs(row_rhs, a, den)
+            g = math.gcd(a, c)
+            nums = lincomb(nums.items(), c // g, row, -a // g)
+            den *= c // g
+    return nums, den, rhs
 
 
 def _reduce_mod_equalities(q: LinIneq, eq_pivots, entropy_eqs: EqualitySet) -> LinIneq:
-    coeffs, rhs = _substitute_pivots(q.coeff_dict(), q.rhs, eq_pivots)
+    nums, den, rhs = _substitute_pivots(dict(q.nums), q.den, q.rhs, eq_pivots)
     if isinstance(rhs, InfoExpr):
         rhs = entropy_eqs.reduce(rhs)
-    return LinIneq.of(coeffs, rhs, q.rel, q.label).canonical()
+    return LinIneq.exact(nums, den, rhs, q.rel, q.label).canonical()
 
 
 def _equality_pivots(equalities, var_order):
-    """Triangularize the equalities: pivot each on its first variable."""
+    """Triangularize the equalities: pivot each on its first variable, as
+    ``(c, ((v, k), ...), rhs)`` with ``k = c > 0`` on the pivot and
+    ``sum(k / c * v) = rhs``."""
     pivots = {}
     for eq in equalities:
-        coeffs, rhs = _substitute_pivots(eq.coeff_dict(), eq.rhs, pivots)
-        if not coeffs:
+        nums, den, rhs = _substitute_pivots(dict(eq.nums), eq.den, eq.rhs, pivots)
+        if not nums:
             continue
-        pivot = next(v for v in var_order if coeffs.get(v))
-        c = coeffs.pop(pivot)
-        pivots[pivot] = ({v: k / c for v, k in coeffs.items()},
-                         rhs * (Fraction(1) / c))
+        pivot = next(v for v in var_order if nums.get(v))
+        c = nums[pivot]
+        sign = 1 if c > 0 else -1
+        pivots[pivot] = (c * sign, tuple((v, k * sign) for v, k in nums.items()),
+                         scale_rhs(rhs, den, c))
     return pivots
 
 
@@ -214,8 +224,8 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
         # against the pivot set would collapse every one of them to 0 = 0)
         r = q.canonical()
         if isinstance(r.rhs, InfoExpr):
-            return (r.coeffs, entropy_eqs.reduce(r.rhs).key())
-        return (r.coeffs, float(r.rhs))
+            return (r.nums, entropy_eqs.reduce(r.rhs).key())
+        return (r.nums, float(r.rhs))
 
     def canon_set(sys):
         eqs, ineqs = {}, {}
@@ -224,7 +234,7 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
                 eqs[eq_key(q)] = q
                 continue
             r = _reduce_mod_equalities(q, pivots, entropy_eqs)
-            ineqs[(r.coeffs, r.rhs_key())] = q
+            ineqs[(r.nums, r.rhs_key())] = q
         return eqs, ineqs
 
     p_eqs, p_ineqs = canon_set(produced)
@@ -287,7 +297,7 @@ def min_sym_values(tables) -> dict[str, float]:
 def _trivially_empty(sys: IneqSystem) -> bool:
     """True when a ``<=`` row with no negative coefficient has a negative rhs:
     its left side is >= 0 on the orthant, so no point satisfies it."""
-    return any(q.rel == LE and q.rhs < 0 and all(c >= 0 for _, c in q.coeffs)
+    return any(q.rel == LE and q.rhs < 0 and all(c >= 0 for _, c in q.nums)
                for q in sys.ineqs)
 
 
@@ -376,11 +386,10 @@ def run_step(sys: IneqSystem, step: Step) -> IneqSystem:
         out = apply_rate_transfer(sys, pairs, slacks)
         if step.op == "transfer_full":
             src = step.transfers[0][0]
-            out = substitute_equality(
-                out, LinIneq.of({src: Fraction(1)}, out.rhs_zero(), rel=EQ), src)
+            out = substitute_equality(out, LinIneq(((src, 1),), out.rhs_zero(), EQ), src)
         return out
     if step.op == "drop_signs":
-        return sys.with_ineqs([q for q in sys.ineqs if q.coeffs])
+        return sys.with_ineqs([q for q in sys.ineqs if q.nums])
     raise ScriptStepMismatch(f"unknown step op {step.op!r}")
 
 

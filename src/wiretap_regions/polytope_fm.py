@@ -2,12 +2,16 @@
 
 Systems live in the nonnegative orthant: every rate variable carries an
 implicit ``v >= 0`` constraint (the "ambient" bounds).  Coefficients are exact
-rationals; right-hand sides are either :class:`~.entropy_algebra.InfoExpr`
-values (symbolic systems) or floats (numeric systems).  Elimination doubles
-coefficients, so everything on the left stays in ``Fraction`` arithmetic.
-A numeric right-hand side becomes a ``float`` in :meth:`LinIneq.of`, the one
-place rows are built from coefficients, so the row arithmetic is plain
-operators: ``float * Fraction`` is a float, and ``InfoExpr`` absorbs either.
+rationals, held as integer numerators over one positive denominator per row;
+right-hand sides are either :class:`~.entropy_algebra.InfoExpr` values
+(symbolic systems) or floats (numeric systems).  Every row operation
+(scaling, the Fourier-Motzkin combination of two rows, substitution of an
+equality) is integer cross-multiplication followed by division by the gcd,
+so a row keeps its exact rational value.  ``Fraction`` appears only at the
+boundary: :meth:`LinIneq.of` takes any rationals, and ``coeffs`` and
+:meth:`LinIneq.coeff` give exact values.  A right-hand side is scaled by
+:func:`scale_rhs`: exactly on an ``InfoExpr``, and on a float by the float
+nearest the rational factor.
 """
 
 from __future__ import annotations
@@ -17,11 +21,10 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
-from .entropy_algebra import InfoExpr
+from .entropy_algebra import InfoExpr, common_denominator, lincomb
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -56,68 +59,99 @@ def _rhs_is_zero(rhs) -> bool:
     return rhs == 0.0
 
 
+def scale_rhs(rhs, p: int, q: int):
+    """``rhs * p / q`` for ints ``p`` and ``q != 0``: exact on an ``InfoExpr``;
+    a float is multiplied by the float nearest ``p / q``."""
+    if isinstance(rhs, InfoExpr):
+        return rhs.scaled(p, q)
+    return rhs * p if q == 1 else rhs * float(Fraction(p, q))
+
+
 @dataclass(frozen=True)
 class LinIneq:
-    """``sum(coeffs[v] * v) REL rhs`` with REL one of ``<=`` or ``==``."""
+    """``sum(nums[v] * v) / den REL rhs`` with REL one of ``<=`` or ``==``.
 
-    coeffs: tuple[tuple[str, Fraction], ...]
+    ``nums`` holds the nonzero integer numerators sorted by variable and
+    ``den`` is positive, the two in lowest terms, so a row's value has one
+    representation.  ``coeffs`` and :meth:`coeff` give the exact values.
+    """
+
+    nums: tuple[tuple[str, int], ...]
     rhs: object
     rel: str = LE
     label: str | None = None
+    den: int = 1
 
     @staticmethod
     def of(coeffs: dict, rhs, rel: str = LE, label: str | None = None) -> "LinIneq":
-        items = tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0))
-        return LinIneq(items, rhs if isinstance(rhs, InfoExpr) else float(rhs), rel, label)
+        """The row with rational coefficients ``coeffs``; a right-hand side
+        that is not an ``InfoExpr`` becomes a float."""
+        items = sorted((v, c) for v, c in coeffs.items() if c != 0)
+        nums, den = common_denominator([c for _, c in items])
+        return LinIneq(tuple(zip([v for v, _ in items], nums)),
+                       rhs if isinstance(rhs, InfoExpr) else float(rhs), rel, label, den)
 
-    def coeff(self, var: str) -> Fraction:
-        for v, c in self.coeffs:
+    @staticmethod
+    def exact(nums: dict, den: int, rhs, rel: str = LE, label: str | None = None) -> "LinIneq":
+        """The row ``sum(nums[v] * v) / den REL rhs`` for int numerators and
+        ``den > 0``, in lowest terms."""
+        items = sorted((v, c) for v, c in nums.items() if c)
+        if den != 1:
+            g = math.gcd(den, *(c for _, c in items))
+            if g != 1:
+                items = [(v, c // g) for v, c in items]
+                den //= g
+        return LinIneq(tuple(items), rhs, rel, label, den)
+
+    def num(self, var: str) -> int:
+        """The numerator of ``var``'s coefficient (0 when absent)."""
+        for v, c in self.nums:
             if v == var:
                 return c
-        return Fraction(0)
+        return 0
 
-    def coeff_dict(self) -> dict[str, Fraction]:
+    def coeff(self, var: str):
+        c = self.num(var)
+        return c if self.den == 1 else Fraction(c, self.den)
+
+    @property
+    def coeffs(self) -> tuple:
+        """``(variable, value)`` pairs: ``nums`` itself when ``den`` is 1."""
+        return self.nums if self.den == 1 else tuple(
+            (v, Fraction(c, self.den)) for v, c in self.nums)
+
+    def coeff_dict(self) -> dict:
         return dict(self.coeffs)
 
     @property
     def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.coeffs)
+        return tuple(v for v, _ in self.nums)
 
-    def scaled(self, k: Fraction) -> "LinIneq":
-        k = Fraction(k)
-        if k <= 0 and self.rel == LE:
-            raise ValueError("inequalities may only be scaled by positive rationals")
-        return LinIneq.of({v: c * k for v, c in self.coeffs}, self.rhs * k, self.rel,
-                          self.label)
-
-    def plus(self, other: "LinIneq") -> "LinIneq":
-        coeffs = self.coeff_dict()
-        for v, c in other.coeffs:
-            coeffs[v] = coeffs.get(v, Fraction(0)) + c
-        return LinIneq.of(coeffs, self.rhs + other.rhs, LE, None)
+    def with_rhs(self, rhs) -> "LinIneq":
+        return LinIneq(self.nums, rhs, self.rel, self.label, self.den)
 
     def canonical(self) -> "LinIneq":
-        """Positive content normalization of the coefficient vector.
+        """Positive content normalization: the primitive integer vector
+        positively proportional to the coefficients, the row scaled with it.
 
         Equalities additionally get their leading coefficient made positive
         (negative scaling is sign-preserving for ``==``).
         """
-        if not self.coeffs:
+        if not self.nums:
             return self
-        nums = [abs(c.numerator) for _, c in self.coeffs]
-        dens = [c.denominator for _, c in self.coeffs]
-        g = reduce(math.gcd, nums)
-        l = reduce(math.lcm, dens)
-        scale = Fraction(l, g) if g else Fraction(1)
-        if self.rel == EQ and self.coeffs[0][1] < 0:
-            scale = -scale
-        return self.scaled(scale) if scale != 1 else self
+        g = math.gcd(*(c for _, c in self.nums))
+        if self.rel == EQ and self.nums[0][1] < 0:
+            g = -g
+        if g == 1 and self.den == 1:
+            return self
+        return LinIneq(tuple((v, c // g) for v, c in self.nums), scale_rhs(self.rhs, self.den, g),
+                       self.rel, self.label)
 
     def rhs_key(self):
         return self.rhs.key() if isinstance(self.rhs, InfoExpr) else self.rhs
 
     def key(self):
-        return (self.rel, self.coeffs, self.rhs_key())
+        return (self.rel, self.nums, self.den, self.rhs_key())
 
     def lhs_text(self) -> str:
         return " + ".join(f"{c}*{v}" if c != 1 else v for v, c in self.coeffs) or "0"
@@ -169,7 +203,7 @@ def _dedup(ineqs) -> list[LinIneq]:
 
 def _ambient_implied(q: LinIneq) -> bool:
     """True when the row follows from the nonnegative orthant alone."""
-    return (q.rel == LE and all(c <= 0 for _, c in q.coeffs)
+    return (q.rel == LE and all(c <= 0 for _, c in q.nums)
             and (q.rhs.is_zero() if isinstance(q.rhs, InfoExpr) else q.rhs >= 0.0))
 
 
@@ -184,32 +218,31 @@ def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str | None = None) ->
     if eq.rel != EQ:
         raise ZeroCoefficient("substitution requires an equality")
     if var is None:
-        if len(eq.coeffs) != 1:
+        if len(eq.nums) != 1:
             raise ZeroCoefficient("equality has several variables; name the one to remove")
-        var = eq.coeffs[0][0]
-    c = eq.coeff(var)
+        var = eq.nums[0][0]
+    c = eq.num(var)
     if c == 0:
         raise ZeroCoefficient(f"equality has zero coefficient on {var!r}")
     if var not in sys.vars:
         return sys
-    # var = (eq.rhs - rest) / c
-    rest = {v: k for v, k in eq.coeffs if v != var}
+    # var = (eq.rhs * eq.den - rest) / c; a row with a on var becomes
+    # (c * row - a * eq) / c, the sign moved so the denominator stays positive
+    sign = 1 if c > 0 else -1
 
     def replace(q: LinIneq) -> LinIneq | None:
-        a = q.coeff(var)
+        a = q.num(var)
         if a == 0:
             return q
-        coeffs = {v: k for v, k in q.coeffs if v != var}
-        for v, k in rest.items():
-            coeffs[v] = coeffs.get(v, Fraction(0)) - k * a / c
-        out = LinIneq.of(coeffs, q.rhs + eq.rhs * (-a / c), q.rel, q.label)
-        if out.rel == EQ and not out.coeffs and _rhs_is_zero(out.rhs):
+        out = LinIneq.exact(lincomb(q.nums, c * sign, eq.nums, -a * sign), q.den * c * sign,
+                            q.rhs + scale_rhs(eq.rhs, -a * eq.den, q.den * c), q.rel, q.label)
+        if out.rel == EQ and not out.nums and _rhs_is_zero(out.rhs):
             return None  # the consumed equality itself
         return out
 
     new = [r for r in (replace(q) for q in sys.ineqs) if r is not None]
     # ambient var >= 0  =>  -(substituted expression) <= 0
-    ambient = replace(LinIneq.of({var: Fraction(-1)}, sys.rhs_zero()))
+    ambient = replace(LinIneq(((var, -1),), sys.rhs_zero()))
     if ambient is not None and not _ambient_implied(ambient):
         new.append(ambient)
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(new)))
@@ -220,30 +253,33 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
 
     If an equality mentions ``var`` it is substituted first (consuming it);
     otherwise all positive/negative inequality combinations are formed, with
-    the ambient ``var >= 0`` acting as one lower bound.  Rows implied by the
+    the ambient ``var >= 0`` acting as one lower bound.  A lower row with
+    numerator ``-a`` on ``var`` and an upper row with ``b`` combine as
+    ``(b * lower + a * upper) / (a * b)`` over the integers: the sum of the
+    two rows scaled to coefficients -1 and +1 on ``var``.  Rows implied by the
     nonnegative orthant and exact duplicates are removed; anything else,
     including pure sign rows with no variables, is kept.
     """
     if var not in sys.vars:
         return sys
     for eq in sys.equalities:
-        if eq.coeff(var) != 0:
+        if eq.num(var) != 0:
             return substitute_equality(sys, eq, var)
     uppers, lowers, rest = [], [], []
     for q in sys.ineqs:
-        a = q.coeff(var)
+        a = q.num(var)
         if a > 0:
-            uppers.append(q)
+            uppers.append((q, a))
         elif a < 0:
-            lowers.append(q)
+            lowers.append((q, -a))
         else:
             rest.append(q)
     # ambient lower bound 0 <= var
-    lowers.append(LinIneq.of({var: Fraction(-1)}, sys.rhs_zero()))
+    lowers.append((LinIneq(((var, -1),), sys.rhs_zero()), 1))
     out = list(rest)
-    for lo, up in itertools.product(lowers, uppers):
-        combo = lo.scaled(Fraction(1) / -lo.coeff(var)).plus(
-            up.scaled(Fraction(1) / up.coeff(var)))
+    for (lo, a), (up, b) in itertools.product(lowers, uppers):
+        combo = LinIneq.exact(lincomb(lo.nums, b, up.nums, a), a * b,
+                              scale_rhs(lo.rhs, lo.den, a) + scale_rhs(up.rhs, up.den, b))
         if not _ambient_implied(combo):
             out.append(combo)
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(out)))
@@ -286,21 +322,21 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
     new_vars.extend(slack_names)
 
     def rewrite(q: LinIneq) -> LinIneq:
-        coeffs = q.coeff_dict()
-        for v, a in q.coeffs:
+        nums = dict(q.nums)
+        for v, a in q.nums:
             for t in losses.get(v, ()):
-                coeffs[t] = coeffs.get(t, Fraction(0)) + a
+                nums[t] = nums.get(t, 0) + a
             for t in gains.get(v, ()):
-                coeffs[t] = coeffs.get(t, Fraction(0)) - a
-        return LinIneq.of(coeffs, q.rhs, q.rel, q.label)
+                nums[t] = nums.get(t, 0) - a
+        return LinIneq.exact(nums, q.den, q.rhs, q.rel, q.label)
 
     out = [rewrite(q) for q in sys.ineqs]
     for dest, ts in gains.items():
-        row = {t: Fraction(1) for t in ts}
-        row[dest] = Fraction(-1)
+        row = {t: 1 for t in ts}
+        row[dest] = -1
         # old dest >= 0 when dest existed; otherwise dest is exactly its inflow
         rel = LE if dest in sys.vars else EQ
-        out.append(LinIneq.of(row, sys.rhs_zero(), rel=rel))
+        out.append(LinIneq.exact(row, 1, sys.rhs_zero(), rel=rel))
     return IneqSystem(tuple(new_vars), tuple(_dedup(out)))
 
 
@@ -338,7 +374,7 @@ def _numeric_rows(systems, allow_eq: bool = False) -> list[tuple]:
     for sys in systems:
         if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
             raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
-        key = (sys.vars, tuple((q.rel, q.coeffs) for q in sys.ineqs))
+        key = (sys.vars, tuple((q.rel, q.nums, q.den) for q in sys.ineqs))
         # systems that share rows come in runs, so the latest set is tried first
         mats = next((m for k, m in reversed(shared) if k == key), None)
         if mats is None:
@@ -595,5 +631,5 @@ def instantiate(sys: IneqSystem, tables, sym_values=None) -> IneqSystem:
     out = []
     for q in sys.ineqs:
         rhs = q.rhs.evaluate(tables, sym_values) if isinstance(q.rhs, InfoExpr) else q.rhs
-        out.append(LinIneq(q.coeffs, rhs, q.rel, q.label))
+        out.append(q.with_rhs(rhs))
     return sys.with_ineqs(out)

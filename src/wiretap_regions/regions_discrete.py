@@ -110,7 +110,7 @@ def five_bound_system(iuy2: float, iuz: float, ixy1_u: float, ixz: float,
     I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the input law
     (discrete auxiliaries, Gaussian covariances or scalar mixtures)."""
     rhs = (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2, iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u)
-    return _FIVE_BOUNDS.with_ineqs([LinIneq(q.coeffs, float(r), q.rel, q.label)
+    return _FIVE_BOUNDS.with_ineqs([q.with_rhs(float(r))
                                     for q, r in zip(_FIVE_BOUNDS.ineqs, rhs)])
 
 
@@ -159,8 +159,8 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
                          fm_script.min_sym_values(tables))
     # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
     # reads about +-1e-16; the clamped mutual informations it stands for give 0
-    return region.with_ineqs([LinIneq(q.coeffs, 0.0, q.rel, q.label)
-                              if abs(q.rhs) <= ZERO_BOUND_TOL else q for q in region.ineqs])
+    return region.with_ineqs([q.with_rhs(0.0) if abs(q.rhs) <= ZERO_BOUND_TOL else q
+                              for q in region.ineqs])
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:

@@ -69,9 +69,12 @@ def _sym(m) -> np.ndarray:
         raise NotPSD(f"matrix of shape {a.shape} is not square")
     at = a.mT
     if not np.abs(a - at).max() <= SYM_TOL:  # a NaN entry gives a NaN residual
+        # the tolerance grows with the entries above 1: products of large
+        # symmetric matrices keep relative, not absolute, symmetry
         r = np.abs(a - at).max(axis=(-2, -1))
-        raise_for_first(~(r <= SYM_TOL), NotPSD,
-                        lambda k: f"symmetry residual {r[k]:.2e} exceeds {SYM_TOL}")
+        tol = SYM_TOL * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+        raise_for_first(~(r <= tol), NotPSD,
+                        lambda k: f"symmetry residual {r[k]:.2e} exceeds {tol[k]:g}")
     return 0.5 * (a + at)
 
 
@@ -311,9 +314,11 @@ def dpc_matrix(K1, Sigma1) -> np.ndarray:
 
 
 def _range_columns(a: np.ndarray):
-    """Eigenvectors of each covariance and which of them span its range."""
+    """Eigenvectors of each covariance and which of them span its range: the
+    eigenvalues above 1e-12 of the largest, so the range does not depend on
+    the covariance's scale (an all-zero covariance keeps none)."""
     w, v = np.linalg.eigh(a)
-    return v, w > 1e-12 * np.maximum(w.max(axis=-1), 1.0)[..., None]
+    return v, w > 1e-12 * w.max(axis=-1)[..., None]
 
 
 def _by_pattern(*keeps):

@@ -276,6 +276,27 @@ def test_cli_exit_codes(tmp_path, capsys):
                  "--seed", "1", "--tol", "1e-30"]) == 1
 
 
+_DPC_2X2 = (np.array([[2.0, 0.3], [0.3, 1.0]]), np.array([[0.5, 0.1], [0.1, 0.4]]),
+            np.array([[1.0, 0.2], [0.2, 0.8]]), np.array([[1.5, 0.0], [0.0, 1.2]]))
+
+
+@pytest.mark.parametrize("mats, scale", [
+    (_DPC_2X2, 1e-12), (_DPC_2X2, 1.0), (_DPC_2X2, 1e12), ((np.eye(1),) * 4, 1e-10),
+], ids=["2x2-1e-12", "2x2", "2x2-1e12", "1x1-1e-10"])
+def test_dpc_check_is_invariant_under_scaling_the_channel(tmp_path, capsys, mats, scale):
+    # the precoding identity holds for a channel scaled as a whole: a
+    # covariance's range and its symmetry check follow the channel's scale
+    path = tmp_path / "g.txt"
+    emit_channel_file(GaussChannel(*(m * scale for m in mats)), path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["gauss", "dpc-check", "--channel", str(path), "--budget", "20",
+                   "--seed", "1"])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert float(out.split("residual:")[1].split()[0]) <= 1e-12
+
+
 def test_cli_verify_appendix(tmp_path, capsys):
     out = tmp_path / "chain.csv"
     assert main(["fm", "verify-appendix", "--instantiations", "1", "--seed", "2",

@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
@@ -7,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wiretap_regions.entropy_algebra import (
-    ONE,
     EqualitySet,
     FactorStructure,
     InfoExpr,
@@ -280,7 +281,7 @@ def _layered_bases():
         e = _fixed_point_reduce(pivots, e)
         if e.terms:
             pivot = min(e.terms, key=lambda a: (-len(a.subset), a.subset))
-            pivots[pivot] = e * (ONE / e.terms[pivot])
+            pivots[pivot] = e * Fraction(1, e.terms[pivot])
     return eqs, pivots
 
 
@@ -306,3 +307,94 @@ def test_reduce_is_the_unique_pivot_free_form(terms, constant, combination):
     assert not set(r.terms) & set(eqs._pivots)
     assert set(eqs._pivots) == set(reference)
     assert _fixed_point_reduce(reference, shifted) == r
+
+
+# --- the integer basis against the Fraction arithmetic it replaced --------------
+#
+# The reference copies the Fraction version of EqualitySet and _reduce over
+# dicts of Fraction values keyed by ("H", sorted names), ("s", symbol) or
+# ("c",) for the constant.
+
+
+def _ref_value(e):
+    out = {("H", a.subset): Fraction(c) for a, c in e.terms.items()}
+    out.update({("s", n): Fraction(c) for n, c in e.syms.items()})
+    if e.constant:
+        out[("c",)] = Fraction(e.constant)
+    return out
+
+
+def _ref_reduce(pivots, expr):
+    terms = dict(expr)
+    for a in [a for a in expr if a in pivots]:
+        k = terms.pop(a)
+        for b, c in pivots[a].items():
+            if b != a:
+                terms[b] = terms.get(b, Fraction(0)) - k * c
+    return {b: c for b, c in terms.items() if c != 0}
+
+
+def _ref_basis(equalities):
+    pivots = {}
+    for e in equalities:
+        e = _ref_reduce(pivots, e)
+        order = sorted((a for a in e if a[0] == "H"), key=lambda a: (-len(a[1]), a[1]))
+        if not order:
+            continue
+        pivot = order[0]
+        e = {a: c / e[pivot] for a, c in e.items()}
+        for a, row in pivots.items():
+            k = row.get(pivot)
+            if k:
+                merged = dict(row)
+                for b, c in e.items():
+                    merged[b] = merged.get(b, Fraction(0)) - k * c
+                pivots[a] = {b: c for b, c in merged.items() if c != 0}
+        pivots[pivot] = e
+    return pivots
+
+
+def _ref_text(value):
+    bits = [f"{c}*H({','.join(a[1])})" for a, c in sorted(value.items()) if a[0] == "H"]
+    bits += [f"{c}*{a[1]}" for a, c in sorted(value.items()) if a[0] == "s"]
+    if ("c",) in value:
+        bits.append(str(value[("c",)]))
+    return " + ".join(bits) or "0"
+
+
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_EXPR = st.tuples(st.lists(st.tuples(st.sets(st.sampled_from("ABCD"), min_size=1), _RATIONAL),
+                           max_size=5),
+                  st.dictionaries(st.sampled_from(("s0", "s1")), _RATIONAL, max_size=2),
+                  _RATIONAL)
+
+
+def _expr(drawn):
+    terms, syms, constant = drawn
+    e = InfoExpr(syms=syms, constant=constant)
+    for names, k in terms:
+        e = e + ent(names) * k
+    return e
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_EXPR, max_size=6), st.lists(_EXPR, min_size=1, max_size=4))
+def test_integer_basis_reduces_as_the_fraction_one(equalities, exprs):
+    equalities, exprs = [_expr(d) for d in equalities], [_expr(d) for d in exprs]
+    eqs = EqualitySet(equalities)
+    ref = _ref_basis([_ref_value(e) for e in equalities])
+    assert {("H", a.subset) for a in eqs._pivots} == set(ref)
+    for a, row in eqs._pivots.items():
+        # a primitive integer row, its pivot positive, proportional to the reference row
+        assert row.den == 1 and row.nums[a] > 0
+        assert math.gcd(row.cnum, *row.nums.values(), *row.snums.values()) == 1
+        assert _ref_value(row * Fraction(1, row.nums[a])) == ref[("H", a.subset)]
+    reduced = [eqs.reduce(e) for e in exprs]
+    want = [_ref_reduce(ref, _ref_value(e)) for e in exprs]
+    for r, w in zip(reduced, want):
+        assert r.den > 0 and math.gcd(r.den, r.cnum, *r.nums.values(), *r.snums.values()) == 1
+        assert _ref_value(r) == w
+        assert repr(r) == _ref_text(w)
+    # two reduced forms share a key exactly when the Fraction values agree
+    assert [[r.key() == s.key() for s in reduced] for r in reduced] == \
+        [[w == v for v in want] for w in want]

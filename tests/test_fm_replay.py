@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,13 @@ from wiretap_regions.fm_script import (
     verify_elimination_script,
 )
 from wiretap_regions.info_core import ChannelSpec, VarId, make_table, mutual_information
-from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate, support_value
+from wiretap_regions.polytope_fm import (
+    IneqSystem,
+    LinIneq,
+    fm_eliminate,
+    instantiate,
+    support_value,
+)
 from wiretap_regions.regions_discrete import (
     RATES,
     ZERO_BOUND_TOL,
@@ -182,7 +189,8 @@ def test_parser_round_trip_forms():
 
 
 _VARS = ("a", "b", "c", "d", "e")
-_RATIONAL = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+# non-unit pivots and non-integral coefficients, as the integer core must carry
+_RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _ROW = st.tuples(st.dictionaries(st.sampled_from(_VARS), _RATIONAL, max_size=5),
                  st.dictionaries(st.sampled_from(("s0", "s1", "s2")), _RATIONAL, max_size=3),
                  _RATIONAL)
@@ -194,17 +202,17 @@ def _linineq(row, rel):
 
 
 def _fixed_point_substitution(coeffs, rhs, pivots):
-    """Reference: the substitution repeated over all pivots until none is left."""
+    """Reference: the substitution repeated over all pivots until none is
+    left, in Fraction values."""
     coeffs = dict(coeffs)
     changed = True
     while changed:
         changed = False
-        for pivot, (row, row_rhs) in pivots.items():
+        for pivot, (c, row, row_rhs) in pivots.items():
             a = coeffs.get(pivot)
             if a:
-                coeffs[pivot] = Fraction(0)
-                for v, c in row.items():
-                    coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
+                for v, k in row:
+                    coeffs[v] = coeffs.get(v, Fraction(0)) - a * Fraction(k, c)
                 rhs = rhs - row_rhs * a
                 changed = True
     return {v: c for v, c in coeffs.items() if c != 0}, rhs
@@ -216,9 +224,243 @@ def test_one_substitution_pass_removes_every_pivot(equalities, rows):
     pivots = _equality_pivots([_linineq(r, "==") for r in equalities], _VARS)
     for row in rows:
         q = _linineq(row, "<=")
-        got = _substitute_pivots(q.coeff_dict(), q.rhs, pivots)
+        nums, den, rhs = _substitute_pivots(dict(q.nums), q.den, q.rhs, pivots)
+        got = {v: Fraction(k, den) for v, k in nums.items()}, rhs
         assert got == _fixed_point_substitution(q.coeff_dict(), q.rhs, pivots)
-        assert not set(got[0]) & set(pivots)
+        assert not set(nums) & set(pivots)
+
+
+# --- the integer core against the Fraction arithmetic it replaced ---------------
+#
+# A row of the reference is (coefficients, rhs, rel): a sorted tuple of
+# (variable, Fraction) pairs, a dict of the rhs's Fraction values keyed by
+# symbol name ("" for the constant) and the relation.  The functions copy the
+# Fraction versions of LinIneq.scaled / plus / canonical, _dedup,
+# substitute_equality, fm_eliminate, _substitute_pivots and _equality_pivots.
+
+
+def _ref_row(coeffs, rhs, rel="<="):
+    return (tuple(sorted((v, Fraction(c)) for v, c in coeffs.items() if c != 0)),
+            {n: Fraction(c) for n, c in rhs.items() if c != 0}, rel)
+
+
+def _ref_axpy(x, y, k):
+    out = dict(x)
+    for n, c in y.items():
+        out[n] = out.get(n, Fraction(0)) + k * c
+    return {n: c for n, c in out.items() if c != 0}
+
+
+def _ref_scaled(r, k):
+    coeffs, rhs, rel = r
+    return _ref_row({v: c * k for v, c in coeffs}, {n: c * k for n, c in rhs.items()}, rel)
+
+
+def _ref_plus(r1, r2):
+    coeffs = dict(r1[0])
+    for v, c in r2[0]:
+        coeffs[v] = coeffs.get(v, Fraction(0)) + c
+    return _ref_row(coeffs, _ref_axpy(r1[1], r2[1], 1))
+
+
+def _ref_canonical(r):
+    coeffs, _, rel = r
+    if not coeffs:
+        return r
+    g = math.gcd(*(abs(c.numerator) for _, c in coeffs))
+    scale = Fraction(math.lcm(*(c.denominator for _, c in coeffs)), g)
+    if rel == "==" and coeffs[0][1] < 0:
+        scale = -scale
+    return _ref_scaled(r, scale) if scale != 1 else r
+
+
+def _ref_key(r):
+    return (r[2], r[0], tuple(sorted(r[1].items())))
+
+
+def _ref_dedup(rows):
+    seen, out = set(), []
+    for r in rows:
+        k = _ref_key(_ref_canonical(r))
+        if k not in seen:
+            seen.add(k)
+            out.append(r)
+    return out
+
+
+def _ref_coeff(r, var):
+    return dict(r[0]).get(var, Fraction(0))
+
+
+def _ref_ambient_implied(r):
+    return r[2] == "<=" and all(c <= 0 for _, c in r[0]) and not r[1]
+
+
+def _ref_substitute_equality(rows, eq, var):
+    c = _ref_coeff(eq, var)
+    rest = {v: k for v, k in eq[0] if v != var}
+
+    def replace(r):
+        a = _ref_coeff(r, var)
+        if a == 0:
+            return r
+        coeffs = {v: k for v, k in r[0] if v != var}
+        for v, k in rest.items():
+            coeffs[v] = coeffs.get(v, Fraction(0)) - k * a / c
+        out = _ref_row(coeffs, _ref_axpy(r[1], eq[1], -a / c), r[2])
+        return None if out[2] == "==" and not out[0] and not out[1] else out
+
+    new = [o for o in map(replace, rows) if o is not None]
+    ambient = replace(_ref_row({var: -1}, {}))
+    if ambient is not None and not _ref_ambient_implied(ambient):
+        new.append(ambient)
+    return _ref_dedup(new)
+
+
+def _ref_fm_eliminate(rows, var):
+    for eq in rows:
+        if eq[2] == "==" and _ref_coeff(eq, var) != 0:
+            return _ref_substitute_equality(rows, eq, var)
+    uppers = [r for r in rows if _ref_coeff(r, var) > 0]
+    lowers = [r for r in rows if _ref_coeff(r, var) < 0] + [_ref_row({var: -1}, {})]
+    out = [r for r in rows if _ref_coeff(r, var) == 0]
+    for lo in lowers:
+        for up in uppers:
+            combo = _ref_plus(_ref_scaled(lo, 1 / -_ref_coeff(lo, var)),
+                              _ref_scaled(up, 1 / _ref_coeff(up, var)))
+            if not _ref_ambient_implied(combo):
+                out.append(combo)
+    return _ref_dedup(out)
+
+
+def _ref_text(r):
+    coeffs, rhs, rel = r
+    lhs = " + ".join(f"{c}*{v}" if c != 1 else v for v, c in coeffs) or "0"
+    bits = [f"{c}*{n}" for n, c in sorted(rhs.items()) if n]
+    if rhs.get(""):
+        bits.append(str(rhs[""]))
+    return f"{lhs} {rel} {' + '.join(bits) or '0'}"
+
+
+def _ref_of(q):
+    """The reference row of a LinIneq, read through its exact value views."""
+    return _ref_row(dict(q.coeffs), {**q.rhs.syms, "": q.rhs.constant}, q.rel)
+
+
+def _assert_like(q, r):
+    """``q`` holds the reference row's exact values, in lowest terms, and
+    prints as the Fraction code printed it."""
+    assert math.gcd(q.den, *(c for _, c in q.nums)) == 1 and q.den > 0
+    assert all(type(c) is int for _, c in q.nums) and type(q.rhs.den) is int
+    assert (q.coeffs, q.rel) == (r[0], r[2]) and _ref_of(q)[1] == r[1]
+    assert repr(q) == _ref_text(r)
+
+
+_SYSTEM = st.tuples(st.lists(_ROW, min_size=1, max_size=6), st.lists(_ROW, max_size=1),
+                    st.sampled_from(_VARS))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_SYSTEM)
+def test_integer_fm_step_is_the_fraction_step(system):
+    ineqs, eqs, var = system
+    rows = [_linineq(r, "<=") for r in ineqs] + [_linineq(r, "==") for r in eqs]
+    ref = [_ref_of(q) for q in rows]
+    for q, r in zip(rows, ref):
+        _assert_like(q, r)
+    got = fm_eliminate(IneqSystem.of(_VARS, rows), var)
+    want = _ref_fm_eliminate(ref, var)
+    assert len(got.ineqs) == len(want)
+    for q, r in zip(got.ineqs, want):
+        _assert_like(q, r)
+        _assert_like(q.canonical(), _ref_canonical(r))
+    # two rows share a canonical key exactly when the Fraction keys agree
+    keys = [q.canonical().key() for q in rows + list(got.ineqs)]
+    ref_keys = [_ref_key(_ref_canonical(r)) for r in ref + want]
+    assert [[k == j for j in keys] for k in keys] == \
+        [[k == j for j in ref_keys] for k in ref_keys]
+
+
+def _ref_substitute_pivots(coeffs, rhs, pivots):
+    for pivot, (row, row_rhs) in pivots.items():
+        a = coeffs.get(pivot)
+        if a:
+            coeffs[pivot] = Fraction(0)
+            for v, c in row.items():
+                coeffs[v] = coeffs.get(v, Fraction(0)) - a * c
+            rhs = _ref_axpy(rhs, row_rhs, -a)
+    return {v: c for v, c in coeffs.items() if c != 0}, rhs
+
+
+def _ref_equality_pivots(equalities, var_order):
+    pivots = {}
+    for coeffs, rhs, _ in equalities:
+        coeffs, rhs = _ref_substitute_pivots(dict(coeffs), rhs, pivots)
+        if not coeffs:
+            continue
+        pivot = next(v for v in var_order if coeffs.get(v))
+        c = coeffs.pop(pivot)
+        pivots[pivot] = ({v: k / c for v, k in coeffs.items()},
+                         {n: k / c for n, k in rhs.items()})
+    return pivots
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, max_size=4), st.lists(_ROW, min_size=1, max_size=3))
+def test_integer_pivot_substitution_is_the_fraction_one(equalities, rows):
+    eqs = [_linineq(r, "==") for r in equalities]
+    pivots = _equality_pivots(eqs, _VARS)
+    ref = _ref_equality_pivots([_ref_of(q) for q in eqs], _VARS)
+    assert pivots.keys() == ref.keys()
+    for pivot, (c, row, row_rhs) in pivots.items():
+        assert c > 0 and dict(row)[pivot] == c and all(type(k) is int for _, k in row)
+        assert {v: Fraction(k, c) for v, k in row if v != pivot} == ref[pivot][0]
+        assert _ref_of(LinIneq.of({}, row_rhs))[1] == ref[pivot][1]
+    for row in rows:
+        q = _linineq(row, "<=")
+        nums, den, rhs = _substitute_pivots(dict(q.nums), q.den, q.rhs, pivots)
+        coeffs, ref_rhs = _ref_substitute_pivots(dict(q.coeffs), _ref_of(q)[1], ref)
+        got = LinIneq.exact(nums, den, rhs)
+        _assert_like(got, _ref_row(coeffs, ref_rhs))
+        _assert_like(got.canonical(), _ref_canonical(_ref_row(coeffs, ref_rhs)))
+
+
+def test_warm_replay_builds_almost_no_fractions(monkeypatch):
+    # the symbolic core is integer arithmetic: a warm replay builds at most 1%
+    # of the 12,376 Fractions a replay built when it ran on Fraction rows
+    verify_builtin_chain(seed=4)
+    real, made = Fraction.__new__, []
+
+    def counting(cls, *args, **kwargs):
+        made.append(1)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    assert verify_builtin_chain(seed=5).ok
+    monkeypatch.undo()
+    assert len(made) <= 123
+
+
+def test_replay_memoises_nothing_across_calls(monkeypatch):
+    # a cold `wtr` command replays once, so a cache that lives across calls
+    # would speed up only repeated calls in one process
+    calls = {"fm_eliminate": 0, "match_systems": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(fm_script, name, counting(name, getattr(fm_script, name)))
+    verify_builtin_chain(seed=6, instantiations=1)
+    once = dict(calls)
+    calls.update(dict.fromkeys(calls, 0))
+    verify_builtin_chain(seed=6, instantiations=1)
+    verify_builtin_chain(seed=7, instantiations=1)
+    assert once["fm_eliminate"] > 0 and once["match_systems"] > 0
+    assert calls == {k: 2 * n for k, n in once.items()}
 
 
 def test_drop_signs_step_certifies_its_extra_row(monkeypatch):
