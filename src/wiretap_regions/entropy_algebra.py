@@ -113,7 +113,7 @@ class InfoExpr:
     (ints when ``den`` is 1, which they then share with the numerators).
     """
 
-    # _floats: the float constant and coefficients, set by the first evaluate
+    # _floats: the float constant and coefficients, set by the first evaluation
     __slots__ = ("nums", "snums", "cnum", "den", "_floats")
 
     def __init__(self, terms=None, syms=None, constant=0):
@@ -212,25 +212,47 @@ class InfoExpr:
 
     # -- evaluation ------------------------------------------------------------
 
-    def evaluate(self, tables, sym_values=None) -> float:
+    def evaluate(self, tables, sym_values=None):
         """Numeric value in nats, each entropy read from the smallest of the
         sequence ``tables`` of :class:`~.info_core.ProbTable` holding its
-        variables.  Raises UnknownVariable for a symbol without a value in
-        ``sym_values`` or an atom that no table holds."""
+        variables (see :func:`evaluate_all`, which also takes stacks).  Raises
+        UnknownVariable for a symbol without a value in ``sym_values`` or an
+        atom that no table holds."""
+        return evaluate_all((self,), tables, sym_values)[0]
+
+
+def evaluate_all(exprs, tables, sym_values=None) -> list:
+    """The numeric values of ``exprs``, each entropy read once for all of
+    them from the smallest of the sequence ``tables`` holding its variables.
+
+    Each value is summed as the constant, then every atom term, then every
+    symbol term, in the expression's order.  ``tables`` are
+    :class:`~.info_core.ProbTable` values (each value a float) or
+    :class:`~.info_core.TableStack` values with ``sym_values`` arrays of the
+    same length (each value that reads one an array, entry k the value on
+    table k of every stack and entry k of every symbol, bit for bit).
+    Raises UnknownVariable for a symbol without a value in ``sym_values`` or
+    an atom that no table holds."""
+    known, out = {}, []
+    for e in exprs:
         try:
-            val, terms, syms = self._floats
+            val, terms, syms = e._floats
         except AttributeError:   # converted once, and only for expressions evaluated
             val, terms, syms = floats = (
-                float(self.constant), [(a.subset, float(c)) for a, c in self.terms.items()],
-                [(n, float(c)) for n, c in self.syms.items()])
-            object.__setattr__(self, "_floats", floats)
-        for subset, c in terms:
-            val += c * entropy(smallest_holding(tables, subset), subset)
+                float(e.constant), [(a, float(c)) for a, c in e.terms.items()],
+                [(n, float(c)) for n, c in e.syms.items()])
+            object.__setattr__(e, "_floats", floats)
+        for a, c in terms:
+            h = known.get(a)
+            if h is None:
+                h = known[a] = entropy(smallest_holding(tables, a.subset), a.subset)
+            val = val + c * h
         for n, c in syms:
             if not sym_values or n not in sym_values:
                 raise UnknownVariable(f"no numeric value supplied for symbol {n!r}")
-            val += c * sym_values[n]
-        return val
+            val = val + c * sym_values[n]
+        out.append(val)
+    return out
 
 
 def ent(names) -> InfoExpr:

@@ -38,7 +38,14 @@ from .entropy_algebra import (
     sym,
 )
 from .errors import ParseError, ScriptStepMismatch, ValidationError
-from .info_core import ProbTable, VarId, make_table, mutual_information, smallest_holding
+from .info_core import (
+    ProbTable,
+    TableStack,
+    VarId,
+    make_table,
+    mutual_information,
+    smallest_holding,
+)
 from .io_files import parse_dag_file, text_lines
 from .polytope_fm import (
     CERT_TOL,
@@ -284,14 +291,17 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
     return make_table(tuple(VarId(n, c) for n in names), joint)
 
 
-def min_sym_values(tables) -> dict[str, float]:
+def min_sym_values(tables) -> dict:
     """The two ``Imin`` symbols on the sequence ``tables``, each mutual
-    information read from the smallest table that holds it."""
-    def mi(y, cond=()):
-        return mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
+    information read from the smallest table that holds it: floats on lone
+    tables, and on :class:`~.info_core.TableStack` values an array with each
+    table's value, as :func:`~.polytope_fm.instantiate` reads them."""
+    def mi_min(cond=()):
+        a, b = (mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
+                for y in OUTPUTS[:2])
+        return np.where(b < a, b, a) if np.ndim(a) else min(a, b)
 
-    return {MIN_UY: min(mi(y) for y in OUTPUTS[:2]),
-            MIN_UYQ: min(mi(y, {"Q"}) for y in OUTPUTS[:2])}
+    return {MIN_UY: mi_min(), MIN_UYQ: mi_min({"Q"})}
 
 
 def _trivially_empty(sys: IneqSystem) -> bool:
@@ -306,21 +316,27 @@ def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
 
     ``jobs`` holds one ``(kept, extras)`` pair per step and ``tables`` holds
     ``((table,), min_sym_values((table,)))`` pairs.  Every kept region is
-    instantiated once per table, and one :func:`support_value` call answers
-    every row of every (step, table), from two LPs per replay.  An
-    instantiation whose kept region is empty certifies nothing (every dropped
-    row is vacuous there); one that a single row proves empty costs no LP.
-    Returns, per job and per extra row, the worst slack over informative
-    instantiations (<= tol required; ``inf`` once the kept region is unbounded
-    in the row's direction, and later tables are then not read for that row)
-    and the count of informative instantiations (0 means the row was never
-    exercised).
+    instantiated, with its dropped rows, once over all the tables, and one
+    :func:`support_value` call answers every row of every (step, table), from
+    two LPs per replay.  An instantiation whose kept region is empty
+    certifies nothing (every dropped row is vacuous there); one that a single
+    row proves empty costs no LP.  Returns, per job and per extra row, the
+    worst slack over informative instantiations (<= tol required; ``inf``
+    once the kept region is unbounded in the row's direction, and later
+    tables are then not read for that row) and the count of informative
+    instantiations (0 means the row was never exercised).
     """
-    lp_jobs, where = [], []
+    held = [t for t, _ in tables]
+    stacks = () if any(t is None for t in held) else tuple(TableStack(s) for s in zip(*held))
+    syms = {n: np.array([s[n] for _, s in tables]) for n in tables[0][1]}
+    lp_jobs, where, rhs = [], [], {}
     for n, (kept, extras) in enumerate(jobs):
         objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
-        for t, (table, syms) in enumerate(tables):
-            kept_num = instantiate(kept, table, syms)
+        m = len(kept.ineqs)
+        for t, num in enumerate(instantiate(kept.with_ineqs(kept.ineqs + tuple(extras)),
+                                            stacks, syms)):
+            rhs[n, t] = [float(q.rhs) for q in num.ineqs[m:]]
+            kept_num = num.with_ineqs(num.ineqs[:m])
             if not _trivially_empty(kept_num):
                 lp_jobs.append((kept_num, objs))
                 where.append((n, t))
@@ -329,17 +345,15 @@ def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
     for n, (_, extras) in enumerate(jobs):
         worst = [-np.inf] * len(extras)
         informative = [0] * len(extras)
-        for t, (table, syms) in enumerate(tables):
+        for t in range(len(tables)):
             for i, val in enumerate(answers.get((n, t), ())):
                 if worst[i] == np.inf or val == float("-inf"):
                     continue  # already unbounded, or an empty instantiated region
                 if val is None:
                     worst[i] = np.inf  # unbounded in the dropped direction
                     continue
-                q = extras[i]
-                rhs = q.rhs.evaluate(table, syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
                 informative[i] += 1
-                worst[i] = max(worst[i], val - rhs)
+                worst[i] = max(worst[i], val - rhs[n, t][i])
         out.append([(q, 0.0 if w == -np.inf else w, k)   # -inf: never exercised
                     for q, w, k in zip(extras, worst, informative)])
     return out

@@ -4,13 +4,18 @@ All logarithms are natural (nats).  Zero-probability cells follow the
 convention ``0 * log 0 = 0``.  Tables are immutable after construction, and
 each memoises the joint entropies asked of it: every mutual information is a
 signed sum of those entropies, so a table computes each marginal entropy once
-whichever quantity asks for it.  All operations are pure functions, so values
+whichever quantity asks for it.  A :class:`TableStack` holds tables over the
+same variables; :func:`entropy`, :func:`mutual_information` and
+:func:`validate_table` take one and marginalise each variable set once for
+all its tables, giving each table the value it gets alone, bit for bit.  A
+lone table is a stack of one.  All operations are pure functions, so values
 can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,6 +28,8 @@ from .errors import (
     ShapeMismatch,
     TableTooLarge,
     UnknownVariable,
+    at_instance,
+    raise_for_first,
 )
 
 NORMALIZATION_TOL = 1e-12
@@ -64,7 +71,7 @@ class ProbTable:
         if len(set(names)) != len(names):
             raise ShapeMismatch(f"duplicate variable names in {names}")
         object.__setattr__(self, "probs", _readonly(self.probs))
-        ncells = int(np.prod([v.cardinality for v in self.vars], dtype=np.int64))
+        ncells = math.prod(v.cardinality for v in self.vars)
         if ncells > MAX_CELLS:
             raise TableTooLarge(f"{ncells} cells exceeds the cap of {MAX_CELLS}")
 
@@ -79,11 +86,72 @@ class ProbTable:
             raise UnknownVariable(f"variable {name!r} not in table {self.names}") from None
 
 
-def _marginal_array(t: ProbTable, names) -> np.ndarray:
-    """Marginal of ``t.probs`` over ``names`` in table order (not reordered)."""
-    keep = sorted(t.axis(n) for n in names)
-    drop = tuple(i for i in range(len(t.vars)) if i not in keep)
-    return t.probs.sum(axis=drop) if drop else t.probs
+@dataclass(frozen=True, eq=False)
+class TableStack:
+    """Tables over the same variables, read together: ``probs`` holds their
+    arrays along a new first axis.  Every entropy asked of the stack is
+    marginalised once for all its tables and memoised in each of them."""
+
+    tables: tuple[ProbTable, ...]
+    probs: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        tables = tuple(self.tables)
+        if not tables:
+            raise ShapeMismatch("a table stack needs at least one table")
+        for k, t in enumerate(tables):
+            if t.vars != tables[0].vars:
+                raise at_instance(ShapeMismatch, (k,), f"variables {t.names} differ from "
+                                                       f"the stack's {tables[0].names}")
+        object.__setattr__(self, "tables", tables)
+        if self.probs is None:
+            object.__setattr__(self, "probs", np.stack([t.probs for t in tables]))
+
+    def __len__(self) -> int:
+        return len(self.tables)
+
+    @property
+    def vars(self) -> tuple[VarId, ...]:
+        return self.tables[0].vars
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return self.tables[0].names
+
+    def axis(self, name: str) -> int:
+        return self.tables[0].axis(name)
+
+
+def _members(t) -> tuple[ProbTable, ...]:
+    return t.tables if isinstance(t, TableStack) else (t,)
+
+
+def _marginal_array(t, names) -> np.ndarray:
+    """Marginal of ``t.probs`` over ``names`` in table order (not reordered),
+    one row per table of ``t``: shape ``(len(stack), cells)``."""
+    keep = {t.axis(n) for n in names}
+    lead = t.probs.ndim - len(t.vars)   # 1 for a stack, 0 for a lone table
+    drop = tuple(lead + i for i in range(len(t.vars)) if i not in keep)
+    arr = t.probs.sum(axis=drop) if drop else t.probs
+    return arr.reshape(len(_members(t)), -1)
+
+
+def _row_entropies(m: np.ndarray) -> np.ndarray:
+    """-sum p log p over the positive cells of each row of ``m``.  A row with
+    a zero cell sums its positive cells alone, as a 1-d array of just those
+    cells sums them: summing its zero terms too would change the pairwise
+    summation and so the last bits."""
+    pos = m > 0.0
+    full = pos.all(axis=1)
+    if full.all():
+        return -(m * np.log(m)).sum(axis=1)
+    out = np.empty(len(m))
+    f = m[full]
+    out[full] = -(f * np.log(f)).sum(axis=1)
+    for k in np.flatnonzero(~full):
+        p = m[k][pos[k]]
+        out[k] = -(p * np.log(p)).sum()
+    return out
 
 
 def make_table(vars, probs) -> ProbTable:
@@ -93,41 +161,60 @@ def make_table(vars, probs) -> ProbTable:
     return t
 
 
-def validate_table(t: ProbTable) -> None:
-    """Check nonnegativity, normalization and shape of a table.
+def make_stack(vars, probs) -> TableStack:
+    """Build and validate a :class:`TableStack` whose table k holds ``probs[k]``."""
+    vars = tuple(vars)
+    probs = _readonly(probs)
+    stack = TableStack(tuple(ProbTable(vars, p) for p in probs), probs)
+    validate_table(stack)
+    return stack
+
+
+def validate_table(t) -> None:
+    """Check nonnegativity, normalization and shape of a table, or of every
+    table of a :class:`TableStack` at once (an error names the first table
+    that fails, ``instance k: ...``).
 
     Raises
     ------
     ShapeMismatch, NegativeMass, NotNormalized
     """
-    expected = tuple(v.cardinality for v in t.vars)
+    lead = (len(t),) if isinstance(t, TableStack) else ()
+    expected = lead + tuple(v.cardinality for v in t.vars)
     if t.probs.shape != expected:
         raise ShapeMismatch(f"tensor shape {t.probs.shape} != cardinalities {expected}")
+    flat = t.probs.reshape(lead + (-1,))
     # written so that a NaN entry fails each comparison
-    mn = float(t.probs.min()) if t.probs.size else 0.0
-    if not mn >= NEGATIVE_MASS_TOL:
-        raise NegativeMass(f"entry {mn} below tolerance {NEGATIVE_MASS_TOL}")
-    s = float(t.probs.sum())
-    if not abs(s - 1.0) <= NORMALIZATION_TOL:
-        raise NotNormalized(f"total mass {s} deviates from 1 by more than {NORMALIZATION_TOL}")
+    mn = flat.min(axis=-1)
+    raise_for_first(~(mn >= NEGATIVE_MASS_TOL), NegativeMass,
+                    lambda k: f"entry {mn[k]} below tolerance {NEGATIVE_MASS_TOL}")
+    s = flat.sum(axis=-1)
+    raise_for_first(~(abs(s - 1.0) <= NORMALIZATION_TOL), NotNormalized,
+                    lambda k: f"total mass {s[k]} deviates from 1 by more than "
+                              f"{NORMALIZATION_TOL}")
 
 
-def entropy(t: ProbTable, names=None) -> float:
+def entropy(t, names=None):
     """Joint entropy H(names) in nats (all variables when ``names`` is None),
-    computed once per table and set of names."""
+    computed once per table and set of names.
+
+    ``t`` is a :class:`ProbTable` (a float) or a :class:`TableStack` (an
+    array, one entropy per table): a stack marginalises once for all its
+    tables and stores each value in its table's memo."""
     key = None if names is None else frozenset(names)
-    h = t._entropies.get(key)
-    if h is None:
-        arr = t.probs if names is None else _marginal_array(t, names)
-        p = arr[arr > 0.0]
-        h = t._entropies[key] = float(-(p * np.log(p)).sum())
-    return h
+    tables = _members(t)
+    h = [s._entropies.get(key) for s in tables]
+    if None in h:
+        arr = t.probs.reshape(len(tables), -1) if names is None else _marginal_array(t, names)
+        h = [s._entropies.setdefault(key, v) for s, v in zip(tables, _row_entropies(arr).tolist())]
+    return np.array(h) if isinstance(t, TableStack) else h[0]
 
 
-def smallest_holding(tables, names) -> ProbTable:
+def smallest_holding(tables, names):
     """The table with the fewest cells, the first of equal ones, among the
     sequence ``tables`` whose variables include every name in ``names``;
-    raises UnknownVariable when none does."""
+    raises UnknownVariable when none does.  Stacks of equal length compare
+    as their tables do."""
     names, best = set(names), None
     for t in tables:
         if names.issubset(t.names) and (best is None or t.probs.size < best.probs.size):
@@ -137,14 +224,15 @@ def smallest_holding(tables, names) -> ProbTable:
     return best
 
 
-def mutual_information(t: ProbTable, a, b, c=()) -> float:
+def mutual_information(t, a, b, c=()):
     """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     in nats, each joint entropy read from the table's memoised :func:`entropy`
-    (H(C) is dropped when C is empty).
+    (H(C) is dropped when C is empty); on a :class:`TableStack`, an array
+    with one value per table, each equal to that table's value alone.
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
-    pairwise disjoint.  The result is clamped to zero when it falls in
-    ``[-1e-12, 0)``.
+    pairwise disjoint.  A result in ``[-1e-12, 0)`` is clamped to zero; one
+    below it raises NegativeMass, naming its table of a stack.
     """
     a, b, c = set(a), set(b), set(c)
     if a & b or a & c or b & c:
@@ -154,12 +242,12 @@ def mutual_information(t: ProbTable, a, b, c=()) -> float:
     val = entropy(t, a | c) + entropy(t, b | c) - entropy(t, a | b | c)
     if c:
         val -= entropy(t, c)
-    if val < 0.0:
-        if val < MI_CLAMP:
-            # Beyond accumulated-rounding territory for well-formed tables.
-            raise NegativeMass(f"mutual information {val} below clamp {MI_CLAMP}")
-        val = 0.0
-    return val
+    # beyond accumulated-rounding territory for well-formed tables
+    raise_for_first(np.asarray(val < MI_CLAMP), NegativeMass,
+                    lambda k: f"mutual information {np.asarray(val)[k]} below clamp {MI_CLAMP}")
+    if isinstance(t, TableStack):
+        return np.where(val < 0.0, 0.0, val)
+    return 0.0 if val < 0.0 else val
 
 
 def _check_stochastic(name: str, m: np.ndarray) -> None:

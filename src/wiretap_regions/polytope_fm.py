@@ -24,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy_algebra import InfoExpr, common_denominator, lincomb
+from .entropy_algebra import InfoExpr, common_denominator, evaluate_all, lincomb
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -35,6 +35,7 @@ from .errors import (
     UnknownVariable,
     ZeroCoefficient,
 )
+from .info_core import TableStack
 
 LE = "<="
 EQ = "=="
@@ -170,7 +171,7 @@ class IneqSystem:
     def __post_init__(self):
         known = set(self.vars)
         for q in self.ineqs:
-            for v in q.variables:
+            for v, _ in q.nums:
                 if v not in known:
                     raise UnknownVariable(f"constraint mentions unknown variable {v!r}")
 
@@ -624,12 +625,36 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
     return out
 
 
-def instantiate(sys: IneqSystem, tables, sym_values=None) -> IneqSystem:
+def instantiate(sys: IneqSystem, tables, sym_values=None):
     """Replace symbolic right-hand sides by their numeric values on the
-    sequence ``tables``, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
-    reads them."""
-    out = []
-    for q in sys.ineqs:
-        rhs = q.rhs.evaluate(tables, sym_values) if isinstance(q.rhs, InfoExpr) else q.rhs
-        out.append(q.with_rhs(rhs))
-    return sys.with_ineqs(out)
+    sequence ``tables``, summed as :meth:`~.entropy_algebra.InfoExpr.evaluate`
+    sums them, each entropy read once for the whole system
+    (:func:`~.entropy_algebra.evaluate_all`).
+
+    Given :class:`~.info_core.TableStack` values or symbol arrays, this
+    instantiates a stack of members at once and returns one system per
+    member: member k reads table k of every stack and entry k of every
+    symbol array, and gets the system it gets alone, bit for bit."""
+    n = _stack_length(tables, sym_values)
+    rows = [i for i, q in enumerate(sys.ineqs) if isinstance(q.rhs, InfoExpr)]
+    values = dict(zip(rows, evaluate_all([sys.ineqs[i].rhs for i in rows], tables, sym_values)))
+
+    def member(k):
+        ineqs = list(sys.ineqs)
+        for i, v in values.items():
+            ineqs[i] = ineqs[i].with_rhs(float(v[k]) if np.ndim(v) else v)
+        return sys.with_ineqs(ineqs)
+
+    if n is None:
+        return member(None)
+    return [member(k) for k in range(n)]
+
+
+def _stack_length(tables, sym_values) -> int | None:
+    """The number of members of a stacked instantiation, None for a lone one."""
+    sizes = {len(t) for t in tables or () if isinstance(t, TableStack)}
+    sizes |= {len(v) for v in (sym_values or {}).values() if np.ndim(v)}
+    if len(sizes) > 1:
+        raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "
+                                f"instantiated together")
+    return sizes.pop() if sizes else None

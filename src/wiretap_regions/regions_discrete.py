@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,9 @@ from .errors import (
 from .info_core import (
     ChannelSpec,
     ProbTable,
+    TableStack,
     VarId,
+    make_stack,
     make_table,
     mutual_information,
 )
@@ -35,6 +36,8 @@ from .polytope_fm import IneqSystem, LinIneq, instantiate, solve_lp, vertices
 
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
 OUTPUTS = ("Y1", "Y2", "Z")   # what the regions call a channel's outputs, by position
+UX_VARS = ("U", "X")                       # the variables of the two kinds of aux
+LAYERED_VARS = ("Q", "U", "V1", "V2", "X")
 AUX_TOL = 1e-10
 ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 0
 
@@ -49,11 +52,11 @@ class AuxJoint:
 
     def __post_init__(self):
         names = self.table.names
-        if names not in (("U", "X"), ("Q", "U", "V1", "V2", "X")):
+        if names not in (UX_VARS, LAYERED_VARS):
             raise InconsistentAux(f"an aux must be over (U, X) or (Q, U, V1, V2, X), "
                                   f"got {names}")
         if self.kind == "layered":
-            resid = mutual_information(self.table, {"Q"}, {"V1", "V2", "X"}, {"U"})
+            resid = _layered_residual(self.table)
             if resid > AUX_TOL:
                 raise InconsistentAux(
                     f"I(Q; V1,V2,X | U) = {resid:.2e} violates the layered factorization")
@@ -64,21 +67,42 @@ class AuxJoint:
         return "ux" if len(self.table.vars) == 2 else "layered"
 
 
-def _output_joints(aux: AuxJoint, ch: ChannelSpec) -> tuple[ProbTable, ...]:
-    """Joint tables over (aux vars..., out), one per output, the outputs named
-    Y1, Y2, Z by position, without materializing the full kernel."""
-    t = aux.table
-    return tuple(make_table(t.vars + (VarId(name, out.cardinality),),
+def _layered_residual(t):
+    """I(Q; V1,V2,X | U), which is 0 when the aux table ``t`` (or each table
+    of a stack) factors as p(q,u) p(v1,v2,x|u)."""
+    return mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"})
+
+
+def _aux_stack(aux, kind: str, refusal: str) -> TableStack:
+    """The tables of a sequence of auxes, or of one aux, as a stack;
+    InconsistentAux(``refusal``) unless every aux is of ``kind``."""
+    auxes = (aux,) if isinstance(aux, AuxJoint) else tuple(aux)
+    if any(a.kind != kind for a in auxes):
+        raise InconsistentAux(refusal)
+    return TableStack(tuple(a.table for a in auxes))
+
+
+def _one_or_all(aux, regions):
+    """The region of one aux, or the list of the regions of a sequence."""
+    return regions[0] if isinstance(aux, AuxJoint) else regions
+
+
+def _output_joints(t: TableStack, ch: ChannelSpec) -> tuple[TableStack, ...]:
+    """Joint tables over (aux vars..., out), one stack per output from one
+    product, the outputs named Y1, Y2, Z by position, without materializing
+    the full kernel."""
+    return tuple(make_stack(t.vars + (VarId(name, out.cardinality),),
                             np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
                  for name, out in zip(OUTPUTS, ch.outputs))
 
 
-def _degraded_constants(aux: AuxJoint, ch: ChannelSpec) -> dict[str, float]:
-    if aux.kind != "ux":
-        raise InconsistentAux("degraded-channel bounds take an aux over (U, X)")
+def _degraded_constants(aux, ch: ChannelSpec) -> dict[str, np.ndarray]:
+    """The five information quantities of the degraded regions, one value
+    per aux of a sequence (or of one aux)."""
+    t = _aux_stack(aux, "ux", "degraded-channel bounds take an aux over (U, X)")
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
-    t1, t2, tz = _output_joints(aux, ch)
+    t1, t2, tz = _output_joints(t, ch)
     y1, y2, z = OUTPUTS
     return {
         "iuy2": mutual_information(t2, {"U"}, {y2}),
@@ -119,9 +143,13 @@ def outer_of(inner: IneqSystem) -> IneqSystem:
     return inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
 
 
-def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Five-bound achievable region of the degraded channel for a fixed aux."""
-    return five_bound_system(**_degraded_constants(aux, ch))
+def eval_degraded_inner(aux, ch: ChannelSpec):
+    """Five-bound achievable region of the degraded channel for a fixed aux;
+    given a sequence of auxes, the list of their regions, every information
+    quantity computed once for all of them."""
+    c = _degraded_constants(aux, ch)
+    return _one_or_all(aux, [five_bound_system(**dict(zip(c, map(float, v))))
+                             for v in zip(*c.values())])
 
 
 def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
@@ -135,7 +163,7 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     The public rates ride on the randomization the eavesdropper can resolve,
     so ``Rp2 <= I(U;Z)`` and ``Rp1 <= I(X;Z|U)``.
     """
-    c = _degraded_constants(aux, ch)
+    c = {k: float(v[0]) for k, v in _degraded_constants(aux, ch).items()}
     return _system([
         ({"Rp2": 1}, c["iuz"], "rp2"),
         ({"Rs2": 1}, c["iuy2"] - c["iuz"], "rs2"),
@@ -144,23 +172,23 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     ])
 
 
-def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
+def eval_general_inner(aux, ch: ChannelSpec):
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded."""
-    if aux.kind != "layered":
-        raise InconsistentAux("general inner bound takes a layered aux")
+    Y2, Z.  The channel need not be degraded.  Given a sequence of auxes, the
+    list of their regions from one instantiation of the target."""
+    t = _aux_stack(aux, "layered", "general inner bound takes a layered aux")
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
-    tables = (aux.table, *_output_joints(aux, ch))
-    region = instantiate(fm_script.load_fixture("target"), tables,
-                         fm_script.min_sym_values(tables))
+    tables = (t, *_output_joints(t, ch))
+    regions = instantiate(fm_script.load_fixture("target"), tables,
+                          fm_script.min_sym_values(tables))
     # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
     # reads about +-1e-16; the clamped mutual informations it stands for give 0
-    return region.with_ineqs([q.with_rhs(0.0) if abs(q.rhs) <= ZERO_BOUND_TOL else q
-                              for q in region.ineqs])
+    return _one_or_all(aux, [r.with_ineqs([q.with_rhs(0.0) if abs(q.rhs) <= ZERO_BOUND_TOL
+                                           else q for q in r.ineqs]) for r in regions])
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:
@@ -342,9 +370,17 @@ def _corner_aux_ux(card_u: int, card_x: int):
     return [eye, det, indep]
 
 
+def _aux_vars(names, shape) -> tuple[VarId, ...]:
+    return tuple(VarId(n, k) for n, k in zip(names, shape))
+
+
 def random_aux_ux(rng: np.random.Generator, card_u: int, card_x: int) -> AuxJoint:
-    arr = rng.dirichlet(np.ones(card_u * card_x)).reshape(card_u, card_x)
-    return AuxJoint(make_table((VarId("U", card_u), VarId("X", card_x)), arr))
+    arr = _ux_probs(rng, card_u, card_x)
+    return AuxJoint(make_table(_aux_vars(UX_VARS, arr.shape), arr))
+
+
+def _ux_probs(rng, card_u: int, card_x: int) -> np.ndarray:
+    return rng.dirichlet(np.ones(card_u * card_x)).reshape(card_u, card_x)
 
 
 def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
@@ -353,6 +389,12 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
     """Random layered aux; ``indep_v`` draws V1 and V2 independent given U,
     which keeps the joint-covering penalty at zero and the pair bound
     nonnegative far more often."""
+    arr = _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v)
+    return AuxJoint(make_table(_aux_vars(LAYERED_VARS, arr.shape), arr))
+
+
+def _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v) -> np.ndarray:
+    """The array of :func:`random_aux_layered`, drawn in its order."""
     p_qu = rng.dirichlet(np.ones(card_q * card_u)).reshape(card_q, card_u)
     if indep_v:
         p1 = rng.dirichlet(np.ones(card_v1), size=card_u)
@@ -363,10 +405,7 @@ def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
     else:
         p_rest = rng.dirichlet(np.ones(card_v1 * card_v2 * card_x), size=card_u)
         p_rest = p_rest.reshape(card_u, card_v1, card_v2, card_x)
-    arr = np.einsum("qu,uabx->quabx", p_qu, p_rest)
-    table = make_table((VarId("Q", card_q), VarId("U", card_u), VarId("V1", card_v1),
-                        VarId("V2", card_v2), VarId("X", card_x)), arr)
-    return AuxJoint(table)
+    return np.einsum("qu,uabx->quabx", p_qu, p_rest)
 
 
 def sweep_systems(samples) -> SweepResult:
@@ -387,6 +426,10 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     """Seeded sweep of auxiliary joints; returns the merged vertex cloud and
     its hull.  Samples are a fixed prefix sequence, so a larger budget extends
     a smaller one and the hull can only grow.
+
+    Every aux is drawn first, in the order a one-at-a-time loop draws them,
+    and the regions of all of them come from one stacked evaluation, equal
+    to the loop's byte for byte.
     """
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
@@ -396,18 +439,24 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     card_x = ch.input.cardinality
     card_u = card_x + 3
     card_v = card_x + 1
+    if mode == "degraded":
+        corners = _corner_aux_ux(card_u, card_x)[:budget]
+        probs = corners + [_ux_probs(rng, card_u, card_x) for _ in range(budget - len(corners))]
+        auxes = _stacked_auxes(UX_VARS, probs)
+        regions = eval_degraded_inner(auxes, ch)
+    else:
+        probs = [_layered_probs(rng, 2, card_u, card_v, card_v, card_x, i % 2 == 0)
+                 for i in range(budget)]
+        auxes = _stacked_auxes(LAYERED_VARS, probs)
+        regions = eval_general_inner(auxes, ch)
+    return sweep_systems(zip([_aux_hash(a.table) for a in auxes], regions))
 
-    def samples():
-        if mode == "degraded":
-            for arr in _corner_aux_ux(card_u, card_x):
-                yield AuxJoint(make_table((VarId("U", card_u), VarId("X", card_x)), arr))
-            while True:
-                yield random_aux_ux(rng, card_u, card_x)
-        else:
-            for i in itertools.count():
-                yield random_aux_layered(rng, 2, card_u, card_v, card_v, card_x,
-                                         indep_v=(i % 2 == 0))
 
-    build = eval_general_inner if mode == "general" else eval_degraded_inner
-    return sweep_systems((_aux_hash(aux.table), build(aux, ch))
-                         for aux in itertools.islice(samples(), budget))
+def _stacked_auxes(names, probs) -> list[AuxJoint]:
+    """One aux over ``names`` per array of ``probs``, their tables built and
+    checked as one stack; the factorization check of each layered aux then
+    reads entropies the stack marginalised once for all of them."""
+    stack = make_stack(_aux_vars(names, probs[0].shape), np.stack(probs))
+    if names == LAYERED_VARS:
+        _layered_residual(stack)
+    return [AuxJoint(t) for t in stack.tables]

@@ -40,6 +40,9 @@ SYM_TOL = 1e-12
 # double, so the sums and constant multiples of channel matrices that the
 # evaluators form (symmetrization included) stay finite.
 MAX_ENTRY = 1e300
+# Smallest largest |entry| of a GaussChannel matrix: the squares and products
+# of entries that the quadrature and the precoding check form stay normal.
+MIN_SCALE = 1e-150
 
 # _sym, check_psd, check_pd, psd_leq, logdet, dpc_matrix, project_range,
 # gauss_mi, dpc_identity_check and random_psd_under take a matrix or a stack of
@@ -132,7 +135,8 @@ def scalar_of(m, what: str) -> float:
 class GaussChannel:
     """Input covariance cap and the three noise covariances (all d x d).  The
     cap ``S`` may also be a stack of caps, one per sample of a sweep.  Every
-    entry must be finite and at most ``MAX_ENTRY`` in magnitude
+    entry must be finite and at most ``MAX_ENTRY`` in magnitude, and each
+    matrix must hold an entry of magnitude at least ``MIN_SCALE``
     (ValidationError otherwise)."""
 
     S: np.ndarray
@@ -142,10 +146,16 @@ class GaussChannel:
 
     def __post_init__(self):
         for name in ("S", "Sigma1", "Sigma2", "SigmaZ"):
-            big = np.abs(np.asarray(getattr(self, name), dtype=float)).max(initial=0.0)
+            a = np.abs(np.asarray(getattr(self, name), dtype=float))
+            big = a.max(initial=0.0)
             if not big <= MAX_ENTRY:
                 raise ValidationError(f"{name} has an entry of magnitude {big:.3g}; channel "
                                       f"entries must be finite and at most {MAX_ENTRY:g}")
+            scale = np.atleast_2d(a).max(axis=(-2, -1), initial=0.0)
+            raise_for_first(scale < MIN_SCALE, ValidationError,
+                            lambda k: f"{name} has largest entry magnitude {scale[k]:.3g}; "
+                                      f"channel matrices must hold an entry of at least "
+                                      f"{MIN_SCALE:g}")
         object.__setattr__(self, "S", check_pd(self.S, "S"))
         object.__setattr__(self, "Sigma1", check_pd(self.Sigma1, "Sigma1"))
         object.__setattr__(self, "Sigma2", check_pd(self.Sigma2, "Sigma2"))

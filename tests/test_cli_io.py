@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -519,6 +520,52 @@ def test_cli_gauss_channel_with_an_overflowing_entry_is_an_input_error(tmp_path,
         assert main([*cmd, "--channel", write(tmp_path, "g.txt", EXTREME_GAUSS)]) == 2
     assert capsys.readouterr().err == ("input error: S has an entry of magnitude 1e+308; "
                                        "channel entries must be finite and at most 1e+300\n")
+
+
+TINY_SCALAR = "kind: gauss\nS:\n1e-300\nSigma1:\n1e-300\nSigma2:\n1e-300\nSigmaZ:\n1e-300\n"
+TINY_2X2 = "kind: gauss\n" + "".join(f"{m}:\n1e-320 0\n0 1e-320\n"
+                                     for m in ("S", "Sigma1", "Sigma2", "SigmaZ"))
+
+
+@pytest.mark.parametrize("cmd, text, scale", [
+    (["fisher", "evidence", "--budget", "2"], TINY_SCALAR, "1e-300"),
+    (["gauss", "dpc-check"], TINY_2X2, "1e-320"),
+], ids=["evidence-1e-300", "dpc-check-1e-320"])
+def test_cli_gauss_channel_below_min_scale_is_an_input_error(tmp_path, cmd, text, scale,
+                                                            capsys):
+    # entries this small square to zero or to subnormals in the quadrature and
+    # the precoding check, which printed warnings and then nan residuals
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*cmd, "--channel", write(tmp_path, "g.txt", text)]) == 2
+    assert capsys.readouterr().err == (f"input error: S has largest entry magnitude {scale}; "
+                                       f"channel matrices must hold an entry of at least "
+                                       f"1e-150\n")
+
+
+@pytest.mark.parametrize("cmd, dim", [
+    (["fisher", "evidence", "--budget", "2"], 1),
+    (["gauss", "dpc-check", "--budget", "5"], 1),
+    (["gauss", "dpc-check", "--budget", "5"], 2),
+    (["gauss", "sweep", "--budget", "10"], 2),
+    (["gauss", "sweep", "--budget", "10", "--mode", "trace_P"], 2),
+], ids=["evidence", "dpc-check-1x1", "dpc-check-2x2", "sweep", "sweep-trace_P"])
+def test_cli_gauss_channel_at_min_scale_runs_clean(tmp_path, cmd, dim, capsys):
+    eye = np.eye(dim) * 1e-150
+    ch = GaussChannel(S=2 * eye, Sigma1=eye, Sigma2=1.5 * eye, SigmaZ=3 * eye)
+    path = tmp_path / "g.txt"
+    emit_channel_file(ch, path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*cmd, "--channel", str(path)]) == 0
+    assert not re.search(r"\bnan\b", capsys.readouterr().out)
+
+
+def test_gauss_channel_names_the_cap_below_min_scale():
+    eye = np.eye(2)
+    caps = np.stack([eye, eye, 1e-160 * eye])
+    with pytest.raises(ValidationError, match="^instance 2: S has largest entry magnitude 1e-160"):
+        GaussChannel(S=caps, Sigma1=eye, Sigma2=eye, SigmaZ=eye)
 
 
 LAYERED_AUX = "kind: aux\nvars: Q 1 U 1 V1 1 V2 1 X 2\ntable:\n0.5 0.5\n"

@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 
 from wiretap_regions import fm_script
 from wiretap_regions.entropy_algebra import EqualitySet, InfoExpr, derive_equalities, sym
-from wiretap_regions.errors import ParseError, ScriptStepMismatch, ValidationError
+from wiretap_regions.cli import main
+from wiretap_regions.errors import (
+    DimensionMismatch,
+    ParseError,
+    ScriptStepMismatch,
+    ValidationError,
+)
 from wiretap_regions.fm_script import (
     Step,
     _certify_redundant,
@@ -16,6 +22,7 @@ from wiretap_regions.fm_script import (
     _substitute_pivots,
     layered_structure,
     load_builtin_chain,
+    load_fixture,
     match_systems,
     min_sym_values,
     parse_constraint,
@@ -25,7 +32,15 @@ from wiretap_regions.fm_script import (
     verify_builtin_chain,
     verify_elimination_script,
 )
-from wiretap_regions.info_core import ChannelSpec, VarId, make_table, mutual_information
+from wiretap_regions.info_core import (
+    ChannelSpec,
+    TableStack,
+    VarId,
+    build_degraded_joint,
+    make_table,
+    mutual_information,
+)
+from wiretap_regions.io_files import emit_channel_file, region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
     LinIneq,
@@ -34,6 +49,7 @@ from wiretap_regions.polytope_fm import (
     support_value,
 )
 from wiretap_regions.regions_discrete import (
+    OUTPUTS,
     RATES,
     ZERO_BOUND_TOL,
     eval_general_inner,
@@ -675,3 +691,95 @@ def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
     assert [[len(objectives) for _, objectives in jobs] for jobs in calls] == [[2, 2]]
     assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]
+
+
+def _lone_reference(expr, tables, syms):
+    """Reference evaluation of one right-hand side on lone tables: the
+    constant, then each atom's -sum p log p over the positive cells of its
+    marginal in the smallest table holding it, then each symbol."""
+    val = float(expr.constant)
+    for atom, c in expr.terms.items():
+        t = min((t for t in tables if set(atom.subset) <= set(t.names)),
+                key=lambda t: t.probs.size)
+        drop = tuple(i for i, n in enumerate(t.names) if n not in atom.subset)
+        arr = t.probs.sum(axis=drop) if drop else t.probs
+        p = arr[arr > 0.0]
+        val += float(c) * float(-(p * np.log(p)).sum())
+    for name, c in expr.syms.items():
+        val += float(c) * syms[name]
+    return val
+
+
+def test_stacked_instantiation_equals_each_member_alone():
+    # every chain fixture and the target, on the 9 joints a replay draws: one
+    # instantiation of the stack gives each member its own right-hand sides,
+    # bit for bit
+    _, _, fixtures = load_builtin_chain()
+
+    def draw():
+        rng = np.random.default_rng(8)
+        return [random_layered_joint(rng, degraded=k % 3 < 2, indep_v=k % 3 == 0)
+                for k in range(9)]
+
+    stack = (TableStack(tuple(draw())),)
+    syms = min_sym_values(stack)
+    assert all(v.shape == (9,) for v in syms.values())
+    assert set(fixtures) >= {"target"} and len(fixtures) > 5
+    for name, sys in fixtures.items():
+        members = instantiate(sys, stack, syms)
+        assert len(members) == 9
+        for k, (got, table) in enumerate(zip(members, draw())):
+            lone_syms = min_sym_values((table,))
+            assert lone_syms == {n: v[k] for n, v in syms.items()}
+            assert got.vars == sys.vars
+            for g, q in zip(got.ineqs, sys.ineqs, strict=True):
+                assert (g.nums, g.den, g.rel, g.label) == (q.nums, q.den, q.rel, q.label)
+                if isinstance(q.rhs, InfoExpr):
+                    assert type(g.rhs) is float
+                    assert g.rhs == q.rhs.evaluate((table,), lone_syms)
+                    assert g.rhs == _lone_reference(q.rhs, (table,), lone_syms)
+                else:
+                    assert g.rhs == q.rhs
+        assert instantiate(sys, (draw()[4],), {n: float(v[4]) for n, v in syms.items()}) \
+            .ineqs == members[4].ineqs
+
+
+def test_stacked_instantiation_refuses_stacks_of_other_lengths():
+    rng = np.random.default_rng(2)
+    tables = [random_layered_joint(rng) for _ in range(3)]
+    target = load_fixture("target")
+    with pytest.raises(DimensionMismatch, match=r"stacks of \[2, 3\] members"):
+        instantiate(target, (TableStack(tuple(tables)),),
+                    min_sym_values((TableStack(tuple(tables[:2])),)))
+
+
+def test_region_eval_general_prints_the_lone_evaluation(tmp_path, capsys):
+    # a lone aux is evaluated as before: the target's rows, each right-hand
+    # side summed on the aux and its three output joints alone
+    rng = np.random.default_rng(21)
+    aux = random_aux_layered(rng, 2, 3, 2, 2, 2)
+    stages = [rng.dirichlet(np.ones(2), size=2) for _ in range(3)]
+    ch = build_degraded_joint(*stages)
+    ch_path, aux_path = tmp_path / "c.txt", tmp_path / "a.txt"
+    emit_channel_file(ch, ch_path)
+    rows = aux.table.probs.reshape(-1, 2)
+    aux_path.write_text("kind: aux\nvars: Q 2 U 3 V1 2 V2 2 X 2\ntable:\n" + "".join(
+        " ".join(repr(float(x)) for x in row) + "\n" for row in rows))
+    tables = [aux.table] + [
+        make_table(aux.table.vars + (VarId(name, 2),),
+                   np.einsum("...x,xw->...xw", aux.table.probs, ch.pair_kernel(out.name)))
+        for name, out in zip(OUTPUTS, ch.outputs)]
+
+    def mi(y, cond=()):
+        return mutual_information(tables[1 + OUTPUTS.index(y)], {"U"}, {y}, cond)
+
+    syms = {fm_script.MIN_UY: min(mi("Y1"), mi("Y2")),
+            fm_script.MIN_UYQ: min(mi("Y1", {"Q"}), mi("Y2", {"Q"}))}
+    target = load_fixture("target")
+    want = []
+    for q in target.ineqs:
+        rhs = _lone_reference(q.rhs, tables, syms)
+        want.append(q.with_rhs(0.0 if abs(rhs) <= ZERO_BOUND_TOL else rhs))
+    assert main(["region", "eval-general", "--channel", str(ch_path), "--aux", str(aux_path),
+                 "--format", "csv"]) == 0
+    assert capsys.readouterr().out == region_csv_text(target.with_ineqs(want))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -13,12 +14,15 @@ from wiretap_regions.errors import (
     WiretapError,
 )
 from wiretap_regions.info_core import (
+    MI_CLAMP,
     ChannelSpec,
+    TableStack,
     VarId,
     build_degraded_joint,
     channel_joint,
     check_markov,
     entropy,
+    make_stack,
     make_table,
     mutual_information,
     validate_table,
@@ -340,3 +344,93 @@ def test_mi_chain_rule(case):
     lhs = mutual_information(t, a, b | c, d)
     rhs = mutual_information(t, a, b, d) + mutual_information(t, a, c, b | d)
     assert abs(lhs - rhs) <= 1e-12
+
+
+def _lone_entropy(probs, axes):
+    """Reference H: the marginal over ``axes`` of one array, then -sum p log p
+    over its positive cells as one 1-d array."""
+    drop = tuple(i for i in range(probs.ndim) if i not in axes)
+    arr = probs.sum(axis=drop) if drop else probs
+    p = arr[arr > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
+@st.composite
+def _stack_case(draw):
+    """1-6 arrays over 1-4 variables (cardinalities 1-4), with about a third
+    of their cells zero in half the cases."""
+    cards = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    n = draw(st.integers(1, 6))
+    zeros = draw(st.booleans())
+    cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)) if zeros \
+        else st.floats(1e-3, 1.0)
+    size = int(np.prod(cards))
+    arrays = []
+    for _ in range(n):
+        w = np.array(draw(st.lists(cell, min_size=size, max_size=size))).reshape(cards)
+        w.flat[0] += w.sum() == 0.0
+        arrays.append(w / w.sum())
+    labels = [draw(st.integers(0, 3)) for _ in cards]
+    return cards, arrays, labels
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_stack_case())
+def test_stacked_entropy_and_mi_equal_each_lone_table(case):
+    cards, arrays, labels = case
+    vars_ = tuple(VarId(f"T{i}", k) for i, k in enumerate(cards))
+    names = [v.name for v in vars_]
+    lone = [make_table(vars_, a) for a in arrays]
+    for stack in (TableStack(tuple(make_table(vars_, a) for a in arrays)),
+                  make_stack(vars_, np.stack(arrays))):
+        for r in range(len(names) + 1):
+            for axes in itertools.combinations(range(len(names)), r):
+                subset = [names[i] for i in axes]
+                got = entropy(stack, subset)
+                assert got.tolist() == [entropy(t, subset) for t in lone]
+                assert got.tolist() == [_lone_entropy(a, axes) for a in arrays]
+                # every table of the stack keeps its value in its memo
+                assert [t._entropies[frozenset(subset)] for t in stack.tables] == got.tolist()
+        assert entropy(stack).tolist() == [entropy(t) for t in lone]
+        a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
+        if a and b:
+            got = mutual_information(stack, a, b, c)
+            assert got.tolist() == [mutual_information(t, a, b, c) for t in lone]
+
+
+def test_a_stack_of_tables_over_other_variables_is_refused():
+    ab = make_table((VarId("A", 2), VarId("B", 2)), np.full((2, 2), 0.25))
+    ac = make_table((VarId("A", 2), VarId("C", 2)), np.full((2, 2), 0.25))
+    with pytest.raises(ShapeMismatch, match="^instance 2: variables") as e:
+        TableStack((ab, ab, ac))
+    assert e.value.instance == (2,)
+    with pytest.raises(ShapeMismatch, match="at least one table"):
+        TableStack(())
+
+
+def test_mi_below_the_clamp_names_its_table():
+    vars_ = (VarId("A", 2), VarId("B", 2))
+    tables = [make_table(vars_, np.full((2, 2), 0.25)) for _ in range(4)]
+    # an entropy memo that no table could give: I(A;B) = 2 ln 2 - 10 < 0
+    tables[2]._entropies[frozenset({"A", "B"})] = 10.0
+    with pytest.raises(NegativeMass, match="^instance 2: mutual information -8.6") as e:
+        mutual_information(TableStack(tuple(tables)), {"A"}, {"B"})
+    assert e.value.instance == (2,) and e.value.detail.endswith(f"below clamp {MI_CLAMP}")
+    with pytest.raises(NegativeMass, match="^mutual information -8.6") as e:
+        mutual_information(tables[2], {"A"}, {"B"})
+    assert e.value.instance == ()
+    # rounding noise above the clamp reads 0 in every table
+    tables[2]._entropies[frozenset({"A", "B"})] = 2 * math.log(2) + 1e-13
+    assert mutual_information(TableStack(tuple(tables)), {"A"}, {"B"}).tolist() == [0.0] * 4
+
+
+def test_a_stack_validates_every_table_and_names_the_first_bad_one():
+    vars_ = (VarId("A", 2),)
+    probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.6, 0.5], [0.7, 0.5]])
+    with pytest.raises(NotNormalized, match="^instance 2: total mass 1.1") as e:
+        make_stack(vars_, probs)
+    assert e.value.instance == (2,)
+    with pytest.raises(NegativeMass, match="^instance 1: entry -0.5"):
+        make_stack(vars_, np.array([[0.5, 0.5], [1.5, -0.5]]))
+    with pytest.raises(NotNormalized, match="^total mass 1.1"):
+        make_table(vars_, probs[2])

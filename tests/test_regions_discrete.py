@@ -16,6 +16,7 @@ from wiretap_regions.errors import (
     ValidationError,
 )
 from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
+from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
     LinIneq,
@@ -39,6 +40,7 @@ from wiretap_regions.regions_discrete import (
     hull_of,
     outer_of,
     pareto_front,
+    random_aux_layered,
     random_aux_ux,
     reduction_aux,
     specialize_corollary,
@@ -359,6 +361,67 @@ def test_a_larger_budget_extends_a_smaller_one(sweep):
         small = sweep(k)
         assert small.rows == big.rows[:k]
         assert small.points.tobytes() == big.points[:len(small.points)].tobytes()
+
+
+def _discrete3_channel(seed):
+    # the benchmark's discrete3 shape: a degraded cascade over ternary
+    # alphabets, each stage 0.5 I + 0.5 Dirichlet(2, 2, 2) rows
+    rng = np.random.default_rng(seed)
+    return build_degraded_joint(*(0.5 * np.eye(3) + 0.5 * rng.dirichlet([2.0] * 3, size=3)
+                                  for _ in range(3)))
+
+
+def _zero_row_channel():
+    # deterministic stages with zeros in every row: every output joint of
+    # every sample holds zero cells
+    return build_degraded_joint(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0.5, 0.5]]),
+                                np.array([[1.0, 0, 0], [0, 0, 1], [0, 0, 1]]),
+                                np.array([[1.0, 0], [0.5, 0.5], [0, 1]]))
+
+
+def _sweep_one_at_a_time(ch, budget, seed, mode):
+    """Reference: each aux drawn and evaluated alone, in the sweep's stream
+    order, then merged by sweep_systems."""
+    rng = np.random.default_rng(seed)
+    card_x = ch.input.cardinality
+    card_u, card_v = card_x + 3, card_x + 1
+    samples = []
+    for i in range(budget):
+        if mode == "general":
+            aux = random_aux_layered(rng, 2, card_u, card_v, card_v, card_x, indep_v=i % 2 == 0)
+            samples.append((regions_discrete._aux_hash(aux.table), eval_general_inner(aux, ch)))
+            continue
+        if i < 3:
+            aux = ux_aux(regions_discrete._corner_aux_ux(card_u, card_x)[i])
+            # U = X and a constant U hold zero cells, an independent U none:
+            # the stack mixes tables with and without zero cells
+            assert (aux.table.probs == 0).any() == (i < 2)
+        else:
+            aux = random_aux_ux(rng, card_u, card_x)
+        samples.append((regions_discrete._aux_hash(aux.table), eval_degraded_inner(aux, ch)))
+    return regions_discrete.sweep_systems(samples)
+
+
+@pytest.mark.parametrize("mode", ["degraded", "general"])
+@pytest.mark.parametrize("channel", [_discrete3_channel(1), _discrete3_channel(2),
+                                     _zero_row_channel()],
+                         ids=["discrete3-1", "discrete3-2", "zero-rows"])
+def test_stacked_sweep_equals_the_one_at_a_time_loop(channel, mode):
+    # one stacked evaluation of every aux gives the loop's output byte for byte
+    texts = {}
+    for budget in (1, 2, 3, 4, 20):
+        got = sweep_inner_region(channel, budget, seed=4, mode=mode)
+        want = _sweep_one_at_a_time(channel, budget, 4, mode)
+        texts[budget] = region_csv_text(got)
+        assert texts[budget] == region_csv_text(want)
+        assert got.rows == want.rows
+        assert got.points.tobytes() == want.points.tobytes()
+        # a larger budget's first sample rows are a smaller one's
+        assert got.rows[:1] == sweep_inner_region(channel, 1, seed=4, mode=mode).rows
+    samples = [[line for line in texts[b].splitlines() if line.startswith("sample,")]
+               for b in (1, 2, 3, 4, 20)]
+    for small, big in zip(samples, samples[1:]):
+        assert big[:len(small)] == small
 
 
 def test_flat_cloud_is_hulled_in_its_span():
