@@ -57,6 +57,17 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
+def _check_vars(vars) -> None:
+    """Refuse duplicate variable names, and a table of more than
+    ``MAX_CELLS`` cells before its array is copied."""
+    names = [v.name for v in vars]
+    if len(set(names)) != len(names):
+        raise ShapeMismatch(f"duplicate variable names in {names}")
+    ncells = math.prod(v.cardinality for v in vars)
+    if ncells > MAX_CELLS:
+        raise TableTooLarge(f"{ncells} cells exceeds the cap of {MAX_CELLS}")
+
+
 @dataclass(frozen=True)
 class ProbTable:
     """Dense joint distribution over an ordered list of named variables."""
@@ -67,13 +78,8 @@ class ProbTable:
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [v.name for v in self.vars]
-        if len(set(names)) != len(names):
-            raise ShapeMismatch(f"duplicate variable names in {names}")
+        _check_vars(self.vars)
         object.__setattr__(self, "probs", _readonly(self.probs))
-        ncells = math.prod(v.cardinality for v in self.vars)
-        if ncells > MAX_CELLS:
-            raise TableTooLarge(f"{ncells} cells exceeds the cap of {MAX_CELLS}")
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
@@ -90,12 +96,23 @@ class ProbTable:
 class TableStack:
     """Tables over the same variables, read together: ``probs`` holds their
     arrays along a new first axis.  Every entropy asked of the stack is
-    marginalised once for all its tables and memoised in each of them."""
+    marginalised once for all its tables.  A stack of :class:`ProbTable`
+    values (``TableStack(tables)``) memoises each value in its table; one
+    built from an array by :func:`make_stack` holds no table objects
+    (``tables`` is None) and memoises the values itself."""
 
-    tables: tuple[ProbTable, ...]
+    tables: tuple[ProbTable, ...] | None
     probs: np.ndarray = field(default=None, repr=False)
+    vars: tuple[VarId, ...] = ()
+    # entropy arrays of a stack without tables, by frozenset of names (None: all)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
+        if self.tables is None:   # each table is checked as a ProbTable checks itself
+            object.__setattr__(self, "vars", tuple(self.vars))
+            _check_vars(self.vars)
+            object.__setattr__(self, "probs", _readonly(self.probs))
+            return
         tables = tuple(self.tables)
         if not tables:
             raise ShapeMismatch("a table stack needs at least one table")
@@ -104,26 +121,18 @@ class TableStack:
                 raise at_instance(ShapeMismatch, (k,), f"variables {t.names} differ from "
                                                        f"the stack's {tables[0].names}")
         object.__setattr__(self, "tables", tables)
-        if self.probs is None:
-            object.__setattr__(self, "probs", np.stack([t.probs for t in tables]))
+        object.__setattr__(self, "vars", tables[0].vars)
+        object.__setattr__(self, "probs", np.stack([t.probs for t in tables]))
 
     def __len__(self) -> int:
-        return len(self.tables)
+        return len(self.probs)
 
-    @property
-    def vars(self) -> tuple[VarId, ...]:
-        return self.tables[0].vars
-
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
-        return self.tables[0].names
+        return tuple(v.name for v in self.vars)
 
     def axis(self, name: str) -> int:
-        return self.tables[0].axis(name)
-
-
-def _members(t) -> tuple[ProbTable, ...]:
-    return t.tables if isinstance(t, TableStack) else (t,)
+        return ProbTable.axis(self, name)   # the lookup of a table over the same names
 
 
 def _marginal_array(t, names) -> np.ndarray:
@@ -133,7 +142,7 @@ def _marginal_array(t, names) -> np.ndarray:
     lead = t.probs.ndim - len(t.vars)   # 1 for a stack, 0 for a lone table
     drop = tuple(lead + i for i in range(len(t.vars)) if i not in keep)
     arr = t.probs.sum(axis=drop) if drop else t.probs
-    return arr.reshape(len(_members(t)), -1)
+    return arr.reshape(len(t) if lead else 1, -1)
 
 
 def _row_entropies(m: np.ndarray) -> np.ndarray:
@@ -162,10 +171,9 @@ def make_table(vars, probs) -> ProbTable:
 
 
 def make_stack(vars, probs) -> TableStack:
-    """Build and validate a :class:`TableStack` whose table k holds ``probs[k]``."""
-    vars = tuple(vars)
-    probs = _readonly(probs)
-    stack = TableStack(tuple(ProbTable(vars, p) for p in probs), probs)
+    """Build and validate a :class:`TableStack` whose table k holds
+    ``probs[k]``, without a :class:`ProbTable` per table."""
+    stack = TableStack(None, probs, vars)
     validate_table(stack)
     return stack
 
@@ -200,14 +208,27 @@ def entropy(t, names=None):
 
     ``t`` is a :class:`ProbTable` (a float) or a :class:`TableStack` (an
     array, one entropy per table): a stack marginalises once for all its
-    tables and stores each value in its table's memo."""
+    tables and stores each value in its table's memo, or in its own when it
+    holds no table objects."""
     key = None if names is None else frozenset(names)
-    tables = _members(t)
+    stack = isinstance(t, TableStack)
+
+    def fresh():
+        arr = t.probs.reshape(len(t) if stack else 1, -1) if names is None \
+            else _marginal_array(t, names)
+        return _row_entropies(arr)
+
+    if stack and t.tables is None:
+        h = t._entropies.get(key)
+        if h is None:
+            h = t._entropies[key] = fresh()
+            h.setflags(write=False)
+        return h
+    tables = t.tables if stack else (t,)
     h = [s._entropies.get(key) for s in tables]
     if None in h:
-        arr = t.probs.reshape(len(tables), -1) if names is None else _marginal_array(t, names)
-        h = [s._entropies.setdefault(key, v) for s, v in zip(tables, _row_entropies(arr).tolist())]
-    return np.array(h) if isinstance(t, TableStack) else h[0]
+        h = [s._entropies.setdefault(key, v) for s, v in zip(tables, fresh().tolist())]
+    return np.array(h) if stack else h[0]
 
 
 def smallest_holding(tables, names):

@@ -43,15 +43,16 @@ EQ = "=="
 VERTEX_TOL = 1e-9
 CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant,
                           # and the largest row violation of a support LP's point
-# HiGHS options of every support LP.  At the default feasibility tolerances
-# (1e-7) a certification slack carries noise up to about 6.5e-8, above the
-# 1e-9 a dropped FM row may keep, and the optimum can stop up to 1e-7 * |x|_1
-# short of the maximum.  HiGHS's presolve reports some unbounded LPs as
-# infeasible (x >= 0, x0 + x1 - x2 <= 0, x0 - x1 + x2 <= 1, max sum x), which
-# would read a nonempty region as empty.
+# HiGHS tolerances of every support LP.  At the default feasibility
+# tolerances (1e-7) a certification slack carries noise up to about 6.5e-8,
+# above the 1e-9 a dropped FM row may keep, and the optimum can stop up to
+# 1e-7 * |x|_1 short of the maximum.  solve_lp runs every LP, these included,
+# without HiGHS presolve: every LP here is small, feasible and bounded by
+# construction, so presolve only adds time, and it reports some unbounded LPs
+# as infeasible (x >= 0, x0 + x1 - x2 <= 0, x0 - x1 + x2 <= 1, max sum x),
+# which would read a nonempty region as empty.
 CERT_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
-                   "dual_feasibility_tolerance": 1e-10,
-                   "presolve": False}
+                   "dual_feasibility_tolerance": 1e-10}
 
 
 def _rhs_is_zero(rhs) -> bool:
@@ -412,15 +413,16 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
              options=None):
     """Solve ``min c.x`` s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``bounds`` by HiGHS.
 
-    ``options`` is passed to ``linprog`` as is (``None`` keeps HiGHS's
-    defaults).  Every caller builds an LP that is feasible and bounded by
-    construction, so there is one outcome rule: scipy's result when the LP
-    ends optimal (status 0), and LPFailure naming ``what`` on any other status.
+    Every LP runs without presolve (see ``CERT_LP_OPTIONS``); ``options``
+    adds HiGHS options (``None`` keeps HiGHS's default tolerances).  Every
+    caller builds an LP that is feasible and bounded by construction, so
+    there is one outcome rule: scipy's result when the LP ends optimal
+    (status 0), and LPFailure naming ``what`` on any other status.
     """
     from scipy.optimize import linprog
 
     res = linprog(c=c, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs", options=options)
+                  method="highs", options={**(options or {}), "presolve": False})
     if res.status != 0:
         raise LPFailure(f"{what} LP failed with status {res.status}: {res.message}")
     return res
@@ -596,14 +598,10 @@ def _block_lp(blocks) -> list[np.ndarray]:
     point that violates its rows by at most ``CERT_TOL``.  Only
     :func:`support_value` calls it, so the benchmark tracer charges every
     certification LP to that function."""
-    from scipy.sparse import block_diag
-
     if not blocks:
         return []
     A, b, A_eq, b_eq, c = zip(*blocks)
-    A, A_eq = block_diag(A, format="csr"), block_diag(A_eq, format="csr")
-    for m in (A, A_eq):   # the dense blocks' zeros are stored entries until dropped
-        m.eliminate_zeros()
+    A, A_eq = block_diagonal_csr(A), block_diagonal_csr(A_eq)
     b, b_eq = np.concatenate(b), np.concatenate(b_eq)
     res = solve_lp(-np.concatenate(c), A, b, A_eq, b_eq, what="support", options=CERT_LP_OPTIONS)
     worst = max((float(r.max()) for r in (A @ res.x - b, np.abs(A_eq @ res.x - b_eq), -res.x)
@@ -611,6 +609,17 @@ def _block_lp(blocks) -> list[np.ndarray]:
     if worst > CERT_TOL:
         raise LPFailure(f"support LP point violates its rows by {worst:.3e}")
     return np.split(res.x, np.cumsum([len(ci) for ci in c])[:-1])
+
+
+def block_diagonal_csr(blocks):
+    """The block-diagonal CSR matrix of dense 2-d ``blocks`` (a block may
+    have no rows), storing only their nonzero entries: scipy stores every
+    zero of a dense block until it is dropped."""
+    from scipy.sparse import block_diag
+
+    m = block_diag(blocks, format="csr")
+    m.eliminate_zeros()
+    return m
 
 
 def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:

@@ -22,6 +22,7 @@ from .errors import (
     NotDegraded,
     UnknownCorollary,
     ValidationError,
+    raise_for_first,
 )
 from .info_core import (
     ChannelSpec,
@@ -32,7 +33,7 @@ from .info_core import (
     make_table,
     mutual_information,
 )
-from .polytope_fm import IneqSystem, LinIneq, instantiate, solve_lp, vertices
+from .polytope_fm import IneqSystem, LinIneq, block_diagonal_csr, instantiate, solve_lp, vertices
 
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
 OUTPUTS = ("Y1", "Y2", "Z")   # what the regions call a channel's outputs, by position
@@ -56,10 +57,7 @@ class AuxJoint:
             raise InconsistentAux(f"an aux must be over (U, X) or (Q, U, V1, V2, X), "
                                   f"got {names}")
         if self.kind == "layered":
-            resid = _layered_residual(self.table)
-            if resid > AUX_TOL:
-                raise InconsistentAux(
-                    f"I(Q; V1,V2,X | U) = {resid:.2e} violates the layered factorization")
+            _check_layered(self.table)
 
     @property
     def kind(self) -> str:
@@ -67,23 +65,29 @@ class AuxJoint:
         return "ux" if len(self.table.vars) == 2 else "layered"
 
 
-def _layered_residual(t):
-    """I(Q; V1,V2,X | U), which is 0 when the aux table ``t`` (or each table
-    of a stack) factors as p(q,u) p(v1,v2,x|u)."""
-    return mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"})
+def _check_layered(t) -> None:
+    """Raise InconsistentAux unless the aux table ``t`` (or each table of a
+    stack, naming the first that fails) factors as p(q,u) p(v1,v2,x|u):
+    I(Q; V1,V2,X | U) at most ``AUX_TOL``."""
+    resid = np.asarray(mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"}))
+    raise_for_first(resid > AUX_TOL, InconsistentAux, lambda k: f"I(Q; V1,V2,X | U) = "
+                    f"{resid[k]:.2e} violates the layered factorization")
 
 
 def _aux_stack(aux, kind: str, refusal: str) -> TableStack:
-    """The tables of a sequence of auxes, or of one aux, as a stack;
-    InconsistentAux(``refusal``) unless every aux is of ``kind``."""
-    auxes = (aux,) if isinstance(aux, AuxJoint) else tuple(aux)
-    if any(a.kind != kind for a in auxes):
+    """The table of one aux as a stack of one, or a stack of aux tables as
+    it is, checked as :class:`AuxJoint` checks each table;
+    InconsistentAux(``refusal``) unless its tables are of ``kind``."""
+    t = TableStack((aux.table,)) if isinstance(aux, AuxJoint) else aux
+    if t.names != {"ux": UX_VARS, "layered": LAYERED_VARS}[kind]:
         raise InconsistentAux(refusal)
-    return TableStack(tuple(a.table for a in auxes))
+    if kind == "layered" and t is aux:   # an AuxJoint has checked its own table
+        _check_layered(t)
+    return t
 
 
 def _one_or_all(aux, regions):
-    """The region of one aux, or the list of the regions of a sequence."""
+    """The region of one aux, or the list of the regions of a stack."""
     return regions[0] if isinstance(aux, AuxJoint) else regions
 
 
@@ -98,7 +102,7 @@ def _output_joints(t: TableStack, ch: ChannelSpec) -> tuple[TableStack, ...]:
 
 def _degraded_constants(aux, ch: ChannelSpec) -> dict[str, np.ndarray]:
     """The five information quantities of the degraded regions, one value
-    per aux of a sequence (or of one aux)."""
+    per table of a stack (or of one aux)."""
     t = _aux_stack(aux, "ux", "degraded-channel bounds take an aux over (U, X)")
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
@@ -145,8 +149,9 @@ def outer_of(inner: IneqSystem) -> IneqSystem:
 
 def eval_degraded_inner(aux, ch: ChannelSpec):
     """Five-bound achievable region of the degraded channel for a fixed aux;
-    given a sequence of auxes, the list of their regions, every information
-    quantity computed once for all of them."""
+    given a :class:`~.info_core.TableStack` of (U, X) tables, the list of
+    their regions, every information quantity computed once for all of
+    them."""
     c = _degraded_constants(aux, ch)
     return _one_or_all(aux, [five_bound_system(**dict(zip(c, map(float, v))))
                              for v in zip(*c.values())])
@@ -176,8 +181,9 @@ def eval_general_inner(aux, ch: ChannelSpec):
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded.  Given a sequence of auxes, the
-    list of their regions from one instantiation of the target."""
+    Y2, Z.  The channel need not be degraded.  Given a
+    :class:`~.info_core.TableStack` of layered tables, the list of their
+    regions from one instantiation of the target."""
     t = _aux_stack(aux, "layered", "general inner bound takes a layered aux")
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
@@ -275,8 +281,8 @@ class SweepResult:
         return hull_of(self.points)
 
 
-def _aux_hash(table: ProbTable) -> str:
-    h = hashlib.sha256(np.round(table.probs, 12).tobytes())
+def _aux_hash(probs: np.ndarray) -> str:
+    h = hashlib.sha256(np.round(probs, 12).tobytes())
     return h.hexdigest()[:12]
 
 
@@ -314,8 +320,6 @@ def dominance_slack(points, cloud) -> np.ndarray:
 
     Raises LPFailure when the solver stops without an optimum.
     """
-    from scipy.sparse import block_diag
-
     cloud = np.asarray(cloud, dtype=float)
     p = np.atleast_2d(np.asarray(points, dtype=float))
     n, d = cloud.shape
@@ -324,8 +328,8 @@ def dominance_slack(points, cloud) -> np.ndarray:
     # always feasible (any simplex mu with t = max of cloud @ mu) and bounded
     # (t - mu.p >= mu.(g - p) for any cloud row g), so the solver returns an optimum
     c = np.hstack([-p, np.ones((k, 1))]).ravel()
-    A_ub = block_diag([np.hstack([cloud, -np.ones((n, 1))])] * k, format="csr")
-    A_eq = block_diag([np.append(np.ones(d), 0.0)[None, :]] * k, format="csr")
+    A_ub = block_diagonal_csr([np.hstack([cloud, -np.ones((n, 1))])] * k)
+    A_eq = block_diagonal_csr([np.append(np.ones(d), 0.0)[None, :]] * k)
     res = solve_lp(c, A_ub, np.zeros(k * n), A_eq, np.ones(k),
                    bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance")
     lam = np.clip(-res.ineqlin.marginals.reshape(k, n), 0.0, None)
@@ -442,21 +446,11 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     if mode == "degraded":
         corners = _corner_aux_ux(card_u, card_x)[:budget]
         probs = corners + [_ux_probs(rng, card_u, card_x) for _ in range(budget - len(corners))]
-        auxes = _stacked_auxes(UX_VARS, probs)
+        auxes = make_stack(_aux_vars(UX_VARS, probs[0].shape), np.stack(probs))
         regions = eval_degraded_inner(auxes, ch)
     else:
         probs = [_layered_probs(rng, 2, card_u, card_v, card_v, card_x, i % 2 == 0)
                  for i in range(budget)]
-        auxes = _stacked_auxes(LAYERED_VARS, probs)
+        auxes = make_stack(_aux_vars(LAYERED_VARS, probs[0].shape), np.stack(probs))
         regions = eval_general_inner(auxes, ch)
-    return sweep_systems(zip([_aux_hash(a.table) for a in auxes], regions))
-
-
-def _stacked_auxes(names, probs) -> list[AuxJoint]:
-    """One aux over ``names`` per array of ``probs``, their tables built and
-    checked as one stack; the factorization check of each layered aux then
-    reads entropies the stack marginalised once for all of them."""
-    stack = make_stack(_aux_vars(names, probs[0].shape), np.stack(probs))
-    if names == LAYERED_VARS:
-        _layered_residual(stack)
-    return [AuxJoint(t) for t in stack.tables]
+    return sweep_systems(zip(map(_aux_hash, auxes.probs), regions))

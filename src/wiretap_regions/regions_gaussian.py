@@ -82,8 +82,11 @@ def _sym(m) -> np.ndarray:
 
 
 def check_psd(m, name: str = "matrix") -> np.ndarray:
-    """Validate positive semidefiniteness with the relative eigenvalue
-    tolerance -1e-10 * trace/d, clipping tiny negatives to zero."""
+    """Validate positive semidefiniteness, clipping tiny negative eigenvalues
+    to zero.  The floor is ``-1e-10 * max(trace/d, 1.0)``: relative to the
+    mean eigenvalue at scale 1 and above, absolute (-1e-10) below it, so a
+    small-scale indefinite matrix can pass and be clipped (CHANGES.md, the
+    FOUND line on ``check_psd``)."""
     a = _sym(m)
     w, v = np.linalg.eigh(a)
     low = w.min(axis=-1)

@@ -387,6 +387,28 @@ def test_fisher_evidence_names_a_dominance_lp_failure(tmp_path, monkeypatch, cap
     assert "dominance LP failed with status 4" in capsys.readouterr().err
 
 
+def test_every_lp_of_a_command_runs_without_presolve(tmp_path, monkeypatch):
+    import scipy.optimize
+
+    real, options = scipy.optimize.linprog, []
+
+    def linprog(*args, **kw):
+        options.append(kw["options"])
+        return real(*args, **kw)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", linprog)
+    commands = [
+        ["region", "sweep", "--channel", write(tmp_path, "d.txt", DISCRETE), "--budget", "5"],
+        ["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS), "--budget", "2"],
+        ["fm", "verify-appendix", "--seed", "1"],
+    ]
+    for argv in commands:
+        options.clear()
+        assert main(argv) == 0
+        assert options, argv   # recession, dominance and support LPs
+        assert all(o["presolve"] is False for o in options), argv
+
+
 def test_fisher_evidence_solves_one_dominance_lp_per_mixture(tmp_path, monkeypatch):
     from wiretap_regions import regions_discrete
 

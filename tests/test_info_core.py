@@ -165,6 +165,11 @@ def test_cell_cap_enforced():
     big = tuple(VarId(f"B{i}", 50) for i in range(5))  # 312.5M cells
     with pytest.raises(TableTooLarge):
         ProbTable(big, np.zeros(1))
+    # a stack built from an array checks each of its tables as a lone table
+    with pytest.raises(TableTooLarge):
+        make_stack(big, np.zeros((2, 1)))
+    with pytest.raises(ShapeMismatch, match="duplicate"):
+        make_stack((X2, X2), np.full((1, 2, 2), 0.25))
 
 
 def test_infer_degraded_on_dense_kernels():
@@ -389,8 +394,11 @@ def test_stacked_entropy_and_mi_equal_each_lone_table(case):
                 got = entropy(stack, subset)
                 assert got.tolist() == [entropy(t, subset) for t in lone]
                 assert got.tolist() == [_lone_entropy(a, axes) for a in arrays]
-                # every table of the stack keeps its value in its memo
-                assert [t._entropies[frozenset(subset)] for t in stack.tables] == got.tolist()
+                # every table of a stack of tables keeps its value in its memo,
+                # and a stack built from an array keeps the array in its own
+                memo = [t._entropies[frozenset(subset)] for t in stack.tables] \
+                    if stack.tables else stack._entropies[frozenset(subset)].tolist()
+                assert memo == got.tolist()
         assert entropy(stack).tolist() == [entropy(t) for t in lone]
         a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
         if a and b:

@@ -27,6 +27,7 @@ from wiretap_regions.polytope_fm import (
     LinIneq,
     _unique_points,
     apply_rate_transfer,
+    block_diagonal_csr,
     fm_eliminate,
     instantiate,
     max_violation,
@@ -499,10 +500,10 @@ def _support_job(draw):
 
 
 def _support_alone(sys, objective):
-    """One LP for one direction at the certification options: ``-inf`` when
-    it is infeasible, ``None`` when it is unbounded.  It reads the solver's
-    status itself, since ``solve_lp`` refuses every LP that does not end
-    optimal."""
+    """One LP for one direction at the certification options, without
+    presolve as ``solve_lp`` runs it: ``-inf`` when it is infeasible,
+    ``None`` when it is unbounded.  It reads the solver's status itself,
+    since ``solve_lp`` refuses every LP that does not end optimal."""
     import scipy.optimize
 
     import wiretap_regions.polytope_fm as pf
@@ -521,7 +522,7 @@ def _support_alone(sys, objective):
         -dense(objective.items()),
         np.array([dense(q.coeffs) for q in ub]).reshape(-1, d), [q.rhs for q in ub],
         np.array([dense(q.coeffs) for q in eq]).reshape(-1, d), [q.rhs for q in eq],
-        method="highs", options=pf.CERT_LP_OPTIONS)
+        method="highs", options={**pf.CERT_LP_OPTIONS, "presolve": False})
     if res.status not in (0, 2, 3):
         raise LPFailure(f"reference LP failed with status {res.status}")
     if res.status == 0:
@@ -651,6 +652,35 @@ def test_linprog_is_named_only_in_solve_lp():
         for lineno in lines:
             assert (path.name, owner(lineno)) == ("polytope_fm.py", "solve_lp"), \
                 f"linprog or an LP status named at {path.name}:{lineno}"
+
+
+# entries with many zeros, so blocks hold zero rows, zero columns and
+# all-zero blocks
+_ENTRY = st.one_of(st.just(0.0), st.just(0.0), st.sampled_from([1.0, -1.0, 0.5]),
+                   st.floats(-1e3, 1e3, allow_subnormal=False))
+
+
+@st.composite
+def _dense_blocks(draw):
+    """1-5 dense blocks of 0-4 rows and 1-4 columns: some all zero, some
+    without rows (a support job's empty ``A_eq``)."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        rows, cols = draw(st.integers(0, 4)), draw(st.integers(1, 4))
+        entry = st.just(0.0) if draw(st.integers(0, 4)) == 0 else _ENTRY
+        blocks.append(np.array(draw(st.lists(entry, min_size=rows * cols,
+                                             max_size=rows * cols))).reshape(rows, cols))
+    return blocks
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_dense_blocks())
+def test_block_diagonal_csr_stores_only_the_blocks_nonzeros(blocks):
+    from scipy.linalg import block_diag
+
+    got = block_diagonal_csr(blocks)
+    np.testing.assert_array_equal(got.toarray(), block_diag(*blocks))
+    assert (got.data != 0).all()
 
 
 def test_elimination_order_invariance():

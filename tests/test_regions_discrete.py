@@ -6,12 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hull_oracle import in_hull
-from wiretap_regions import regions_discrete
+from wiretap_regions import info_core, regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
     LPFailure,
     NegativeRate,
+    TableTooLarge,
     UnknownCorollary,
     ValidationError,
 )
@@ -389,7 +390,8 @@ def _sweep_one_at_a_time(ch, budget, seed, mode):
     for i in range(budget):
         if mode == "general":
             aux = random_aux_layered(rng, 2, card_u, card_v, card_v, card_x, indep_v=i % 2 == 0)
-            samples.append((regions_discrete._aux_hash(aux.table), eval_general_inner(aux, ch)))
+            samples.append((regions_discrete._aux_hash(aux.table.probs),
+                            eval_general_inner(aux, ch)))
             continue
         if i < 3:
             aux = ux_aux(regions_discrete._corner_aux_ux(card_u, card_x)[i])
@@ -398,8 +400,21 @@ def _sweep_one_at_a_time(ch, budget, seed, mode):
             assert (aux.table.probs == 0).any() == (i < 2)
         else:
             aux = random_aux_ux(rng, card_u, card_x)
-        samples.append((regions_discrete._aux_hash(aux.table), eval_degraded_inner(aux, ch)))
+        samples.append((regions_discrete._aux_hash(aux.table.probs), eval_degraded_inner(aux, ch)))
     return regions_discrete.sweep_systems(samples)
+
+
+@pytest.mark.parametrize("mode, aux_cells", [("degraded", 5 * 2), ("general", 2 * 5 * 3 * 3 * 2)])
+def test_sweep_refuses_output_joints_over_the_cell_cap(monkeypatch, mode, aux_cells):
+    # a binary-input sweep draws |U| = 5 and |V1| = |V2| = 3, and each output
+    # joint of a binary-output channel has twice its aux's cells: the stacks
+    # check each of their tables against the cap as a lone table does
+    ch = cascade_channel()
+    monkeypatch.setattr(info_core, "MAX_CELLS", 2 * aux_cells)
+    sweep_inner_region(ch, 3, seed=0, mode=mode)
+    monkeypatch.setattr(info_core, "MAX_CELLS", 2 * aux_cells - 1)
+    with pytest.raises(TableTooLarge):
+        sweep_inner_region(ch, 3, seed=0, mode=mode)
 
 
 @pytest.mark.parametrize("mode", ["degraded", "general"])
@@ -558,6 +573,34 @@ def test_batched_dominance_slack_matches_one_lp_per_point(rows, probes):
     for p, s in zip(probes, batched):
         assert abs(s - dominance_slack([p], cloud)[0]) <= 1e-9
         assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
+
+
+def dense_block_dominance_slack(points, cloud) -> np.ndarray:
+    """Reference: dominance_slack's LP with its blocks stacked by scipy's
+    block_diag, every zero of the dense blocks stored, and solved with HiGHS
+    presolve on."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    (n, d), k = cloud.shape, len(p)
+    res = linprog(np.hstack([-p, np.ones((k, 1))]).ravel(),
+                  block_diag([np.hstack([cloud, -np.ones((n, 1))])] * k, format="csr"),
+                  np.zeros(k * n), block_diag([np.append(np.ones(d), 0.0)[None, :]] * k,
+                                              format="csr"),
+                  np.ones(k), bounds=([(0, None)] * d + [(None, None)]) * k, method="highs")
+    assert res.status == 0
+    lam = np.clip(-res.ineqlin.marginals.reshape(k, n), 0.0, None)
+    lam /= lam.sum(axis=1, keepdims=True)
+    return (p - lam @ cloud).max(axis=1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(_PROBE, min_size=1, max_size=8))
+def test_dominance_slack_matches_the_dense_block_lp_with_presolve(rows, probes):
+    cloud = np.array(rows)
+    np.testing.assert_allclose(dominance_slack(probes, cloud),
+                               dense_block_dominance_slack(probes, cloud), rtol=0, atol=1e-9)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
