@@ -214,10 +214,10 @@ class InfoExpr:
 
     def evaluate(self, tables, sym_values=None):
         """Numeric value in nats, each entropy read from the smallest of the
-        sequence ``tables`` of :class:`~.info_core.ProbTable` holding its
-        variables (see :func:`evaluate_all`, which also takes stacks).  Raises
-        UnknownVariable for a symbol without a value in ``sym_values`` or an
-        atom that no table holds."""
+        sequence ``tables`` of lone :class:`~.info_core.ProbTable` values
+        holding its variables (see :func:`evaluate_all`, which also takes
+        stacked ones).  Raises UnknownVariable for a symbol without a value
+        in ``sym_values`` or an atom that no table holds."""
         return evaluate_all((self,), tables, sym_values)[0]
 
 
@@ -227,10 +227,10 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
 
     Each value is summed as the constant, then every atom term, then every
     symbol term, in the expression's order.  ``tables`` are
-    :class:`~.info_core.ProbTable` values (each value a float) or
-    :class:`~.info_core.TableStack` values with ``sym_values`` arrays of the
-    same length (each value that reads one an array, entry k the value on
-    table k of every stack and entry k of every symbol, bit for bit).
+    lone :class:`~.info_core.ProbTable` values (each value a float) or
+    stacked ones with ``sym_values`` arrays of the same length (each value
+    that reads one an array, entry k the value on member k of every stacked
+    table and entry k of every symbol, bit for bit).
     Raises UnknownVariable for a symbol without a value in ``sym_values`` or
     an atom that no table holds."""
     known, out = {}, []

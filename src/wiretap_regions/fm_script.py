@@ -40,8 +40,8 @@ from .entropy_algebra import (
 from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import (
     ProbTable,
-    TableStack,
     VarId,
+    make_stack,
     make_table,
     mutual_information,
     smallest_holding,
@@ -294,8 +294,8 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
 def min_sym_values(tables) -> dict:
     """The two ``Imin`` symbols on the sequence ``tables``, each mutual
     information read from the smallest table that holds it: floats on lone
-    tables, and on :class:`~.info_core.TableStack` values an array with each
-    table's value, as :func:`~.polytope_fm.instantiate` reads them."""
+    tables, and on stacked ones an array with each member's value, as
+    :func:`~.polytope_fm.instantiate` reads them."""
     def mi_min(cond=()):
         a, b = (mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
                 for y in OUTPUTS[:2])
@@ -311,30 +311,29 @@ def _trivially_empty(sys: IneqSystem) -> bool:
                for q in sys.ineqs)
 
 
-def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
+def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, int]]]:
     """Max violation of each dropped row over its kept region, per instantiation.
 
-    ``jobs`` holds one ``(kept, extras)`` pair per step and ``tables`` holds
-    ``((table,), min_sym_values((table,)))`` pairs.  Every kept region is
-    instantiated, with its dropped rows, once over all the tables, and one
-    :func:`support_value` call answers every row of every (step, table), from
+    ``jobs`` holds one ``(kept, extras)`` pair per step; ``tables`` holds the
+    stacked tables and ``syms`` the symbol arrays (``min_sym_values(tables)``)
+    of the instantiations, one member each.  Every kept region is
+    instantiated, with its dropped rows, once over all the members, and one
+    :func:`support_value` call answers every row of every (step, member), from
     two LPs per replay.  An instantiation whose kept region is empty
     certifies nothing (every dropped row is vacuous there); one that a single
     row proves empty costs no LP.  Returns, per job and per extra row, the
     worst slack over informative instantiations (<= tol required; ``inf``
     once the kept region is unbounded in the row's direction, and later
-    tables are then not read for that row) and the count of informative
+    members are then not read for that row) and the count of informative
     instantiations (0 means the row was never exercised).
     """
-    held = [t for t, _ in tables]
-    stacks = () if any(t is None for t in held) else tuple(TableStack(s) for s in zip(*held))
-    syms = {n: np.array([s[n] for _, s in tables]) for n in tables[0][1]}
+    members = len(next(iter(syms.values())))
     lp_jobs, where, rhs = [], [], {}
     for n, (kept, extras) in enumerate(jobs):
         objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
         m = len(kept.ineqs)
         for t, num in enumerate(instantiate(kept.with_ineqs(kept.ineqs + tuple(extras)),
-                                            stacks, syms)):
+                                            tables, syms)):
             rhs[n, t] = [float(q.rhs) for q in num.ineqs[m:]]
             kept_num = num.with_ineqs(num.ineqs[:m])
             if not _trivially_empty(kept_num):
@@ -345,7 +344,7 @@ def _certify_redundant(jobs, tables) -> list[list[tuple[LinIneq, float, int]]]:
     for n, (_, extras) in enumerate(jobs):
         worst = [-np.inf] * len(extras)
         informative = [0] * len(extras)
-        for t in range(len(tables)):
+        for t in range(members):
             for i, val in enumerate(answers.get((n, t), ())):
                 if worst[i] == np.inf or val == float("-inf"):
                     continue  # already unbounded, or an empty instantiated region
@@ -427,12 +426,13 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         raise ValidationError(f"instantiations must be at least 1, got {instantiations}")
     # biased pool: empty instantiated regions certify nothing, so lead with
     # degraded channels and conditionally independent inner layers
-    tables = []
+    draws = []
     for _ in range(instantiations):
-        tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
-        tables.append(random_layered_joint(rng, degraded=True))
-        tables.append(random_layered_joint(rng))
-    tables = [((t,), min_sym_values((t,))) for t in tables]
+        draws.append(random_layered_joint(rng, degraded=True, indep_v=True))
+        draws.append(random_layered_joint(rng, degraded=True))
+        draws.append(random_layered_joint(rng))
+    tables = (make_stack(draws[0].vars, np.stack([t.probs for t in draws])),)
+    syms = min_sym_values(tables)
     # symbolic pass first: each step restarts from its recorded input, so no
     # step waits on the certification of an earlier one
     cur, matches = start, []
@@ -445,7 +445,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         cur = fixtures[step.expect]
     jobs = [(produced.with_ineqs([q for q in produced.ineqs if q not in res.extras]),
              res.extras) for res, produced in matches if res.matched and res.extras]
-    certified = iter(_certify_redundant(jobs, tables))
+    certified = iter(_certify_redundant(jobs, tables, syms))
     reports = []
     for i, (step, (res, _)) in enumerate(zip(steps, matches)):
         detail = step.var or ",".join(f"{s}>{d}:{t}" for s, d, t in step.transfers)

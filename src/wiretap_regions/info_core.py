@@ -4,12 +4,12 @@ All logarithms are natural (nats).  Zero-probability cells follow the
 convention ``0 * log 0 = 0``.  Tables are immutable after construction, and
 each memoises the joint entropies asked of it: every mutual information is a
 signed sum of those entropies, so a table computes each marginal entropy once
-whichever quantity asks for it.  A :class:`TableStack` holds tables over the
-same variables; :func:`entropy`, :func:`mutual_information` and
-:func:`validate_table` take one and marginalise each variable set once for
-all its tables, giving each table the value it gets alone, bit for bit.  A
-lone table is a stack of one.  All operations are pure functions, so values
-can be shared freely across threads.
+whichever quantity asks for it.  A stacked table holds tables over the same
+variables along a leading member axis; :func:`entropy`,
+:func:`mutual_information` and :func:`validate_table` marginalise each
+variable set once for all its members, giving each member the value it gets
+alone, bit for bit.  All operations are pure functions, so values can be
+shared freely across threads.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .errors import (
     ShapeMismatch,
     TableTooLarge,
     UnknownVariable,
-    at_instance,
     raise_for_first,
 )
 
@@ -57,9 +56,9 @@ def _readonly(a) -> np.ndarray:
     return arr
 
 
-def _check_vars(vars) -> None:
-    """Refuse duplicate variable names, and a table of more than
-    ``MAX_CELLS`` cells before its array is copied."""
+def check_vars(vars) -> None:
+    """Refuse duplicate variable names, and a table (or a member of a
+    stacked one) of more than ``MAX_CELLS`` cells before any array exists."""
     names = [v.name for v in vars]
     if len(set(names)) != len(names):
         raise ShapeMismatch(f"duplicate variable names in {names}")
@@ -70,15 +69,18 @@ def _check_vars(vars) -> None:
 
 @dataclass(frozen=True)
 class ProbTable:
-    """Dense joint distribution over an ordered list of named variables."""
+    """Dense joint distribution over an ordered list of named variables, or
+    a stack of them over the same variables: a ``stacked`` table holds its
+    members' arrays along a leading axis of ``probs``."""
 
     vars: tuple[VarId, ...]
     probs: np.ndarray = field(repr=False)
-    # joint entropies already computed, by frozenset of names (None: all)
+    stacked: bool = False
+    # read-only arrays of per-member joint entropies, by frozenset of names
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _check_vars(self.vars)
+        check_vars(self.vars)
         object.__setattr__(self, "probs", _readonly(self.probs))
 
     @functools.cached_property
@@ -92,57 +94,14 @@ class ProbTable:
             raise UnknownVariable(f"variable {name!r} not in table {self.names}") from None
 
 
-@dataclass(frozen=True, eq=False)
-class TableStack:
-    """Tables over the same variables, read together: ``probs`` holds their
-    arrays along a new first axis.  Every entropy asked of the stack is
-    marginalised once for all its tables.  A stack of :class:`ProbTable`
-    values (``TableStack(tables)``) memoises each value in its table; one
-    built from an array by :func:`make_stack` holds no table objects
-    (``tables`` is None) and memoises the values itself."""
-
-    tables: tuple[ProbTable, ...] | None
-    probs: np.ndarray = field(default=None, repr=False)
-    vars: tuple[VarId, ...] = ()
-    # entropy arrays of a stack without tables, by frozenset of names (None: all)
-    _entropies: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        if self.tables is None:   # each table is checked as a ProbTable checks itself
-            object.__setattr__(self, "vars", tuple(self.vars))
-            _check_vars(self.vars)
-            object.__setattr__(self, "probs", _readonly(self.probs))
-            return
-        tables = tuple(self.tables)
-        if not tables:
-            raise ShapeMismatch("a table stack needs at least one table")
-        for k, t in enumerate(tables):
-            if t.vars != tables[0].vars:
-                raise at_instance(ShapeMismatch, (k,), f"variables {t.names} differ from "
-                                                       f"the stack's {tables[0].names}")
-        object.__setattr__(self, "tables", tables)
-        object.__setattr__(self, "vars", tables[0].vars)
-        object.__setattr__(self, "probs", np.stack([t.probs for t in tables]))
-
-    def __len__(self) -> int:
-        return len(self.probs)
-
-    @functools.cached_property
-    def names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self.vars)
-
-    def axis(self, name: str) -> int:
-        return ProbTable.axis(self, name)   # the lookup of a table over the same names
-
-
-def _marginal_array(t, names) -> np.ndarray:
+def _marginal_array(t: ProbTable, names) -> np.ndarray:
     """Marginal of ``t.probs`` over ``names`` in table order (not reordered),
-    one row per table of ``t``: shape ``(len(stack), cells)``."""
+    one row per member of ``t``: shape ``(members, cells)``."""
     keep = {t.axis(n) for n in names}
-    lead = t.probs.ndim - len(t.vars)   # 1 for a stack, 0 for a lone table
+    lead = int(t.stacked)
     drop = tuple(lead + i for i in range(len(t.vars)) if i not in keep)
     arr = t.probs.sum(axis=drop) if drop else t.probs
-    return arr.reshape(len(t) if lead else 1, -1)
+    return arr.reshape(len(arr) if t.stacked else 1, -1)
 
 
 def _row_entropies(m: np.ndarray) -> np.ndarray:
@@ -164,33 +123,34 @@ def _row_entropies(m: np.ndarray) -> np.ndarray:
 
 
 def make_table(vars, probs) -> ProbTable:
-    """Build and validate a :class:`ProbTable`."""
+    """Build and validate a lone :class:`ProbTable`."""
     t = ProbTable(tuple(vars), probs)
     validate_table(t)
     return t
 
 
-def make_stack(vars, probs) -> TableStack:
-    """Build and validate a :class:`TableStack` whose table k holds
-    ``probs[k]``, without a :class:`ProbTable` per table."""
-    stack = TableStack(None, probs, vars)
-    validate_table(stack)
-    return stack
+def make_stack(vars, probs) -> ProbTable:
+    """Build and validate a stacked :class:`ProbTable` whose member k holds
+    ``probs[k]``."""
+    t = ProbTable(tuple(vars), probs, stacked=True)
+    validate_table(t)
+    return t
 
 
-def validate_table(t) -> None:
-    """Check nonnegativity, normalization and shape of a table, or of every
-    table of a :class:`TableStack` at once (an error names the first table
+def validate_table(t: ProbTable) -> None:
+    """Check the shape, nonnegativity and normalization of a table, or of
+    every member of a stacked one at once (an error names the first member
     that fails, ``instance k: ...``).
 
     Raises
     ------
     ShapeMismatch, NegativeMass, NotNormalized
     """
-    lead = (len(t),) if isinstance(t, TableStack) else ()
-    expected = lead + tuple(v.cardinality for v in t.vars)
-    if t.probs.shape != expected:
-        raise ShapeMismatch(f"tensor shape {t.probs.shape} != cardinalities {expected}")
+    lead = t.probs.shape[:1] if t.stacked else ()
+    cards = tuple(v.cardinality for v in t.vars)
+    if t.probs.shape != lead + cards:
+        raise ShapeMismatch(f"tensor shape {t.probs.shape} != "
+                            f"{'a member axis and ' if t.stacked else ''}cardinalities {cards}")
     flat = t.probs.reshape(lead + (-1,))
     # written so that a NaN entry fails each comparison
     mn = flat.min(axis=-1)
@@ -202,40 +162,24 @@ def validate_table(t) -> None:
                               f"{NORMALIZATION_TOL}")
 
 
-def entropy(t, names=None):
+def entropy(t: ProbTable, names=None):
     """Joint entropy H(names) in nats (all variables when ``names`` is None),
-    computed once per table and set of names.
-
-    ``t`` is a :class:`ProbTable` (a float) or a :class:`TableStack` (an
-    array, one entropy per table): a stack marginalises once for all its
-    tables and stores each value in its table's memo, or in its own when it
-    holds no table objects."""
-    key = None if names is None else frozenset(names)
-    stack = isinstance(t, TableStack)
-
-    def fresh():
-        arr = t.probs.reshape(len(t) if stack else 1, -1) if names is None \
-            else _marginal_array(t, names)
-        return _row_entropies(arr)
-
-    if stack and t.tables is None:
-        h = t._entropies.get(key)
-        if h is None:
-            h = t._entropies[key] = fresh()
-            h.setflags(write=False)
-        return h
-    tables = t.tables if stack else (t,)
-    h = [s._entropies.get(key) for s in tables]
-    if None in h:
-        h = [s._entropies.setdefault(key, v) for s, v in zip(tables, fresh().tolist())]
-    return np.array(h) if stack else h[0]
+    computed once per table and set of names: a float on a lone table, and
+    on a stacked one a read-only array with each member's value, equal to
+    the value that member gets alone, bit for bit."""
+    key = frozenset(t.names if names is None else names)
+    h = t._entropies.get(key)
+    if h is None:
+        h = t._entropies[key] = _row_entropies(_marginal_array(t, key))
+        h.setflags(write=False)
+    return h if t.stacked else float(h[0])
 
 
 def smallest_holding(tables, names):
     """The table with the fewest cells, the first of equal ones, among the
     sequence ``tables`` whose variables include every name in ``names``;
-    raises UnknownVariable when none does.  Stacks of equal length compare
-    as their tables do."""
+    raises UnknownVariable when none does.  Stacked tables of equal length
+    compare as their members do."""
     names, best = set(names), None
     for t in tables:
         if names.issubset(t.names) and (best is None or t.probs.size < best.probs.size):
@@ -248,12 +192,12 @@ def smallest_holding(tables, names):
 def mutual_information(t, a, b, c=()):
     """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     in nats, each joint entropy read from the table's memoised :func:`entropy`
-    (H(C) is dropped when C is empty); on a :class:`TableStack`, an array
-    with one value per table, each equal to that table's value alone.
+    (H(C) is dropped when C is empty); on a stacked table, an array with
+    one value per member, each equal to that member's value alone.
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
     pairwise disjoint.  A result in ``[-1e-12, 0)`` is clamped to zero; one
-    below it raises NegativeMass, naming its table of a stack.
+    below it raises NegativeMass, naming its member of a stacked table.
     """
     a, b, c = set(a), set(b), set(c)
     if a & b or a & c or b & c:
@@ -266,7 +210,7 @@ def mutual_information(t, a, b, c=()):
     # beyond accumulated-rounding territory for well-formed tables
     raise_for_first(np.asarray(val < MI_CLAMP), NegativeMass,
                     lambda k: f"mutual information {np.asarray(val)[k]} below clamp {MI_CLAMP}")
-    if isinstance(t, TableStack):
+    if t.stacked:
         return np.where(val < 0.0, 0.0, val)
     return 0.0 if val < 0.0 else val
 

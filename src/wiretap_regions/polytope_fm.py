@@ -35,7 +35,6 @@ from .errors import (
     UnknownVariable,
     ZeroCoefficient,
 )
-from .info_core import TableStack
 
 LE = "<="
 EQ = "=="
@@ -640,10 +639,10 @@ def instantiate(sys: IneqSystem, tables, sym_values=None):
     sums them, each entropy read once for the whole system
     (:func:`~.entropy_algebra.evaluate_all`).
 
-    Given :class:`~.info_core.TableStack` values or symbol arrays, this
-    instantiates a stack of members at once and returns one system per
-    member: member k reads table k of every stack and entry k of every
-    symbol array, and gets the system it gets alone, bit for bit."""
+    Given stacked :class:`~.info_core.ProbTable` values or symbol arrays,
+    this instantiates a stack of members at once and returns one system per
+    member: member k reads member k of every stacked table and entry k of
+    every symbol array, and gets the system it gets alone, bit for bit."""
     n = _stack_length(tables, sym_values)
     rows = [i for i, q in enumerate(sys.ineqs) if isinstance(q.rhs, InfoExpr)]
     values = dict(zip(rows, evaluate_all([sys.ineqs[i].rhs for i in rows], tables, sym_values)))
@@ -661,7 +660,7 @@ def instantiate(sys: IneqSystem, tables, sym_values=None):
 
 def _stack_length(tables, sym_values) -> int | None:
     """The number of members of a stacked instantiation, None for a lone one."""
-    sizes = {len(t) for t in tables or () if isinstance(t, TableStack)}
+    sizes = {len(t.probs) for t in tables or () if t.stacked}
     sizes |= {len(v) for v in (sym_values or {}).values() if np.ndim(v)}
     if len(sizes) > 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "

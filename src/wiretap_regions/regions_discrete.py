@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +28,8 @@ from .errors import (
 from .info_core import (
     ChannelSpec,
     ProbTable,
-    TableStack,
     VarId,
+    check_vars,
     make_stack,
     make_table,
     mutual_information,
@@ -47,7 +48,8 @@ ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 
 class AuxJoint:
     """Auxiliary joint distribution: a table over (U, X) (kind ``"ux"``) or one
     over (Q, U, V1, V2, X) that factors as p(q,u) p(v1,v2,x|u) (kind
-    ``"layered"``)."""
+    ``"layered"``).  A stacked table holds one aux per member, each checked
+    (an error names the first member that fails)."""
 
     table: ProbTable
 
@@ -65,36 +67,40 @@ class AuxJoint:
         return "ux" if len(self.table.vars) == 2 else "layered"
 
 
-def _check_layered(t) -> None:
-    """Raise InconsistentAux unless the aux table ``t`` (or each table of a
-    stack, naming the first that fails) factors as p(q,u) p(v1,v2,x|u):
-    I(Q; V1,V2,X | U) at most ``AUX_TOL``."""
+def _check_layered(t: ProbTable) -> None:
+    """Raise InconsistentAux unless the aux table ``t`` (or each member of a
+    stacked one, naming the first that fails) factors as p(q,u)
+    p(v1,v2,x|u): I(Q; V1,V2,X | U) at most ``AUX_TOL``."""
     resid = np.asarray(mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"}))
     raise_for_first(resid > AUX_TOL, InconsistentAux, lambda k: f"I(Q; V1,V2,X | U) = "
                     f"{resid[k]:.2e} violates the layered factorization")
 
 
-def _aux_stack(aux, kind: str, refusal: str) -> TableStack:
-    """The table of one aux as a stack of one, or a stack of aux tables as
-    it is, checked as :class:`AuxJoint` checks each table;
-    InconsistentAux(``refusal``) unless its tables are of ``kind``."""
-    t = TableStack((aux.table,)) if isinstance(aux, AuxJoint) else aux
-    if t.names != {"ux": UX_VARS, "layered": LAYERED_VARS}[kind]:
+def _aux_stack(aux: AuxJoint, kind: str, refusal: str) -> ProbTable:
+    """The aux's table as a stacked one (a lone table as a stack of one);
+    InconsistentAux(``refusal``) unless the aux is of ``kind``."""
+    if aux.kind != kind:
         raise InconsistentAux(refusal)
-    if kind == "layered" and t is aux:   # an AuxJoint has checked its own table
-        _check_layered(t)
-    return t
+    t = aux.table
+    return t if t.stacked else ProbTable(t.vars, t.probs[None], stacked=True)
 
 
-def _one_or_all(aux, regions):
-    """The region of one aux, or the list of the regions of a stack."""
-    return regions[0] if isinstance(aux, AuxJoint) else regions
+def _lone(aux: AuxJoint) -> AuxJoint:
+    """``aux``, refused (InconsistentAux) when its table is stacked."""
+    if aux.table.stacked:
+        raise InconsistentAux("this region takes a lone aux, not a stacked one")
+    return aux
 
 
-def _output_joints(t: TableStack, ch: ChannelSpec) -> tuple[TableStack, ...]:
-    """Joint tables over (aux vars..., out), one stack per output from one
-    product, the outputs named Y1, Y2, Z by position, without materializing
-    the full kernel."""
+def _one_or_all(aux: AuxJoint, regions):
+    """The region of a lone aux, or the list of the regions of a stacked one."""
+    return regions if aux.table.stacked else regions[0]
+
+
+def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
+    """Joint tables over (aux vars..., out), one stacked table per output
+    from one product, the outputs named Y1, Y2, Z by position, without
+    materializing the full kernel."""
     return tuple(make_stack(t.vars + (VarId(name, out.cardinality),),
                             np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
                  for name, out in zip(OUTPUTS, ch.outputs))
@@ -102,7 +108,7 @@ def _output_joints(t: TableStack, ch: ChannelSpec) -> tuple[TableStack, ...]:
 
 def _degraded_constants(aux, ch: ChannelSpec) -> dict[str, np.ndarray]:
     """The five information quantities of the degraded regions, one value
-    per table of a stack (or of one aux)."""
+    per member of the aux's table (one for a lone aux)."""
     t = _aux_stack(aux, "ux", "degraded-channel bounds take an aux over (U, X)")
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
@@ -147,28 +153,28 @@ def outer_of(inner: IneqSystem) -> IneqSystem:
     return inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
 
 
-def eval_degraded_inner(aux, ch: ChannelSpec):
+def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec):
     """Five-bound achievable region of the degraded channel for a fixed aux;
-    given a :class:`~.info_core.TableStack` of (U, X) tables, the list of
-    their regions, every information quantity computed once for all of
-    them."""
+    for a stacked aux, the list of its members' regions, every information
+    quantity computed once for all of them."""
     c = _degraded_constants(aux, ch)
     return _one_or_all(aux, [five_bound_system(**dict(zip(c, map(float, v))))
                              for v in zip(*c.values())])
 
 
 def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Outer bound of the degraded channel for a fixed aux."""
-    return outer_of(eval_degraded_inner(aux, ch))
+    """Outer bound of the degraded channel for a fixed lone aux."""
+    return outer_of(eval_degraded_inner(_lone(aux), ch))
 
 
 def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Pre-elimination per-message form: each rate bounded individually.
+    """Pre-elimination per-message form of a lone aux: each rate bounded
+    individually.
 
     The public rates ride on the randomization the eavesdropper can resolve,
     so ``Rp2 <= I(U;Z)`` and ``Rp1 <= I(X;Z|U)``.
     """
-    c = {k: float(v[0]) for k, v in _degraded_constants(aux, ch).items()}
+    c = {k: float(v[0]) for k, v in _degraded_constants(_lone(aux), ch).items()}
     return _system([
         ({"Rp2": 1}, c["iuz"], "rp2"),
         ({"Rs2": 1}, c["iuy2"] - c["iuz"], "rs2"),
@@ -177,13 +183,12 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     ])
 
 
-def eval_general_inner(aux, ch: ChannelSpec):
+def eval_general_inner(aux: AuxJoint, ch: ChannelSpec):
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded.  Given a
-    :class:`~.info_core.TableStack` of layered tables, the list of their
-    regions from one instantiation of the target."""
+    Y2, Z.  The channel need not be degraded.  For a stacked aux, the list
+    of its members' regions from one instantiation of the target."""
     t = _aux_stack(aux, "layered", "general inner bound takes a layered aux")
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
@@ -201,7 +206,7 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
     """Embed a (U, X) aux as a layered aux with Q constant, V2 = U, V1 = X."""
     if aux.kind != "ux":
         raise InconsistentAux("reduction embeds a (U, X) aux")
-    p = aux.table.probs
+    p = _lone(aux).table.probs
     cu, cx = p.shape
     arr = np.zeros((1, cu, cx, cu, cx))
     for u in range(cu):
@@ -425,15 +430,24 @@ def sweep_systems(samples) -> SweepResult:
     return SweepResult(rates=RATES, points=vp.vertices, rows=rows)
 
 
+# Most cells of the widest stacked output joint of one block of a discrete
+# sweep (8 MB of float64): a sweep draws and evaluates its auxes in blocks
+# that small (one aux a block when one is wider), so its memory does not grow
+# with the budget.
+_BLOCK_CELLS = 1 << 20
+
+
 def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
                        mode: str = "degraded") -> SweepResult:
     """Seeded sweep of auxiliary joints; returns the merged vertex cloud and
     its hull.  Samples are a fixed prefix sequence, so a larger budget extends
     a smaller one and the hull can only grow.
 
-    Every aux is drawn first, in the order a one-at-a-time loop draws them,
-    and the regions of all of them come from one stacked evaluation, equal
-    to the loop's byte for byte.
+    The auxes are drawn in the order a one-at-a-time loop draws them, in
+    blocks whose widest output joint holds at most ``_BLOCK_CELLS`` cells;
+    the regions of a block come from one stacked evaluation, equal to the
+    loop's byte for byte.  Every table is checked against the cell cap
+    before any aux is drawn.
     """
     if budget < 1:
         raise BudgetZero("sweep budget must be >= 1")
@@ -444,13 +458,27 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     card_u = card_x + 3
     card_v = card_x + 1
     if mode == "degraded":
-        corners = _corner_aux_ux(card_u, card_x)[:budget]
-        probs = corners + [_ux_probs(rng, card_u, card_x) for _ in range(budget - len(corners))]
-        auxes = make_stack(_aux_vars(UX_VARS, probs[0].shape), np.stack(probs))
-        regions = eval_degraded_inner(auxes, ch)
+        aux_vars = _aux_vars(UX_VARS, (card_u, card_x))
+        corners = _corner_aux_ux(card_u, card_x)
+
+        def draw(i):
+            return corners[i] if i < len(corners) else _ux_probs(rng, card_u, card_x)
+        evaluate = eval_degraded_inner
     else:
-        probs = [_layered_probs(rng, 2, card_u, card_v, card_v, card_x, i % 2 == 0)
-                 for i in range(budget)]
-        auxes = make_stack(_aux_vars(LAYERED_VARS, probs[0].shape), np.stack(probs))
-        regions = eval_general_inner(auxes, ch)
-    return sweep_systems(zip(map(_aux_hash, auxes.probs), regions))
+        aux_vars = _aux_vars(LAYERED_VARS, (2, card_u, card_v, card_v, card_x))
+
+        def draw(i):
+            return _layered_probs(rng, 2, card_u, card_v, card_v, card_x, i % 2 == 0)
+        evaluate = eval_general_inner
+    table_vars = [aux_vars] + [aux_vars + (VarId(name, out.cardinality),)
+                               for name, out in zip(OUTPUTS, ch.outputs)]
+    for vars_ in table_vars:   # every table a block builds, in the order it builds them
+        check_vars(vars_)
+    per_block = max(1, _BLOCK_CELLS // max(math.prod(v.cardinality for v in vars_)
+                                           for vars_ in table_vars))
+    samples = []
+    for lo in range(0, budget, per_block):
+        probs = np.stack([draw(i) for i in range(lo, min(lo + per_block, budget))])
+        regions = evaluate(AuxJoint(make_stack(aux_vars, probs)), ch)
+        samples += zip(map(_aux_hash, probs), regions)
+    return sweep_systems(samples)

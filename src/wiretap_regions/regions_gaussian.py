@@ -71,11 +71,14 @@ def _sym(m) -> np.ndarray:
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotPSD(f"matrix of shape {a.shape} is not square")
     at = a.mT
-    if not np.abs(a - at).max() <= SYM_TOL:  # a NaN entry gives a NaN residual
-        # the tolerance grows with the entries above 1: products of large
-        # symmetric matrices keep relative, not absolute, symmetry
-        r = np.abs(a - at).max(axis=(-2, -1))
-        tol = SYM_TOL * np.maximum(np.abs(a).max(axis=(-2, -1)), 1.0)
+    # the tolerance is relative to each matrix's largest |entry| at every
+    # scale: products of symmetric matrices keep relative, not absolute,
+    # symmetry.  Entrywise relative symmetry implies it in one comparison (a
+    # NaN entry fails it).
+    d = np.abs(a - at)
+    if not (d <= SYM_TOL * np.abs(a)).all():
+        r = d.max(axis=(-2, -1))
+        tol = SYM_TOL * np.abs(a).max(axis=(-2, -1))
         raise_for_first(~(r <= tol), NotPSD,
                         lambda k: f"symmetry residual {r[k]:.2e} exceeds {tol[k]:g}")
     return 0.5 * (a + at)

@@ -34,9 +34,9 @@ from wiretap_regions.fm_script import (
 )
 from wiretap_regions.info_core import (
     ChannelSpec,
-    TableStack,
     VarId,
     build_degraded_joint,
+    make_stack,
     make_table,
     mutual_information,
 )
@@ -580,6 +580,11 @@ def _certify_row_by_row(kept, extras, tables):
     return results
 
 
+def _stack_of(tables):
+    """The stacked table whose members are the lone ``tables``."""
+    return make_stack(tables[0].vars, np.stack([t.probs for t in tables]))
+
+
 @pytest.mark.parametrize("seed", [0, 3, 12])
 def test_certification_gives_each_row_its_own_answer(seed):
     start, steps, fixtures = load_builtin_chain()
@@ -590,7 +595,8 @@ def test_certification_gives_each_row_its_own_answer(seed):
         tables.append(random_layered_joint(rng, degraded=True, indep_v=True))
         tables.append(random_layered_joint(rng, degraded=True))
         tables.append(random_layered_joint(rng))
-    pairs = [((t,), min_sym_values((t,))) for t in tables]
+    stack = (_stack_of(tables),)
+    syms = min_sym_values(stack)
     cur, jobs = start, []
     for step in steps:
         produced = run_step(cur, step)
@@ -600,7 +606,8 @@ def test_certification_gives_each_row_its_own_answer(seed):
                 [q for q in produced.ineqs if q not in res.extras]), res.extras))
         cur = fixtures[step.expect]
     certified = 0
-    for (kept, extras), got in zip(jobs, _certify_redundant(jobs, pairs), strict=True):
+    for (kept, extras), got in zip(jobs, _certify_redundant(jobs, stack, syms),
+                              strict=True):
         want = _certify_row_by_row(kept, extras, tables)
         # two stacked LPs for every step and table against one LP per row: the
         # same optima up to the LP's rounding, and the same informative tables
@@ -618,11 +625,11 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
     extras = [LinIneq.of({"x": 1}, sym("s")),
               LinIneq.of({"x": 2}, sym("s") + 1),
               LinIneq.of({"x": 1}, InfoExpr(constant=5))]
-    empty, nonempty = (None, {"s": 0.5}), (None, {"s": 3.0})
-    [got] = _certify_redundant([(kept, extras)], [empty])
+    empty, nonempty = 0.5, 3.0
+    [got] = _certify_redundant([(kept, extras)], (), {"s": np.array([empty])})
     assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
     assert lp_whats == []
-    [got] = _certify_redundant([(kept, extras)], [empty, nonempty, empty])
+    [got] = _certify_redundant([(kept, extras)], (), {"s": np.array([empty, nonempty, empty])})
     assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(pytest.approx(-1.0), 1), (pytest.approx(0.0), 1),
                                           (pytest.approx(-3.0), 1)]
@@ -631,7 +638,7 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
     lp_whats.clear()
     hidden = IneqSystem.of(("x",), [LinIneq.of({"x": -1}, InfoExpr(constant=-1)),
                                     LinIneq.of({"x": 1}, sym("s") - 2)])
-    [got] = _certify_redundant([(hidden, extras)], [(None, {"s": 2.5})])
+    [got] = _certify_redundant([(hidden, extras)], (), {"s": np.array([2.5])})
     assert [(s, n) for _, s, n in got] == [(0.0, 0)] * 3
     assert lp_whats == ["support"]
 
@@ -687,7 +694,7 @@ def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
         return support_value(jobs)
 
     monkeypatch.setattr(fm_script, "support_value", counting)
-    [got] = _certify_redundant([(kept, extras)], [(None, {"s": 1.0}), (None, {"s": 2.0})])
+    [got] = _certify_redundant([(kept, extras)], (), {"s": np.array([1.0, 2.0])})
     assert [[len(objectives) for _, objectives in jobs] for jobs in calls] == [[2, 2]]
     assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]
@@ -721,7 +728,7 @@ def test_stacked_instantiation_equals_each_member_alone():
         return [random_layered_joint(rng, degraded=k % 3 < 2, indep_v=k % 3 == 0)
                 for k in range(9)]
 
-    stack = (TableStack(tuple(draw())),)
+    stack = (_stack_of(draw()),)
     syms = min_sym_values(stack)
     assert all(v.shape == (9,) for v in syms.values())
     assert set(fixtures) >= {"target"} and len(fixtures) > 5
@@ -749,8 +756,7 @@ def test_stacked_instantiation_refuses_stacks_of_other_lengths():
     tables = [random_layered_joint(rng) for _ in range(3)]
     target = load_fixture("target")
     with pytest.raises(DimensionMismatch, match=r"stacks of \[2, 3\] members"):
-        instantiate(target, (TableStack(tuple(tables)),),
-                    min_sym_values((TableStack(tuple(tables[:2])),)))
+        instantiate(target, (_stack_of(tables),), min_sym_values((_stack_of(tables[:2]),)))
 
 
 def test_region_eval_general_prints_the_lone_evaluation(tmp_path, capsys):

@@ -16,7 +16,6 @@ from wiretap_regions.errors import (
 from wiretap_regions.info_core import (
     MI_CLAMP,
     ChannelSpec,
-    TableStack,
     VarId,
     build_degraded_joint,
     channel_joint,
@@ -386,50 +385,49 @@ def test_stacked_entropy_and_mi_equal_each_lone_table(case):
     vars_ = tuple(VarId(f"T{i}", k) for i, k in enumerate(cards))
     names = [v.name for v in vars_]
     lone = [make_table(vars_, a) for a in arrays]
-    for stack in (TableStack(tuple(make_table(vars_, a) for a in arrays)),
-                  make_stack(vars_, np.stack(arrays))):
-        for r in range(len(names) + 1):
-            for axes in itertools.combinations(range(len(names)), r):
-                subset = [names[i] for i in axes]
-                got = entropy(stack, subset)
-                assert got.tolist() == [entropy(t, subset) for t in lone]
-                assert got.tolist() == [_lone_entropy(a, axes) for a in arrays]
-                # every table of a stack of tables keeps its value in its memo,
-                # and a stack built from an array keeps the array in its own
-                memo = [t._entropies[frozenset(subset)] for t in stack.tables] \
-                    if stack.tables else stack._entropies[frozenset(subset)].tolist()
-                assert memo == got.tolist()
-        assert entropy(stack).tolist() == [entropy(t) for t in lone]
-        a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
-        if a and b:
-            got = mutual_information(stack, a, b, c)
-            assert got.tolist() == [mutual_information(t, a, b, c) for t in lone]
-
-
-def test_a_stack_of_tables_over_other_variables_is_refused():
-    ab = make_table((VarId("A", 2), VarId("B", 2)), np.full((2, 2), 0.25))
-    ac = make_table((VarId("A", 2), VarId("C", 2)), np.full((2, 2), 0.25))
-    with pytest.raises(ShapeMismatch, match="^instance 2: variables") as e:
-        TableStack((ab, ab, ac))
-    assert e.value.instance == (2,)
-    with pytest.raises(ShapeMismatch, match="at least one table"):
-        TableStack(())
+    stack = make_stack(vars_, np.stack(arrays))
+    for r in range(len(names) + 1):
+        for axes in itertools.combinations(range(len(names)), r):
+            subset = [names[i] for i in axes]
+            got = entropy(stack, subset)
+            assert got.tolist() == [entropy(t, subset) for t in lone]
+            assert got.tolist() == [_lone_entropy(a, axes) for a in arrays]
+            # the stacked table keeps one read-only array of member values
+            memo = stack._entropies[frozenset(subset)]
+            assert memo is got and not memo.flags.writeable
+    assert entropy(stack).tolist() == [entropy(t) for t in lone]
+    a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
+    if a and b:
+        got = mutual_information(stack, a, b, c)
+        assert got.tolist() == [mutual_information(t, a, b, c) for t in lone]
 
 
 def test_mi_below_the_clamp_names_its_table():
     vars_ = (VarId("A", 2), VarId("B", 2))
-    tables = [make_table(vars_, np.full((2, 2), 0.25)) for _ in range(4)]
+    stack = make_stack(vars_, np.full((4, 2, 2), 0.25))
+    lone = make_table(vars_, np.full((2, 2), 0.25))
     # an entropy memo that no table could give: I(A;B) = 2 ln 2 - 10 < 0
-    tables[2]._entropies[frozenset({"A", "B"})] = 10.0
+    stack._entropies[frozenset({"A", "B"})] = np.array([2 * math.log(2)] * 2 + [10.0] * 2)
+    lone._entropies[frozenset({"A", "B"})] = np.array([10.0])
     with pytest.raises(NegativeMass, match="^instance 2: mutual information -8.6") as e:
-        mutual_information(TableStack(tuple(tables)), {"A"}, {"B"})
+        mutual_information(stack, {"A"}, {"B"})
     assert e.value.instance == (2,) and e.value.detail.endswith(f"below clamp {MI_CLAMP}")
     with pytest.raises(NegativeMass, match="^mutual information -8.6") as e:
-        mutual_information(tables[2], {"A"}, {"B"})
+        mutual_information(lone, {"A"}, {"B"})
     assert e.value.instance == ()
-    # rounding noise above the clamp reads 0 in every table
-    tables[2]._entropies[frozenset({"A", "B"})] = 2 * math.log(2) + 1e-13
-    assert mutual_information(TableStack(tuple(tables)), {"A"}, {"B"}).tolist() == [0.0] * 4
+    # rounding noise above the clamp reads 0 in every member
+    stack._entropies[frozenset({"A", "B"})] = np.full(4, 2 * math.log(2) + 1e-13)
+    assert mutual_information(stack, {"A"}, {"B"}).tolist() == [0.0] * 4
+
+
+def test_a_lone_and_a_stacked_table_refuse_each_others_shape():
+    vars_ = (VarId("A", 2), VarId("B", 3))
+    probs = np.full((4, 2, 3), 1 / 6)
+    with pytest.raises(ShapeMismatch, match=r"^tensor shape \(4, 2, 3\) != cardinalities"):
+        make_table(vars_, probs)
+    with pytest.raises(ShapeMismatch, match=r"^tensor shape \(2, 3\) != a member axis and"):
+        make_stack(vars_, probs[0])
+    assert not make_table(vars_, probs[0]).stacked and make_stack(vars_, probs).stacked
 
 
 def test_a_stack_validates_every_table_and_names_the_first_bad_one():

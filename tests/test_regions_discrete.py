@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hull_oracle import in_hull
-from wiretap_regions import info_core, regions_discrete
+from wiretap_regions import info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
@@ -16,7 +17,7 @@ from wiretap_regions.errors import (
     UnknownCorollary,
     ValidationError,
 )
-from wiretap_regions.info_core import VarId, build_degraded_joint, make_table
+from wiretap_regions.info_core import VarId, build_degraded_joint, make_stack, make_table
 from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
@@ -219,6 +220,31 @@ def test_layered_aux_validation():
                              VarId("V2", 2), VarId("X", 2)), arr))
 
 
+def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
+    rng = np.random.default_rng(15)
+    vars_ = tuple(VarId(n, 2) for n in ("Q", "U", "V1", "V2", "X"))
+    probs = np.stack([regions_discrete._layered_probs(rng, 2, 2, 2, 2, 2, k % 2 == 0)
+                      for k in range(6)])
+    assert AuxJoint(make_stack(vars_, probs)).kind == "layered"
+    probs[3] = rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2)
+    with pytest.raises(InconsistentAux, match=r"^instance 3: I\(Q; V1,V2,X \| U\)") as e:
+        AuxJoint(make_stack(vars_, probs))
+    assert e.value.instance == (3,)
+    with pytest.raises(InconsistentAux) as alone:
+        AuxJoint(make_table(vars_, probs[3]))
+    assert str(alone.value) == e.value.detail
+
+
+@pytest.mark.parametrize("evaluate", [eval_degraded_outer, eval_original_inner,
+                                      lambda aux, ch: reduction_aux(aux)])
+def test_lone_aux_regions_refuse_a_stacked_aux(evaluate):
+    probs = np.random.default_rng(4).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
+    aux = AuxJoint(make_stack((VarId("U", 3), VarId("X", 2)), probs))
+    assert len(eval_degraded_inner(aux, cascade_channel())) == 3
+    with pytest.raises(InconsistentAux, match="lone aux"):
+        evaluate(aux, cascade_channel())
+
+
 def test_corollaries_match_inner_outer():
     rng = np.random.default_rng(16)
     for _ in range(5):
@@ -408,13 +434,55 @@ def _sweep_one_at_a_time(ch, budget, seed, mode):
 def test_sweep_refuses_output_joints_over_the_cell_cap(monkeypatch, mode, aux_cells):
     # a binary-input sweep draws |U| = 5 and |V1| = |V2| = 3, and each output
     # joint of a binary-output channel has twice its aux's cells: the stacks
-    # check each of their tables against the cap as a lone table does
+    # check each of their tables against the cap as a lone table does, from
+    # the cardinalities, before any aux is drawn (budget 4 draws one aux past
+    # the three degraded corners)
     ch = cascade_channel()
     monkeypatch.setattr(info_core, "MAX_CELLS", 2 * aux_cells)
-    sweep_inner_region(ch, 3, seed=0, mode=mode)
+    sweep_inner_region(ch, 4, seed=0, mode=mode)
+
+    def drawn(*args):
+        raise AssertionError("an aux was drawn")
+
+    monkeypatch.setattr(regions_discrete, "_ux_probs", drawn)
+    monkeypatch.setattr(regions_discrete, "_layered_probs", drawn)
     monkeypatch.setattr(info_core, "MAX_CELLS", 2 * aux_cells - 1)
     with pytest.raises(TableTooLarge):
-        sweep_inner_region(ch, 3, seed=0, mode=mode)
+        sweep_inner_region(ch, 4, seed=0, mode=mode)
+
+
+def _traced_sweep(ch, budget, mode):
+    """The CSV of a sweep and the peak of its traced allocations."""
+    tracemalloc.start()
+    try:
+        text = region_csv_text(sweep_inner_region(ch, budget, seed=4, mode=mode))
+        return text, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("mode", ["degraded", "general"])
+def test_a_sweep_in_blocks_keeps_its_output_and_bounds_its_memory(monkeypatch, mode):
+    # |X| = 6 with binary outputs: a general aux has 5,292 cells and its
+    # output joints 10,584 each; vertices() enumerates one sample a block, so
+    # only the aux tables could grow with the budget
+    ch = build_degraded_joint(np.random.default_rng(3).dirichlet([1.0, 1.0], size=6),
+                              bsc(0.1), bsc(0.2))
+    sweep_inner_region(ch, 1, seed=4, mode=mode)   # first-call caches are not traced
+    monkeypatch.setattr(polytope_fm, "_BLOCK_SOLVES", 1)
+    one_block = {b: _traced_sweep(ch, b, mode) for b in (3, 10, 40)}
+    widest = 2 * (9 * 6 if mode == "degraded" else 2 * 9 * 7 * 7 * 6)
+    if mode == "general":
+        assert one_block[40][1] > 2 * one_block[10][1]
+    # blocks of 2 split the degraded corners, blocks of 3 the general
+    # sweep's alternation of V1, V2 independent and not
+    for per_block in (2, 3):
+        monkeypatch.setattr(regions_discrete, "_BLOCK_CELLS", per_block * widest)
+        blocks = {b: _traced_sweep(ch, b, mode) for b in (3, 10, 40)}
+        for b in (3, 10, 40):
+            assert blocks[b][0] == one_block[b][0]
+        if mode == "general":
+            assert blocks[40][1] < 1.2 * blocks[10][1]
 
 
 @pytest.mark.parametrize("mode", ["degraded", "general"])

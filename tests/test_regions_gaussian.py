@@ -384,3 +384,16 @@ def test_sweep_modes_and_monotonicity():
     fixed = sweep_covariances(ch, budget=6, seed=10)
     for p in fixed.hull_points:
         assert _dominated(p, traced.points, 5e-2) or in_hull(p, traced.points, 1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-3, 1.0, 1e12])
+def test_sym_refuses_an_asymmetric_matrix_at_every_scale(scale):
+    bad = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+    with pytest.raises(NotPSD, match="^symmetry residual"):
+        regions_gaussian._sym(bad)
+    # asymmetry of relative size 1e-14 is rounding noise, averaged away
+    near = scale * np.array([[1.0, 0.5], [0.5 * (1 + 1e-14), 1.0]])
+    assert np.array_equal(regions_gaussian._sym(near), 0.5 * (near + near.T))
+    # in a stack, each matrix is held to its own scale
+    with pytest.raises(NotPSD, match="^instance 1: symmetry residual"):
+        regions_gaussian._sym(np.stack([1e12 * near / scale, bad]))
