@@ -361,15 +361,14 @@ def _min_eig(m) -> np.ndarray:
 
 def _segment_integral(k1, k2, sn):
     """Trapezoid value, on 65 nodes, of the integral over t in [0, 1] of
-    ``tr((K1 + t (K2 - K1) + S)^{-1} (K2 - K1))``, all nodes in one solve; a
-    float (an array for stacks)."""
+    ``tr((K1 + t (K2 - K1) + S)^{-1} (K2 - K1))`` for each instance of the
+    stacks ``(..., d, d)``, all nodes in one solve: an array of their values."""
     ts = np.linspace(0.0, 1.0, 65)
     k1, step, sn = (m[..., None, :, :] for m in (k1, k2 - k1, sn))
     stack = k1 + ts[:, None, None] * step + sn
     vals = np.trace(np.linalg.solve(stack, np.broadcast_to(step, stack.shape)),
                     axis1=-2, axis2=-1)
-    out = np.trapezoid(vals, ts, axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return np.trapezoid(vals, ts, axis=-1)
 
 
 # The d x d normal draws of one lemma instance after its joint covariance's
@@ -561,34 +560,31 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
     """Check that each mixture's five-bound polytope lies inside the Gaussian
     allocation envelope (point cloud from a covariance sweep), within a slack.
 
-    ``mixes`` is one :class:`ScalarMixture`, which gets one report, or a
-    sequence of them, which gets a list of reports in order; a lone mixture
-    is a stack of one.  Every mixture's bounds are computed first, and one
-    stacked :func:`vertices` call gives all their polytopes.  Rate regions are
+    ``mixes`` is a sequence of :class:`ScalarMixture` values, which gets a
+    list of reports in order.  Every mixture's bounds are computed first, and
+    one stacked :func:`vertices` call gives all their polytopes.  Rate regions are
     downward closed, so a vertex is covered when some convex combination of
     envelope points dominates it componentwise.  The slack is monotone in the
     vertex, so only the vertices on a polytope's Pareto front are checked,
     all of them by one :func:`dominance_slack` LP per mixture.  Passing
     ``pareto_front(gauss_points)`` instead of the whole cloud gives the same
-    slacks from smaller LPs.  An error names the mixture of a sequence it
-    concerns.
+    slacks from smaller LPs.  An error names the mixture it concerns,
+    ``instance k``.
     """
-    lone = isinstance(mixes, ScalarMixture)
-    mixes = [mixes] if lone else list(mixes)
+    mixes = list(mixes)
     if not np.asarray(gauss_points).size:
         raise ValidationError("empty Gaussian envelope")
     if not mixes:
         return []
     systems, found = [], []
     for k, mix in enumerate(mixes):
-        where = () if lone else (k,)
         if mix.second_moment() > ch.scalars[0] + 1e-9:
-            raise at_instance(ValidationError, where, "mixture second moment exceeds the input cap")
+            raise at_instance(ValidationError, (k,), "mixture second moment exceeds the input cap")
         bounds = five_bound_system(**mixture_region_constants(mix, ch))
         negative = [q for q in bounds.ineqs if q.rhs < 0.0]
         for q in negative:
             if q.rhs < -CLAMP_TOL:
-                raise at_instance(QuadratureNonConvergent, where,
+                raise at_instance(QuadratureNonConvergent, (k,),
                                   f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
         systems.append(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
         found.append(({q.label: q.rhs for q in bounds.ineqs}, [q.label for q in negative]))
@@ -599,4 +595,4 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
         worst = float(dominance_slack(pareto_front(pts), gauss_points).max())
         reports.append(DominanceReport(constants=constants, clamped=clamped, max_slack=worst,
                                        contained=worst <= slack_tol))
-    return reports[0] if lone else reports
+    return reports

@@ -42,7 +42,6 @@ from .info_core import (
     ProbTable,
     VarId,
     make_stack,
-    make_table,
     mutual_information,
     smallest_holding,
 )
@@ -60,7 +59,7 @@ from .polytope_fm import (
     substitute_equality,
     support_value,
 )
-from .regions_discrete import OUTPUTS, random_aux_layered
+from .regions_discrete import LAYERED_VARS, OUTPUTS, _check_layered, _layered_probs
 
 CERT_INSTANTIATIONS = 3   # rounds of three random joints that certify dropped rows
 
@@ -276,9 +275,11 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
     independent given U.  Both knobs bias instantiations toward nonnegative
     secrecy differences, which the redundancy certification needs (generic
     draws often give empty instantiated regions, which certify nothing).
+    The table is not validated: :func:`verify_elimination_script` checks the
+    stack of its draws once.
     """
     c = 2
-    aux = random_aux_layered(rng, c, c, c, c, c, indep_v=indep_v)
+    aux = _layered_probs(rng, c, c, c, c, c, indep_v)
     if degraded:
         s1 = rng.dirichlet(np.ones(c), size=c)
         s2 = rng.dirichlet(np.ones(c), size=c)
@@ -286,20 +287,19 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
         p_out_x = np.einsum("xi,ij,jk->xijk", s1, s2, s3)
     else:
         p_out_x = rng.dirichlet(np.ones(c ** 3), size=c).reshape(c, c, c, c)
-    joint = np.einsum("quabx,xijk->quabxijk", aux.table.probs, p_out_x)
-    names = ("Q", "U", "V1", "V2", "X") + OUTPUTS
-    return make_table(tuple(VarId(n, c) for n in names), joint)
+    joint = np.einsum("quabx,xijk->quabxijk", aux, p_out_x)
+    return ProbTable(tuple(VarId(n, c) for n in LAYERED_VARS + OUTPUTS), joint)
 
 
 def min_sym_values(tables) -> dict:
-    """The two ``Imin`` symbols on the sequence ``tables``, each mutual
-    information read from the smallest table that holds it: floats on lone
-    tables, and on stacked ones an array with each member's value, as
-    :func:`~.polytope_fm.instantiate` reads them."""
+    """The two ``Imin`` symbols on the sequence of stacked ``tables``, each
+    an array with one value per member, each mutual information read from
+    the smallest table that holds it, as :func:`~.polytope_fm.instantiate`
+    reads them."""
     def mi_min(cond=()):
         a, b = (mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
                 for y in OUTPUTS[:2])
-        return np.where(b < a, b, a) if np.ndim(a) else min(a, b)
+        return np.where(b < a, b, a)
 
     return {MIN_UY: mi_min(), MIN_UYQ: mi_min({"Q"})}
 
@@ -432,6 +432,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         draws.append(random_layered_joint(rng, degraded=True))
         draws.append(random_layered_joint(rng))
     tables = (make_stack(draws[0].vars, np.stack([t.probs for t in draws])),)
+    _check_layered(tables[0])
     syms = min_sym_values(tables)
     # symbolic pass first: each step restarts from its recorded input, so no
     # step waits on the certification of an earlier one

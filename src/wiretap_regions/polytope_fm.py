@@ -633,36 +633,24 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
     return out
 
 
-def instantiate(sys: IneqSystem, tables, sym_values=None):
-    """Replace symbolic right-hand sides by their numeric values on the
-    sequence ``tables``, summed as :meth:`~.entropy_algebra.InfoExpr.evaluate`
-    sums them, each entropy read once for the whole system
-    (:func:`~.entropy_algebra.evaluate_all`).
-
-    Given stacked :class:`~.info_core.ProbTable` values or symbol arrays,
-    this instantiates a stack of members at once and returns one system per
-    member: member k reads member k of every stacked table and entry k of
-    every symbol array, and gets the system it gets alone, bit for bit."""
-    n = _stack_length(tables, sym_values)
-    rows = [i for i, q in enumerate(sys.ineqs) if isinstance(q.rhs, InfoExpr)]
-    values = dict(zip(rows, evaluate_all([sys.ineqs[i].rhs for i in rows], tables, sym_values)))
-
-    def member(k):
-        ineqs = list(sys.ineqs)
-        for i, v in values.items():
-            ineqs[i] = ineqs[i].with_rhs(float(v[k]) if np.ndim(v) else v)
-        return sys.with_ineqs(ineqs)
-
-    if n is None:
-        return member(None)
-    return [member(k) for k in range(n)]
-
-
-def _stack_length(tables, sym_values) -> int | None:
-    """The number of members of a stacked instantiation, None for a lone one."""
-    sizes = {len(t.probs) for t in tables or () if t.stacked}
-    sizes |= {len(v) for v in (sym_values or {}).values() if np.ndim(v)}
-    if len(sizes) > 1:
+def instantiate(sys: IneqSystem, tables, sym_values=None) -> list[IneqSystem]:
+    """One system per member of the stacked :class:`~.info_core.ProbTable`
+    values ``tables`` and symbol arrays ``sym_values``: in member k each
+    symbolic right-hand side takes its value on member k of every table and
+    entry k of every symbol, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
+    sums it on that member alone, bit for bit, each entropy read once for the
+    whole stack (:func:`~.entropy_algebra.evaluate_all`).  Raises
+    DimensionMismatch for a lone table, or for stacks of different lengths."""
+    if not all(t.stacked for t in tables):
+        raise DimensionMismatch("instantiate takes stacked tables, not a lone one")
+    sizes = {len(t.probs) for t in tables} | {len(v) for v in (sym_values or {}).values()}
+    if len(sizes) != 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "
                                 f"instantiated together")
-    return sizes.pop() if sizes else None
+    n = sizes.pop()
+    rows = [i for i, q in enumerate(sys.ineqs) if isinstance(q.rhs, InfoExpr)]
+    # a right-hand side that reads no table or symbol is one float for every member
+    values = dict(zip(rows, (np.broadcast_to(v, n) for v in evaluate_all(
+        [sys.ineqs[i].rhs for i in rows], tables, sym_values))))
+    return [sys.with_ineqs([q.with_rhs(float(values[i][k])) if i in values else q
+                            for i, q in enumerate(sys.ineqs)]) for k in range(n)]

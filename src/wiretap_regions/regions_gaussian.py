@@ -109,9 +109,13 @@ def check_pd(m, name: str = "matrix") -> np.ndarray:
 
 
 def psd_leq(a, b):
-    """a <= b in the semidefinite order, within the absolute eigenvalue slack
-    ``ORDER_TOL``: a bool (a bool array for a stack)."""
-    ok = np.linalg.eigvalsh(_sym(b) - _sym(a)).min(axis=-1) >= -ORDER_TOL
+    """a <= b in the semidefinite order, within a slack relative to the
+    matrices compared: ``lambda_min(b - a) >= -ORDER_TOL * max(|a|_2, |b|_2)``
+    (spectral norms, the largest |eigenvalue|), so scaling a and b together
+    does not change the verdict.  A bool (a bool array for a stack)."""
+    a, b = np.broadcast_arrays(_sym(a), _sym(b))
+    w = np.linalg.eigvalsh(np.stack([a, b, b - a]))
+    ok = w[2].min(axis=-1) >= -ORDER_TOL * np.abs(w[:2]).max(axis=(0, -1))
     return bool(ok) if ok.ndim == 0 else ok
 
 

@@ -225,7 +225,7 @@ def test_c08_sufficiency_evidence():
             mix = random_mixture(rng)
             scale = min(1.0, math.sqrt(0.98 / max(mix.second_moment(), 1e-9)))
             mix = ScalarMixture(mix.u_points, mix.x_points * scale, mix.weights)
-            rep = sufficiency_evidence_scalar(mix, ch, envelope, slack_tol=1e-3)
+            rep = sufficiency_evidence_scalar([mix], ch, envelope, slack_tol=1e-3)[0]
             assert rep.contained, f"mixture {i}: slack {rep.max_slack:.3e}"
 
 

@@ -590,6 +590,47 @@ def test_gauss_channel_names_the_cap_below_min_scale():
         GaussChannel(S=caps, Sigma1=eye, Sigma2=eye, SigmaZ=eye)
 
 
+def _scaled_gauss(tmp_path, c, S, Sigma1, Sigma2, SigmaZ):
+    """The channel file of ``c`` times each matrix."""
+    path = tmp_path / f"g{c:g}.txt"
+    emit_channel_file(GaussChannel(S=c * np.atleast_2d(S), Sigma1=c * np.atleast_2d(Sigma1),
+                                   Sigma2=c * np.atleast_2d(Sigma2),
+                                   SigmaZ=c * np.atleast_2d(SigmaZ)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("cmd", [
+    ["gauss", "degraded-check"],
+    ["gauss", "eval", "--split"],
+    ["gauss", "sweep", "--budget", "5"],
+    ["fisher", "evidence", "--budget", "2"],
+], ids=["degraded-check", "eval", "sweep", "evidence"])
+def test_cli_noise_order_verdict_does_not_depend_on_the_channel_scale(tmp_path, cmd, capsys):
+    # Sigma1 = 2c > Sigma2 = c: not degraded at any scale c.  The order test
+    # was absolute (-1e-10), so at c = 1e-12 the channel passed as degraded
+    outs = []
+    for c in (1.0, 1e-12):
+        argv = [*cmd, write(tmp_path, f"k{c:g}.txt", f"kind: split\nK:\n{c!r}\n")] \
+            if cmd[-1] == "--split" else list(cmd)
+        assert main([*argv, "--channel", _scaled_gauss(tmp_path, c, 2.0, 2.0, 1.0, 3.0)]) == 1
+        outs.append(capsys.readouterr())
+    assert outs[1] == outs[0]
+    assert "violated invariant" in outs[0].out + outs[0].err
+
+
+@pytest.mark.parametrize("c", [1e6, 1e12])
+def test_cli_sweep_at_the_input_cap_does_not_depend_on_the_channel_scale(tmp_path, c, capsys):
+    # covariances drawn at the cap S met the absolute cap test only up to
+    # rounding of about eps * c, so large channels were refused
+    mats = (np.array([[2, 0.3], [0.3, 1.5]]), np.diag([0.5, 0.7]),
+            np.array([[1, 0.1], [0.1, 1.2]]), np.array([[1.5, 0.1], [0.1, 2]]))
+    argv = ["gauss", "sweep", "--budget", "20", "--seed", "3", "--channel"]
+    assert main([*argv, _scaled_gauss(tmp_path, 1.0, *mats)]) == 0
+    want = capsys.readouterr()
+    assert main([*argv, _scaled_gauss(tmp_path, c, *mats)]) == 0
+    assert capsys.readouterr() == want
+
+
 LAYERED_AUX = "kind: aux\nvars: Q 1 U 1 V1 1 V2 1 X 2\ntable:\n0.5 0.5\n"
 
 

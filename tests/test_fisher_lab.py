@@ -386,14 +386,14 @@ def test_evidence_discretized_gaussian_self_consistency():
     w /= w.sum()
     scale = math.sqrt(0.999 / float((w * xs ** 2).sum()))
     mix = ScalarMixture(np.zeros(xs.size), xs * scale, w)
-    rep = sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
+    rep = sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch))[0]
     assert rep.max_slack <= 5e-3
 
 
 def test_evidence_antipodal_dominated():
     ch = scalar_channel()
     mix = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
-    rep = sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
+    rep = sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch))[0]
     assert rep.contained and rep.max_slack <= 1e-3
 
 
@@ -415,11 +415,11 @@ def test_evidence_random_mixtures_dominated():
         mix = random_mixture(rng)
         scale = min(1.0, math.sqrt(0.98 / max(mix.second_moment(), 1e-9)))
         mix = ScalarMixture(mix.u_points, mix.x_points * scale, mix.weights)
-        rep = sufficiency_evidence_scalar(mix, ch, env)
+        rep = sufficiency_evidence_scalar([mix], ch, env)[0]
         assert rep.contained, rep.max_slack
         brute = brute_force_max_slack(mix, ch, env)
         assert abs(rep.max_slack - brute) <= 1e-9
-        assert abs(sufficiency_evidence_scalar(mix, ch, front).max_slack - brute) <= 1e-9
+        assert abs(sufficiency_evidence_scalar([mix], ch, front)[0].max_slack - brute) <= 1e-9
 
 
 def test_evidence_stack_matches_lone_calls(lp_whats, monkeypatch):
@@ -431,7 +431,7 @@ def test_evidence_stack_matches_lone_calls(lp_whats, monkeypatch):
         mix = random_mixture(rng)
         scale = min(1.0, math.sqrt(0.98 / max(mix.second_moment(), 1e-9)))
         mixes.append(ScalarMixture(mix.u_points, mix.x_points * scale, mix.weights))
-    lone = [sufficiency_evidence_scalar(mix, ch, env) for mix in mixes]
+    lone = [sufficiency_evidence_scalar([mix], ch, env)[0] for mix in mixes]
     dominance, slack = [], fisher_lab.dominance_slack
     monkeypatch.setattr(fisher_lab, "dominance_slack",
                         lambda *args: dominance.append(args) or slack(*args))
@@ -457,7 +457,7 @@ def antipodal_constants_with(monkeypatch, rs2):
 
 def test_evidence_clamps_and_records_a_tiny_negative_bound(monkeypatch):
     mix, ch = antipodal_constants_with(monkeypatch, -5e-7)
-    rep = sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
+    rep = sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch))[0]
     assert rep.clamped == ["rs2"]
     assert rep.constants["rs2"] == pytest.approx(-5e-7, rel=1e-6)
     assert rep.contained
@@ -466,14 +466,14 @@ def test_evidence_clamps_and_records_a_tiny_negative_bound(monkeypatch):
 def test_evidence_rejects_a_bound_below_the_clamp_tolerance(monkeypatch):
     mix, ch = antipodal_constants_with(monkeypatch, -2e-6)
     with pytest.raises(QuadratureNonConvergent, match="rs2"):
-        sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch))
+        sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch))[0]
 
 
 def test_evidence_rejects_over_cap():
     ch = scalar_channel()
     mix = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
     with pytest.raises(ValidationError):
-        sufficiency_evidence_scalar(mix, ch, gauss_envelope(ch, n=5))
+        sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch, n=5))[0]
 
 
 ANTIPODAL = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
@@ -486,7 +486,7 @@ CHANNEL_2X2 = GaussChannel(S=2 * np.eye(2), Sigma1=0.5 * np.eye(2), Sigma2=np.ey
     lambda: interpolation_t_star(GaussPair(np.stack([np.eye(2)] * 3), d_u=1, d_x=1), 1.0, 2.0),
     lambda: debruijn_check(ANTIPODAL, np.eye(2)),
     lambda: mixture_region_constants(ANTIPODAL, CHANNEL_2X2),
-    lambda: sufficiency_evidence_scalar(ANTIPODAL, CHANNEL_2X2, np.ones((1, 4))),
+    lambda: sufficiency_evidence_scalar([ANTIPODAL], CHANNEL_2X2, np.ones((1, 4)))[0],
     lambda: discretize_scalar(CHANNEL_2X2, 0.5),
 ], ids=["interpolation-2x2", "interpolation-stack", "debruijn-mixture-2x2",
         "region-constants-2x2", "evidence-2x2", "discretize-2x2"])

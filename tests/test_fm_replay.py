@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap_regions import fm_script
+from wiretap_regions import fm_script, info_core
 from wiretap_regions.entropy_algebra import EqualitySet, InfoExpr, derive_equalities, sym
 from wiretap_regions.cli import main
 from wiretap_regions.errors import (
     DimensionMismatch,
+    InconsistentAux,
     ParseError,
     ScriptStepMismatch,
     ValidationError,
@@ -34,6 +35,7 @@ from wiretap_regions.fm_script import (
 )
 from wiretap_regions.info_core import (
     ChannelSpec,
+    ProbTable,
     VarId,
     build_degraded_joint,
     make_stack,
@@ -565,9 +567,12 @@ def _certify_row_by_row(kept, extras, tables):
         worst = -np.inf
         informative = 0
         for table in tables:
-            syms = min_sym_values((table,))
-            kept_num = instantiate(kept, (table,), syms)
-            rhs = q.rhs.evaluate((table,), syms) if isinstance(q.rhs, InfoExpr) else float(q.rhs)
+            one = (_stack_of([table]),)
+            syms = min_sym_values(one)
+            kept_num = instantiate(kept, one, syms)[0]
+            lone_syms = {n: float(v[0]) for n, v in syms.items()}
+            rhs = (q.rhs.evaluate((table,), lone_syms) if isinstance(q.rhs, InfoExpr)
+                   else float(q.rhs))
             val = support_value([(kept_num, [{v: float(c) for v, c in q.coeffs}])])[0][0]
             if val == float("-inf"):
                 continue
@@ -736,7 +741,7 @@ def test_stacked_instantiation_equals_each_member_alone():
         members = instantiate(sys, stack, syms)
         assert len(members) == 9
         for k, (got, table) in enumerate(zip(members, draw())):
-            lone_syms = min_sym_values((table,))
+            lone_syms = {n: float(v[0]) for n, v in min_sym_values((_stack_of([table]),)).items()}
             assert lone_syms == {n: v[k] for n, v in syms.items()}
             assert got.vars == sys.vars
             for g, q in zip(got.ineqs, sys.ineqs, strict=True):
@@ -747,8 +752,8 @@ def test_stacked_instantiation_equals_each_member_alone():
                     assert g.rhs == _lone_reference(q.rhs, (table,), lone_syms)
                 else:
                     assert g.rhs == q.rhs
-        assert instantiate(sys, (draw()[4],), {n: float(v[4]) for n, v in syms.items()}) \
-            .ineqs == members[4].ineqs
+        assert instantiate(sys, (_stack_of([draw()[4]]),), {n: v[4:5] for n, v in syms.items()}) \
+            [0].ineqs == members[4].ineqs
 
 
 def test_stacked_instantiation_refuses_stacks_of_other_lengths():
@@ -757,6 +762,59 @@ def test_stacked_instantiation_refuses_stacks_of_other_lengths():
     target = load_fixture("target")
     with pytest.raises(DimensionMismatch, match=r"stacks of \[2, 3\] members"):
         instantiate(target, (_stack_of(tables),), min_sym_values((_stack_of(tables[:2]),)))
+
+
+def test_instantiation_refuses_a_lone_table():
+    table = random_layered_joint(np.random.default_rng(2))
+    syms = min_sym_values((_stack_of([table]),))
+    with pytest.raises(DimensionMismatch, match="stacked tables, not a lone one"):
+        instantiate(load_fixture("target"), (table,), syms)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of the package function ``name`` through every module
+    that binds it."""
+    import sys   # the module, not the ``sys`` systems the tests above name
+
+    calls = []
+    original = getattr(info_core, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mname, module in list(sys.modules.items()):
+        if mname.startswith("wiretap_regions") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_replay_checks_its_stacked_draws_once(monkeypatch):
+    # 9 draws are validated as one stack (one validate_table) and the layered
+    # factorization is one stacked mutual information; the other four are
+    # the two Imin symbols
+    mi = _count_calls(monkeypatch, "mutual_information")
+    validated = _count_calls(monkeypatch, "validate_table")
+    assert verify_builtin_chain(seed=1).ok
+    assert (len(mi), len(validated)) == (5, 1)
+
+
+def test_replay_refuses_a_draw_that_breaks_the_layered_factorization(monkeypatch):
+    # the fifth draw makes Q depend on X given U: the stack check names it
+    draws, real = [], fm_script.random_layered_joint
+
+    def draw(*args, **kwargs):
+        t = real(*args, **kwargs)
+        draws.append(t)
+        if len(draws) != 5:
+            return t
+        tilt = np.array([[1.5, 0.5], [0.5, 1.5]])[:, None, None, None, :, None, None, None]
+        probs = t.probs * tilt
+        return ProbTable(t.vars, probs / probs.sum())
+
+    monkeypatch.setattr(fm_script, "random_layered_joint", draw)
+    with pytest.raises(InconsistentAux, match=r"instance 4: I\(Q; V1,V2,X \| U\)"):
+        verify_builtin_chain(seed=1)
 
 
 def test_region_eval_general_prints_the_lone_evaluation(tmp_path, capsys):

@@ -738,8 +738,9 @@ def _symbolic_projection_case(draw):
 @given(_symbolic_projection_case())
 def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case):
     s, var, values, directions = case
-    projected = instantiate(fm_eliminate(s, var), (), values)
-    numeric = instantiate(s, (), values)
+    stacked = {n: np.array([v]) for n, v in values.items()}
+    projected = instantiate(fm_eliminate(s, var), (), stacked)[0]
+    numeric = instantiate(s, (), stacked)[0]
     assert region_equal(projected, fm_eliminate(numeric, var))
     for w in directions:
         objective = dict(zip(projected.vars, w))

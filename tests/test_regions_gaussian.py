@@ -26,6 +26,7 @@ from wiretap_regions.regions_gaussian import (
     eval_gauss_inner,
     eval_gauss_outer,
     eval_general_gauss,
+    psd_leq,
     random_psd_under,
     specialize_gauss_corollary,
     sweep_covariances,
@@ -94,6 +95,17 @@ def test_fixed_S_sweep_decides_degradedness_once(monkeypatch):
     ch = scalar_channel()
     sweep_covariances(ch, budget=10, seed=3)
     assert sum(b is ch.SigmaZ for b in calls) == 1
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_psd_leq_slack_is_relative_to_the_larger_matrix(c):
+    # one side zero: the slack scales with the other side, whichever it is
+    zero = np.zeros((2, 2))
+    assert psd_leq(zero, c * np.diag([1.0, -1e-12]))
+    assert psd_leq(c * np.diag([-1.0, 1e-12]), zero)
+    assert not psd_leq(zero, c * np.diag([1.0, -1e-9]))
+    assert not psd_leq(c * np.diag([-1.0, 1e-9]), zero)
+    assert list(psd_leq(np.stack([zero, c * np.diag([-1.0, 1e-9])]), zero)) == [True, False]
 
 
 def test_stacked_split_gives_each_sample_its_lone_system():
