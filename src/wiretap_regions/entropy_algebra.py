@@ -23,7 +23,7 @@ from itertools import combinations
 from types import MappingProxyType
 
 from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
-from .info_core import entropy, smallest_holding
+from .info_core import entropies, smallest_holding
 
 
 def common_denominator(values) -> tuple[list[int], int]:
@@ -223,7 +223,8 @@ class InfoExpr:
 
 def evaluate_all(exprs, tables, sym_values=None) -> list:
     """The numeric values of ``exprs``, each entropy read once for all of
-    them from the smallest of the sequence ``tables`` holding its variables.
+    them from the smallest of the sequence ``tables`` holding its variables,
+    a table's entropies asked in one :func:`~.info_core.entropies` call.
 
     Each value is summed as the constant, then every atom term, then every
     symbol term, in the expression's order.  ``tables`` are
@@ -233,26 +234,36 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
     table and entry k of every symbol, bit for bit).
     Raises UnknownVariable for a symbol without a value in ``sym_values`` or
     an atom that no table holds."""
-    known, out = {}, []
-    for e in exprs:
-        try:
-            val, terms, syms = e._floats
-        except AttributeError:   # converted once, and only for expressions evaluated
-            val, terms, syms = floats = (
-                float(e.constant), [(a, float(c)) for a, c in e.terms.items()],
-                [(n, float(c)) for n, c in e.syms.items()])
-            object.__setattr__(e, "_floats", floats)
+    floats = [_floats(e) for e in exprs]
+    groups = {}   # id of a table -> (the table, the atoms read from it)
+    for a in dict.fromkeys(a for _, terms, _ in floats for a, _ in terms):
+        t = smallest_holding(tables, a.subset)
+        groups.setdefault(id(t), (t, []))[1].append(a)
+    known = {}
+    for t, atoms in groups.values():
+        known.update(zip(atoms, entropies(t, [a.subset for a in atoms])))
+    out = []
+    for val, terms, syms in floats:
         for a, c in terms:
-            h = known.get(a)
-            if h is None:
-                h = known[a] = entropy(smallest_holding(tables, a.subset), a.subset)
-            val = val + c * h
+            val = val + c * known[a]
         for n, c in syms:
             if not sym_values or n not in sym_values:
                 raise UnknownVariable(f"no numeric value supplied for symbol {n!r}")
             val = val + c * sym_values[n]
         out.append(val)
     return out
+
+
+def _floats(e: InfoExpr) -> tuple:
+    """``(constant, atom terms, symbol terms)`` of ``e`` as floats, converted
+    once, and only for expressions evaluated."""
+    try:
+        return e._floats
+    except AttributeError:
+        floats = (float(e.constant), [(a, float(c)) for a, c in e.terms.items()],
+                  [(n, float(c)) for n, c in e.syms.items()])
+        object.__setattr__(e, "_floats", floats)
+        return floats
 
 
 def ent(names) -> InfoExpr:

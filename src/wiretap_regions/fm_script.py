@@ -41,9 +41,9 @@ from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import (
     ProbTable,
     VarId,
-    make_stack,
     mutual_information,
     smallest_holding,
+    take_stack,
 )
 from .io_files import parse_dag_file, text_lines
 from .polytope_fm import (
@@ -431,7 +431,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         draws.append(random_layered_joint(rng, degraded=True, indep_v=True))
         draws.append(random_layered_joint(rng, degraded=True))
         draws.append(random_layered_joint(rng))
-    tables = (make_stack(draws[0].vars, np.stack([t.probs for t in draws])),)
+    tables = (take_stack(draws[0].vars, np.stack([t.probs for t in draws])),)
     _check_layered(tables[0])
     syms = min_sym_values(tables)
     # symbolic pass first: each step restarts from its recorded input, so no

@@ -4,19 +4,23 @@ All logarithms are natural (nats).  Zero-probability cells follow the
 convention ``0 * log 0 = 0``.  Tables are immutable after construction, and
 each memoises the joint entropies asked of it: every mutual information is a
 signed sum of those entropies, so a table computes each marginal entropy once
-whichever quantity asks for it.  A stacked table holds tables over the same
-variables along a leading member axis; :func:`entropy`,
-:func:`mutual_information` and :func:`validate_table` marginalise each
-variable set once for all its members, giving each member the value it gets
-alone, bit for bit.  All operations are pure functions, so values can be
-shared freely across threads.
+whichever quantity asks for it.  Marginals follow one canonical chain: the
+marginal over a set S is summed over one axis of its parent, S plus the
+first table variable not in S, the full table being the top, so its bits
+depend only on the table and S, never on which entropies were asked first.
+A stacked table holds tables over the same variables along a leading member
+axis; :func:`entropies`, :func:`mutual_information` and
+:func:`validate_table` marginalise each variable set once for all its
+members, giving each member the value it gets alone, bit for bit.  All
+operations are pure functions, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -79,9 +83,16 @@ class ProbTable:
     # read-only arrays of per-member joint entropies, by frozenset of names
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    # internal: take over ``probs``, a fresh float array that nothing else
+    # holds, made read-only instead of copied
+    _fresh: InitVar[bool] = False
+
+    def __post_init__(self, _fresh):
         check_vars(self.vars)
-        object.__setattr__(self, "probs", _readonly(self.probs))
+        if _fresh:
+            self.probs.setflags(write=False)
+        else:
+            object.__setattr__(self, "probs", _readonly(self.probs))
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
@@ -94,14 +105,28 @@ class ProbTable:
             raise UnknownVariable(f"variable {name!r} not in table {self.names}") from None
 
 
-def _marginal_array(t: ProbTable, names) -> np.ndarray:
-    """Marginal of ``t.probs`` over ``names`` in table order (not reordered),
-    one row per member of ``t``: shape ``(members, cells)``."""
-    keep = {t.axis(n) for n in names}
-    lead = int(t.stacked)
-    drop = tuple(lead + i for i in range(len(t.vars)) if i not in keep)
-    arr = t.probs.sum(axis=drop) if drop else t.probs
-    return arr.reshape(len(arr) if t.stacked else 1, -1)
+def _chain_marginal(t: ProbTable, key: frozenset, held: dict) -> np.ndarray:
+    """Marginal of ``t.probs`` over the names ``key``, in table order (not
+    reordered): the sum over one axis of its parent, ``key`` plus the first
+    table variable not in it.  ``held`` maps name sets to the marginals
+    summed so far and holds the full table."""
+    arr = held.get(key)
+    if arr is None:
+        i = next(i for i, n in enumerate(t.names) if n not in key)
+        arr = held[key] = _sum_axis(_chain_marginal(t, key | {t.names[i]}, held),
+                                    int(t.stacked) + i)
+    return arr
+
+
+def _sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
+    """``arr`` summed over ``axis``, each cell the sum of its entries in axis
+    order, one slice at a time: a member of a stack gets the bits it gets
+    alone, and no short axis is reduced in numpy's slow inner loop."""
+    parts = np.moveaxis(arr, axis, 0)
+    out = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
+    for p in parts[2:]:
+        out += p
+    return out
 
 
 def _row_entropies(m: np.ndarray) -> np.ndarray:
@@ -131,8 +156,17 @@ def make_table(vars, probs) -> ProbTable:
 
 def make_stack(vars, probs) -> ProbTable:
     """Build and validate a stacked :class:`ProbTable` whose member k holds
-    ``probs[k]``."""
+    a copy of ``probs[k]``."""
     t = ProbTable(tuple(vars), probs, stacked=True)
+    validate_table(t)
+    return t
+
+
+def take_stack(vars, probs: np.ndarray) -> ProbTable:
+    """:func:`make_stack` of a fresh float64 array that nothing else holds
+    (an ``np.stack`` or ``einsum`` result): the table takes it over,
+    read-only, with no copy."""
+    t = ProbTable(tuple(vars), probs, stacked=True, _fresh=True)
     validate_table(t)
     return t
 
@@ -162,17 +196,32 @@ def validate_table(t: ProbTable) -> None:
                               f"{NORMALIZATION_TOL}")
 
 
+def entropies(t: ProbTable, sets) -> list:
+    """Joint entropies H(S) in nats of each set of names S in ``sets``, each
+    computed once per table and set from its marginal on the canonical chain
+    (the marginals are held for this call only): floats on a lone table, and
+    on a stacked one read-only arrays with each member's value, equal to the
+    value that member gets alone, bit for bit."""
+    keys = [frozenset(s) for s in sets]
+    held = None
+    for key in keys:
+        if key not in t._entropies:
+            for n in key.difference(t.names):
+                t.axis(n)   # raises UnknownVariable
+            if held is None:
+                held = {frozenset(t.names): t.probs}
+            m = _chain_marginal(t, key, held)
+            h = t._entropies[key] = _row_entropies(m.reshape(len(m) if t.stacked else 1, -1))
+            h.setflags(write=False)
+    if t.stacked:
+        return [t._entropies[key] for key in keys]
+    return [float(t._entropies[key][0]) for key in keys]
+
+
 def entropy(t: ProbTable, names=None):
     """Joint entropy H(names) in nats (all variables when ``names`` is None),
-    computed once per table and set of names: a float on a lone table, and
-    on a stacked one a read-only array with each member's value, equal to
-    the value that member gets alone, bit for bit."""
-    key = frozenset(t.names if names is None else names)
-    h = t._entropies.get(key)
-    if h is None:
-        h = t._entropies[key] = _row_entropies(_marginal_array(t, key))
-        h.setflags(write=False)
-    return h if t.stacked else float(h[0])
+    as :func:`entropies` gives it."""
+    return entropies(t, [t.names if names is None else names])[0]
 
 
 def smallest_holding(tables, names):
@@ -191,9 +240,10 @@ def smallest_holding(tables, names):
 
 def mutual_information(t, a, b, c=()):
     """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
-    in nats, each joint entropy read from the table's memoised :func:`entropy`
-    (H(C) is dropped when C is empty); on a stacked table, an array with
-    one value per member, each equal to that member's value alone.
+    in nats, its joint entropies read in one call of the table's memoised
+    :func:`entropies` (H(C) is dropped when C is empty); on a stacked table,
+    an array with one value per member, each equal to that member's value
+    alone.
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
     pairwise disjoint.  A result in ``[-1e-12, 0)`` is clamped to zero; one
@@ -204,9 +254,10 @@ def mutual_information(t, a, b, c=()):
         raise OverlappingSets(f"sets {sorted(a)}, {sorted(b)}, {sorted(c)} overlap")
     for n in a | b | c:
         t.axis(n)
-    val = entropy(t, a | c) + entropy(t, b | c) - entropy(t, a | b | c)
+    hac, hbc, habc, *hc = entropies(t, [a | c, b | c, a | b | c] + ([c] if c else []))
+    val = hac + hbc - habc
     if c:
-        val -= entropy(t, c)
+        val -= hc[0]
     # beyond accumulated-rounding territory for well-formed tables
     raise_for_first(np.asarray(val < MI_CLAMP), NegativeMass,
                     lambda k: f"mutual information {np.asarray(val)[k]} below clamp {MI_CLAMP}")

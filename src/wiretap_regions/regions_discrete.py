@@ -30,9 +30,9 @@ from .info_core import (
     ProbTable,
     VarId,
     check_vars,
-    make_stack,
     make_table,
     mutual_information,
+    take_stack,
 )
 from .polytope_fm import IneqSystem, LinIneq, block_diagonal_csr, instantiate, solve_lp, vertices
 
@@ -99,9 +99,9 @@ def _one_or_all(aux: AuxJoint, regions):
 
 def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
     """Joint tables over (aux vars..., out), one stacked table per output
-    from one product, the outputs named Y1, Y2, Z by position, without
-    materializing the full kernel."""
-    return tuple(make_stack(t.vars + (VarId(name, out.cardinality),),
+    taking over its own product, the outputs named Y1, Y2, Z by position,
+    without materializing the full kernel."""
+    return tuple(take_stack(t.vars + (VarId(name, out.cardinality),),
                             np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
                  for name, out in zip(OUTPUTS, ch.outputs))
 
@@ -479,6 +479,6 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
     samples = []
     for lo in range(0, budget, per_block):
         probs = np.stack([draw(i) for i in range(lo, min(lo + per_block, budget))])
-        regions = evaluate(AuxJoint(make_stack(aux_vars, probs)), ch)
+        regions = evaluate(AuxJoint(take_stack(aux_vars, probs)), ch)
         samples += zip(map(_aux_hash, probs), regions)
     return sweep_systems(samples)

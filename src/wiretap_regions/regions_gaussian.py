@@ -224,10 +224,11 @@ class HGaussChannel:
     @functools.cached_property
     def degraded(self) -> bool:
         """Whether the quotients reproduce the smaller gains (H2 = D21 H1,
-        HZ = DZ2 H2) and are contractions."""
+        HZ = DZ2 H2, each up to 1e-9 of the gain's norm, so the verdict does
+        not depend on the channel's scale) and are contractions."""
         d21, dz2 = self.quotients
-        return bool(np.linalg.norm(self.H2 - d21 @ self.H1) <= 1e-9
-                    and np.linalg.norm(self.HZ - dz2 @ self.H2) <= 1e-9
+        return bool(np.linalg.norm(self.H2 - d21 @ self.H1) <= 1e-9 * np.linalg.norm(self.H2)
+                    and np.linalg.norm(self.HZ - dz2 @ self.H2) <= 1e-9 * np.linalg.norm(self.HZ)
                     and all(np.linalg.eigvalsh(d @ d.T).max() <= 1.0 + ORDER_TOL
                             for d in (d21, dz2)))
 

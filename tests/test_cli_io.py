@@ -618,6 +618,36 @@ def test_cli_noise_order_verdict_does_not_depend_on_the_channel_scale(tmp_path, 
     assert "violated invariant" in outs[0].out + outs[0].err
 
 
+def _scaled_gains(tmp_path, c, H1, H2, HZ):
+    """The gauss_h channel file of ``c`` times each gain matrix."""
+    path = tmp_path / f"h{c:g}.txt"
+    emit_channel_file(HGaussChannel(H1=c * np.asarray(H1), H2=c * np.asarray(H2),
+                                    HZ=c * np.asarray(HZ)), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6])
+def test_cli_gain_quotient_verdict_does_not_depend_on_the_channel_scale(tmp_path, c, capsys):
+    # H2 = c I cannot be reproduced from the rank-one H1 = c [1 0] at any
+    # scale c; the reproduction residual was compared with an absolute 1e-9,
+    # so at c = 1e-12 the channel passed as degraded
+    path = _scaled_gains(tmp_path, c, [[1.0, 0.0]], np.eye(2), [[0.5, 0.5]])
+    assert main(["gauss", "degraded-check", "--channel", path]) == 1
+    out = capsys.readouterr().out
+    assert "gain-quotient degradedness holds: False" in out and "violated invariant: " in out
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e8])
+def test_cli_degraded_gain_channel_stays_degraded_at_every_scale(tmp_path, c, capsys):
+    # H2 = D21 H1 and HZ = DZ2 H2 for contractions D21 and DZ2: at c = 1e8 the
+    # rounding of the reproduction (about 1e-7) exceeded the absolute 1e-9
+    h1 = np.array([[2.0, 0.3], [0.1, 1.5]])
+    h2 = np.array([[0.6, 0.1], [0.2, 0.5]]) @ h1
+    path = _scaled_gains(tmp_path, c, h1, h2, np.array([[0.5, 0.4]]) @ h2)
+    assert main(["gauss", "degraded-check", "--channel", path]) == 0
+    assert "gain-quotient degradedness holds: True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("c", [1e6, 1e12])
 def test_cli_sweep_at_the_input_cap_does_not_depend_on_the_channel_scale(tmp_path, c, capsys):
     # covariances drawn at the cap S met the absolute cap test only up to

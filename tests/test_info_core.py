@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from wiretap_regions.info_core import (
     build_degraded_joint,
     channel_joint,
     check_markov,
+    entropies,
     entropy,
     make_stack,
     make_table,
     mutual_information,
+    take_stack,
     validate_table,
 )
 from wiretap_regions.regions_gaussian import CovSplit, GaussChannel, HGaussChannel
@@ -266,6 +269,16 @@ def test_difference_identity_with_side_message():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+def _chain_entropy(probs, names, subset):
+    """Reference H on the canonical marginal chain: the variables not in
+    ``subset`` summed out one axis at a time, the last one first."""
+    arr = probs
+    for i in reversed([i for i, n in enumerate(names) if n not in set(subset)]):
+        arr = arr.sum(axis=i)
+    p = arr[arr > 0.0]
+    return float(-(p * np.log(p)).sum())
+
+
 def test_entropy_computes_each_marginal_once(monkeypatch):
     from wiretap_regions import info_core
 
@@ -273,23 +286,23 @@ def test_entropy_computes_each_marginal_once(monkeypatch):
     table = make_table((VarId("A", 2), VarId("B", 3), VarId("C", 4)),
                        rng.dirichlet(np.ones(24)).reshape(2, 3, 4))
     subsets = [None, ["A"], ["B", "A"], ["A", "B"], {"C", "A"}, ["C"], ("A", "B", "C"), []]
+    expected = [_chain_entropy(table.probs, table.names, table.names if s is None else s)
+                for s in subsets]
+    real, summed = info_core._chain_marginal, []
 
-    def uncached(names):
-        arr = table.probs if names is None else info_core._marginal_array(table, names)
-        q = arr[arr > 0.0]
-        return float(-(q * np.log(q)).sum())
+    def chain_marginal(t, key, held):
+        if key not in held:
+            summed.append(key)
+        return real(t, key, held)
 
-    expected = [uncached(s) for s in subsets]
-    real, marginals = info_core._marginal_array, []
-
-    def marginal_array(t, names):
-        marginals.append(frozenset(names))
-        return real(t, names)
-
-    monkeypatch.setattr(info_core, "_marginal_array", marginal_array)
+    monkeypatch.setattr(info_core, "_chain_marginal", chain_marginal)
+    assert entropies(table, [table.names if s is None else s for s in subsets]) == expected
+    # one batch sums each proper subset once, each from its parent on the
+    # chain: {A} from {A, B}, {C} from {A, C} and the empty set from {A}
+    assert sorted(map(sorted, summed)) == [[], ["A"], ["A", "B"], ["A", "C"], ["C"]]
     for _ in range(3):
         assert [entropy(table, s) for s in subsets] == expected
-    assert len(marginals) == len(set(marginals)) == len({frozenset(s) for s in subsets[1:]})
+    assert len(summed) == 5
 
 
 def _direct_mi(t, a, b, c=()):
@@ -360,10 +373,11 @@ def _lone_entropy(probs, axes):
 
 
 @st.composite
-def _stack_case(draw):
-    """1-6 arrays over 1-4 variables (cardinalities 1-4), with about a third
-    of their cells zero in half the cases."""
-    cards = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+def _stack_case(draw, max_vars=4, max_card=4):
+    """1-6 arrays over 1-``max_vars`` variables (cardinalities
+    1-``max_card``), with about a third of their cells zero in half the
+    cases."""
+    cards = tuple(draw(st.lists(st.integers(1, max_card), min_size=1, max_size=max_vars)))
     n = draw(st.integers(1, 6))
     zeros = draw(st.booleans())
     cell = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)) if zeros \
@@ -391,7 +405,8 @@ def test_stacked_entropy_and_mi_equal_each_lone_table(case):
             subset = [names[i] for i in axes]
             got = entropy(stack, subset)
             assert got.tolist() == [entropy(t, subset) for t in lone]
-            assert got.tolist() == [_lone_entropy(a, axes) for a in arrays]
+            # the reference sums the marginal straight from the array
+            assert np.abs(got - [_lone_entropy(a, axes) for a in arrays]).max() <= 1e-13
             # the stacked table keeps one read-only array of member values
             memo = stack._entropies[frozenset(subset)]
             assert memo is got and not memo.flags.writeable
@@ -400,6 +415,56 @@ def test_stacked_entropy_and_mi_equal_each_lone_table(case):
     if a and b:
         got = mutual_information(stack, a, b, c)
         assert got.tolist() == [mutual_information(t, a, b, c) for t in lone]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_stack_case(max_vars=5, max_card=3), st.data())
+def test_chained_entropies_do_not_depend_on_the_order_asked(case, data):
+    # each marginal is summed along the chain whatever was asked before it:
+    # within 1e-13 of the direct sum, and the same bits in any order and
+    # batching, alone or stacked
+    cards, arrays, _ = case
+    vars_ = tuple(VarId(f"T{i}", k) for i, k in enumerate(cards))
+    names = [v.name for v in vars_]
+    axes = [a for r in range(len(names) + 1) for a in itertools.combinations(range(len(names)), r)]
+    sets = [[names[i] for i in a] for a in axes]
+    got = entropies(make_stack(vars_, np.stack(arrays)), sets)
+    for a, h in zip(axes, got):
+        assert np.abs(h - [_lone_entropy(p, a) for p in arrays]).max() <= 1e-13
+    order = data.draw(st.permutations(range(len(sets))))
+    again = make_stack(vars_, np.stack(arrays))
+    shuffled = entropies(again, [sets[i] for i in order])
+    for i, h in zip(order, shuffled):
+        assert h.tolist() == got[i].tolist()
+    one_at_a_time = make_stack(vars_, np.stack(arrays))
+    for i in reversed(order):
+        assert entropy(one_at_a_time, sets[i]).tolist() == got[i].tolist()
+    lone = make_table(vars_, arrays[0])
+    assert [entropy(lone, sets[i]) for i in order] == [got[i][0] for i in order]
+
+
+def _peak_bytes(build):
+    """``build()`` and the peak of the memory it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_table_takes_over_a_fresh_array_and_copies_a_held_one():
+    # 2^20 cells, 8 MB: the size of the widest table of one sweep block
+    vars_ = (VarId("A", 2), VarId("B", 1 << 19))
+    fresh = np.full((1, 2, 1 << 19), 2.0 ** -20)
+    t, peak = _peak_bytes(lambda: take_stack(vars_, fresh))
+    assert peak < 1 << 20 and t.probs is fresh and not fresh.flags.writeable
+    held = np.full((1, 2, 1 << 19), 2.0 ** -20)
+    t, peak = _peak_bytes(lambda: make_stack(vars_, held))
+    assert peak >= held.nbytes and not np.shares_memory(t.probs, held)
+    held[0, 0, 0] = 0.5
+    assert t.probs[0, 0, 0] == 2.0 ** -20 and not t.probs.flags.writeable
+    assert held.flags.writeable
 
 
 def test_mi_below_the_clamp_names_its_table():
