@@ -222,9 +222,10 @@ class InfoExpr:
 
 
 def evaluate_all(exprs, tables, sym_values=None) -> list:
-    """The numeric values of ``exprs``, each entropy read once for all of
-    them from the smallest of the sequence ``tables`` holding its variables,
-    a table's entropies asked in one :func:`~.info_core.entropies` call.
+    """The numeric values of the sequence ``exprs``, each entropy read once
+    for all of them from the smallest of the sequence ``tables`` holding its
+    variables, a table's entropies asked in one
+    :func:`~.info_core.entropies` call (:func:`atoms_by_table`).
 
     Each value is summed as the constant, then every atom term, then every
     symbol term, in the expression's order.  ``tables`` are
@@ -235,12 +236,8 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
     Raises UnknownVariable for a symbol without a value in ``sym_values`` or
     an atom that no table holds."""
     floats = [_floats(e) for e in exprs]
-    groups = {}   # id of a table -> (the table, the atoms read from it)
-    for a in dict.fromkeys(a for _, terms, _ in floats for a, _ in terms):
-        t = smallest_holding(tables, a.subset)
-        groups.setdefault(id(t), (t, []))[1].append(a)
     known = {}
-    for t, atoms in groups.values():
+    for t, atoms in atoms_by_table(exprs, tables).values():
         known.update(zip(atoms, entropies(t, [a.subset for a in atoms])))
     out = []
     for val, terms, syms in floats:
@@ -252,6 +249,18 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
             val = val + c * sym_values[n]
         out.append(val)
     return out
+
+
+def atoms_by_table(exprs, tables) -> dict:
+    """The atoms of the sequence ``exprs``, each with the smallest of
+    ``tables`` holding its variables, as :func:`evaluate_all` reads them: id
+    of a table -> (the table, its atoms in first-use order).  Raises
+    UnknownVariable for an atom that no table holds."""
+    groups = {}
+    for a in dict.fromkeys(a for e in exprs for a in e.nums):
+        t = smallest_holding(tables, a.subset)
+        groups.setdefault(id(t), (t, []))[1].append(a)
+    return groups
 
 
 def _floats(e: InfoExpr) -> tuple:

@@ -31,6 +31,7 @@ from .entropy_algebra import (
     EqualitySet,
     FactorStructure,
     InfoExpr,
+    atoms_by_table,
     derive_equalities,
     ent,
     expand_mi,
@@ -41,6 +42,8 @@ from .errors import ParseError, ScriptStepMismatch, ValidationError
 from .info_core import (
     ProbTable,
     VarId,
+    entropies,
+    mi_sets,
     mutual_information,
     smallest_holding,
     take_stack,
@@ -291,17 +294,24 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
     return ProbTable(tuple(VarId(n, c) for n in LAYERED_VARS + OUTPUTS), joint)
 
 
-def min_sym_values(tables) -> dict:
+def min_sym_values(tables, exprs=()) -> dict:
     """The two ``Imin`` symbols on the sequence of stacked ``tables``, each
     an array with one value per member, each mutual information read from
     the smallest table that holds it, as :func:`~.polytope_fm.instantiate`
-    reads them."""
-    def mi_min(cond=()):
-        a, b = (mutual_information(smallest_holding(tables, {"U", y, *cond}), {"U"}, {y}, cond)
-                for y in OUTPUTS[:2])
-        return np.where(b < a, b, a)
-
-    return {MIN_UY: mi_min(), MIN_UYQ: mi_min({"Q"})}
+    reads them.  The entropies the symbols read and those of the atoms of
+    ``exprs`` (right-hand sides about to be evaluated on the same
+    ``tables``) are asked of each table in one :func:`~.info_core.entropies`
+    batch, so a marginal both need is summed once."""
+    mis = [(smallest_holding(tables, {"U", y, *cond}), {y}, set(cond))
+           for cond in ((), {"Q"}) for y in OUTPUTS[:2]]
+    batch = {key: (t, [a.subset for a in atoms])
+             for key, (t, atoms) in atoms_by_table(exprs, tables).items()}
+    for t, y, cond in mis:
+        batch.setdefault(id(t), (t, []))[1].extend(mi_sets({"U"}, y, cond))
+    for t, sets in batch.values():
+        entropies(t, sets)
+    a, b, aq, bq = (mutual_information(t, {"U"}, y, cond) for t, y, cond in mis)
+    return {MIN_UY: np.where(b < a, b, a), MIN_UYQ: np.where(bq < aq, bq, aq)}
 
 
 def _trivially_empty(sys: IneqSystem) -> bool:

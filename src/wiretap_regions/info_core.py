@@ -238,6 +238,13 @@ def smallest_holding(tables, names):
     return best
 
 
+def mi_sets(a, b, c=()) -> list:
+    """The name sets whose joint entropies :func:`mutual_information` reads
+    for I(A;B|C): AC, BC, ABC and, when C is not empty, C."""
+    a, b, c = set(a), set(b), set(c)
+    return [a | c, b | c, a | b | c] + ([c] if c else [])
+
+
 def mutual_information(t, a, b, c=()):
     """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     in nats, its joint entropies read in one call of the table's memoised
@@ -254,7 +261,7 @@ def mutual_information(t, a, b, c=()):
         raise OverlappingSets(f"sets {sorted(a)}, {sorted(b)}, {sorted(c)} overlap")
     for n in a | b | c:
         t.axis(n)
-    hac, hbc, habc, *hc = entropies(t, [a | c, b | c, a | b | c] + ([c] if c else []))
+    hac, hbc, habc, *hc = entropies(t, mi_sets(a, b, c))
     val = hac + hbc - habc
     if c:
         val -= hc[0]

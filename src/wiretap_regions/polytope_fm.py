@@ -443,13 +443,15 @@ def vertices(systems) -> VPolytope:
     nonempty, and raises :class:`UnboundedRegion` otherwise.  Requires
     dimension at most 6.
 
-    The members share their bases, so the determinants and the mask of
-    nonsingular bases are computed once.  Every (member, basis) pair is one
-    instance of a broadcast solve, which gives each member the bits its lone
-    call gets (the multi-right-hand-side form ``solve(M, R)`` does not), in
-    blocks of at most ``_BLOCK_SOLVES`` pairs, so memory does not grow with
-    the stack.  Returns one :class:`VPolytope` holding each member's vertices
-    in member order, with per-member ``counts``.
+    The members share their bases, so the determinants, the mask of
+    nonsingular bases and one inverse per nonsingular basis are computed once
+    a call.  Each (member, basis) vertex is that inverse applied to the
+    member's right-hand side by elementwise multiply-adds over the basis rows
+    in a fixed order, with no BLAS call whose summation order could depend on
+    the stack, so a member gets the bits its lone call gets.  The pairs are
+    taken in blocks of at most ``_BLOCK_SOLVES``, so memory does not grow
+    with the stack.  Returns one :class:`VPolytope` holding each member's
+    vertices in member order, with per-member ``counts``.
     """
     members = [systems] if isinstance(systems, IneqSystem) else list(systems)
     names = members[0].vars
@@ -467,12 +469,15 @@ def vertices(systems) -> VPolytope:
     dets = np.linalg.det(mats)
     scale = np.abs(mats).max(axis=(1, 2)) + 1.0
     ok = np.abs(dets) > 1e-12 * scale**d
-    mats, combos = mats[ok], combos[ok]    # (k, d, d), (k, d)
+    inv, combos = np.linalg.inv(mats[ok]), combos[ok]    # (k, d, d), (k, d)
     per_block = max(1, _BLOCK_SOLVES // max(len(combos), 1))
     pts, counts = [], []
     for lo in range(0, len(b), per_block):
         blk = b[lo:lo + per_block]
-        sols = np.linalg.solve(mats[None], blk[:, combos][..., None])[..., 0]   # (N, k, d)
+        rhs = blk[:, combos]                                  # (N, k, d)
+        sols = inv[:, :, 0] * rhs[..., :1]                    # (N, k, d)
+        for j in range(1, d):
+            sols += inv[:, :, j] * rhs[..., j:j + 1]
         feas = (sols @ A.T <= blk[:, None, :] + VERTEX_TOL).all(axis=2)
         p, c = _unique_points(sols[feas], np.nonzero(feas)[0], len(blk), VERTEX_TOL)
         pts.append(p)
@@ -487,7 +492,7 @@ def vertices(systems) -> VPolytope:
     return VPolytope(names, np.concatenate(pts), counts)
 
 
-# (member, basis) solves per block of a stacked vertices() call: about 2 MB of
+# (member, basis) pairs per block of a stacked vertices() call: about 2 MB of
 # feasibility products at the 14 rows of the ten-bound region
 _BLOCK_SOLVES = 1 << 14
 

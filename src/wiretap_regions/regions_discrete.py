@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .entropy_algebra import InfoExpr
 from .errors import (
     BudgetZero,
     InconsistentAux,
@@ -194,8 +195,9 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec):
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
     tables = (t, *_output_joints(t, ch))
-    regions = instantiate(fm_script.load_fixture("target"), tables,
-                          fm_script.min_sym_values(tables))
+    target = fm_script.load_fixture("target")
+    regions = instantiate(target, tables, fm_script.min_sym_values(
+        tables, [q.rhs for q in target.ineqs if isinstance(q.rhs, InfoExpr)]))
     # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
     # reads about +-1e-16; the clamped mutual informations it stands for give 0
     return _one_or_all(aux, [r.with_ineqs([q.with_rhs(0.0) if abs(q.rhs) <= ZERO_BOUND_TOL

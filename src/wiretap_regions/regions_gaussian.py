@@ -86,14 +86,13 @@ def _sym(m) -> np.ndarray:
 
 def check_psd(m, name: str = "matrix") -> np.ndarray:
     """Validate positive semidefiniteness, clipping tiny negative eigenvalues
-    to zero.  The floor is ``-1e-10 * max(trace/d, 1.0)``: relative to the
-    mean eigenvalue at scale 1 and above, absolute (-1e-10) below it, so a
-    small-scale indefinite matrix can pass and be clipped (CHANGES.md, the
-    FOUND line on ``check_psd``)."""
+    to zero.  The floor is ``-1e-10 * max|eigenvalue|``, relative to the
+    matrix, so scaling a matrix does not change its verdict and a small
+    indefinite matrix is refused rather than clipped."""
     a = _sym(m)
     w, v = np.linalg.eigh(a)
     low = w.min(axis=-1)
-    floor = -1e-10 * np.maximum(a.trace(axis1=-2, axis2=-1) / a.shape[-1], 1.0)
+    floor = -1e-10 * np.abs(w).max(axis=-1)
     raise_for_first(low < floor, NotPSD, lambda k: f"{name} has eigenvalue {low[k]:.3e} "
                                                    f"below tolerance {floor[k]:.1e}")
     w = np.clip(w, 0.0, None)

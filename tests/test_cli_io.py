@@ -462,6 +462,27 @@ def test_cli_bad_numeric_option_is_an_input_error(tmp_path, argv, capsys):
     assert capsys.readouterr().err.startswith("input error: ")
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_cli_gauss_eval_takes_a_split_whose_K0_is_zero(tmp_path, dim):
+    # a zero K0 has only zero eigenvalues, which its PSD floor, relative to
+    # the matrix and so 0 here, accepts: the command prints the library's region
+    eye = np.eye(dim)
+    ch = GaussChannel(S=eye, Sigma1=0.5 * eye, Sigma2=eye, SigmaZ=2 * eye)
+    split = CovSplit(K0=np.zeros((dim, dim)), K1=0.3 * eye, K2=0.1 * eye)
+
+    def block(name, m):
+        return f"{name}:\n" + "".join(" ".join(map(repr, row)) + "\n" for row in m.tolist())
+
+    g = write(tmp_path, "g.txt", "kind: gauss\n" + "".join(
+        block(n, getattr(ch, n)) for n in ("S", "Sigma1", "Sigma2", "SigmaZ")))
+    s = write(tmp_path, "s.txt", "kind: split\n" + "".join(
+        block(n, getattr(split, n)) for n in ("K0", "K1", "K2")))
+    out = tmp_path / "out.csv"
+    assert main(["gauss", "eval", "--channel", g, "--split", s, "--bound", "general",
+                 "--out", str(out)]) == 0
+    assert out.read_text() == region_csv_text(eval_general_gauss(split, ch))
+
+
 @pytest.mark.parametrize("split, bound", [
     ("kind: split\nK0:\n0.1\nK1:\n0.2\nK2:\n0.3\n", "inner"),
     ("kind: split\nK:\n0.5\n", "general"),

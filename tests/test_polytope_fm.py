@@ -226,6 +226,57 @@ def test_vertices_against_exact_oracle():
     assert got == oracle_rounded
 
 
+def _assert_vertices_are_the_oracle(sys):
+    """``vertices(sys)`` holds one point within 1e-9 of each exact vertex,
+    and nothing else."""
+    rows = [({sys.vars.index(v): c for v, c in q.coeffs}, q.rhs) for q in sys.ineqs]
+    exact = np.array(exact_vertex_oracle(rows, len(sys.vars))).reshape(-1, len(sys.vars))
+    got = vertices(sys).vertices
+    assert len(got) == len(exact)
+    if len(got):
+        gap = np.abs(got[:, None, :] - exact[None, :, :]).max(axis=2)
+        assert gap.min(axis=0).max() <= 1e-9 and gap.min(axis=1).max() <= 1e-9
+
+
+# multiples of 1/4 tie often (degenerate vertices), multiples of 2^-10 seldom;
+# both are exact in floats, so the oracle sees the data vertices() sees
+_RATE_CONST = st.one_of(st.integers(0, 8).map(lambda k: k / 4),
+                        st.integers(0, 4096).map(lambda k: k / 1024))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(_RATE_CONST, min_size=5, max_size=5), st.booleans())
+def test_five_bound_vertices_match_the_exact_oracle(consts, outer):
+    from wiretap_regions.regions_discrete import five_bound_system, outer_of
+
+    sys = five_bound_system(*consts)
+    _assert_vertices_are_the_oracle(outer_of(sys) if outer else sys)
+
+
+@st.composite
+def _degenerate_dyadic_system(draw):
+    """A bounded mixed-sign system of dimension 1-4 with dyadic data, most of
+    whose rows pass through one dyadic point, so several bases often meet
+    at one vertex."""
+    d = draw(st.sampled_from([1, 2, 3, 4, 4]))
+    names = tuple(f"v{i}" for i in range(d))
+    point = draw(st.lists(st.integers(0, 4).map(lambda k: k / 2), min_size=d, max_size=d))
+    rows = []
+    for a, slack in draw(st.lists(st.tuples(st.lists(_DYADIC, min_size=d, max_size=d),
+                                            st.sampled_from([0.0, 0.0, 0.5, -0.25])),
+                                  max_size=5)):
+        rows.append((dict(zip(names, a)), float(np.dot(a, point)) + slack))
+    # the row through the point that bounds the orthant part
+    rows.append(({v: 1 for v in names}, sum(point) + draw(st.sampled_from([0.0, 1.0]))))
+    return num_sys(names, rows)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_degenerate_dyadic_system())
+def test_mixed_sign_vertices_match_the_exact_oracle(sys):
+    _assert_vertices_are_the_oracle(sys)
+
+
 def test_vertices_unbounded_raises():
     s = num_sys(("x", "y"), [({"x": 1}, 1)])
     with pytest.raises(UnboundedRegion):

@@ -507,6 +507,27 @@ def test_stacked_sweep_equals_the_one_at_a_time_loop(channel, mode):
         assert big[:len(small)] == small
 
 
+def test_a_general_sweep_sums_each_output_joint_over_an_axis_once(monkeypatch):
+    # the Imin symbols and the target read each output joint's entropies in
+    # one batch, so no full joint is summed over one of its axes twice in an
+    # op (one batch per mutual information summed the Y1 and Y2 joints over X
+    # 7 times an op)
+    real, summed = info_core._sum_axis, []
+
+    def sum_axis(arr, axis):
+        summed.append((id(arr), arr.size, axis))
+        return real(arr, axis)
+
+    monkeypatch.setattr(info_core, "_sum_axis", sum_axis)
+    for seed in (1, 6):
+        summed.clear()
+        sweep_inner_region(_discrete3_channel(1), 50, seed=seed, mode="general")
+        largest = max(size for _, size, _ in summed)
+        full = [(i, axis) for i, size, axis in summed if size == largest]
+        assert len(full) == len(set(full))
+        assert len({i for i, _ in full}) == 3      # the Y1, Y2 and Z joints
+
+
 def test_flat_cloud_is_hulled_in_its_span():
     # Rs1 = Rs2 = 0 throughout: the cloud is the triangle Rp1 + Rp2 <= log 2
     res = sweep_inner_region(identity_channel(), 40, seed=6)

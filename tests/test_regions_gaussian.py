@@ -20,6 +20,7 @@ from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
     HGaussChannel,
+    check_psd,
     construct_joint_noise,
     dpc_identity_check,
     dpc_matrix,
@@ -106,6 +107,26 @@ def test_psd_leq_slack_is_relative_to_the_larger_matrix(c):
     assert not psd_leq(zero, c * np.diag([1.0, -1e-9]))
     assert not psd_leq(c * np.diag([-1.0, 1e-9]), zero)
     assert list(psd_leq(np.stack([zero, c * np.diag([-1.0, 1e-9])]), zero)) == [True, False]
+
+
+def test_check_psd_refuses_a_small_indefinite_matrix():
+    # its eigenvalue -5e-11 is 50 times its largest: a floor of -1e-10 fixed
+    # below scale 1 would clip it to diag(1e-12, 0)
+    with pytest.raises(NotPSD, match="eigenvalue -5.000e-11 below tolerance -5.0e-21"):
+        check_psd(np.diag([1e-12, -5e-11]))
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_check_psd_verdict_and_clipping_follow_the_matrix_scale(c):
+    # a rounding-size negative eigenvalue is clipped, to the same matrix up to
+    # scale; one of 1e-9 relative to the largest is refused at every scale
+    q = np.linalg.qr(np.random.default_rng(2).normal(size=(3, 3)))[0]
+    psd = q @ np.diag([2.0, 0.5, -1e-13]) @ q.T
+    clipped = check_psd(psd)
+    assert np.linalg.eigvalsh(clipped).min() > -1e-15
+    np.testing.assert_allclose(check_psd(c * psd) / c, clipped, rtol=0, atol=1e-14)
+    with pytest.raises(NotPSD):
+        check_psd(c * np.diag([1.0, -1e-9]))
 
 
 def test_stacked_split_gives_each_sample_its_lone_system():
