@@ -28,6 +28,7 @@ from .errors import (
     NoRoot,
     QuadratureNonConvergent,
     SingularConditionalCovariance,
+    SingularMatrix,
     StepTooLarge,
     ValidationError,
     at_instance,
@@ -220,7 +221,7 @@ def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     m = pair.cov_x_given_u() + np.atleast_2d(np.asarray(sigma_n, dtype=float))
     w = np.linalg.eigvalsh(m)
     low = w.min(axis=-1)
-    raise_for_first(low <= 1e-14 * np.maximum(1.0, w.max(axis=-1)),
+    raise_for_first(low <= 1e-14 * w.max(axis=-1),
                     SingularConditionalCovariance,
                     lambda k: f"Cov(X|U) + Sigma_N has near-zero eigenvalue {low[k]:.3e}")
     return np.linalg.inv(m)
@@ -272,7 +273,8 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
     Central differences of h along every symmetric direction are compared with
     ``tr(J D)/2``.  If the residual at the requested step is above 1e-4 but
     halving the step shrinks it, the residual is truncation-dominated and
-    StepTooLarge is raised instead of returning a misleading number.
+    StepTooLarge is raised instead of returning a misleading number; so it is
+    when the step takes a moved matrix out of the positive-definite cone.
     """
     if not 0 < step < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {step}")
@@ -286,8 +288,12 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
             worst = np.zeros(J.shape[:-2])
             for D in _sym_basis(d):
                 move = (t * scale)[..., None, None] * D
-                fd = ((_gauss_cond_entropy(cxu, sn + move) - _gauss_cond_entropy(cxu, sn - move))
-                      / (2.0 * t * scale))
+                try:
+                    hp, hm = (_gauss_cond_entropy(cxu, sn + s * move) for s in (1, -1))
+                except SingularMatrix as e:
+                    raise at_instance(StepTooLarge, e.instance, f"step {t:g} moves Cov(X|U) + "
+                                      "Sigma_N out of the positive-definite cone") from None
+                fd = (hp - hm) / (2.0 * t * scale)
                 gap = np.abs(fd - 0.5 * np.trace(J @ D, axis1=-2, axis2=-1))
                 worst = np.where(gap > worst, gap, worst)   # the builtin max, per instance
             return worst
@@ -296,6 +302,9 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
 
         def residual(t: float) -> float:
             t_abs = t * max(1.0, var)
+            if t_abs >= var:
+                raise StepTooLarge(f"step {t:g} moves the noise variance {var:g} out of the "
+                                   "positive-definite cone")
             J = mixture_cond_fisher(obj, var)
             hp = mixture_cond_entropy(obj, var + t_abs)
             hm = mixture_cond_entropy(obj, var - t_abs)

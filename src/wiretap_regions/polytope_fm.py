@@ -434,8 +434,9 @@ def vertices(systems) -> VPolytope:
     differ raise :class:`RowsDiffer`).
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
-    are solved and filtered by feasibility at ``VERTEX_TOL``; vertices are
-    deduplicated at ``VERTEX_TOL``.  The region lies in the orthant, so it
+    are solved and filtered by feasibility at ``VERTEX_TOL``; a vertex is
+    fixed by its rows active within ``VERTEX_TOL``, and the bases of one
+    degenerate vertex give it once.  The region lies in the orthant, so it
     holds no line, and when nonempty it has a vertex: no surviving basis means
     an empty region, with no LP solved.  A nonempty region must be bounded,
     and its recession cone ``{r >= 0, A r <= 0}`` depends on the shared rows
@@ -471,29 +472,29 @@ def vertices(systems) -> VPolytope:
     ok = np.abs(dets) > 1e-12 * scale**d
     inv, combos = np.linalg.inv(mats[ok]), combos[ok]    # (k, d, d), (k, d)
     per_block = max(1, _BLOCK_SOLVES // max(len(combos), 1))
-    pts, counts = [], []
+    parts = []
     for lo in range(0, len(b), per_block):
         blk = b[lo:lo + per_block]
         rhs = blk[:, combos]                                  # (N, k, d)
         sols = inv[:, :, 0] * rhs[..., :1]                    # (N, k, d)
         for j in range(1, d):
             sols += inv[:, :, j] * rhs[..., j:j + 1]
-        feas = (sols @ A.T <= blk[:, None, :] + VERTEX_TOL).all(axis=2)
-        p, c = _unique_points(sols[feas], np.nonzero(feas)[0], len(blk), VERTEX_TOL)
-        pts.append(p)
-        counts.append(c)
-    counts = np.concatenate(counts)
+        lhs = sols @ A.T                                      # (N, k, m)
+        member, basis = np.nonzero((lhs <= blk[:, None, :] + VERTEX_TOL).all(axis=2))
+        active = lhs[member, basis] >= blk[member] - VERTEX_TOL
+        parts.append(_unique_vertices(sols[member, basis], member, active, len(blk)))
+    pts, counts = (np.concatenate(x) for x in zip(*parts))
     # max sum(r) over r >= 0, A r <= 0, sum(r) <= 1 is 1 when the cone holds a
     # nonzero direction and 0 otherwise
     if counts.any() and solve_lp(-np.ones(d), np.vstack([A_exp, np.ones(d)]),
                                 np.append(np.zeros(A_exp.shape[0]), 1.0),
                                 what="recession").fun < -0.5:
         raise UnboundedRegion("system has a recession direction inside the orthant")
-    return VPolytope(names, np.concatenate(pts), counts)
+    return VPolytope(names, pts, counts)
 
 
 # (member, basis) pairs per block of a stacked vertices() call: about 2 MB of
-# feasibility products at the 14 rows of the ten-bound region
+# row products (feasibility and active rows) at the 14 rows of the ten-bound region
 _BLOCK_SOLVES = 1 << 14
 
 
@@ -505,68 +506,17 @@ def _bases(m: int, d: int) -> np.ndarray:
     return combos
 
 
-def _unique_points(pts: np.ndarray, member: np.ndarray, n: int,
-                   tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each member's rows of ``pts`` (row i belongs to member ``member[i]``
-    of ``n``) in lexicographic order, deduplicated at ``tol`` in the max
-    norm: a row is dropped when it lies within ``tol`` of the last kept
-    lexsort neighbour, then a survivor when it lies within ``tol`` of an
-    earlier kept survivor (lexsort adjacency can split near-duplicates).
-    Returns the kept rows in member order and each member's count.
-
-    Both passes are array operations over the whole stack; only the rows
-    whose fate hangs on an earlier decision are decided one at a time."""
-    if not len(pts):
-        return pts, np.zeros(n, dtype=int)
+def _unique_vertices(pts: np.ndarray, member: np.ndarray, active: np.ndarray,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """One row of ``pts`` per (member, set of active rows): row i belongs to
+    member ``member[i]`` of ``n`` and ``active[i]`` marks the rows active at
+    it, which fix a vertex.  Keeps the first row of each key in lexicographic
+    order; returns the kept rows in member and lexicographic order and each
+    member's count."""
     order = np.lexsort((*pts.T[::-1], member))
-    pts, member = pts[order], member[order]
-    # pass 1: rows each within tol of the row before form a run.  When every
-    # row of a member's run lies within tol of the run's first row, and that
-    # first row lies beyond tol of the previous run's, the member keeps
-    # exactly the first rows of its runs; any other member is walked in order.
-    link = _close(pts[1:], pts[:-1], tol) & (member[1:] == member[:-1])
-    keep = np.concatenate([[True], ~link])
-    heads = np.flatnonzero(keep)
-    drift = ~_close(pts, pts[heads[np.cumsum(keep) - 1]], tol)
-    rejoin = _close(pts[heads[1:]], pts[heads[:-1]], tol) & (member[heads[1:]] ==
-                                                             member[heads[:-1]])
-    for m in np.unique(np.concatenate([member[drift], member[heads[1:][rejoin]]])):
-        lo, hi = np.searchsorted(member, [m, m + 1])
-        last = lo
-        for i in range(lo + 1, hi):
-            keep[i] = not _close(pts[i:i + 1], pts[last:last + 1], tol)[0]
-            last = i if keep[i] else last
-    pts, member = pts[keep], member[keep]
-    # pass 2: every pair (later, prior) of survivors of one member, compared
-    # in blocks of at most _BLOCK_SOLVES pairs; row i has one pair for each
-    # earlier survivor of its member, the rows first[i], ..., i - 1
-    counts = np.bincount(member, minlength=n)
-    first = (np.cumsum(counts) - counts)[member]
-    earlier = np.arange(len(pts)) - first
-    later = np.repeat(np.arange(len(pts)), earlier)
-    prior = np.arange(len(later)) - np.repeat(np.cumsum(earlier) - earlier - first, earlier)
-    close = np.empty(len(later), dtype=bool)
-    for lo in range(0, len(later), _BLOCK_SOLVES):
-        sl = slice(lo, lo + _BLOCK_SOLVES)
-        close[sl] = _close(pts[later[sl]], pts[prior[sl]], tol)
-    later, prior = later[close], prior[close]
-    # a survivor close to no earlier one is kept, one close to a kept one is
-    # dropped, and the rest are decided in order
-    kept = np.bincount(later, minlength=len(pts)) == 0
-    settled = kept.copy()
-    settled[later[kept[prior]]] = True
-    for i in np.flatnonzero(~settled):
-        kept[i] = not kept[prior[later == i]].any()
-    return pts[kept], np.bincount(member[kept], minlength=n)
-
-
-def _close(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each row of ``a`` lies within ``tol`` of the same row of ``b``
-    in the max norm."""
-    out = np.ones(len(a), dtype=bool)
-    for x, y in zip(a.T, b.T):   # one coordinate at a time: a max over a short axis is slow
-        out &= np.abs(x - y) <= tol
-    return out
+    key = np.column_stack([member[order], np.packbits(active[order], axis=1)])
+    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    return pts[order[first]], np.bincount(member[order[first]], minlength=n)
 
 
 def max_violation(sys: IneqSystem, point, var_order=None) -> float:

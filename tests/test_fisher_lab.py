@@ -7,8 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wiretap_regions import fisher_lab
-from wiretap_regions.errors import NoRoot, QuadratureNonConvergent, StepTooLarge, ValidationError
+from wiretap_regions import cli, fisher_lab
+from wiretap_regions.errors import (
+    NoRoot,
+    QuadratureNonConvergent,
+    SingularConditionalCovariance,
+    StepTooLarge,
+    ValidationError,
+)
 from wiretap_regions.fisher_lab import (
     TWO_PI_E,
     GaussPair,
@@ -97,6 +103,50 @@ def test_debruijn_step_too_large():
     pair = GaussPair(np.diag([1.0, 1.0]), d_u=1, d_x=1)
     with pytest.raises(StepTooLarge):
         debruijn_check(pair, [[1.0]], step=0.9)
+
+
+_PAIR = np.array([[1.0, 0.6, 0.2], [0.6, 1.5, -0.3], [0.2, -0.3, 0.8]])   # (U, X1, X2)
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-20, 1.0])
+def test_gaussian_fisher_scales_as_the_inverse_of_the_pair(c):
+    # the singularity floor is relative, so a well-conditioned pair at any
+    # scale is taken and J(c pair, c noise) = J(pair, noise) / c
+    noise = np.array([[0.3, 0.1], [0.1, 0.4]])
+    want = gaussian_fisher(GaussPair(_PAIR, d_u=1, d_x=2), noise)
+    got = gaussian_fisher(GaussPair(c * _PAIR, d_u=1, d_x=2), c * noise) * c
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("c", [1e-14, 1e-20, 1.0])
+def test_gaussian_fisher_refuses_an_eigenvalue_ratio_of_1e_16(c):
+    pair = GaussPair(c * np.diag([1.0, 1.0, 1e-16]), d_u=1, d_x=2)
+    with pytest.raises(SingularConditionalCovariance, match="near-zero eigenvalue"):
+        gaussian_fisher(pair, np.zeros((2, 2)))
+
+
+def test_debruijn_step_out_of_the_cone_raises_step_too_large():
+    # Cov(X|U) + Sigma_N = 1.3 for instance 1 and 101 for the others: step
+    # 2 moves only instance 1 below zero, before any residual is read
+    covs = np.stack([np.diag([1.0, 100.0 if j != 1 else 0.3]) for j in range(3)])
+    with pytest.raises(StepTooLarge, match="^instance 1: step 2 moves Cov\\(X\\|U\\) \\+ "
+                                           "Sigma_N out of the positive-definite cone$"):
+        debruijn_check(GaussPair(covs, d_u=1, d_x=1), [[1.0]], step=2.0)
+    # a pair and noise at scale 1e-6: the default step moves 1e-4
+    small = GaussPair(1e-6 * _PAIR, d_u=1, d_x=2)
+    with pytest.raises(StepTooLarge, match="^step 0.0001 moves Cov"):
+        debruijn_check(small, 1e-6 * np.eye(2))
+    mix = ScalarMixture([0.0, 0.0, 1.0], [-1.0, 1.0, 0.5], [0.25, 0.25, 0.5])
+    with pytest.raises(StepTooLarge, match="^step 0.9 moves the noise variance 0.5 out of"):
+        debruijn_check(mix, [[0.5]], step=0.9)
+    assert debruijn_check(mix, [[0.5]], step=1e-4) <= 1e-4
+
+
+def test_debruijn_command_names_the_step_and_the_instance(capsys):
+    assert cli.main(["fisher", "debruijn", "--budget", "1", "--dim", "1", "--step", "0.7",
+                     "--seed", "3"]) == 1
+    assert capsys.readouterr().err == ("violated invariant: instance 0: step 0.7 moves "
+                                       "Cov(X|U) + Sigma_N out of the positive-definite cone\n")
 
 
 def test_quadrature_nonconvergence_detected():

@@ -25,7 +25,6 @@ from wiretap_regions.polytope_fm import (
     VERTEX_TOL,
     IneqSystem,
     LinIneq,
-    _unique_points,
     apply_rate_transfer,
     block_diagonal_csr,
     fm_eliminate,
@@ -437,86 +436,6 @@ def test_failed_recession_lp_leaves_no_shared_verdict(monkeypatch):
         vertices(stack)
     assert vertices(stack).counts.tolist() == [4, 4]
     assert whats == ["recession"] * 2
-
-
-def two_pass_unique(pts, tol):
-    """Reference: the lexsort-neighbour pass, then the all-pairs sweep on its
-    survivors, one point pair at a time."""
-    pts = pts[np.lexsort(pts.T[::-1])]
-    keep = [0]
-    for i in range(1, pts.shape[0]):
-        if np.abs(pts[i] - pts[keep[-1]]).max() > tol:
-            keep.append(i)
-    uniq = []
-    for p in pts[keep]:
-        if not any(np.abs(p - q).max() <= tol for q in uniq):
-            uniq.append(p)
-    return np.array(uniq)
-
-
-@st.composite
-def _cloud_with_near_duplicates(draw, d):
-    """0-18 rows of dimension ``d``: dyadic rows and copies of them moved by
-    less or more than VERTEX_TOL in each coordinate, shuffled."""
-    base = draw(st.lists(st.lists(_DYADIC, min_size=d, max_size=d), max_size=6))
-    if not base:
-        return np.empty((0, d))
-    offsets = st.sampled_from([0.0, VERTEX_TOL / 2, -VERTEX_TOL / 2, 0.6 * VERTEX_TOL,
-                               1.2 * VERTEX_TOL, 2 * VERTEX_TOL, -2 * VERTEX_TOL])
-    copies = draw(st.lists(st.tuples(st.integers(0, len(base) - 1),
-                                     st.lists(offsets, min_size=d, max_size=d)), max_size=12))
-    rows = base + [[x + o for x, o in zip(base[i], offs)] for i, offs in copies]
-    order = draw(st.permutations(range(len(rows))))
-    return np.array([rows[i] for i in order])
-
-
-@st.composite
-def _stack_of_clouds(draw):
-    """1-6 members' clouds of one dimension, some empty, their rows
-    interleaved: the rows and the member of each row."""
-    d = draw(st.integers(1, 4))
-    clouds = draw(st.lists(_cloud_with_near_duplicates(d), min_size=1, max_size=6))
-    member = np.repeat(np.arange(len(clouds)), [len(c) for c in clouds])
-    order = np.array(draw(st.permutations(range(len(member)))), dtype=int)
-    return np.concatenate(clouds)[order], member[order], len(clouds)
-
-
-def _assert_each_member_is_its_two_pass_loop(pts, member, n):
-    got, counts = _unique_points(pts, member, n, VERTEX_TOL)
-    assert got.dtype == pts.dtype and counts.sum() == len(got)
-    for m, rows in enumerate(np.split(got, np.cumsum(counts)[:-1])):
-        mine = pts[member == m]
-        want = two_pass_unique(mine, VERTEX_TOL) if len(mine) else mine
-        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(_stack_of_clouds())
-def test_unique_points_matches_the_two_pass_loop(stack):
-    _assert_each_member_is_its_two_pass_loop(*stack)
-
-
-def test_unique_points_decides_in_order_the_rows_an_earlier_decision_settles():
-    t = VERTEX_TOL
-    # a run of rows each within tol of the one before, the third beyond tol
-    # of the first: the third is kept
-    drift = [[0.0, 0.0], [0.6 * t, 0.0], [1.2 * t, 0.0]]
-    # a run's first row (1.1t, 0.5t) within tol of the previous run's first
-    # (0.2t, 0.9t), which the second pass drops for (0, 0): both dropped
-    rejoin = [[0.0, 0.0], [0.1 * t, 50.0], [0.2 * t, 0.9 * t], [0.2 * t, 1.8 * t],
-              [1.1 * t, 0.5 * t]]
-    # (0.2t, 0.9t) lies within tol of (0, 0) and of (0.4t, 1.8t), the rows
-    # between them in lexsort order are far: (0.4t, 1.8t) is kept
-    split = [[0.0, 0.0], [0.1 * t, 5.0], [0.2 * t, 0.9 * t], [0.3 * t, 10.0], [0.4 * t, 1.8 * t]]
-    clouds = [np.array(c) for c in (drift, rejoin, split)]
-    for c, n_kept in zip(clouds, (2, 2, 4)):
-        assert len(two_pass_unique(c, t)) == n_kept
-    # alone, and stacked with members that take the fast path
-    for c in clouds:
-        _assert_each_member_is_its_two_pass_loop(c, np.zeros(len(c), dtype=int), 1)
-    rows = [c[::-1] for c in clouds] + [np.array([[1.0, 1.0], [1.0, 1.0 + t / 2]])]
-    member = np.repeat([3, 0, 2, 1], [len(r) for r in rows])
-    _assert_each_member_is_its_two_pass_loop(np.concatenate(rows), member, 5)
 
 
 def test_vertices_dimension_cap():

@@ -17,7 +17,13 @@ from wiretap_regions.errors import (
     UnknownCorollary,
     ValidationError,
 )
-from wiretap_regions.info_core import VarId, build_degraded_joint, make_stack, make_table
+from wiretap_regions.info_core import (
+    ChannelSpec,
+    VarId,
+    build_degraded_joint,
+    make_stack,
+    make_table,
+)
 from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
@@ -730,3 +736,62 @@ def test_dominance_slack_raises_when_the_lp_is_not_optimal(monkeypatch, status):
         status=status, message="patched", x=None, fun=None))
     with pytest.raises(LPFailure, match=f"dominance LP failed with status {status}"):
         dominance_slack([0.5, 0.5], np.eye(2))
+
+
+def _relabel(a: np.ndarray, perms) -> np.ndarray:
+    """``a`` with letter i of axis k renamed ``perms[k][i]``."""
+    for k, p in enumerate(perms):
+        a = np.take(a, np.argsort(p), axis=k)
+    return a
+
+
+@st.composite
+def _relabelled_model(draw):
+    """A channel with |X| = 3 (a cascade, the cascade as a dense kernel, or a
+    random dense kernel), a (U, X) aux and a layered aux, and the same three
+    with the letters of X, Y1, Y2, Z and of every aux variable permuted."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    form = draw(st.sampled_from(["cascade", "kernel", "dense"]))
+    cards = (3, *(draw(st.integers(2, 3)) for _ in range(3)))
+    aux_cards = tuple(draw(st.integers(lo, 3)) for lo in (2, 1, 1, 1))   # U, Q, V1, V2
+    px, p1, p2, pz, pu, pq, pv1, pv2 = (draw(st.permutations(range(n)))
+                                        for n in cards + aux_cards)
+    stages = [rng.dirichlet(np.ones(m), size=n) for n, m in zip(cards, cards[1:])]
+    kernel = {"cascade": None, "kernel": np.einsum("xa,ab,bc->xabc", *stages),
+              "dense": rng.dirichlet(np.ones(np.prod(cards[1:])), size=3).reshape(cards)}[form]
+    ux = rng.dirichlet(np.ones(aux_cards[0] * 3)).reshape(aux_cards[0], 3)
+    layered = random_aux_layered(rng, aux_cards[1], aux_cards[0], *aux_cards[2:], 3).table.probs
+    outputs = tuple(VarId(n, k) for n, k in zip(("Y1", "Y2", "Z"), cards[1:]))
+
+    def model(stages, kernel, ux, layered):
+        return (ChannelSpec(VarId("X", 3), outputs, kernel=kernel, stages=stages),
+                AuxJoint(make_table((VarId("U", ux.shape[0]), VarId("X", 3)), ux)),
+                AuxJoint(make_table(tuple(map(VarId, regions_discrete.LAYERED_VARS,
+                                              layered.shape)), layered)))
+
+    if kernel is None:
+        moved = [_relabel(s, p) for s, p in zip(stages, ((px, p1), (p1, p2), (p2, pz)))], None
+    else:
+        stages, moved = None, (None, _relabel(kernel, (px, p1, p2, pz)))
+    return (model(stages, kernel, ux, layered),
+            model(*moved, _relabel(ux, (pu, px)), _relabel(layered, (pq, pu, pv1, pv2, px))))
+
+
+def _rows(sys):
+    return [(q.coeffs, q.rel, q.label) for q in sys.ineqs], np.array([q.rhs for q in sys.ineqs])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_relabelled_model())
+def test_every_region_row_is_invariant_under_relabelling_the_letters(models):
+    # every bound is a difference of entropies, which do not see letter names
+    (ch, ux, layered), (ch2, ux2, layered2) = models
+    assert ch.degraded == ch2.degraded
+    evals = [(eval_general_inner, layered, layered2)]
+    if ch.degraded:
+        evals += [(f, ux, ux2) for f in (eval_degraded_inner, eval_degraded_outer,
+                                         eval_original_inner)]
+    for f, aux, aux2 in evals:
+        (shape, rhs), (shape2, rhs2) = _rows(f(aux, ch)), _rows(f(aux2, ch2))
+        assert shape == shape2
+        assert np.abs(rhs - rhs2).max() <= 1e-12

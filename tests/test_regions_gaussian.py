@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wiretap_regions
 from hull_oracle import in_hull
@@ -14,6 +16,7 @@ from wiretap_regions.errors import (
     NotPSD,
     UnknownCorollary,
     ValidationError,
+    WiretapError,
 )
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
 from wiretap_regions.regions_gaussian import (
@@ -430,3 +433,63 @@ def test_sym_refuses_an_asymmetric_matrix_at_every_scale(scale):
     # in a stack, each matrix is held to its own scale
     with pytest.raises(NotPSD, match="^instance 1: symmetry residual"):
         regions_gaussian._sym(np.stack([1e12 * near / scale, bad]))
+
+
+def _pd(rng, d, scale=1.0):
+    a = rng.normal(size=(d, d))
+    return scale * (a @ a.T / d + 0.1 * np.eye(d))
+
+
+@st.composite
+def _congruent_instances(draw):
+    """A Gaussian channel (degraded, or with a random noise order), a split K,
+    a triple (K0, K1, K2) and a transform A of X with cond(A) <= 50, drawn
+    with d in {1, 2, 3}."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    S, s1 = _pd(rng, d, 2.0), _pd(rng, d, 0.5)
+    s2 = s1 + _pd(rng, d, 0.5) if draw(st.booleans()) else _pd(rng, d)
+    sz = s2 + _pd(rng, d, 0.5)
+    q1, _, q2 = np.linalg.svd(rng.normal(size=(d, d)))
+    A = q1 @ np.diag(np.exp(rng.uniform(0.0, math.log(50.0), size=d))) @ q2   # cond <= 50
+    K = random_psd_under(rng, S)
+    K0, K1, K2 = (random_psd_under(rng, S / 3) for _ in range(3))
+    return (GaussChannel(S, s1, s2, sz), CovSplit(K=K), CovSplit(K0=K0, K1=K1, K2=K2),
+            A * 10.0 ** rng.uniform(-1, 1))
+
+
+def _congruent(m, A):
+    c = A @ m @ A.T
+    return 0.5 * (c + c.T)
+
+
+def _verdict(f, *args):
+    """The rows' labels and right-hand sides (a residual for a float) of a
+    call, or the type of the error it raises."""
+    try:
+        out = f(*args)
+    except WiretapError as e:
+        return type(e), None
+    if isinstance(out, float):
+        return "residual", np.array([out])
+    return [q.label for q in out.ineqs], np.array([q.rhs for q in out.ineqs])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(_congruent_instances())
+def test_verdicts_and_rates_are_invariant_under_a_congruence_of_x(case):
+    # X -> AX with every covariance moved alike: each rate is a log-det ratio
+    # or a Gaussian mutual information, which a congruence leaves as it is
+    ch, single, triple, A = case
+    ch2 = GaussChannel(*(_congruent(m, A) for m in (ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)))
+    single2 = CovSplit(K=_congruent(single.K, A))
+    triple2 = CovSplit(None, *(_congruent(m, A) for m in (triple.K0, triple.K1, triple.K2)))
+    calls = [(eval_gauss_inner, single, single2), (eval_gauss_outer, single, single2),
+             (lambda t, c: dpc_identity_check(t.K1, t.K2, t.K0, c), triple, triple2),
+             (lambda t, c: eval_general_gauss(t, c, "21"), triple, triple2),
+             (lambda t, c: eval_general_gauss(t, c, "12"), triple, triple2)]
+    for f, split, split2 in calls:
+        (what, rates), (what2, rates2) = _verdict(f, split, ch), _verdict(f, split2, ch2)
+        assert what == what2
+        if rates is not None:
+            assert (np.abs(rates - rates2) <= 1e-9 * (1 + np.abs(rates))).all()
