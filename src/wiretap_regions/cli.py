@@ -245,10 +245,12 @@ def cmd_fisher_debruijn(args) -> int:
                                a @ a.mT + 0.3 * np.eye(a.shape[-1]), step=args.step)
         residual.update(zip(nums, r.tolist()))
     rows = [["gauss", i, residual[i]] for i in range(args.budget)]
-    for i in range(max(1, args.budget // 5)):
-        mix = random_mixture(rng)
-        rows.append(["mixture", i, debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]],
-                                                  step=args.step)])
+    mixes, variances = [], []   # every mixture and its noise variance, then one call
+    for _ in range(max(1, args.budget // 5)):
+        mixes.append(random_mixture(rng))
+        variances.append(0.5 + rng.uniform(0, 1))
+    r = debruijn_check(mixes, np.reshape(variances, (-1, 1, 1)), step=args.step)
+    rows += [["mixture", i, ri] for i, ri in enumerate(r.tolist())]
     worst = max(0.0, *(r for _, _, r in rows))
     return _conclude(args, (["kind", "instance", "residual"],
                             [[kind, i, f"{r:.6e}"] for kind, i, r in rows]),

@@ -13,7 +13,10 @@ halving.  The grid sizes itself by that check: it walks the nested ladder of
 251, 501, 1001, 2001 and 4001 points, starting at the coarsest rung with
 spacing at most sigma / 2 and doubling while a value moves; ``n`` (default
 ``QUAD_N`` = 4001) is the largest grid, and a value that still moves there
-raises QuadratureNonConvergent, never returns.
+raises QuadratureNonConvergent, never returns.  The passes are stacked: a
+command collects every (centers, weights, noise variance) task it needs and
+one call evaluates each rung for all tasks on it at once, in blocks of
+bounded size, giving each task the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -77,36 +80,41 @@ class GaussPair:
 
 @dataclass(frozen=True)
 class ScalarMixture:
-    """Finitely supported scalar (U, X) pair: rows of (u, x, weight)."""
+    """Finitely supported scalar (U, X) pair: rows of (u, x, weight).
+
+    The conditional mixtures per u value are derived once, at construction;
+    they and the rows are read-only.
+    """
 
     u_points: np.ndarray
     x_points: np.ndarray
     weights: np.ndarray
+    _groups: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u_points, dtype=float).ravel()
-        x, w = _check_mixture(self.x_points, self.weights)
+        u = np.array(self.u_points, dtype=float).ravel()   # copies, never the caller's arrays
+        x, w = (a.copy() for a in _check_mixture(self.x_points, self.weights))
         if u.size != x.size:
             raise ValidationError("mixture support arrays must have equal size")
-        for a in (u, x, w):
+        groups = []
+        for value in np.unique(u):
+            m = u == value
+            pu = float(w[m].sum())
+            if pu > 0:
+                groups.append((pu, x[m], w[m] / pu))
+        for a in (u, x, w, *(a for _, c, wu in groups for a in (c, wu))):
             a.setflags(write=False)
         object.__setattr__(self, "u_points", u)
         object.__setattr__(self, "x_points", x)
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "_groups", tuple(groups))
 
     def second_moment(self) -> float:
         return float((self.weights * self.x_points ** 2).sum())
 
-    def groups(self):
+    def groups(self) -> tuple:
         """Conditional mixtures per distinct u value: (p_u, centers, weights)."""
-        out = []
-        for u in np.unique(self.u_points):
-            m = self.u_points == u
-            pu = float(self.weights[m].sum())
-            if pu <= 0:
-                continue
-            out.append((pu, self.x_points[m], self.weights[m] / pu))
-        return out
+        return self._groups
 
 
 # --- quadrature on mixture + Gaussian densities --------------------------------
@@ -115,6 +123,16 @@ class ScalarMixture:
 QUAD_RTOL = 1e-7
 # Points of the largest grid of a mixture quadrature, the top rung of its ladder.
 QUAD_N = 4001
+# Grid cells (tasks x components x points) of one block of a stacked quadrature.
+QUAD_BLOCK_CELLS = 2 ** 16
+
+
+def _first_task(bad: np.ndarray, err: type, owner, describe) -> None:
+    """Raise ``err`` with message ``describe(t)`` for the first task t of a
+    stack where ``bad`` holds, naming instance ``owner[t]`` of the caller."""
+    if bad.any():
+        t = int(np.argmax(bad))
+        raise at_instance(err, owner[t], describe(t))
 
 
 def _check_mixture(centers, weights):
@@ -130,86 +148,153 @@ def _check_mixture(centers, weights):
     return c, w
 
 
-def _quadrature(centers, weights, var: float, n: int) -> tuple[float, float]:
-    """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` by the
-    trapezoid rule over [min c - 8 sigma, max c + 8 sigma], on a grid sized by
-    its own check.  The grids are the nested ladder ``m = (n - 1) / 2^k + 1``
-    of odd point counts that ends at ``n`` (251, 501, ..., 4001 for
-    ``QUAD_N``); the pass starts at the coarsest rung whose spacing is at
-    most sigma / 2, so no component falls between grid points, and doubles
-    while either value moves by more than QUAD_RTOL * (1 + |value|) on the
-    half-resolution grid.  Still moving at ``n`` points raises
-    QuadratureNonConvergent."""
-    centers, weights = _check_mixture(centers, weights)
-    if not var > 0.0:
-        raise ValidationError(f"noise variance must be positive, got {var}")
+def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
+    """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` for
+    each task of a stack, an array ``var.shape + (2,)``: ``var`` holds a noise
+    variance per task, ``centers`` and ``weights`` an array per task (a 0-d
+    ``var`` is one task, its arrays given bare).
+
+    Each task takes the trapezoid rule over [min c - 8 sigma, max c + 8 sigma]
+    on the nested ladder ``m = (n - 1) / 2^k + 1`` of odd point counts ending
+    at ``n`` (251, ..., 4001 for ``QUAD_N``), from the coarsest rung with
+    spacing at most sigma / 2 (no component falls between grid points), and
+    moves up while h or J moves by more than QUAD_RTOL * (1 + |value|) on the
+    half-resolution grid; still moving at ``n`` raises QuadratureNonConvergent.
+    A rung takes its tasks by count of nonzero weights, a lone one padded with
+    a log-weight -inf component (exact zeros), in blocks of at most
+    QUAD_BLOCK_CELLS cells (tasks x components x points, or one task), so each
+    task gets the bits it gets alone.  An error names instance ``owner[t]`` for
+    task t (default t, or none for a 0-d ``var``): the first task to break the
+    first check that fails."""
+    var = np.asarray(var, dtype=float)
+    shape = var.shape
+    owner = list(np.ndindex(shape)) if owner is None else owner
+    if not shape:
+        centers, weights = [centers], [weights]
+    var = var.ravel()
+    if not len(centers) == len(weights) == var.size:
+        raise DimensionMismatch(f"{len(centers)} centers, {len(weights)} weights and "
+                                f"{var.size} noise variances do not make a stack of tasks")
+    live = []   # each task's components of nonzero weight: no log(0)
+    for t, task in enumerate(zip(centers, weights)):
+        try:
+            ct, wt = _check_mixture(*task)
+        except ValidationError as e:
+            raise at_instance(ValidationError, owner[t], str(e)) from None
+        live.append((ct[wt > 0.0], wt[wt > 0.0]))
+    _first_task(~(var > 0.0), ValidationError, owner,
+                lambda t: f"noise variance must be positive, got {var[t]}")
     if n < 3 or n % 2 == 0:
         raise ValidationError(f"quadrature grid needs an odd point count >= 3, got {n}")
-    centers, weights = centers[weights > 0.0], weights[weights > 0.0]   # no log(0)
-    sigma = math.sqrt(var)
-    lo, hi = centers.min() - 8.0 * sigma, centers.max() + 8.0 * sigma
-    m = n   # the next coarser rung (m - 1) / 2 + 1 is odd when m % 4 == 1
-    while m % 4 == 1 and (hi - lo) / ((m - 1) // 2) <= 0.5 * sigma:
+    size = np.array([ct.size for ct, _ in live])
+    filled = np.arange(max(2, size.max())) < size[:, None]   # a row a task
+    c, logw = np.zeros(filled.shape), np.full(filled.shape, -np.inf)
+    c[filled] = np.concatenate([ct for ct, _ in live])
+    logw[filled] = np.log(np.concatenate([wt for _, wt in live]))
+    c = np.where(filled, c, c[:, :1])   # a pad sits at its task's first center
+    width = np.maximum(2, size)
+    sigma = np.sqrt(var)
+    lo, hi = c.min(axis=1) - 8.0 * sigma, c.max(axis=1) + 8.0 * sigma
+    rung, m, coarser = np.full(var.size, n), n, np.ones(var.size, dtype=bool)
+    while m % 4 == 1:   # the next coarser rung (m - 1) / 2 + 1 is odd when m % 4 == 1
+        coarser &= (hi - lo) / ((m - 1) // 2) <= 0.5 * sigma
         m = (m - 1) // 2 + 1
+        rung[coarser] = m
+    out, moved = np.empty((var.size, 2)), np.zeros((var.size, 2))
+    m = rung.min()
     while True:
-        y = np.linspace(lo, hi, m)
-        terms = _integrands(y, centers, weights, var)
-        full = np.trapezoid(terms, y, axis=1)
-        moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
-        if (moved <= QUAD_RTOL * (1.0 + np.abs(full))).all():
-            return float(full[0]), float(full[1])
+        here = rung == m
+        for k in np.unique(width[here]):
+            group = np.flatnonzero(here & (width == k))
+            per = max(1, QUAD_BLOCK_CELLS // (k * m))
+            for b in (group[s:s + per] for s in range(0, group.size, per)):
+                # np.linspace(lo, hi, m) of each task
+                y = np.arange(m) * ((hi[b] - lo[b]) / (m - 1))[:, None] + lo[b, None]
+                y[:, -1] = hi[b]
+                terms = _stack_integrands(y, c[b, :k], logw[b, :k], var[b])
+                out[b] = full = np.trapezoid(terms, y[:, None], axis=-1)
+                moved[b] = np.abs(full - np.trapezoid(terms[..., ::2], y[:, None, ::2], axis=-1))
+                rung[b[~(moved[b] <= QUAD_RTOL * (1.0 + np.abs(full))).all(axis=1)]] = 2 * m - 1
         if m == n:
-            raise QuadratureNonConvergent(
-                f"quadrature of (h, J) moved by ({moved[0]:.2e}, {moved[1]:.2e}) "
-                f"under refinement at {n} points")
+            break
         m = 2 * m - 1
+    _first_task(rung > n, QuadratureNonConvergent, owner,
+                lambda t: f"quadrature of (h, J) moved by ({moved[t, 0]:.2e}, "
+                          f"{moved[t, 1]:.2e}) under refinement at {n} points")
+    return out.reshape(*shape, 2)
 
 
-def _integrands(y, centers, weights, var: float) -> np.ndarray:
-    """Rows ``-f log f`` and ``f'^2 / f`` of the mixture density ``f`` at the
-    points ``y``."""
-    # log(w_j phi(y - c_j; var)): one row per component, shifted by the column max
-    d = y[None, :] - centers[:, None]
-    z = -d ** 2 / (2.0 * var)
-    z += np.log(weights)[:, None] - 0.5 * np.log(2.0 * math.pi * var)
-    zmax = z.max(axis=0)
-    expz = np.exp(z - zmax)
-    total = expz.sum(axis=0)
+def _stack_integrands(y, centers, logw, var) -> np.ndarray:
+    """Rows ``-f log f`` and ``f'^2 / f`` of each task's mixture density ``f``
+    at its points: ``y`` (tasks, m), ``centers`` and log-weights ``logw``
+    (tasks, k), ``var`` (tasks,); an array (tasks, 2, m)."""
+    # log(w_j phi(y - c_j; var)): one row per component, shifted by the column
+    # max; updated in place, so two (tasks, k, m) arrays are live at most
+    v = var[:, None, None]
+    d = y[:, None, :] - centers[:, :, None]
+    z = d ** 2
+    z /= -2.0 * v
+    z += (logw - 0.5 * np.log(2.0 * math.pi * var)[:, None])[:, :, None]
+    zmax = z.max(axis=1)
+    z -= zmax[:, None, :]
+    expz = np.exp(z, out=z)
+    total = expz.sum(axis=1)
     logf = zmax + np.log(total)
     scale = np.exp(zmax)
     f = total * scale
-    fprime = (expz * (-d / var)).sum(axis=0) * scale
+    d /= -v
+    d *= expz
+    fprime = d.sum(axis=1) * scale
     mask = f > 1e-300
     # exp(logf) and f differ only in rounding
     return np.stack([-np.exp(logf) * logf,
-                     np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
+                     np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)], axis=1)
 
 
-def mixture_entropy(centers, weights, var: float, n: int = QUAD_N) -> float:
-    """Differential entropy of ``sum_j w_j N(c_j, var)``, checked by refinement."""
-    return _quadrature(centers, weights, var, n)[0]
+def _one_or_stack(a: np.ndarray):
+    """A float for a 0-d array, else the array."""
+    return float(a) if a.ndim == 0 else a
 
 
-def mixture_fisher(centers, weights, var: float, n: int = QUAD_N) -> float:
-    """Fisher information of ``sum_j w_j N(c_j, var)``, checked by refinement."""
-    return _quadrature(centers, weights, var, n)[1]
+def mixture_entropy(centers, weights, var, n: int = QUAD_N, owner=None):
+    """Differential entropy of ``sum_j w_j N(c_j, var)``, checked by
+    refinement; an array for a stack of tasks (see :func:`_stack_quadrature`)."""
+    return _one_or_stack(_stack_quadrature(centers, weights, var, n, owner)[..., 0])
+
+
+def mixture_fisher(centers, weights, var, n: int = QUAD_N, owner=None):
+    """Fisher information of ``sum_j w_j N(c_j, var)``, checked by
+    refinement; an array for a stack of tasks (see :func:`_stack_quadrature`)."""
+    return _one_or_stack(_stack_quadrature(centers, weights, var, n, owner)[..., 1])
+
+
+def _group_sums(route, groups, var, owner) -> np.ndarray:
+    """``sum_g p_g route(c_g, w_g, var[e])`` over the (p_g, c_g, w_g) groups
+    ``groups[e]`` of each entry e of a stack, all of them in one stacked
+    ``route`` call, one of :func:`mixture_entropy`, :func:`mixture_fisher` or
+    :func:`_stack_quadrature`; an error names instance ``owner[e]``."""
+    entry = [e for e, gs in enumerate(groups) for _ in gs]
+    p, c, w = zip(*(g for gs in groups for g in gs))
+    vals = route(c, w, np.asarray(var, dtype=float)[entry], QUAD_N, [owner[e] for e in entry])
+    out = np.zeros((len(groups), *vals.shape[1:]))
+    np.add.at(out, entry, (vals.T * p).T)   # in group order from 0: the bits of sum()
+    return out
 
 
 def mixture_cond_entropy(mix: ScalarMixture, var: float) -> float:
     """h(X + N | U) for Gaussian noise of the given variance."""
-    return sum(pu * mixture_entropy(c, w, var) for pu, c, w in mix.groups())
+    return float(_group_sums(mixture_entropy, [mix.groups()], [var], [()])[0])
 
 
 def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
-    return sum(pu * mixture_fisher(c, w, var) for pu, c, w in mix.groups())
+    return float(_group_sums(mixture_fisher, [mix.groups()], [var], [()])[0])
 
 
 def _mixture_cond(mix: ScalarMixture, var: float) -> tuple[float, float]:
     """(h(X + N | U), J(X + N | U)) from one quadrature pass per u value;
     each equals what mixture_cond_entropy and mixture_cond_fisher return."""
-    parts = [(pu, _quadrature(c, w, var, QUAD_N)) for pu, c, w in mix.groups()]
-    return (sum(pu * h for pu, (h, _) in parts), sum(pu * j for pu, (_, j) in parts))
+    return tuple(_group_sums(_stack_quadrature, [mix.groups()], [var], [()])[0].tolist())
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -268,7 +353,9 @@ def _sym_basis(d: int):
 
 def debruijn_check(obj, sigma_n, step: float = 1e-4):
     """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2, a
-    float (an array for a stack of Gaussian pairs).
+    float (an array for a stack of Gaussian pairs, or for a list of scalar
+    mixtures with a ``(n, 1, 1)`` stack of noise variances, whose J and h at
+    both moved variances take one stacked quadrature each).
 
     Central differences of h along every symmetric direction are compared with
     ``tr(J D)/2``.  If the residual at the requested step is above 1e-4 but
@@ -297,19 +384,31 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                 gap = np.abs(fd - 0.5 * np.trace(J @ D, axis1=-2, axis2=-1))
                 worst = np.where(gap > worst, gap, worst)   # the builtin max, per instance
             return worst
-    elif isinstance(obj, ScalarMixture):
-        var = scalar_of(np.atleast_2d(sigma_n), "mixture noise covariance")
+    elif isinstance(obj, (ScalarMixture, list, tuple)):
+        if isinstance(obj, ScalarMixture):
+            groups = [obj.groups()]
+            var = np.array(scalar_of(np.atleast_2d(sigma_n), "mixture noise covariance"))
+        else:
+            groups = [mix.groups() for mix in obj]
+            var = np.asarray(sigma_n, dtype=float)
+            if var.shape != (len(groups), 1, 1):
+                raise ValidationError(f"mixture noise covariances must be a stack of "
+                                      f"{len(groups)} 1x1 matrices, got shape {var.shape}")
+            var = var[:, 0, 0]
+        owner = list(np.ndindex(var.shape))
 
-        def residual(t: float) -> float:
-            t_abs = t * max(1.0, var)
-            if t_abs >= var:
-                raise StepTooLarge(f"step {t:g} moves the noise variance {var:g} out of the "
-                                   "positive-definite cone")
-            J = mixture_cond_fisher(obj, var)
-            hp = mixture_cond_entropy(obj, var + t_abs)
-            hm = mixture_cond_entropy(obj, var - t_abs)
-            fd = (hp - hm) / (2.0 * t_abs)
-            return abs(fd - 0.5 * J)
+        def residual(t: float) -> np.ndarray:
+            t_abs = t * np.maximum(1.0, var)
+            raise_for_first(t_abs >= var, StepTooLarge,
+                            lambda k: f"step {t:g} moves the noise variance {var[k]:g} out of "
+                                      "the positive-definite cone")
+            J = _group_sums(mixture_fisher, groups, var.ravel(), owner)
+            # h at var + t and var - t of each mixture, side by side
+            h = _group_sums(mixture_entropy, [g for g in groups for _ in range(2)],
+                            np.stack([var + t_abs, var - t_abs], axis=-1).ravel(),
+                            [k for k in owner for _ in range(2)])
+            fd = (h[0::2] - h[1::2]) / (2.0 * t_abs.ravel())
+            return np.abs(fd - 0.5 * J).reshape(var.shape)
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
@@ -461,13 +560,16 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
         for lemma, values in slacks.items():
             for i, slack in zip(nums, values.tolist()):
                 rows.setdefault(i, []).append((lemma, "gauss", i, slack))
-    for i, mix, var1, var2 in mixtures:
-        hm, jm1 = _mixture_cond(mix, var1)
-        jm2 = mixture_cond_fisher(mix, var2)
-        v1 = _cond_var(mix) + var1
-        rows[i] += [("L6", "mixture", i, jm1 - 1.0 / v1),
-                    ("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)),
-                    ("L11", "mixture", i, hm - 0.5 * math.log(TWO_PI_E / jm1))]
+    if mixtures:   # (h, J) at var1 of every mixture in one pass, J at var2 in another
+        nums, mixes, var1, var2 = zip(*mixtures)
+        groups, owner = [mix.groups() for mix in mixes], [(i,) for i in nums]
+        cond1 = _group_sums(_stack_quadrature, groups, var1, owner).tolist()
+        cond2 = _group_sums(mixture_fisher, groups, var2, owner).tolist()
+        for (i, mix, var1, var2), (hm, jm1), jm2 in zip(mixtures, cond1, cond2):
+            v1 = _cond_var(mix) + var1
+            rows[i] += [("L6", "mixture", i, jm1 - 1.0 / v1),
+                        ("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)),
+                        ("L11", "mixture", i, hm - 0.5 * math.log(TWO_PI_E / jm1))]
     return SuiteReport([row for i in range(count) for row in rows[i]])
 
 
@@ -501,8 +603,8 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         g = 0.5 * math.log((cxu + sigmaz_sq) / (cxu + sigma2_sq))
         cap = scalar_of(obj.cov_x(), "Cov(X)")
     elif isinstance(obj, ScalarMixture):
-        h2, j2 = _mixture_cond(obj, sigma2_sq)
-        hz, jz = _mixture_cond(obj, sigmaz_sq)
+        (h2, j2), (hz, jz) = _group_sums(_stack_quadrature, [obj.groups()] * 2,
+                                         [sigma2_sq, sigmaz_sq], [(), ()]).tolist()
         g = hz - h2
         cap = obj.second_moment()
     else:
@@ -546,22 +648,28 @@ class DominanceReport:
     contained: bool
 
 
-def mixture_region_constants(mix: ScalarMixture, ch: GaussChannel) -> dict[str, float]:
+def mixture_region_constants(mix, ch: GaussChannel):
     """The five information quantities of :func:`five_bound_system` for a
-    scalar mixture input."""
+    scalar mixture input, or a list of them for a list of mixtures, whose
+    entropies take one stacked quadrature; an error names the mixture of a
+    list it concerns, ``instance k``."""
     _, s1, s2, sz = ch.scalars
-    h_y2 = mixture_entropy(mix.x_points, mix.weights, s2)
-    h_z = mixture_entropy(mix.x_points, mix.weights, sz)
-    h_y1_u = mixture_cond_entropy(mix, s1)
-    h_y2_u = mixture_cond_entropy(mix, s2)
-    h_z_u = mixture_cond_entropy(mix, sz)
-    return {
+    lone = isinstance(mix, ScalarMixture)
+    groups, var, owner = [], [], []
+    for k, m in enumerate([mix] if lone else mix):
+        whole = ((1.0, m.x_points, m.weights),)
+        groups += [whole, whole, m.groups(), m.groups(), m.groups()]
+        var += [s2, sz, s1, s2, sz]
+        owner += [() if lone else (k,)] * 5
+    out = [{
         "iuy2": h_y2 - h_y2_u,
         "iuz": h_z - h_z_u,
         "ixy1_u": h_y1_u - 0.5 * math.log(TWO_PI_E * s1),
         "ixz": h_z - 0.5 * math.log(TWO_PI_E * sz),
         "ixz_u": h_z_u - 0.5 * math.log(TWO_PI_E * sz),
-    }
+    } for h_y2, h_z, h_y1_u, h_y2_u, h_z_u
+        in _group_sums(mixture_entropy, groups, var, owner).reshape(-1, 5).tolist()]
+    return out[0] if lone else out
 
 
 def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarray,
@@ -570,8 +678,9 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
     allocation envelope (point cloud from a covariance sweep), within a slack.
 
     ``mixes`` is a sequence of :class:`ScalarMixture` values, which gets a
-    list of reports in order.  Every mixture's bounds are computed first, and
-    one stacked :func:`vertices` call gives all their polytopes.  Rate regions are
+    list of reports in order.  Every mixture's bounds are computed first, their
+    entropies by one stacked quadrature, and one stacked :func:`vertices` call
+    gives all their polytopes.  Rate regions are
     downward closed, so a vertex is covered when some convex combination of
     envelope points dominates it componentwise.  The slack is monotone in the
     vertex, so only the vertices on a polytope's Pareto front are checked,
@@ -585,11 +694,12 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
         raise ValidationError("empty Gaussian envelope")
     if not mixes:
         return []
-    systems, found = [], []
     for k, mix in enumerate(mixes):
         if mix.second_moment() > ch.scalars[0] + 1e-9:
             raise at_instance(ValidationError, (k,), "mixture second moment exceeds the input cap")
-        bounds = five_bound_system(**mixture_region_constants(mix, ch))
+    systems, found = [], []
+    for k, constants in enumerate(mixture_region_constants(mixes, ch)):
+        bounds = five_bound_system(**constants)
         negative = [q for q in bounds.ineqs if q.rhs < 0.0]
         for q in negative:
             if q.rhs < -CLAMP_TOL:

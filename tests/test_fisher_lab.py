@@ -1,14 +1,16 @@
 import math
+import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wiretap_regions import cli, fisher_lab
 from wiretap_regions.errors import (
+    DimensionMismatch,
     NoRoot,
     QuadratureNonConvergent,
     SingularConditionalCovariance,
@@ -196,14 +198,16 @@ def _fixed_grid_pass(centers, weights, var, n=fisher_lab.QUAD_N):
 
 
 def _rungs(monkeypatch):
-    """The point counts of every grid the quadrature evaluates from now on."""
-    seen, integrands = [], fisher_lab._integrands
+    """The point counts of every grid the quadrature evaluates from now on, in
+    order, for each task, keyed by its (variance, first center)."""
+    seen, integrands = {}, fisher_lab._stack_integrands
 
-    def spy(y, *args):
-        seen.append(len(y))
-        return integrands(y, *args)
+    def spy(y, centers, logw, var):
+        for task in zip(var.tolist(), centers[:, 0].tolist()):
+            seen.setdefault(task, []).append(y.shape[-1])
+        return integrands(y, centers, logw, var)
 
-    monkeypatch.setattr(fisher_lab, "_integrands", spy)
+    monkeypatch.setattr(fisher_lab, "_stack_integrands", spy)
     return seen
 
 
@@ -211,7 +215,7 @@ def _rungs(monkeypatch):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 2.0))
 def test_grid_ladder_matches_the_largest_grid(seed, var):
     mix = random_mixture(np.random.default_rng(seed))
-    got = fisher_lab._quadrature(mix.x_points, mix.weights, var, fisher_lab.QUAD_N)
+    got = fisher_lab._stack_quadrature(mix.x_points, mix.weights, var, fisher_lab.QUAD_N)
     for value, ref in zip(got, _fixed_grid_pass(mix.x_points, mix.weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
 
@@ -225,8 +229,8 @@ def test_grid_ladder_matches_the_largest_grid(seed, var):
 def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers, weights, var,
                                                             rungs):
     seen = _rungs(monkeypatch)
-    got = fisher_lab._quadrature(centers, weights, var, fisher_lab.QUAD_N)
-    assert seen == rungs
+    got = fisher_lab._stack_quadrature(centers, weights, var, fisher_lab.QUAD_N)
+    assert seen == {(var, centers[0]): rungs}
     for value, ref in zip(got, _fixed_grid_pass(centers, weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
 
@@ -235,7 +239,234 @@ def test_grid_ladder_raises_when_the_largest_grid_still_moves(monkeypatch):
     seen = _rungs(monkeypatch)
     with pytest.raises(QuadratureNonConvergent, match="at 4001 points"):
         mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
-    assert seen[-1] == 4001
+    assert seen[(1e-3, -200.0)][-1] == 4001
+
+
+def _lone_pass(centers, weights, var, n=fisher_lab.QUAD_N):
+    """(h, J) of one task and the rungs it visits, by the one-task pass the
+    stacked quadrature replaced: its rule, its arithmetic, its bits."""
+    c, w = np.asarray(centers, dtype=float), np.asarray(weights, dtype=float)
+    c, w = c[w > 0.0], w[w > 0.0]
+    sigma = math.sqrt(var)
+    lo, hi = c.min() - 8.0 * sigma, c.max() + 8.0 * sigma
+    m, rungs = n, []
+    while m % 4 == 1 and (hi - lo) / ((m - 1) // 2) <= 0.5 * sigma:
+        m = (m - 1) // 2 + 1
+    while True:
+        rungs.append(m)
+        y = np.linspace(lo, hi, m)
+        d = y[None, :] - c[:, None]
+        z = -d ** 2 / (2.0 * var)
+        z += np.log(w)[:, None] - 0.5 * np.log(2.0 * math.pi * var)
+        zmax = z.max(axis=0)
+        expz = np.exp(z - zmax)
+        total = expz.sum(axis=0)
+        logf = zmax + np.log(total)
+        scale = np.exp(zmax)
+        f = total * scale
+        fprime = (expz * (-d / var)).sum(axis=0) * scale
+        mask = f > 1e-300
+        terms = np.stack([-np.exp(logf) * logf,
+                          np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
+        full = np.trapezoid(terms, y, axis=1)
+        moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
+        if (moved <= fisher_lab.QUAD_RTOL * (1.0 + np.abs(full))).all():
+            return (float(full[0]), float(full[1])), rungs
+        if m == n:
+            raise QuadratureNonConvergent("still moving")
+        m = 2 * m - 1
+
+
+# the ladder cases above: first rung, a climb, and two higher first rungs
+_LADDER = [([0.0], [1.0], 1.0), ([-0.5, 0.0, 6.0], [0.5, 0.25, 0.25], 1e-2),
+           ([0.0, 30.0], [0.5, 0.5], 1e-3), ([0.0, 100.0], [0.5, 0.5], 1e-2)]
+
+
+@st.composite
+def _quadrature_tasks(draw):
+    """One (centers, weights, var) task: 1 to 4 components, maybe one of zero
+    weight, and a noise variance from 1e-3 to 10."""
+    k = draw(st.integers(1, 4))
+    centers = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
+    raw = draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k))
+    if k > 1 and draw(st.booleans()):
+        raw[draw(st.integers(0, k - 1))] = 0.0
+    return centers, np.array(raw) / sum(raw), 10.0 ** draw(st.floats(-3.0, 1.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_quadrature_tasks(), min_size=1, max_size=6))
+@example(_LADDER + _LADDER[::-1])
+def test_a_stack_gives_each_task_the_bits_of_its_lone_pass(tasks):
+    centers, weights, var = zip(*tasks)
+    got = fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    assert [tuple(row) for row in got.tolist()] == [_lone_pass(*task)[0] for task in tasks]
+
+
+def test_a_stack_walks_each_task_up_its_own_ladder(monkeypatch):
+    seen = _rungs(monkeypatch)
+    centers, weights, var = zip(*_LADDER)
+    fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    assert seen == {(v, c[0]): _lone_pass(c, w, v)[1] for c, w, v in _LADDER}
+    assert list(seen.values()) == [[251], [251, 501, 1001], [2001], [4001]]
+
+
+def test_a_lone_component_is_padded_with_no_mass(monkeypatch):
+    # a one-component task shares the two-component group; its pad must add
+    # exact zeros, so its log-weight is -inf, not merely very small
+    rows, integrands = [], fisher_lab._stack_integrands
+
+    def spy(y, centers, logw, var):
+        rows.append(logw.copy())
+        return integrands(y, centers, logw, var)
+
+    monkeypatch.setattr(fisher_lab, "_stack_integrands", spy)
+    tasks = [([0.5], [1.0], 1.0), ([0.0, 1.0], [0.25, 0.75], 1.0),
+             ([-2.0, 0.0, 3.0], [0.0, 0.5, 0.5], 0.5)]
+    centers, weights, var = zip(*tasks)
+    got = fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    assert [tuple(row) for row in got.tolist()] == [_lone_pass(*task)[0] for task in tasks]
+    [pair] = rows
+    assert pair[0].tolist() == [0.0, -np.inf]
+    assert np.isfinite(pair[1:]).all() and np.exp(pair).sum(axis=1) == pytest.approx(1.0)
+
+
+def test_a_stack_names_the_first_task_that_does_not_converge():
+    spikes = ([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
+    tasks = [_LADDER[0], _LADDER[1], spikes, _LADDER[2], spikes]
+    centers, weights, var = zip(*tasks)
+    with pytest.raises(QuadratureNonConvergent) as e:
+        mixture_fisher(centers, weights, np.array(var))
+    assert e.value.instance == (2,)
+    assert str(e.value).startswith("instance 2: quadrature of (h, J) moved by (")
+    assert str(e.value).endswith(") under refinement at 4001 points")
+    # a lone task names no instance; an owner maps a task to the caller's instance
+    with pytest.raises(QuadratureNonConvergent, match="^quadrature of"):
+        mixture_fisher(*spikes)
+    with pytest.raises(QuadratureNonConvergent, match="^instance 7: quadrature of"):
+        mixture_entropy(centers, weights, np.array(var), owner=[(9,), (9,), (7,), (8,), (6,)])
+    # the first task to break the first check that fails
+    zero_var = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
+    with pytest.raises(ValidationError, match="^instance 3: noise variance must be positive"):
+        mixture_entropy(centers, weights, zero_var)
+    with pytest.raises(ValidationError, match="^instance 4: mixture centers must be finite"):
+        mixture_entropy(centers[:4] + ([0.0, np.nan, 1.0],), weights, zero_var)
+    with pytest.raises(DimensionMismatch, match="^5 centers, 5 weights and 4 noise variances"):
+        mixture_entropy(centers, weights, zero_var[:4])
+
+
+def test_a_large_stack_stays_within_the_block_cap():
+    rng = np.random.default_rng(3)
+    size = 5000
+    centers = [rng.normal(scale=1.5, size=4) for _ in range(size)]
+    weights = [rng.dirichlet(np.ones(4)) for _ in range(size)]
+    var = rng.uniform(0.5, 1.5, size=size)
+    tracemalloc.start()
+    try:
+        got = fisher_lab._stack_quadrature(centers, weights, var, fisher_lab.QUAD_N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (size, 2)
+    # at most eight arrays of a block's cells, and a few floats of bookkeeping
+    # a task; one pass over all 5,020,000 cells would take about 200 MB
+    assert peak <= 8 * 8 * fisher_lab.QUAD_BLOCK_CELLS + 1024 * size
+    assert size * 4 * 251 > 16 * fisher_lab.QUAD_BLOCK_CELLS
+
+
+def _counting_passes(monkeypatch):
+    """The task count of every stacked quadrature call from now on."""
+    calls, quadrature = [], fisher_lab._stack_quadrature
+
+    def counting(centers, weights, var, n, owner=None):
+        calls.append(np.size(var))
+        return quadrature(centers, weights, var, n, owner)
+
+    monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_each_fisher_command_takes_its_mixtures_in_at_most_two_passes(monkeypatch, tmp_path,
+                                                                      seed):
+    # the benchmark's op shapes: every mixture of a command in one stacked
+    # pass per quantity, never one pass per mixture
+    channel = tmp_path / "g1.txt"
+    channel.write_text("kind: gauss\nS:\n2\nSigma1:\n0.5\nSigma2:\n1\nSigmaZ:\n1.5\n")
+    out = str(tmp_path / "out.csv")
+    calls = _counting_passes(monkeypatch)
+    for argv, most in ((["lemmas", "--budget", "200", "--mixtures"], 2),
+                       (["debruijn", "--budget", "100"], 2),
+                       (["evidence", "--budget", "10", "--channel", str(channel)], 1)):
+        del calls[:]
+        assert cli.main(["fisher", *argv, "--seed", str(seed), "--out", out]) == 0
+        assert 1 <= len(calls) <= most and sum(calls) > 10 * len(calls), (argv, calls)
+    assert len(calls) == 1
+
+
+def test_a_mixture_derives_its_groups_once():
+    mix = ScalarMixture([1.0, 0.0, 1.0, 2.0], [0.5, -1.0, 2.0, 3.0], [0.25, 0.25, 0.5, 0.0])
+    groups = mix.groups()
+    assert mix.groups() is groups
+    # the per-u groups as derived on every call before: u = 2 has no mass
+    assert [(pu, c.tolist(), w.tolist()) for pu, c, w in groups] == [
+        (0.25, [-1.0], [1.0]), (0.75, [0.5, 2.0], [0.25 / 0.75, 0.5 / 0.75])]
+    for _, c, w in groups:
+        for a in (c, w):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
+    # the rows are the mixture's own: a caller writing to its arrays moves
+    # neither them nor the groups
+    x, w = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+    held = ScalarMixture(np.zeros(2), x, w)
+    x[0], w[:] = 5.0, [1.0, 0.0]
+    assert held.x_points.tolist() == [0.0, 1.0] and held.weights.tolist() == [0.5, 0.5]
+    assert held.groups()[0][1].tolist() == [0.0, 1.0]
+    # equality and repr read the rows alone, as before
+    assert [f.name for f in fields(ScalarMixture) if f.compare] == ["u_points", "x_points",
+                                                                    "weights"]
+    assert repr(mix) == ("ScalarMixture(u_points=array([1., 0., 1., 2.]), x_points=array("
+                         "[ 0.5, -1. ,  2. ,  3. ]), weights=array([0.25, 0.25, 0.5 , 0.  ]))")
+
+
+def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
+    rng = np.random.default_rng(36)
+    mixes = [random_mixture(rng) for _ in range(5)]
+    # the values of two lone passes, one per variance
+    lone = []
+    for mix in mixes:
+        (h2, j2), (hz, jz) = (fisher_lab._mixture_cond(mix, v) for v in (1.0, 2.0))
+        lone.append((h2, j2, hz, jz))
+    calls = _counting_passes(monkeypatch)
+    seen, group_sums = [], fisher_lab._group_sums
+
+    def spy(*args):
+        out = group_sums(*args)
+        seen.append(tuple(out.ravel().tolist()))
+        return out
+
+    monkeypatch.setattr(fisher_lab, "_group_sums", spy)
+    for mix in mixes:
+        interpolation_t_star(mix, 1.0, 2.0)
+    assert len(calls) == len(mixes)
+    assert seen == lone
+
+
+def test_mixture_stacks_equal_their_parts():
+    ch = scalar_channel()
+    rng = np.random.default_rng(44)
+    mixes = [random_mixture(rng) for _ in range(6)]
+    mixes = [ScalarMixture(m.u_points, m.x_points * min(1.0, math.sqrt(0.98 / m.second_moment())),
+                           m.weights) for m in mixes]
+    assert mixture_region_constants(mixes, ch) == [mixture_region_constants(m, ch) for m in mixes]
+    var = rng.uniform(0.5, 1.5, size=len(mixes))
+    stacked = debruijn_check(mixes, var.reshape(-1, 1, 1))
+    assert stacked.tolist() == [debruijn_check(m, [[v]]) for m, v in zip(mixes, var)]
+    # a stacked check names the instance that breaks it
+    with pytest.raises(StepTooLarge, match="^instance 2: step 0.5 moves the noise variance 0.4 "):
+        debruijn_check(mixes[:4], np.array([1.0, 1.0, 0.4, 0.3]).reshape(-1, 1, 1), step=0.5)
+    with pytest.raises(ValidationError, match="stack of 3 1x1 matrices, got shape \\(3,\\)"):
+        debruijn_check(mixes[:3], var[:3])
 
 
 def test_quadrature_rejects_an_even_or_tiny_grid():
@@ -367,17 +598,17 @@ def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
         var = 0.5 + rng.uniform(0.0, 1.0)
         assert fisher_lab._mixture_cond(mix, var) == (mixture_cond_entropy(mix, var),
                                                       mixture_cond_fisher(mix, var))
-    passes = []
-    quadrature = fisher_lab._quadrature
+    tasks = []
+    quadrature = fisher_lab._stack_quadrature
 
-    def counting(*args):
-        passes.append(args)
-        return quadrature(*args)
+    def counting(centers, weights, var, n, owner=None):
+        tasks.extend(var)
+        return quadrature(centers, weights, var, n, owner)
 
-    monkeypatch.setattr(fisher_lab, "_quadrature", counting)
+    monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
     rep = lemma_suite_check(seed=1, count=200, include_mixtures=True)
-    # each mixture row needs (h, J) at var1 and J at var2: two passes a group
-    assert len(passes) == 70
+    # each mixture row needs (h, J) at var1 and J at var2: two tasks a group
+    assert len(tasks) == 70
     assert sum(kind == "mixture" for _, kind, _, _ in rep.rows) == 3 * 20
 
 
@@ -501,7 +732,8 @@ def antipodal_constants_with(monkeypatch, rs2):
     mix = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
     consts = mixture_region_constants(mix, ch)
     consts["iuz"] = consts["iuy2"] - rs2
-    monkeypatch.setattr(fisher_lab, "mixture_region_constants", lambda m, c: dict(consts))
+    monkeypatch.setattr(fisher_lab, "mixture_region_constants",
+                        lambda mixes, c: [dict(consts) for _ in mixes])
     return mix, ch
 
 
