@@ -210,16 +210,6 @@ class InfoExpr:
             bits.append(str(self.constant))
         return " + ".join(bits)
 
-    # -- evaluation ------------------------------------------------------------
-
-    def evaluate(self, tables, sym_values=None):
-        """Numeric value in nats, each entropy read from the smallest of the
-        sequence ``tables`` of lone :class:`~.info_core.ProbTable` values
-        holding its variables (see :func:`evaluate_all`, which also takes
-        stacked ones).  Raises UnknownVariable for a symbol without a value
-        in ``sym_values`` or an atom that no table holds."""
-        return evaluate_all((self,), tables, sym_values)[0]
-
 
 def evaluate_all(exprs, tables, sym_values=None) -> list:
     """The numeric values of the sequence ``exprs``, each entropy read once
@@ -433,9 +423,6 @@ class EqualitySet:
 
     def reduce(self, expr: InfoExpr) -> InfoExpr:
         return _reduce(self._pivots, expr)
-
-    def contains_zero(self, expr: InfoExpr) -> bool:
-        return _reduce(self._pivots, expr).is_zero()
 
 
 def _primitive(e: InfoExpr, sign: int) -> InfoExpr:

@@ -134,10 +134,6 @@ class UnknownCorollary(WiretapError):
     """Unrecognized specialization name."""
 
 
-class NegativeRate(WiretapError):
-    """A rate that must be nonnegative is negative."""
-
-
 class BudgetZero(WiretapError):
     """Sweep budget must be at least one."""
 

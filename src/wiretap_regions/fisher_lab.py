@@ -45,18 +45,19 @@ from .regions_gaussian import GaussChannel, check_psd, logdet, project_range, sc
 TWO_PI_E = 2.0 * math.pi * math.e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GaussPair:
     """Jointly Gaussian (U, X) given by the joint covariance block matrix, or
     a stack of such pairs given by a ``(..., d_u + d_x, d_u + d_x)`` stack.
 
     ``Cov(X|U)`` is derived once, at construction; it and ``cov`` are read-only.
+    Equality and hashing are by identity.
     """
 
     cov: np.ndarray
     d_u: int
     d_x: int
-    _cxu: np.ndarray = field(init=False, repr=False, compare=False)
+    _cxu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = check_psd(self.cov, "joint covariance")
@@ -78,18 +79,18 @@ class GaussPair:
         return self.cov[..., self.d_u:, self.d_u:]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScalarMixture:
     """Finitely supported scalar (U, X) pair: rows of (u, x, weight).
 
     The conditional mixtures per u value are derived once, at construction;
-    they and the rows are read-only.
+    they and the rows are read-only.  Equality and hashing are by identity.
     """
 
     u_points: np.ndarray
     x_points: np.ndarray
     weights: np.ndarray
-    _groups: tuple = field(init=False, repr=False, compare=False)
+    _groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         u = np.array(self.u_points, dtype=float).ravel()   # copies, never the caller's arrays
@@ -150,9 +151,8 @@ def _check_mixture(centers, weights):
 
 def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
     """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` for
-    each task of a stack, an array ``var.shape + (2,)``: ``var`` holds a noise
-    variance per task, ``centers`` and ``weights`` an array per task (a 0-d
-    ``var`` is one task, its arrays given bare).
+    each task of a stack, an array (tasks, 2): ``var`` holds a noise variance
+    per task, ``centers`` and ``weights`` an array per task.
 
     Each task takes the trapezoid rule over [min c - 8 sigma, max c + 8 sigma]
     on the nested ladder ``m = (n - 1) / 2^k + 1`` of odd point counts ending
@@ -164,14 +164,10 @@ def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
     a log-weight -inf component (exact zeros), in blocks of at most
     QUAD_BLOCK_CELLS cells (tasks x components x points, or one task), so each
     task gets the bits it gets alone.  An error names instance ``owner[t]`` for
-    task t (default t, or none for a 0-d ``var``): the first task to break the
-    first check that fails."""
-    var = np.asarray(var, dtype=float)
-    shape = var.shape
-    owner = list(np.ndindex(shape)) if owner is None else owner
-    if not shape:
-        centers, weights = [centers], [weights]
-    var = var.ravel()
+    task t (default ``(t,)``): the first task to break the first check that
+    fails."""
+    var = np.asarray(var, dtype=float).ravel()
+    owner = [(t,) for t in range(var.size)] if owner is None else owner
     if not len(centers) == len(weights) == var.size:
         raise DimensionMismatch(f"{len(centers)} centers, {len(weights)} weights and "
                                 f"{var.size} noise variances do not make a stack of tasks")
@@ -221,7 +217,7 @@ def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
     _first_task(rung > n, QuadratureNonConvergent, owner,
                 lambda t: f"quadrature of (h, J) moved by ({moved[t, 0]:.2e}, "
                           f"{moved[t, 1]:.2e}) under refinement at {n} points")
-    return out.reshape(*shape, 2)
+    return out
 
 
 def _stack_integrands(y, centers, logw, var) -> np.ndarray:
@@ -251,21 +247,16 @@ def _stack_integrands(y, centers, logw, var) -> np.ndarray:
                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)], axis=1)
 
 
-def _one_or_stack(a: np.ndarray):
-    """A float for a 0-d array, else the array."""
-    return float(a) if a.ndim == 0 else a
+def mixture_entropy(centers, weights, var, n: int = QUAD_N, owner=None) -> np.ndarray:
+    """Differential entropy of ``sum_j w_j N(c_j, var)`` for each task of a
+    stack, checked by refinement (see :func:`_stack_quadrature`)."""
+    return _stack_quadrature(centers, weights, var, n, owner)[:, 0]
 
 
-def mixture_entropy(centers, weights, var, n: int = QUAD_N, owner=None):
-    """Differential entropy of ``sum_j w_j N(c_j, var)``, checked by
-    refinement; an array for a stack of tasks (see :func:`_stack_quadrature`)."""
-    return _one_or_stack(_stack_quadrature(centers, weights, var, n, owner)[..., 0])
-
-
-def mixture_fisher(centers, weights, var, n: int = QUAD_N, owner=None):
-    """Fisher information of ``sum_j w_j N(c_j, var)``, checked by
-    refinement; an array for a stack of tasks (see :func:`_stack_quadrature`)."""
-    return _one_or_stack(_stack_quadrature(centers, weights, var, n, owner)[..., 1])
+def mixture_fisher(centers, weights, var, n: int = QUAD_N, owner=None) -> np.ndarray:
+    """Fisher information of ``sum_j w_j N(c_j, var)`` for each task of a
+    stack, checked by refinement (see :func:`_stack_quadrature`)."""
+    return _stack_quadrature(centers, weights, var, n, owner)[:, 1]
 
 
 def _group_sums(route, groups, var, owner) -> np.ndarray:
@@ -281,20 +272,9 @@ def _group_sums(route, groups, var, owner) -> np.ndarray:
     return out
 
 
-def mixture_cond_entropy(mix: ScalarMixture, var: float) -> float:
-    """h(X + N | U) for Gaussian noise of the given variance."""
-    return float(_group_sums(mixture_entropy, [mix.groups()], [var], [()])[0])
-
-
 def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
     return float(_group_sums(mixture_fisher, [mix.groups()], [var], [()])[0])
-
-
-def _mixture_cond(mix: ScalarMixture, var: float) -> tuple[float, float]:
-    """(h(X + N | U), J(X + N | U)) from one quadrature pass per u value;
-    each equals what mixture_cond_entropy and mixture_cond_fisher return."""
-    return tuple(_group_sums(_stack_quadrature, [mix.groups()], [var], [()])[0].tolist())
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -648,20 +628,18 @@ class DominanceReport:
     contained: bool
 
 
-def mixture_region_constants(mix, ch: GaussChannel):
-    """The five information quantities of :func:`five_bound_system` for a
-    scalar mixture input, or a list of them for a list of mixtures, whose
-    entropies take one stacked quadrature; an error names the mixture of a
-    list it concerns, ``instance k``."""
+def mixture_region_constants(mixes, ch: GaussChannel) -> list[dict]:
+    """The five information quantities of :func:`five_bound_system` for each
+    of a list of scalar mixture inputs, their entropies by one stacked
+    quadrature; an error names the mixture it concerns, ``instance k``."""
     _, s1, s2, sz = ch.scalars
-    lone = isinstance(mix, ScalarMixture)
     groups, var, owner = [], [], []
-    for k, m in enumerate([mix] if lone else mix):
+    for k, m in enumerate(mixes):
         whole = ((1.0, m.x_points, m.weights),)
         groups += [whole, whole, m.groups(), m.groups(), m.groups()]
         var += [s2, sz, s1, s2, sz]
-        owner += [() if lone else (k,)] * 5
-    out = [{
+        owner += [(k,)] * 5
+    return [{
         "iuy2": h_y2 - h_y2_u,
         "iuz": h_z - h_z_u,
         "ixy1_u": h_y1_u - 0.5 * math.log(TWO_PI_E * s1),
@@ -669,7 +647,6 @@ def mixture_region_constants(mix, ch: GaussChannel):
         "ixz_u": h_z_u - 0.5 * math.log(TWO_PI_E * sz),
     } for h_y2, h_z, h_y1_u, h_y2_u, h_z_u
         in _group_sums(mixture_entropy, groups, var, owner).reshape(-1, 5).tolist()]
-    return out[0] if lone else out
 
 
 def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarray,

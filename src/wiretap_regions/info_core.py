@@ -154,18 +154,11 @@ def make_table(vars, probs) -> ProbTable:
     return t
 
 
-def make_stack(vars, probs) -> ProbTable:
-    """Build and validate a stacked :class:`ProbTable` whose member k holds
-    a copy of ``probs[k]``."""
-    t = ProbTable(tuple(vars), probs, stacked=True)
-    validate_table(t)
-    return t
-
-
 def take_stack(vars, probs: np.ndarray) -> ProbTable:
-    """:func:`make_stack` of a fresh float64 array that nothing else holds
-    (an ``np.stack`` or ``einsum`` result): the table takes it over,
-    read-only, with no copy."""
+    """Build and validate a stacked :class:`ProbTable` from a fresh float64
+    array that nothing else holds (an ``np.stack`` or ``einsum`` result),
+    member k being ``probs[k]``: the table takes it over, read-only, with no
+    copy."""
     t = ProbTable(tuple(vars), probs, stacked=True, _fresh=True)
     validate_table(t)
     return t
@@ -216,12 +209,6 @@ def entropies(t: ProbTable, sets) -> list:
     if t.stacked:
         return [t._entropies[key] for key in keys]
     return [float(t._entropies[key][0]) for key in keys]
-
-
-def entropy(t: ProbTable, names=None):
-    """Joint entropy H(names) in nats (all variables when ``names`` is None),
-    as :func:`entropies` gives it."""
-    return entropies(t, [t.names if names is None else names])[0]
 
 
 def smallest_holding(tables, names):

@@ -1,8 +1,8 @@
 """Every file the package reads or writes: ``text_lines`` reads each
 line-based format (``#`` comments and blank lines skipped), ``csv_text``
 writes every CSV.  Channel, aux and split files hold ``key: value`` headers
-plus matrix blocks: ``NAME:`` on its own line, then numeric rows.  Channels
-are written with ``%.17g`` floats, so a parse/emit round trip is bit exact.
+plus matrix blocks: ``NAME:`` on its own line, then numeric rows; the
+package reads them and writes none.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .polytope_fm import IneqSystem, VPolytope
 from .regions_discrete import AuxJoint, SweepResult
 from .regions_gaussian import CovSplit, GaussChannel, HGaussChannel
 
-FLOAT_FMT = "%.17g"
 CSV_FMT = "%.12g"
 
 
@@ -227,40 +226,6 @@ def parse_dag_file(path) -> FactorStructure:
             raise ParseError(f"duplicate node {toks[0]!r}", line=no)
         parents[toks[0]] = tuple(toks[1:])
     return FactorStructure(parents)
-
-
-def _mat_lines(name: str, m: np.ndarray) -> list[str]:
-    m = np.atleast_2d(np.asarray(m, dtype=float))
-    lines = [f"{name}:"]
-    for row in m:
-        lines.append(" ".join(FLOAT_FMT % x for x in row))
-    return lines
-
-
-def emit_channel_file(ch, path) -> None:
-    """Write a channel in the parse format (bit-exact round trip)."""
-    lines = []
-    if isinstance(ch, ChannelSpec):
-        lines.append("kind: discrete")
-        lines.append(f"input: {ch.input.name} {ch.input.cardinality}")
-        lines.append("outputs: " + " ".join(f"{o.name} {o.cardinality}" for o in ch.outputs))
-        if ch.stages is not None:
-            for n, s in zip(_stage_blocks(ch.input, ch.outputs), ch.stages):
-                lines.extend(_mat_lines(n, s))
-        else:
-            lines.extend(_mat_lines("kernel", ch.kernel.reshape(ch.kernel.shape[0], -1)))
-    elif isinstance(ch, GaussChannel):
-        lines.append("kind: gauss")
-        for name, m in (("S", ch.S), ("Sigma1", ch.Sigma1), ("Sigma2", ch.Sigma2),
-                        ("SigmaZ", ch.SigmaZ)):
-            lines.extend(_mat_lines(name, m))
-    elif isinstance(ch, HGaussChannel):
-        lines.append("kind: gauss_h")
-        for name, m in (("H1", ch.H1), ("H2", ch.H2), ("HZ", ch.HZ)):
-            lines.extend(_mat_lines(name, m))
-    else:
-        raise ValidationError(f"cannot emit {type(ch).__name__}")
-    write_text(path, "\n".join(lines) + "\n")
 
 
 def write_text(path, text: str) -> None:

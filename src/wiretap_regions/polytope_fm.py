@@ -121,13 +121,6 @@ class LinIneq:
         return self.nums if self.den == 1 else tuple(
             (v, Fraction(c, self.den)) for v, c in self.nums)
 
-    def coeff_dict(self) -> dict:
-        return dict(self.coeffs)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(v for v, _ in self.nums)
-
     def with_rhs(self, rhs) -> "LinIneq":
         return LinIneq(self.nums, rhs, self.rel, self.label, self.den)
 
@@ -637,10 +630,10 @@ def instantiate(sys: IneqSystem, tables, sym_values=None) -> list[IneqSystem]:
     """One system per member of the stacked :class:`~.info_core.ProbTable`
     values ``tables`` and symbol arrays ``sym_values``: in member k each
     symbolic right-hand side takes its value on member k of every table and
-    entry k of every symbol, as :meth:`~.entropy_algebra.InfoExpr.evaluate`
-    sums it on that member alone, bit for bit, each entropy read once for the
-    whole stack (:func:`~.entropy_algebra.evaluate_all`).  Raises
-    DimensionMismatch for a lone table, or for stacks of different lengths."""
+    entry k of every symbol, as :func:`~.entropy_algebra.evaluate_all` sums
+    it on that member's lone tables, bit for bit, each entropy read once for
+    the whole stack.  Raises DimensionMismatch for a lone table, or for
+    stacks of different lengths."""
     if not all(t.stacked for t in tables):
         raise DimensionMismatch("instantiate takes stacked tables, not a lone one")
     sizes = {len(t.probs) for t in tables} | {len(v) for v in (sym_values or {}).values()}

@@ -2,9 +2,8 @@
 
 Evaluates the degraded-channel inner and outer bounds, the pre-elimination
 (per-message) form, the general layered inner bound, corollary
-specializations, the equivocation mapping, and seeded sweeps over auxiliary
-distributions.  Rate tuples are ordered ``(Rp1, Rs1, Rp2, Rs2)``; all
-constants are in nats.
+specializations, and seeded sweeps over auxiliary distributions.  Rate
+tuples are ordered ``(Rp1, Rs1, Rp2, Rs2)``; all constants are in nats.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from .entropy_algebra import InfoExpr
 from .errors import (
     BudgetZero,
     InconsistentAux,
-    NegativeRate,
     NotDegraded,
     UnknownCorollary,
     ValidationError,
@@ -265,15 +263,6 @@ def specialize_corollary(sys: IneqSystem, which: str) -> IneqSystem:
     raise UnknownCorollary(f"unknown specialization {which!r}")
 
 
-def to_equivocation(rates) -> tuple[float, float, float, float]:
-    """Map (Rp1, Rs1, Rp2, Rs2) to the rate-equivocation tuple
-    (R1, Re1, R2, Re2) = (Rp1+Rs1, Rs1, Rp2+Rs2, Rs2)."""
-    rp1, rs1, rp2, rs2 = rates
-    if min(rp1, rs1, rp2, rs2) < 0:
-        raise NegativeRate(f"negative rate in {rates}")
-    return (rp1 + rs1, rs1, rp2 + rs2, rs2)
-
-
 # --- sweeps -----------------------------------------------------------------
 
 
@@ -394,18 +383,10 @@ def _ux_probs(rng, card_u: int, card_x: int) -> np.ndarray:
     return rng.dirichlet(np.ones(card_u * card_x)).reshape(card_u, card_x)
 
 
-def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
-                       card_v1: int, card_v2: int, card_x: int,
-                       indep_v: bool = False) -> AuxJoint:
-    """Random layered aux; ``indep_v`` draws V1 and V2 independent given U,
-    which keeps the joint-covering penalty at zero and the pair bound
-    nonnegative far more often."""
-    arr = _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v)
-    return AuxJoint(make_table(_aux_vars(LAYERED_VARS, arr.shape), arr))
-
-
 def _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v) -> np.ndarray:
-    """The array of :func:`random_aux_layered`, drawn in its order."""
+    """A random layered aux array over (Q, U, V1, V2, X); ``indep_v`` draws V1
+    and V2 independent given U, which keeps the joint-covering penalty at
+    zero and the pair bound nonnegative far more often."""
     p_qu = rng.dirichlet(np.ones(card_q * card_u)).reshape(card_q, card_u)
     if indep_v:
         p1 = rng.dirichlet(np.ones(card_v1), size=card_u)

@@ -259,19 +259,6 @@ class CovSplit:
                         lambda k: "covariance allocation exceeds the input cap S")
 
 
-def construct_joint_noise(ch: GaussChannel) -> np.ndarray:
-    """Joint covariance of (N1, N2, NZ) realizing the degraded chain.
-
-    Writes N2 = N1 + M2 and NZ = N2 + MZ with independent increments of
-    covariance Sigma2-Sigma1 and SigmaZ-Sigma2, so the blocks reproduce the
-    marginal noise covariances exactly and X -> Y1 -> Y2 -> Z holds.
-    """
-    if not ch.degraded:
-        raise NotDegraded("noise covariances are not ordered")
-    s1, s2, sz = ch.Sigma1, ch.Sigma2, ch.SigmaZ
-    return np.block([[s1, s1, s1], [s1, s2, s2], [s1, s2, sz]])
-
-
 def _half_logdet_ratio(num, den) -> float:
     return 0.5 * (logdet(num) - logdet(den))
 
@@ -477,6 +464,10 @@ def _general_bounds(K0, K1, K2, ch: GaussChannel) -> list[LinIneq]:
 
 # --- scalar discretization ---------------------------------------------------
 
+# A variance of U or of X given U at most this times S is discretized as a
+# point mass.
+POINT_MASS_TOL = 1e-12
+
 
 def discretize_scalar(ch: GaussChannel, k_alloc: float):
     """Fine discrete twin of a scalar channel and its Gaussian aux selection.
@@ -484,15 +475,20 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
     Returns ``(aux, channel)`` suitable for the discrete degraded evaluation:
     U on a 61-point grid carrying N(0, S-K) out to 6 standard deviations,
     X | U ~ N(u, K) quantized onto a 61-point grid, and the cascade stages of
-    the degraded noise increments row-discretized on 122 points each.  Used
-    to cross-check the closed-form bounds against the discrete path.
+    the degraded noise increments row-discretized on 122 points each (a zero
+    increment is the identity stage).  Used to cross-check the closed-form
+    bounds against the discrete path.  Raises NotDegraded for a channel out
+    of the degraded noise order, NotPSD for K < 0 and CapExceeded for K > S.
     """
     S, s1, s2, sz = ch.scalars
+    if not ch.degraded:
+        raise NotDegraded("discretization needs the degraded noise order")
+    CovSplit(K=np.atleast_2d(float(k_alloc))).validate_cap(ch.S)
     su = S - k_alloc
     m, span = 61, 6.0
 
     def centered_grid(var, n):
-        if var > 1e-12:
+        if var > POINT_MASS_TOL * S:
             g = np.linspace(-span * math.sqrt(var), span * math.sqrt(var), n)
             p = np.exp(-g ** 2 / (2.0 * var))
             return g, p / p.sum()
@@ -500,7 +496,7 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
 
     ug, pu = centered_grid(su, m)
     xg = np.linspace(-1.2 * span * math.sqrt(S), 1.2 * span * math.sqrt(S), m)
-    if k_alloc > 1e-12:
+    if k_alloc > POINT_MASS_TOL * S:
         pxu = np.exp(-(xg[None, :] - ug[:, None]) ** 2 / (2.0 * k_alloc))
         pxu /= pxu.sum(axis=1, keepdims=True)
     else:
@@ -510,7 +506,8 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
     aux_arr = pu[:, None] * pxu
 
     def stage(src, var, n):
-        var = max(var, 1e-15)
+        if var <= 0.0:   # equal noise, up to the order's tolerance
+            return src, np.eye(src.size)
         dst = np.linspace(src[0] - span * math.sqrt(var), src[-1] + span * math.sqrt(var), n)
         kmat = np.exp(-(dst[None, :] - src[:, None]) ** 2 / (2.0 * var))
         return dst, kmat / kmat.sum(axis=1, keepdims=True)

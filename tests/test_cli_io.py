@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
+from generators import emit_channel_file, random_aux_layered
 from wiretap_regions import fm_script
 from wiretap_regions.cli import build_parser, main
 from wiretap_regions.entropy_algebra import FactorStructure
@@ -29,7 +30,6 @@ from wiretap_regions.fisher_lab import GaussPair
 from wiretap_regions.info_core import ChannelSpec, VarId, build_degraded_joint
 from wiretap_regions.io_files import (
     check_matches_channel,
-    emit_channel_file,
     parse_aux_file,
     parse_channel_file,
     parse_dag_file,
@@ -40,7 +40,6 @@ from wiretap_regions.polytope_fm import IneqSystem, LinIneq, VPolytope, vertices
 from wiretap_regions.regions_discrete import (
     eval_degraded_inner,
     eval_general_inner,
-    random_aux_layered,
     random_aux_ux,
 )
 from wiretap_regions.regions_gaussian import (

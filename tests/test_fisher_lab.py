@@ -25,7 +25,6 @@ from wiretap_regions.fisher_lab import (
     gaussian_fisher,
     interpolation_t_star,
     lemma_suite_check,
-    mixture_cond_entropy,
     mixture_cond_fisher,
     mixture_entropy,
     mixture_fisher,
@@ -154,31 +153,31 @@ def test_debruijn_command_names_the_step_and_the_instance(capsys):
 def test_quadrature_nonconvergence_detected():
     # a 31-point grid cannot resolve two narrow spikes ten units apart
     with pytest.raises(QuadratureNonConvergent):
-        mixture_entropy([0.0, 10.37], [0.5, 0.5], 1e-2, n=31)
+        mixture_entropy([[0.0, 10.37]], [[0.5, 0.5]], [1e-2], n=31)
 
 
 def test_mixture_entropy_gaussian_closed_form():
-    h = mixture_entropy([0.0], [1.0], 1.7)
+    [h] = mixture_entropy([[0.0]], [[1.0]], [1.7])
     assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 1.7), abs=1e-9)
 
 
 def test_mixture_fisher_gaussian_closed_form():
-    assert mixture_fisher([0.0], [1.0], 2.3) == pytest.approx(1 / 2.3, abs=1e-9)
+    assert mixture_fisher([[0.0]], [[1.0]], [2.3])[0] == pytest.approx(1 / 2.3, abs=1e-9)
 
 
 def test_separated_components_closed_forms():
     # components 40 standard deviations apart barely overlap: h adds H(w), J is 1/var
     c, w, var = [-20.0, 0.0, 20.0], [0.2, 0.3, 0.5], 0.25
     h_w = -sum(p * math.log(p) for p in w)
-    assert mixture_entropy(c, w, var) == pytest.approx(
+    assert mixture_entropy([c], [w], [var])[0] == pytest.approx(
         h_w + 0.5 * math.log(TWO_PI_E * var), abs=1e-12)
-    assert mixture_fisher(c, w, var) == pytest.approx(1 / var, abs=1e-12)
+    assert mixture_fisher([c], [w], [var])[0] == pytest.approx(1 / var, abs=1e-12)
 
 
 def test_fisher_quadrature_checks_itself():
     # the grid cannot resolve spikes of width 0.03 two hundred units apart
     with pytest.raises(QuadratureNonConvergent):
-        mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
+        mixture_fisher([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]], [1e-3])
 
 
 def _fixed_grid_pass(centers, weights, var, n=fisher_lab.QUAD_N):
@@ -215,7 +214,7 @@ def _rungs(monkeypatch):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 2.0))
 def test_grid_ladder_matches_the_largest_grid(seed, var):
     mix = random_mixture(np.random.default_rng(seed))
-    got = fisher_lab._stack_quadrature(mix.x_points, mix.weights, var, fisher_lab.QUAD_N)
+    [got] = fisher_lab._stack_quadrature([mix.x_points], [mix.weights], [var], fisher_lab.QUAD_N)
     for value, ref in zip(got, _fixed_grid_pass(mix.x_points, mix.weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
 
@@ -229,7 +228,7 @@ def test_grid_ladder_matches_the_largest_grid(seed, var):
 def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers, weights, var,
                                                             rungs):
     seen = _rungs(monkeypatch)
-    got = fisher_lab._stack_quadrature(centers, weights, var, fisher_lab.QUAD_N)
+    [got] = fisher_lab._stack_quadrature([centers], [weights], [var], fisher_lab.QUAD_N)
     assert seen == {(var, centers[0]): rungs}
     for value, ref in zip(got, _fixed_grid_pass(centers, weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
@@ -238,7 +237,7 @@ def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers
 def test_grid_ladder_raises_when_the_largest_grid_still_moves(monkeypatch):
     seen = _rungs(monkeypatch)
     with pytest.raises(QuadratureNonConvergent, match="at 4001 points"):
-        mixture_fisher([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
+        mixture_fisher([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]], [1e-3])
     assert seen[(1e-3, -200.0)][-1] == 4001
 
 
@@ -340,9 +339,9 @@ def test_a_stack_names_the_first_task_that_does_not_converge():
     assert e.value.instance == (2,)
     assert str(e.value).startswith("instance 2: quadrature of (h, J) moved by (")
     assert str(e.value).endswith(") under refinement at 4001 points")
-    # a lone task names no instance; an owner maps a task to the caller's instance
+    # an owner () names no instance; an owner maps a task to the caller's instance
     with pytest.raises(QuadratureNonConvergent, match="^quadrature of"):
-        mixture_fisher(*spikes)
+        mixture_fisher(*([part] for part in spikes), owner=[()])
     with pytest.raises(QuadratureNonConvergent, match="^instance 7: quadrature of"):
         mixture_entropy(centers, weights, np.array(var), owner=[(9,), (9,), (7,), (8,), (6,)])
     # the first task to break the first check that fails
@@ -422,11 +421,26 @@ def test_a_mixture_derives_its_groups_once():
     x[0], w[:] = 5.0, [1.0, 0.0]
     assert held.x_points.tolist() == [0.0, 1.0] and held.weights.tolist() == [0.5, 0.5]
     assert held.groups()[0][1].tolist() == [0.0, 1.0]
-    # equality and repr read the rows alone, as before
-    assert [f.name for f in fields(ScalarMixture) if f.compare] == ["u_points", "x_points",
-                                                                    "weights"]
+    # repr reads the rows alone, as before; equality is identity (see below)
+    assert [f.name for f in fields(ScalarMixture) if f.repr] == ["u_points", "x_points",
+                                                                 "weights"]
     assert repr(mix) == ("ScalarMixture(u_points=array([1., 0., 1., 2.]), x_points=array("
                          "[ 0.5, -1. ,  2. ,  3. ]), weights=array([0.25, 0.25, 0.5 , 0.  ]))")
+
+
+def test_mixtures_and_pairs_compare_and_hash_by_identity():
+    # field-wise == would compare ndarrays, which have no truth value
+    a, b = (ScalarMixture([0.0, 1.0], [0.0, 1.0], [0.5, 0.5]) for _ in range(2))
+    p, q = (GaussPair(np.eye(2), d_u=1, d_x=1) for _ in range(2))
+    assert a == a and a != b and p == p and p != q and a != p
+    assert hash(a) == hash(a) and hash(p) == hash(p)
+    assert len({a, b, p, q, a, p}) == 4 and b in [a, b] and q not in [a, p]
+
+
+def _cond(route, mix, var):
+    """``route`` (mixture_entropy, mixture_fisher or the (h, J) quadrature)
+    of X + N given U for one mixture, as a stack of one: a float or a list."""
+    return fisher_lab._group_sums(route, [mix.groups()], [var], [()])[0].tolist()
 
 
 def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
@@ -435,7 +449,7 @@ def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
     # the values of two lone passes, one per variance
     lone = []
     for mix in mixes:
-        (h2, j2), (hz, jz) = (fisher_lab._mixture_cond(mix, v) for v in (1.0, 2.0))
+        (h2, j2), (hz, jz) = (_cond(fisher_lab._stack_quadrature, mix, v) for v in (1.0, 2.0))
         lone.append((h2, j2, hz, jz))
     calls = _counting_passes(monkeypatch)
     seen, group_sums = [], fisher_lab._group_sums
@@ -458,7 +472,8 @@ def test_mixture_stacks_equal_their_parts():
     mixes = [random_mixture(rng) for _ in range(6)]
     mixes = [ScalarMixture(m.u_points, m.x_points * min(1.0, math.sqrt(0.98 / m.second_moment())),
                            m.weights) for m in mixes]
-    assert mixture_region_constants(mixes, ch) == [mixture_region_constants(m, ch) for m in mixes]
+    assert mixture_region_constants(mixes, ch) == [mixture_region_constants([m], ch)[0]
+                                                   for m in mixes]
     var = rng.uniform(0.5, 1.5, size=len(mixes))
     stacked = debruijn_check(mixes, var.reshape(-1, 1, 1))
     assert stacked.tolist() == [debruijn_check(m, [[v]]) for m, v in zip(mixes, var)]
@@ -473,8 +488,8 @@ def test_quadrature_rejects_an_even_or_tiny_grid():
     # with an even count, y[::2] stops one point short of the interval's end
     for n in (4000, 2, 1, 0, -1):
         with pytest.raises(ValidationError, match="odd point count"):
-            mixture_entropy([0.0], [1.0], 1.0, n=n)
-    assert mixture_fisher([0.0], [1.0], 1.0, n=3001) == pytest.approx(1.0, abs=1e-9)
+            mixture_entropy([[0.0]], [[1.0]], [1.0], n=n)
+    assert mixture_fisher([[0.0]], [[1.0]], [1.0], n=3001)[0] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_quadrature_rejects_bad_input():
@@ -483,7 +498,7 @@ def test_quadrature_rejects_bad_input():
                           ([0.0, np.nan], [0.5, 0.5], 1.0), ([0.0], [0.5, 0.5], 1.0),
                           ([0.0, 1.0], [0.5, 0.5], 0.0)]:
             with pytest.raises(ValidationError):
-                routine(c, w, var)
+                routine([c], [w], [var])
     with pytest.raises(ValidationError):
         ScalarMixture([0.0, 0.0], [0.0, 1.0], [1.5, -0.5])
 
@@ -492,8 +507,8 @@ def test_zero_weight_is_dropped_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for routine in (mixture_entropy, mixture_fisher):
-            assert routine([-5.0, 0.0, 1.0], [0.0, 0.4, 0.6], 0.8) == \
-                routine([0.0, 1.0], [0.4, 0.6], 0.8)
+            assert routine([[-5.0, 0.0, 1.0]], [[0.0, 0.4, 0.6]], [0.8])[0] == \
+                routine([[0.0, 1.0]], [[0.4, 0.6]], [0.8])[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -505,8 +520,8 @@ def test_mixture_within_gaussian_bounds(components, var):
     w /= w.sum()
     total = var + float(w @ c ** 2) - float(w @ c) ** 2   # Var(X + N)
     # Cramer-Rao for X + N, and the Gaussian maximizes entropy at fixed variance
-    assert mixture_fisher(c, w, var) * total >= 1.0 - 1e-9
-    assert mixture_entropy(c, w, var) <= 0.5 * math.log(TWO_PI_E * total) + 1e-9
+    assert mixture_fisher([c], [w], [var])[0] * total >= 1.0 - 1e-9
+    assert mixture_entropy([c], [w], [var])[0] <= 0.5 * math.log(TWO_PI_E * total) + 1e-9
 
 
 def test_lemma_suite_slacks():
@@ -596,8 +611,8 @@ def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
     for _ in range(20):
         mix = random_mixture(rng)
         var = 0.5 + rng.uniform(0.0, 1.0)
-        assert fisher_lab._mixture_cond(mix, var) == (mixture_cond_entropy(mix, var),
-                                                      mixture_cond_fisher(mix, var))
+        assert _cond(fisher_lab._stack_quadrature, mix, var) == [
+            _cond(mixture_entropy, mix, var), mixture_cond_fisher(mix, var)]
     tasks = []
     quadrature = fisher_lab._stack_quadrature
 
@@ -634,7 +649,7 @@ def test_interpolation_mixture_bracket():
         # oracle: dense grid sign change of f(t) - g
         j2 = mixture_cond_fisher(mix, 1.0)
         jz = mixture_cond_fisher(mix, 2.0)
-        g = mixture_cond_entropy(mix, 2.0) - mixture_cond_entropy(mix, 1.0)
+        g = _cond(mixture_entropy, mix, 2.0) - _cond(mixture_entropy, mix, 1.0)
         kz, k2 = 1 / jz - 2.0, 1 / j2 - 1.0
         ts = np.linspace(0, 1, 201)
         vals = np.array([0.5 * math.log(((1 - t) * kz + t * k2 + 2.0)
@@ -680,7 +695,7 @@ def test_evidence_antipodal_dominated():
 
 def brute_force_max_slack(mix, ch, env):
     """Largest dominance slack over every vertex of the clamped polytope."""
-    bounds = five_bound_system(**mixture_region_constants(mix, ch))
+    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0])
     pts = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0))
                                       for q in bounds.ineqs])).vertices
     return max(dominance_slack([p], env)[0] for p in pts)
@@ -730,7 +745,7 @@ def antipodal_constants_with(monkeypatch, rs2):
     """Patch the mixture constants so that the rs2 bound I(U;Y2) - I(U;Z) is ``rs2``."""
     ch = scalar_channel()
     mix = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
-    consts = mixture_region_constants(mix, ch)
+    [consts] = mixture_region_constants([mix], ch)
     consts["iuz"] = consts["iuy2"] - rs2
     monkeypatch.setattr(fisher_lab, "mixture_region_constants",
                         lambda mixes, c: [dict(consts) for _ in mixes])
@@ -767,7 +782,7 @@ CHANNEL_2X2 = GaussChannel(S=2 * np.eye(2), Sigma1=0.5 * np.eye(2), Sigma2=np.ey
     lambda: interpolation_t_star(GaussPair(np.eye(4), d_u=2, d_x=2), 1.0, 2.0),
     lambda: interpolation_t_star(GaussPair(np.stack([np.eye(2)] * 3), d_u=1, d_x=1), 1.0, 2.0),
     lambda: debruijn_check(ANTIPODAL, np.eye(2)),
-    lambda: mixture_region_constants(ANTIPODAL, CHANNEL_2X2),
+    lambda: mixture_region_constants([ANTIPODAL], CHANNEL_2X2),
     lambda: sufficiency_evidence_scalar([ANTIPODAL], CHANNEL_2X2, np.ones((1, 4)))[0],
     lambda: discretize_scalar(CHANNEL_2X2, 0.5),
 ], ids=["interpolation-2x2", "interpolation-stack", "debruijn-mixture-2x2",

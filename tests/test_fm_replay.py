@@ -6,8 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import emit_channel_file, random_aux_layered
 from wiretap_regions import fm_script, info_core
-from wiretap_regions.entropy_algebra import EqualitySet, InfoExpr, derive_equalities, sym
+from wiretap_regions.entropy_algebra import (
+    EqualitySet,
+    InfoExpr,
+    derive_equalities,
+    evaluate_all,
+    sym,
+)
 from wiretap_regions.cli import main
 from wiretap_regions.errors import (
     DimensionMismatch,
@@ -38,11 +45,11 @@ from wiretap_regions.info_core import (
     ProbTable,
     VarId,
     build_degraded_joint,
-    make_stack,
     make_table,
     mutual_information,
+    take_stack,
 )
-from wiretap_regions.io_files import emit_channel_file, region_csv_text
+from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
     LinIneq,
@@ -55,7 +62,6 @@ from wiretap_regions.regions_discrete import (
     RATES,
     ZERO_BOUND_TOL,
     eval_general_inner,
-    random_aux_layered,
 )
 
 
@@ -244,7 +250,7 @@ def test_one_substitution_pass_removes_every_pivot(equalities, rows):
         q = _linineq(row, "<=")
         nums, den, rhs = _substitute_pivots(dict(q.nums), q.den, q.rhs, pivots)
         got = {v: Fraction(k, den) for v, k in nums.items()}, rhs
-        assert got == _fixed_point_substitution(q.coeff_dict(), q.rhs, pivots)
+        assert got == _fixed_point_substitution(dict(q.coeffs), q.rhs, pivots)
         assert not set(nums) & set(pivots)
 
 
@@ -571,8 +577,8 @@ def _certify_row_by_row(kept, extras, tables):
             syms = min_sym_values(one)
             kept_num = instantiate(kept, one, syms)[0]
             lone_syms = {n: float(v[0]) for n, v in syms.items()}
-            rhs = (q.rhs.evaluate((table,), lone_syms) if isinstance(q.rhs, InfoExpr)
-                   else float(q.rhs))
+            rhs = (evaluate_all((q.rhs,), (table,), lone_syms)[0]
+                   if isinstance(q.rhs, InfoExpr) else float(q.rhs))
             val = support_value([(kept_num, [{v: float(c) for v, c in q.coeffs}])])[0][0]
             if val == float("-inf"):
                 continue
@@ -587,7 +593,7 @@ def _certify_row_by_row(kept, extras, tables):
 
 def _stack_of(tables):
     """The stacked table whose members are the lone ``tables``."""
-    return make_stack(tables[0].vars, np.stack([t.probs for t in tables]))
+    return take_stack(tables[0].vars, np.stack([t.probs for t in tables]))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12])
@@ -748,7 +754,7 @@ def test_stacked_instantiation_equals_each_member_alone():
                 assert (g.nums, g.den, g.rel, g.label) == (q.nums, q.den, q.rel, q.label)
                 if isinstance(q.rhs, InfoExpr):
                     assert type(g.rhs) is float
-                    assert g.rhs == q.rhs.evaluate((table,), lone_syms)
+                    assert g.rhs == evaluate_all((q.rhs,), (table,), lone_syms)[0]
                     # the reference sums each marginal straight from the table
                     assert abs(g.rhs - _lone_reference(q.rhs, (table,), lone_syms)) <= 1e-13
                 else:

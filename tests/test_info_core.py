@@ -17,13 +17,12 @@ from wiretap_regions.errors import (
 from wiretap_regions.info_core import (
     MI_CLAMP,
     ChannelSpec,
+    ProbTable,
     VarId,
     build_degraded_joint,
     channel_joint,
     check_markov,
     entropies,
-    entropy,
-    make_stack,
     make_table,
     mutual_information,
     take_stack,
@@ -169,9 +168,9 @@ def test_cell_cap_enforced():
         ProbTable(big, np.zeros(1))
     # a stack built from an array checks each of its tables as a lone table
     with pytest.raises(TableTooLarge):
-        make_stack(big, np.zeros((2, 1)))
+        take_stack(big, np.zeros((2, 1)))
     with pytest.raises(ShapeMismatch, match="duplicate"):
-        make_stack((X2, X2), np.full((1, 2, 2), 0.25))
+        take_stack((X2, X2), np.full((1, 2, 2), 0.25))
 
 
 def test_infer_degraded_on_dense_kernels():
@@ -301,7 +300,8 @@ def test_entropy_computes_each_marginal_once(monkeypatch):
     # chain: {A} from {A, B}, {C} from {A, C} and the empty set from {A}
     assert sorted(map(sorted, summed)) == [[], ["A"], ["A", "B"], ["A", "C"], ["C"]]
     for _ in range(3):
-        assert [entropy(table, s) for s in subsets] == expected
+        assert [entropies(table, [table.names if s is None else s])[0]
+                for s in subsets] == expected
     assert len(summed) == 5
 
 
@@ -399,18 +399,18 @@ def test_stacked_entropy_and_mi_equal_each_lone_table(case):
     vars_ = tuple(VarId(f"T{i}", k) for i, k in enumerate(cards))
     names = [v.name for v in vars_]
     lone = [make_table(vars_, a) for a in arrays]
-    stack = make_stack(vars_, np.stack(arrays))
+    stack = take_stack(vars_, np.stack(arrays))
     for r in range(len(names) + 1):
         for axes in itertools.combinations(range(len(names)), r):
             subset = [names[i] for i in axes]
-            got = entropy(stack, subset)
-            assert got.tolist() == [entropy(t, subset) for t in lone]
+            [got] = entropies(stack, [subset])
+            assert got.tolist() == [entropies(t, [subset])[0] for t in lone]
             # the reference sums the marginal straight from the array
             assert np.abs(got - [_lone_entropy(a, axes) for a in arrays]).max() <= 1e-13
             # the stacked table keeps one read-only array of member values
             memo = stack._entropies[frozenset(subset)]
             assert memo is got and not memo.flags.writeable
-    assert entropy(stack).tolist() == [entropy(t) for t in lone]
+    assert entropies(stack, [names])[0].tolist() == [entropies(t, [names])[0] for t in lone]
     a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
     if a and b:
         got = mutual_information(stack, a, b, c)
@@ -428,19 +428,19 @@ def test_chained_entropies_do_not_depend_on_the_order_asked(case, data):
     names = [v.name for v in vars_]
     axes = [a for r in range(len(names) + 1) for a in itertools.combinations(range(len(names)), r)]
     sets = [[names[i] for i in a] for a in axes]
-    got = entropies(make_stack(vars_, np.stack(arrays)), sets)
+    got = entropies(take_stack(vars_, np.stack(arrays)), sets)
     for a, h in zip(axes, got):
         assert np.abs(h - [_lone_entropy(p, a) for p in arrays]).max() <= 1e-13
     order = data.draw(st.permutations(range(len(sets))))
-    again = make_stack(vars_, np.stack(arrays))
+    again = take_stack(vars_, np.stack(arrays))
     shuffled = entropies(again, [sets[i] for i in order])
     for i, h in zip(order, shuffled):
         assert h.tolist() == got[i].tolist()
-    one_at_a_time = make_stack(vars_, np.stack(arrays))
+    one_at_a_time = take_stack(vars_, np.stack(arrays))
     for i in reversed(order):
-        assert entropy(one_at_a_time, sets[i]).tolist() == got[i].tolist()
+        assert entropies(one_at_a_time, [sets[i]])[0].tolist() == got[i].tolist()
     lone = make_table(vars_, arrays[0])
-    assert [entropy(lone, sets[i]) for i in order] == [got[i][0] for i in order]
+    assert [entropies(lone, [sets[i]])[0] for i in order] == [got[i][0] for i in order]
 
 
 def _peak_bytes(build):
@@ -460,7 +460,7 @@ def test_a_table_takes_over_a_fresh_array_and_copies_a_held_one():
     t, peak = _peak_bytes(lambda: take_stack(vars_, fresh))
     assert peak < 1 << 20 and t.probs is fresh and not fresh.flags.writeable
     held = np.full((1, 2, 1 << 19), 2.0 ** -20)
-    t, peak = _peak_bytes(lambda: make_stack(vars_, held))
+    t, peak = _peak_bytes(lambda: ProbTable(vars_, held, stacked=True))
     assert peak >= held.nbytes and not np.shares_memory(t.probs, held)
     held[0, 0, 0] = 0.5
     assert t.probs[0, 0, 0] == 2.0 ** -20 and not t.probs.flags.writeable
@@ -469,7 +469,7 @@ def test_a_table_takes_over_a_fresh_array_and_copies_a_held_one():
 
 def test_mi_below_the_clamp_names_its_table():
     vars_ = (VarId("A", 2), VarId("B", 2))
-    stack = make_stack(vars_, np.full((4, 2, 2), 0.25))
+    stack = take_stack(vars_, np.full((4, 2, 2), 0.25))
     lone = make_table(vars_, np.full((2, 2), 0.25))
     # an entropy memo that no table could give: I(A;B) = 2 ln 2 - 10 < 0
     stack._entropies[frozenset({"A", "B"})] = np.array([2 * math.log(2)] * 2 + [10.0] * 2)
@@ -491,17 +491,18 @@ def test_a_lone_and_a_stacked_table_refuse_each_others_shape():
     with pytest.raises(ShapeMismatch, match=r"^tensor shape \(4, 2, 3\) != cardinalities"):
         make_table(vars_, probs)
     with pytest.raises(ShapeMismatch, match=r"^tensor shape \(2, 3\) != a member axis and"):
-        make_stack(vars_, probs[0])
-    assert not make_table(vars_, probs[0]).stacked and make_stack(vars_, probs).stacked
+        take_stack(vars_, np.array(probs[0], dtype=float))
+    assert not make_table(vars_, probs[0]).stacked
+    assert take_stack(vars_, np.array(probs, dtype=float)).stacked
 
 
 def test_a_stack_validates_every_table_and_names_the_first_bad_one():
     vars_ = (VarId("A", 2),)
     probs = np.array([[0.5, 0.5], [0.5, 0.5], [0.6, 0.5], [0.7, 0.5]])
     with pytest.raises(NotNormalized, match="^instance 2: total mass 1.1") as e:
-        make_stack(vars_, probs)
+        take_stack(vars_, np.array(probs, dtype=float))
     assert e.value.instance == (2,)
     with pytest.raises(NegativeMass, match="^instance 1: entry -0.5"):
-        make_stack(vars_, np.array([[0.5, 0.5], [1.5, -0.5]]))
+        take_stack(vars_, np.array([[0.5, 0.5], [1.5, -0.5]]))
     with pytest.raises(NotNormalized, match="^total mass 1.1"):
         make_table(vars_, probs[2])

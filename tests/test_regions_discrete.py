@@ -6,13 +6,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from generators import random_aux_layered
 from hull_oracle import in_hull
 from wiretap_regions import info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
     LPFailure,
-    NegativeRate,
     TableTooLarge,
     UnknownCorollary,
     ValidationError,
@@ -21,8 +21,8 @@ from wiretap_regions.info_core import (
     ChannelSpec,
     VarId,
     build_degraded_joint,
-    make_stack,
     make_table,
+    take_stack,
 )
 from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
@@ -48,12 +48,10 @@ from wiretap_regions.regions_discrete import (
     hull_of,
     outer_of,
     pareto_front,
-    random_aux_layered,
     random_aux_ux,
     reduction_aux,
     specialize_corollary,
     sweep_inner_region,
-    to_equivocation,
 )
 
 # frozen by the 16-cell direct-summation oracle below (30-digit arithmetic)
@@ -231,10 +229,10 @@ def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
     vars_ = tuple(VarId(n, 2) for n in ("Q", "U", "V1", "V2", "X"))
     probs = np.stack([regions_discrete._layered_probs(rng, 2, 2, 2, 2, 2, k % 2 == 0)
                       for k in range(6)])
-    assert AuxJoint(make_stack(vars_, probs)).kind == "layered"
+    assert AuxJoint(take_stack(vars_, np.array(probs, dtype=float))).kind == "layered"
     probs[3] = rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2)
     with pytest.raises(InconsistentAux, match=r"^instance 3: I\(Q; V1,V2,X \| U\)") as e:
-        AuxJoint(make_stack(vars_, probs))
+        AuxJoint(take_stack(vars_, np.array(probs, dtype=float)))
     assert e.value.instance == (3,)
     with pytest.raises(InconsistentAux) as alone:
         AuxJoint(make_table(vars_, probs[3]))
@@ -245,7 +243,7 @@ def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
                                       lambda aux, ch: reduction_aux(aux)])
 def test_lone_aux_regions_refuse_a_stacked_aux(evaluate):
     probs = np.random.default_rng(4).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
-    aux = AuxJoint(make_stack((VarId("U", 3), VarId("X", 2)), probs))
+    aux = AuxJoint(take_stack((VarId("U", 3), VarId("X", 2)), probs))
     assert len(eval_degraded_inner(aux, cascade_channel())) == 3
     with pytest.raises(InconsistentAux, match="lone aux"):
         evaluate(aux, cascade_channel())
@@ -269,10 +267,10 @@ def test_corollary_shapes_generic_aux():
     aux = ux_aux([[0.3, 0.2], [0.1, 0.4]])
     inner = eval_degraded_inner(aux, ch)
     cor1 = specialize_corollary(inner, "cor1")
-    assert sorted(tuple(q.variables) for q in cor1.ineqs) == [
+    assert sorted(tuple(v for v, _ in q.nums) for q in cor1.ineqs) == [
         ("Rp1", "Rp2", "Rs2"), ("Rp2", "Rs2"), ("Rs2",)]
     cor3 = specialize_corollary(inner, "cor3")
-    assert sorted(tuple(q.variables) for q in cor3.ineqs) == [("Rs1", "Rs2"), ("Rs2",)]
+    assert sorted(tuple(v for v, _ in q.nums) for q in cor3.ineqs) == [("Rs1", "Rs2"), ("Rs2",)]
 
 
 def test_cor3_alt_contained_per_aux():
@@ -323,15 +321,6 @@ def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
         others = [qi for qi in kept if qi is not qj]
         for qi, value in zip(others, values):
             assert value is None or value > qi.rhs + 1e-9, (qj, qi)
-
-
-def test_to_equivocation():
-    assert to_equivocation((1, 2, 3, 4)) == (3, 2, 7, 4)
-    assert to_equivocation((0, 0, 0, 0)) == (0, 0, 0, 0)
-    rp1, rs1 = 0.4, 0.9
-    assert to_equivocation((rp1, rs1, 0, 0)) == (rp1 + rs1, rs1, 0, 0)
-    with pytest.raises(NegativeRate):
-        to_equivocation((-1, 0, 0, 0))
 
 
 def first_corner_aux(ch):
@@ -573,7 +562,7 @@ def test_five_bound_systems_share_their_rows():
     assert all(p.coeffs is q.coeffs for p, q in zip(a.ineqs, b.ineqs))
     assert [(q.label, q.rhs) for q in a.ineqs] == [
         ("rs2", 0.75), ("rs12", 2.5), ("rs2p2", 1.0), ("rs12p2", 2.25), ("total", 3.0)]
-    assert [q.coeff_dict() for q in b.ineqs] == [
+    assert [dict(q.coeffs) for q in b.ineqs] == [
         {"Rs2": 1}, {"Rs1": 1, "Rs2": 1}, {"Rp2": 1, "Rs2": 1}, {"Rs1": 1, "Rp2": 1, "Rs2": 1},
         {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}]
 

@@ -19,12 +19,13 @@ from wiretap_regions.errors import (
     WiretapError,
 )
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
+from wiretap_regions.regions_discrete import eval_degraded_inner
 from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
     HGaussChannel,
     check_psd,
-    construct_joint_noise,
+    discretize_scalar,
     dpc_identity_check,
     dpc_matrix,
     eval_gauss_inner,
@@ -181,6 +182,18 @@ def test_only_scalar_of_reads_entry_0_0():
                 owner = max(around, key=lambda f: f.lineno).name if around else None
                 assert (path.name, owner) == ("regions_gaussian.py", "scalar_of"), \
                     f"[0, 0] read at {path.name}:{node.lineno}"
+
+
+def construct_joint_noise(ch: GaussChannel) -> np.ndarray:
+    """Joint covariance of (N1, N2, NZ) realizing the degraded chain, the
+    oracle of ``degraded``: N2 = N1 + M2 and NZ = N2 + MZ with independent
+    increments of covariance Sigma2 - Sigma1 and SigmaZ - Sigma2, so the
+    blocks reproduce the marginal noise covariances and X -> Y1 -> Y2 -> Z
+    holds."""
+    if not ch.degraded:
+        raise NotDegraded("noise covariances are not ordered")
+    s1, s2, sz = ch.Sigma1, ch.Sigma2, ch.SigmaZ
+    return np.block([[s1, s1, s1], [s1, s2, s2], [s1, s2, sz]])
 
 
 def test_joint_noise_scalar_forced_covariances():
@@ -493,3 +506,48 @@ def test_verdicts_and_rates_are_invariant_under_a_congruence_of_x(case):
         assert what == what2
         if rates is not None:
             assert (np.abs(rates - rates2) <= 1e-9 * (1 + np.abs(rates))).all()
+
+
+def _discrete_inner(S, s1, s2, sz, K):
+    """The discrete degraded inner bound of the scalar channel's discrete twin
+    and the twin's channel."""
+    aux, ch = discretize_scalar(GaussChannel(S * I1, s1 * I1, s2 * I1, sz * I1), K)
+    return np.array([float(q.rhs) for q in eval_degraded_inner(aux, ch).ineqs]), ch
+
+
+def test_discretization_refuses_a_channel_out_of_the_degraded_order():
+    # Sigma2 < Sigma1: no noise increment of variance -1 exists, and a twin
+    # of this channel would be evaluated with the degraded formulas
+    assert not GaussChannel(2 * I1, 2 * I1, I1, 3 * I1).degraded
+    with pytest.raises(NotDegraded):
+        discretize_scalar(GaussChannel(2 * I1, 2 * I1, I1, 3 * I1), 0.5)
+
+
+@pytest.mark.parametrize("K, error", [(1.5, CapExceeded), (5.0, CapExceeded), (-0.5, NotPSD)])
+def test_discretization_refuses_an_allocation_outside_zero_to_s(K, error):
+    # above S, U would have a negative variance; below 0, X given U would
+    with pytest.raises(error):
+        discretize_scalar(GaussChannel(I1, 0.5 * I1, I1, 2 * I1), K)
+    for K in (0.0, 1.0):   # both ends of [0, S] are allocations
+        discretize_scalar(GaussChannel(I1, 0.5 * I1, I1, 2 * I1), K)
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-6, 1e-13])
+def test_a_zero_noise_increment_is_the_identity_stage(c):
+    # Y2 = Y1 exactly: any positive stand-in variance moves the Y2 grid, and
+    # at c = 1e-13 smears each Y1 value over its neighbours
+    rates, ch = _discrete_inner(c, 0.5 * c, 0.5 * c, 2.0 * c, 0.5 * c)
+    assert np.array_equal(ch.stages[1], np.eye(len(ch.stages[1])))
+    assert np.abs(rates - _discrete_inner(1.0, 0.5, 0.5, 2.0, 0.5)[0]).max() <= 1e-12
+    closed = GaussChannel(I1, 0.5 * I1, 0.5 * I1, 2 * I1)
+    exact = [float(q.rhs) for q in eval_gauss_inner(CovSplit(K=0.5 * I1), closed).ineqs]
+    assert np.abs(rates - exact).max() <= 5e-3
+
+
+@pytest.mark.parametrize("c", [1e-13, 1e-6, 1e3, 1e12])
+def test_discretization_does_not_depend_on_the_channel_scale(c):
+    # at c = 1e-13 the variances of U and of X given U are 5e-14: point
+    # masses only to an absolute test
+    base, _ = _discrete_inner(1.0, 0.5, 1.0, 2.0, 0.5)
+    rates, _ = _discrete_inner(c, 0.5 * c, c, 2.0 * c, 0.5 * c)
+    assert np.abs(rates - base).max() <= 1e-12
