@@ -1,7 +1,8 @@
 """Rate-region computation and certification toolkit for two-user wiretap
 channels with public and confidential messages.
 
-Subpackages by concern:
+Modules by concern, each imported by its own name (the package root binds
+only ``__version__``):
 
 - ``info_core``: dense probability tables, mutual information, degraded
   channel construction and Markov checks.
@@ -19,31 +20,3 @@ Subpackages by concern:
 """
 
 __version__ = "0.1.0"
-
-from .info_core import (  # noqa: F401
-    ChannelSpec,
-    ProbTable,
-    VarId,
-    build_degraded_joint,
-    check_markov,
-    make_table,
-    mutual_information,
-    validate_table,
-)
-from .entropy_algebra import (  # noqa: F401
-    EqualitySet,
-    FactorStructure,
-    InfoExpr,
-    derive_equalities,
-    expand_mi,
-)
-from .polytope_fm import (  # noqa: F401
-    IneqSystem,
-    LinIneq,
-    VPolytope,
-    apply_rate_transfer,
-    fm_eliminate,
-    region_equal,
-    substitute_equality,
-    vertices,
-)

@@ -41,13 +41,15 @@ def raise_for_first(bad: np.ndarray, err: type, describe) -> None:
 @contextmanager
 def numbered(numbers):
     """Name the caller's instance in an error a stacked call raises: instance
-    j of a one-axis stack is instance ``numbers[j]`` of the caller."""
+    j of a one-axis stack is instance ``numbers[j]`` of the caller, a number
+    or an instance tuple (``()``, a single instance, keeps the message bare)."""
     try:
         yield
     except WiretapError as e:
         if not e.instance:
             raise
-        raise at_instance(type(e), (numbers[e.instance[0]],), e.detail) from None
+        k = numbers[e.instance[0]]
+        raise at_instance(type(e), k if isinstance(k, tuple) else (k,), e.detail) from None
 
 
 # --- probability tables ----------------------------------------------------
@@ -163,7 +165,8 @@ class StepTooLarge(WiretapError):
 
 
 class NoRoot(WiretapError):
-    """Bisection bracket does not contain a sign change."""
+    """The interpolation argument finds no matched covariance: the noise order
+    is reversed, f - g changes no sign on [0, 1], or the root leaves the sandwich."""
 
 
 class QuadratureNonConvergent(WiretapError):

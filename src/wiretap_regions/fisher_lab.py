@@ -128,14 +128,6 @@ QUAD_N = 4001
 QUAD_BLOCK_CELLS = 2 ** 16
 
 
-def _first_task(bad: np.ndarray, err: type, owner, describe) -> None:
-    """Raise ``err`` with message ``describe(t)`` for the first task t of a
-    stack where ``bad`` holds, naming instance ``owner[t]`` of the caller."""
-    if bad.any():
-        t = int(np.argmax(bad))
-        raise at_instance(err, owner[t], describe(t))
-
-
 def _check_mixture(centers, weights):
     """Flat float arrays; ValidationError unless a distribution on finite centers."""
     c = np.asarray(centers, dtype=float).ravel()
@@ -149,7 +141,7 @@ def _check_mixture(centers, weights):
     return c, w
 
 
-def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
+def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
     """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` for
     each task of a stack, an array (tasks, 2): ``var`` holds a noise variance
     per task, ``centers`` and ``weights`` an array per task.
@@ -163,11 +155,9 @@ def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
     A rung takes its tasks by count of nonzero weights, a lone one padded with
     a log-weight -inf component (exact zeros), in blocks of at most
     QUAD_BLOCK_CELLS cells (tasks x components x points, or one task), so each
-    task gets the bits it gets alone.  An error names instance ``owner[t]`` for
-    task t (default ``(t,)``): the first task to break the first check that
-    fails."""
+    task gets the bits it gets alone.  An error names task t as instance t:
+    the first task to break the first check that fails."""
     var = np.asarray(var, dtype=float).ravel()
-    owner = [(t,) for t in range(var.size)] if owner is None else owner
     if not len(centers) == len(weights) == var.size:
         raise DimensionMismatch(f"{len(centers)} centers, {len(weights)} weights and "
                                 f"{var.size} noise variances do not make a stack of tasks")
@@ -176,10 +166,10 @@ def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
         try:
             ct, wt = _check_mixture(*task)
         except ValidationError as e:
-            raise at_instance(ValidationError, owner[t], str(e)) from None
+            raise at_instance(ValidationError, (t,), str(e)) from None
         live.append((ct[wt > 0.0], wt[wt > 0.0]))
-    _first_task(~(var > 0.0), ValidationError, owner,
-                lambda t: f"noise variance must be positive, got {var[t]}")
+    raise_for_first(~(var > 0.0), ValidationError,
+                    lambda k: f"noise variance must be positive, got {var[k]}")
     if n < 3 or n % 2 == 0:
         raise ValidationError(f"quadrature grid needs an odd point count >= 3, got {n}")
     size = np.array([ct.size for ct, _ in live])
@@ -214,9 +204,9 @@ def _stack_quadrature(centers, weights, var, n: int, owner=None) -> np.ndarray:
         if m == n:
             break
         m = 2 * m - 1
-    _first_task(rung > n, QuadratureNonConvergent, owner,
-                lambda t: f"quadrature of (h, J) moved by ({moved[t, 0]:.2e}, "
-                          f"{moved[t, 1]:.2e}) under refinement at {n} points")
+    raise_for_first(rung > n, QuadratureNonConvergent,
+                    lambda k: f"quadrature of (h, J) moved by ({moved[k][0]:.2e}, "
+                              f"{moved[k][1]:.2e}) under refinement at {n} points")
     return out
 
 
@@ -247,26 +237,27 @@ def _stack_integrands(y, centers, logw, var) -> np.ndarray:
                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)], axis=1)
 
 
-def mixture_entropy(centers, weights, var, n: int = QUAD_N, owner=None) -> np.ndarray:
+def mixture_entropy(centers, weights, var, n: int = QUAD_N) -> np.ndarray:
     """Differential entropy of ``sum_j w_j N(c_j, var)`` for each task of a
     stack, checked by refinement (see :func:`_stack_quadrature`)."""
-    return _stack_quadrature(centers, weights, var, n, owner)[:, 0]
+    return _stack_quadrature(centers, weights, var, n)[:, 0]
 
 
-def mixture_fisher(centers, weights, var, n: int = QUAD_N, owner=None) -> np.ndarray:
+def mixture_fisher(centers, weights, var, n: int = QUAD_N) -> np.ndarray:
     """Fisher information of ``sum_j w_j N(c_j, var)`` for each task of a
     stack, checked by refinement (see :func:`_stack_quadrature`)."""
-    return _stack_quadrature(centers, weights, var, n, owner)[:, 1]
+    return _stack_quadrature(centers, weights, var, n)[:, 1]
 
 
-def _group_sums(route, groups, var, owner) -> np.ndarray:
+def _group_sums(route, groups, var) -> np.ndarray:
     """``sum_g p_g route(c_g, w_g, var[e])`` over the (p_g, c_g, w_g) groups
     ``groups[e]`` of each entry e of a stack, all of them in one stacked
     ``route`` call, one of :func:`mixture_entropy`, :func:`mixture_fisher` or
-    :func:`_stack_quadrature`; an error names instance ``owner[e]``."""
+    :func:`_stack_quadrature`; an error names entry e as instance e."""
     entry = [e for e, gs in enumerate(groups) for _ in gs]
     p, c, w = zip(*(g for gs in groups for g in gs))
-    vals = route(c, w, np.asarray(var, dtype=float)[entry], QUAD_N, [owner[e] for e in entry])
+    with numbered(entry):
+        vals = route(c, w, np.asarray(var, dtype=float)[entry], QUAD_N)
     out = np.zeros((len(groups), *vals.shape[1:]))
     np.add.at(out, entry, (vals.T * p).T)   # in group order from 0: the bits of sum()
     return out
@@ -274,7 +265,8 @@ def _group_sums(route, groups, var, owner) -> np.ndarray:
 
 def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
-    return float(_group_sums(mixture_fisher, [mix.groups()], [var], [()])[0])
+    with numbered([()]):
+        return float(_group_sums(mixture_fisher, [mix.groups()], [var])[0])
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -375,18 +367,19 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                 raise ValidationError(f"mixture noise covariances must be a stack of "
                                       f"{len(groups)} 1x1 matrices, got shape {var.shape}")
             var = var[:, 0, 0]
-        owner = list(np.ndindex(var.shape))
+        instances = list(np.ndindex(var.shape))   # () for a lone mixture
 
         def residual(t: float) -> np.ndarray:
             t_abs = t * np.maximum(1.0, var)
             raise_for_first(t_abs >= var, StepTooLarge,
                             lambda k: f"step {t:g} moves the noise variance {var[k]:g} out of "
                                       "the positive-definite cone")
-            J = _group_sums(mixture_fisher, groups, var.ravel(), owner)
+            with numbered(instances):
+                J = _group_sums(mixture_fisher, groups, var.ravel())
             # h at var + t and var - t of each mixture, side by side
-            h = _group_sums(mixture_entropy, [g for g in groups for _ in range(2)],
-                            np.stack([var + t_abs, var - t_abs], axis=-1).ravel(),
-                            [k for k in owner for _ in range(2)])
+            with numbered([k for k in instances for _ in range(2)]):
+                h = _group_sums(mixture_entropy, [g for g in groups for _ in range(2)],
+                                np.stack([var + t_abs, var - t_abs], axis=-1).ravel())
             fd = (h[0::2] - h[1::2]) / (2.0 * t_abs.ravel())
             return np.abs(fd - 0.5 * J).reshape(var.shape)
     else:
@@ -542,9 +535,10 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
                 rows.setdefault(i, []).append((lemma, "gauss", i, slack))
     if mixtures:   # (h, J) at var1 of every mixture in one pass, J at var2 in another
         nums, mixes, var1, var2 = zip(*mixtures)
-        groups, owner = [mix.groups() for mix in mixes], [(i,) for i in nums]
-        cond1 = _group_sums(_stack_quadrature, groups, var1, owner).tolist()
-        cond2 = _group_sums(mixture_fisher, groups, var2, owner).tolist()
+        groups = [mix.groups() for mix in mixes]
+        with numbered(nums):
+            cond1 = _group_sums(_stack_quadrature, groups, var1).tolist()
+            cond2 = _group_sums(mixture_fisher, groups, var2).tolist()
         for (i, mix, var1, var2), (hm, jm1), jm2 in zip(mixtures, cond1, cond2):
             v1 = _cond_var(mix) + var1
             rows[i] += [("L6", "mixture", i, jm1 - 1.0 / v1),
@@ -563,6 +557,12 @@ def _cond_var(mix: ScalarMixture) -> float:
 
 # --- interpolation and the sufficiency evidence harness -------------------------
 
+# Margin of the interpolation sandwich, relative to cap + sigmaZ^2: the
+# largest variance on the path, which carries the rounding of 1/J - sigma^2.
+SANDWICH_RTOL = 1e-8
+# Margin of a mixture's second moment over the input cap S, relative to S.
+CAP_RTOL = 1e-9
+
 
 def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     """Find t* with f(t*) = h(Z|U) - h(Y2|U) on the scalar interpolation path.
@@ -573,7 +573,7 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     in closed form: ``K* = (sigmaZ^2 - r sigma2^2)/(r - 1)`` with ``r =
     exp(2g)``, ``g = h(Z|U) - h(Y2|U)``.  The returned K satisfies the
     sandwich ``J^{-1}(X+N2|U) - sigma2^2 <= K <= E[X^2]`` (``Cov(X)`` for a
-    Gaussian pair) within 1e-8.
+    Gaussian pair) within SANDWICH_RTOL times ``E[X^2] + sigmaZ^2``.
     """
     if sigma2_sq > sigmaz_sq:
         raise NoRoot("interpolation requires the degraded order sigma2^2 <= sigmaZ^2")
@@ -583,8 +583,9 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         g = 0.5 * math.log((cxu + sigmaz_sq) / (cxu + sigma2_sq))
         cap = scalar_of(obj.cov_x(), "Cov(X)")
     elif isinstance(obj, ScalarMixture):
-        (h2, j2), (hz, jz) = _group_sums(_stack_quadrature, [obj.groups()] * 2,
-                                         [sigma2_sq, sigmaz_sq], [(), ()]).tolist()
+        with numbered([(), ()]):
+            (h2, j2), (hz, jz) = _group_sums(_stack_quadrature, [obj.groups()] * 2,
+                                             [sigma2_sq, sigmaz_sq]).tolist()
         g = hz - h2
         cap = obj.second_moment()
     else:
@@ -608,7 +609,8 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         r = math.exp(2.0 * g)
         k_star = (sigmaz_sq - r * sigma2_sq) / (r - 1.0)
         t_star = min(max((k_star - k_z) / (k_2 - k_z), 0.0), 1.0)
-    if k_star < k_2 - 1e-8 or k_star > cap + 1e-8:
+    tol = SANDWICH_RTOL * (cap + sigmaz_sq)
+    if k_star < k_2 - tol or k_star > cap + tol:
         raise NoRoot(
             f"matched covariance {k_star:.6g} violates the sandwich [{k_2:.6g}, {cap:.6g}]")
     return t_star, k_star
@@ -633,12 +635,13 @@ def mixture_region_constants(mixes, ch: GaussChannel) -> list[dict]:
     of a list of scalar mixture inputs, their entropies by one stacked
     quadrature; an error names the mixture it concerns, ``instance k``."""
     _, s1, s2, sz = ch.scalars
-    groups, var, owner = [], [], []
-    for k, m in enumerate(mixes):
+    groups, var = [], []
+    for m in mixes:
         whole = ((1.0, m.x_points, m.weights),)
         groups += [whole, whole, m.groups(), m.groups(), m.groups()]
         var += [s2, sz, s1, s2, sz]
-        owner += [(k,)] * 5
+    with numbered([e // 5 for e in range(len(var))]):
+        h = _group_sums(mixture_entropy, groups, var)
     return [{
         "iuy2": h_y2 - h_y2_u,
         "iuz": h_z - h_z_u,
@@ -646,7 +649,7 @@ def mixture_region_constants(mixes, ch: GaussChannel) -> list[dict]:
         "ixz": h_z - 0.5 * math.log(TWO_PI_E * sz),
         "ixz_u": h_z_u - 0.5 * math.log(TWO_PI_E * sz),
     } for h_y2, h_z, h_y1_u, h_y2_u, h_z_u
-        in _group_sums(mixture_entropy, groups, var, owner).reshape(-1, 5).tolist()]
+        in h.reshape(-1, 5).tolist()]
 
 
 def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarray,
@@ -671,9 +674,8 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
         raise ValidationError("empty Gaussian envelope")
     if not mixes:
         return []
-    for k, mix in enumerate(mixes):
-        if mix.second_moment() > ch.scalars[0] + 1e-9:
-            raise at_instance(ValidationError, (k,), "mixture second moment exceeds the input cap")
+    raise_for_first(np.array([m.second_moment() for m in mixes]) > ch.scalars[0] * (1 + CAP_RTOL),
+                    ValidationError, lambda k: "mixture second moment exceeds the input cap")
     systems, found = [], []
     for k, constants in enumerate(mixture_region_constants(mixes, ch)):
         bounds = five_bound_system(**constants)

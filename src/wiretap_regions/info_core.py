@@ -317,7 +317,7 @@ class ChannelSpec:
         if self.stages is not None:
             return True
         n = self.input.cardinality
-        t = channel_joint(self, np.full(n, 1.0 / n))
+        t = make_table((self.input,) + self.outputs, np.full((n, 1, 1, 1), 1.0 / n) * self.kernel)
         return check_markov(t, (self.input.name,) + self.output_names)
 
     @property
@@ -337,17 +337,6 @@ class ChannelSpec:
         axes = tuple(1 + i for i in range(3) if i != idx)
         return self.kernel.sum(axis=axes)
 
-    def full_kernel(self) -> np.ndarray:
-        """Dense p(y1,y2,z|x) tensor (subject to the global cell cap)."""
-        if self.kernel is not None:
-            return self.kernel
-        ncells = self.input.cardinality * int(np.prod([o.cardinality for o in self.outputs]))
-        if ncells > MAX_CELLS:
-            raise TableTooLarge(f"materializing the cascade needs {ncells} cells")
-        s1, s2, s3 = self.stages
-        k = np.einsum("xa,ab,bc->xabc", s1, s2, s3)
-        return k
-
 
 def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSpec:
     """Compose three stage kernels into a degraded channel over (X, Y1, Y2, Z).
@@ -364,13 +353,6 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSp
     x = VarId("X", s1.shape[0])
     outs = (VarId("Y1", s1.shape[1]), VarId("Y2", s2.shape[1]), VarId("Z", s3.shape[1]))
     return ChannelSpec(input=x, outputs=outs, stages=(s1, s2, s3))
-
-
-def channel_joint(ch: ChannelSpec, p_x) -> ProbTable:
-    """Joint table over (X, Y1, Y2, Z) from an input distribution."""
-    k = ch.full_kernel()
-    arr = np.asarray(p_x, dtype=float).reshape(-1, 1, 1, 1) * k
-    return make_table((ch.input,) + ch.outputs, arr)
 
 
 def check_markov(t: ProbTable, chain, tol: float = 1e-10) -> bool:

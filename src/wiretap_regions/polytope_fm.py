@@ -201,20 +201,17 @@ def _ambient_implied(q: LinIneq) -> bool:
             and (q.rhs.is_zero() if isinstance(q.rhs, InfoExpr) else q.rhs >= 0.0))
 
 
-def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str | None = None) -> IneqSystem:
+def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str) -> IneqSystem:
     """Remove ``var`` from the system using the equality ``eq``.
 
     The equality is solved for ``var`` and substituted into every constraint;
     the ambient bound ``var >= 0`` becomes an explicit constraint on the
-    substituted expression.  When the equality involves a single variable,
-    ``var`` may be omitted.
+    substituted expression.  A system without ``var`` is returned as it is;
+    ZeroCoefficient is raised for an inequality ``eq`` or one whose
+    coefficient on ``var`` is zero.
     """
     if eq.rel != EQ:
         raise ZeroCoefficient("substitution requires an equality")
-    if var is None:
-        if len(eq.nums) != 1:
-            raise ZeroCoefficient("equality has several variables; name the one to remove")
-        var = eq.nums[0][0]
     c = eq.num(var)
     if c == 0:
         raise ZeroCoefficient(f"equality has zero coefficient on {var!r}")

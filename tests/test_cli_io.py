@@ -39,6 +39,7 @@ from wiretap_regions.io_files import (
 from wiretap_regions.polytope_fm import IneqSystem, LinIneq, VPolytope, vertices
 from wiretap_regions.regions_discrete import (
     eval_degraded_inner,
+    eval_degraded_outer,
     eval_general_inner,
     random_aux_ux,
 )
@@ -1127,3 +1128,56 @@ def test_cli_degraded_check_names_the_violated_invariant(tmp_path, channel, hold
     out = capsys.readouterr().out
     assert holds in out
     assert "violated invariant: " in out
+
+
+def test_cli_pretty_vertices_are_a_table_of_the_rates(tmp_path, capsys):
+    # the default format prints a vertex list as a header of the rate names
+    # and one row of six-decimal rates per vertex
+    ch, aux = write(tmp_path, "c.txt", NOISY), write(tmp_path, "a.txt", AUX)
+    assert main(["region", "eval-outer", "--channel", ch, "--aux", aux, "--vertices"]) == 0
+    head, *rows = capsys.readouterr().out.splitlines()
+    expect = vertices(eval_degraded_outer(parse_aux_file(aux), parse_channel_file(ch)))
+    assert head.split() == list(expect.vars) == ["Rp1", "Rs1", "Rp2", "Rs2"]
+    assert all(re.fullmatch(r"( +-?\d+\.\d{6}){4}", row) for row in rows)
+    assert np.array([row.split() for row in rows], dtype=float).tolist() == \
+        np.round(expect.vertices, 6).tolist()
+
+
+def _general_rows(tmp_path, capsys, channel, split, order):
+    argv = ["gauss", "eval", "--channel", write(tmp_path, "g.txt", channel), "--split",
+            write(tmp_path, "t.txt", split), "--bound", "general", "--format", "csv"]
+    assert main(argv + (["--order", order] if order else [])) == 0
+    return list(csv.reader(capsys.readouterr().out.splitlines()))
+
+
+def test_cli_general_order_12_is_order_21_with_the_users_swapped(tmp_path, capsys):
+    # --order 12 on (Sigma1, Sigma2) and (K1, K2) is --order 21 on (Sigma2,
+    # Sigma1) and (K2, K1) with the users' rates and labels exchanged
+    swapped_channel = "kind: gauss\nS:\n1\nSigma1:\n1\nSigma2:\n0.5\nSigmaZ:\n2\n"
+    swapped_split = "kind: split\nK0:\n0.1\nK1:\n0.3\nK2:\n0.2\n"
+    got = _general_rows(tmp_path, capsys, GAUSS, TRIPLE_1X1, "12")
+    [header, *rows] = _general_rows(tmp_path, capsys, swapped_channel, swapped_split, None)
+    assert header == got[0] == ["kind", "label", "Rp1", "Rs1", "Rp2", "Rs2", "rhs"]
+    exchange = str.maketrans("12", "21")
+    assert got[1:] == [[kind, label.translate(exchange), p2, s2, p1, s1, rhs]
+                       for kind, label, p1, s1, p2, s2, rhs in rows]
+    assert got[1:] != rows
+
+
+def test_cli_dpc_check_refuses_a_single_matrix_split(tmp_path, capsys):
+    assert main(["gauss", "dpc-check", "--channel", write(tmp_path, "g.txt", GAUSS),
+                 "--split", write(tmp_path, "k.txt", "kind: split\nK:\n0.5\n")]) == 2
+    assert capsys.readouterr().err == \
+        "input error: dpc-check needs a triple split (K0, K1, K2)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["gauss", "eval", "--split", "k"],
+    ["gauss", "sweep", "--budget", "2"],
+    ["gauss", "dpc-check", "--budget", "2"],
+    ["fisher", "evidence", "--budget", "2"],
+], ids=["eval", "sweep", "dpc-check", "evidence"])
+def test_cli_gauss_command_refuses_a_discrete_channel(tmp_path, argv, capsys):
+    argv = [write(tmp_path, "k.txt", "kind: split\nK:\n0.5\n") if a == "k" else a for a in argv]
+    assert main(argv + ["--channel", write(tmp_path, "c.txt", DISCRETE)]) == 2
+    assert capsys.readouterr().err == "input error: this command needs a gauss channel file\n"

@@ -43,6 +43,34 @@ def unreferenced(package=PACKAGE) -> set:
                        for m, name, line, attr in refs)}
 
 
+def root_bindings(package=PACKAGE) -> set:
+    """Every name the package's ``__init__.py`` binds at module level: by an
+    import, a def, a class or an assignment."""
+    names = set()
+    for node in ast.parse((package / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        else:
+            names |= {n.id for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return names
+
+
+def test_the_package_root_binds_only_its_version():
+    # each module is imported by its own name: a re-export would be a second
+    # home for a name, and one that the function guard above cannot see
+    assert root_bindings() == {"__version__"}
+
+
+def test_the_root_guard_finds_a_re_export(tmp_path):
+    (tmp_path / "__init__.py").write_text(
+        '"""Doc."""\n\n__version__ = "1"\n\nfrom .mod import used, other as alias  # noqa\n'
+        "import json\n\nlimit: int = 3\n\n\ndef helper():\n    inner = 1\n    return inner\n")
+    assert root_bindings(tmp_path) == {"__version__", "used", "alias", "json", "limit", "helper"}
+
+
 def test_every_public_function_has_a_caller_or_is_an_entry_point():
     assert unreferenced() == ENTRY_POINTS
 

@@ -16,6 +16,7 @@ from wiretap_regions.errors import (
     SingularConditionalCovariance,
     StepTooLarge,
     ValidationError,
+    numbered,
 )
 from wiretap_regions.fisher_lab import (
     TWO_PI_E,
@@ -339,11 +340,13 @@ def test_a_stack_names_the_first_task_that_does_not_converge():
     assert e.value.instance == (2,)
     assert str(e.value).startswith("instance 2: quadrature of (h, J) moved by (")
     assert str(e.value).endswith(") under refinement at 4001 points")
-    # an owner () names no instance; an owner maps a task to the caller's instance
+    # numbered maps a task to the caller's instance; an instance () names none
     with pytest.raises(QuadratureNonConvergent, match="^quadrature of"):
-        mixture_fisher(*([part] for part in spikes), owner=[()])
+        with numbered([()]):
+            mixture_fisher(*([part] for part in spikes))
     with pytest.raises(QuadratureNonConvergent, match="^instance 7: quadrature of"):
-        mixture_entropy(centers, weights, np.array(var), owner=[(9,), (9,), (7,), (8,), (6,)])
+        with numbered([(9,), (9,), (7,), (8,), (6,)]):
+            mixture_entropy(centers, weights, np.array(var))
     # the first task to break the first check that fails
     zero_var = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValidationError, match="^instance 3: noise variance must be positive"):
@@ -377,9 +380,9 @@ def _counting_passes(monkeypatch):
     """The task count of every stacked quadrature call from now on."""
     calls, quadrature = [], fisher_lab._stack_quadrature
 
-    def counting(centers, weights, var, n, owner=None):
+    def counting(centers, weights, var, n):
         calls.append(np.size(var))
-        return quadrature(centers, weights, var, n, owner)
+        return quadrature(centers, weights, var, n)
 
     monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
     return calls
@@ -440,7 +443,7 @@ def test_mixtures_and_pairs_compare_and_hash_by_identity():
 def _cond(route, mix, var):
     """``route`` (mixture_entropy, mixture_fisher or the (h, J) quadrature)
     of X + N given U for one mixture, as a stack of one: a float or a list."""
-    return fisher_lab._group_sums(route, [mix.groups()], [var], [()])[0].tolist()
+    return fisher_lab._group_sums(route, [mix.groups()], [var])[0].tolist()
 
 
 def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
@@ -616,9 +619,9 @@ def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
     tasks = []
     quadrature = fisher_lab._stack_quadrature
 
-    def counting(centers, weights, var, n, owner=None):
+    def counting(centers, weights, var, n):
         tasks.extend(var)
-        return quadrature(centers, weights, var, n, owner)
+        return quadrature(centers, weights, var, n)
 
     monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
     rep = lemma_suite_check(seed=1, count=200, include_mixtures=True)
@@ -665,6 +668,35 @@ def test_interpolation_rejects_reversed_order():
     pair = GaussPair(np.diag([1.0, 1.0]), 1, 1)
     with pytest.raises(NoRoot):
         interpolation_t_star(pair, 2.0, 1.0)
+
+
+def _path_through(monkeypatch, c, k2, kz, k_star):
+    """Have the quadrature return the (h, J) whose path at noise variances c
+    and 2c runs from ``kz`` (t = 0) to ``k2`` (t = 1) with its root at ``k_star``."""
+    g = 0.5 * math.log((k_star + 2 * c) / (k_star + c))
+    monkeypatch.setattr(fisher_lab, "_stack_quadrature", lambda centers, weights, var, n:
+                        np.array([[0.0, 1 / (k2 + c)], [g, 1 / (kz + 2 * c)]]))
+
+
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+def test_interpolation_sandwich_does_not_depend_on_the_scale(monkeypatch, c):
+    # a mixture with E[X^2] = c; a root 1e-6 above the cap or below the floor
+    # leaves the sandwich at every scale, one inside it does not
+    mix = ScalarMixture([0.0, 0.0], [-math.sqrt(c), math.sqrt(c)], [0.5, 0.5])
+    for k2, kz, k_star in [(0.5 * c, 2 * c, c * (1 + 1e-6)),
+                           (0.5 * c * (1 + 1e-5), 0.25 * c, 0.5 * c)]:
+        _path_through(monkeypatch, c, k2, kz, k_star)
+        with pytest.raises(NoRoot, match="^matched covariance .* violates the sandwich"):
+            interpolation_t_star(mix, c, 2 * c)
+    _path_through(monkeypatch, c, 0.5 * c, c, 0.75 * c)
+    t, k = interpolation_t_star(mix, c, 2 * c)
+    assert t == pytest.approx(0.5, rel=1e-9) and k == pytest.approx(0.75 * c, rel=1e-9)
+    monkeypatch.undo()
+    # a real path: t* and K* / c as at scale 1
+    t, k = interpolation_t_star(ScalarMixture([0.0, 0.0, 1.0], np.array([-1.0, 0.5, 0.8])
+                                              * math.sqrt(c), [0.3, 0.3, 0.4]), c, 2 * c)
+    assert t == pytest.approx(0.48074267202, rel=1e-9)
+    assert k == pytest.approx(0.28333068717 * c, rel=1e-9)
 
 
 def scalar_channel():
@@ -771,6 +803,22 @@ def test_evidence_rejects_over_cap():
     mix = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
     with pytest.raises(ValidationError):
         sufficiency_evidence_scalar([mix], ch, gauss_envelope(ch, n=5))[0]
+
+
+@pytest.mark.parametrize("c", [1e-10, 1.0, 1e10])
+def test_evidence_input_cap_does_not_depend_on_the_scale(c):
+    # S, Sigma1, Sigma2, SigmaZ = 2, 0.5, 1, 1.5 times c: a mixture at
+    # +-sqrt(3c) has second moment 1.5 S and is refused at every scale; one at
+    # +-sqrt(2c) is at the cap up to rounding and gets the slack of scale 1
+    ch = GaussChannel(S=2 * c * I1, Sigma1=0.5 * c * I1, Sigma2=c * I1, SigmaZ=1.5 * c * I1)
+    env = gauss_envelope(ch)
+    over = ScalarMixture([0.0, 0.0], [-math.sqrt(3 * c), math.sqrt(3 * c)], [0.5, 0.5])
+    with pytest.raises(ValidationError, match="^instance 0: mixture second moment exceeds "
+                                              "the input cap$"):
+        sufficiency_evidence_scalar([over], ch, env)
+    at_cap = ScalarMixture([0.0, 0.0], [-math.sqrt(2 * c), math.sqrt(2 * c)], [0.5, 0.5])
+    [rep] = sufficiency_evidence_scalar([at_cap], ch, env)
+    assert rep.max_slack == pytest.approx(-0.0311929425348, abs=1e-11)
 
 
 ANTIPODAL = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])

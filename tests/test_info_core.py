@@ -20,7 +20,6 @@ from wiretap_regions.info_core import (
     ProbTable,
     VarId,
     build_degraded_joint,
-    channel_joint,
     check_markov,
     entropies,
     make_table,
@@ -120,9 +119,20 @@ def test_mi_overlap_and_unknown():
         mutual_information(t, {"X"}, {"W"})
 
 
+def cascade_kernel(ch):
+    """Dense p(y1, y2, z | x) of a cascade channel."""
+    return np.einsum("xa,ab,bc->xabc", *ch.stages)
+
+
+def cascade_joint(ch, p_x):
+    """Joint table over (X, Y1, Y2, Z) of a cascade channel and an input distribution."""
+    arr = np.reshape(p_x, (-1, 1, 1, 1)) * cascade_kernel(ch)
+    return make_table((ch.input,) + ch.outputs, arr)
+
+
 def test_degraded_identity_cascade_is_delta():
     ch = build_degraded_joint(np.eye(2), np.eye(2), np.eye(2))
-    k = ch.full_kernel()
+    k = cascade_kernel(ch)
     expect = np.zeros((2, 2, 2, 2))
     expect[0, 0, 0, 0] = expect[1, 1, 1, 1] = 1.0
     assert np.allclose(k, expect)
@@ -141,7 +151,7 @@ def test_degraded_cascade_markov_by_construction():
         s2 = rng.dirichlet(np.ones(2), size=3)
         s3 = rng.dirichlet(np.ones(2), size=2)
         ch = build_degraded_joint(s1, s2, s3)
-        t = channel_joint(ch, rng.dirichlet(np.ones(2)))
+        t = cascade_joint(ch, rng.dirichlet(np.ones(2)))
         assert check_markov(t, ["X", "Y1", "Y2", "Z"], tol=1e-10)
 
 
@@ -177,7 +187,7 @@ def test_infer_degraded_on_dense_kernels():
     from wiretap_regions.info_core import ChannelSpec
     casc = build_degraded_joint(bsc(0.1), bsc(0.1), bsc(0.1))
     dense = ChannelSpec(input=casc.input, outputs=casc.outputs,
-                        kernel=casc.full_kernel())
+                        kernel=cascade_kernel(casc))
     assert dense.degraded
     # Z a fresh copy of X (not through Y2): not degraded
     arr = np.zeros((2, 2, 2, 2))
@@ -219,7 +229,7 @@ def test_data_processing_under_cascade():
         s2 = rng.dirichlet(np.ones(2), size=2)
         s3 = rng.dirichlet(np.ones(2), size=2)
         ch = build_degraded_joint(s1, s2, s3)
-        t = channel_joint(ch, rng.dirichlet(np.ones(2)))
+        t = cascade_joint(ch, rng.dirichlet(np.ones(2)))
         i_y1 = mutual_information(t, {"X"}, {"Y1"})
         i_y2 = mutual_information(t, {"X"}, {"Y2"})
         i_z = mutual_information(t, {"X"}, {"Z"})

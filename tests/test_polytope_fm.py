@@ -111,7 +111,7 @@ def test_fm_soundness_random_systems():
 
 def test_substitute_equality_simple():
     s = num_sys(("x", "y"), [({"x": 1, "y": 1}, 3)])
-    out = substitute_equality(s, LinIneq.of({"x": 1}, 1.0, rel=EQ))
+    out = substitute_equality(s, LinIneq.of({"x": 1}, 1.0, rel=EQ), "x")
     assert out.vars == ("y",)
     [q] = [q for q in out.ineqs if q.coeffs]
     assert q.coeff("y") == 1 and float(q.rhs) == 2.0

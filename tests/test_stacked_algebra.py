@@ -211,7 +211,7 @@ def _lemma_loop(seed=0, count=200, include_mixtures=False):
             var1 = 0.5 + rng.uniform(0.0, 1.0)
             var2 = var1 + rng.uniform(0.1, 1.0)
             hm, jm1 = fisher_lab._group_sums(fisher_lab._stack_quadrature, [mix.groups()],
-                                             [var1], [()])[0].tolist()
+                                             [var1])[0].tolist()
             jm2 = mixture_cond_fisher(mix, var2)
             v1 = fisher_lab._cond_var(mix) + var1
             rep.rows.append(("L6", "mixture", i, jm1 - 1.0 / v1))
@@ -357,6 +357,23 @@ def test_a_command_names_its_own_instance_number():
     with pytest.raises(NotPSD, match="^x$"):   # an error of one instance is left as it is
         with numbered([5, 9]):
             raise NotPSD("x")
+
+
+def test_numbered_takes_the_callers_instance_tuples():
+    # instance j of the stack is the caller's tuple numbers[j]; () is a single
+    # instance, whose message stays bare
+    with pytest.raises(NotPSD, match=r"^instance \(2, 1\): x$") as e:
+        with numbered([(), (2, 1), (7,)]):
+            raise at_instance(NotPSD, (1,), "x")
+    assert (e.value.instance, e.value.detail) == ((2, 1), "x")
+    with pytest.raises(NotPSD, match="^instance 7: x$") as e:
+        with numbered([(), (2, 1), (7,)]):
+            raise at_instance(NotPSD, (2,), "x")
+    assert e.value.instance == (7,)
+    with pytest.raises(NotPSD, match="^x$") as e:
+        with numbered([(), (2, 1), (7,)]):
+            raise at_instance(NotPSD, (0,), "x")
+    assert (e.value.instance, e.value.detail) == ((), "x")
 
 
 def test_debruijn_command_names_the_instance_of_a_step_too_large(capsys):
