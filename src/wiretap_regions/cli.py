@@ -230,18 +230,30 @@ def cmd_gauss_degraded(args) -> int:
     return _conclude(args, None, lines, not ch.degraded, invariant)
 
 
+def _gauss_draws(rng: np.random.Generator, budget: int, dim: int) -> dict:
+    """The normal draws of the Gaussian instances of ``fisher debruijn``:
+    instance i of dimension d = 1 + i % dim draws a 2d x 2d joint factor,
+    then a d x d noise factor.  One ``normal`` call fills them all in stream
+    order, the values a two-call-an-instance loop draws; returns
+    d -> (instances, joint factors, noise factors), from d = 1 up."""
+    dims = 1 + np.arange(budget) % dim
+    ends = np.cumsum(5 * dims ** 2)
+    z = rng.normal(size=int(ends[-1]))
+    draws = {}
+    for d in range(1, min(budget, dim) + 1):
+        nums = np.flatnonzero(dims == d)
+        start = ends[nums, None] - 5 * d * d
+        draws[d] = (nums.tolist(), z[start + np.arange(4 * d * d)].reshape(-1, 2 * d, 2 * d),
+                    z[start + np.arange(4 * d * d, 5 * d * d)].reshape(-1, d, d))
+    return draws
+
+
 def cmd_fisher_debruijn(args) -> int:
     rng = np.random.default_rng(args.seed)
-    draws = {}   # every Gaussian instance first, in stream order, then one call per dimension
-    for i in range(args.budget):
-        d = 1 + i % args.dim
-        draws.setdefault(d, []).append((i, rng.normal(size=(2 * d, 2 * d)),
-                                        rng.normal(size=(d, d))))
-    residual = {}
-    for nums, joint, a in (zip(*stack) for stack in draws.values()):
-        a = np.stack(a)
+    residual = {}   # every Gaussian instance drawn first, then one call per dimension
+    for nums, joint, a in _gauss_draws(rng, args.budget, args.dim).values():
         with numbered(nums):
-            r = debruijn_check(gauss_pair_of(np.stack(joint)),
+            r = debruijn_check(gauss_pair_of(joint),
                                a @ a.mT + 0.3 * np.eye(a.shape[-1]), step=args.step)
         residual.update(zip(nums, r.tolist()))
     rows = [["gauss", i, residual[i]] for i in range(args.budget)]

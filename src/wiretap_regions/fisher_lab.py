@@ -34,6 +34,7 @@ from .errors import (
     SingularMatrix,
     StepTooLarge,
     ValidationError,
+    WiretapError,
     at_instance,
     numbered,
     raise_for_first,
@@ -94,11 +95,14 @@ class ScalarMixture:
 
     def __post_init__(self):
         u = np.array(self.u_points, dtype=float).ravel()   # copies, never the caller's arrays
-        x, w = (a.copy() for a in _check_mixture(self.x_points, self.weights))
+        with numbered([()]):
+            x, w, _ = _check_tasks([self.x_points], [self.weights])
         if u.size != x.size:
             raise ValidationError("mixture support arrays must have equal size")
+        if not np.isfinite(u).all():
+            raise ValidationError("mixture u-points must be finite")
         groups = []
-        for value in np.unique(u):
+        for value in _distinct(u):
             m = u == value
             pu = float(w[m].sum())
             if pu > 0:
@@ -120,25 +124,51 @@ class ScalarMixture:
 
 # --- quadrature on mixture + Gaussian densities --------------------------------
 
-# Largest relative move of h or J from the half-resolution grid.
+# Largest move of h or J from the half-resolution grid, relative to 1 plus
+# the scale-free value h - log(sigma) or J var (the move of J taken times var).
 QUAD_RTOL = 1e-7
 # Points of the largest grid of a mixture quadrature, the top rung of its ladder.
 QUAD_N = 4001
 # Grid cells (tasks x components x points) of one block of a stacked quadrature.
 QUAD_BLOCK_CELLS = 2 ** 16
+# Largest |sum - 1| of a mixture's weights, which are probabilities.
+WEIGHT_SUM_TOL = 1e-12
+# Mixture density below which f'^2 / f is taken as 0: f underflows to 0 there.
+DENSITY_FLOOR = 1e-300
+
+# The checks of a mixture task, in the order they are made.
+_TASK_CHECKS = ("mixture centers and weights must have equal nonzero size",
+                "mixture centers must be finite",
+                "mixture weights must be a distribution")
 
 
-def _check_mixture(centers, weights):
-    """Flat float arrays; ValidationError unless a distribution on finite centers."""
-    c = np.asarray(centers, dtype=float).ravel()
-    w = np.asarray(weights, dtype=float).ravel()
-    if c.size != w.size or c.size == 0:
-        raise ValidationError("mixture centers and weights must have equal nonzero size")
-    if not np.isfinite(c).all():
-        raise ValidationError("mixture centers must be finite")
-    if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12):
-        raise ValidationError("mixture weights must be a distribution")
-    return c, w
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a flat array, as ``np.unique`` gives them;
+    ``np.unique`` itself imports ``numpy.ma`` (numpy 2.4)."""
+    s = np.sort(a)
+    keep = np.ones(s.shape, dtype=bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
+def _check_tasks(centers, weights):
+    """The flat float centers and weights of a stack of mixture tasks and
+    each task's size; ValidationError unless every task is a distribution on
+    finite centers, naming task t as instance t: the first task to break a
+    check, with the first check it breaks (see ``_TASK_CHECKS``)."""
+    c = [np.asarray(ct, dtype=float).ravel() for ct in centers]
+    w = [np.asarray(wt, dtype=float).ravel() for wt in weights]
+    size, w_size = np.array([a.size for a in c]), np.array([a.size for a in w])
+    total = np.array([a.sum() for a in w])   # each task's own w.sum(), bit for bit
+    c, w = np.concatenate(c), np.concatenate(w)
+    task = np.arange(size.size)
+    bad = np.stack([(size != w_size) | (size == 0),
+                    np.bincount(np.repeat(task, size), ~np.isfinite(c), minlength=task.size) > 0,
+                    (np.bincount(np.repeat(task, w_size), ~(w >= 0.0), minlength=task.size) > 0)
+                    | ~(np.abs(total - 1.0) <= WEIGHT_SUM_TOL)])
+    raise_for_first(bad.any(axis=0), ValidationError,
+                    lambda k: _TASK_CHECKS[bad[:, k[0]].argmax()])
+    return c, w, size
 
 
 def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
@@ -150,8 +180,10 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
     on the nested ladder ``m = (n - 1) / 2^k + 1`` of odd point counts ending
     at ``n`` (251, ..., 4001 for ``QUAD_N``), from the coarsest rung with
     spacing at most sigma / 2 (no component falls between grid points), and
-    moves up while h or J moves by more than QUAD_RTOL * (1 + |value|) on the
-    half-resolution grid; still moving at ``n`` raises QuadratureNonConvergent.
+    moves up while, on the half-resolution grid, h moves by more than
+    QUAD_RTOL * (1 + |h - log(var) / 2|) or J var by more than
+    QUAD_RTOL * (1 + J var): forms that scaling the centers by s and var by
+    s^2 leaves alone.  Still moving at ``n`` raises QuadratureNonConvergent.
     A rung takes its tasks by count of nonzero weights, a lone one padded with
     a log-weight -inf component (exact zeros), in blocks of at most
     QUAD_BLOCK_CELLS cells (tasks x components x points, or one task), so each
@@ -161,22 +193,17 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
     if not len(centers) == len(weights) == var.size:
         raise DimensionMismatch(f"{len(centers)} centers, {len(weights)} weights and "
                                 f"{var.size} noise variances do not make a stack of tasks")
-    live = []   # each task's components of nonzero weight: no log(0)
-    for t, task in enumerate(zip(centers, weights)):
-        try:
-            ct, wt = _check_mixture(*task)
-        except ValidationError as e:
-            raise at_instance(ValidationError, (t,), str(e)) from None
-        live.append((ct[wt > 0.0], wt[wt > 0.0]))
+    c_all, w_all, size = _check_tasks(centers, weights)
     raise_for_first(~(var > 0.0), ValidationError,
                     lambda k: f"noise variance must be positive, got {var[k]}")
     if n < 3 or n % 2 == 0:
         raise ValidationError(f"quadrature grid needs an odd point count >= 3, got {n}")
-    size = np.array([ct.size for ct, _ in live])
+    live = w_all > 0.0   # components of nonzero weight: no log(0)
+    size = np.bincount(np.repeat(np.arange(var.size), size)[live], minlength=var.size)
     filled = np.arange(max(2, size.max())) < size[:, None]   # a row a task
     c, logw = np.zeros(filled.shape), np.full(filled.shape, -np.inf)
-    c[filled] = np.concatenate([ct for ct, _ in live])
-    logw[filled] = np.log(np.concatenate([wt for _, wt in live]))
+    c[filled] = c_all[live]
+    logw[filled] = np.log(w_all[live])
     c = np.where(filled, c, c[:, :1])   # a pad sits at its task's first center
     width = np.maximum(2, size)
     sigma = np.sqrt(var)
@@ -190,7 +217,7 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
     m = rung.min()
     while True:
         here = rung == m
-        for k in np.unique(width[here]):
+        for k in _distinct(width[here]):
             group = np.flatnonzero(here & (width == k))
             per = max(1, QUAD_BLOCK_CELLS // (k * m))
             for b in (group[s:s + per] for s in range(0, group.size, per)):
@@ -200,7 +227,10 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
                 terms = _stack_integrands(y, c[b, :k], logw[b, :k], var[b])
                 out[b] = full = np.trapezoid(terms, y[:, None], axis=-1)
                 moved[b] = np.abs(full - np.trapezoid(terms[..., ::2], y[:, None, ::2], axis=-1))
-                rung[b[~(moved[b] <= QUAD_RTOL * (1.0 + np.abs(full))).all(axis=1)]] = 2 * m - 1
+                v = var[b]
+                still = ~((moved[b, 0] <= QUAD_RTOL * (1.0 + np.abs(full[:, 0] - 0.5 * np.log(v))))
+                          & (moved[b, 1] * v <= QUAD_RTOL * (1.0 + full[:, 1] * v)))
+                rung[b[still]] = 2 * m - 1
         if m == n:
             break
         m = 2 * m - 1
@@ -231,7 +261,7 @@ def _stack_integrands(y, centers, logw, var) -> np.ndarray:
     d /= -v
     d *= expz
     fprime = d.sum(axis=1) * scale
-    mask = f > 1e-300
+    mask = f > DENSITY_FLOOR
     # exp(logf) and f differ only in rounding
     return np.stack([-np.exp(logf) * logf,
                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)], axis=1)
@@ -271,6 +301,12 @@ def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
 
 # --- Fisher information and the entropy gradient --------------------------------
 
+# Smallest eigenvalue of Cov(X|U) + Sigma_N, relative to its largest, that
+# gaussian_fisher inverts.
+FISHER_EIG_RTOL = 1e-14
+# Entropy-gradient residual above which debruijn_check halves its step.
+RESIDUAL_TOL = 1e-4
+
 
 def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     """Conditional Fisher information of X + N given U for a Gaussian pair:
@@ -278,7 +314,7 @@ def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     m = pair.cov_x_given_u() + np.atleast_2d(np.asarray(sigma_n, dtype=float))
     w = np.linalg.eigvalsh(m)
     low = w.min(axis=-1)
-    raise_for_first(low <= 1e-14 * w.max(axis=-1),
+    raise_for_first(low <= FISHER_EIG_RTOL * w.max(axis=-1),
                     SingularConditionalCovariance,
                     lambda k: f"Cov(X|U) + Sigma_N has near-zero eigenvalue {low[k]:.3e}")
     return np.linalg.inv(m)
@@ -330,7 +366,7 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
     both moved variances take one stacked quadrature each).
 
     Central differences of h along every symmetric direction are compared with
-    ``tr(J D)/2``.  If the residual at the requested step is above 1e-4 but
+    ``tr(J D)/2``.  If the residual at the requested step is above RESIDUAL_TOL but
     halving the step shrinks it, the residual is truncation-dominated and
     StepTooLarge is raised instead of returning a misleading number; so it is
     when the step takes a moved matrix out of the positive-definite cone.
@@ -342,20 +378,23 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
         cxu, J = obj.cov_x_given_u(), gaussian_fisher(obj, sn)
         d = sn.shape[-1]
         scale = np.maximum(1.0, np.trace(sn, axis1=-2, axis2=-1) / d)
+        # every symmetric direction D, each with both signs, ahead of the instance axes
+        basis = np.stack(list(_sym_basis(d))).reshape(-1, *(1,) * (J.ndim - 2), d, d)
+        signed = np.stack([basis, -basis], axis=1)
+        half_tr = 0.5 * np.trace(J @ basis, axis1=-2, axis2=-1)
 
         def residual(t: float) -> np.ndarray:
-            worst = np.zeros(J.shape[:-2])
-            for D in _sym_basis(d):
-                move = (t * scale)[..., None, None] * D
-                try:
-                    hp, hm = (_gauss_cond_entropy(cxu, sn + s * move) for s in (1, -1))
-                except SingularMatrix as e:
-                    raise at_instance(StepTooLarge, e.instance, f"step {t:g} moves Cov(X|U) + "
-                                      "Sigma_N out of the positive-definite cone") from None
-                fd = (hp - hm) / (2.0 * t * scale)
-                gap = np.abs(fd - 0.5 * np.trace(J @ D, axis1=-2, axis2=-1))
-                worst = np.where(gap > worst, gap, worst)   # the builtin max, per instance
-            return worst
+            try:   # one logdet stack (direction, sign, instance)
+                h = _gauss_cond_entropy(cxu, sn + (t * scale)[..., None, None] * signed)
+            except WiretapError as e:   # named by its instance, not its direction and sign
+                if not e.instance:
+                    raise
+                err, message = ((StepTooLarge, f"step {t:g} moves Cov(X|U) + Sigma_N out of "
+                                 "the positive-definite cone") if isinstance(e, SingularMatrix)
+                                else (type(e), e.detail))
+                raise at_instance(err, e.instance[2:], message) from None
+            gap = np.abs((h[:, 0] - h[:, 1]) / (2.0 * t * scale) - half_tr)
+            return np.fmax.reduce(gap, axis=0, initial=0.0)   # the builtin max from 0, per instance
     elif isinstance(obj, (ScalarMixture, list, tuple)):
         if isinstance(obj, ScalarMixture):
             groups = [obj.groups()]
@@ -368,14 +407,15 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                                       f"{len(groups)} 1x1 matrices, got shape {var.shape}")
             var = var[:, 0, 0]
         instances = list(np.ndindex(var.shape))   # () for a lone mixture
+        # a step inside the cone keeps its half there, and halving moves only h
+        raise_for_first(step * np.maximum(1.0, var) >= var, StepTooLarge,
+                        lambda k: f"step {step:g} moves the noise variance {var[k]:g} out of "
+                                  "the positive-definite cone")
+        with numbered(instances):
+            J = _group_sums(mixture_fisher, groups, var.ravel())
 
         def residual(t: float) -> np.ndarray:
             t_abs = t * np.maximum(1.0, var)
-            raise_for_first(t_abs >= var, StepTooLarge,
-                            lambda k: f"step {t:g} moves the noise variance {var[k]:g} out of "
-                                      "the positive-definite cone")
-            with numbered(instances):
-                J = _group_sums(mixture_fisher, groups, var.ravel())
             # h at var + t and var - t of each mixture, side by side
             with numbered([k for k in instances for _ in range(2)]):
                 h = _group_sums(mixture_entropy, [g for g in groups for _ in range(2)],
@@ -386,9 +426,9 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
     r1 = np.asarray(residual(step))
-    if (r1 > 1e-4).any():
+    if (r1 > RESIDUAL_TOL).any():
         r2 = np.asarray(residual(step / 2.0))
-        raise_for_first((r1 > 1e-4) & (r2 < 0.5 * r1), StepTooLarge,
+        raise_for_first((r1 > RESIDUAL_TOL) & (r2 < 0.5 * r1), StepTooLarge,
                         lambda k: f"residual {r1[k]:.3e} is truncation-dominated "
                                   f"(halving gives {r2[k]:.3e})")
     return float(r1) if r1.ndim == 0 else r1
@@ -562,6 +602,8 @@ def _cond_var(mix: ScalarMixture) -> float:
 SANDWICH_RTOL = 1e-8
 # Margin of a mixture's second moment over the input cap S, relative to S.
 CAP_RTOL = 1e-9
+# |f - g| in nats at an end of the interpolation path that makes the end the root.
+ENDPOINT_TOL = 1e-12
 
 
 def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
@@ -598,9 +640,9 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         return 0.5 * math.log((k + sigmaz_sq) / (k + sigma2_sq))
 
     f0, f1 = f(k_z) - g, f(k_2) - g
-    if abs(f0) <= 1e-12:
+    if abs(f0) <= ENDPOINT_TOL:
         t_star, k_star = 0.0, k_z
-    elif abs(f1) <= 1e-12:
+    elif abs(f1) <= ENDPOINT_TOL:
         t_star, k_star = 1.0, k_2
     elif f0 * f1 > 0:
         raise NoRoot(f"no sign change on [0,1]: f(0)-g={f0:.3e}, f(1)-g={f1:.3e}")

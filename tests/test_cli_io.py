@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import wiretap_regions
 from generators import emit_channel_file, random_aux_layered
-from wiretap_regions import fm_script
+from wiretap_regions import cli, fm_script
 from wiretap_regions.cli import build_parser, main
 from wiretap_regions.entropy_algebra import FactorStructure
 from wiretap_regions.errors import (
@@ -1023,7 +1023,7 @@ from wiretap_regions.cli import main
 from wiretap_regions.entropy_algebra import derive_equalities
 rc = main(json.loads(sys.argv[1]))
 print(json.dumps([rc, sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-                  derive_equalities.cache_info().currsize]))
+                  "numpy.ma" in sys.modules, derive_equalities.cache_info().currsize]))
 """
 
 
@@ -1031,7 +1031,8 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
     # scipy is imported inside the functions that solve LPs or hull clouds, so
     # the commands that need neither start without it; none of them derives
     # an entropy equality span (`region eval-general` parses the chain's
-    # target, which needs none)
+    # target, which needs none).  Nor do they load numpy.ma, which numpy's
+    # np.unique imports on its first call (about 14 ms)
     files = {"c": DISCRETE, "a": AUX, "l": LAYERED_AUX, "g": GAUSS, "k": "kind: split\nK:\n0.5\n",
              "t": TRIPLE_1X1, "h": "kind: gauss_h\nH1:\n2\nH2:\n1\nHZ:\n0.5\n"}
     f = {k: write(tmp_path, k + ".txt", v) for k, v in files.items()}
@@ -1049,7 +1050,27 @@ def test_commands_without_an_lp_load_no_scipy(tmp_path):
     for argv in commands:
         run = subprocess.run([sys.executable, "-c", _NO_SCIPY, json.dumps(argv)], env=env,
                              capture_output=True, text=True, check=True)
-        assert json.loads(run.stdout.splitlines()[-1]) == [0, [], 0], argv
+        assert json.loads(run.stdout.splitlines()[-1]) == [0, [], False, 0], argv
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("budget", [1, 2, 100])
+def test_debruijn_draws_every_instance_in_one_call(dim, budget):
+    # Generator.normal fills its values in order, so one call gives the bits
+    # of a loop of two calls an instance, and leaves the stream where it did
+    one, loop = np.random.default_rng(7), np.random.default_rng(7)
+    got = cli._gauss_draws(one, budget, dim)
+    want = {}
+    for i in range(budget):
+        d = 1 + i % dim
+        want.setdefault(d, []).append((i, loop.normal(size=(2 * d, 2 * d)),
+                                       loop.normal(size=(d, d))))
+    assert list(got) == list(want)
+    for d, (nums, joint, a) in got.items():
+        assert nums == [i for i, _, _ in want[d]]
+        assert joint.tobytes() == np.stack([j for _, j, _ in want[d]]).tobytes()
+        assert a.tobytes() == np.stack([x for _, _, x in want[d]]).tobytes()
+    assert one.bit_generator.state == loop.bit_generator.state
 
 
 _CSV_COMMANDS = {

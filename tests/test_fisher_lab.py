@@ -151,6 +151,50 @@ def test_debruijn_command_names_the_step_and_the_instance(capsys):
                                        "Cov(X|U) + Sigma_N out of the positive-definite cone\n")
 
 
+def _per_direction_residual(pair, sn, t):
+    """The Gaussian residual as the per-direction loop computed it: one
+    logdet stack per direction and sign."""
+    sn = np.atleast_2d(np.asarray(sn, dtype=float))
+    cxu, J = pair.cov_x_given_u(), gaussian_fisher(pair, sn)
+    d = sn.shape[-1]
+    scale = np.maximum(1.0, np.trace(sn, axis1=-2, axis2=-1) / d)
+    worst = np.zeros(J.shape[:-2])
+    for D in fisher_lab._sym_basis(d):
+        move = (t * scale)[..., None, None] * D
+        hp, hm = (fisher_lab._gauss_cond_entropy(cxu, sn + s * move) for s in (1, -1))
+        gap = np.abs((hp - hm) / (2.0 * t * scale) - 0.5 * np.trace(J @ D, axis1=-2, axis2=-1))
+        worst = np.where(gap > worst, gap, worst)
+    return worst
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_directions_give_the_residual_of_the_per_direction_loop(d):
+    rng = np.random.default_rng(40 + d)
+    joint = rng.normal(size=(6, 2 * d, 2 * d))
+    a = rng.normal(size=(6, d, d))
+    sn = a @ a.mT + 0.3 * np.eye(d)
+    stack = fisher_lab.gauss_pair_of(joint)
+    for pair, noise in ((stack, sn), (stack, sn[0]), (fisher_lab.gauss_pair_of(joint[2]), sn[2])):
+        for t in (1e-4, 1e-3):
+            got = np.asarray(debruijn_check(pair, noise, step=t))
+            assert got.tobytes() == _per_direction_residual(pair, noise, t).tobytes()
+
+
+def test_a_mixture_takes_one_fisher_pass_when_the_step_is_halved(monkeypatch):
+    mix = ScalarMixture([0.0, 0.0, 1.0], [-1.0, 1.0, 0.5], [0.25, 0.25, 0.5])
+    passes, fisher = [], fisher_lab.mixture_fisher
+
+    def counting(*args):
+        passes.append(np.size(args[2]))
+        return fisher(*args)
+
+    monkeypatch.setattr(fisher_lab, "mixture_fisher", counting)
+    # the residual at step 0.3 is truncation-dominated: the halved step runs
+    with pytest.raises(StepTooLarge, match="truncation-dominated"):
+        debruijn_check(mix, [[1.0]], step=0.3)
+    assert passes == [2]   # one pass, its two groups at the unmoved variance
+
+
 def test_quadrature_nonconvergence_detected():
     # a 31-point grid cannot resolve two narrow spikes ten units apart
     with pytest.raises(QuadratureNonConvergent):
@@ -270,7 +314,8 @@ def _lone_pass(centers, weights, var, n=fisher_lab.QUAD_N):
                           np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)])
         full = np.trapezoid(terms, y, axis=1)
         moved = np.abs(full - np.trapezoid(terms[:, ::2], y[::2], axis=1))
-        if (moved <= fisher_lab.QUAD_RTOL * (1.0 + np.abs(full))).all():
+        if (moved[0] <= fisher_lab.QUAD_RTOL * (1.0 + abs(full[0] - 0.5 * math.log(var)))
+                and moved[1] * var <= fisher_lab.QUAD_RTOL * (1.0 + full[1] * var)):
             return (float(full[0]), float(full[1])), rungs
         if m == n:
             raise QuadratureNonConvergent("still moving")
@@ -329,6 +374,34 @@ def test_a_lone_component_is_padded_with_no_mass(monkeypatch):
     [pair] = rows
     assert pair[0].tolist() == [0.0, -np.inf]
     assert np.isfinite(pair[1:]).all() and np.exp(pair).sum(axis=1) == pytest.approx(1.0)
+
+
+def _scaled_tasks(c):
+    """300 tasks, 1 to 4 components on [-6, 6] with flat Dirichlet weights
+    and noise variance 10^U(-3, 1), their centers scaled by sqrt(c) and their
+    variances by c."""
+    rng = np.random.default_rng(91)
+    tasks = []
+    for _ in range(300):
+        k = int(rng.integers(1, 5))
+        centers, weights = rng.uniform(-6.0, 6.0, k), rng.dirichlet(np.ones(k))
+        tasks.append((centers * math.sqrt(c), weights, 10.0 ** rng.uniform(-3.0, 1.0) * c))
+    return tasks
+
+
+def test_each_task_stops_on_the_same_rung_at_every_scale(monkeypatch):
+    # h - log(sigma) and J var do not move when the centers and sigma are
+    # scaled together, so neither may the rung a task stops on; an absolute
+    # test would move 33 of these tasks at c = 1e10
+    seen = _rungs(monkeypatch)
+    stops = {}
+    for c in (1e-10, 1.0, 1e10):
+        seen.clear()
+        centers, weights, var = zip(*_scaled_tasks(c))
+        fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+        stops[c] = [seen[(v, ct[0])][-1] for ct, v in zip(centers, var)]
+    assert stops[1e-10] == stops[1.0] == stops[1e10]
+    assert len(set(stops[1.0])) >= 3   # the tasks climb the ladder, not all stay on one rung
 
 
 def test_a_stack_names_the_first_task_that_does_not_converge():
@@ -504,6 +577,79 @@ def test_quadrature_rejects_bad_input():
                 routine([c], [w], [var])
     with pytest.raises(ValidationError):
         ScalarMixture([0.0, 0.0], [0.0, 1.0], [1.5, -0.5])
+
+
+def test_a_mixture_refuses_a_non_finite_u_point():
+    # a NaN u-point equals no u value, so grouping by u value would drop its
+    # mass: this mixture would keep groups of mass 0.5 and J(X + N | U) = 0.5
+    for u in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match="^mixture u-points must be finite$"):
+            ScalarMixture([0.0, u], [0.5, -1.0], [0.5, 0.5])
+    # -0.0 and 0.0 are one u value, one group
+    [(pu, c, _)] = ScalarMixture([-0.0, 0.0], [0.5, -1.0], [0.5, 0.5]).groups()
+    assert pu == 1.0 and c.tolist() == [0.5, -1.0]
+
+
+def _per_task_checks(centers, weights):
+    """The per-task loop that the stacked check replaced: (t, message) of the
+    first task to break a check, or the flat arrays and sizes of a valid stack."""
+    flat = []
+    for t, (ct, wt) in enumerate(zip(centers, weights)):
+        c = np.asarray(ct, dtype=float).ravel()
+        w = np.asarray(wt, dtype=float).ravel()
+        if c.size != w.size or c.size == 0:
+            return t, "mixture centers and weights must have equal nonzero size"
+        if not np.isfinite(c).all():
+            return t, "mixture centers must be finite"
+        if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12):
+            return t, "mixture weights must be a distribution"
+        flat.append((c, w))
+    return (np.concatenate([c for c, _ in flat]), np.concatenate([w for _, w in flat]),
+            [c.size for c, _ in flat])
+
+
+_DEFECTS = ("none", "size", "empty", "nan", "inf", "negative", "sum")
+
+
+@st.composite
+def _checked_tasks(draw):
+    """One (centers, weights) task of 1 to 20 components, maybe with one
+    planted defect; "sum" moves the weight sum off 1 by 0.5e-12 to 4e-12, on
+    either side of the tolerance."""
+    k = draw(st.integers(1, 20))
+    centers = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+    weights /= weights.sum()
+    defect = draw(st.sampled_from(_DEFECTS))
+    j = draw(st.integers(0, k - 1))
+    if defect == "size":
+        weights = weights[:-1] if k > 1 else np.append(weights, 0.0)
+    elif defect == "empty":
+        centers, weights = [], weights[:0]
+    elif defect in ("nan", "inf"):
+        centers[j] = float(defect)
+    elif defect == "negative":
+        weights[j] = -weights[j]
+    elif defect == "sum":
+        weights[j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5e-12, 4e-12))
+    return centers, weights
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(_checked_tasks(), min_size=1, max_size=6))
+def test_the_stacked_check_names_what_the_per_task_loop_names(tasks):
+    centers, weights = zip(*tasks)
+    want = _per_task_checks(centers, weights)
+    if isinstance(want[0], int):
+        with pytest.raises(ValidationError) as e:
+            fisher_lab._check_tasks(centers, weights)
+        t, message = want
+        assert (e.value.instance, e.value.detail) == ((t,), message)
+        assert str(e.value) == f"instance {t}: {message}"
+    else:
+        c, w, size = fisher_lab._check_tasks(centers, weights)
+        assert c.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
+        assert size.tolist() == want[2]
 
 
 def test_zero_weight_is_dropped_silently():
