@@ -55,6 +55,9 @@ from .regions_gaussian import (
 )
 
 OK, VIOLATION, INPUT_ERROR = 0, 1, 2
+# Floor of the second moment that fisher evidence divides 0.98 S by to scale
+# a drawn mixture under the cap: a mixture at 0 is not divided by 0.
+MOMENT_FLOOR = 1e-12
 
 
 def _write_csv(path, text: str) -> None:
@@ -289,7 +292,7 @@ def cmd_fisher_evidence(args) -> int:
     mixes = []
     for _ in range(args.budget):
         mix = random_mixture(rng)
-        scale = np.sqrt(0.98 * s_cap / max(mix.second_moment(), 1e-12))
+        scale = np.sqrt(0.98 * s_cap / max(mix.second_moment(), MOMENT_FLOOR))
         mixes.append(type(mix)(mix.u_points, mix.x_points * min(1.0, scale), mix.weights))
     reps = sufficiency_evidence_scalar(mixes, ch, envelope, slack_tol=args.tol)
     rows = [[i, f"{rep.max_slack:.6e}", int(rep.contained)] for i, rep in enumerate(reps)]

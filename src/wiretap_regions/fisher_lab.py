@@ -14,9 +14,9 @@ halving.  The grid sizes itself by that check: it walks the nested ladder of
 spacing at most sigma / 2 and doubling while a value moves; ``n`` (default
 ``QUAD_N`` = 4001) is the largest grid, and a value that still moves there
 raises QuadratureNonConvergent, never returns.  The passes are stacked: a
-command collects every (centers, weights, noise variance) task it needs and
-one call evaluates each rung for all tasks on it at once, in blocks of
-bounded size, giving each task the bits it gets alone.
+command collects the u-groups of every checked mixture it needs, each at a
+noise variance, and one call evaluates each rung for all groups on it at
+once, in blocks of bounded size, giving each group the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -94,9 +94,15 @@ class ScalarMixture:
     _groups: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = np.array(self.u_points, dtype=float).ravel()   # copies, never the caller's arrays
-        with numbered([()]):
-            x, w, _ = _check_tasks([self.x_points], [self.weights])
+        # copies, never the caller's arrays
+        u, x, w = (np.array(a, dtype=float).ravel()
+                   for a in (self.u_points, self.x_points, self.weights))
+        if x.size != w.size or not x.size:
+            raise ValidationError("mixture centers and weights must have equal nonzero size")
+        if not np.isfinite(x).all():
+            raise ValidationError("mixture centers must be finite")
+        if not ((w >= 0.0).all() and abs(w.sum() - 1.0) <= WEIGHT_SUM_TOL):
+            raise ValidationError("mixture weights must be a distribution")
         if u.size != x.size:
             raise ValidationError("mixture support arrays must have equal size")
         if not np.isfinite(u).all():
@@ -129,17 +135,12 @@ class ScalarMixture:
 QUAD_RTOL = 1e-7
 # Points of the largest grid of a mixture quadrature, the top rung of its ladder.
 QUAD_N = 4001
-# Grid cells (tasks x components x points) of one block of a stacked quadrature.
+# Grid cells (groups x components x points) of one block of a stacked quadrature.
 QUAD_BLOCK_CELLS = 2 ** 16
 # Largest |sum - 1| of a mixture's weights, which are probabilities.
 WEIGHT_SUM_TOL = 1e-12
 # Mixture density below which f'^2 / f is taken as 0: f underflows to 0 there.
 DENSITY_FLOOR = 1e-300
-
-# The checks of a mixture task, in the order they are made.
-_TASK_CHECKS = ("mixture centers and weights must have equal nonzero size",
-                "mixture centers must be finite",
-                "mixture weights must be a distribution")
 
 
 def _distinct(a: np.ndarray) -> np.ndarray:
@@ -151,32 +152,13 @@ def _distinct(a: np.ndarray) -> np.ndarray:
     return s[keep]
 
 
-def _check_tasks(centers, weights):
-    """The flat float centers and weights of a stack of mixture tasks and
-    each task's size; ValidationError unless every task is a distribution on
-    finite centers, naming task t as instance t: the first task to break a
-    check, with the first check it breaks (see ``_TASK_CHECKS``)."""
-    c = [np.asarray(ct, dtype=float).ravel() for ct in centers]
-    w = [np.asarray(wt, dtype=float).ravel() for wt in weights]
-    size, w_size = np.array([a.size for a in c]), np.array([a.size for a in w])
-    total = np.array([a.sum() for a in w])   # each task's own w.sum(), bit for bit
-    c, w = np.concatenate(c), np.concatenate(w)
-    task = np.arange(size.size)
-    bad = np.stack([(size != w_size) | (size == 0),
-                    np.bincount(np.repeat(task, size), ~np.isfinite(c), minlength=task.size) > 0,
-                    (np.bincount(np.repeat(task, w_size), ~(w >= 0.0), minlength=task.size) > 0)
-                    | ~(np.abs(total - 1.0) <= WEIGHT_SUM_TOL)])
-    raise_for_first(bad.any(axis=0), ValidationError,
-                    lambda k: _TASK_CHECKS[bad[:, k[0]].argmax()])
-    return c, w, size
+def _stack_quadrature(groups, var, n: int) -> np.ndarray:
+    """h(X + N | U) and J(X + N | U) of each entry of a stack, an array
+    (entries, 2): entry e is the (p_u, centers, weights) u-groups of a
+    checked :class:`ScalarMixture` at noise variance ``var[e]``, and gets the
+    p-weighted sum, in group order, of its groups' (h, J).
 
-
-def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
-    """Entropy h and Fisher information J of ``sum_j w_j N(c_j, var)`` for
-    each task of a stack, an array (tasks, 2): ``var`` holds a noise variance
-    per task, ``centers`` and ``weights`` an array per task.
-
-    Each task takes the trapezoid rule over [min c - 8 sigma, max c + 8 sigma]
+    Each group takes the trapezoid rule over [min c - 8 sigma, max c + 8 sigma]
     on the nested ladder ``m = (n - 1) / 2^k + 1`` of odd point counts ending
     at ``n`` (251, ..., 4001 for ``QUAD_N``), from the coarsest rung with
     spacing at most sigma / 2 (no component falls between grid points), and
@@ -184,27 +166,30 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
     QUAD_RTOL * (1 + |h - log(var) / 2|) or J var by more than
     QUAD_RTOL * (1 + J var): forms that scaling the centers by s and var by
     s^2 leaves alone.  Still moving at ``n`` raises QuadratureNonConvergent.
-    A rung takes its tasks by count of nonzero weights, a lone one padded with
-    a log-weight -inf component (exact zeros), in blocks of at most
-    QUAD_BLOCK_CELLS cells (tasks x components x points, or one task), so each
-    task gets the bits it gets alone.  An error names task t as instance t:
-    the first task to break the first check that fails."""
+    A rung takes its groups by count of nonzero weights, a lone one padded
+    with a log-weight -inf component (exact zeros), in blocks of at most
+    QUAD_BLOCK_CELLS cells (groups x components x points, or one group), so
+    each group gets the bits it gets alone.  An error names entry e as
+    instance e: the first entry to break the first check that fails."""
     var = np.asarray(var, dtype=float).ravel()
-    if not len(centers) == len(weights) == var.size:
-        raise DimensionMismatch(f"{len(centers)} centers, {len(weights)} weights and "
-                                f"{var.size} noise variances do not make a stack of tasks")
-    c_all, w_all, size = _check_tasks(centers, weights)
+    if len(groups) != var.size:
+        raise DimensionMismatch(f"{len(groups)} mixtures and {var.size} noise variances "
+                                "do not make a stack")
     raise_for_first(~(var > 0.0), ValidationError,
                     lambda k: f"noise variance must be positive, got {var[k]}")
     if n < 3 or n % 2 == 0:
         raise ValidationError(f"quadrature grid needs an odd point count >= 3, got {n}")
+    entry = np.array([e for e, gs in enumerate(groups) for _ in gs])
+    p, c_g, w_g = zip(*(g for gs in groups for g in gs))
+    var = var[entry]   # a noise variance a group from here on
+    c_all, w_all = np.concatenate(c_g), np.concatenate(w_g)
     live = w_all > 0.0   # components of nonzero weight: no log(0)
-    size = np.bincount(np.repeat(np.arange(var.size), size)[live], minlength=var.size)
-    filled = np.arange(max(2, size.max())) < size[:, None]   # a row a task
+    size = np.array([np.count_nonzero(w > 0.0) for w in w_g])
+    filled = np.arange(max(2, size.max())) < size[:, None]   # a row a group
     c, logw = np.zeros(filled.shape), np.full(filled.shape, -np.inf)
     c[filled] = c_all[live]
     logw[filled] = np.log(w_all[live])
-    c = np.where(filled, c, c[:, :1])   # a pad sits at its task's first center
+    c = np.where(filled, c, c[:, :1])   # a pad sits at its group's first center
     width = np.maximum(2, size)
     sigma = np.sqrt(var)
     lo, hi = c.min(axis=1) - 8.0 * sigma, c.max(axis=1) + 8.0 * sigma
@@ -213,7 +198,7 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
         coarser &= (hi - lo) / ((m - 1) // 2) <= 0.5 * sigma
         m = (m - 1) // 2 + 1
         rung[coarser] = m
-    out, moved = np.empty((var.size, 2)), np.zeros((var.size, 2))
+    val, moved = np.empty((var.size, 2)), np.zeros((var.size, 2))
     m = rung.min()
     while True:
         here = rung == m
@@ -221,11 +206,11 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
             group = np.flatnonzero(here & (width == k))
             per = max(1, QUAD_BLOCK_CELLS // (k * m))
             for b in (group[s:s + per] for s in range(0, group.size, per)):
-                # np.linspace(lo, hi, m) of each task
+                # np.linspace(lo, hi, m) of each group
                 y = np.arange(m) * ((hi[b] - lo[b]) / (m - 1))[:, None] + lo[b, None]
                 y[:, -1] = hi[b]
                 terms = _stack_integrands(y, c[b, :k], logw[b, :k], var[b])
-                out[b] = full = np.trapezoid(terms, y[:, None], axis=-1)
+                val[b] = full = np.trapezoid(terms, y[:, None], axis=-1)
                 moved[b] = np.abs(full - np.trapezoid(terms[..., ::2], y[:, None, ::2], axis=-1))
                 v = var[b]
                 still = ~((moved[b, 0] <= QUAD_RTOL * (1.0 + np.abs(full[:, 0] - 0.5 * np.log(v))))
@@ -234,18 +219,22 @@ def _stack_quadrature(centers, weights, var, n: int) -> np.ndarray:
         if m == n:
             break
         m = 2 * m - 1
-    raise_for_first(rung > n, QuadratureNonConvergent,
-                    lambda k: f"quadrature of (h, J) moved by ({moved[k][0]:.2e}, "
-                              f"{moved[k][1]:.2e}) under refinement at {n} points")
+    if (rung > n).any():
+        t = (rung > n).argmax()
+        raise at_instance(QuadratureNonConvergent, (int(entry[t]),),
+                          f"quadrature of (h, J) moved by ({moved[t][0]:.2e}, "
+                          f"{moved[t][1]:.2e}) under refinement at {n} points")
+    out = np.zeros((len(groups), 2))
+    np.add.at(out, entry, val * np.array(p)[:, None])   # in group order from 0: sum()'s bits
     return out
 
 
 def _stack_integrands(y, centers, logw, var) -> np.ndarray:
-    """Rows ``-f log f`` and ``f'^2 / f`` of each task's mixture density ``f``
-    at its points: ``y`` (tasks, m), ``centers`` and log-weights ``logw``
-    (tasks, k), ``var`` (tasks,); an array (tasks, 2, m)."""
+    """Rows ``-f log f`` and ``f'^2 / f`` of each group's mixture density ``f``
+    at its points: ``y`` (groups, m), ``centers`` and log-weights ``logw``
+    (groups, k), ``var`` (groups,); an array (groups, 2, m)."""
     # log(w_j phi(y - c_j; var)): one row per component, shifted by the column
-    # max; updated in place, so two (tasks, k, m) arrays are live at most
+    # max; updated in place, so two (groups, k, m) arrays are live at most
     v = var[:, None, None]
     d = y[:, None, :] - centers[:, :, None]
     z = d ** 2
@@ -267,36 +256,22 @@ def _stack_integrands(y, centers, logw, var) -> np.ndarray:
                      np.where(mask, fprime ** 2 / np.where(mask, f, 1.0), 0.0)], axis=1)
 
 
-def mixture_entropy(centers, weights, var, n: int = QUAD_N) -> np.ndarray:
-    """Differential entropy of ``sum_j w_j N(c_j, var)`` for each task of a
-    stack, checked by refinement (see :func:`_stack_quadrature`)."""
-    return _stack_quadrature(centers, weights, var, n)[:, 0]
+def mixture_entropy(groups, var, n: int = QUAD_N) -> np.ndarray:
+    """h(X + N | U) of each entry of a stack of checked mixtures' u-groups,
+    checked by refinement (see :func:`_stack_quadrature`)."""
+    return _stack_quadrature(groups, var, n)[:, 0]
 
 
-def mixture_fisher(centers, weights, var, n: int = QUAD_N) -> np.ndarray:
-    """Fisher information of ``sum_j w_j N(c_j, var)`` for each task of a
-    stack, checked by refinement (see :func:`_stack_quadrature`)."""
-    return _stack_quadrature(centers, weights, var, n)[:, 1]
-
-
-def _group_sums(route, groups, var) -> np.ndarray:
-    """``sum_g p_g route(c_g, w_g, var[e])`` over the (p_g, c_g, w_g) groups
-    ``groups[e]`` of each entry e of a stack, all of them in one stacked
-    ``route`` call, one of :func:`mixture_entropy`, :func:`mixture_fisher` or
-    :func:`_stack_quadrature`; an error names entry e as instance e."""
-    entry = [e for e, gs in enumerate(groups) for _ in gs]
-    p, c, w = zip(*(g for gs in groups for g in gs))
-    with numbered(entry):
-        vals = route(c, w, np.asarray(var, dtype=float)[entry], QUAD_N)
-    out = np.zeros((len(groups), *vals.shape[1:]))
-    np.add.at(out, entry, (vals.T * p).T)   # in group order from 0: the bits of sum()
-    return out
+def mixture_fisher(groups, var, n: int = QUAD_N) -> np.ndarray:
+    """J(X + N | U) of each entry of a stack of checked mixtures' u-groups,
+    checked by refinement (see :func:`_stack_quadrature`)."""
+    return _stack_quadrature(groups, var, n)[:, 1]
 
 
 def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
     """J(X + N | U): weighted average of the per-u Fisher informations."""
     with numbered([()]):
-        return float(_group_sums(mixture_fisher, [mix.groups()], [var])[0])
+        return float(mixture_fisher([mix.groups()], [var])[0])
 
 
 # --- Fisher information and the entropy gradient --------------------------------
@@ -412,14 +387,14 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                         lambda k: f"step {step:g} moves the noise variance {var[k]:g} out of "
                                   "the positive-definite cone")
         with numbered(instances):
-            J = _group_sums(mixture_fisher, groups, var.ravel())
+            J = mixture_fisher(groups, var.ravel())
 
         def residual(t: float) -> np.ndarray:
             t_abs = t * np.maximum(1.0, var)
             # h at var + t and var - t of each mixture, side by side
             with numbered([k for k in instances for _ in range(2)]):
-                h = _group_sums(mixture_entropy, [g for g in groups for _ in range(2)],
-                                np.stack([var + t_abs, var - t_abs], axis=-1).ravel())
+                h = mixture_entropy([g for g in groups for _ in range(2)],
+                                    np.stack([var + t_abs, var - t_abs], axis=-1).ravel())
             fd = (h[0::2] - h[1::2]) / (2.0 * t_abs.ravel())
             return np.abs(fd - 0.5 * J).reshape(var.shape)
     else:
@@ -577,8 +552,8 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
         nums, mixes, var1, var2 = zip(*mixtures)
         groups = [mix.groups() for mix in mixes]
         with numbered(nums):
-            cond1 = _group_sums(_stack_quadrature, groups, var1).tolist()
-            cond2 = _group_sums(mixture_fisher, groups, var2).tolist()
+            cond1 = _stack_quadrature(groups, var1, QUAD_N).tolist()
+            cond2 = mixture_fisher(groups, var2).tolist()
         for (i, mix, var1, var2), (hm, jm1), jm2 in zip(mixtures, cond1, cond2):
             v1 = _cond_var(mix) + var1
             rows[i] += [("L6", "mixture", i, jm1 - 1.0 / v1),
@@ -626,8 +601,8 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
         cap = scalar_of(obj.cov_x(), "Cov(X)")
     elif isinstance(obj, ScalarMixture):
         with numbered([(), ()]):
-            (h2, j2), (hz, jz) = _group_sums(_stack_quadrature, [obj.groups()] * 2,
-                                             [sigma2_sq, sigmaz_sq]).tolist()
+            (h2, j2), (hz, jz) = _stack_quadrature([obj.groups()] * 2, [sigma2_sq, sigmaz_sq],
+                                                   QUAD_N).tolist()
         g = hz - h2
         cap = obj.second_moment()
     else:
@@ -683,7 +658,7 @@ def mixture_region_constants(mixes, ch: GaussChannel) -> list[dict]:
         groups += [whole, whole, m.groups(), m.groups(), m.groups()]
         var += [s2, sz, s1, s2, sz]
     with numbered([e // 5 for e in range(len(var))]):
-        h = _group_sums(mixture_entropy, groups, var)
+        h = mixture_entropy(groups, var)
     return [{
         "iuy2": h_y2 - h_y2_u,
         "iuz": h_z - h_z_u,

@@ -38,6 +38,8 @@ from .errors import (
 NORMALIZATION_TOL = 1e-12
 NEGATIVE_MASS_TOL = -1e-15
 MI_CLAMP = -1e-12
+# Largest I(past; future | present) of a cut, in nats, that check_markov takes as 0.
+MARKOV_TOL = 1e-10
 MAX_CELLS = 10_000_000
 
 
@@ -309,7 +311,7 @@ class ChannelSpec:
     @functools.cached_property
     def degraded(self) -> bool:
         """Whether X -> Y1 -> Y2 -> Z is a Markov chain: always for a cascade,
-        and for a dense kernel at the 1e-10 tolerance of :func:`check_markov`.
+        and for a dense kernel at the ``MARKOV_TOL`` of :func:`check_markov`.
 
         The chain holds for every input distribution iff it holds under one with
         full support, so the uniform input decides it.
@@ -355,13 +357,13 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSp
     return ChannelSpec(input=x, outputs=outs, stages=(s1, s2, s3))
 
 
-def check_markov(t: ProbTable, chain, tol: float = 1e-10) -> bool:
-    """True iff every cut of the chain satisfies I(past; future | present) <= tol."""
+def check_markov(t: ProbTable, chain) -> bool:
+    """True iff every cut of the chain satisfies I(past; future | present) <= MARKOV_TOL."""
     chain = list(chain)
     for n in chain:
         t.axis(n)
     for i in range(1, len(chain) - 1):
         past, present, future = chain[:i], [chain[i]], chain[i + 1:]
-        if mutual_information(t, past, future, present) > tol:
+        if mutual_information(t, past, future, present) > MARKOV_TOL:
             return False
     return True

@@ -40,6 +40,9 @@ LE = "<="
 EQ = "=="
 
 VERTEX_TOL = 1e-9
+# |det| of a basis of vertices(), relative to (its largest |entry| + 1)^d,
+# at or below which the basis is singular and gives no vertex.
+BASIS_DET_RTOL = 1e-12
 CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant,
                           # and the largest row violation of a support LP's point
 # HiGHS tolerances of every support LP.  At the default feasibility
@@ -459,7 +462,7 @@ def vertices(systems) -> VPolytope:
     mats = A[combos]                       # (n, d, d)
     dets = np.linalg.det(mats)
     scale = np.abs(mats).max(axis=(1, 2)) + 1.0
-    ok = np.abs(dets) > 1e-12 * scale**d
+    ok = np.abs(dets) > BASIS_DET_RTOL * scale**d
     inv, combos = np.linalg.inv(mats[ok]), combos[ok]    # (k, d, d), (k, d)
     per_block = max(1, _BLOCK_SOLVES // max(len(combos), 1))
     parts = []

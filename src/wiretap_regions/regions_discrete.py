@@ -41,6 +41,9 @@ UX_VARS = ("U", "X")                       # the variables of the two kinds of a
 LAYERED_VARS = ("Q", "U", "V1", "V2", "X")
 AUX_TOL = 1e-10
 ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 0
+# Singular value of a flat hull cloud, relative to its largest, above which
+# its direction spans the cloud's affine hull.
+HULL_RANK_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -295,7 +298,7 @@ def hull_of(points: np.ndarray) -> np.ndarray:
     except QhullError:
         centred = pts - pts.mean(axis=0)
         _, sv, vt = np.linalg.svd(centred, full_matrices=False)
-        coords = centred @ vt[:int((sv > 1e-9 * sv[0]).sum())].T
+        coords = centred @ vt[:int((sv > HULL_RANK_RTOL * sv[0]).sum())].T
         if coords.shape[1] <= 1:
             return pts[[coords[:, 0].argmin(), coords[:, 0].argmax()]]
         return pts[ConvexHull(coords).vertices]

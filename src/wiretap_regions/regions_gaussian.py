@@ -36,6 +36,17 @@ from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, 
 
 ORDER_TOL = 1e-10
 SYM_TOL = 1e-12
+# check_psd refuses an eigenvalue below -PSD_RTOL times the largest |eigenvalue|.
+PSD_RTOL = 1e-10
+# Largest residual of a gain quotient's reproduction of the smaller gain,
+# relative to that gain's norm.
+GAIN_RTOL = 1e-9
+# Eigenvalue of a covariance, relative to its largest, above which its
+# eigenvector spans the covariance's range.
+RANGE_RTOL = 1e-12
+# Smallest eigenvalue of a cap a trace_P sweep samples, relative to P, so that
+# every sampled cap is positive definite.
+CAP_EIG_FLOOR = 1e-9
 # Largest magnitude of a GaussChannel entry: eight orders below the largest
 # double, so the sums and constant multiples of channel matrices that the
 # evaluators form (symmetrization included) stay finite.
@@ -86,13 +97,13 @@ def _sym(m) -> np.ndarray:
 
 def check_psd(m, name: str = "matrix") -> np.ndarray:
     """Validate positive semidefiniteness, clipping tiny negative eigenvalues
-    to zero.  The floor is ``-1e-10 * max|eigenvalue|``, relative to the
+    to zero.  The floor is ``-PSD_RTOL * max|eigenvalue|``, relative to the
     matrix, so scaling a matrix does not change its verdict and a small
     indefinite matrix is refused rather than clipped."""
     a = _sym(m)
     w, v = np.linalg.eigh(a)
     low = w.min(axis=-1)
-    floor = -1e-10 * np.abs(w).max(axis=-1)
+    floor = -PSD_RTOL * np.abs(w).max(axis=-1)
     raise_for_first(low < floor, NotPSD, lambda k: f"{name} has eigenvalue {low[k]:.3e} "
                                                    f"below tolerance {floor[k]:.1e}")
     w = np.clip(w, 0.0, None)
@@ -223,11 +234,12 @@ class HGaussChannel:
     @functools.cached_property
     def degraded(self) -> bool:
         """Whether the quotients reproduce the smaller gains (H2 = D21 H1,
-        HZ = DZ2 H2, each up to 1e-9 of the gain's norm, so the verdict does
+        HZ = DZ2 H2, each up to GAIN_RTOL of the gain's norm, so the verdict does
         not depend on the channel's scale) and are contractions."""
         d21, dz2 = self.quotients
-        return bool(np.linalg.norm(self.H2 - d21 @ self.H1) <= 1e-9 * np.linalg.norm(self.H2)
-                    and np.linalg.norm(self.HZ - dz2 @ self.H2) <= 1e-9 * np.linalg.norm(self.HZ)
+        return bool(np.linalg.norm(self.H2 - d21 @ self.H1) <= GAIN_RTOL * np.linalg.norm(self.H2)
+                    and np.linalg.norm(self.HZ - dz2 @ self.H2)
+                    <= GAIN_RTOL * np.linalg.norm(self.HZ)
                     and all(np.linalg.eigvalsh(d @ d.T).max() <= 1.0 + ORDER_TOL
                             for d in (d21, dz2)))
 
@@ -322,10 +334,10 @@ def dpc_matrix(K1, Sigma1) -> np.ndarray:
 
 def _range_columns(a: np.ndarray):
     """Eigenvectors of each covariance and which of them span its range: the
-    eigenvalues above 1e-12 of the largest, so the range does not depend on
+    eigenvalues above RANGE_RTOL of the largest, so the range does not depend on
     the covariance's scale (an all-zero covariance keeps none)."""
     w, v = np.linalg.eigh(a)
-    return v, w > 1e-12 * w.max(axis=-1)[..., None]
+    return v, w > RANGE_RTOL * w.max(axis=-1)[..., None]
 
 
 def _by_pattern(*keeps):
@@ -421,8 +433,7 @@ def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> 
         raise ValidationError("general region takes a triple split (K0, K1, K2)")
     split.validate_cap(ch.S)
     if order == "12":
-        swapped = GaussChannel(ch.S, ch.Sigma2, ch.Sigma1, ch.SigmaZ)
-        base = _general_bounds(split.K0, split.K2, split.K1, swapped)
+        base = _general_bounds(split.K0, split.K2, split.K1, ch.S, ch.Sigma2, ch.Sigma1, ch.SigmaZ)
         relabel = {"Rs1": "Rs2", "Rs2": "Rs1", "Rp1": "Rp2", "Rp2": "Rp1"}
         rows = [LinIneq.of({relabel[v]: c for v, c in q.coeffs}, q.rhs, q.rel,
                            q.label.translate(str.maketrans("12", "21")))
@@ -430,11 +441,11 @@ def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> 
         return IneqSystem.of(RATES, rows)
     if order != "21":
         raise UnknownCorollary(f"unknown encoding order {order!r}")
-    return IneqSystem.of(RATES, _general_bounds(split.K0, split.K1, split.K2, ch))
+    return IneqSystem.of(RATES, _general_bounds(split.K0, split.K1, split.K2, ch.S, ch.Sigma1,
+                                                ch.Sigma2, ch.SigmaZ))
 
 
-def _general_bounds(K0, K1, K2, ch: GaussChannel) -> list[LinIneq]:
-    S, s1, s2, sz = ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ
+def _general_bounds(K0, K1, K2, S, s1, s2, sz) -> list[LinIneq]:
     tot = K0 + K1 + K2
     inner12 = K1 + K2
 
@@ -585,9 +596,8 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
             rot[k], lam[k] = rng.normal(size=(d, d)), rng.dirichlet(np.ones(d)) * p
             g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
         q, _ = np.linalg.qr(rot)
-        S = (q * np.clip(lam, 1e-9 * p, None)[:, None, :]) @ q.mT
-        S = check_pd(0.5 * (S + S.mT), "S")
+        S = (q * np.clip(lam, CAP_EIG_FLOOR * p, None)[:, None, :]) @ q.mT
         ch = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
-        K = _psd_under(S, g, u)
+        K = _psd_under(ch.S, g, u)
     return sweep_systems((f"K{i}", sys) for i, sys in enumerate(
         eval_gauss_inner(CovSplit(K=K), ch)))

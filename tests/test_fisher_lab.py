@@ -17,6 +17,7 @@ from wiretap_regions.errors import (
     StepTooLarge,
     ValidationError,
     numbered,
+    raise_for_first,
 )
 from wiretap_regions.fisher_lab import (
     TWO_PI_E,
@@ -184,9 +185,9 @@ def test_a_mixture_takes_one_fisher_pass_when_the_step_is_halved(monkeypatch):
     mix = ScalarMixture([0.0, 0.0, 1.0], [-1.0, 1.0, 0.5], [0.25, 0.25, 0.5])
     passes, fisher = [], fisher_lab.mixture_fisher
 
-    def counting(*args):
-        passes.append(np.size(args[2]))
-        return fisher(*args)
+    def counting(groups, var):
+        passes.append(sum(len(gs) for gs in groups))
+        return fisher(groups, var)
 
     monkeypatch.setattr(fisher_lab, "mixture_fisher", counting)
     # the residual at step 0.3 is truncation-dominated: the halved step runs
@@ -195,34 +196,42 @@ def test_a_mixture_takes_one_fisher_pass_when_the_step_is_halved(monkeypatch):
     assert passes == [2]   # one pass, its two groups at the unmoved variance
 
 
+def _tasks(centers, weights):
+    """Raw (centers, weights) tasks as a stack of entries of one group of p 1:
+    multiplying by 1.0 and adding into zeros is exact, so each entry gets
+    its task's own (h, J)."""
+    return [((1.0, np.asarray(c, dtype=float).ravel(), np.asarray(w, dtype=float).ravel()),)
+            for c, w in zip(centers, weights)]
+
+
 def test_quadrature_nonconvergence_detected():
     # a 31-point grid cannot resolve two narrow spikes ten units apart
     with pytest.raises(QuadratureNonConvergent):
-        mixture_entropy([[0.0, 10.37]], [[0.5, 0.5]], [1e-2], n=31)
+        mixture_entropy(_tasks([[0.0, 10.37]], [[0.5, 0.5]]), [1e-2], n=31)
 
 
 def test_mixture_entropy_gaussian_closed_form():
-    [h] = mixture_entropy([[0.0]], [[1.0]], [1.7])
+    [h] = mixture_entropy(_tasks([[0.0]], [[1.0]]), [1.7])
     assert h == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 1.7), abs=1e-9)
 
 
 def test_mixture_fisher_gaussian_closed_form():
-    assert mixture_fisher([[0.0]], [[1.0]], [2.3])[0] == pytest.approx(1 / 2.3, abs=1e-9)
+    assert mixture_fisher(_tasks([[0.0]], [[1.0]]), [2.3])[0] == pytest.approx(1 / 2.3, abs=1e-9)
 
 
 def test_separated_components_closed_forms():
     # components 40 standard deviations apart barely overlap: h adds H(w), J is 1/var
     c, w, var = [-20.0, 0.0, 20.0], [0.2, 0.3, 0.5], 0.25
     h_w = -sum(p * math.log(p) for p in w)
-    assert mixture_entropy([c], [w], [var])[0] == pytest.approx(
+    assert mixture_entropy(_tasks([c], [w]), [var])[0] == pytest.approx(
         h_w + 0.5 * math.log(TWO_PI_E * var), abs=1e-12)
-    assert mixture_fisher([c], [w], [var])[0] == pytest.approx(1 / var, abs=1e-12)
+    assert mixture_fisher(_tasks([c], [w]), [var])[0] == pytest.approx(1 / var, abs=1e-12)
 
 
 def test_fisher_quadrature_checks_itself():
     # the grid cannot resolve spikes of width 0.03 two hundred units apart
     with pytest.raises(QuadratureNonConvergent):
-        mixture_fisher([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]], [1e-3])
+        mixture_fisher(_tasks([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]]), [1e-3])
 
 
 def _fixed_grid_pass(centers, weights, var, n=fisher_lab.QUAD_N):
@@ -259,7 +268,8 @@ def _rungs(monkeypatch):
 @given(st.integers(0, 2 ** 32 - 1), st.floats(0.05, 2.0))
 def test_grid_ladder_matches_the_largest_grid(seed, var):
     mix = random_mixture(np.random.default_rng(seed))
-    [got] = fisher_lab._stack_quadrature([mix.x_points], [mix.weights], [var], fisher_lab.QUAD_N)
+    [got] = fisher_lab._stack_quadrature(_tasks([mix.x_points], [mix.weights]), [var],
+                                         fisher_lab.QUAD_N)
     for value, ref in zip(got, _fixed_grid_pass(mix.x_points, mix.weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
 
@@ -273,7 +283,7 @@ def test_grid_ladder_matches_the_largest_grid(seed, var):
 def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers, weights, var,
                                                             rungs):
     seen = _rungs(monkeypatch)
-    [got] = fisher_lab._stack_quadrature([centers], [weights], [var], fisher_lab.QUAD_N)
+    [got] = fisher_lab._stack_quadrature(_tasks([centers], [weights]), [var], fisher_lab.QUAD_N)
     assert seen == {(var, centers[0]): rungs}
     for value, ref in zip(got, _fixed_grid_pass(centers, weights, var)):
         assert abs(value - ref) <= fisher_lab.QUAD_RTOL * (1.0 + abs(ref))
@@ -282,7 +292,7 @@ def test_grid_ladder_climbs_to_the_largest_grid_when_needed(monkeypatch, centers
 def test_grid_ladder_raises_when_the_largest_grid_still_moves(monkeypatch):
     seen = _rungs(monkeypatch)
     with pytest.raises(QuadratureNonConvergent, match="at 4001 points"):
-        mixture_fisher([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]], [1e-3])
+        mixture_fisher(_tasks([[-200.0, 0.0, 200.0]], [[0.25, 0.25, 0.5]]), [1e-3])
     assert seen[(1e-3, -200.0)][-1] == 4001
 
 
@@ -344,14 +354,14 @@ def _quadrature_tasks(draw):
 @example(_LADDER + _LADDER[::-1])
 def test_a_stack_gives_each_task_the_bits_of_its_lone_pass(tasks):
     centers, weights, var = zip(*tasks)
-    got = fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    got = fisher_lab._stack_quadrature(_tasks(centers, weights), np.array(var), fisher_lab.QUAD_N)
     assert [tuple(row) for row in got.tolist()] == [_lone_pass(*task)[0] for task in tasks]
 
 
 def test_a_stack_walks_each_task_up_its_own_ladder(monkeypatch):
     seen = _rungs(monkeypatch)
     centers, weights, var = zip(*_LADDER)
-    fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    fisher_lab._stack_quadrature(_tasks(centers, weights), np.array(var), fisher_lab.QUAD_N)
     assert seen == {(v, c[0]): _lone_pass(c, w, v)[1] for c, w, v in _LADDER}
     assert list(seen.values()) == [[251], [251, 501, 1001], [2001], [4001]]
 
@@ -369,7 +379,7 @@ def test_a_lone_component_is_padded_with_no_mass(monkeypatch):
     tasks = [([0.5], [1.0], 1.0), ([0.0, 1.0], [0.25, 0.75], 1.0),
              ([-2.0, 0.0, 3.0], [0.0, 0.5, 0.5], 0.5)]
     centers, weights, var = zip(*tasks)
-    got = fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+    got = fisher_lab._stack_quadrature(_tasks(centers, weights), np.array(var), fisher_lab.QUAD_N)
     assert [tuple(row) for row in got.tolist()] == [_lone_pass(*task)[0] for task in tasks]
     [pair] = rows
     assert pair[0].tolist() == [0.0, -np.inf]
@@ -398,7 +408,7 @@ def test_each_task_stops_on_the_same_rung_at_every_scale(monkeypatch):
     for c in (1e-10, 1.0, 1e10):
         seen.clear()
         centers, weights, var = zip(*_scaled_tasks(c))
-        fisher_lab._stack_quadrature(centers, weights, np.array(var), fisher_lab.QUAD_N)
+        fisher_lab._stack_quadrature(_tasks(centers, weights), np.array(var), fisher_lab.QUAD_N)
         stops[c] = [seen[(v, ct[0])][-1] for ct, v in zip(centers, var)]
     assert stops[1e-10] == stops[1.0] == stops[1e10]
     assert len(set(stops[1.0])) >= 3   # the tasks climb the ladder, not all stay on one rung
@@ -408,26 +418,25 @@ def test_a_stack_names_the_first_task_that_does_not_converge():
     spikes = ([-200.0, 0.0, 200.0], [0.25, 0.25, 0.5], 1e-3)
     tasks = [_LADDER[0], _LADDER[1], spikes, _LADDER[2], spikes]
     centers, weights, var = zip(*tasks)
+    entries = _tasks(centers, weights)
     with pytest.raises(QuadratureNonConvergent) as e:
-        mixture_fisher(centers, weights, np.array(var))
+        mixture_fisher(entries, np.array(var))
     assert e.value.instance == (2,)
     assert str(e.value).startswith("instance 2: quadrature of (h, J) moved by (")
     assert str(e.value).endswith(") under refinement at 4001 points")
-    # numbered maps a task to the caller's instance; an instance () names none
+    # numbered maps an entry to the caller's instance; an instance () names none
     with pytest.raises(QuadratureNonConvergent, match="^quadrature of"):
         with numbered([()]):
-            mixture_fisher(*([part] for part in spikes))
+            mixture_fisher(_tasks(*([part] for part in spikes[:2])), [spikes[2]])
     with pytest.raises(QuadratureNonConvergent, match="^instance 7: quadrature of"):
         with numbered([(9,), (9,), (7,), (8,), (6,)]):
-            mixture_entropy(centers, weights, np.array(var))
-    # the first task to break the first check that fails
+            mixture_entropy(entries, np.array(var))
+    # the first entry to break the first check that fails
     zero_var = np.array([1.0, 1.0, 1.0, 0.0, 1.0])
     with pytest.raises(ValidationError, match="^instance 3: noise variance must be positive"):
-        mixture_entropy(centers, weights, zero_var)
-    with pytest.raises(ValidationError, match="^instance 4: mixture centers must be finite"):
-        mixture_entropy(centers[:4] + ([0.0, np.nan, 1.0],), weights, zero_var)
-    with pytest.raises(DimensionMismatch, match="^5 centers, 5 weights and 4 noise variances"):
-        mixture_entropy(centers, weights, zero_var[:4])
+        mixture_entropy(entries, zero_var)
+    with pytest.raises(DimensionMismatch, match="^5 mixtures and 4 noise variances"):
+        mixture_entropy(entries, zero_var[:4])
 
 
 def test_a_large_stack_stays_within_the_block_cap():
@@ -436,9 +445,10 @@ def test_a_large_stack_stays_within_the_block_cap():
     centers = [rng.normal(scale=1.5, size=4) for _ in range(size)]
     weights = [rng.dirichlet(np.ones(4)) for _ in range(size)]
     var = rng.uniform(0.5, 1.5, size=size)
+    entries = _tasks(centers, weights)
     tracemalloc.start()
     try:
-        got = fisher_lab._stack_quadrature(centers, weights, var, fisher_lab.QUAD_N)
+        got = fisher_lab._stack_quadrature(entries, var, fisher_lab.QUAD_N)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -450,12 +460,12 @@ def test_a_large_stack_stays_within_the_block_cap():
 
 
 def _counting_passes(monkeypatch):
-    """The task count of every stacked quadrature call from now on."""
+    """The group count of every stacked quadrature call from now on."""
     calls, quadrature = [], fisher_lab._stack_quadrature
 
-    def counting(centers, weights, var, n):
-        calls.append(np.size(var))
-        return quadrature(centers, weights, var, n)
+    def counting(groups, var, n):
+        calls.append(sum(len(gs) for gs in groups))
+        return quadrature(groups, var, n)
 
     monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
     return calls
@@ -516,7 +526,7 @@ def test_mixtures_and_pairs_compare_and_hash_by_identity():
 def _cond(route, mix, var):
     """``route`` (mixture_entropy, mixture_fisher or the (h, J) quadrature)
     of X + N given U for one mixture, as a stack of one: a float or a list."""
-    return fisher_lab._group_sums(route, [mix.groups()], [var])[0].tolist()
+    return route([mix.groups()], [var], fisher_lab.QUAD_N)[0].tolist()
 
 
 def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
@@ -527,19 +537,17 @@ def test_interpolation_takes_both_variances_in_one_pass(monkeypatch):
     for mix in mixes:
         (h2, j2), (hz, jz) = (_cond(fisher_lab._stack_quadrature, mix, v) for v in (1.0, 2.0))
         lone.append((h2, j2, hz, jz))
-    calls = _counting_passes(monkeypatch)
-    seen, group_sums = [], fisher_lab._group_sums
+    seen, quadrature = [], fisher_lab._stack_quadrature
 
     def spy(*args):
-        out = group_sums(*args)
+        out = quadrature(*args)
         seen.append(tuple(out.ravel().tolist()))
         return out
 
-    monkeypatch.setattr(fisher_lab, "_group_sums", spy)
+    monkeypatch.setattr(fisher_lab, "_stack_quadrature", spy)
     for mix in mixes:
         interpolation_t_star(mix, 1.0, 2.0)
-    assert len(calls) == len(mixes)
-    assert seen == lone
+    assert seen == lone   # one pass a mixture, both variances in it
 
 
 def test_mixture_stacks_equal_their_parts():
@@ -564,19 +572,22 @@ def test_quadrature_rejects_an_even_or_tiny_grid():
     # with an even count, y[::2] stops one point short of the interval's end
     for n in (4000, 2, 1, 0, -1):
         with pytest.raises(ValidationError, match="odd point count"):
-            mixture_entropy([[0.0]], [[1.0]], [1.0], n=n)
-    assert mixture_fisher([[0.0]], [[1.0]], [1.0], n=3001)[0] == pytest.approx(1.0, abs=1e-9)
+            mixture_entropy(_tasks([[0.0]], [[1.0]]), [1.0], n=n)
+    assert mixture_fisher(_tasks([[0.0]], [[1.0]]), [1.0], n=3001)[0] == pytest.approx(1.0,
+                                                                                        abs=1e-9)
 
 
-def test_quadrature_rejects_bad_input():
+def test_a_mixture_and_the_quadrature_reject_bad_input():
+    # the mixture checks its rows once; the quadrature checks the noise
+    for c, w in [([0.0, 1.0], [1.5, -0.5]), ([0.0, 1.0], [0.5, 0.6]),
+                 ([0.0, np.nan], [0.5, 0.5]), ([0.0], [0.5, 0.5])]:
+        with pytest.raises(ValidationError):
+            ScalarMixture(np.zeros(len(c)), c, w)
+    groups = [ScalarMixture([0.0, 0.0], [0.0, 1.0], [0.5, 0.5]).groups()]
     for routine in (mixture_entropy, mixture_fisher):
-        for c, w, var in [([0.0, 1.0], [1.5, -0.5], 1.0), ([0.0, 1.0], [0.5, 0.6], 1.0),
-                          ([0.0, np.nan], [0.5, 0.5], 1.0), ([0.0], [0.5, 0.5], 1.0),
-                          ([0.0, 1.0], [0.5, 0.5], 0.0)]:
-            with pytest.raises(ValidationError):
-                routine([c], [w], [var])
-    with pytest.raises(ValidationError):
-        ScalarMixture([0.0, 0.0], [0.0, 1.0], [1.5, -0.5])
+        with pytest.raises(ValidationError, match="^noise variance must be positive, got 0.0$"):
+            with numbered([()]):
+                routine(groups, [0.0])
 
 
 def test_a_mixture_refuses_a_non_finite_u_point():
@@ -590,74 +601,146 @@ def test_a_mixture_refuses_a_non_finite_u_point():
     assert pu == 1.0 and c.tolist() == [0.5, -1.0]
 
 
-def _per_task_checks(centers, weights):
-    """The per-task loop that the stacked check replaced: (t, message) of the
-    first task to break a check, or the flat arrays and sizes of a valid stack."""
-    flat = []
-    for t, (ct, wt) in enumerate(zip(centers, weights)):
-        c = np.asarray(ct, dtype=float).ravel()
-        w = np.asarray(wt, dtype=float).ravel()
-        if c.size != w.size or c.size == 0:
-            return t, "mixture centers and weights must have equal nonzero size"
-        if not np.isfinite(c).all():
-            return t, "mixture centers must be finite"
-        if not (w.min() >= 0.0 and abs(w.sum() - 1.0) <= 1e-12):
-            return t, "mixture weights must be a distribution"
-        flat.append((c, w))
-    return (np.concatenate([c for c, _ in flat]), np.concatenate([w for _, w in flat]),
-            [c.size for c, _ in flat])
+# The mixture-row checks of the stacked validator that ScalarMixture used
+# before it checked its rows alone, in the order they were made.
+_TASK_CHECKS = ("mixture centers and weights must have equal nonzero size",
+                "mixture centers must be finite",
+                "mixture weights must be a distribution")
 
 
-_DEFECTS = ("none", "size", "empty", "nan", "inf", "negative", "sum")
+def _check_tasks(centers, weights):
+    """The stacked mixture-task check that ScalarMixture's rows went through
+    as a stack of one: ValidationError naming the first task to break a
+    check, with the first check it breaks; else the flat rows."""
+    c = [np.asarray(ct, dtype=float).ravel() for ct in centers]
+    w = [np.asarray(wt, dtype=float).ravel() for wt in weights]
+    size, w_size = np.array([a.size for a in c]), np.array([a.size for a in w])
+    total = np.array([a.sum() for a in w])
+    c, w = np.concatenate(c), np.concatenate(w)
+    task = np.arange(size.size)
+    bad = np.stack([(size != w_size) | (size == 0),
+                    np.bincount(np.repeat(task, size), ~np.isfinite(c), minlength=task.size) > 0,
+                    (np.bincount(np.repeat(task, w_size), ~(w >= 0.0), minlength=task.size) > 0)
+                    | ~(np.abs(total - 1.0) <= 1e-12)])
+    raise_for_first(bad.any(axis=0), ValidationError,
+                    lambda k: _TASK_CHECKS[bad[:, k[0]].argmax()])
+    return c, w
+
+
+def _stacked_mixture_check(u_points, x_points, weights):
+    """The rows ScalarMixture kept when its rows went through the stacked
+    check, then its two u-point checks; the error it raised otherwise."""
+    u = np.array(u_points, dtype=float).ravel()
+    with numbered([()]):
+        x, w = _check_tasks([x_points], [weights])
+    if u.size != x.size:
+        raise ValidationError("mixture support arrays must have equal size")
+    if not np.isfinite(u).all():
+        raise ValidationError("mixture u-points must be finite")
+    return u, x, w
+
+
+_DEFECTS = ("none", "size", "empty", "nan", "inf", "u-nan", "u-inf", "u-size", "negative",
+            "nan-weight", "sum")
 
 
 @st.composite
-def _checked_tasks(draw):
-    """One (centers, weights) task of 1 to 20 components, maybe with one
-    planted defect; "sum" moves the weight sum off 1 by 0.5e-12 to 4e-12, on
-    either side of the tolerance."""
+def _mixture_rows(draw):
+    """(u, x, weights) rows of 1 to 20 components, with up to two planted
+    defects; "sum" moves the weight sum off 1 by 0.5e-12 to 4e-12, on either
+    side of the tolerance."""
     k = draw(st.integers(1, 20))
-    centers = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
-    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
-    weights /= weights.sum()
-    defect = draw(st.sampled_from(_DEFECTS))
-    j = draw(st.integers(0, k - 1))
-    if defect == "size":
-        weights = weights[:-1] if k > 1 else np.append(weights, 0.0)
-    elif defect == "empty":
-        centers, weights = [], weights[:0]
-    elif defect in ("nan", "inf"):
-        centers[j] = float(defect)
-    elif defect == "negative":
-        weights[j] = -weights[j]
-    elif defect == "sum":
-        weights[j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5e-12, 4e-12))
-    return centers, weights
+    u = draw(st.lists(st.integers(0, 3).map(float), min_size=k, max_size=k))
+    x = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    w = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=k, max_size=k))) + 1e-3
+    w /= w.sum()
+    for defect in draw(st.lists(st.sampled_from(_DEFECTS), max_size=2)):
+        j = draw(st.integers(0, len(x) - 1)) if len(x) else 0
+        if defect == "size":
+            w = w[:-1] if len(w) > 1 else np.append(w, 0.0)
+        elif defect == "empty":
+            x, w = [], w[:0]
+        elif defect in ("nan", "inf") and x:
+            x[j] = float(defect)
+        elif defect in ("u-nan", "u-inf") and j < len(u):
+            u[j] = float(defect[2:])
+        elif defect == "u-size":
+            u = u[:-1]
+        elif defect == "negative" and j < len(w):
+            w[j] = -w[j]
+        elif defect == "nan-weight" and j < len(w):
+            w[j] = np.nan
+        elif defect == "sum" and j < len(w):
+            w[j] += draw(st.sampled_from([1.0, -1.0])) * draw(st.floats(0.5e-12, 4e-12))
+    return u, x, w
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.lists(_checked_tasks(), min_size=1, max_size=6))
-def test_the_stacked_check_names_what_the_per_task_loop_names(tasks):
-    centers, weights = zip(*tasks)
-    want = _per_task_checks(centers, weights)
-    if isinstance(want[0], int):
-        with pytest.raises(ValidationError) as e:
-            fisher_lab._check_tasks(centers, weights)
-        t, message = want
-        assert (e.value.instance, e.value.detail) == ((t,), message)
-        assert str(e.value) == f"instance {t}: {message}"
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_mixture_rows())
+def test_a_mixture_refuses_what_the_stacked_check_refused(rows):
+    try:
+        want = _stacked_mixture_check(*rows)
+    except ValidationError as e:
+        with pytest.raises(ValidationError) as got:
+            ScalarMixture(*rows)
+        assert (type(got.value), str(got.value), got.value.instance) == (type(e), str(e), ())
     else:
-        c, w, size = fisher_lab._check_tasks(centers, weights)
-        assert c.tobytes() == want[0].tobytes() and w.tobytes() == want[1].tobytes()
-        assert size.tolist() == want[2]
+        mix = ScalarMixture(*rows)
+        for a, b in zip((mix.u_points, mix.x_points, mix.weights), want):
+            assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _mixture_stacks(draw):
+    """1 to 5 (entry, noise variance) pairs: an entry is a mixture's
+    u-groups, or the whole mixture as one group of p 1, as the evidence
+    harness takes it."""
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        k = draw(st.integers(1, 5))
+        u = draw(st.lists(st.integers(0, 2).map(float), min_size=k, max_size=k))
+        x = draw(st.lists(st.floats(-6.0, 6.0), min_size=k, max_size=k))
+        w = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=k, max_size=k)))
+        if k > 1 and draw(st.booleans()):
+            w[draw(st.integers(0, k - 1))] = 0.0
+        mix = ScalarMixture(u, x, w / w.sum())
+        whole = draw(st.booleans())
+        out.append(((((1.0, mix.x_points, mix.weights),) if whole else mix.groups()),
+                    10.0 ** draw(st.floats(-2.0, 1.0))))
+    return out
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(_mixture_stacks())
+def test_an_entry_is_the_p_weighted_sum_of_its_groups_lone_passes(stack):
+    groups, var = zip(*stack)
+    got = fisher_lab._stack_quadrature(groups, np.array(var), fisher_lab.QUAD_N)
+    for row, gs, v in zip(got.tolist(), groups, var):
+        h = j = 0.0
+        for p, c, w in gs:   # in group order, from 0
+            (hg, jg), _ = _lone_pass(c, w, v)
+            h, j = h + p * hg, j + p * jg
+        assert row == [h, j]
+
+
+def test_the_first_entry_holding_a_moving_group_is_named():
+    # entry 1's second group still moves at the largest grid, as does entry 2
+    spikes = (1.0, np.array([-200.0, 0.0, 200.0]), np.array([0.25, 0.25, 0.5]))
+    calm = (1.0, np.array([0.0]), np.array([1.0]))
+    lone = ((0.5,) + calm[1:], (0.5,) + spikes[1:])
+    with pytest.raises(QuadratureNonConvergent) as e:
+        mixture_fisher([(calm,), lone, (spikes,)], [1e-3, 1e-3, 1e-3])
+    with pytest.raises(QuadratureNonConvergent) as alone:
+        mixture_fisher([(spikes,)], [1e-3])
+    assert e.value.instance == (1,) and e.value.detail == alone.value.detail
 
 
 def test_zero_weight_is_dropped_silently():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for routine in (mixture_entropy, mixture_fisher):
-            assert routine([[-5.0, 0.0, 1.0]], [[0.0, 0.4, 0.6]], [0.8])[0] == \
-                routine([[0.0, 1.0]], [[0.4, 0.6]], [0.8])[0]
+            assert routine(_tasks([[-5.0, 0.0, 1.0]], [[0.0, 0.4, 0.6]]), [0.8])[0] == \
+                routine(_tasks([[0.0, 1.0]], [[0.4, 0.6]]), [0.8])[0]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -669,8 +752,8 @@ def test_mixture_within_gaussian_bounds(components, var):
     w /= w.sum()
     total = var + float(w @ c ** 2) - float(w @ c) ** 2   # Var(X + N)
     # Cramer-Rao for X + N, and the Gaussian maximizes entropy at fixed variance
-    assert mixture_fisher([c], [w], [var])[0] * total >= 1.0 - 1e-9
-    assert mixture_entropy([c], [w], [var])[0] <= 0.5 * math.log(TWO_PI_E * total) + 1e-9
+    assert mixture_fisher(_tasks([c], [w]), [var])[0] * total >= 1.0 - 1e-9
+    assert mixture_entropy(_tasks([c], [w]), [var])[0] <= 0.5 * math.log(TWO_PI_E * total) + 1e-9
 
 
 def test_lemma_suite_slacks():
@@ -765,9 +848,9 @@ def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
     tasks = []
     quadrature = fisher_lab._stack_quadrature
 
-    def counting(centers, weights, var, n):
-        tasks.extend(var)
-        return quadrature(centers, weights, var, n)
+    def counting(groups, var, n):
+        tasks.extend(g for gs in groups for g in gs)
+        return quadrature(groups, var, n)
 
     monkeypatch.setattr(fisher_lab, "_stack_quadrature", counting)
     rep = lemma_suite_check(seed=1, count=200, include_mixtures=True)
@@ -820,7 +903,7 @@ def _path_through(monkeypatch, c, k2, kz, k_star):
     """Have the quadrature return the (h, J) whose path at noise variances c
     and 2c runs from ``kz`` (t = 0) to ``k2`` (t = 1) with its root at ``k_star``."""
     g = 0.5 * math.log((k_star + 2 * c) / (k_star + c))
-    monkeypatch.setattr(fisher_lab, "_stack_quadrature", lambda centers, weights, var, n:
+    monkeypatch.setattr(fisher_lab, "_stack_quadrature", lambda groups, var, n:
                         np.array([[0.0, 1 / (k2 + c)], [g, 1 / (kz + 2 * c)]]))
 
 

@@ -210,8 +210,8 @@ def _lemma_loop(seed=0, count=200, include_mixtures=False):
             mix = random_mixture(rng)
             var1 = 0.5 + rng.uniform(0.0, 1.0)
             var2 = var1 + rng.uniform(0.1, 1.0)
-            hm, jm1 = fisher_lab._group_sums(fisher_lab._stack_quadrature, [mix.groups()],
-                                             [var1])[0].tolist()
+            hm, jm1 = fisher_lab._stack_quadrature([mix.groups()], [var1],
+                                                   fisher_lab.QUAD_N)[0].tolist()
             jm2 = mixture_cond_fisher(mix, var2)
             v1 = fisher_lab._cond_var(mix) + var1
             rep.rows.append(("L6", "mixture", i, jm1 - 1.0 / v1))
