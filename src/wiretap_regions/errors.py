@@ -110,10 +110,6 @@ class DimensionTooLarge(WiretapError):
     """Vertex enumeration requested beyond the supported dimension."""
 
 
-class RowsDiffer(WiretapError):
-    """Systems stacked into one call do not share their variables and coefficient rows."""
-
-
 class LPFailure(WiretapError):
     """The LP solver neither solved the LP nor proved it infeasible or unbounded."""
 

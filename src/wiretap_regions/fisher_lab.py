@@ -22,7 +22,7 @@ once, in blocks of bounded size, giving each group the bits it gets alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .errors import (
     numbered,
     raise_for_first,
 )
-from .polytope_fm import vertices
+from .polytope_fm import SystemStack, vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
 from .regions_gaussian import GaussChannel, check_psd, logdet, project_range, scalar_of
 
@@ -531,22 +531,25 @@ def lemma_suite_check(seed: int = 0, count: int = 200,
     Gaussian lemmas then take one stacked call per dimension.
     """
     rng = np.random.default_rng(seed)
-    gauss: dict[int, list] = {}
+    by_dim = {d: list(range(d - 1, count, 3)) for d in (1, 2, 3) if d <= count}
+    joint = {d: np.empty((len(n), 2 * d, 2 * d)) for d, n in by_dim.items()}
+    draws = {d: np.empty((len(n), len(_LEMMA_DRAWS), d, d)) for d, n in by_dim.items()}
     mixtures = []
     for i in range(count):
         d = 1 + i % 3
-        gauss.setdefault(d, []).append((i, rng.normal(size=(2 * d, 2 * d)),
-                                        rng.normal(size=(len(_LEMMA_DRAWS), d, d))))
+        # the values and stream of normal(size=(2d, 2d)), normal(size=(12, d, d))
+        rng.standard_normal(out=joint[d][i // 3])
+        rng.standard_normal(out=draws[d][i // 3])
         if include_mixtures and i % 10 == 0:
             mix = random_mixture(rng)
             var1 = 0.5 + rng.uniform(0.0, 1.0)
             mixtures.append((i, mix, var1, var1 + rng.uniform(0.1, 1.0)))
     rows: dict[int, list] = {}
-    for nums, joint, draws in (zip(*stack) for stack in gauss.values()):
-        with numbered(nums):
-            slacks = _gauss_lemmas(np.stack(joint), np.stack(draws))
+    for d, n in by_dim.items():
+        with numbered(n):
+            slacks = _gauss_lemmas(joint[d], draws[d])
         for lemma, values in slacks.items():
-            for i, slack in zip(nums, values.tolist()):
+            for i, slack in zip(n, values.tolist()):
                 rows.setdefault(i, []).append((lemma, "gauss", i, slack))
     if mixtures:   # (h, J) at var1 of every mixture in one pass, J at var2 in another
         nums, mixes, var1, var2 = zip(*mixtures)
@@ -693,17 +696,19 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
         return []
     raise_for_first(np.array([m.second_moment() for m in mixes]) > ch.scalars[0] * (1 + CAP_RTOL),
                     ValidationError, lambda k: "mixture second moment exceeds the input cap")
-    systems, found = [], []
-    for k, constants in enumerate(mixture_region_constants(mixes, ch)):
-        bounds = five_bound_system(**constants)
-        negative = [q for q in bounds.ineqs if q.rhs < 0.0]
-        for q in negative:
-            if q.rhs < -CLAMP_TOL:
-                raise at_instance(QuadratureNonConvergent, (k,),
-                                  f"bound {q.label} = {q.rhs:.3e} is below -{CLAMP_TOL:g}")
-        systems.append(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0)) for q in bounds.ineqs]))
-        found.append(({q.label: q.rhs for q in bounds.ineqs}, [q.label for q in negative]))
-    vp = vertices(systems)
+    quantities = mixture_region_constants(mixes, ch)
+    bounds = five_bound_system(**{name: np.array([c[name] for c in quantities])
+                                  for name in quantities[0]})
+    labels = [q.label for q in bounds.rows.ineqs]
+    b = bounds.rhs
+    bad = b < -CLAMP_TOL
+    if bad.any():
+        k, i = np.argwhere(bad)[0]
+        raise at_instance(QuadratureNonConvergent, (int(k),),
+                          f"bound {labels[i]} = {b[k, i]:.3e} is below -{CLAMP_TOL:g}")
+    vp = vertices(SystemStack(bounds.rows, np.where(b < 0.0, 0.0, b)))
+    found = [(dict(zip(labels, row)), [l for l, r in zip(labels, row) if r < 0.0])
+             for row in b.tolist()]
     reports = []
     # each clamped region holds the origin, so its front is never empty
     for (constants, clamped), pts in zip(found, np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):

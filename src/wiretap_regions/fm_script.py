@@ -55,6 +55,7 @@ from .polytope_fm import (
     LE,
     IneqSystem,
     LinIneq,
+    SystemStack,
     apply_rate_transfer,
     fm_eliminate,
     instantiate,
@@ -314,13 +315,6 @@ def min_sym_values(tables, exprs=()) -> dict:
     return {MIN_UY: np.where(b < a, b, a), MIN_UYQ: np.where(bq < aq, bq, aq)}
 
 
-def _trivially_empty(sys: IneqSystem) -> bool:
-    """True when a ``<=`` row with no negative coefficient has a negative rhs:
-    its left side is >= 0 on the orthant, so no point satisfies it."""
-    return any(q.rel == LE and q.rhs < 0 and all(c >= 0 for _, c in q.nums)
-               for q in sys.ineqs)
-
-
 def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, int]]]:
     """Max violation of each dropped row over its kept region, per instantiation.
 
@@ -342,12 +336,16 @@ def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, in
     for n, (kept, extras) in enumerate(jobs):
         objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
         m = len(kept.ineqs)
-        for t, num in enumerate(instantiate(kept.with_ineqs(kept.ineqs + tuple(extras)),
-                                            tables, syms)):
-            rhs[n, t] = [float(q.rhs) for q in num.ineqs[m:]]
-            kept_num = num.with_ineqs(num.ineqs[:m])
-            if not _trivially_empty(kept_num):
-                lp_jobs.append((kept_num, objs))
+        both = instantiate(kept.with_ineqs(kept.ineqs + tuple(extras)), tables, syms).rhs
+        kept_stack = SystemStack(kept, both[:, :m])
+        # a <= row with no negative coefficient and a negative rhs holds no
+        # point of the orthant: its left side is >= 0 there
+        nonnegative = [q.rel == LE and all(c >= 0 for _, c in q.nums) for q in kept.ineqs]
+        empty = (both[:, :m][:, nonnegative] < 0).any(axis=1)
+        for t, dropped in enumerate(both[:, m:].tolist()):
+            rhs[n, t] = dropped
+            if not empty[t]:
+                lp_jobs.append((kept_stack.member(t), objs))
                 where.append((n, t))
     answers = dict(zip(where, support_value(lp_jobs)))
     out = []

@@ -242,8 +242,12 @@ def mutual_information(t, a, b, c=()):
     alone.
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
-    pairwise disjoint.  A result in ``[-1e-12, 0)`` is clamped to zero; one
-    below it raises NegativeMass, naming its member of a stacked table.
+    pairwise disjoint.  A result in ``[MI_CLAMP, 0)`` is clamped to zero; one
+    below it raises NegativeMass, naming its member of a stacked table.  On
+    a table of mass m, H(A) + H(B) - H(AB) is m I(A;B) - m log m, so for an
+    unconditional I(A;B) on a table heavier than 1 (a product of checked
+    tables, each within ``NORMALIZATION_TOL`` of 1) the floor is ``MI_CLAMP
+    - m log m``; the value itself is not corrected.
     """
     a, b, c = set(a), set(b), set(c)
     if a & b or a & c or b & c:
@@ -254,9 +258,15 @@ def mutual_information(t, a, b, c=()):
     val = hac + hbc - habc
     if c:
         val -= hc[0]
-    # beyond accumulated-rounding territory for well-formed tables
-    raise_for_first(np.asarray(val < MI_CLAMP), NegativeMass,
-                    lambda k: f"mutual information {np.asarray(val)[k]} below clamp {MI_CLAMP}")
+    # beyond accumulated-rounding territory for well-formed tables; the mass
+    # is summed only when a value falls below MI_CLAMP
+    floor = np.full(np.shape(val), MI_CLAMP)
+    if not c and np.any(val < MI_CLAMP):
+        m = t.probs.reshape(floor.shape + (-1,)).sum(axis=-1)
+        floor -= np.maximum(m * np.log(m), 0.0)
+    raise_for_first(np.asarray(val < floor), NegativeMass,
+                    lambda k: f"mutual information {np.asarray(val)[k]} below clamp "
+                              f"{float(floor[k])}")
     if t.stacked:
         return np.where(val < 0.0, 0.0, val)
     return 0.0 if val < 0.0 else val

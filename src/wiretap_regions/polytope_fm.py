@@ -30,7 +30,6 @@ from .errors import (
     DimensionTooLarge,
     DuplicateSlackName,
     LPFailure,
-    RowsDiffer,
     UnboundedRegion,
     UnknownVariable,
     ZeroCoefficient,
@@ -39,6 +38,9 @@ from .errors import (
 LE = "<="
 EQ = "=="
 
+# Rate slack in nats, absolute: the largest amount by which a basis solution
+# of vertices() may exceed a row and stay feasible, and the largest gap below
+# a row's right-hand side at which the row is active.
 VERTEX_TOL = 1e-9
 # |det| of a basis of vertices(), relative to (its largest |entry| + 1)^d,
 # at or below which the basis is singular and gives no vertex.
@@ -337,6 +339,45 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
 # --- numeric view -------------------------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class SystemStack:
+    """N numeric systems that share one row set: ``rows`` holds their
+    variables, coefficient rows, relations and labels (its own right-hand
+    sides are not read), and ``rhs`` the read-only ``(N, m)`` matrix whose
+    row k holds member k's right-hand sides, one column per row of ``rows``.
+    Stacks compare and hash by identity (``rhs`` is an array)."""
+
+    rows: IneqSystem
+    rhs: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        rhs = np.array(self.rhs, dtype=float, ndmin=2)
+        if rhs.ndim != 2 or rhs.shape[1] != len(self.rows.ineqs):
+            raise DimensionMismatch(f"a right-hand-side matrix of shape {rhs.shape} does not "
+                                    f"fit {len(self.rows.ineqs)} rows")
+        rhs.setflags(write=False)
+        object.__setattr__(self, "rhs", rhs)
+
+    @staticmethod
+    def of(sys: IneqSystem) -> "SystemStack":
+        """A numeric system as a stack of one; ZeroCoefficient for a symbolic one."""
+        if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
+            raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
+        return SystemStack(sys, [[q.rhs for q in sys.ineqs]])
+
+    @property
+    def vars(self) -> tuple[str, ...]:
+        return self.rows.vars
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def member(self, k: int) -> IneqSystem:
+        """Member ``k`` as a system of its own."""
+        return self.rows.with_ineqs([q.with_rhs(b) for q, b in
+                                     zip(self.rows.ineqs, self.rhs[k].tolist())])
+
+
 @dataclass(frozen=True)
 class VPolytope:
     """Vertex lists of a stack of bounded numeric systems inside the orthant:
@@ -359,11 +400,11 @@ class VPolytope:
             object.__setattr__(self, name, a)
 
 
-def _numeric_rows(systems, allow_eq: bool = False) -> list[tuple]:
-    """``(A, b)`` of each numeric system, or ``(A, b, A_eq, b_eq)`` with
-    ``allow_eq``.  The coefficient rows become floats once per distinct
-    (variables, rows) set, and the systems that have it share that read-only
-    ``A`` (and ``A_eq``); the right-hand sides are each system's own."""
+def _numeric_rows(systems) -> list[tuple]:
+    """``(A, b, A_eq, b_eq)`` of each numeric system of :func:`support_value`.
+    The coefficient rows become floats once per distinct (variables, rows)
+    set, and the systems that have it share that read-only ``A`` and
+    ``A_eq``; the right-hand sides are each system's own."""
     shared, out = [], []
     for sys in systems:
         if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
@@ -372,14 +413,10 @@ def _numeric_rows(systems, allow_eq: bool = False) -> list[tuple]:
         # systems that share rows come in runs, so the latest set is tried first
         mats = next((m for k, m in reversed(shared) if k == key), None)
         if mats is None:
-            mats = _coefficient_rows(sys, allow_eq)
+            mats = _coefficient_rows(sys, allow_eq=True)
             shared.append((key, mats))
-        b = np.array([q.rhs for q in sys.ineqs if q.rel == LE], dtype=float)
-        if allow_eq:
-            out.append((mats[0], b, mats[1], np.array([q.rhs for q in sys.ineqs if q.rel == EQ],
-                                                      dtype=float)))
-        else:
-            out.append((mats[0], b))
+        out.append((mats[0], np.array([q.rhs for q in sys.ineqs if q.rel == LE], dtype=float),
+                    mats[1], np.array([q.rhs for q in sys.ineqs if q.rel == EQ], dtype=float)))
     return out
 
 
@@ -420,11 +457,10 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     return res
 
 
-def vertices(systems) -> VPolytope:
+def vertices(region) -> VPolytope:
     """Exact vertex enumeration by active-set basis enumeration, of one
-    numeric system or of a stack of systems that share their variables and
-    coefficient rows (a lone system is a stack of one; members whose rows
-    differ raise :class:`RowsDiffer`).
+    numeric system or of a :class:`SystemStack` (a lone system is a stack of
+    one).
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
     are solved and filtered by feasibility at ``VERTEX_TOL``; a vertex is
@@ -437,27 +473,25 @@ def vertices(systems) -> VPolytope:
     nonempty, and raises :class:`UnboundedRegion` otherwise.  Requires
     dimension at most 6.
 
-    The members share their bases, so the determinants, the mask of
-    nonsingular bases and one inverse per nonsingular basis are computed once
-    a call.  Each (member, basis) vertex is that inverse applied to the
-    member's right-hand side by elementwise multiply-adds over the basis rows
-    in a fixed order, with no BLAS call whose summation order could depend on
-    the stack, so a member gets the bits its lone call gets.  The pairs are
-    taken in blocks of at most ``_BLOCK_SOLVES``, so memory does not grow
-    with the stack.  Returns one :class:`VPolytope` holding each member's
-    vertices in member order, with per-member ``counts``.
+    The coefficient matrix is read once a call, from the stack's row set, and
+    the right-hand sides are the stack's matrix.  The members share their
+    bases, so the determinants, the mask of nonsingular bases and one inverse
+    per nonsingular basis are computed once a call.  Each (member, basis)
+    vertex is that inverse applied to the member's right-hand side by
+    elementwise multiply-adds over the basis rows in a fixed order, with no
+    BLAS call whose summation order could depend on the stack, so a member
+    gets the bits its lone call gets.  The pairs are taken in blocks of at
+    most ``_BLOCK_SOLVES``, so memory does not grow with the stack.  Returns
+    one :class:`VPolytope` holding each member's vertices in member order,
+    with per-member ``counts``.
     """
-    members = [systems] if isinstance(systems, IneqSystem) else list(systems)
-    names = members[0].vars
-    d = len(names)
+    d = len(region.vars)
     if d > 6:
         raise DimensionTooLarge(f"vertex enumeration supports dimension <= 6, got {d}")
-    rows = _numeric_rows(members)
-    A_exp = rows[0][0]
-    if any(A is not A_exp for A, _ in rows):
-        raise RowsDiffer("stacked systems must share their variables and coefficient rows")
+    stack = region if isinstance(region, SystemStack) else SystemStack.of(region)
+    A_exp = _coefficient_rows(stack.rows, allow_eq=False)[0]
     A = np.vstack([A_exp, -np.eye(d)])
-    b = np.stack([np.concatenate([b_exp, np.zeros(d)]) for _, b_exp in rows])   # (N, m)
+    b = np.hstack([stack.rhs, np.zeros((len(stack), d))])   # (N, m)
     combos = _bases(A.shape[0], d)
     mats = A[combos]                       # (n, d, d)
     dets = np.linalg.det(mats)
@@ -483,7 +517,7 @@ def vertices(systems) -> VPolytope:
                                 np.append(np.zeros(A_exp.shape[0]), 1.0),
                                 what="recession").fun < -0.5:
         raise UnboundedRegion("system has a recession direction inside the orthant")
-    return VPolytope(names, pts, counts)
+    return VPolytope(stack.vars, pts, counts)
 
 
 # (member, basis) pairs per block of a stacked vertices() call: about 2 MB of
@@ -508,13 +542,31 @@ def _unique_vertices(pts: np.ndarray, member: np.ndarray, active: np.ndarray,
     member's count."""
     order = np.lexsort((*pts.T[::-1], member))
     key = np.column_stack([member[order], np.packbits(active[order], axis=1)])
-    first = np.sort(np.unique(key, axis=0, return_index=True)[1])
+    first = np.sort(unique_rows(key)[1])
     return pts[order[first]], np.bincount(member[order[first]], minlength=n)
+
+
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of the 2-d array ``a`` in lexicographic order, the
+    index in ``a`` of each one's first occurrence, and for each row of ``a``
+    the position of its distinct row: what ``np.unique(a, axis=0,
+    return_index=True, return_inverse=True)`` returns (equal rows compare
+    by value, so 0.0 and -0.0 are one value and the first occurrence's is
+    kept), from one stable lexsort."""
+    order = np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.empty(len(a), dtype=bool)
+    new[:1] = True
+    np.any(s[1:] != s[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return s[new], order[new], inverse
 
 
 def max_violation(sys: IneqSystem, point, var_order=None) -> float:
     """Largest amount by which ``point`` violates the system (<=0 means inside)."""
-    [(A, b)] = _numeric_rows([sys])
+    b = SystemStack.of(sys).rhs[0]
+    A = _coefficient_rows(sys, allow_eq=False)[0]
     x = np.asarray(point, dtype=float)
     if var_order is not None and tuple(var_order) != sys.vars:
         pos = {v: i for i, v in enumerate(var_order)}
@@ -555,7 +607,7 @@ def support_value(jobs) -> list[list]:
     of the job's variables and rows.  Unlike :func:`vertices` this accepts
     equality rows.
     """
-    rows = _numeric_rows([sys for sys, _ in jobs], allow_eq=True)
+    rows = _numeric_rows([sys for sys, _ in jobs])
     dirs = [_directions(sys, objectives) for sys, objectives in jobs]
     keys = [(A.tobytes(), A_eq.tobytes()) for A, _, A_eq, _ in rows]
     elastic, cones = [], {}   # a recession cone depends on A and A_eq only
@@ -626,24 +678,26 @@ def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
     return out
 
 
-def instantiate(sys: IneqSystem, tables, sym_values=None) -> list[IneqSystem]:
-    """One system per member of the stacked :class:`~.info_core.ProbTable`
-    values ``tables`` and symbol arrays ``sym_values``: in member k each
+def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
+    """The :class:`SystemStack` of ``sys`` on the stacked
+    :class:`~.info_core.ProbTable` values ``tables`` and symbol arrays
+    ``sym_values``, one member per member of the stacks: in member k each
     symbolic right-hand side takes its value on member k of every table and
     entry k of every symbol, as :func:`~.entropy_algebra.evaluate_all` sums
     it on that member's lone tables, bit for bit, each entropy read once for
-    the whole stack.  Raises DimensionMismatch for a lone table, or for
-    stacks of different lengths."""
+    the whole stack; a numeric right-hand side is every member's.  Raises
+    DimensionMismatch for a lone table, or for stacks of different
+    lengths."""
     if not all(t.stacked for t in tables):
         raise DimensionMismatch("instantiate takes stacked tables, not a lone one")
     sizes = {len(t.probs) for t in tables} | {len(v) for v in (sym_values or {}).values()}
     if len(sizes) != 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "
                                 f"instantiated together")
-    n = sizes.pop()
-    rows = [i for i, q in enumerate(sys.ineqs) if isinstance(q.rhs, InfoExpr)]
-    # a right-hand side that reads no table or symbol is one float for every member
-    values = dict(zip(rows, (np.broadcast_to(v, n) for v in evaluate_all(
-        [sys.ineqs[i].rhs for i in rows], tables, sym_values))))
-    return [sys.with_ineqs([q.with_rhs(float(values[i][k])) if i in values else q
-                            for i, q in enumerate(sys.ineqs)]) for k in range(n)]
+    values = iter(evaluate_all([q.rhs for q in sys.ineqs if isinstance(q.rhs, InfoExpr)],
+                               tables, sym_values))
+    rhs = np.empty((sizes.pop(), len(sys.ineqs)))
+    for i, q in enumerate(sys.ineqs):
+        # a right-hand side that reads no table or symbol is one float for every member
+        rhs[:, i] = next(values) if isinstance(q.rhs, InfoExpr) else q.rhs
+    return SystemStack(sys, rhs)

@@ -22,6 +22,7 @@ from .errors import (
     NotDegraded,
     UnknownCorollary,
     ValidationError,
+    numbered,
     raise_for_first,
 )
 from .info_core import (
@@ -33,12 +34,22 @@ from .info_core import (
     mutual_information,
     take_stack,
 )
-from .polytope_fm import IneqSystem, LinIneq, block_diagonal_csr, instantiate, solve_lp, vertices
+from .polytope_fm import (
+    IneqSystem,
+    LinIneq,
+    SystemStack,
+    block_diagonal_csr,
+    instantiate,
+    solve_lp,
+    unique_rows,
+    vertices,
+)
 
 RATES = ("Rp1", "Rs1", "Rp2", "Rs2")
 OUTPUTS = ("Y1", "Y2", "Z")   # what the regions call a channel's outputs, by position
 UX_VARS = ("U", "X")                       # the variables of the two kinds of aux
 LAYERED_VARS = ("Q", "U", "V1", "V2", "X")
+# Largest I(Q; V1,V2,X | U) of a layered aux, in nats, absolute.
 AUX_TOL = 1e-10
 ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 0
 # Singular value of a flat hull cloud, relative to its largest, above which
@@ -78,13 +89,18 @@ def _check_layered(t: ProbTable) -> None:
                     f"{resid[k]:.2e} violates the layered factorization")
 
 
-def _aux_stack(aux: AuxJoint, kind: str, refusal: str) -> ProbTable:
-    """The aux's table as a stacked one (a lone table as a stack of one);
-    InconsistentAux(``refusal``) unless the aux is of ``kind``."""
+def _evaluate(aux: AuxJoint, kind: str, refusal: str, fn):
+    """``fn`` of the aux's table as a stacked one, which returns a
+    :class:`SystemStack`: that stack for a stacked aux; for a lone aux, its
+    member 0, from ``fn`` of the table as a stack of one, whose errors name
+    no instance.  InconsistentAux(``refusal``) unless the aux is of ``kind``."""
     if aux.kind != kind:
         raise InconsistentAux(refusal)
     t = aux.table
-    return t if t.stacked else ProbTable(t.vars, t.probs[None], stacked=True)
+    if t.stacked:
+        return fn(t)
+    with numbered([()]):
+        return fn(ProbTable(t.vars, t.probs[None], stacked=True)).member(0)
 
 
 def _lone(aux: AuxJoint) -> AuxJoint:
@@ -94,24 +110,22 @@ def _lone(aux: AuxJoint) -> AuxJoint:
     return aux
 
 
-def _one_or_all(aux: AuxJoint, regions):
-    """The region of a lone aux, or the list of the regions of a stacked one."""
-    return regions if aux.table.stacked else regions[0]
-
-
 def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
     """Joint tables over (aux vars..., out), one stacked table per output
     taking over its own product, the outputs named Y1, Y2, Z by position,
-    without materializing the full kernel."""
-    return tuple(take_stack(t.vars + (VarId(name, out.cardinality),),
-                            np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)))
+    without materializing the full kernel.  A joint is the product of the
+    checked aux and channel, so it is not checked again: its mass is the
+    aux's mass weighted by the kernel's row sums, each within
+    ``NORMALIZATION_TOL`` of 1, and can deviate from 1 by their sum."""
+    return tuple(ProbTable(t.vars + (VarId(name, out.cardinality),),
+                           np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)),
+                           stacked=True, _fresh=True)
                  for name, out in zip(OUTPUTS, ch.outputs))
 
 
-def _degraded_constants(aux, ch: ChannelSpec) -> dict[str, np.ndarray]:
+def _degraded_constants(t: ProbTable, ch: ChannelSpec) -> dict[str, np.ndarray]:
     """The five information quantities of the degraded regions, one value
-    per member of the aux's table (one for a lone aux)."""
-    t = _aux_stack(aux, "ux", "degraded-channel bounds take an aux over (U, X)")
+    per member of the stacked aux table ``t``."""
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
     t1, t2, tz = _output_joints(t, ch)
@@ -129,8 +143,8 @@ def _system(rows) -> IneqSystem:
     return IneqSystem.of(RATES, [LinIneq.of(c, float(r), label=l) for c, r, l in rows])
 
 
-# The five-bound region's rows with a zero right-hand side, built once: every
-# system five_bound_system returns shares their coefficient tuples.
+# The rows of the five-bound region and of the per-message form, with a zero
+# right-hand side, built once: every stack of either region shares them.
 _FIVE_BOUNDS = _system([
     ({"Rs2": 1}, 0.0, "rs2"),
     ({"Rs1": 1, "Rs2": 1}, 0.0, "rs12"),
@@ -138,16 +152,24 @@ _FIVE_BOUNDS = _system([
     ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "rs12p2"),
     ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "total"),
 ])
+_PER_MESSAGE = _system([
+    ({"Rp2": 1}, 0.0, "rp2"),
+    ({"Rs2": 1}, 0.0, "rs2"),
+    ({"Rp1": 1}, 0.0, "rp1"),
+    ({"Rs1": 1}, 0.0, "rs1"),
+])
+_DEGRADED_AUX = "degraded-channel bounds take an aux over (U, X)"
 
 
-def five_bound_system(iuy2: float, iuz: float, ixy1_u: float, ixz: float,
-                      ixz_u: float) -> IneqSystem:
-    """Five-bound degraded-channel region from its five information quantities
-    I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the input law
-    (discrete auxiliaries, Gaussian covariances or scalar mixtures)."""
+def five_bound_system(iuy2, iuz, ixy1_u, ixz, ixz_u) -> SystemStack:
+    """Five-bound degraded-channel regions from their five information
+    quantities I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the
+    input law (discrete auxiliaries, Gaussian covariances or scalar
+    mixtures): one member per entry of the quantities (arrays of one length,
+    or floats for a stack of one), each right-hand side summed in one fixed
+    order."""
     rhs = (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2, iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u)
-    return _FIVE_BOUNDS.with_ineqs([q.with_rhs(float(r))
-                                    for q, r in zip(_FIVE_BOUNDS.ineqs, rhs)])
+    return SystemStack(_FIVE_BOUNDS, np.stack(np.broadcast_arrays(*rhs), axis=-1).reshape(-1, 5))
 
 
 def outer_of(inner: IneqSystem) -> IneqSystem:
@@ -157,11 +179,10 @@ def outer_of(inner: IneqSystem) -> IneqSystem:
 
 def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec):
     """Five-bound achievable region of the degraded channel for a fixed aux;
-    for a stacked aux, the list of its members' regions, every information
-    quantity computed once for all of them."""
-    c = _degraded_constants(aux, ch)
-    return _one_or_all(aux, [five_bound_system(**dict(zip(c, map(float, v))))
-                             for v in zip(*c.values())])
+    for a stacked aux, the :class:`SystemStack` of its members' regions,
+    every information quantity computed once for all of them."""
+    return _evaluate(aux, "ux", _DEGRADED_AUX,
+                     lambda t: five_bound_system(**_degraded_constants(t, ch)))
 
 
 def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
@@ -176,33 +197,33 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     The public rates ride on the randomization the eavesdropper can resolve,
     so ``Rp2 <= I(U;Z)`` and ``Rp1 <= I(X;Z|U)``.
     """
-    c = {k: float(v[0]) for k, v in _degraded_constants(_lone(aux), ch).items()}
-    return _system([
-        ({"Rp2": 1}, c["iuz"], "rp2"),
-        ({"Rs2": 1}, c["iuy2"] - c["iuz"], "rs2"),
-        ({"Rp1": 1}, c["ixz_u"], "rp1"),
-        ({"Rs1": 1}, c["ixy1_u"] - c["ixz_u"], "rs1"),
-    ])
+    def per_message(t):
+        c = _degraded_constants(t, ch)
+        return SystemStack(_PER_MESSAGE, np.stack([c["iuz"], c["iuy2"] - c["iuz"], c["ixz_u"],
+                                                   c["ixy1_u"] - c["ixz_u"]], axis=-1))
+    return _evaluate(_lone(aux), "ux", _DEGRADED_AUX, per_message)
 
 
 def eval_general_inner(aux: AuxJoint, ch: ChannelSpec):
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded.  For a stacked aux, the list
-    of its members' regions from one instantiation of the target."""
-    t = _aux_stack(aux, "layered", "general inner bound takes a layered aux")
+    Y2, Z.  The channel need not be degraded.  For a stacked aux, the
+    :class:`SystemStack` of its members' regions from one instantiation of
+    the target."""
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
-    tables = (t, *_output_joints(t, ch))
-    target = fm_script.load_fixture("target")
-    regions = instantiate(target, tables, fm_script.min_sym_values(
-        tables, [q.rhs for q in target.ineqs if isinstance(q.rhs, InfoExpr)]))
-    # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
-    # reads about +-1e-16; the clamped mutual informations it stands for give 0
-    return _one_or_all(aux, [r.with_ineqs([q.with_rhs(0.0) if abs(q.rhs) <= ZERO_BOUND_TOL
-                                           else q for q in r.ineqs]) for r in regions])
+
+    def evaluate(t):
+        tables = (t, *_output_joints(t, ch))
+        target = fm_script.load_fixture("target")
+        rhs = instantiate(target, tables, fm_script.min_sym_values(
+            tables, [q.rhs for q in target.ineqs if isinstance(q.rhs, InfoExpr)])).rhs
+        # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
+        # reads about +-1e-16; the clamped mutual informations it stands for give 0
+        return SystemStack(target, np.where(np.abs(rhs) <= ZERO_BOUND_TOL, 0.0, rhs))
+    return _evaluate(aux, "layered", "general inner bound takes a layered aux", evaluate)
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:
@@ -290,7 +311,7 @@ def hull_of(points: np.ndarray) -> np.ndarray:
     cloud that Qhull refuses as flat is hulled inside its own affine span."""
     from scipy.spatial import ConvexHull, QhullError
 
-    pts = np.unique(np.round(points, 12) + 0.0, axis=0)   # + 0.0: no -0.0 from rounding
+    pts = unique_rows(np.round(points, 12) + 0.0)[0]   # + 0.0: no -0.0 from rounding
     if pts.shape[0] <= 1:
         return pts
     try:
@@ -403,17 +424,16 @@ def _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v) -> np
     return np.einsum("qu,uabx->quabx", p_qu, p_rest)
 
 
-def sweep_systems(samples) -> SweepResult:
-    """Merge the vertex clouds of ``(tag, system)`` samples into one sweep: a
-    CSV row per sample, the point cloud and its hull.  The samples share their
-    coefficient rows, so the sweep is evaluated as one stack: a single
+def sweep_systems(tags, stack: SystemStack) -> SweepResult:
+    """Merge the vertex clouds of the members of ``stack``, one sample each,
+    tagged by ``tags``, into one sweep: a CSV row per sample, read from the
+    stack's right-hand-side matrix, the point cloud and its hull.  A single
     :func:`vertices` call enumerates every sample against one set of bases
     and solves at most one recession LP."""
-    tags, systems = zip(*samples)
-    vp = vertices(systems)
-    rows = [(idx, tag, [float(q.rhs) for q in sys.ineqs], n)
-            for idx, (tag, sys, n) in enumerate(zip(tags, systems, vp.counts.tolist()))]
-    return SweepResult(rates=RATES, points=vp.vertices, rows=rows)
+    vp = vertices(stack)
+    return SweepResult(rates=RATES, points=vp.vertices,
+                       rows=list(zip(range(len(tags)), tags, stack.rhs.tolist(),
+                                     vp.counts.tolist())))
 
 
 # Most cells of the widest stacked output joint of one block of a discrete
@@ -462,9 +482,10 @@ def sweep_inner_region(ch: ChannelSpec, budget: int, seed: int = 0,
         check_vars(vars_)
     per_block = max(1, _BLOCK_CELLS // max(math.prod(v.cardinality for v in vars_)
                                            for vars_ in table_vars))
-    samples = []
+    tags, rhs = [], []
     for lo in range(0, budget, per_block):
         probs = np.stack([draw(i) for i in range(lo, min(lo + per_block, budget))])
-        regions = evaluate(AuxJoint(take_stack(aux_vars, probs)), ch)
-        samples += zip(map(_aux_hash, probs), regions)
-    return sweep_systems(samples)
+        stack = evaluate(AuxJoint(take_stack(aux_vars, probs)), ch)
+        tags += map(_aux_hash, probs)
+        rhs.append(stack.rhs)
+    return sweep_systems(tags, SystemStack(stack.rows, np.concatenate(rhs)))

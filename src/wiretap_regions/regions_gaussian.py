@@ -30,11 +30,16 @@ from .errors import (
     raise_for_first,
 )
 from .info_core import VarId, build_degraded_joint, make_table
-from .polytope_fm import IneqSystem, LinIneq
+from .polytope_fm import IneqSystem, LinIneq, unique_rows
 from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, outer_of,
                                specialize_corollary, sweep_systems)
 
+# Semidefinite-order slack, unitless: relative to the larger spectral norm of
+# the two matrices compared (psd_leq), and for a gain quotient's contraction
+# test relative to 1.
 ORDER_TOL = 1e-10
+# Largest |a_ij - a_ji| of a matrix taken as symmetric, unitless: relative to
+# the matrix's largest |entry|.
 SYM_TOL = 1e-12
 # check_psd refuses an eigenvalue below -PSD_RTOL times the largest |eigenvalue|.
 PSD_RTOL = 1e-10
@@ -295,16 +300,15 @@ def eval_gauss_inner(split: CovSplit, ch: GaussChannel):
     """Five-bound achievable region for a degraded channel and a fixed K <= S.
 
     A split whose K is a stack (and a channel whose S is one cap or a stack
-    of as many) gives one system per K, from one cap check and one logdet."""
+    of as many) gives the :class:`~.polytope_fm.SystemStack` of one region
+    per K, from one cap check and one logdet."""
     if not ch.degraded:
         raise NotDegraded("inner bound needs the degraded noise order")
     if split.K is None:
         raise ValidationError("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
-    constants = _gauss_constants(split.K, ch)
-    if split.K.ndim == 2:
-        return five_bound_system(**constants)
-    return [five_bound_system(*c) for c in zip(*(v.tolist() for v in constants.values()))]
+    stack = five_bound_system(**_gauss_constants(split.K, ch))
+    return stack.member(0) if split.K.ndim == 2 else stack
 
 
 def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> IneqSystem:
@@ -349,8 +353,7 @@ def _by_pattern(*keeps):
         yield (), keeps
         return
     joint = np.concatenate(keeps, axis=-1)
-    patterns, which = np.unique(joint.reshape(-1, joint.shape[-1]), axis=0,
-                                return_inverse=True)
+    patterns, _, which = unique_rows(joint.reshape(-1, joint.shape[-1]))
     cuts = np.cumsum([k.shape[-1] for k in keeps])[:-1]
     for g, pattern in enumerate(patterns):
         yield which.reshape(joint.shape[:-1]) == g, np.split(pattern, cuts)
@@ -541,8 +544,9 @@ def random_psd_under(rng: np.random.Generator, S: np.ndarray,
     d = S.shape[-1]
     n = 1 if size is None else size
     g, u = np.empty((n, d, d)), np.empty((n, d))
-    for k in range(n):
-        g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
+    for k in range(n):   # the values and stream of normal(size=(d, d)), uniform(0, 1, d)
+        rng.standard_normal(out=g[k])
+        rng.random(out=u[k])
     if size is None:
         g, u = g[0], u[0]
     return _psd_under(S, g, u)
@@ -568,8 +572,9 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
 
     The sweep is evaluated as one stack: every sample is drawn first, in the
     order a per-sample loop draws them, then one :func:`eval_gauss_inner`
-    call checks every cap at once and gives one system per sample, and
-    :func:`sweep_systems` enumerates them in one :func:`vertices` call.
+    call checks every cap at once and gives the stack of every sample's
+    region, and :func:`sweep_systems` enumerates it in one
+    :func:`~.polytope_fm.vertices` call.
     Nothing about the channel (noise covariances, degradedness) is checked
     per sample."""
     if budget < 1:
@@ -592,12 +597,13 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
         p = trace_p if trace_p is not None else float(np.trace(ch.S))
         rot, lam = np.empty((budget, d, d)), np.empty((budget, d))
         g, u = np.empty((budget, d, d)), np.empty((budget, d))
-        for k in range(budget):
-            rot[k], lam[k] = rng.normal(size=(d, d)), rng.dirichlet(np.ones(d)) * p
-            g[k], u[k] = rng.normal(size=(d, d)), rng.uniform(0.0, 1.0, size=d)
+        for k in range(budget):   # the stream of normal, dirichlet, normal, uniform(0, 1)
+            rng.standard_normal(out=rot[k])
+            lam[k] = rng.dirichlet(np.ones(d)) * p
+            rng.standard_normal(out=g[k])
+            rng.random(out=u[k])
         q, _ = np.linalg.qr(rot)
         S = (q * np.clip(lam, CAP_EIG_FLOOR * p, None)[:, None, :]) @ q.mT
         ch = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
         K = _psd_under(ch.S, g, u)
-    return sweep_systems((f"K{i}", sys) for i, sys in enumerate(
-        eval_gauss_inner(CovSplit(K=K), ch)))
+    return sweep_systems([f"K{i}" for i in range(budget)], eval_gauss_inner(CovSplit(K=K), ch))

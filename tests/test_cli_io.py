@@ -1202,3 +1202,85 @@ def test_cli_gauss_command_refuses_a_discrete_channel(tmp_path, argv, capsys):
     argv = [write(tmp_path, "k.txt", "kind: split\nK:\n0.5\n") if a == "k" else a for a in argv]
     assert main(argv + ["--channel", write(tmp_path, "c.txt", DISCRETE)]) == 2
     assert capsys.readouterr().err == "input error: this command needs a gauss channel file\n"
+
+
+# A cascade whose stage Y1|X rows sum to 1 + 8e-13 and a 2x2 aux of four
+# cells 0.2500000000002 (mass 1 + 8e-13): each file passes its own check, and
+# the joint of the aux with an output, the product of the two, weighs about
+# 1 + 1.6e-12.
+HEAVY_CASCADE = """\
+kind: discrete
+input: X 2
+outputs: Y1 2 Y2 2 Z 2
+stage Y1|X:
+0.95 0.0500000000008
+0.05 0.9500000000008
+stage Y2|Y1:
+0.9 0.1
+0.1 0.9
+stage Z|Y2:
+0.85 0.15
+0.15 0.85
+"""
+
+
+def _uniform_aux(names, cells, cell):
+    return f"kind: aux\nvars: {names}\ntable:\n" + " ".join([cell] * cells) + "\n"
+
+
+def _rhs_column(text):
+    return [float(r["rhs"]) for r in csv.DictReader(text.splitlines())]
+
+
+@pytest.mark.parametrize("cmd, names, cells, heavy", [
+    ("eval-inner", "U 2 X 2", 4, "0.2500000000002"),
+    ("eval-outer", "U 2 X 2", 4, "0.2500000000002"),
+    ("eval-general", "Q 2 U 2 V1 2 V2 2 X 2", 32, "0.031250000000025"),
+], ids=["inner", "outer", "general"])
+def test_inputs_each_within_their_mass_tolerance_are_evaluated_together(tmp_path, capsys, cmd,
+                                                                        names, cells, heavy):
+    ch = write(tmp_path, "ch.txt", HEAVY_CASCADE)
+    aux = write(tmp_path, "aux.txt", _uniform_aux(names, cells, heavy))
+    parse_channel_file(ch)                               # each file passes its own check
+    parse_aux_file(aux)
+    assert main(["region", cmd, "--channel", ch, "--aux", aux, "--format", "csv"]) == 0
+    got = _rhs_column(capsys.readouterr().out)
+    # the exactly normalised pair gives the same bounds up to the mass deviations
+    plain = write(tmp_path, "plain.txt", HEAVY_CASCADE.replace("0000000008", ""))
+    exact = write(tmp_path, "exact.txt", _uniform_aux(names, cells, repr(1 / cells)))
+    assert main(["region", cmd, "--channel", plain, "--aux", exact, "--format", "csv"]) == 0
+    want = _rhs_column(capsys.readouterr().out)
+    assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-11
+
+
+def _ineq_systems_built(monkeypatch, argv):
+    """How many IneqSystem values the command builds."""
+    from wiretap_regions.polytope_fm import IneqSystem
+
+    built, real = [], IneqSystem.__post_init__
+
+    def counted(self):
+        built.append(1)
+        real(self)
+
+    with monkeypatch.context() as m:
+        m.setattr(IneqSystem, "__post_init__", counted)
+        assert main(argv) == 0
+    return len(built)
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "sweep", "--mode", "degraded"],
+    ["region", "sweep", "--mode", "general"],
+    ["gauss", "sweep", "--mode", "fixed_S"],
+    ["gauss", "sweep", "--mode", "trace_P"],
+    ["fisher", "evidence"],
+], ids=["region-degraded", "region-general", "gauss-fixed_S", "gauss-trace_P", "evidence"])
+def test_sweeps_and_evidence_build_no_system_per_sample(tmp_path, monkeypatch, argv):
+    # a sweep's samples and the evidence run's mixtures are one stack of
+    # right-hand sides, whatever the budget
+    ch = write(tmp_path, "ch.txt", DISCRETE if argv[0] == "region" else GAUSS)
+    argv = argv + ["--channel", ch, "--seed", "3"]
+    main(argv + ["--budget", "2"])                    # loads what a process loads once
+    counts = [_ineq_systems_built(monkeypatch, argv + ["--budget", b]) for b in ("5", "50")]
+    assert counts[0] == counts[1], counts

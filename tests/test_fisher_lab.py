@@ -956,7 +956,7 @@ def test_evidence_antipodal_dominated():
 
 def brute_force_max_slack(mix, ch, env):
     """Largest dominance slack over every vertex of the clamped polytope."""
-    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0])
+    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0]).member(0)
     pts = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0))
                                       for q in bounds.ineqs])).vertices
     return max(dominance_slack([p], env)[0] for p in pts)

@@ -575,7 +575,7 @@ def _certify_row_by_row(kept, extras, tables):
         for table in tables:
             one = (_stack_of([table]),)
             syms = min_sym_values(one)
-            kept_num = instantiate(kept, one, syms)[0]
+            kept_num = instantiate(kept, one, syms).member(0)
             lone_syms = {n: float(v[0]) for n, v in syms.items()}
             rhs = (evaluate_all((q.rhs,), (table,), lone_syms)[0]
                    if isinstance(q.rhs, InfoExpr) else float(q.rhs))
@@ -745,8 +745,8 @@ def test_stacked_instantiation_equals_each_member_alone():
     assert set(fixtures) >= {"target"} and len(fixtures) > 5
     for name, sys in fixtures.items():
         members = instantiate(sys, stack, syms)
-        assert len(members) == 9
-        for k, (got, table) in enumerate(zip(members, draw())):
+        assert len(members) == 9 and members.rows is sys
+        for k, (got, table) in enumerate(zip(map(members.member, range(9)), draw())):
             lone_syms = {n: float(v[0]) for n, v in min_sym_values((_stack_of([table]),)).items()}
             assert lone_syms == {n: v[k] for n, v in syms.items()}
             assert got.vars == sys.vars
@@ -760,7 +760,7 @@ def test_stacked_instantiation_equals_each_member_alone():
                 else:
                     assert g.rhs == q.rhs
         assert instantiate(sys, (_stack_of([draw()[4]]),), {n: v[4:5] for n, v in syms.items()}) \
-            [0].ineqs == members[4].ineqs
+            .member(0).ineqs == members.member(4).ineqs
 
 
 def test_stacked_instantiation_refuses_stacks_of_other_lengths():

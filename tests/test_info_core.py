@@ -516,3 +516,23 @@ def test_a_stack_validates_every_table_and_names_the_first_bad_one():
         take_stack(vars_, np.array([[0.5, 0.5], [1.5, -0.5]]))
     with pytest.raises(NotNormalized, match="^total mass 1.1"):
         make_table(vars_, probs[2])
+
+
+def test_an_unconditional_mi_allows_the_mass_of_a_heavy_table():
+    # on a table of mass m, H(A) + H(B) - H(AB) = m I(A;B) - m log m: independent
+    # A and B on a product of two checked tables, each 8e-13 heavy, read
+    # -1.6e-12, which the floor MI_CLAMP - m log m allows, and a value 0
+    vars_ = (VarId("A", 2), VarId("B", 2))
+    heavy = np.full((3, 2, 2), 0.25 * (1 + 8e-13) ** 2)
+    stack = ProbTable(vars_, heavy, stacked=True)
+    lone = ProbTable(vars_, heavy[0])
+    raw = [entropies(t, [{"A"}])[0] + entropies(t, [{"B"}])[0] - entropies(t, [{"A", "B"}])[0]
+           for t in (lone, stack)]
+    assert raw[0] < MI_CLAMP and (raw[1] < MI_CLAMP).all()
+    assert mutual_information(lone, {"A"}, {"B"}) == 0.0
+    assert mutual_information(stack, {"A"}, {"B"}).tolist() == [0.0] * 3
+    # a conditional value has no mass term: the floor stays MI_CLAMP
+    cond = ProbTable(vars_ + (VarId("C", 1),), heavy[0][..., None])
+    cond._entropies[frozenset({"A", "B", "C"})] = np.array([10.0])
+    with pytest.raises(NegativeMass, match=f"below clamp {MI_CLAMP}$"):
+        mutual_information(cond, {"A"}, {"B"}, {"C"})

@@ -12,10 +12,10 @@ import wiretap_regions
 from wiretap_regions import polytope_fm
 from wiretap_regions.entropy_algebra import InfoExpr, sym
 from wiretap_regions.errors import (
+    DimensionMismatch,
     DimensionTooLarge,
     DuplicateSlackName,
     LPFailure,
-    RowsDiffer,
     UnboundedRegion,
     ZeroCoefficient,
 )
@@ -25,6 +25,7 @@ from wiretap_regions.polytope_fm import (
     VERTEX_TOL,
     IneqSystem,
     LinIneq,
+    SystemStack,
     apply_rate_transfer,
     block_diagonal_csr,
     fm_eliminate,
@@ -33,6 +34,7 @@ from wiretap_regions.polytope_fm import (
     region_equal,
     substitute_equality,
     support_value,
+    unique_rows,
     vertices,
 )
 from wiretap_regions.regions_discrete import sweep_inner_region
@@ -248,7 +250,7 @@ _RATE_CONST = st.one_of(st.integers(0, 8).map(lambda k: k / 4),
 def test_five_bound_vertices_match_the_exact_oracle(consts, outer):
     from wiretap_regions.regions_discrete import five_bound_system, outer_of
 
-    sys = five_bound_system(*consts)
+    sys = five_bound_system(*consts).member(0)
     _assert_vertices_are_the_oracle(outer_of(sys) if outer else sys)
 
 
@@ -330,9 +332,14 @@ def _vertices_or_unbounded(s):
         return "unbounded"
 
 
+def _stack_of(systems):
+    """The systems, which share their rows, as one stack of their right-hand sides."""
+    return SystemStack(systems[0], [[q.rhs for q in s.ineqs] for s in systems])
+
+
 def _stacked(systems):
     try:
-        vp = vertices(systems)
+        vp = vertices(_stack_of(systems))
     except UnboundedRegion:
         return "unbounded"
     return vp.vertices, vp.counts.tolist()
@@ -374,21 +381,64 @@ def test_shared_recession_verdict_matches_one_lp_per_call(systems):
 
 def test_shared_recession_verdict_keys_on_the_row_shape():
     # both coefficient matrices hold the bytes of 1, -1, -1, 1, and each
-    # alone gets its own verdict; stacked, they do not share their rows
+    # stack gets the verdict of its own row set
     unbounded = num_sys(("x", "y"), [({"x": 1, "y": -1}, 1), ({"x": -1, "y": 1}, 1)])
     bounded = num_sys(("x",), [({"x": 1}, 1), ({"x": -1}, 1), ({"x": -1}, 2),
                                ({"x": 1}, 2)])
     assert _vertices_or_unbounded(unbounded) == "unbounded"
     assert _vertices_or_unbounded(bounded).tolist() == [[0.0], [1.0]]
-    for pair in ((unbounded, bounded), (bounded, unbounded)):
-        with pytest.raises(RowsDiffer):
-            vertices(pair)
-    # equal rows over other variables, or other rows over the same variables
-    renamed = num_sys(("x", "z"), [({"x": 1, "z": -1}, 1), ({"x": -1, "z": 1}, 1)])
-    other = num_sys(("x", "y"), [({"x": 1, "y": -1}, 1), ({"x": -1, "y": 2}, 1)])
-    for s in (renamed, other):
-        with pytest.raises(RowsDiffer):
-            vertices([unbounded, s])
+    with pytest.raises(UnboundedRegion):
+        vertices(SystemStack(unbounded, [[1.0, 1.0], [2.0, 0.5]]))
+    vp = vertices(SystemStack(bounded, [[1.0, 1.0, 2.0, 2.0], [0.5, 1.0, 2.0, 2.0]]))
+    assert vp.vertices.tolist() == [[0.0], [1.0], [0.0], [0.5]]
+    assert vp.counts.tolist() == [2, 2]
+
+
+def test_a_stack_is_one_row_set_and_a_read_only_rhs_matrix():
+    sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+    rhs = np.array([[1.0, 2.0], [3.0, 4.0], [0.5, 0.25]])
+    stack = SystemStack(sq, rhs)
+    rhs[0, 0] = 9.0                       # the stack holds its own copy
+    assert len(stack) == 3 and stack.vars == ("x", "y")
+    assert not stack.rhs.flags.writeable and stack.rhs[0, 0] == 1.0
+    assert [[q.rhs for q in stack.member(k).ineqs] for k in range(3)] == stack.rhs.tolist()
+    assert all(m.ineqs[i].nums == q.nums for m in map(stack.member, range(3))
+               for i, q in enumerate(sq.ineqs))
+    for bad in ([[1.0, 2.0, 3.0]], np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch, match="does not fit 2 rows"):
+            SystemStack(sq, bad)
+    assert SystemStack.of(sq).rhs.tolist() == [[1.0, 2.0]]
+    with pytest.raises(ZeroCoefficient, match="instantiate first"):
+        SystemStack.of(IneqSystem.of(("x",), [LinIneq.of({"x": 1}, sym("a"))]))
+
+
+@st.composite
+def _rows_with_duplicates(draw):
+    """A 2-d float, integer or bool array whose rows repeat: distinct rows,
+    then copies of some of them planted among the rest, with ties in the
+    leading columns and, for floats, 0.0 against -0.0."""
+    kind = draw(st.sampled_from(["float", "int", "bool"]))
+    cols = draw(st.integers(1, 4))
+    value = {"float": st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e-12, -2.5, 1e300]),
+             "int": st.integers(-3, 3), "bool": st.booleans()}[kind]
+    rows = draw(st.lists(st.lists(value, min_size=cols, max_size=cols), max_size=12))
+    copies = draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=8)) if rows else []
+    for i in copies:
+        rows.insert(draw(st.integers(0, len(rows))), list(rows[i]))
+    dtype = {"float": float, "int": np.int64, "bool": bool}[kind]
+    return np.array(rows, dtype=dtype).reshape(-1, cols)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_rows_with_duplicates())
+def test_unique_rows_is_np_unique_over_rows(a):
+    values, first, inverse = unique_rows(a)
+    want_values, want_first, want_inverse = np.unique(a, axis=0, return_index=True,
+                                                      return_inverse=True)
+    assert values.dtype == a.dtype and values.tobytes() == want_values.tobytes()
+    assert first.tolist() == want_first.tolist()
+    assert inverse.tolist() == want_inverse.reshape(-1).tolist()
+    assert np.array_equal(values[inverse], a)
 
 
 def test_vertices_solve_one_recession_lp_a_call_without_a_shared_verdict(lp_whats):
@@ -431,7 +481,7 @@ def test_failed_recession_lp_leaves_no_shared_verdict(monkeypatch):
         return real(*args, what=what, **kw)
 
     monkeypatch.setattr(pf, "solve_lp", solve_lp)
-    stack = [num_sys(("x", "y"), [({"x": 1}, b), ({"y": 1}, 2)]) for b in (1, 3)]
+    stack = _stack_of([num_sys(("x", "y"), [({"x": 1}, b), ({"y": 1}, 2)]) for b in (1, 3)])
     with pytest.raises(LPFailure):
         vertices(stack)
     assert vertices(stack).counts.tolist() == [4, 4]
@@ -753,8 +803,8 @@ def _symbolic_projection_case(draw):
 def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case):
     s, var, values, directions = case
     stacked = {n: np.array([v]) for n, v in values.items()}
-    projected = instantiate(fm_eliminate(s, var), (), stacked)[0]
-    numeric = instantiate(s, (), stacked)[0]
+    projected = instantiate(fm_eliminate(s, var), (), stacked).member(0)
+    numeric = instantiate(s, (), stacked).member(0)
     assert region_equal(projected, fm_eliminate(numeric, var))
     for w in directions:
         objective = dict(zip(projected.vars, w))

@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 
 from generators import random_aux_layered
 from hull_oracle import in_hull
-from wiretap_regions import info_core, polytope_fm, regions_discrete
+from wiretap_regions import fm_script, info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
     InconsistentAux,
     LPFailure,
+    NegativeMass,
     TableTooLarge,
     UnknownCorollary,
     ValidationError,
+    raise_for_first,
 )
 from wiretap_regions.info_core import (
     ChannelSpec,
@@ -28,6 +30,7 @@ from wiretap_regions.io_files import region_csv_text
 from wiretap_regions.polytope_fm import (
     IneqSystem,
     LinIneq,
+    SystemStack,
     apply_rate_transfer,
     fm_eliminate,
     max_violation,
@@ -323,6 +326,37 @@ def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
             assert value is None or value > qi.rhs + 1e-9, (qj, qi)
 
 
+def _stacked_aux(aux, n):
+    t = aux.table
+    return AuxJoint(take_stack(t.vars, np.stack([t.probs] * n)))
+
+
+@pytest.mark.parametrize("evaluate, module, layered", [
+    (eval_degraded_inner, regions_discrete, False),
+    (eval_degraded_outer, regions_discrete, False),
+    (eval_original_inner, regions_discrete, False),
+    (eval_general_inner, fm_script, True),
+], ids=["inner", "outer", "original", "general"])
+def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, module, layered):
+    # a lone aux is evaluated as a stack of one; an error a stacked check
+    # raises on it keeps the bare message, while a stacked aux names its member
+    def mutual_information(t, *sets):
+        raise_for_first(np.arange(len(t.probs)) == len(t.probs) - 1, NegativeMass,
+                        lambda k: "mutual information -1e-09 below clamp -1e-12")
+
+    monkeypatch.setattr(module, "mutual_information", mutual_information)
+    aux = (random_aux_layered(np.random.default_rng(3), 2, 2, 2, 2, 2) if layered
+           else ux_aux(np.full((2, 2), 0.25)))
+    with pytest.raises(NegativeMass) as lone:
+        evaluate(aux, cascade_channel())
+    assert lone.value.instance == ()
+    assert str(lone.value) == "mutual information -1e-09 below clamp -1e-12"
+    if evaluate in (eval_degraded_inner, eval_general_inner):
+        with pytest.raises(NegativeMass, match="^instance 2: mutual information") as stacked:
+            evaluate(_stacked_aux(aux, 3), cascade_channel())
+        assert stacked.value.instance == (2,)
+
+
 def first_corner_aux(ch):
     # mirrors the first hand-picked sweep sample: U = X embedded in the larger alphabet
     card_x = ch.input.cardinality
@@ -403,7 +437,8 @@ def _zero_row_channel():
 
 def _sweep_one_at_a_time(ch, budget, seed, mode):
     """Reference: each aux drawn and evaluated alone, in the sweep's stream
-    order, then merged by sweep_systems."""
+    order, then merged by sweep_systems as one stack of their right-hand
+    sides."""
     rng = np.random.default_rng(seed)
     card_x = ch.input.cardinality
     card_u, card_v = card_x + 3, card_x + 1
@@ -422,7 +457,9 @@ def _sweep_one_at_a_time(ch, budget, seed, mode):
         else:
             aux = random_aux_ux(rng, card_u, card_x)
         samples.append((regions_discrete._aux_hash(aux.table.probs), eval_degraded_inner(aux, ch)))
-    return regions_discrete.sweep_systems(samples)
+    tags, systems = zip(*samples)
+    return regions_discrete.sweep_systems(
+        list(tags), SystemStack(systems[0], [[q.rhs for q in s.ineqs] for s in systems]))
 
 
 @pytest.mark.parametrize("mode, aux_cells", [("degraded", 5 * 2), ("general", 2 * 5 * 3 * 3 * 2)])
@@ -558,7 +595,8 @@ _DIRECTION = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 4)
 
 
 def test_five_bound_systems_share_their_rows():
-    a, b = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75), five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0)
+    a = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75).member(0)
+    b = five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0).member(0)
     assert all(p.coeffs is q.coeffs for p, q in zip(a.ineqs, b.ineqs))
     assert [(q.label, q.rhs) for q in a.ineqs] == [
         ("rs2", 0.75), ("rs12", 2.5), ("rs2p2", 1.0), ("rs12p2", 2.25), ("total", 3.0)]
@@ -570,7 +608,7 @@ def test_five_bound_systems_share_their_rows():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[_CONST] * 5), st.lists(_DIRECTION, min_size=3, max_size=3))
 def test_five_bound_vertices_agree_with_support_values(consts, directions):
-    sys = five_bound_system(*consts)
+    sys = five_bound_system(*consts).member(0)
     pts = vertices(sys).vertices
     for d in directions:
         value = support_value([(sys, [dict(zip(RATES, d))])])[0][0]
@@ -597,7 +635,7 @@ _COMPONENT = st.builds(lambda x, scale: x * scale, st.floats(-1.0, 1.0),
 @example((1.8527390215858563, -0.6321863097597636, -0.6552903102988145, 0.3144915126272878,
           1.0), [(1e-07, 0.2535958247649386, 0.03570986999225689, 0.08667615142540286)])
 def test_stacked_support_values_are_vertex_maxima(consts, directions):
-    sys = five_bound_system(*consts)
+    sys = five_bound_system(*consts).member(0)
     objectives = [dict(zip(RATES, d)) for d in directions]
     values = support_value([(sys, objectives)])[0]
     alone = [support_value([(sys, [o])])[0][0] for o in objectives]

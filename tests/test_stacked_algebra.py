@@ -161,6 +161,27 @@ def test_random_psd_under_stacks_the_draws_of_as_many_calls():
     assert one.uniform() == many.uniform()
 
 
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.tuples(st.booleans(), st.integers(1, 3),
+                                                     st.integers(0, 3)), max_size=6))
+def test_bare_generator_draws_are_the_normal_and_uniform_draws(seed, calls):
+    # standard_normal and random filling a buffer give the values of
+    # normal(size=...) and uniform(0.0, 1.0, size=...) and leave the
+    # generator where those calls leave it
+    bare, full = np.random.default_rng(seed), np.random.default_rng(seed)
+    for normal, d, lead in calls:
+        shape = (lead, d, d) if normal else (d,)
+        out = np.empty(shape)
+        if normal:
+            bare.standard_normal(out=out)
+            want = full.normal(size=shape)
+        else:
+            bare.random(out=out)
+            want = full.uniform(0.0, 1.0, size=shape)
+        assert out.tobytes() == want.tobytes()
+    assert bare.normal() == full.normal() and bare.uniform() == full.uniform()
+
+
 # --- the commands print what the per-instance loops printed ------------------------
 
 
