@@ -465,7 +465,9 @@ def vertices(region) -> VPolytope:
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
     are solved and filtered by feasibility at ``VERTEX_TOL``; a vertex is
     fixed by its rows active within ``VERTEX_TOL``, and the bases of one
-    degenerate vertex give it once.  The region lies in the orthant, so it
+    degenerate vertex give it once.  A coordinate the filter keeps below 0
+    (by at most ``VERTEX_TOL``) is returned as 0, so every vertex lies in
+    the orthant.  The region lies in the orthant, so it
     holds no line, and when nonempty it has a vertex: no surviving basis means
     an empty region, with no LP solved.  A nonempty region must be bounded,
     and its recession cone ``{r >= 0, A r <= 0}`` depends on the shared rows
@@ -511,6 +513,8 @@ def vertices(region) -> VPolytope:
         active = lhs[member, basis] >= blk[member] - VERTEX_TOL
         parts.append(_unique_vertices(sols[member, basis], member, active, len(blk)))
     pts, counts = (np.concatenate(x) for x in zip(*parts))
+    # a vertex kept within VERTEX_TOL outside an orthant wall lies on it
+    pts = np.maximum(pts, 0.0)
     # max sum(r) over r >= 0, A r <= 0, sum(r) <= 1 is 1 when the cone holds a
     # nonzero direction and 0 otherwise
     if counts.any() and solve_lp(-np.ones(d), np.vstack([A_exp, np.ones(d)]),

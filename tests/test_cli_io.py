@@ -1251,6 +1251,14 @@ def test_inputs_each_within_their_mass_tolerance_are_evaluated_together(tmp_path
     assert main(["region", cmd, "--channel", plain, "--aux", exact, "--format", "csv"]) == 0
     want = _rhs_column(capsys.readouterr().out)
     assert len(got) == len(want) and max(abs(g - w) for g, w in zip(got, want)) <= 1e-11
+    # the bounds of the heavy pair can read about -1e-12 where the exact pair's
+    # are 0, and its vertices stay in the orthant all the same
+    assert main(["region", cmd, "--channel", ch, "--aux", aux, "--vertices", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    coords = [r[v] for r in rows for v in ("Rp1", "Rs1", "Rp2", "Rs2")]
+    assert rows and all(float(x) >= 0.0 and not x.startswith("-") for x in coords), coords
+    assert main(["region", cmd, "--channel", ch, "--aux", aux, "--vertices"]) == 0
+    assert "-" not in capsys.readouterr().out
 
 
 def _ineq_systems_built(monkeypatch, argv):

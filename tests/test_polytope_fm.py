@@ -165,6 +165,14 @@ def test_vertices_unit_square():
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+def test_vertices_put_a_coordinate_kept_below_a_wall_on_it():
+    # x + y <= -1e-12 is feasible within VERTEX_TOL only at the origin, which
+    # its bases solve as (-1e-12, 0) and (0, -1e-12)
+    s = num_sys(("x", "y"), [({"x": 1, "y": 1}, -1e-12), ({"y": 1}, 1)])
+    v = vertices(s).vertices
+    assert len(v) and (v >= 0.0).all() and not np.signbit(v).any()
+
+
 def test_vertices_simplex():
     s = num_sys(("x", "y", "z"), [({"x": 1, "y": 1, "z": 1}, 1)])
     assert vertices(s).vertices.shape[0] == 4

@@ -1,6 +1,6 @@
 """Compare what two source trees of the package print and write, command by command.
 
-    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE [--seeds 0 1] [--seconds 20]
+    python3 tools/same_outputs.py PARENT_TREE CHANGE_TREE
 
 Each tree is a checkout holding ``src/wiretap_regions``.  The script runs the
 same ``wtr`` commands in one fresh interpreter per tree (``PYTHONPATH`` set to
@@ -8,11 +8,11 @@ the tree's ``src``, one BLAS thread), each command in process through
 ``cli.main(argv)``, and compares, per command, the exit code, stdout, stderr
 and the bytes of every file the command wrote.  The commands are:
 
-- the benchmark ops of every workload and seed in ``--seeds``: the ops a
-  ``perfbench/run.py --seconds SECONDS`` run issues (op 0 and its warm ops,
-  which include the probes' ops), built with the workload's own input
-  generator from ``PARENT_TREE/perfbench/spec.py``, the only file of
-  ``perfbench/`` read;
+- the benchmark ops of every workload at seeds 0 and 1: the ops a
+  ``perfbench/run.py`` run of ``PARENT_TREE/BENCHMARK.json``'s
+  ``run_seconds`` issues (op 0 and its warm ops, which include the probes'
+  ops), built with the workload's own input generator from
+  ``PARENT_TREE/perfbench/spec.py``, the only file of ``perfbench/`` read;
 - every ``wtr`` line of the ``sh`` blocks of ``CHANGE_TREE/README.md``, run
   beside small input files named as the README names them;
 - lone ``region eval-*`` and ``gauss eval`` commands: every bound, with and
@@ -39,6 +39,7 @@ import sys
 import tempfile
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+SEEDS = (0, 1)   # the benchmark seeds whose ops are compared
 
 
 # --- worker: runs inside each tree's interpreter ------------------------------------
@@ -85,12 +86,13 @@ def _load_spec(tree: str):
     return spec
 
 
-def benchmark_commands(spec, seeds, seconds: float, inputs: str) -> list:
-    """The ops of every workload and seed, their channel files under ``inputs``
-    and their ``--out`` files under ``out/`` of the run directory."""
+def benchmark_commands(spec, seconds: float, inputs: str) -> list:
+    """The ops of every workload and seed of a run of ``seconds``, their
+    channel files under ``inputs`` and their ``--out`` files under ``out/``
+    of the run directory."""
     commands = []
     for name, workload in spec.WORKLOADS.items():
-        for seed in seeds:
+        for seed in SEEDS:
             indices = range(1 + workload.warm_ops(seconds))
             folder = os.path.join(inputs, f"{name}-seed{seed}")
             os.makedirs(folder)
@@ -229,9 +231,6 @@ def main(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("parent", nargs="?", help="the parent source tree")
     ap.add_argument("change", nargs="?", help="the changed source tree")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
-    ap.add_argument("--seconds", type=float, default=20.0,
-                    help="the --seconds of the benchmark run whose ops are compared")
     ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.worker:
@@ -242,10 +241,12 @@ def main(argv=None) -> int:
         if not os.path.isfile(os.path.join(tree, "src", "wiretap_regions", "cli.py")):
             ap.error(f"no program source under {tree}")
     spec = _load_spec(args.parent)
+    with open(os.path.join(args.parent, "BENCHMARK.json"), encoding="utf-8") as fh:
+        seconds = json.load(fh)["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="same-outputs-") as work:
         inputs = os.path.join(work, "inputs")
         os.makedirs(inputs)
-        commands = (benchmark_commands(spec, args.seeds, args.seconds, inputs)
+        commands = (benchmark_commands(spec, seconds, inputs)
                     + readme_commands(args.change) + lone_eval_commands(spec, inputs))
         files = readme_files()
         procs = [run_tree(tree, os.path.join(work, side), commands, files)
