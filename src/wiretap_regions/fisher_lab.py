@@ -41,7 +41,8 @@ from .errors import (
 )
 from .polytope_fm import SystemStack, vertices
 from .regions_discrete import dominance_slack, five_bound_system, pareto_front
-from .regions_gaussian import GaussChannel, check_psd, logdet, project_range, scalar_of
+from .regions_gaussian import (GaussChannel, check_psd, cholesky, logdet, project_range,
+                               scalar_of)
 
 TWO_PI_E = 2.0 * math.pi * math.e
 
@@ -458,13 +459,17 @@ def _min_eig(m) -> np.ndarray:
 def _segment_integral(k1, k2, sn):
     """Trapezoid value, on 65 nodes, of the integral over t in [0, 1] of
     ``tr((K1 + t (K2 - K1) + S)^{-1} (K2 - K1))`` for each instance of the
-    stacks ``(..., d, d)``, all nodes in one solve: an array of their values."""
+    stacks ``(..., d, d)``: an array of their values.
+
+    With ``K1 + S = L L^T`` and mu the eigenvalues of ``L^{-1} (K2 - K1) L^{-T}``,
+    the integrand at t is ``sum_i mu_i / (1 + t mu_i)``: one Cholesky
+    factorization and one eigendecomposition an instance give every node.
+    A ``K1 + S`` that is not positive definite raises SingularMatrix."""
     ts = np.linspace(0.0, 1.0, 65)
-    k1, step, sn = (m[..., None, :, :] for m in (k1, k2 - k1, sn))
-    stack = k1 + ts[:, None, None] * step + sn
-    vals = np.trace(np.linalg.solve(stack, np.broadcast_to(step, stack.shape)),
-                    axis1=-2, axis2=-1)
-    return np.trapezoid(vals, ts, axis=-1)
+    linv = np.linalg.inv(cholesky(k1 + sn))
+    m = linv @ (k2 - k1) @ linv.mT
+    mu = np.linalg.eigvalsh(0.5 * (m + m.mT))[..., None, :]
+    return np.trapezoid((mu / (1.0 + ts[:, None] * mu)).sum(axis=-1), ts, axis=-1)
 
 
 # The d x d normal draws of one lemma instance after its joint covariance's

@@ -55,6 +55,12 @@ ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 
 # Singular value of a flat hull cloud, relative to its largest, above which
 # its direction spans the cloud's affine hull.
 HULL_RANK_RTOL = 1e-9
+# Decimal places a sweep's point cloud is rounded to before hull_of merges
+# equal points: a quantum of 1e-12 nats, absolute.
+HULL_DECIMALS = 12
+# Decimal places an aux's probabilities are rounded to before they are hashed
+# into its sample's tag: a quantum of 1e-12, absolute.
+AUX_HASH_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -302,7 +308,7 @@ class SweepResult:
 
 
 def _aux_hash(probs: np.ndarray) -> str:
-    h = hashlib.sha256(np.round(probs, 12).tobytes())
+    h = hashlib.sha256(np.round(probs, AUX_HASH_DECIMALS).tobytes())
     return h.hexdigest()[:12]
 
 
@@ -311,7 +317,7 @@ def hull_of(points: np.ndarray) -> np.ndarray:
     cloud that Qhull refuses as flat is hulled inside its own affine span."""
     from scipy.spatial import ConvexHull, QhullError
 
-    pts = unique_rows(np.round(points, 12) + 0.0)[0]   # + 0.0: no -0.0 from rounding
+    pts = unique_rows(np.round(points, HULL_DECIMALS) + 0.0)[0]   # + 0.0: no -0.0 from rounding
     if pts.shape[0] <= 1:
         return pts
     try:

@@ -9,6 +9,7 @@ bounds are halves of natural-log determinant ratios, in nats.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -60,7 +61,7 @@ MAX_ENTRY = 1e300
 # of entries that the quadrature and the precoding check form stay normal.
 MIN_SCALE = 1e-150
 
-# _sym, check_psd, check_pd, psd_leq, logdet, dpc_matrix, project_range,
+# _sym, check_psd, check_pd, psd_leq, cholesky, logdet, dpc_matrix, project_range,
 # gauss_mi, dpc_identity_check and random_psd_under take a matrix or a stack of
 # matrices (..., d, d) and compute each matrix of a stack exactly as alone.  A
 # matrix that breaks a check raises for the first such instance k of the
@@ -134,15 +135,20 @@ def psd_leq(a, b):
     return bool(ok) if ok.ndim == 0 else ok
 
 
-def logdet(m):
-    """log det of a positive definite matrix via Cholesky, a float (an array
-    for a stack); raises on failure."""
-    a = _sym(m)
+def cholesky(a) -> np.ndarray:
+    """Lower Cholesky factor of a positive definite matrix (of each matrix of
+    a stack), read from its lower triangle; SingularMatrix otherwise."""
     try:
-        chol = np.linalg.cholesky(a)
+        return np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise at_instance(SingularMatrix, _first_failure(np.linalg.cholesky, a)[0],
                           "nonpositive pivot in Cholesky factorization") from None
+
+
+def logdet(m):
+    """log det of a positive definite matrix via Cholesky, a float (an array
+    for a stack); raises on failure."""
+    chol = cholesky(_sym(m))
     out = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
     return float(out) if out.ndim == 0 else out
 
@@ -154,6 +160,21 @@ def scalar_of(m, what: str) -> float:
     if a.shape != (1, 1):
         raise ValidationError(f"{what} must be a 1x1 matrix, got shape {a.shape}")
     return float(a[0, 0])
+
+
+def _check_entries(m, name: str) -> None:
+    """ValidationError unless every entry of the channel matrix ``m`` (of each
+    matrix of a stack) is finite and at most ``MAX_ENTRY`` in magnitude and
+    the matrix holds an entry of magnitude at least ``MIN_SCALE``."""
+    a = np.abs(np.asarray(m, dtype=float))
+    big = a.max(initial=0.0)
+    if not big <= MAX_ENTRY:
+        raise ValidationError(f"{name} has an entry of magnitude {big:.3g}; channel "
+                              f"entries must be finite and at most {MAX_ENTRY:g}")
+    scale = np.atleast_2d(a).max(axis=(-2, -1), initial=0.0)
+    raise_for_first(scale < MIN_SCALE, ValidationError,
+                    lambda k: f"{name} has largest entry magnitude {scale[k]:.3g}; "
+                              f"channel matrices must hold an entry of at least {MIN_SCALE:g}")
 
 
 @dataclass(frozen=True)
@@ -170,25 +191,24 @@ class GaussChannel:
     SigmaZ: np.ndarray
 
     def __post_init__(self):
-        for name in ("S", "Sigma1", "Sigma2", "SigmaZ"):
-            a = np.abs(np.asarray(getattr(self, name), dtype=float))
-            big = a.max(initial=0.0)
-            if not big <= MAX_ENTRY:
-                raise ValidationError(f"{name} has an entry of magnitude {big:.3g}; channel "
-                                      f"entries must be finite and at most {MAX_ENTRY:g}")
-            scale = np.atleast_2d(a).max(axis=(-2, -1), initial=0.0)
-            raise_for_first(scale < MIN_SCALE, ValidationError,
-                            lambda k: f"{name} has largest entry magnitude {scale[k]:.3g}; "
-                                      f"channel matrices must hold an entry of at least "
-                                      f"{MIN_SCALE:g}")
-        object.__setattr__(self, "S", check_pd(self.S, "S"))
-        object.__setattr__(self, "Sigma1", check_pd(self.Sigma1, "Sigma1"))
-        object.__setattr__(self, "Sigma2", check_pd(self.Sigma2, "Sigma2"))
-        object.__setattr__(self, "SigmaZ", check_pd(self.SigmaZ, "SigmaZ"))
+        names = ("S", "Sigma1", "Sigma2", "SigmaZ")
+        for name in names:
+            _check_entries(getattr(self, name), name)
+        for name in names:
+            object.__setattr__(self, name, check_pd(getattr(self, name), name))
         d = self.S.shape[-1]
         for m in (self.Sigma1, self.Sigma2, self.SigmaZ):
             if m.shape != (d, d):
                 raise DimensionMismatch("all channel matrices must share one dimension")
+
+    def with_caps(self, S) -> GaussChannel:
+        """This channel with the cap ``S`` (a stack of caps of its dimension),
+        checking only ``S``: the checked noise covariances and their cached
+        order carry over."""
+        _check_entries(S, "S")
+        out = copy.copy(self)
+        object.__setattr__(out, "S", check_pd(S, "S"))
+        return out
 
     @property
     def dim(self) -> int:
@@ -604,6 +624,6 @@ def sweep_covariances(ch: GaussChannel, budget: int, seed: int = 0,
             rng.random(out=u[k])
         q, _ = np.linalg.qr(rot)
         S = (q * np.clip(lam, CAP_EIG_FLOOR * p, None)[:, None, :]) @ q.mT
-        ch = GaussChannel(S, ch.Sigma1, ch.Sigma2, ch.SigmaZ)
+        ch = ch.with_caps(S)
         K = _psd_under(ch.S, g, u)
     return sweep_systems([f"K{i}" for i in range(budget)], eval_gauss_inner(CovSplit(K=K), ch))

@@ -14,6 +14,7 @@ from wiretap_regions.errors import (
     NoRoot,
     QuadratureNonConvergent,
     SingularConditionalCovariance,
+    SingularMatrix,
     StepTooLarge,
     ValidationError,
     numbered,
@@ -777,7 +778,7 @@ def test_lemma6_fails_on_a_wrong_conditional_covariance(monkeypatch):
 
 
 def _segment_integral_loop(k1, k2, sn):
-    # one solve per trapezoid node: the L9 integral before it was batched
+    # one solve per trapezoid node: the L9 integral as the lemma states it
     ts = np.linspace(0.0, 1.0, 65)
     vals = [float(np.trace(np.linalg.solve(k1 + t * (k2 - k1) + sn, k2 - k1))) for t in ts]
     return float(np.trapezoid(vals, ts))
@@ -795,7 +796,49 @@ def _psd_triples(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(_psd_triples())
 def test_batched_segment_integral_equals_the_per_node_loop(triple):
-    assert fisher_lab._segment_integral(*triple) == _segment_integral_loop(*triple)
+    # the eigenvalue form sums the nodes' traces in another order than a solve does
+    loop = _segment_integral_loop(*triple)
+    assert abs(fisher_lab._segment_integral(*triple) - loop) <= 1e-12 * max(1.0, abs(loop))
+
+
+def _segment_stack(rng, n, d):
+    a, b, c = (rng.normal(size=(3, n, d, d)))
+    k1 = a @ a.mT
+    return k1, k1 + b @ b.mT, c @ c.mT + 0.1 * np.eye(d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_stacked_segment_integral_gives_each_member_its_lone_bits(d):
+    k1, k2, sn = _segment_stack(np.random.default_rng(90 + d), 40, d)
+    stacked = fisher_lab._segment_integral(k1, k2, sn)
+    assert stacked.shape == (40,)
+    for k in range(40):
+        assert stacked[k] == fisher_lab._segment_integral(k1[k], k2[k], sn[k])
+
+
+def test_a_downhill_segment_reports_a_negative_l9(monkeypatch):
+    # mutation: K1 and K2 swapped, so K2 - K1 <= 0 and log|K2+S| - log|K1+S| < 0;
+    # the suite and the command must show the broken lemma as a negative slack
+    k1, k2, sn = _segment_stack(np.random.default_rng(95), 60, 2)
+    assert (fisher_lab._segment_integral(k2, k1, sn) < 0.0).all()
+    segment = fisher_lab._segment_integral
+    monkeypatch.setattr(fisher_lab, "_segment_integral", lambda k1, k2, sn: segment(k2, k1, sn))
+    rep = lemma_suite_check(seed=3, count=30)
+    l9 = [s for l, _, _, s in rep.rows if l == "L9"]
+    assert len(l9) == 30 and max(l9) < 0.0
+    assert cli.main(["fisher", "lemmas", "--budget", "30", "--seed", "3"]) == 1
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("p_k", [np.diag([1.0, -1.0]), np.zeros((2, 2))],
+                         ids=["indefinite", "singular"])
+def test_a_segment_from_a_non_positive_definite_start_names_its_instance(k, p_k):
+    k1, k2, sn = _segment_stack(np.random.default_rng(97), 4, 2)
+    k1[k], sn[k] = p_k, np.zeros((2, 2))   # K1 + S_N of instance k is p_k
+    with pytest.raises(SingularMatrix, match=f"^instance {k}: nonpositive pivot in Cholesky"):
+        fisher_lab._segment_integral(k1, k2, sn)
+    with pytest.raises(SingularMatrix, match="^nonpositive pivot in Cholesky"):
+        fisher_lab._segment_integral(k1[k], k2[k], sn[k])
 
 
 @pytest.mark.parametrize("d_u", [0, 1, 2])

@@ -389,6 +389,24 @@ def test_sweep_budget_monotone():
         assert in_hull(p, big.points, tol=1e-9)
 
 
+def test_general_sweep_empty_samples_by_draw_family():
+    # a baseline that a change of either draw family must move on purpose:
+    # even samples draw V1 and V2 independent given U, odd samples draw
+    # (V1, V2, X) given U from one flat Dirichlet, whose Marton penalty
+    # I(V1;V2|U) empties every region.  Channels shaped as the benchmark's:
+    # |X| = 3 cascades, each stage half the identity and half a Dirichlet(2) draw
+    empty, drawn = [0, 0], [0, 0]
+    for k in range(4):
+        rng = np.random.default_rng([25, k])
+        ch = build_degraded_joint(*(0.5 * np.eye(3) + 0.5 * rng.dirichlet([2.0] * 3, size=3)
+                                    for _ in range(3)))
+        for i, _, _, n in sweep_inner_region(ch, 50, seed=k, mode="general").rows:
+            empty[i % 2] += n == 0
+            drawn[i % 2] += 1
+    assert drawn == [100, 100]
+    assert empty == [0, 100]
+
+
 def _gauss_2x2():
     from wiretap_regions.regions_gaussian import GaussChannel
 

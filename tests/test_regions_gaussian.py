@@ -168,6 +168,28 @@ def test_trace_P_sweep_checks_the_channel_once(monkeypatch):
     assert made[0]["psd_leq"] <= 3
 
 
+def test_a_trace_P_sweep_validates_its_noise_covariances_once(monkeypatch):
+    # the noises are checked when the channel is built; a sweep checks only
+    # the stack of caps it samples, and decides the noise order once
+    checked, orders = [], []
+    for name in ("_check_entries", "check_pd"):
+        real = getattr(regions_gaussian, name)
+        monkeypatch.setattr(regions_gaussian, name, lambda m, what, _real=real, _name=name:
+                            checked.append((_name, what)) or _real(m, what))
+    real_leq = regions_gaussian.psd_leq
+    monkeypatch.setattr(regions_gaussian, "psd_leq",
+                        lambda a, b: orders.append(b) or real_leq(a, b))
+    eye = np.eye(2)
+    ch = GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * eye, Sigma2=eye,
+                      SigmaZ=2 * eye)
+    sweep_covariances(ch, budget=50, seed=3, mode="trace_P")
+    noises = ("Sigma1", "Sigma2", "SigmaZ")
+    assert [c for c in checked if c[1] in noises] == \
+        [("_check_entries", n) for n in noises] + [("check_pd", n) for n in noises]
+    assert [c for c in checked if c[1] == "S"] == [("_check_entries", "S"), ("check_pd", "S")] * 2
+    assert sum(b is ch.SigmaZ for b in orders) == 1
+
+
 def test_only_scalar_of_reads_entry_0_0():
     # one scalar reader: every other [0, 0] read would need its own shape check
     for path in sorted(pathlib.Path(wiretap_regions.__file__).parent.glob("*.py")):

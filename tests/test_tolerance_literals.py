@@ -2,9 +2,11 @@
 
 A float literal other than 0.0 and 1.0 is taken as a tolerance when it sits
 inside an operand of a comparison or inside an argument of ``max``, ``min``,
-``np.maximum``, ``np.minimum`` or ``np.clip``.  Such a literal must be part
-of a module-level constant's assignment, or be one of the halves and
-thresholds on the allow-list below.
+``np.maximum``, ``np.minimum`` or ``np.clip``, and an int literal is taken as
+a rounding quantum when it is the decimals argument of ``np.round``,
+``round`` or a ``.round`` method.  Such a literal must be part of a
+module-level constant's assignment, or be one of the halves and thresholds
+on the allow-list below.
 """
 
 import ast
@@ -31,6 +33,30 @@ def _is_clamp(call: ast.Call) -> bool:
     f = call.func
     name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
     return name in _CLAMPS
+
+
+def _rounding_decimals(call: ast.Call):
+    """The decimals argument of a call to ``np.round``, ``round`` or a
+    ``.round`` method, or None for any other call."""
+    f = call.func
+    if isinstance(f, ast.Name) and f.id == "round":
+        at = 1                                     # round(x, ndigits)
+    elif isinstance(f, ast.Attribute) and f.attr == "round":
+        module = isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy")
+        at = 1 if module else 0                    # np.round(x, decimals), x.round(decimals)
+    else:
+        return None
+    if len(call.args) > at:
+        return call.args[at]
+    return next((k.value for k in call.keywords if k.arg in ("decimals", "ndigits")), None)
+
+
+def _int_literal(node):
+    """The value of an int constant (a negated one read as negative), else None."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        value = _int_literal(node.operand)
+        return None if value is None else -value
+    return node.value if isinstance(node, ast.Constant) and type(node.value) is int else None
 
 
 def _float_literals(node):
@@ -76,13 +102,18 @@ class _Finder(ast.NodeVisitor):
     def visit_Call(self, node):
         if _is_clamp(node):
             self._flag([*node.args, *(k.value for k in node.keywords)])
+        decimals = _rounding_decimals(node)
+        if decimals is not None and _int_literal(decimals) is not None:
+            self.found.append((self.scope[-1] if self.scope else "", decimals.lineno,
+                               _int_literal(decimals)))
         self.generic_visit(node)
 
 
 def bare_tolerances(tree: ast.Module):
-    """(function, line, value) of every float literal used as a tolerance
-    outside a module-level assignment, in source order (a literal inside a
-    nested comparison and clamp is listed once)."""
+    """(function, line, value) of every float literal used as a tolerance and
+    every int literal used as a rounding quantum outside a module-level
+    assignment, in source order (a literal inside a nested comparison and
+    clamp is listed once)."""
     finder = _Finder()
     for stmt in tree.body:
         if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -128,3 +159,15 @@ def test_the_guard_flags_comparisons_and_clamps_but_not_constants():
     )
     assert bare_tolerances(ast.parse(src)) == [("f", 4, 1e-9), ("f", 5, -1e-12),
                                                ("f", 8, 0.25), ("f", 8, 1e-3)]
+
+
+def test_the_guard_flags_a_literal_rounding_quantum():
+    src = (
+        "DECIMALS = round(2.5, 1)\n"
+        "def f(x, n):\n"
+        "    a = np.round(x, 12) + round(x, ndigits=-3)\n"
+        "    b = x.round(9) + numpy.round(x, decimals=6) + np.round(x)\n"
+        "    return a + b + np.round(x, DECIMALS) + x.round(n) + round(x)\n"
+    )
+    assert bare_tolerances(ast.parse(src)) == [("f", 3, 12), ("f", 3, -3), ("f", 4, 9),
+                                               ("f", 4, 6)]

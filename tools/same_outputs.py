@@ -17,7 +17,10 @@ and the bytes of every file the command wrote.  The commands are:
   beside small input files named as the README names them;
 - lone ``region eval-*`` and ``gauss eval`` commands: every bound, with and
   without ``--vertices``, in both output formats, on generated channels,
-  auxes and splits.
+  auxes and splits;
+- ``fisher lemmas --budget 1000 --mixtures`` and ``fisher debruijn --budget
+  200`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
+  instances and seeds than the benchmark's ``fisher`` ops.
 
 A command that raises out of ``cli.main`` is recorded by the exception's
 type and message, not its traceback, whose paths name the tree.  Prints one
@@ -40,6 +43,9 @@ import tempfile
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1)   # the benchmark seeds whose ops are compared
+FISHER_SEEDS = (0, 1, 2, 3)
+FISHER_COMMANDS = (("fisher", "lemmas", "--budget", "1000", "--mixtures"),
+                   ("fisher", "debruijn", "--budget", "200"))
 
 
 # --- worker: runs inside each tree's interpreter ------------------------------------
@@ -208,6 +214,13 @@ def lone_eval_commands(spec, inputs: str) -> list:
     return commands
 
 
+def fisher_commands() -> list:
+    """Every command of ``FISHER_COMMANDS`` at every seed of ``FISHER_SEEDS``,
+    its CSV written under ``out/`` of the run directory."""
+    return [["fisher", [*argv, "--seed", str(seed), "--out", f"out/{argv[1]}-seed{seed}.csv"]]
+            for seed in FISHER_SEEDS for argv in FISHER_COMMANDS]
+
+
 # --- comparison ---------------------------------------------------------------------
 
 
@@ -247,7 +260,8 @@ def main(argv=None) -> int:
         inputs = os.path.join(work, "inputs")
         os.makedirs(inputs)
         commands = (benchmark_commands(spec, seconds, inputs)
-                    + readme_commands(args.change) + lone_eval_commands(spec, inputs))
+                    + readme_commands(args.change) + lone_eval_commands(spec, inputs)
+                    + fisher_commands())
         files = readme_files()
         procs = [run_tree(tree, os.path.join(work, side), commands, files)
                  for tree, side in ((args.parent, "parent"), (args.change, "change"))]
