@@ -52,7 +52,8 @@ def _rounding_decimals(call: ast.Call):
 
 
 def _int_literal(node):
-    """The value of an int constant (a negated one read as negative), else None."""
+    """The value of an int constant node (a negated one read as negative), or
+    None for any other node or None."""
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         value = _int_literal(node.operand)
         return None if value is None else -value
@@ -103,9 +104,9 @@ class _Finder(ast.NodeVisitor):
         if _is_clamp(node):
             self._flag([*node.args, *(k.value for k in node.keywords)])
         decimals = _rounding_decimals(node)
-        if decimals is not None and _int_literal(decimals) is not None:
-            self.found.append((self.scope[-1] if self.scope else "", decimals.lineno,
-                               _int_literal(decimals)))
+        value = _int_literal(decimals)
+        if value is not None:
+            self.found.append((self.scope[-1] if self.scope else "", decimals.lineno, value))
         self.generic_visit(node)
 
 
