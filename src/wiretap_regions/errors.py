@@ -166,7 +166,7 @@ class NoRoot(WiretapError):
 
 
 class QuadratureNonConvergent(WiretapError):
-    """Grid refinement did not stabilize the quadrature value."""
+    """Grid refinement did not stabilize a quadrature value, or it left its error bound."""
 
 
 # --- file I/O ----------------------------------------------------------------

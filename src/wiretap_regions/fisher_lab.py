@@ -472,6 +472,25 @@ def _segment_integral(k1, k2, sn):
     return np.trapezoid((mu / (1.0 + ts[:, None] * mu)).sum(axis=-1), ts, axis=-1)
 
 
+# Rounding allowance of the L9 check, relative to 1 + |log|K2+S| - log|K1+S||.
+L9_RTOL = 1e-12
+
+
+def _check_segment(value, k1, k2, sn) -> None:
+    """QuadratureNonConvergent for the first L9 value outside [I - r, I +
+    sum(mu_i^3) / 24576 + r], I = log|K2+S| - log|K1+S| and r = L9_RTOL (1 +
+    |I|): the integrand is convex, f'' <= 2 sum(mu_i^3), so the trapezoid at
+    h = 1/64 exceeds I by at most h^2/12 max f''.  sum(mu_i^3) is the trace
+    of ((K1+S)^{-1} (K2-K1))^3."""
+    exact = logdet(k2 + sn) - logdet(k1 + sn)
+    m = np.linalg.solve(k1 + sn, k2 - k1)
+    top = exact + np.trace(m @ m @ m, axis1=-2, axis2=-1) / 24576.0
+    r = L9_RTOL * (1.0 + np.abs(exact))
+    raise_for_first(~((exact - r <= value) & (value <= top + r)), QuadratureNonConvergent,
+                    lambda k: f"L9 value {value[k]:.9e} is off the closed form {exact[k]:.9e} "
+                              f"beyond its trapezoid bound")
+
+
 # The d x d normal draws of one lemma instance after its joint covariance's
 # 2d x 2d draw, in stream order; "d" names an increment (s2 = s1 + psd(ds2)).
 _LEMMA_DRAWS = ("s1", "ds2", "su", "a", "b", "wa", "wb", "k1m", "dk2m", "sN", "A", "dB")
@@ -515,10 +534,12 @@ def _gauss_lemmas(joint: np.ndarray, draws: np.ndarray) -> dict[str, np.ndarray]
     # inverse reverses the semidefinite order
     A = _psd(g["A"], 0.1)
     B = A + _psd(g["dB"], 0.0)
+    l9 = _segment_integral(k1m, k2m, sN)
+    _check_segment(l9, k1m, k2m, sN)
     return {"L6": _min_eig(jy - j1),
             "L7": _min_eig(gap),
             "L8": _min_eig(np.linalg.inv(cov_x_v) - np.linalg.inv(cov_x_u)),
-            "L9": _segment_integral(k1m, k2m, sN),
+            "L9": l9,
             "L11": h - bound,
             "L12": _min_eig(np.linalg.inv(A) - np.linalg.inv(B))}
 

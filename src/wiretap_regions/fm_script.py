@@ -323,13 +323,14 @@ def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, in
     of the instantiations, one member each.  Every kept region is
     instantiated, with its dropped rows, once over all the members, and one
     :func:`support_value` call answers every row of every (step, member), from
-    two LPs per replay.  An instantiation whose kept region is empty
-    certifies nothing (every dropped row is vacuous there); one that a single
-    row proves empty costs no LP.  Returns, per job and per extra row, the
-    worst slack over informative instantiations (<= tol required; ``inf``
-    once the kept region is unbounded in the row's direction, and later
-    members are then not read for that row) and the count of informative
-    instantiations (0 means the row was never exercised).
+    two LPs per replay, each step's members as one stack.  An instantiation
+    whose kept region is empty certifies nothing (every dropped row is vacuous
+    there); one that a single row proves empty costs no LP.  Returns, per job
+    and per extra row, the worst slack over informative instantiations (<=
+    tol required; ``inf`` once the kept region is unbounded in the row's
+    direction, and later members are then not read for that row) and the
+    count of informative instantiations (0 means the row was never
+    exercised).
     """
     members = len(next(iter(syms.values())))
     lp_jobs, where, rhs = [], [], {}
@@ -337,16 +338,13 @@ def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, in
         objs = [{v: float(c) for v, c in q.coeffs} for q in extras]
         m = len(kept.ineqs)
         both = instantiate(kept.with_ineqs(kept.ineqs + tuple(extras)), tables, syms).rhs
-        kept_stack = SystemStack(kept, both[:, :m])
         # a <= row with no negative coefficient and a negative rhs holds no
         # point of the orthant: its left side is >= 0 there
         nonnegative = [q.rel == LE and all(c >= 0 for _, c in q.nums) for q in kept.ineqs]
-        empty = (both[:, :m][:, nonnegative] < 0).any(axis=1)
-        for t, dropped in enumerate(both[:, m:].tolist()):
-            rhs[n, t] = dropped
-            if not empty[t]:
-                lp_jobs.append((kept_stack.member(t), objs))
-                where.append((n, t))
+        full = ~(both[:, :m][:, nonnegative] < 0).any(axis=1)
+        lp_jobs.append((SystemStack(kept, both[full, :m]), objs))
+        where += [(n, t) for t in np.flatnonzero(full).tolist()]
+        rhs.update(((n, t), dropped) for t, dropped in enumerate(both[:, m:].tolist()))
     answers = dict(zip(where, support_value(lp_jobs)))
     out = []
     for n, (_, extras) in enumerate(jobs):

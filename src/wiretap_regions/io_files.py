@@ -17,7 +17,7 @@ import numpy as np
 from .entropy_algebra import FactorStructure
 from .errors import IoError, ParseError, ValidationError, WiretapError
 from .info_core import ChannelSpec, VarId, make_table
-from .polytope_fm import IneqSystem, VPolytope
+from .polytope_fm import SystemStack, VPolytope
 from .regions_discrete import AuxJoint, SweepResult
 from .regions_gaussian import CovSplit, GaussChannel, HGaussChannel
 
@@ -247,16 +247,17 @@ def csv_text(header, rows) -> str:
 
 
 def region_csv_text(obj) -> str:
-    """Deterministic CSV for a numeric system, a vertex list or a sweep.
+    """Deterministic CSV for a region stack, a vertex list or a sweep.
 
     The ``kind`` column distinguishes constraint, vertex, sample and
-    hull_vertex rows; floats use 12 significant digits.  An empty polytope
-    yields the header plus a single ``EMPTY`` note row.
+    hull_vertex rows, a stack's constraints member by member; floats use 12
+    significant digits.  An empty polytope yields the header plus a single
+    ``EMPTY`` note row.
     """
-    if isinstance(obj, IneqSystem):
+    if isinstance(obj, SystemStack):
         header = ["kind", "label", *obj.vars, "rhs"]
-        rows = [["constraint", q.label or "", *(_fmt(q.coeff(v)) for v in obj.vars),
-                 _fmt(q.rhs)] for q in obj.ineqs]
+        rows = [["constraint", q.label or "", *(_fmt(q.coeff(v)) for v in obj.vars), _fmt(b)]
+                for member in obj.rhs.tolist() for q, b in zip(obj.rows.ineqs, member)]
     elif isinstance(obj, VPolytope):
         header = ["kind", "label", *obj.vars, "rhs"]
         rows = [["vertex", f"v{i}", *map(_fmt, p), ""] for i, p in enumerate(obj.vertices)]
@@ -276,11 +277,9 @@ def region_csv_text(obj) -> str:
 
 def pretty_text(obj) -> str:
     """Terminal table rendering of the same objects."""
-    if isinstance(obj, IneqSystem):
-        out = []
-        for q in obj.ineqs:
-            out.append(f"  {q.label or '':10s} {q.lhs_text():28s} <= {_fmt(q.rhs)}")
-        return "\n".join(out)
+    if isinstance(obj, SystemStack):
+        return "\n".join(f"  {q.label or '':10s} {q.lhs_text():28s} <= {_fmt(b)}"
+                         for member in obj.rhs.tolist() for q, b in zip(obj.rows.ineqs, member))
     if isinstance(obj, VPolytope):
         if obj.vertices.shape[0] == 0:
             return "  (empty region)"

@@ -12,6 +12,9 @@ boundary: :meth:`LinIneq.of` takes any rationals, and ``coeffs`` and
 :meth:`LinIneq.coeff` give exact values.  A right-hand side is scaled by
 :func:`scale_rhs`: exactly on an ``InfoExpr``, and on a float by the float
 nearest the rational factor.
+
+A numeric region is a :class:`SystemStack`, a lone one a stack of one, and
+every routine that computes on numbers reads one.
 """
 
 from __future__ import annotations
@@ -125,9 +128,6 @@ class LinIneq:
         """``(variable, value)`` pairs: ``nums`` itself when ``den`` is 1."""
         return self.nums if self.den == 1 else tuple(
             (v, Fraction(c, self.den)) for v, c in self.nums)
-
-    def with_rhs(self, rhs) -> "LinIneq":
-        return LinIneq(self.nums, rhs, self.rel, self.label, self.den)
 
     def canonical(self) -> "LinIneq":
         """Positive content normalization: the primitive integer vector
@@ -358,24 +358,12 @@ class SystemStack:
         rhs.setflags(write=False)
         object.__setattr__(self, "rhs", rhs)
 
-    @staticmethod
-    def of(sys: IneqSystem) -> "SystemStack":
-        """A numeric system as a stack of one; ZeroCoefficient for a symbolic one."""
-        if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
-            raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
-        return SystemStack(sys, [[q.rhs for q in sys.ineqs]])
-
     @property
     def vars(self) -> tuple[str, ...]:
         return self.rows.vars
 
     def __len__(self) -> int:
         return len(self.rhs)
-
-    def member(self, k: int) -> IneqSystem:
-        """Member ``k`` as a system of its own."""
-        return self.rows.with_ineqs([q.with_rhs(b) for q, b in
-                                     zip(self.rows.ineqs, self.rhs[k].tolist())])
 
 
 @dataclass(frozen=True)
@@ -398,26 +386,6 @@ class VPolytope:
         for a, name in ((arr, "vertices"), (counts, "counts")):
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-
-
-def _numeric_rows(systems) -> list[tuple]:
-    """``(A, b, A_eq, b_eq)`` of each numeric system of :func:`support_value`.
-    The coefficient rows become floats once per distinct (variables, rows)
-    set, and the systems that have it share that read-only ``A`` and
-    ``A_eq``; the right-hand sides are each system's own."""
-    shared, out = [], []
-    for sys in systems:
-        if any(isinstance(q.rhs, InfoExpr) for q in sys.ineqs):
-            raise ZeroCoefficient("numeric operation on a symbolic system; instantiate first")
-        key = (sys.vars, tuple((q.rel, q.nums, q.den) for q in sys.ineqs))
-        # systems that share rows come in runs, so the latest set is tried first
-        mats = next((m for k, m in reversed(shared) if k == key), None)
-        if mats is None:
-            mats = _coefficient_rows(sys, allow_eq=True)
-            shared.append((key, mats))
-        out.append((mats[0], np.array([q.rhs for q in sys.ineqs if q.rel == LE], dtype=float),
-                    mats[1], np.array([q.rhs for q in sys.ineqs if q.rel == EQ], dtype=float)))
-    return out
 
 
 def _coefficient_rows(sys: IneqSystem, allow_eq: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -457,10 +425,9 @@ def solve_lp(c, A_ub=None, b_ub=None, A_eq=None, b_eq=None, bounds=(0, None), wh
     return res
 
 
-def vertices(region) -> VPolytope:
-    """Exact vertex enumeration by active-set basis enumeration, of one
-    numeric system or of a :class:`SystemStack` (a lone system is a stack of
-    one).
+def vertices(stack: SystemStack) -> VPolytope:
+    """Exact vertex enumeration by active-set basis enumeration, of every
+    member of a :class:`SystemStack` (a lone region is a stack of one).
 
     All ``d``-subsets of the constraint rows (explicit plus the orthant walls)
     are solved and filtered by feasibility at ``VERTEX_TOL``; a vertex is
@@ -487,10 +454,9 @@ def vertices(region) -> VPolytope:
     one :class:`VPolytope` holding each member's vertices in member order,
     with per-member ``counts``.
     """
-    d = len(region.vars)
+    d = len(stack.vars)
     if d > 6:
         raise DimensionTooLarge(f"vertex enumeration supports dimension <= 6, got {d}")
-    stack = region if isinstance(region, SystemStack) else SystemStack.of(region)
     A_exp = _coefficient_rows(stack.rows, allow_eq=False)[0]
     A = np.vstack([A_exp, -np.eye(d)])
     b = np.hstack([stack.rhs, np.zeros((len(stack), d))])   # (N, m)
@@ -567,55 +533,63 @@ def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[new], order[new], inverse
 
 
-def max_violation(sys: IneqSystem, point, var_order=None) -> float:
-    """Largest amount by which ``point`` violates the system (<=0 means inside)."""
-    b = SystemStack.of(sys).rhs[0]
-    A = _coefficient_rows(sys, allow_eq=False)[0]
-    x = np.asarray(point, dtype=float)
-    if var_order is not None and tuple(var_order) != sys.vars:
+def max_violation(stack: SystemStack, points, var_order=None) -> float:
+    """Largest amount by which a point (one point, or the rows of
+    ``points``; coordinates in ``var_order``, default ``stack.vars``) violates
+    a member of ``stack``, the orthant walls included (<= 0 means every point
+    lies inside every member)."""
+    x = np.atleast_2d(np.asarray(points, dtype=float))
+    if var_order is not None and tuple(var_order) != stack.vars:
         pos = {v: i for i, v in enumerate(var_order)}
-        x = x[[pos[v] for v in sys.vars]]
-    worst = float((A @ x - b).max()) if A.shape[0] else 0.0
-    return max(worst, float((-x).max()) if x.size else 0.0)
+        x = x[:, [pos[v] for v in stack.vars]]
+    A = _coefficient_rows(stack.rows, allow_eq=False)[0]
+    rows = (x @ A.T)[:, None, :] - stack.rhs
+    return float(max(rows.max(initial=-np.inf), (-x).max(initial=-np.inf)))
 
 
-def region_equal(a: IneqSystem, b: IneqSystem) -> bool:
-    """True iff the two numeric regions coincide (mutual vertex containment
-    within ``VERTEX_TOL``)."""
-    va = vertices(a)
-    vb = vertices(b)
-    for p in va.vertices:
-        if max_violation(b, p, var_order=va.vars) > VERTEX_TOL:
-            return False
-    for p in vb.vertices:
-        if max_violation(a, p, var_order=vb.vars) > VERTEX_TOL:
-            return False
+def region_equal(a: SystemStack, b: SystemStack) -> bool:
+    """True iff each member of ``a`` coincides with the same member of ``b``
+    (mutual vertex containment within ``VERTEX_TOL``); DimensionMismatch for
+    stacks of different lengths."""
+    if len(a) != len(b):
+        raise DimensionMismatch(f"stacks of {len(a)} and {len(b)} members compared")
+    va, vb = vertices(a), vertices(b)
+    for other, vp in ((b, va), (a, vb)):
+        for k, pts in enumerate(np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):
+            if max_violation(SystemStack(other.rows, other.rhs[k]), pts, vp.vars) > VERTEX_TOL:
+                return False
     return True
 
 
 def support_value(jobs) -> list[list]:
-    """``max objective . x`` over a numeric system, for every ``(system,
-    objectives)`` job.
+    """``max objective . x`` over each member of a numeric region stack, for
+    every ``(stack, objectives)`` job.
 
-    Returns, per job, one value per objective: ``-inf`` for every objective
-    of an empty region and ``None`` for one unbounded above.  Any list of jobs
-    costs at most two LPs of :func:`_block_lp`, both feasible and bounded by
-    construction.  The classification LP gives each job an elastic block
-    (``A x - e <= b``, ``|A_eq x - b_eq| <= e``, minimizing ``e``: the region
-    is nonempty when ``e`` is at most the primal feasibility tolerance of
+    Returns one answer list per member, the jobs' members in order, with
+    one value per objective: ``-inf`` for every objective of an empty region
+    and ``None`` for one unbounded above.  Each stack's coefficient matrices
+    are read once from its rows.  Any list of jobs costs at most two LPs of
+    :func:`_block_lp`, both feasible and bounded by construction.  The
+    classification LP gives each member an elastic block (``A x - e <= b``,
+    ``|A_eq x - b_eq| <= e``, minimizing ``e``: the region is nonempty when
+    ``e`` is at most the primal feasibility tolerance of
     ``CERT_LP_OPTIONS``) and each distinct (rows, objective) pair a recession
     block (``r >= 0``, ``A r <= 0``, ``A_eq r = 0``, ``sum(r) <= 1``,
     maximizing ``objective . r``: a nonempty region is unbounded in that
     direction when the optimum exceeds ``CERT_TOL``).  The support LP then
-    maximizes each (nonempty job, bounded objective) block over its own copy
-    of the job's variables and rows.  Unlike :func:`vertices` this accepts
-    equality rows.
+    maximizes each (nonempty member, bounded objective) block over its own
+    copy of the member's variables and rows.  Unlike :func:`vertices` this
+    accepts equality rows.
     """
-    rows = _numeric_rows([sys for sys, _ in jobs])
-    dirs = [_directions(sys, objectives) for sys, objectives in jobs]
-    keys = [(A.tobytes(), A_eq.tobytes()) for A, _, A_eq, _ in rows]
+    rows = []   # (A, b, A_eq, b_eq, objective vectors) of each member
+    for stack, objectives in jobs:
+        A, A_eq = _coefficient_rows(stack.rows, allow_eq=True)
+        le = np.array([q.rel == LE for q in stack.rows.ineqs], dtype=bool)
+        cs = [np.array([o.get(v, 0.0) for v in stack.vars], dtype=float) for o in objectives]
+        rows += [(A, b[le], A_eq, b[~le], cs) for b in stack.rhs]
+    keys = [(A.tobytes(), A_eq.tobytes()) for A, _, A_eq, _, _ in rows]
     elastic, cones = [], {}   # a recession cone depends on A and A_eq only
-    for k, (A, b, A_eq, b_eq), cs in zip(keys, rows, dirs):
+    for k, (A, b, A_eq, b_eq, cs) in zip(keys, rows):
         M = np.vstack([A, A_eq, -A_eq])
         elastic.append((np.hstack([M, -np.ones((len(M), 1))]), np.concatenate([b, b_eq, -b_eq]),
                         np.zeros((0, M.shape[1] + 1)), np.zeros(0),
@@ -624,9 +598,9 @@ def support_value(jobs) -> list[list]:
             cones.setdefault((k, c.tobytes()), (A, A_eq, c))
     parts = _block_lp(elastic + [(np.vstack([A, np.ones(len(c))]), np.append(np.zeros(len(A)), 1.0),
                                   A_eq, np.zeros(len(A_eq)), c) for A, A_eq, c in cones.values()])
-    bounded = {k: c @ r <= CERT_TOL for (k, (_, _, c)), r in zip(cones.items(), parts[len(jobs):])}
+    bounded = {k: c @ r <= CERT_TOL for (k, (_, _, c)), r in zip(cones.items(), parts[len(rows):])}
     out, blocks, slots = [], [], []
-    for j, ((A, b, A_eq, b_eq), cs, k, x) in enumerate(zip(rows, dirs, keys, parts)):
+    for j, ((A, b, A_eq, b_eq, cs), k, x) in enumerate(zip(rows, keys, parts)):
         empty = x[-1] > CERT_LP_OPTIONS["primal_feasibility_tolerance"]
         out.append([float("-inf") if empty else None] * len(cs))   # None: unbounded
         for i, c in enumerate(cs):
@@ -668,18 +642,6 @@ def block_diagonal_csr(blocks):
     m = block_diag(blocks, format="csr")
     m.eliminate_zeros()
     return m
-
-
-def _directions(sys: IneqSystem, objectives) -> list[np.ndarray]:
-    """Each objective as a dense vector over ``sys.vars``."""
-    pos = {v: i for i, v in enumerate(sys.vars)}
-    out = []
-    for objective in objectives:
-        c = np.zeros(len(sys.vars))
-        for v, w in objective.items():
-            c[pos[v]] = w
-        out.append(c)
-    return out
 
 
 def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:

@@ -95,25 +95,19 @@ def _check_layered(t: ProbTable) -> None:
                     f"{resid[k]:.2e} violates the layered factorization")
 
 
-def _evaluate(aux: AuxJoint, kind: str, refusal: str, fn):
+def _evaluate(aux: AuxJoint, kind: str, refusal: str, fn) -> SystemStack:
     """``fn`` of the aux's table as a stacked one, which returns a
-    :class:`SystemStack`: that stack for a stacked aux; for a lone aux, its
-    member 0, from ``fn`` of the table as a stack of one, whose errors name
-    no instance.  InconsistentAux(``refusal``) unless the aux is of ``kind``."""
+    :class:`SystemStack`: one member per member of a stacked aux, and for a
+    lone aux a stack of one, from the table as a stack of one whose errors
+    name no instance.  InconsistentAux(``refusal``) unless the aux is of
+    ``kind``."""
     if aux.kind != kind:
         raise InconsistentAux(refusal)
     t = aux.table
     if t.stacked:
         return fn(t)
     with numbered([()]):
-        return fn(ProbTable(t.vars, t.probs[None], stacked=True)).member(0)
-
-
-def _lone(aux: AuxJoint) -> AuxJoint:
-    """``aux``, refused (InconsistentAux) when its table is stacked."""
-    if aux.table.stacked:
-        raise InconsistentAux("this region takes a lone aux, not a stacked one")
-    return aux
+        return fn(ProbTable(t.vars, t.probs[None], stacked=True))
 
 
 def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
@@ -167,6 +161,13 @@ _PER_MESSAGE = _system([
 _DEGRADED_AUX = "degraded-channel bounds take an aux over (U, X)"
 
 
+def region_stack(rows: IneqSystem, columns) -> SystemStack:
+    """The stack over ``rows`` whose right-hand sides are ``columns``, one per
+    row: arrays of one length (a member per entry), or floats (a stack of one)."""
+    return SystemStack(rows, np.stack(np.broadcast_arrays(*columns), axis=-1)
+                       .reshape(-1, len(rows.ineqs)))
+
+
 def five_bound_system(iuy2, iuz, ixy1_u, ixz, ixz_u) -> SystemStack:
     """Five-bound degraded-channel regions from their five information
     quantities I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the
@@ -174,30 +175,36 @@ def five_bound_system(iuy2, iuz, ixy1_u, ixz, ixz_u) -> SystemStack:
     mixtures): one member per entry of the quantities (arrays of one length,
     or floats for a stack of one), each right-hand side summed in one fixed
     order."""
-    rhs = (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2, iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u)
-    return SystemStack(_FIVE_BOUNDS, np.stack(np.broadcast_arrays(*rhs), axis=-1).reshape(-1, 5))
+    return region_stack(_FIVE_BOUNDS, (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2,
+                                       iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u))
 
 
-def outer_of(inner: IneqSystem) -> IneqSystem:
-    """Outer bound: the five-bound inner system without the Rs1+Rp2+Rs2 constraint."""
-    return inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
+def _take(stack: SystemStack, keep) -> SystemStack:
+    """The rows of ``stack`` at the indices ``keep``, with their columns."""
+    return SystemStack(stack.rows.with_ineqs([stack.rows.ineqs[i] for i in keep]),
+                       stack.rhs[:, keep])
 
 
-def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec):
-    """Five-bound achievable region of the degraded channel for a fixed aux;
-    for a stacked aux, the :class:`SystemStack` of its members' regions,
-    every information quantity computed once for all of them."""
+def outer_of(inner: SystemStack) -> SystemStack:
+    """Outer bound: the five-bound inner regions without the Rs1+Rp2+Rs2 row."""
+    return _take(inner, [i for i, q in enumerate(inner.rows.ineqs) if q.label != "rs12p2"])
+
+
+def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
+    """Five-bound achievable region of the degraded channel for a fixed aux,
+    one member per member of a stacked aux, every information quantity
+    computed once for all of them."""
     return _evaluate(aux, "ux", _DEGRADED_AUX,
                      lambda t: five_bound_system(**_degraded_constants(t, ch)))
 
 
-def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Outer bound of the degraded channel for a fixed lone aux."""
-    return outer_of(eval_degraded_inner(_lone(aux), ch))
+def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
+    """Outer bound of the degraded channel for a fixed aux."""
+    return outer_of(eval_degraded_inner(aux, ch))
 
 
-def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
-    """Pre-elimination per-message form of a lone aux: each rate bounded
+def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
+    """Pre-elimination per-message form of an aux: each rate bounded
     individually.
 
     The public rates ride on the randomization the eavesdropper can resolve,
@@ -205,18 +212,17 @@ def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> IneqSystem:
     """
     def per_message(t):
         c = _degraded_constants(t, ch)
-        return SystemStack(_PER_MESSAGE, np.stack([c["iuz"], c["iuy2"] - c["iuz"], c["ixz_u"],
-                                                   c["ixy1_u"] - c["ixz_u"]], axis=-1))
-    return _evaluate(_lone(aux), "ux", _DEGRADED_AUX, per_message)
+        return region_stack(_PER_MESSAGE, (c["iuz"], c["iuy2"] - c["iuz"], c["ixz_u"],
+                                           c["ixy1_u"] - c["ixz_u"]))
+    return _evaluate(aux, "ux", _DEGRADED_AUX, per_message)
 
 
-def eval_general_inner(aux: AuxJoint, ch: ChannelSpec):
+def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded.  For a stacked aux, the
-    :class:`SystemStack` of its members' regions from one instantiation of
-    the target."""
+    Y2, Z.  The channel need not be degraded.  One member per member of a
+    stacked aux, from one instantiation of the target."""
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
@@ -236,7 +242,9 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
     """Embed a (U, X) aux as a layered aux with Q constant, V2 = U, V1 = X."""
     if aux.kind != "ux":
         raise InconsistentAux("reduction embeds a (U, X) aux")
-    p = _lone(aux).table.probs
+    if aux.table.stacked:
+        raise InconsistentAux("this region takes a lone aux, not a stacked one")
+    p = aux.table.probs
     cu, cx = p.shape
     arr = np.zeros((1, cu, cx, cu, cx))
     for u in range(cu):
@@ -248,48 +256,46 @@ def reduction_aux(aux: AuxJoint) -> AuxJoint:
     return AuxJoint(table)
 
 
-def _prune_dominated(sys: IneqSystem) -> IneqSystem:
-    """Drop the rows another row implies on the nonnegative orthant: a row
-    with at least another's coefficients and at most its right-hand side
-    implies it, so the rows kept are those :func:`pareto_front` keeps of
-    (coefficients, -rhs)."""
-    rows = np.array([[float(q.coeff(v)) for v in sys.vars] + [-q.rhs] for q in sys.ineqs],
-                    dtype=float).reshape(-1, len(sys.vars) + 1)
-    return sys.with_ineqs([sys.ineqs[i] for i in _undominated(rows)])
+def _prune_dominated(stack: SystemStack) -> SystemStack:
+    """Drop the rows another row implies on the nonnegative orthant in every
+    member: a row with at least another's coefficients and at most its
+    right-hand side implies it, so the rows kept are those
+    :func:`pareto_front` keeps of (coefficients, -rhs of every member)."""
+    coeffs = np.array([[float(q.coeff(v)) for v in stack.vars] for q in stack.rows.ineqs],
+                      dtype=float).reshape(-1, len(stack.vars))
+    return _take(stack, _undominated(np.hstack([coeffs, -stack.rhs.T])))
 
 
-def _zero_rates(sys: IneqSystem, names) -> IneqSystem:
-    out = []
-    for q in sys.ineqs:
-        coeffs = {v: c for v, c in q.coeffs if v not in names}
-        out.append(LinIneq.of(coeffs, q.rhs, q.rel, q.label))
-    remaining = tuple(v for v in sys.vars if v not in names)
-    return IneqSystem.of(remaining, [q for q in out if q.coeffs])
+def _zero_rates(stack: SystemStack, names) -> SystemStack:
+    rows = [LinIneq.of({v: c for v, c in q.coeffs if v not in names}, q.rhs, q.rel, q.label)
+            for q in stack.rows.ineqs]
+    keep = [i for i, q in enumerate(rows) if q.coeffs]
+    return SystemStack(IneqSystem.of([v for v in stack.vars if v not in names],
+                                     [rows[i] for i in keep]), stack.rhs[:, keep])
 
 
-def specialize_corollary(sys: IneqSystem, which: str) -> IneqSystem:
-    """Specialize a five- or four-bound system by zeroing designated rates.
+def specialize_corollary(stack: SystemStack, which: str) -> SystemStack:
+    """Specialize five- or four-bound regions by zeroing designated rates.
 
     ``cor1`` drops the first user's confidential message, ``cor2`` the second
     user's public message, ``cor3`` both public messages (the secrecy region),
     and ``cor3_alt`` is the alternate secrecy form with a standalone Rs1 bound
-    (available only on inner systems, which carry the extra constraint).
+    (available only on inner regions, which carry the extra constraint).
     """
-    labels = {q.label for q in sys.ineqs}
     if which == "cor1":
-        return _prune_dominated(_zero_rates(sys, {"Rs1"}))
+        return _prune_dominated(_zero_rates(stack, {"Rs1"}))
     if which == "cor2":
-        return _prune_dominated(_zero_rates(sys, {"Rp2"}))
+        return _prune_dominated(_zero_rates(stack, {"Rp2"}))
     if which == "cor3":
-        return _prune_dominated(_zero_rates(sys, {"Rp1", "Rp2"}))
+        return _prune_dominated(_zero_rates(stack, {"Rp1", "Rp2"}))
     if which == "cor3_alt":
-        if "rs12p2" not in labels:
+        col = {q.label: i for i, q in enumerate(stack.rows.ineqs)}
+        if "rs12p2" not in col:
             raise UnknownCorollary("alternate secrecy form needs the inner system")
-        by = {q.label: float(q.rhs) for q in sys.ineqs}
-        return IneqSystem.of(("Rs1", "Rs2"), [
-            LinIneq.of({"Rs2": 1}, by["rs2"], label="rs2"),
-            LinIneq.of({"Rs1": 1}, by["rs12p2"] - by["rs2p2"], label="rs1"),
-        ])
+        b = stack.rhs
+        return region_stack(IneqSystem.of(("Rs1", "Rs2"), [
+            LinIneq.of({"Rs2": 1}, 0.0, label="rs2"), LinIneq.of({"Rs1": 1}, 0.0, label="rs1")]),
+            (b[:, col["rs2"]], b[:, col["rs12p2"]] - b[:, col["rs2p2"]]))
     raise UnknownCorollary(f"unknown specialization {which!r}")
 
 

@@ -31,9 +31,9 @@ from .errors import (
     raise_for_first,
 )
 from .info_core import VarId, build_degraded_joint, make_table
-from .polytope_fm import IneqSystem, LinIneq, unique_rows
+from .polytope_fm import IneqSystem, LinIneq, SystemStack, unique_rows
 from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, outer_of,
-                               specialize_corollary, sweep_systems)
+                               region_stack, specialize_corollary, sweep_systems)
 
 # Semidefinite-order slack, unitless: relative to the larger spectral norm of
 # the two matrices compared (psd_leq), and for a gain quotient's contraction
@@ -316,32 +316,30 @@ def _gauss_constants(K, ch: GaussChannel) -> dict:
     return {name: 0.5 * (ld[2 * i] - ld[2 * i + 1]) for i, name in enumerate(ratios)}
 
 
-def eval_gauss_inner(split: CovSplit, ch: GaussChannel):
-    """Five-bound achievable region for a degraded channel and a fixed K <= S.
-
-    A split whose K is a stack (and a channel whose S is one cap or a stack
-    of as many) gives the :class:`~.polytope_fm.SystemStack` of one region
-    per K, from one cap check and one logdet."""
+def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> SystemStack:
+    """Five-bound achievable region for a degraded channel and a fixed K <= S,
+    a stack of one; a split whose K is a stack (and a channel whose S is one
+    cap or a stack of as many) gives one region per K, from one cap check
+    and one logdet."""
     if not ch.degraded:
         raise NotDegraded("inner bound needs the degraded noise order")
     if split.K is None:
         raise ValidationError("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
-    stack = five_bound_system(**_gauss_constants(split.K, ch))
-    return stack.member(0) if split.K.ndim == 2 else stack
+    return five_bound_system(**_gauss_constants(split.K, ch))
 
 
-def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> IneqSystem:
+def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> SystemStack:
     """Outer bound of the degraded channel for a fixed K <= S."""
     return outer_of(eval_gauss_inner(split, ch))
 
 
-def specialize_gauss_corollary(sys: IneqSystem, which: str) -> IneqSystem:
+def specialize_gauss_corollary(stack: SystemStack, which: str) -> SystemStack:
     """Specializations mirroring the discrete ones (cor4/cor5/cor6/cor6_alt)."""
     mapping = {"cor4": "cor1", "cor5": "cor2", "cor6": "cor3", "cor6_alt": "cor3_alt"}
     if which not in mapping:
         raise UnknownCorollary(f"unknown specialization {which!r}")
-    return specialize_corollary(sys, mapping[which])
+    return specialize_corollary(stack, mapping[which])
 
 
 def dpc_matrix(K1, Sigma1) -> np.ndarray:
@@ -445,8 +443,23 @@ def dpc_identity_check(K1, K2, K0, ch: GaussChannel):
     return abs(lhs - rhs)
 
 
-def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> IneqSystem:
-    """Eight-bound layered region for a covariance triple (K0, K1, K2).
+# The rows of the eight-bound region with a zero right-hand side, built once:
+# order "21" lists them as _general_bounds gives its bounds, and order "12" is
+# the same rows with the two users' rates and labels swapped.
+_GENERAL_21 = IneqSystem.of(RATES, [LinIneq.of(dict.fromkeys(rates.split(), 1), 0.0, label=l)
+                                    for rates, l in (
+    ("Rs1", "rs1"), ("Rs2", "rs2"), ("Rs1 Rs2", "rs12"), ("Rs1 Rp1", "rs1p1"),
+    ("Rs2 Rp2", "rs2p2"), ("Rs1 Rp1 Rs2", "rs1p1s2"), ("Rs1 Rs2 Rp2", "rs12p2"),
+    ("Rp1 Rs1 Rp2 Rs2", "total"))])
+_SWAP = str.maketrans("12", "21")
+_GENERAL = {"21": _GENERAL_21, "12": IneqSystem.of(RATES, [
+    LinIneq.of({v.translate(_SWAP): c for v, c in q.coeffs}, 0.0, label=q.label.translate(_SWAP))
+    for q in _GENERAL_21.ineqs])}
+
+
+def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> SystemStack:
+    """Eight-bound layered region for a covariance triple (K0, K1, K2), a
+    stack of one; a triple of stacks gives one region per instance.
 
     ``order="21"`` encodes the second user's layer first and precodes the
     first user's layer against it; ``order="12"`` swaps the roles of the two
@@ -455,45 +468,36 @@ def eval_general_gauss(split: CovSplit, ch: GaussChannel, order: str = "21") -> 
     if split.K is not None:
         raise ValidationError("general region takes a triple split (K0, K1, K2)")
     split.validate_cap(ch.S)
-    if order == "12":
-        base = _general_bounds(split.K0, split.K2, split.K1, ch.S, ch.Sigma2, ch.Sigma1, ch.SigmaZ)
-        relabel = {"Rs1": "Rs2", "Rs2": "Rs1", "Rp1": "Rp2", "Rp2": "Rp1"}
-        rows = [LinIneq.of({relabel[v]: c for v, c in q.coeffs}, q.rhs, q.rel,
-                           q.label.translate(str.maketrans("12", "21")))
-                for q in base]
-        return IneqSystem.of(RATES, rows)
-    if order != "21":
+    if order not in _GENERAL:
         raise UnknownCorollary(f"unknown encoding order {order!r}")
-    return IneqSystem.of(RATES, _general_bounds(split.K0, split.K1, split.K2, ch.S, ch.Sigma1,
-                                                ch.Sigma2, ch.SigmaZ))
+    k1, k2, s1, s2 = split.K1, split.K2, ch.Sigma1, ch.Sigma2
+    if order == "12":
+        k1, k2, s1, s2 = k2, k1, s2, s1
+    return region_stack(_GENERAL[order],
+                        _general_bounds(split.K0, k1, k2, ch.S, s1, s2, ch.SigmaZ))
 
 
-def _general_bounds(K0, K1, K2, S, s1, s2, sz) -> list[LinIneq]:
+def _general_bounds(K0, K1, K2, S, s1, s2, sz) -> tuple:
+    """The right-hand sides of the ``"21"`` rows (arrays for stacks)."""
     tot = K0 + K1 + K2
     inner12 = K1 + K2
 
     def min_j(num_fn):
-        return min(num_fn(s1), num_fn(s2))
+        return np.minimum(num_fn(s1), num_fn(s2))
 
     cloud = min_j(lambda s: _half_logdet_ratio(tot + s, inner12 + s))
     cloud_cap = min_j(lambda s: _half_logdet_ratio(S + s, inner12 + s))
     dirty = _half_logdet_ratio(K1 + s1, s1)
     layer2 = _half_logdet_ratio(inner12 + s2, K1 + s2)
-    rows = [
-        ({"Rs1": 1}, cloud + dirty - _half_logdet_ratio(tot + sz, inner12 + sz)
-         - _half_logdet_ratio(K1 + sz, sz), "rs1"),
-        ({"Rs2": 1}, cloud + layer2 - _half_logdet_ratio(tot + sz, K1 + sz), "rs2"),
-        ({"Rs1": 1, "Rs2": 1}, cloud + layer2 + dirty - _half_logdet_ratio(tot + sz, sz),
-         "rs12"),
-        ({"Rs1": 1, "Rp1": 1}, cloud_cap + dirty, "rs1p1"),
-        ({"Rs2": 1, "Rp2": 1}, cloud_cap + layer2, "rs2p2"),
-        ({"Rs1": 1, "Rp1": 1, "Rs2": 1}, cloud_cap + dirty + layer2
-         - _half_logdet_ratio(inner12 + sz, K1 + sz), "rs1p1s2"),
-        ({"Rs1": 1, "Rs2": 1, "Rp2": 1}, cloud_cap + layer2 + dirty
-         - _half_logdet_ratio(K1 + sz, sz), "rs12p2"),
-        ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, cloud_cap + layer2 + dirty, "total"),
-    ]
-    return [LinIneq.of(c, v, label=l) for c, v, l in rows]
+    return (cloud + dirty - _half_logdet_ratio(tot + sz, inner12 + sz)
+            - _half_logdet_ratio(K1 + sz, sz),
+            cloud + layer2 - _half_logdet_ratio(tot + sz, K1 + sz),
+            cloud + layer2 + dirty - _half_logdet_ratio(tot + sz, sz),
+            cloud_cap + dirty,
+            cloud_cap + layer2,
+            cloud_cap + dirty + layer2 - _half_logdet_ratio(inner12 + sz, K1 + sz),
+            cloud_cap + layer2 + dirty - _half_logdet_ratio(K1 + sz, sz),
+            cloud_cap + layer2 + dirty)
 
 
 # --- scalar discretization ---------------------------------------------------

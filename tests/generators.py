@@ -1,10 +1,14 @@
-"""Test inputs the package itself never builds: random layered auxes and
-channel files written in the format ``io_files.parse_channel_file`` reads."""
+"""Test inputs the package itself never builds: random layered auxes,
+channel files written in the format ``io_files.parse_channel_file`` reads,
+and numeric systems written by hand or taken apart for Fourier-Motzkin."""
+
+import dataclasses
 
 import numpy as np
 
 from wiretap_regions.info_core import ChannelSpec, make_table
 from wiretap_regions.io_files import _stage_blocks
+from wiretap_regions.polytope_fm import IneqSystem, SystemStack
 from wiretap_regions.regions_discrete import LAYERED_VARS, AuxJoint, _aux_vars, _layered_probs
 from wiretap_regions.regions_gaussian import GaussChannel, HGaussChannel
 
@@ -46,3 +50,21 @@ def emit_channel_file(ch, path) -> None:
         raise TypeError(f"cannot emit {type(ch).__name__}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def stack_of(sys: IneqSystem) -> SystemStack:
+    """A system with float right-hand sides (written by hand, or projected
+    by Fourier-Motzkin on floats) as a region stack of one."""
+    return SystemStack(sys, [[q.rhs for q in sys.ineqs]])
+
+
+def system_of(stack: SystemStack, k: int = 0) -> IneqSystem:
+    """Member ``k`` of a region stack as a system with float right-hand
+    sides, for Fourier-Motzkin on numbers."""
+    return stack.rows.with_ineqs([dataclasses.replace(q, rhs=b) for q, b in
+                                  zip(stack.rows.ineqs, stack.rhs[k].tolist())])
+
+
+def by_label(stack: SystemStack, k: int = 0) -> dict:
+    """Member ``k``'s right-hand sides by row label."""
+    return dict(zip((q.label for q in stack.rows.ineqs), stack.rhs[k].tolist()))

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from generators import by_label, stack_of, system_of
 
 from wiretap_regions.fisher_lab import (
     ScalarMixture,
@@ -87,14 +88,14 @@ def test_c01_elimination_chain_replay():
 def test_c02_rate_transfer_equivalence():
     with Budget("C2 rate-transfer equivalence (100 pairs)", 60.0):
         for aux, ch in seeded_pairs(101, 100):
-            s = eval_original_inner(aux, ch)
+            s = system_of(eval_original_inner(aux, ch))
             s = apply_rate_transfer(s, [("Rs1", "Rp1"), ("Rs2", "Rp2")], ["t1", "t2"])
             s = fm_eliminate(fm_eliminate(s, "t1"), "t2")
             s = apply_rate_transfer(s, [("Rs2", "Rp1"), ("Rs2", "Rs1")], ["t3", "t4"])
             s = fm_eliminate(fm_eliminate(s, "t3"), "t4")
             s = apply_rate_transfer(s, [("Rp2", "Rp1")], ["t5"])
             s = fm_eliminate(s, "t5")
-            assert region_equal(s, eval_degraded_inner(aux, ch))
+            assert region_equal(stack_of(s), eval_degraded_inner(aux, ch))
 
 
 def test_c03_partial_match_discrete():
@@ -104,8 +105,9 @@ def test_c03_partial_match_discrete():
             outer = eval_degraded_outer(aux, ch)
             for p in vertices(inner).vertices:
                 assert max_violation(outer, p, var_order=inner.vars) <= 1e-9
-            trimmed = inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
-            assert region_equal(trimmed, outer)
+            trimmed = system_of(inner)
+            trimmed = trimmed.with_ineqs([q for q in trimmed.ineqs if q.label != "rs12p2"])
+            assert region_equal(stack_of(trimmed), outer)
             for which in ("cor1", "cor2", "cor3"):
                 assert region_equal(specialize_corollary(inner, which),
                                     specialize_corollary(outer, which))
@@ -146,7 +148,7 @@ def test_c05_gaussian_partial_match():
         fixture = eval_gauss_inner(
             CovSplit(K=0.5 * I1),
             GaussChannel(S=1.0 * I1, Sigma1=0.5 * I1, Sigma2=1.0 * I1, SigmaZ=2.0 * I1))
-        assert float(fixture.ineqs[0].rhs) == pytest.approx(SCALAR_RS2, abs=1e-9)
+        assert by_label(fixture)["rs2"] == pytest.approx(SCALAR_RS2, abs=1e-9)
         for split, ch in gauss_instances(303, 100):
             inner = eval_gauss_inner(split, ch)
             outer = eval_gauss_outer(split, ch)
@@ -240,10 +242,9 @@ def test_c09_scalar_cross_check():
         ]
         for S, s1, s2, sz, K in fixtures:
             ch = GaussChannel(S * I1, s1 * I1, s2 * I1, sz * I1)
-            closed = {q.label: float(q.rhs)
-                      for q in eval_gauss_inner(CovSplit(K=K * I1), ch).ineqs}
+            closed = by_label(eval_gauss_inner(CovSplit(K=K * I1), ch))
             aux, disc_ch = discretize_scalar(ch, K)
-            disc = {q.label: float(q.rhs) for q in eval_degraded_inner(aux, disc_ch).ineqs}
+            disc = by_label(eval_degraded_inner(aux, disc_ch))
             for label, val in closed.items():
                 assert disc[label] == pytest.approx(val, abs=5e-3), (label, S, s1, s2, sz, K)
 

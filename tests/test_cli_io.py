@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
-from generators import emit_channel_file, random_aux_layered
+from generators import emit_channel_file, random_aux_layered, stack_of
 from wiretap_regions import cli, fm_script
 from wiretap_regions.cli import build_parser, main
 from wiretap_regions.entropy_algebra import FactorStructure
@@ -222,7 +222,7 @@ def test_parse_dag_file(tmp_path):
 
 def test_csv_unit_square_vertices():
     sq = IneqSystem.of(("x", "y"), [LinIneq.of({"x": 1}, 1.0), LinIneq.of({"y": 1}, 1.0)])
-    text = region_csv_text(vertices(sq))
+    text = region_csv_text(vertices(stack_of(sq)))
     rows = [l for l in text.splitlines() if l.startswith("vertex")]
     assert len(rows) == 4
 

@@ -38,7 +38,8 @@ from wiretap_regions.fisher_lab import (
 )
 from wiretap_regions.polytope_fm import vertices
 from wiretap_regions.regions_discrete import dominance_slack, five_bound_system, pareto_front
-from wiretap_regions.regions_gaussian import GaussChannel, discretize_scalar, sweep_covariances
+from wiretap_regions.regions_gaussian import (GaussChannel, discretize_scalar, logdet,
+                                              sweep_covariances)
 
 I1 = np.eye(1)
 
@@ -816,17 +817,45 @@ def test_a_stacked_segment_integral_gives_each_member_its_lone_bits(d):
         assert stacked[k] == fisher_lab._segment_integral(k1[k], k2[k], sn[k])
 
 
-def test_a_downhill_segment_reports_a_negative_l9(monkeypatch):
-    # mutation: K1 and K2 swapped, so K2 - K1 <= 0 and log|K2+S| - log|K1+S| < 0;
-    # the suite and the command must show the broken lemma as a negative slack
+def test_a_downhill_segment_reports_a_negative_l9(monkeypatch, capsys):
+    # mutation: K1 and K2 swapped, so K2 - K1 <= 0 and the integral is
+    # log|K1+S| - log|K2+S| < 0, the negative of L9's closed form: the suite
+    # names the first instance it breaks and the command exits 1
     k1, k2, sn = _segment_stack(np.random.default_rng(95), 60, 2)
     assert (fisher_lab._segment_integral(k2, k1, sn) < 0.0).all()
     segment = fisher_lab._segment_integral
     monkeypatch.setattr(fisher_lab, "_segment_integral", lambda k1, k2, sn: segment(k2, k1, sn))
-    rep = lemma_suite_check(seed=3, count=30)
-    l9 = [s for l, _, _, s in rep.rows if l == "L9"]
-    assert len(l9) == 30 and max(l9) < 0.0
+    with pytest.raises(QuadratureNonConvergent, match=r"^instance 0: L9 value -"):
+        lemma_suite_check(seed=3, count=30)
     assert cli.main(["fisher", "lemmas", "--budget", "30", "--seed", "3"]) == 1
+    assert "instance 0: L9 value -" in capsys.readouterr().err
+
+
+def test_an_l9_integrand_without_the_inverse_fails_the_closed_form(monkeypatch, capsys):
+    # the integrand tr(K2 - K1), the inverse dropped, is >= 0 whenever
+    # K2 >= K1, so its sign passes L9; its value is off log|K2+S| - log|K1+S|
+    monkeypatch.setattr(fisher_lab, "_segment_integral",
+                        lambda k1, k2, sn: np.trace(k2 - k1, axis1=-2, axis2=-1))
+    with pytest.raises(QuadratureNonConvergent, match=r"^instance \d+: L9 value"):
+        lemma_suite_check(seed=0, count=200)
+    assert cli.main(["fisher", "lemmas", "--budget", "200"]) == 1
+    assert "L9 value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_l9_check_brackets_the_trapezoid_by_its_error_bound(d):
+    # the trapezoid lies between the closed form and the closed form plus
+    # sum(mu^3) / 24576; a value moved just outside either end is refused
+    k1, k2, sn = _segment_stack(np.random.default_rng(70 + d), 200, d)
+    value = fisher_lab._segment_integral(k1, k2, sn)
+    fisher_lab._check_segment(value, k1, k2, sn)
+    exact = logdet(k2 + sn) - logdet(k1 + sn)
+    m = np.linalg.solve(k1 + sn, k2 - k1)
+    top = exact + np.trace(m @ m @ m, axis1=-2, axis2=-1) / 24576.0
+    r = 2e-12 * (1.0 + np.abs(exact))
+    for k, moved in ((7, exact - r), (11, top + r)):
+        with pytest.raises(QuadratureNonConvergent, match=f"^instance {k}: L9 value"):
+            fisher_lab._check_segment(np.where(np.arange(200) == k, moved, value), k1, k2, sn)
 
 
 @pytest.mark.parametrize("k", [0, 2])
@@ -999,9 +1028,8 @@ def test_evidence_antipodal_dominated():
 
 def brute_force_max_slack(mix, ch, env):
     """Largest dominance slack over every vertex of the clamped polytope."""
-    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0]).member(0)
-    pts = vertices(bounds.with_ineqs([replace(q, rhs=max(q.rhs, 0.0))
-                                      for q in bounds.ineqs])).vertices
+    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0])
+    pts = vertices(replace(bounds, rhs=np.maximum(bounds.rhs, 0.0))).vertices
     return max(dominance_slack([p], env)[0] for p in pts)
 
 

@@ -119,15 +119,17 @@ def test_ten_bound_region_is_the_chain_target(cards, seed, indep_v):
                        np.einsum("quabx,xijk->quabxijk", aux.table.probs, kernel))
     got = eval_general_inner(aux, ch)
     assert got.vars == RATES == target.vars
-    assert [(q.label, q.coeffs, q.rel) for q in got.ineqs] == \
+    assert [(q.label, q.coeffs, q.rel) for q in got.rows.ineqs] == \
         [(q.label, q.coeffs, q.rel) for q in target.ineqs]
     want = _ten_bounds_by_hand(joint)
-    assert [(q.label, {v for v, c in q.coeffs if c == 1}) for q in got.ineqs] == \
+    assert [(q.label, {v for v, c in q.coeffs if c == 1}) for q in got.rows.ineqs] == \
         [(label, coeffs) for label, coeffs, _ in want]
-    assert all(q.rel == "<=" and len(q.coeffs) == len(c) for q, (_, c, _) in zip(got.ineqs, want))
-    assert max(abs(q.rhs - rhs) for q, (_, _, rhs) in zip(got.ineqs, want)) <= 1e-12
+    assert all(q.rel == "<=" and len(q.coeffs) == len(c)
+               for q, (_, c, _) in zip(got.rows.ineqs, want))
+    [bounds] = got.rhs.tolist()
+    assert max(abs(b - rhs) for b, (_, _, rhs) in zip(bounds, want)) <= 1e-12
     # a bound within ZERO_BOUND_TOL of 0 is printed as 0, not as rounding noise
-    assert all(q.rhs == 0.0 or abs(q.rhs) > ZERO_BOUND_TOL for q in got.ineqs)
+    assert all(b == 0.0 or abs(b) > ZERO_BOUND_TOL for b in bounds)
 
 
 def test_sys_labels_are_read_and_ignored_by_matching():
@@ -540,7 +542,7 @@ def test_builtin_fixtures_are_parsed_once_per_text(monkeypatch):
     ch = ChannelSpec(VarId("X", 2), (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)),
                      kernel=rng.dirichlet(np.ones(8), size=2).reshape(2, 2, 2, 2))
     region = eval_general_inner(random_aux_layered(rng, 2, 2, 2, 2, 2), ch)
-    assert [q.label for q in region.ineqs] == [q.label for q in fixtures[steps[-1].expect].ineqs]
+    assert region.rows is fixtures[steps[-1].expect]
 
 
 def test_chain_runtime_budget():
@@ -575,7 +577,7 @@ def _certify_row_by_row(kept, extras, tables):
         for table in tables:
             one = (_stack_of([table]),)
             syms = min_sym_values(one)
-            kept_num = instantiate(kept, one, syms).member(0)
+            kept_num = instantiate(kept, one, syms)
             lone_syms = {n: float(v[0]) for n, v in syms.items()}
             rhs = (evaluate_all((q.rhs,), (table,), lone_syms)[0]
                    if isinstance(q.rhs, InfoExpr) else float(q.rhs))
@@ -682,7 +684,8 @@ def test_unbounded_support_fails_the_step(monkeypatch):
     # a support LP that reports "unbounded" before any table was informative
     # must fail the row, not pass it as never exercised
     monkeypatch.setattr(fm_script, "support_value",
-                        lambda jobs: [[None] * len(objectives) for _, objectives in jobs])
+                        lambda jobs: [[None] * len(objectives) for stack, objectives in jobs
+                                      for _ in range(len(stack))])
     rep = verify_builtin_chain(seed=0, instantiations=1)
     assert not rep.ok
     first = next(s for s in rep.steps if s.extras_dropped)
@@ -706,7 +709,8 @@ def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
 
     monkeypatch.setattr(fm_script, "support_value", counting)
     [got] = _certify_redundant([(kept, extras)], (), {"s": np.array([1.0, 2.0])})
-    assert [[len(objectives) for _, objectives in jobs] for jobs in calls] == [[2, 2]]
+    assert [[(len(stack), len(objectives)) for stack, objectives in jobs]
+            for jobs in calls] == [[(2, 2)]]
     assert lp_whats == ["support"] * 2
     assert [(s, n) for _, s, n in got] == [(np.inf, 0), (pytest.approx(-1.0), 2)]
 
@@ -746,21 +750,16 @@ def test_stacked_instantiation_equals_each_member_alone():
     for name, sys in fixtures.items():
         members = instantiate(sys, stack, syms)
         assert len(members) == 9 and members.rows is sys
-        for k, (got, table) in enumerate(zip(map(members.member, range(9)), draw())):
+        for k, table in enumerate(draw()):
             lone_syms = {n: float(v[0]) for n, v in min_sym_values((_stack_of([table]),)).items()}
             assert lone_syms == {n: v[k] for n, v in syms.items()}
-            assert got.vars == sys.vars
-            for g, q in zip(got.ineqs, sys.ineqs, strict=True):
-                assert (g.nums, g.den, g.rel, g.label) == (q.nums, q.den, q.rel, q.label)
+            for g, q in zip(members.rhs[k].tolist(), sys.ineqs, strict=True):
                 if isinstance(q.rhs, InfoExpr):
-                    assert type(g.rhs) is float
-                    assert g.rhs == evaluate_all((q.rhs,), (table,), lone_syms)[0]
+                    assert g == evaluate_all((q.rhs,), (table,), lone_syms)[0]
                     # the reference sums each marginal straight from the table
-                    assert abs(g.rhs - _lone_reference(q.rhs, (table,), lone_syms)) <= 1e-13
+                    assert abs(g - _lone_reference(q.rhs, (table,), lone_syms)) <= 1e-13
                 else:
-                    assert g.rhs == q.rhs
-        assert instantiate(sys, (_stack_of([draw()[4]]),), {n: v[4:5] for n, v in syms.items()}) \
-            .member(0).ineqs == members.member(4).ineqs
+                    assert g == q.rhs
 
 
 def test_stacked_instantiation_refuses_stacks_of_other_lengths():
@@ -848,12 +847,12 @@ def test_region_eval_general_prints_the_lone_evaluation(tmp_path, capsys):
             fm_script.MIN_UYQ: min(mi("Y1", {"Q"}), mi("Y2", {"Q"}))}
     target = load_fixture("target")
     got = eval_general_inner(aux, ch)
-    for g, q in zip(got.ineqs, target.ineqs, strict=True):
-        assert (g.nums, g.den, g.rel, g.label) == (q.nums, q.den, q.rel, q.label)
+    assert got.rows is target and len(got) == 1
+    for g, q in zip(got.rhs[0].tolist(), target.ineqs, strict=True):
         rhs = _lone_reference(q.rhs, tables, syms)
         # the reference sums each marginal straight from its table, the
         # evaluation along the marginal chain: equal up to rounding
-        assert abs(g.rhs - (0.0 if abs(rhs) <= ZERO_BOUND_TOL else rhs)) <= 1e-13
+        assert abs(g - (0.0 if abs(rhs) <= ZERO_BOUND_TOL else rhs)) <= 1e-13
     assert main(["region", "eval-general", "--channel", str(ch_path), "--aux", str(aux_path),
                  "--format", "csv"]) == 0
     assert capsys.readouterr().out == region_csv_text(got)

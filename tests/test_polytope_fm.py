@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from generators import stack_of, system_of
 
 import wiretap_regions
 from wiretap_regions import polytope_fm
@@ -136,8 +137,8 @@ def test_transfer_zero_is_contained():
     s = num_sys(("Rs", "Rp"), [({"Rs": 1}, 1.0), ({"Rp": 1, "Rs": 1}, 1.5)])
     t = apply_rate_transfer(s, [("Rs", "Rp")], ["t0"])
     proj = fm_eliminate(t, "t0")
-    for p in vertices(s).vertices:
-        assert max_violation(proj, p, var_order=s.vars) <= 1e-9
+    for p in vertices(stack_of(s)).vertices:
+        assert max_violation(stack_of(proj), p, var_order=s.vars) <= 1e-9
 
 
 def test_transfer_fresh_destination():
@@ -150,7 +151,7 @@ def test_transfer_fresh_destination():
         for rp in np.linspace(0, 1.4, 15):
             lifted = rp + rs <= 1.0 + 1e-12
             p = [rs if v == "Rs" else rp for v in proj.vars]
-            assert (max_violation(proj, p) <= 1e-9) == lifted
+            assert (max_violation(stack_of(proj), p) <= 1e-9) == lifted
 
 
 def test_transfer_duplicate_slack():
@@ -161,7 +162,7 @@ def test_transfer_duplicate_slack():
 
 def test_vertices_unit_square():
     s = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 1)])
-    got = sorted(map(tuple, np.round(vertices(s).vertices, 9)))
+    got = sorted(map(tuple, np.round(vertices(stack_of(s)).vertices, 9)))
     assert got == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -169,13 +170,13 @@ def test_vertices_put_a_coordinate_kept_below_a_wall_on_it():
     # x + y <= -1e-12 is feasible within VERTEX_TOL only at the origin, which
     # its bases solve as (-1e-12, 0) and (0, -1e-12)
     s = num_sys(("x", "y"), [({"x": 1, "y": 1}, -1e-12), ({"y": 1}, 1)])
-    v = vertices(s).vertices
+    v = vertices(stack_of(s)).vertices
     assert len(v) and (v >= 0.0).all() and not np.signbit(v).any()
 
 
 def test_vertices_simplex():
     s = num_sys(("x", "y", "z"), [({"x": 1, "y": 1, "z": 1}, 1)])
-    assert vertices(s).vertices.shape[0] == 4
+    assert vertices(stack_of(s)).vertices.shape[0] == 4
 
 
 def exact_vertex_oracle(rows, d):
@@ -230,17 +231,17 @@ def test_vertices_against_exact_oracle():
     oracle = exact_vertex_oracle(rows, 4)
     names = ("Rp1", "Rs1", "Rp2", "Rs2")
     sys = num_sys(names, [({names[i]: c for i, c in r.items()}, v) for r, v in rows])
-    got = sorted(map(tuple, np.round(vertices(sys).vertices, 9)))
+    got = sorted(map(tuple, np.round(vertices(stack_of(sys)).vertices, 9)))
     oracle_rounded = sorted(set(tuple(np.round(p, 9)) for p in oracle))
     assert got == oracle_rounded
 
 
 def _assert_vertices_are_the_oracle(sys):
-    """``vertices(sys)`` holds one point within 1e-9 of each exact vertex,
+    """``vertices`` of ``sys`` holds one point within 1e-9 of each exact vertex,
     and nothing else."""
     rows = [({sys.vars.index(v): c for v, c in q.coeffs}, q.rhs) for q in sys.ineqs]
     exact = np.array(exact_vertex_oracle(rows, len(sys.vars))).reshape(-1, len(sys.vars))
-    got = vertices(sys).vertices
+    got = vertices(stack_of(sys)).vertices
     assert len(got) == len(exact)
     if len(got):
         gap = np.abs(got[:, None, :] - exact[None, :, :]).max(axis=2)
@@ -258,8 +259,8 @@ _RATE_CONST = st.one_of(st.integers(0, 8).map(lambda k: k / 4),
 def test_five_bound_vertices_match_the_exact_oracle(consts, outer):
     from wiretap_regions.regions_discrete import five_bound_system, outer_of
 
-    sys = five_bound_system(*consts).member(0)
-    _assert_vertices_are_the_oracle(outer_of(sys) if outer else sys)
+    stack = five_bound_system(*consts)
+    _assert_vertices_are_the_oracle(system_of(outer_of(stack) if outer else stack))
 
 
 @st.composite
@@ -289,7 +290,7 @@ def test_mixed_sign_vertices_match_the_exact_oracle(sys):
 def test_vertices_unbounded_raises():
     s = num_sys(("x", "y"), [({"x": 1}, 1)])
     with pytest.raises(UnboundedRegion):
-        vertices(s)
+        vertices(stack_of(s))
 
 
 _DYADIC = st.integers(-8, 8).map(lambda k: k / 4)
@@ -307,10 +308,11 @@ def _mixed_sign_system(draw):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_mixed_sign_system())
 def test_vertices_decide_emptiness_and_boundedness_like_the_lps(s):
-    empty = support_value([(s, [{}])])[0][0] == float("-inf")
-    unbounded = not empty and support_value([(s, [{v: 1 for v in s.vars}])])[0][0] is None
+    empty = support_value([(stack_of(s), [{}])])[0][0] == float("-inf")
+    unbounded = (not empty
+                 and support_value([(stack_of(s), [{v: 1 for v in s.vars}])])[0][0] is None)
     try:
-        got = vertices(s).vertices
+        got = vertices(stack_of(s)).vertices
     except UnboundedRegion:
         assert unbounded
         return
@@ -335,7 +337,7 @@ def _shared_rows_with_rhs_list(draw):
 
 def _vertices_or_unbounded(s):
     try:
-        return vertices(s).vertices
+        return vertices(stack_of(s)).vertices
     except UnboundedRegion:
         return "unbounded"
 
@@ -409,15 +411,10 @@ def test_a_stack_is_one_row_set_and_a_read_only_rhs_matrix():
     rhs[0, 0] = 9.0                       # the stack holds its own copy
     assert len(stack) == 3 and stack.vars == ("x", "y")
     assert not stack.rhs.flags.writeable and stack.rhs[0, 0] == 1.0
-    assert [[q.rhs for q in stack.member(k).ineqs] for k in range(3)] == stack.rhs.tolist()
-    assert all(m.ineqs[i].nums == q.nums for m in map(stack.member, range(3))
-               for i, q in enumerate(sq.ineqs))
+    assert stack.rows is sq
     for bad in ([[1.0, 2.0, 3.0]], np.ones((2, 2, 2))):
         with pytest.raises(DimensionMismatch, match="does not fit 2 rows"):
             SystemStack(sq, bad)
-    assert SystemStack.of(sq).rhs.tolist() == [[1.0, 2.0]]
-    with pytest.raises(ZeroCoefficient, match="instantiate first"):
-        SystemStack.of(IneqSystem.of(("x",), [LinIneq.of({"x": 1}, sym("a"))]))
 
 
 @st.composite
@@ -451,9 +448,9 @@ def test_unique_rows_is_np_unique_over_rows(a):
 
 def test_vertices_solve_one_recession_lp_a_call_without_a_shared_verdict(lp_whats):
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    vertices(sq)
+    vertices(stack_of(sq))
     assert lp_whats == ["recession"]
-    vertices(sq)
+    vertices(stack_of(sq))
     assert lp_whats == ["recession"] * 2
 
 
@@ -500,36 +497,36 @@ def test_vertices_dimension_cap():
     names = tuple(f"v{i}" for i in range(7))
     s = num_sys(names, [({n: 1 for n in names}, 1)])
     with pytest.raises(DimensionTooLarge):
-        vertices(s)
+        vertices(stack_of(s))
 
 
 def test_region_equal_cases():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 1)])
-    assert region_equal(sq, sq)
+    assert region_equal(stack_of(sq), stack_of(sq))
     redundant = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 1), ({"x": 1, "y": 1}, 5)])
-    assert region_equal(sq, redundant)
+    assert region_equal(stack_of(sq), stack_of(redundant))
     tri = num_sys(("x", "y"), [({"x": 1, "y": 1}, 1)])
-    assert not region_equal(sq, tri)
+    assert not region_equal(stack_of(sq), stack_of(tri))
 
 
 def test_support_value_and_infeasible():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    assert support_value([(sq, [{"x": 1, "y": 1}])])[0][0] == pytest.approx(3.0)
+    assert support_value([(stack_of(sq), [{"x": 1, "y": 1}])])[0][0] == pytest.approx(3.0)
     empty = num_sys(("x",), [({"x": 1}, -1)])
-    assert support_value([(empty, [{"x": 1}])])[0][0] == float("-inf")
+    assert support_value([(stack_of(empty), [{"x": 1}])])[0][0] == float("-inf")
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
-    assert support_value([(unb, [{"y": 1}])])[0][0] is None
+    assert support_value([(stack_of(unb), [{"y": 1}])])[0][0] is None
 
 
 def test_support_value_answers_each_objective_from_two_lps(lp_whats):
     # a nonempty region costs the classification LP and one support LP; an
     # empty one only the classification LP
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
-    assert support_value([(sq, [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}])])[0] == \
+    assert support_value([(stack_of(sq), [{"x": 1}, {"x": 1, "y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), pytest.approx(3.0), pytest.approx(0.0)]
     assert lp_whats == ["support"] * 2
     empty = num_sys(("x",), [({"x": 1}, -1)])
-    assert support_value([(empty, [{"x": 1}, {"x": -1}])])[0] == [float("-inf")] * 2
+    assert support_value([(stack_of(empty), [{"x": 1}, {"x": -1}])])[0] == [float("-inf")] * 2
     assert lp_whats == ["support"] * 3
 
 
@@ -538,13 +535,13 @@ def test_unbounded_support_is_not_read_as_empty():
     # LP infeasible
     s = num_sys(("x0", "x1", "x2"), [({"x0": 1, "x1": 1, "x2": -1}, 0),
                                      ({"x0": 1, "x1": -1, "x2": 1}, 1)])
-    assert support_value([(s, [{"x0": 1, "x1": 1, "x2": 1}])])[0] == [None]
+    assert support_value([(stack_of(s), [{"x0": 1, "x1": 1, "x2": 1}])])[0] == [None]
 
 
 def test_unbounded_stacked_lp_solves_each_objective_alone(lp_whats):
     # the classification LP finds y unbounded; the support LP gets the other two
     unb = num_sys(("x", "y"), [({"x": 1}, 1)])
-    assert support_value([(unb, [{"x": 1}, {"y": 1}, {"y": -1}])])[0] == \
+    assert support_value([(stack_of(unb), [{"x": 1}, {"y": 1}, {"y": -1}])])[0] == \
         [pytest.approx(1.0), None, pytest.approx(0.0)]
     assert lp_whats == ["support"] * 2
 
@@ -554,7 +551,7 @@ def test_unbounded_lp_of_unknown_status_is_classified():
     # status "unknown"; the recession block of the classification LP says
     # unbounded
     s = num_sys(("v0", "v1"), [({"v0": -2, "v1": 1.5}, 0.25), ({"v0": -1.75, "v1": -1}, 2)])
-    assert support_value([(s, [{"v0": 2, "v1": -1}])]) == [[None]]
+    assert support_value([(stack_of(s), [{"v0": 2, "v1": -1}])]) == [[None]]
 
 
 @st.composite
@@ -605,7 +602,7 @@ def _support_alone(sys, objective):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.lists(_support_job(), min_size=2, max_size=5))
 def test_batched_support_values_equal_each_job_alone(jobs):
-    batched = support_value(jobs)
+    batched = support_value([(stack_of(sys), objectives) for sys, objectives in jobs])
     try:
         alone = [[_support_alone(sys, o) for o in objectives] for sys, objectives in jobs]
     except LPFailure:
@@ -625,8 +622,9 @@ def test_batched_support_values_cost_two_lps(lp_whats):
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     empty = num_sys(("x",), [({"x": 1}, -1)])
     pinned = IneqSystem.of(("x",), [LinIneq.of({"x": 1}, 0.5, rel=EQ)])
-    assert support_value([(sq, [{"x": 1}, {"x": 1, "y": 1}]), (empty, [{"x": 1}]),
-                          (pinned, [{"x": 1}, {"x": -1}])]) == \
+    assert support_value([(stack_of(sq), [{"x": 1}, {"x": 1, "y": 1}]),
+                          (stack_of(empty), [{"x": 1}]),
+                          (stack_of(pinned), [{"x": 1}, {"x": -1}])]) == \
         [[pytest.approx(1.0), pytest.approx(3.0)], [float("-inf")],
          [pytest.approx(0.5), pytest.approx(-0.5)]]
     assert lp_whats == ["support"] * 2
@@ -642,7 +640,8 @@ def test_support_lps_store_no_explicit_zeros(monkeypatch):
     monkeypatch.setattr(polytope_fm, "solve_lp", solve_lp)
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2), ({"x": 1, "y": 1}, 2.5)])
     pinned = IneqSystem.of(("x", "y"), [LinIneq.of({"x": 1}, 0.5, rel=EQ)])
-    assert support_value([(sq, [{"x": 1, "y": 1}]), (pinned, [{"x": 1}])]) == \
+    assert support_value([(stack_of(sq), [{"x": 1, "y": 1}]),
+                          (stack_of(pinned), [{"x": 1}])]) == \
         [[pytest.approx(2.5)], [pytest.approx(0.5)]]
     assert stored and all(m.nnz == m.count_nonzero() for m in stored)
 
@@ -679,7 +678,7 @@ def test_support_lp_that_does_not_end_optimal_raises(monkeypatch, which, status)
     monkeypatch.setattr(scipy.optimize, "linprog", linprog)
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     with pytest.raises(LPFailure, match=f"support LP failed with status {status}"):
-        support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
+        support_value([(stack_of(sq), [{"x": 1}]), (stack_of(sq), [{"y": 1}])])
 
 
 @pytest.mark.parametrize("which", [1, 2])
@@ -691,7 +690,7 @@ def test_support_point_outside_its_rows_raises(monkeypatch, which):
     _patched_support_lp(monkeypatch, which, shifted)
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     with pytest.raises(LPFailure, match="violates its rows"):
-        support_value([(sq, [{"x": 1}]), (sq, [{"y": 1}])])
+        support_value([(stack_of(sq), [{"x": 1}]), (stack_of(sq), [{"y": 1}])])
 
 
 def test_lp_solver_failure_raises(monkeypatch):
@@ -701,9 +700,9 @@ def test_lp_solver_failure_raises(monkeypatch):
         status=4, message="numerical difficulties", x=None, fun=None))
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     with pytest.raises(LPFailure, match="recession LP failed with status 4"):
-        vertices(sq)
+        vertices(stack_of(sq))
     with pytest.raises(LPFailure, match="support LP failed with status 4"):
-        support_value([(sq, [{"x": 1}])])[0][0]
+        support_value([(stack_of(sq), [{"x": 1}])])[0][0]
 
 
 def test_linprog_is_named_only_in_solve_lp():
@@ -767,7 +766,7 @@ def test_elimination_order_invariance():
         s = num_sys(names, rows)
         p1 = fm_eliminate(fm_eliminate(s, "c"), "d")
         p2 = fm_eliminate(fm_eliminate(s, "d"), "c")
-        assert region_equal(p1, p2)
+        assert region_equal(stack_of(p1), stack_of(p2))
 
 
 _NONZERO_QUARTER = st.sampled_from([k / 4 for k in range(-8, 9) if k])
@@ -811,9 +810,9 @@ def _symbolic_projection_case(draw):
 def test_fm_projection_commutes_with_instantiation_and_keeps_support_values(case):
     s, var, values, directions = case
     stacked = {n: np.array([v]) for n, v in values.items()}
-    projected = instantiate(fm_eliminate(s, var), (), stacked).member(0)
-    numeric = instantiate(s, (), stacked).member(0)
-    assert region_equal(projected, fm_eliminate(numeric, var))
+    projected = instantiate(fm_eliminate(s, var), (), stacked)
+    numeric = instantiate(s, (), stacked)
+    assert region_equal(projected, stack_of(fm_eliminate(system_of(numeric), var)))
     for w in directions:
         objective = dict(zip(projected.vars, w))
         got = support_value([(projected, [objective])])[0][0]
@@ -830,5 +829,5 @@ def test_transfer_monotone_on_instantiations():
         c = np.sort(rng.uniform(0.2, 1.0, size=3))
         s = num_sys(("Rp", "Rs"), [({"Rs": 1}, c[0]), ({"Rp": 1, "Rs": 1}, c[2])])
         t = fm_eliminate(apply_rate_transfer(s, [("Rs", "Rp")], ["t0"]), "t0")
-        for p in vertices(s).vertices:
-            assert max_violation(t, p, var_order=s.vars) <= 1e-9
+        for p in vertices(stack_of(s)).vertices:
+            assert max_violation(stack_of(t), p, var_order=s.vars) <= 1e-9

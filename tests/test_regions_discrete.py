@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from generators import random_aux_layered
+from generators import by_label, random_aux_layered, stack_of, system_of
 from hull_oracle import in_hull
 from wiretap_regions import fm_script, info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
@@ -118,8 +118,7 @@ def test_cascade_constants_match_direct_summation():
     joint = 0.5 * k
     iuy2 = direct_mi(joint, (0,), (2,))
     iuz = direct_mi(joint, (0,), (3,))
-    sys = eval_degraded_inner(UX_COPY, ch)
-    by = {q.label: float(q.rhs) for q in sys.ineqs}
+    by = by_label(eval_degraded_inner(UX_COPY, ch))
     assert by["rs2"] == pytest.approx(iuy2 - iuz, abs=1e-12)
     assert by["rs2"] == pytest.approx(CASCADE_C7, abs=1e-12)
     assert by["rs2p2"] == pytest.approx(CASCADE_C9, abs=1e-12)
@@ -129,8 +128,7 @@ def test_cascade_constants_match_direct_summation():
 
 
 def test_identity_channel_kills_secrecy():
-    sys = eval_degraded_inner(UX_COPY, identity_channel())
-    by = {q.label: float(q.rhs) for q in sys.ineqs}
+    by = by_label(eval_degraded_inner(UX_COPY, identity_channel()))
     assert by["rs2"] == pytest.approx(0.0, abs=1e-12)
     assert by["rs12"] == pytest.approx(0.0, abs=1e-12)
     assert by["rs12p2"] == pytest.approx(by["total"], abs=1e-12)
@@ -141,16 +139,16 @@ def test_eavesdropper_cut_off():
     # p(z|y2) uniform makes every eavesdropper term vanish
     ch = build_degraded_joint(bsc(0.1), bsc(0.05), np.full((2, 2), 0.5))
     aux = ux_aux([[0.35, 0.15], [0.1, 0.4]])
-    by = {q.label: float(q.rhs) for q in eval_degraded_inner(aux, ch).ineqs}
+    by = by_label(eval_degraded_inner(aux, ch))
     assert by["rs2"] == pytest.approx(by["rs2p2"], abs=1e-12)
     assert by["rs12"] == pytest.approx(by["total"], abs=1e-12)
-    orig = {q.label: float(q.rhs) for q in eval_original_inner(aux, ch).ineqs}
+    orig = by_label(eval_original_inner(aux, ch))
     assert orig["rp2"] == pytest.approx(0.0, abs=1e-12)
     assert orig["rp1"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_original_inner_identity_channel():
-    orig = {q.label: float(q.rhs) for q in eval_original_inner(UX_COPY, identity_channel()).ineqs}
+    orig = by_label(eval_original_inner(UX_COPY, identity_channel()))
     assert orig["rs1"] == pytest.approx(0.0, abs=1e-12)
 
 
@@ -159,9 +157,10 @@ def test_outer_is_inner_without_extra_bound():
     aux = ux_aux([[0.3, 0.2], [0.1, 0.4]])
     inner = eval_degraded_inner(aux, ch)
     outer = eval_degraded_outer(aux, ch)
-    assert [q.label for q in outer.ineqs] == ["rs2", "rs12", "rs2p2", "total"]
-    trimmed = inner.with_ineqs([q for q in inner.ineqs if q.label != "rs12p2"])
-    assert region_equal(trimmed, outer)
+    assert [q.label for q in outer.rows.ineqs] == ["rs2", "rs12", "rs2p2", "total"]
+    trimmed = system_of(inner)
+    trimmed = trimmed.with_ineqs([q for q in trimmed.ineqs if q.label != "rs12p2"])
+    assert region_equal(stack_of(trimmed), outer)
 
 
 def rand_degraded_channel(rng, cx=3, c1=3, c2=3, cz=3):
@@ -175,14 +174,14 @@ def test_transfer_equivalence_sampled():
     for _ in range(10):
         ch = rand_degraded_channel(rng)
         aux = random_aux_ux(rng, 4, 3)
-        orig = eval_original_inner(aux, ch)
+        orig = system_of(eval_original_inner(aux, ch))
         s = apply_rate_transfer(orig, [("Rs1", "Rp1"), ("Rs2", "Rp2")], ["t1", "t2"])
         s = fm_eliminate(fm_eliminate(s, "t1"), "t2")
         s = apply_rate_transfer(s, [("Rs2", "Rp1"), ("Rs2", "Rs1")], ["t3", "t4"])
         s = fm_eliminate(fm_eliminate(s, "t3"), "t4")
         s = apply_rate_transfer(s, [("Rp2", "Rp1")], ["t5"])
         s = fm_eliminate(s, "t5")
-        assert region_equal(s, eval_degraded_inner(aux, ch))
+        assert region_equal(stack_of(s), eval_degraded_inner(aux, ch))
 
 
 def test_inner_inside_outer_sampled():
@@ -214,7 +213,7 @@ def test_general_inner_vacuous_v_layers():
     arr = np.einsum("qu,a,b,ux->quabx", p_qu, np.full(2, 0.5), np.full(2, 0.5), p_x_u)
     aux = AuxJoint(make_table((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
                                VarId("V2", 2), VarId("X", 2)), arr))
-    by = {q.label: float(q.rhs) for q in eval_general_inner(aux, ch).ineqs}
+    by = by_label(eval_general_inner(aux, ch))
     assert by["rs1"] == pytest.approx(by["rs2"], abs=1e-10)
     assert by["rs12"] == pytest.approx(by["rs1"], abs=1e-10)
 
@@ -242,8 +241,7 @@ def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
     assert str(alone.value) == e.value.detail
 
 
-@pytest.mark.parametrize("evaluate", [eval_degraded_outer, eval_original_inner,
-                                      lambda aux, ch: reduction_aux(aux)])
+@pytest.mark.parametrize("evaluate", [lambda aux, ch: reduction_aux(aux)])
 def test_lone_aux_regions_refuse_a_stacked_aux(evaluate):
     probs = np.random.default_rng(4).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
     aux = AuxJoint(take_stack((VarId("U", 3), VarId("X", 2)), probs))
@@ -270,10 +268,11 @@ def test_corollary_shapes_generic_aux():
     aux = ux_aux([[0.3, 0.2], [0.1, 0.4]])
     inner = eval_degraded_inner(aux, ch)
     cor1 = specialize_corollary(inner, "cor1")
-    assert sorted(tuple(v for v, _ in q.nums) for q in cor1.ineqs) == [
+    assert sorted(tuple(v for v, _ in q.nums) for q in cor1.rows.ineqs) == [
         ("Rp1", "Rp2", "Rs2"), ("Rp2", "Rs2"), ("Rs2",)]
     cor3 = specialize_corollary(inner, "cor3")
-    assert sorted(tuple(v for v, _ in q.nums) for q in cor3.ineqs) == [("Rs1", "Rs2"), ("Rs2",)]
+    assert sorted(tuple(v for v, _ in q.nums) for q in cor3.rows.ineqs) == [("Rs1", "Rs2"),
+                                                                          ("Rs2",)]
 
 
 def test_cor3_alt_contained_per_aux():
@@ -295,9 +294,9 @@ def test_corollary_pruning_keeps_a_row_a_mixed_sign_row_does_not_imply():
     sys = IneqSystem.of(("a", "b"), [LinIneq.of({"a": 1}, 1.0, label="a"),
                                      LinIneq.of({"a": 1, "b": -1}, 0.5, label="a-b"),
                                      LinIneq.of({"b": 1}, 3.0, label="b")])
-    pruned = regions_discrete._prune_dominated(sys)
-    assert [q.label for q in pruned.ineqs] == ["a", "a-b", "b"]
-    assert region_equal(pruned, sys)
+    pruned = regions_discrete._prune_dominated(stack_of(sys))
+    assert [q.label for q in pruned.rows.ineqs] == ["a", "a-b", "b"]
+    assert region_equal(pruned, stack_of(sys))
 
 
 # Rows with coefficients in {-1, 0, 1}, at least one of them 1, and a dyadic
@@ -314,11 +313,11 @@ def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
     box = LinIneq.of(dict.fromkeys(_PRUNE_VARS, 1), 4.0)   # keeps the region bounded
     sys = IneqSystem.of(_PRUNE_VARS, [LinIneq.of(dict(zip(_PRUNE_VARS, c)), b)
                                       for c, b in rows] + [box])
-    pruned = regions_discrete._prune_dominated(sys)
-    assert region_equal(pruned, sys)
-    kept = pruned.ineqs
+    pruned = regions_discrete._prune_dominated(stack_of(sys))
+    assert region_equal(pruned, stack_of(sys))
+    kept = pruned.rows.ineqs
     # max of each kept row's left side over the orthant part of another kept row
-    jobs = [(pruned.with_ineqs([qj]), [{v: float(c) for v, c in qi.coeffs}
+    jobs = [(stack_of(sys.with_ineqs([qj])), [{v: float(c) for v, c in qi.coeffs}
                                        for qi in kept if qi is not qj]) for qj in kept]
     for qj, values in zip(kept, support_value(jobs)):
         others = [qi for qi in kept if qi is not qj]
@@ -351,10 +350,9 @@ def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, module,
         evaluate(aux, cascade_channel())
     assert lone.value.instance == ()
     assert str(lone.value) == "mutual information -1e-09 below clamp -1e-12"
-    if evaluate in (eval_degraded_inner, eval_general_inner):
-        with pytest.raises(NegativeMass, match="^instance 2: mutual information") as stacked:
-            evaluate(_stacked_aux(aux, 3), cascade_channel())
-        assert stacked.value.instance == (2,)
+    with pytest.raises(NegativeMass, match="^instance 2: mutual information") as stacked:
+        evaluate(_stacked_aux(aux, 3), cascade_channel())
+    assert stacked.value.instance == (2,)
 
 
 def first_corner_aux(ch):
@@ -477,7 +475,7 @@ def _sweep_one_at_a_time(ch, budget, seed, mode):
         samples.append((regions_discrete._aux_hash(aux.table.probs), eval_degraded_inner(aux, ch)))
     tags, systems = zip(*samples)
     return regions_discrete.sweep_systems(
-        list(tags), SystemStack(systems[0], [[q.rhs for q in s.ineqs] for s in systems]))
+        list(tags), SystemStack(systems[0].rows, np.concatenate([s.rhs for s in systems])))
 
 
 @pytest.mark.parametrize("mode, aux_cells", [("degraded", 5 * 2), ("general", 2 * 5 * 3 * 3 * 2)])
@@ -613,12 +611,12 @@ _DIRECTION = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 4)
 
 
 def test_five_bound_systems_share_their_rows():
-    a = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75).member(0)
-    b = five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0).member(0)
-    assert all(p.coeffs is q.coeffs for p, q in zip(a.ineqs, b.ineqs))
-    assert [(q.label, q.rhs) for q in a.ineqs] == [
+    a = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75)
+    b = five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0)
+    assert a.rows is b.rows
+    assert list(by_label(a).items()) == [
         ("rs2", 0.75), ("rs12", 2.5), ("rs2p2", 1.0), ("rs12p2", 2.25), ("total", 3.0)]
-    assert [dict(q.coeffs) for q in b.ineqs] == [
+    assert [dict(q.coeffs) for q in b.rows.ineqs] == [
         {"Rs2": 1}, {"Rs1": 1, "Rs2": 1}, {"Rp2": 1, "Rs2": 1}, {"Rs1": 1, "Rp2": 1, "Rs2": 1},
         {"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}]
 
@@ -626,7 +624,7 @@ def test_five_bound_systems_share_their_rows():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[_CONST] * 5), st.lists(_DIRECTION, min_size=3, max_size=3))
 def test_five_bound_vertices_agree_with_support_values(consts, directions):
-    sys = five_bound_system(*consts).member(0)
+    sys = five_bound_system(*consts)
     pts = vertices(sys).vertices
     for d in directions:
         value = support_value([(sys, [dict(zip(RATES, d))])])[0][0]
@@ -653,7 +651,7 @@ _COMPONENT = st.builds(lambda x, scale: x * scale, st.floats(-1.0, 1.0),
 @example((1.8527390215858563, -0.6321863097597636, -0.6552903102988145, 0.3144915126272878,
           1.0), [(1e-07, 0.2535958247649386, 0.03570986999225689, 0.08667615142540286)])
 def test_stacked_support_values_are_vertex_maxima(consts, directions):
-    sys = five_bound_system(*consts).member(0)
+    sys = five_bound_system(*consts)
     objectives = [dict(zip(RATES, d)) for d in directions]
     values = support_value([(sys, objectives)])[0]
     alone = [support_value([(sys, [o])])[0][0] for o in objectives]
@@ -822,8 +820,8 @@ def _relabelled_model(draw):
             model(*moved, _relabel(ux, (pu, px)), _relabel(layered, (pq, pu, pv1, pv2, px))))
 
 
-def _rows(sys):
-    return [(q.coeffs, q.rel, q.label) for q in sys.ineqs], np.array([q.rhs for q in sys.ineqs])
+def _rows(stack):
+    return [(q.coeffs, q.rel, q.label) for q in stack.rows.ineqs], stack.rhs[0]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
+from generators import by_label
 from hull_oracle import in_hull
 from wiretap_regions import regions_gaussian
 from wiretap_regions.errors import (
@@ -19,7 +20,18 @@ from wiretap_regions.errors import (
     WiretapError,
 )
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
-from wiretap_regions.regions_discrete import eval_degraded_inner
+from wiretap_regions.info_core import VarId, build_degraded_joint, make_table, take_stack
+from wiretap_regions.regions_discrete import (
+    LAYERED_VARS,
+    UX_VARS,
+    AuxJoint,
+    _corner_aux_ux,
+    _layered_probs,
+    eval_degraded_inner,
+    eval_degraded_outer,
+    eval_general_inner,
+    eval_original_inner,
+)
 from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
@@ -137,13 +149,74 @@ def test_stacked_split_gives_each_sample_its_lone_system():
     ch = GaussChannel(S=np.array([[2.0, 0.3], [0.3, 1.5]]), Sigma1=0.5 * np.eye(2),
                       Sigma2=np.eye(2), SigmaZ=2 * np.eye(2))
     K = random_psd_under(np.random.default_rng(8), ch.S, size=6)
-    stacked = eval_gauss_inner(CovSplit(K=K), ch)
-    alone = [eval_gauss_inner(CovSplit(K=k), ch) for k in K]
-    assert [stacked.member(k) for k in range(6)] == alone
+    assert len(eval_gauss_inner(CovSplit(K=K), ch)) == 6
     # one cap check for the stack, naming the first sample over the cap
     K[[2, 4]] = 1.5 * ch.S
     with pytest.raises(CapExceeded, match="^instance 2: covariance allocation exceeds"):
         eval_gauss_inner(CovSplit(K=K), ch)
+
+
+_DISCRETE_EVALUATORS = {"degraded inner": eval_degraded_inner,
+                        "degraded outer": eval_degraded_outer,
+                        "original inner": eval_original_inner,
+                        "general inner": eval_general_inner}
+_GAUSS_EVALUATORS = {"gauss inner": eval_gauss_inner, "gauss outer": eval_gauss_outer,
+                     "general gauss 21": lambda t, c: eval_general_gauss(t, c, "21"),
+                     "general gauss 12": lambda t, c: eval_general_gauss(t, c, "12")}
+
+
+@st.composite
+def _evaluator_inputs(draw):
+    """An evaluator, a channel, a stack of 1-4 inputs it takes and the same
+    inputs one by one: auxes over (U, X) (some of them the sweep's corner
+    auxes, which hold zero cells) or layered ones on a degraded discrete
+    channel, and single splits (0 and S among them) or triples on a degraded
+    Gaussian channel of dimension 1-3."""
+    name = draw(st.sampled_from(sorted(_DISCRETE_EVALUATORS) + sorted(_GAUSS_EVALUATORS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 4))
+    if name in _DISCRETE_EVALUATORS:
+        cx = draw(st.integers(2, 3))
+        ch = build_degraded_joint(*(rng.dirichlet(np.ones(2), size=c) for c in (cx, 2, 2)))
+        if name == "general inner":
+            probs = np.stack([_layered_probs(rng, 2, 2, 2, 2, cx, k % 2 == 0)
+                              for k in range(n)])
+            names = LAYERED_VARS
+        else:
+            corners = _corner_aux_ux(cx + 1, cx)
+            picks = draw(st.lists(st.integers(0, len(corners)), min_size=n, max_size=n))
+            probs = np.stack([corners[i] if i < len(corners)
+                              else rng.dirichlet(np.ones((cx + 1) * cx)).reshape(cx + 1, cx)
+                              for i in picks])
+            names = UX_VARS
+        vars_ = tuple(map(VarId, names, probs.shape[1:]))
+        return (name, ch, AuxJoint(take_stack(vars_, probs)),
+                [AuxJoint(make_table(vars_, p)) for p in probs])
+    d = draw(st.integers(1, 3))
+    ch = rand_degraded(rng, d)
+    if name.startswith("gauss"):
+        K = random_psd_under(rng, ch.S, size=n)
+        for k, corner in draw(st.dictionaries(st.integers(0, n - 1), st.sampled_from([0.0, 1.0]))
+                              ).items():
+            K[k] = corner * ch.S
+        return name, ch, CovSplit(K=K), [CovSplit(K=k) for k in K]
+    triple = [random_psd_under(rng, ch.S / 3, size=n) for _ in range(3)]
+    return name, ch, CovSplit(None, *triple), [CovSplit(None, *m) for m in zip(*triple)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_evaluator_inputs())
+def test_every_evaluator_gives_a_stacked_member_the_bits_of_its_lone_evaluation(case):
+    # a lone input is a stack of one, and member k of a stacked evaluation
+    # is input k's lone evaluation, bit for bit, over the same row set
+    name, ch, stacked, alone = case
+    evaluate = {**_DISCRETE_EVALUATORS, **_GAUSS_EVALUATORS}[name]
+    got = evaluate(stacked, ch)
+    assert len(got) == len(alone)
+    for k, one in enumerate(alone):
+        lone = evaluate(one, ch)
+        assert lone.rows == got.rows and lone.rhs.shape == (1, len(got.rows.ineqs))
+        assert got.rhs[k].tobytes() == lone.rhs[0].tobytes()
 
 
 def test_trace_P_sweep_checks_the_channel_once(monkeypatch):
@@ -245,38 +318,37 @@ def test_joint_noise_blocks_and_psd():
 
 
 def test_scalar_fixture_bounds():
-    sys = eval_gauss_inner(CovSplit(K=0.5 * I1), scalar_channel())
-    by = {q.label: float(q.rhs) for q in sys.ineqs}
+    by = by_label(eval_gauss_inner(CovSplit(K=0.5 * I1), scalar_channel()))
     for label, expect in SCALAR_FIXTURE.items():
         assert by[label] == pytest.approx(expect, abs=1e-9), label
 
 
 def test_rs2_vanishes_at_full_allocation():
-    sys = eval_gauss_inner(CovSplit(K=1.0 * I1), scalar_channel())
-    assert float(sys.ineqs[0].rhs) == pytest.approx(0.0, abs=1e-12)
+    by = by_label(eval_gauss_inner(CovSplit(K=1.0 * I1), scalar_channel()))
+    assert by["rs2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_rs2_vanishes_when_eavesdropper_equals_user2():
     ch = GaussChannel(S=1.0 * I1, Sigma1=0.5 * I1, Sigma2=2.0 * I1, SigmaZ=2.0 * I1)
     for k in (0.0, 0.3, 1.0):
-        sys = eval_gauss_inner(CovSplit(K=k * I1), ch)
-        assert float(sys.ineqs[0].rhs) == pytest.approx(0.0, abs=1e-12)
+        by = by_label(eval_gauss_inner(CovSplit(K=k * I1), ch))
+        assert by["rs2"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_outer_drops_extra_bound():
     ch = scalar_channel()
     inner = eval_gauss_inner(CovSplit(K=0.5 * I1), ch)
     outer = eval_gauss_outer(CovSplit(K=0.5 * I1), ch)
-    assert [q.label for q in outer.ineqs] == ["rs2", "rs12", "rs2p2", "total"]
-    inner_by = {q.label: float(q.rhs) for q in inner.ineqs}
-    for q in outer.ineqs:
-        assert float(q.rhs) == pytest.approx(inner_by[q.label], abs=0.0)
+    assert [q.label for q in outer.rows.ineqs] == ["rs2", "rs12", "rs2p2", "total"]
+    inner_by = by_label(inner)
+    for label, rhs in by_label(outer).items():
+        assert rhs == pytest.approx(inner_by[label], abs=0.0)
 
 
 def test_zero_allocation_cancellations():
     ch = GaussChannel(S=1.0 * I1, Sigma1=0.5 * I1, Sigma2=2.0 * I1, SigmaZ=2.0 * I1)
     outer = eval_gauss_outer(CovSplit(K=0.0 * I1), ch)
-    by = {q.label: float(q.rhs) for q in outer.ineqs}
+    by = by_label(outer)
     assert by["rs2"] == pytest.approx(0.0, abs=1e-12)
     assert by["rs2p2"] == pytest.approx(0.5 * math.log(1.5), abs=1e-12)
 
@@ -391,7 +463,7 @@ def test_general_gauss_zero_split():
     # anchored to the cap S keep the cloud-layer value min_j log|S+Sj|/|Sj| / 2
     ch = scalar_channel()
     split = CovSplit(K0=0.0 * I1, K1=0.0 * I1, K2=0.0 * I1)
-    by = {q.label: float(q.rhs) for q in eval_general_gauss(split, ch).ineqs}
+    by = by_label(eval_general_gauss(split, ch))
     for label in ("rs1", "rs2", "rs12"):
         assert by[label] == pytest.approx(0.0, abs=1e-12), label
     cap_term = min(0.5 * math.log(1.5 / 0.5), 0.5 * math.log(2.0 / 1.0))
@@ -410,9 +482,10 @@ def test_general_gauss_swap_symmetry():
         a = eval_general_gauss(CovSplit(K0=k0, K1=k1, K2=k2), swapped_ch, order="12")
         b = eval_general_gauss(CovSplit(K0=k0, K1=k2, K2=k1), ch, order="21")
         swap = {"Rp1": "Rp2", "Rp2": "Rp1", "Rs1": "Rs2", "Rs2": "Rs1"}
-        got = sorted((tuple(sorted((swap[v], c) for v, c in q.coeffs)), round(float(q.rhs), 12))
-                     for q in a.ineqs)
-        want = sorted((tuple(sorted(q.coeffs)), round(float(q.rhs), 12)) for q in b.ineqs)
+        got = sorted((tuple(sorted((swap[v], c) for v, c in q.coeffs)), round(r, 12))
+                     for q, r in zip(a.rows.ineqs, a.rhs[0].tolist()))
+        want = sorted((tuple(sorted(q.coeffs)), round(r, 12))
+                      for q, r in zip(b.rows.ineqs, b.rhs[0].tolist()))
         assert got == want
 
 
@@ -421,7 +494,7 @@ def test_bound_monotone_in_private_allocation():
     ch = scalar_channel()
     prev = np.inf
     for k in np.linspace(0.0, 1.0, 6):
-        val = float(eval_gauss_inner(CovSplit(K=k * I1), ch).ineqs[2].rhs)
+        val = by_label(eval_gauss_inner(CovSplit(K=k * I1), ch))["rs2p2"]
         assert val <= prev + 1e-12
         prev = val
     rng = np.random.default_rng(27)
@@ -435,7 +508,7 @@ def test_bound_monotone_in_private_allocation():
         K = K0 + t * delta
         if not np.all(np.linalg.eigvalsh(ch2.S - K) >= -1e-12):
             break
-        val = float(eval_gauss_inner(CovSplit(K=K), ch2).ineqs[2].rhs)
+        val = by_label(eval_gauss_inner(CovSplit(K=K), ch2))["rs2p2"]
         assert val <= prev + 1e-12
         prev = val
 
@@ -507,7 +580,7 @@ def _verdict(f, *args):
         return type(e), None
     if isinstance(out, float):
         return "residual", np.array([out])
-    return [q.label for q in out.ineqs], np.array([q.rhs for q in out.ineqs])
+    return [q.label for q in out.rows.ineqs], out.rhs[0]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -534,7 +607,7 @@ def _discrete_inner(S, s1, s2, sz, K):
     """The discrete degraded inner bound of the scalar channel's discrete twin
     and the twin's channel."""
     aux, ch = discretize_scalar(GaussChannel(S * I1, s1 * I1, s2 * I1, sz * I1), K)
-    return np.array([float(q.rhs) for q in eval_degraded_inner(aux, ch).ineqs]), ch
+    return eval_degraded_inner(aux, ch).rhs[0], ch
 
 
 def test_discretization_refuses_a_channel_out_of_the_degraded_order():
@@ -562,7 +635,7 @@ def test_a_zero_noise_increment_is_the_identity_stage(c):
     assert np.array_equal(ch.stages[1], np.eye(len(ch.stages[1])))
     assert np.abs(rates - _discrete_inner(1.0, 0.5, 0.5, 2.0, 0.5)[0]).max() <= 1e-12
     closed = GaussChannel(I1, 0.5 * I1, 0.5 * I1, 2 * I1)
-    exact = [float(q.rhs) for q in eval_gauss_inner(CovSplit(K=0.5 * I1), closed).ineqs]
+    exact = eval_gauss_inner(CovSplit(K=0.5 * I1), closed).rhs[0]
     assert np.abs(rates - exact).max() <= 5e-3
 
 

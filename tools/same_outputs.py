@@ -17,7 +17,7 @@ and the bytes of every file the command wrote.  The commands are:
   beside small input files named as the README names them;
 - lone ``region eval-*`` and ``gauss eval`` commands: every bound, with and
   without ``--vertices``, in both output formats, on generated channels,
-  auxes and splits;
+  auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse;
 - ``fisher lemmas --budget 1000 --mixtures`` and ``fisher debruijn --budget
   200`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
   instances and seeds than the benchmark's ``fisher`` ops.
@@ -165,7 +165,12 @@ def readme_commands(tree: str) -> list:
 
 def lone_eval_commands(spec, inputs: str) -> list:
     """``region eval-*`` and ``gauss eval`` on generated inputs: every bound,
-    with and without ``--vertices``, pretty and as CSV."""
+    with and without ``--vertices``, pretty and as CSV; then, per input set,
+    five commands the evaluators refuse: ``--bound inner`` on a channel out of
+    the degraded noise order and on a split over the cap (exit 1), a triple
+    split with ``--bound inner`` and a single split with ``--bound general``
+    (exit 2), and ``eval-general`` on an aux that breaks the layered
+    factorization (exit 2)."""
     import numpy as np
 
     def write(name, text):
@@ -211,6 +216,23 @@ def lone_eval_commands(spec, inputs: str) -> list:
                     commands.append(["lone gauss eval",
                                      ["gauss", "eval", "--channel", ch, "--split", split,
                                       "--bound", bound, *order, *show]])
+        if k < 2:   # refusals: a channel out of the degraded order, a split over the cap
+            rev = write(f"lone-rev{k}.txt", _matrix_file("gauss", {
+                "S": [[2.0 + k]], "Sigma1": [[2.0]], "Sigma2": [[1.0]], "SigmaZ": [[3.0]]}))
+            half = write(f"lone-half{k}.txt", _matrix_file("split", {"K": [[0.5]]}))
+            over = write(f"lone-over{k}.txt", _matrix_file("split", {"K": 2.0 * S}))
+            for channel, split, bound in ((rev, half, "inner"), (ch, over, "inner"),
+                                          (ch, triple, "inner"), (ch, single, "general")):
+                commands.append(["lone gauss eval", ["gauss", "eval", "--channel", channel,
+                                                     "--split", split, "--bound", bound]])
+    for k in range(2):   # refusal: an aux that breaks the layered factorization
+        rng = np.random.default_rng([9, k])
+        ch = write(f"lone-refuse-ch{k}.txt", spec.CHANNELS["discrete3"](rng))
+        broken = write(f"lone-broken{k}.txt", _matrix_file(
+            "aux", {"table": rng.dirichlet(np.ones(72)).reshape(1, -1)},
+            ["vars: Q 2 U 2 V1 3 V2 2 X 3"]))
+        commands.append(["lone region eval",
+                         ["region", "eval-general", "--channel", ch, "--aux", broken]])
     return commands
 
 
