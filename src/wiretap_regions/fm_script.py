@@ -59,7 +59,6 @@ from .polytope_fm import (
     apply_rate_transfer,
     fm_eliminate,
     instantiate,
-    scale_rhs,
     substitute_equality,
     support_value,
 )
@@ -178,7 +177,7 @@ def _substitute_pivots(nums: dict, den: int, rhs, pivots):
     for pivot, (c, row, row_rhs) in pivots.items():
         a = nums.get(pivot)
         if a:
-            rhs = rhs - scale_rhs(row_rhs, a, den)
+            rhs = rhs - row_rhs.scaled(a, den)
             g = math.gcd(a, c)
             nums = lincomb(nums.items(), c // g, row, -a // g)
             den *= c // g
@@ -187,9 +186,7 @@ def _substitute_pivots(nums: dict, den: int, rhs, pivots):
 
 def _reduce_mod_equalities(q: LinIneq, eq_pivots, entropy_eqs: EqualitySet) -> LinIneq:
     nums, den, rhs = _substitute_pivots(dict(q.nums), q.den, q.rhs, eq_pivots)
-    if isinstance(rhs, InfoExpr):
-        rhs = entropy_eqs.reduce(rhs)
-    return LinIneq.exact(nums, den, rhs, q.rel, q.label).canonical()
+    return LinIneq.exact(nums, den, entropy_eqs.reduce(rhs), q.rel, q.label).canonical()
 
 
 def _equality_pivots(equalities, var_order):
@@ -205,7 +202,7 @@ def _equality_pivots(equalities, var_order):
         c = nums[pivot]
         sign = 1 if c > 0 else -1
         pivots[pivot] = (c * sign, tuple((v, k * sign) for v, k in nums.items()),
-                         scale_rhs(rhs, den, c))
+                         rhs.scaled(den, c))
     return pivots
 
 
@@ -233,9 +230,7 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
         # equalities compare by their own sign-normalized form (reducing them
         # against the pivot set would collapse every one of them to 0 = 0)
         r = q.canonical()
-        if isinstance(r.rhs, InfoExpr):
-            return (r.nums, entropy_eqs.reduce(r.rhs).key())
-        return (r.nums, float(r.rhs))
+        return (r.nums, entropy_eqs.reduce(r.rhs).key())
 
     def canon_set(sys):
         eqs, ineqs = {}, {}
@@ -244,7 +239,7 @@ def match_systems(produced: IneqSystem, recorded: IneqSystem,
                 eqs[eq_key(q)] = q
                 continue
             r = _reduce_mod_equalities(q, pivots, entropy_eqs)
-            ineqs[(r.nums, r.rhs_key())] = q
+            ineqs[(r.nums, r.rhs.key())] = q
         return eqs, ineqs
 
     p_eqs, p_ineqs = canon_set(produced)
@@ -405,7 +400,7 @@ def run_step(sys: IneqSystem, step: Step) -> IneqSystem:
         out = apply_rate_transfer(sys, pairs, slacks)
         if step.op == "transfer_full":
             src = step.transfers[0][0]
-            out = substitute_equality(out, LinIneq(((src, 1),), out.rhs_zero(), EQ), src)
+            out = substitute_equality(out, LinIneq(((src, 1),), rel=EQ), src)
         return out
     if step.op == "drop_signs":
         return sys.with_ineqs([q for q in sys.ineqs if q.nums])

@@ -3,15 +3,14 @@
 Systems live in the nonnegative orthant: every rate variable carries an
 implicit ``v >= 0`` constraint (the "ambient" bounds).  Coefficients are exact
 rationals, held as integer numerators over one positive denominator per row;
-right-hand sides are either :class:`~.entropy_algebra.InfoExpr` values
-(symbolic systems) or floats (numeric systems).  Every row operation
-(scaling, the Fourier-Motzkin combination of two rows, substitution of an
-equality) is integer cross-multiplication followed by division by the gcd,
-so a row keeps its exact rational value.  ``Fraction`` appears only at the
-boundary: :meth:`LinIneq.of` takes any rationals, and ``coeffs`` and
-:meth:`LinIneq.coeff` give exact values.  A right-hand side is scaled by
-:func:`scale_rhs`: exactly on an ``InfoExpr``, and on a float by the float
-nearest the rational factor.
+every right-hand side is an :class:`~.entropy_algebra.InfoExpr`, a number
+being one with only a constant.  Every row operation (scaling, the
+Fourier-Motzkin combination of two rows, substitution of an equality) is
+integer cross-multiplication followed by division by the gcd, and scales the
+right-hand side exactly (``InfoExpr.scaled``), so a row keeps its exact
+rational value.  ``Fraction`` appears only at the boundary:
+:meth:`LinIneq.of` takes any rationals, a number on the right included, and
+``coeffs`` and :meth:`LinIneq.coeff` give exact values.
 
 A numeric region is a :class:`SystemStack`, a lone one a stack of one, and
 every routine that computes on numbers reads one.
@@ -62,18 +61,7 @@ CERT_LP_OPTIONS = {"primal_feasibility_tolerance": 1e-10,
                    "dual_feasibility_tolerance": 1e-10}
 
 
-def _rhs_is_zero(rhs) -> bool:
-    if isinstance(rhs, InfoExpr):
-        return rhs.is_zero()
-    return rhs == 0.0
-
-
-def scale_rhs(rhs, p: int, q: int):
-    """``rhs * p / q`` for ints ``p`` and ``q != 0``: exact on an ``InfoExpr``;
-    a float is multiplied by the float nearest ``p / q``."""
-    if isinstance(rhs, InfoExpr):
-        return rhs.scaled(p, q)
-    return rhs * p if q == 1 else rhs * float(Fraction(p, q))
+ZERO = InfoExpr()   # the right-hand side of a row written without one
 
 
 @dataclass(frozen=True)
@@ -86,22 +74,24 @@ class LinIneq:
     """
 
     nums: tuple[tuple[str, int], ...]
-    rhs: object
+    rhs: InfoExpr = ZERO
     rel: str = LE
     label: str | None = None
     den: int = 1
 
     @staticmethod
-    def of(coeffs: dict, rhs, rel: str = LE, label: str | None = None) -> "LinIneq":
-        """The row with rational coefficients ``coeffs``; a right-hand side
-        that is not an ``InfoExpr`` becomes a float."""
+    def of(coeffs: dict, rhs=ZERO, rel: str = LE, label: str | None = None) -> "LinIneq":
+        """The row with rational coefficients ``coeffs``: a right-hand side
+        that is a number (any rational, a float included) becomes the
+        ``InfoExpr`` whose constant is its exact value."""
         items = sorted((v, c) for v, c in coeffs.items() if c != 0)
         nums, den = common_denominator([c for _, c in items])
-        return LinIneq(tuple(zip([v for v, _ in items], nums)),
-                       rhs if isinstance(rhs, InfoExpr) else float(rhs), rel, label, den)
+        rhs = rhs if isinstance(rhs, InfoExpr) else InfoExpr(constant=rhs)
+        return LinIneq(tuple(zip([v for v, _ in items], nums)), rhs, rel, label, den)
 
     @staticmethod
-    def exact(nums: dict, den: int, rhs, rel: str = LE, label: str | None = None) -> "LinIneq":
+    def exact(nums: dict, den: int, rhs: InfoExpr, rel: str = LE,
+              label: str | None = None) -> "LinIneq":
         """The row ``sum(nums[v] * v) / den REL rhs`` for int numerators and
         ``den > 0``, in lowest terms."""
         items = sorted((v, c) for v, c in nums.items() if c)
@@ -143,14 +133,11 @@ class LinIneq:
             g = -g
         if g == 1 and self.den == 1:
             return self
-        return LinIneq(tuple((v, c // g) for v, c in self.nums), scale_rhs(self.rhs, self.den, g),
+        return LinIneq(tuple((v, c // g) for v, c in self.nums), self.rhs.scaled(self.den, g),
                        self.rel, self.label)
 
-    def rhs_key(self):
-        return self.rhs.key() if isinstance(self.rhs, InfoExpr) else self.rhs
-
     def key(self):
-        return (self.rel, self.nums, self.den, self.rhs_key())
+        return (self.rel, self.nums, self.den, self.rhs.key())
 
     def lhs_text(self) -> str:
         return " + ".join(f"{c}*{v}" if c != 1 else v for v, c in self.coeffs) or "0"
@@ -181,11 +168,6 @@ class IneqSystem:
     def equalities(self) -> tuple[LinIneq, ...]:
         return tuple(q for q in self.ineqs if q.rel == EQ)
 
-    def rhs_zero(self):
-        for q in self.ineqs:
-            return InfoExpr() if isinstance(q.rhs, InfoExpr) else 0.0
-        return 0.0
-
     def with_ineqs(self, ineqs) -> "IneqSystem":
         return IneqSystem(self.vars, tuple(ineqs))
 
@@ -201,9 +183,9 @@ def _dedup(ineqs) -> list[LinIneq]:
 
 
 def _ambient_implied(q: LinIneq) -> bool:
-    """True when the row follows from the nonnegative orthant alone."""
-    return (q.rel == LE and all(c <= 0 for _, c in q.nums)
-            and (q.rhs.is_zero() if isinstance(q.rhs, InfoExpr) else q.rhs >= 0.0))
+    """True for a ``<=`` row with no positive coefficient and a zero
+    right-hand side, which the nonnegative orthant implies alone."""
+    return q.rel == LE and all(c <= 0 for _, c in q.nums) and q.rhs.is_zero()
 
 
 def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str) -> IneqSystem:
@@ -231,14 +213,14 @@ def substitute_equality(sys: IneqSystem, eq: LinIneq, var: str) -> IneqSystem:
         if a == 0:
             return q
         out = LinIneq.exact(lincomb(q.nums, c * sign, eq.nums, -a * sign), q.den * c * sign,
-                            q.rhs + scale_rhs(eq.rhs, -a * eq.den, q.den * c), q.rel, q.label)
-        if out.rel == EQ and not out.nums and _rhs_is_zero(out.rhs):
+                            q.rhs + eq.rhs.scaled(-a * eq.den, q.den * c), q.rel, q.label)
+        if out.rel == EQ and not out.nums and out.rhs.is_zero():
             return None  # the consumed equality itself
         return out
 
     new = [r for r in (replace(q) for q in sys.ineqs) if r is not None]
     # ambient var >= 0  =>  -(substituted expression) <= 0
-    ambient = replace(LinIneq(((var, -1),), sys.rhs_zero()))
+    ambient = replace(LinIneq(((var, -1),)))
     if ambient is not None and not _ambient_implied(ambient):
         new.append(ambient)
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(new)))
@@ -252,9 +234,11 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
     the ambient ``var >= 0`` acting as one lower bound.  A lower row with
     numerator ``-a`` on ``var`` and an upper row with ``b`` combine as
     ``(b * lower + a * upper) / (a * b)`` over the integers: the sum of the
-    two rows scaled to coefficients -1 and +1 on ``var``.  Rows implied by the
-    nonnegative orthant and exact duplicates are removed; anything else,
-    including pure sign rows with no variables, is kept.
+    two rows scaled to coefficients -1 and +1 on ``var``.  Exact duplicates
+    are removed, and so are the rows the nonnegative orthant implies with a
+    zero right-hand side (no positive coefficient); anything else is kept,
+    including pure sign rows with no variables and rows such as ``-y <= 1``
+    that the orthant implies through a nonzero right-hand side.
     """
     if var not in sys.vars:
         return sys
@@ -271,11 +255,11 @@ def fm_eliminate(sys: IneqSystem, var: str) -> IneqSystem:
         else:
             rest.append(q)
     # ambient lower bound 0 <= var
-    lowers.append((LinIneq(((var, -1),), sys.rhs_zero()), 1))
+    lowers.append((LinIneq(((var, -1),)), 1))
     out = list(rest)
     for (lo, a), (up, b) in itertools.product(lowers, uppers):
         combo = LinIneq.exact(lincomb(lo.nums, b, up.nums, a), a * b,
-                              scale_rhs(lo.rhs, lo.den, a) + scale_rhs(up.rhs, up.den, b))
+                              lo.rhs.scaled(lo.den, a) + up.rhs.scaled(up.den, b))
         if not _ambient_implied(combo):
             out.append(combo)
     return IneqSystem(tuple(v for v in sys.vars if v != var), tuple(_dedup(out)))
@@ -332,7 +316,7 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
         row[dest] = -1
         # old dest >= 0 when dest existed; otherwise dest is exactly its inflow
         rel = LE if dest in sys.vars else EQ
-        out.append(LinIneq.exact(row, 1, sys.rhs_zero(), rel=rel))
+        out.append(LinIneq.exact(row, 1, ZERO, rel=rel))
     return IneqSystem(tuple(new_vars), tuple(_dedup(out)))
 
 
@@ -342,9 +326,10 @@ def apply_rate_transfer(sys: IneqSystem, transfers, slack_names) -> IneqSystem:
 @dataclass(frozen=True, eq=False)
 class SystemStack:
     """N numeric systems that share one row set: ``rows`` holds their
-    variables, coefficient rows, relations and labels (its own right-hand
-    sides are not read), and ``rhs`` the read-only ``(N, m)`` matrix whose
-    row k holds member k's right-hand sides, one column per row of ``rows``.
+    variables, coefficient rows, relations and labels (its rows' exact
+    right-hand sides, symbolic or zero, are not read), and ``rhs`` the
+    read-only ``(N, m)`` matrix whose row k holds member k's right-hand
+    sides, one column per row of ``rows``.
     Stacks compare and hash by identity (``rhs`` is an array)."""
 
     rows: IneqSystem
@@ -533,13 +518,22 @@ def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[new], order[new], inverse
 
 
+def _check_known(names, known, what: str) -> None:
+    """UnknownVariable naming the first of ``names`` not in ``known``."""
+    for v in names:
+        if v not in known:
+            raise UnknownVariable(f"{what} names variable {v!r}, not one of {tuple(known)}")
+
+
 def max_violation(stack: SystemStack, points, var_order=None) -> float:
     """Largest amount by which a point (one point, or the rows of
     ``points``; coordinates in ``var_order``, default ``stack.vars``) violates
     a member of ``stack``, the orthant walls included (<= 0 means every point
-    lies inside every member)."""
+    lies inside every member).  UnknownVariable when ``var_order`` lacks a
+    variable of the stack."""
     x = np.atleast_2d(np.asarray(points, dtype=float))
     if var_order is not None and tuple(var_order) != stack.vars:
+        _check_known(stack.vars, var_order, "the stack")
         pos = {v: i for i, v in enumerate(var_order)}
         x = x[:, [pos[v] for v in stack.vars]]
     A = _coefficient_rows(stack.rows, allow_eq=False)[0]
@@ -550,9 +544,12 @@ def max_violation(stack: SystemStack, points, var_order=None) -> float:
 def region_equal(a: SystemStack, b: SystemStack) -> bool:
     """True iff each member of ``a`` coincides with the same member of ``b``
     (mutual vertex containment within ``VERTEX_TOL``); DimensionMismatch for
-    stacks of different lengths."""
+    stacks of different lengths, UnknownVariable for stacks over different
+    variables."""
     if len(a) != len(b):
         raise DimensionMismatch(f"stacks of {len(a)} and {len(b)} members compared")
+    _check_known(a.vars, b.vars, "the first stack")
+    _check_known(b.vars, a.vars, "the second stack")
     va, vb = vertices(a), vertices(b)
     for other, vp in ((b, va), (a, vb)):
         for k, pts in enumerate(np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):
@@ -579,10 +576,13 @@ def support_value(jobs) -> list[list]:
     direction when the optimum exceeds ``CERT_TOL``).  The support LP then
     maximizes each (nonempty member, bounded objective) block over its own
     copy of the member's variables and rows.  Unlike :func:`vertices` this
-    accepts equality rows.
+    accepts equality rows.  UnknownVariable for an objective naming a
+    variable outside its stack.
     """
     rows = []   # (A, b, A_eq, b_eq, objective vectors) of each member
     for stack, objectives in jobs:
+        for o in objectives:
+            _check_known(o, stack.vars, "an objective")
         A, A_eq = _coefficient_rows(stack.rows, allow_eq=True)
         le = np.array([q.rel == LE for q in stack.rows.ineqs], dtype=bool)
         cs = [np.array([o.get(v, 0.0) for v in stack.vars], dtype=float) for o in objectives]
@@ -651,7 +651,7 @@ def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
     symbolic right-hand side takes its value on member k of every table and
     entry k of every symbol, as :func:`~.entropy_algebra.evaluate_all` sums
     it on that member's lone tables, bit for bit, each entropy read once for
-    the whole stack; a numeric right-hand side is every member's.  Raises
+    the whole stack; one that reads no table or symbol is every member's.  Raises
     DimensionMismatch for a lone table, or for stacks of different
     lengths."""
     if not all(t.stacked for t in tables):
@@ -660,10 +660,7 @@ def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
     if len(sizes) != 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "
                                 f"instantiated together")
-    values = iter(evaluate_all([q.rhs for q in sys.ineqs if isinstance(q.rhs, InfoExpr)],
-                               tables, sym_values))
     rhs = np.empty((sizes.pop(), len(sys.ineqs)))
-    for i, q in enumerate(sys.ineqs):
-        # a right-hand side that reads no table or symbol is one float for every member
-        rhs[:, i] = next(values) if isinstance(q.rhs, InfoExpr) else q.rhs
+    for i, value in enumerate(evaluate_all([q.rhs for q in sys.ineqs], tables, sym_values)):
+        rhs[:, i] = value
     return SystemStack(sys, rhs)

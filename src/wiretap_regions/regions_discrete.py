@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .entropy_algebra import InfoExpr
 from .errors import (
     BudgetZero,
     InconsistentAux,
@@ -140,23 +139,23 @@ def _degraded_constants(t: ProbTable, ch: ChannelSpec) -> dict[str, np.ndarray]:
 
 
 def _system(rows) -> IneqSystem:
-    return IneqSystem.of(RATES, [LinIneq.of(c, float(r), label=l) for c, r, l in rows])
+    return IneqSystem.of(RATES, [LinIneq.of(c, label=l) for c, l in rows])
 
 
-# The rows of the five-bound region and of the per-message form, with a zero
-# right-hand side, built once: every stack of either region shares them.
+# The rows of the five-bound region and of the per-message form, built once:
+# every stack of either region shares them.
 _FIVE_BOUNDS = _system([
-    ({"Rs2": 1}, 0.0, "rs2"),
-    ({"Rs1": 1, "Rs2": 1}, 0.0, "rs12"),
-    ({"Rp2": 1, "Rs2": 1}, 0.0, "rs2p2"),
-    ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "rs12p2"),
-    ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, 0.0, "total"),
+    ({"Rs2": 1}, "rs2"),
+    ({"Rs1": 1, "Rs2": 1}, "rs12"),
+    ({"Rp2": 1, "Rs2": 1}, "rs2p2"),
+    ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, "rs12p2"),
+    ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, "total"),
 ])
 _PER_MESSAGE = _system([
-    ({"Rp2": 1}, 0.0, "rp2"),
-    ({"Rs2": 1}, 0.0, "rs2"),
-    ({"Rp1": 1}, 0.0, "rp1"),
-    ({"Rs1": 1}, 0.0, "rs1"),
+    ({"Rp2": 1}, "rp2"),
+    ({"Rs2": 1}, "rs2"),
+    ({"Rp1": 1}, "rp1"),
+    ({"Rs1": 1}, "rs1"),
 ])
 _DEGRADED_AUX = "degraded-channel bounds take an aux over (U, X)"
 
@@ -231,7 +230,7 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
         tables = (t, *_output_joints(t, ch))
         target = fm_script.load_fixture("target")
         rhs = instantiate(target, tables, fm_script.min_sym_values(
-            tables, [q.rhs for q in target.ineqs if isinstance(q.rhs, InfoExpr)])).rhs
+            tables, [q.rhs for q in target.ineqs])).rhs
         # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
         # reads about +-1e-16; the clamped mutual informations it stands for give 0
         return SystemStack(target, np.where(np.abs(rhs) <= ZERO_BOUND_TOL, 0.0, rhs))
@@ -294,7 +293,7 @@ def specialize_corollary(stack: SystemStack, which: str) -> SystemStack:
             raise UnknownCorollary("alternate secrecy form needs the inner system")
         b = stack.rhs
         return region_stack(IneqSystem.of(("Rs1", "Rs2"), [
-            LinIneq.of({"Rs2": 1}, 0.0, label="rs2"), LinIneq.of({"Rs1": 1}, 0.0, label="rs1")]),
+            LinIneq.of({"Rs2": 1}, label="rs2"), LinIneq.of({"Rs1": 1}, label="rs1")]),
             (b[:, col["rs2"]], b[:, col["rs12p2"]] - b[:, col["rs2p2"]]))
     raise UnknownCorollary(f"unknown specialization {which!r}")
 

@@ -446,14 +446,14 @@ def dpc_identity_check(K1, K2, K0, ch: GaussChannel):
 # The rows of the eight-bound region with a zero right-hand side, built once:
 # order "21" lists them as _general_bounds gives its bounds, and order "12" is
 # the same rows with the two users' rates and labels swapped.
-_GENERAL_21 = IneqSystem.of(RATES, [LinIneq.of(dict.fromkeys(rates.split(), 1), 0.0, label=l)
+_GENERAL_21 = IneqSystem.of(RATES, [LinIneq.of(dict.fromkeys(rates.split(), 1), label=l)
                                     for rates, l in (
     ("Rs1", "rs1"), ("Rs2", "rs2"), ("Rs1 Rs2", "rs12"), ("Rs1 Rp1", "rs1p1"),
     ("Rs2 Rp2", "rs2p2"), ("Rs1 Rp1 Rs2", "rs1p1s2"), ("Rs1 Rs2 Rp2", "rs12p2"),
     ("Rp1 Rs1 Rp2 Rs2", "total"))])
 _SWAP = str.maketrans("12", "21")
 _GENERAL = {"21": _GENERAL_21, "12": IneqSystem.of(RATES, [
-    LinIneq.of({v.translate(_SWAP): c for v, c in q.coeffs}, 0.0, label=q.label.translate(_SWAP))
+    LinIneq.of({v.translate(_SWAP): c for v, c in q.coeffs}, label=q.label.translate(_SWAP))
     for q in _GENERAL_21.ineqs])}
 
 

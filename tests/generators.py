@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from wiretap_regions.entropy_algebra import InfoExpr, evaluate_all
 from wiretap_regions.info_core import ChannelSpec, make_table
 from wiretap_regions.io_files import _stage_blocks
 from wiretap_regions.polytope_fm import IneqSystem, SystemStack
@@ -53,15 +54,16 @@ def emit_channel_file(ch, path) -> None:
 
 
 def stack_of(sys: IneqSystem) -> SystemStack:
-    """A system with float right-hand sides (written by hand, or projected
-    by Fourier-Motzkin on floats) as a region stack of one."""
-    return SystemStack(sys, [[q.rhs for q in sys.ineqs]])
+    """A system with numeric right-hand sides (written by hand, or projected
+    by Fourier-Motzkin on numbers) as a region stack of one, each
+    right-hand side the float nearest its exact value."""
+    return SystemStack(sys, [evaluate_all([q.rhs for q in sys.ineqs], ())])
 
 
 def system_of(stack: SystemStack, k: int = 0) -> IneqSystem:
-    """Member ``k`` of a region stack as a system with float right-hand
-    sides, for Fourier-Motzkin on numbers."""
-    return stack.rows.with_ineqs([dataclasses.replace(q, rhs=b) for q, b in
+    """Member ``k`` of a region stack as a system whose right-hand sides are
+    the exact values of its floats, for Fourier-Motzkin on numbers."""
+    return stack.rows.with_ineqs([dataclasses.replace(q, rhs=InfoExpr(constant=b)) for q, b in
                                   zip(stack.rows.ineqs, stack.rhs[k].tolist())])
 
 

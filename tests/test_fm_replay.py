@@ -217,14 +217,28 @@ def test_parser_round_trip_forms():
 _VARS = ("a", "b", "c", "d", "e")
 # non-unit pivots and non-integral coefficients, as the integer core must carry
 _RATIONAL = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+# a constant is a small rational or any finite float, which a row holds exactly
+_CONSTANT = st.one_of(_RATIONAL, _RATIONAL, st.floats(allow_nan=False, allow_infinity=False))
 _ROW = st.tuples(st.dictionaries(st.sampled_from(_VARS), _RATIONAL, max_size=5),
                  st.dictionaries(st.sampled_from(("s0", "s1", "s2")), _RATIONAL, max_size=3),
-                 _RATIONAL)
+                 _CONSTANT)
 
 
 def _linineq(row, rel):
+    """The row of a drawn triple; one without symbols passes its constant to
+    ``LinIneq.of`` as a number."""
     coeffs, syms, constant = row
-    return LinIneq.of(coeffs, InfoExpr(syms=syms, constant=constant), rel)
+    return LinIneq.of(coeffs, InfoExpr(syms=syms, constant=constant) if syms else constant, rel)
+
+
+@pytest.mark.parametrize("x", [0.1, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 3,
+                               Fraction(-7, 3)])
+def test_a_number_on_the_right_is_its_exact_value(x):
+    q = LinIneq.of({"x": 3}, x)
+    assert type(q.rhs) is InfoExpr and q.rhs == InfoExpr(constant=Fraction(x))
+    assert q.rhs.constant == Fraction(x) and not q.rhs.terms and not q.rhs.syms
+    # scaling keeps the exact value: no float nearest 1/3 enters
+    assert q.canonical().rhs.constant == Fraction(x) / 3
 
 
 def _fixed_point_substitution(coeffs, rhs, pivots):

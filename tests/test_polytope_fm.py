@@ -18,6 +18,7 @@ from wiretap_regions.errors import (
     DuplicateSlackName,
     LPFailure,
     UnboundedRegion,
+    UnknownVariable,
     ZeroCoefficient,
 )
 from wiretap_regions.info_core import build_degraded_joint
@@ -54,7 +55,7 @@ def grid_membership(sys, varnames, pts):
         ok = all(x >= -1e-12 for x in p)
         for q in sys.ineqs:
             lhs = sum(float(c) * p[varnames.index(v)] for v, c in q.coeffs)
-            ok = ok and lhs <= float(q.rhs) + 1e-9
+            ok = ok and lhs <= float(q.rhs.constant) + 1e-9
         out.append(ok)
     return out
 
@@ -63,6 +64,8 @@ def test_fm_projection_matches_sampling_oracle():
     # {x+y <= 2, x-y <= 1} in the orthant; eliminate x
     s = num_sys(("x", "y"), [({"x": 1, "y": 1}, 2), ({"x": 1, "y": -1}, 1)])
     proj = fm_eliminate(s, "x")
+    # -y <= 1 holds on the whole orthant but has a nonzero right-hand side: kept
+    assert [repr(q) for q in proj.ineqs] == ["y <= 2", "-1*y <= 1"]
     ys = np.linspace(-0.5, 2.5, 200)
     got = grid_membership(proj, ("y",), [(y,) for y in ys])
     # oracle: y is in the projection iff some x >= 0 lifts it
@@ -94,14 +97,14 @@ def test_fm_soundness_random_systems():
             p = rng.uniform(0, 2, size=d - 1)
             in_proj = all(
                 sum(float(c) * p[list(proj.vars).index(v)] for v, c in q.coeffs)
-                <= float(q.rhs) + 1e-9 for q in proj.ineqs)
+                <= float(q.rhs.constant) + 1e-9 for q in proj.ineqs)
             # 1-D lift feasibility: intersect the interval constraints on target
             lo, hi = 0.0, np.inf
             feasible = True
             for q in s.ineqs:
                 a = float(q.coeff(target))
                 rest = sum(float(c) * p[names.index(v)] for v, c in q.coeffs if v != target)
-                slack = float(q.rhs) - rest
+                slack = float(q.rhs.constant) - rest
                 if a > 0:
                     hi = min(hi, slack / a)
                 elif a < 0:
@@ -117,7 +120,7 @@ def test_substitute_equality_simple():
     out = substitute_equality(s, LinIneq.of({"x": 1}, 1.0, rel=EQ), "x")
     assert out.vars == ("y",)
     [q] = [q for q in out.ineqs if q.coeffs]
-    assert q.coeff("y") == 1 and float(q.rhs) == 2.0
+    assert q.coeff("y") == 1 and float(q.rhs.constant) == 2.0
 
 
 def test_substitute_equality_noop_when_var_absent():
@@ -239,7 +242,7 @@ def test_vertices_against_exact_oracle():
 def _assert_vertices_are_the_oracle(sys):
     """``vertices`` of ``sys`` holds one point within 1e-9 of each exact vertex,
     and nothing else."""
-    rows = [({sys.vars.index(v): c for v, c in q.coeffs}, q.rhs) for q in sys.ineqs]
+    rows = [({sys.vars.index(v): c for v, c in q.coeffs}, q.rhs.constant) for q in sys.ineqs]
     exact = np.array(exact_vertex_oracle(rows, len(sys.vars))).reshape(-1, len(sys.vars))
     got = vertices(stack_of(sys)).vertices
     assert len(got) == len(exact)
@@ -344,7 +347,7 @@ def _vertices_or_unbounded(s):
 
 def _stack_of(systems):
     """The systems, which share their rows, as one stack of their right-hand sides."""
-    return SystemStack(systems[0], [[q.rhs for q in s.ineqs] for s in systems])
+    return SystemStack(systems[0], np.concatenate([stack_of(s).rhs for s in systems]))
 
 
 def _stacked(systems):
@@ -509,6 +512,23 @@ def test_region_equal_cases():
     assert not region_equal(stack_of(sq), stack_of(tri))
 
 
+_XY = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
+_XZ = num_sys(("x", "z"), [({"x": 1}, 1), ({"z": 1}, 2)])
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: support_value([(stack_of(_XY), [{"z": 5.0}])]), "z"),
+    (lambda: support_value([(stack_of(_XY), [{"x": 1}, {"x": 1, "w": 3}])]), "w"),
+    (lambda: region_equal(stack_of(_XY), stack_of(_XZ)), "y"),
+    (lambda: region_equal(stack_of(_XZ), stack_of(_XY)), "z"),
+    (lambda: max_violation(stack_of(_XY), [0.5, 0.5], var_order=("x", "w")), "y"),
+], ids=["support-lone", "support-second", "region-equal", "region-equal-swapped",
+        "max-violation"])
+def test_a_variable_outside_the_stack_is_named_not_read_as_zero(call, name):
+    with pytest.raises(UnknownVariable, match=f"'{name}'"):
+        call()
+
+
 def test_support_value_and_infeasible():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     assert support_value([(stack_of(sq), [{"x": 1, "y": 1}])])[0][0] == pytest.approx(3.0)
@@ -589,8 +609,10 @@ def _support_alone(sys, objective):
     eq = [q for q in sys.ineqs if q.rel == EQ]
     res = scipy.optimize.linprog(
         -dense(objective.items()),
-        np.array([dense(q.coeffs) for q in ub]).reshape(-1, d), [q.rhs for q in ub],
-        np.array([dense(q.coeffs) for q in eq]).reshape(-1, d), [q.rhs for q in eq],
+        np.array([dense(q.coeffs) for q in ub]).reshape(-1, d),
+        [float(q.rhs.constant) for q in ub],
+        np.array([dense(q.coeffs) for q in eq]).reshape(-1, d),
+        [float(q.rhs.constant) for q in eq],
         method="highs", options={**pf.CERT_LP_OPTIONS, "presolve": False})
     if res.status not in (0, 2, 3):
         raise LPFailure(f"reference LP failed with status {res.status}")

@@ -322,7 +322,7 @@ def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
     for qj, values in zip(kept, support_value(jobs)):
         others = [qi for qi in kept if qi is not qj]
         for qi, value in zip(others, values):
-            assert value is None or value > qi.rhs + 1e-9, (qj, qi)
+            assert value is None or value > float(qi.rhs.constant) + 1e-9, (qj, qi)
 
 
 def _stacked_aux(aux, n):

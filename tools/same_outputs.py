@@ -20,7 +20,10 @@ and the bytes of every file the command wrote.  The commands are:
   auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse;
 - ``fisher lemmas --budget 1000 --mixtures`` and ``fisher debruijn --budget
   200`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
-  instances and seeds than the benchmark's ``fisher`` ops.
+  instances and seeds than the benchmark's ``fisher`` ops;
+- ``fm verify-appendix`` at seeds 0 to 9 (``FM_SEEDS``), and at seed 0 with
+  ``--instantiations 1`` and ``--instantiations 5``, each writing its CSV:
+  more seeds than the benchmark's ``chain_replay`` ops.
 
 A command that raises out of ``cli.main`` is recorded by the exception's
 type and message, not its traceback, whose paths name the tree.  Prints one
@@ -46,6 +49,7 @@ SEEDS = (0, 1)   # the benchmark seeds whose ops are compared
 FISHER_SEEDS = (0, 1, 2, 3)
 FISHER_COMMANDS = (("fisher", "lemmas", "--budget", "1000", "--mixtures"),
                    ("fisher", "debruijn", "--budget", "200"))
+FM_SEEDS = range(10)
 
 
 # --- worker: runs inside each tree's interpreter ------------------------------------
@@ -243,6 +247,16 @@ def fisher_commands() -> list:
             for seed in FISHER_SEEDS for argv in FISHER_COMMANDS]
 
 
+def fm_commands() -> list:
+    """``fm verify-appendix`` at every seed of ``FM_SEEDS`` and at seed 0
+    with one and five instantiations, its CSV written under ``out/`` of the
+    run directory."""
+    runs = [(seed, []) for seed in FM_SEEDS] + [(0, ["--instantiations", n]) for n in ("1", "5")]
+    return [["fm", ["fm", "verify-appendix", "--seed", str(seed), *extra,
+                    "--out", f"out/fm-seed{seed}{'-' + extra[-1] if extra else ''}.csv"]]
+            for seed, extra in runs]
+
+
 # --- comparison ---------------------------------------------------------------------
 
 
@@ -283,7 +297,7 @@ def main(argv=None) -> int:
         os.makedirs(inputs)
         commands = (benchmark_commands(spec, seconds, inputs)
                     + readme_commands(args.change) + lone_eval_commands(spec, inputs)
-                    + fisher_commands())
+                    + fisher_commands() + fm_commands())
         files = readme_files()
         procs = [run_tree(tree, os.path.join(work, side), commands, files)
                  for tree, side in ((args.parent, "parent"), (args.change, "change"))]
