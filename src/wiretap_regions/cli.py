@@ -157,7 +157,8 @@ def cmd_region_eval(args) -> int:
         raise ValidationError(f"this command takes a {kind} aux, got a {aux.kind} aux "
                               f"over {', '.join(aux.table.names)}")
     check_matches_channel(ch, aux)
-    sys_ = fn(aux, ch)
+    with numbered([()]):   # the file's one aux: its errors name no instance
+        sys_ = fn(aux, ch)
     return _emit(vertices(sys_) if args.vertices else sys_, args)
 
 

@@ -22,7 +22,13 @@ from fractions import Fraction
 from itertools import combinations
 from types import MappingProxyType
 
-from .errors import CyclicStructure, EmptyArgument, OverlappingSets, UnknownVariable
+from .errors import (
+    CyclicStructure,
+    EmptyArgument,
+    OverlappingSets,
+    UnknownVariable,
+    ValidationError,
+)
 from .info_core import entropies, smallest_holding
 
 
@@ -30,8 +36,16 @@ def common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of the rationals ``values`` over their least common
     denominator, and that denominator (1 when every value is an int): the one
     place a coefficient enters the integer core.  Each value is exact in
-    lowest terms, so numerators and denominator share no factor."""
-    values = [v if type(v) is int else Fraction(v) for v in values]
+    lowest terms, so numerators and denominator share no factor.  Raises
+    ValidationError naming a NaN or infinite value."""
+    try:
+        values = [v if type(v) is int else Fraction(v) for v in values]
+    except (ValueError, OverflowError):
+        bad = [v for v in values if isinstance(v, float) and not math.isfinite(v)]
+        if not bad:
+            raise
+        raise ValidationError(
+            f"a coefficient or constant must be finite, got {bad[0]}") from None
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
@@ -219,10 +233,11 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
 
     Each value is summed as the constant, then every atom term, then every
     symbol term, in the expression's order.  ``tables`` are
-    lone :class:`~.info_core.ProbTable` values (each value a float) or
-    stacked ones with ``sym_values`` arrays of the same length (each value
-    that reads one an array, entry k the value on member k of every stacked
-    table and entry k of every symbol, bit for bit).
+    :class:`~.info_core.ProbTable` values of one length, and ``sym_values``
+    arrays of that length: each value that reads a table or symbol is an
+    array, entry k the value on member k of every table and entry k of every
+    symbol, bit for bit the value on those members as stacks of one; one
+    that reads neither is a float.
     Raises UnknownVariable for a symbol without a value in ``sym_values`` or
     an atom that no table holds."""
     floats = [_floats(e) for e in exprs]

@@ -336,10 +336,11 @@ def _sym_basis(d: int):
 
 
 def debruijn_check(obj, sigma_n, step: float = 1e-4):
-    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2, a
-    float (an array for a stack of Gaussian pairs, or for a list of scalar
-    mixtures with a ``(n, 1, 1)`` stack of noise variances, whose J and h at
-    both moved variances take one stacked quadrature each).
+    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2: a
+    float for a lone Gaussian pair, an array for a stack of them, and an
+    array for a list of scalar mixtures with a ``(n, 1, 1)`` stack of noise
+    variances, whose J and h at both moved variances take one stacked
+    quadrature each.
 
     Central differences of h along every symmetric direction are compared with
     ``tr(J D)/2``.  If the residual at the requested step is above RESIDUAL_TOL but
@@ -371,33 +372,28 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
                 raise at_instance(err, e.instance[2:], message) from None
             gap = np.abs((h[:, 0] - h[:, 1]) / (2.0 * t * scale) - half_tr)
             return np.fmax.reduce(gap, axis=0, initial=0.0)   # the builtin max from 0, per instance
-    elif isinstance(obj, (ScalarMixture, list, tuple)):
-        if isinstance(obj, ScalarMixture):
-            groups = [obj.groups()]
-            var = np.array(scalar_of(np.atleast_2d(sigma_n), "mixture noise covariance"))
-        else:
-            groups = [mix.groups() for mix in obj]
-            var = np.asarray(sigma_n, dtype=float)
-            if var.shape != (len(groups), 1, 1):
-                raise ValidationError(f"mixture noise covariances must be a stack of "
-                                      f"{len(groups)} 1x1 matrices, got shape {var.shape}")
-            var = var[:, 0, 0]
-        instances = list(np.ndindex(var.shape))   # () for a lone mixture
+    elif isinstance(obj, (list, tuple)):
+        groups = [mix.groups() for mix in obj]
+        var = np.asarray(sigma_n, dtype=float)
+        if var.shape != (len(groups), 1, 1):
+            raise ValidationError(f"a mixture noise covariance must be a 1x1 matrix, and "
+                                  f"{len(groups)} mixtures take a stack of {len(groups)} "
+                                  f"1x1 matrices, got shape {var.shape}")
+        var = var[:, 0, 0]
         # a step inside the cone keeps its half there, and halving moves only h
         raise_for_first(step * np.maximum(1.0, var) >= var, StepTooLarge,
                         lambda k: f"step {step:g} moves the noise variance {var[k]:g} out of "
                                   "the positive-definite cone")
-        with numbered(instances):
-            J = mixture_fisher(groups, var.ravel())
+        J = mixture_fisher(groups, var)
 
         def residual(t: float) -> np.ndarray:
             t_abs = t * np.maximum(1.0, var)
             # h at var + t and var - t of each mixture, side by side
-            with numbered([k for k in instances for _ in range(2)]):
+            with numbered(np.arange(len(var)).repeat(2).tolist()):
                 h = mixture_entropy([g for g in groups for _ in range(2)],
                                     np.stack([var + t_abs, var - t_abs], axis=-1).ravel())
-            fd = (h[0::2] - h[1::2]) / (2.0 * t_abs.ravel())
-            return np.abs(fd - 0.5 * J).reshape(var.shape)
+            fd = (h[0::2] - h[1::2]) / (2.0 * t_abs)
+            return np.abs(fd - 0.5 * J)
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
 

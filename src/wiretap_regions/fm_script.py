@@ -267,7 +267,7 @@ def layered_structure() -> FactorStructure:
 def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
                          indep_v: bool = False) -> ProbTable:
     """Random joint over (Q,U,V1,V2,X,Y1,Y2,Z) consistent with the layered
-    factorization, every alphabet binary.
+    factorization, every alphabet binary, as a table of one member.
 
     ``degraded`` draws the channel as a cascade X -> Y1 -> Y2 -> Z (a special
     case of the general factorization); ``indep_v`` draws V1 and V2
@@ -287,11 +287,11 @@ def random_layered_joint(rng: np.random.Generator, degraded: bool = False,
     else:
         p_out_x = rng.dirichlet(np.ones(c ** 3), size=c).reshape(c, c, c, c)
     joint = np.einsum("quabx,xijk->quabxijk", aux, p_out_x)
-    return ProbTable(tuple(VarId(n, c) for n in LAYERED_VARS + OUTPUTS), joint)
+    return ProbTable(tuple(VarId(n, c) for n in LAYERED_VARS + OUTPUTS), joint[None])
 
 
 def min_sym_values(tables, exprs=()) -> dict:
-    """The two ``Imin`` symbols on the sequence of stacked ``tables``, each
+    """The two ``Imin`` symbols on the sequence of ``tables``, each
     an array with one value per member, each mutual information read from
     the smallest table that holds it, as :func:`~.polytope_fm.instantiate`
     reads them.  The entropies the symbols read and those of the atoms of
@@ -314,7 +314,7 @@ def _certify_redundant(jobs, tables, syms) -> list[list[tuple[LinIneq, float, in
     """Max violation of each dropped row over its kept region, per instantiation.
 
     ``jobs`` holds one ``(kept, extras)`` pair per step; ``tables`` holds the
-    stacked tables and ``syms`` the symbol arrays (``min_sym_values(tables)``)
+    tables and ``syms`` the symbol arrays (``min_sym_values(tables)``)
     of the instantiations, one member each.  Every kept region is
     instantiated, with its dropped rows, once over all the members, and one
     :func:`support_value` call answers every row of every (step, member), from
@@ -432,7 +432,7 @@ def verify_elimination_script(start: IneqSystem, steps, fixtures: dict,
         draws.append(random_layered_joint(rng, degraded=True, indep_v=True))
         draws.append(random_layered_joint(rng, degraded=True))
         draws.append(random_layered_joint(rng))
-    tables = (take_stack(draws[0].vars, np.stack([t.probs for t in draws])),)
+    tables = (take_stack(draws[0].vars, np.concatenate([t.probs for t in draws])),)
     _check_layered(tables[0])
     syms = min_sym_values(tables)
     # symbolic pass first: each step restarts from its recorded input, so no

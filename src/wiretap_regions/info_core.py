@@ -8,12 +8,14 @@ whichever quantity asks for it.  Marginals follow one canonical chain: the
 marginal over a set S is summed over one axis of its parent, S plus the
 first table variable not in S, the full table being the top, so its bits
 depend only on the table and S, never on which entropies were asked first.
-A stacked table holds tables over the same variables along a leading member
-axis; :func:`entropies`, :func:`mutual_information` and
-:func:`validate_table` marginalise each variable set once for all its
-members, giving each member the value it gets alone, bit for bit.  All
-operations are pure functions, so values can be shared freely across
-threads.
+A table holds distributions over the same variables along a leading member
+axis, a single distribution being a stack of one; :func:`entropies`,
+:func:`mutual_information` and :func:`validate_table` marginalise each
+variable set once for all the members, giving each member the value it gets
+as a stack of one, bit for bit, and an error names the first member that
+fails (``instance k: ...``; the caller that holds a single input strips the
+name with :func:`~.errors.numbered`).  All operations are pure functions, so
+values can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -63,8 +65,8 @@ def _readonly(a) -> np.ndarray:
 
 
 def check_vars(vars) -> None:
-    """Refuse duplicate variable names, and a table (or a member of a
-    stacked one) of more than ``MAX_CELLS`` cells before any array exists."""
+    """Refuse duplicate variable names, and a member of a table of more than
+    ``MAX_CELLS`` cells before any array exists."""
     names = [v.name for v in vars]
     if len(set(names)) != len(names):
         raise ShapeMismatch(f"duplicate variable names in {names}")
@@ -75,13 +77,11 @@ def check_vars(vars) -> None:
 
 @dataclass(frozen=True)
 class ProbTable:
-    """Dense joint distribution over an ordered list of named variables, or
-    a stack of them over the same variables: a ``stacked`` table holds its
-    members' arrays along a leading axis of ``probs``."""
+    """Dense joint distributions over an ordered list of named variables, a
+    stack of them: member k's array is ``probs[k]``."""
 
     vars: tuple[VarId, ...]
     probs: np.ndarray = field(repr=False)
-    stacked: bool = False
     # read-only arrays of per-member joint entropies, by frozenset of names
     _entropies: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -115,15 +115,14 @@ def _chain_marginal(t: ProbTable, key: frozenset, held: dict) -> np.ndarray:
     arr = held.get(key)
     if arr is None:
         i = next(i for i, n in enumerate(t.names) if n not in key)
-        arr = held[key] = _sum_axis(_chain_marginal(t, key | {t.names[i]}, held),
-                                    int(t.stacked) + i)
+        arr = held[key] = _sum_axis(_chain_marginal(t, key | {t.names[i]}, held), 1 + i)
     return arr
 
 
 def _sum_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     """``arr`` summed over ``axis``, each cell the sum of its entries in axis
-    order, one slice at a time: a member of a stack gets the bits it gets
-    alone, and no short axis is reduced in numpy's slow inner loop."""
+    order, one slice at a time: a member of a stack gets the bits it gets in
+    a stack of one, and no short axis is reduced in numpy's slow inner loop."""
     parts = np.moveaxis(arr, axis, 0)
     out = parts[0] + parts[1] if len(parts) > 1 else parts[0].copy()
     for p in parts[2:]:
@@ -149,38 +148,30 @@ def _row_entropies(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def make_table(vars, probs) -> ProbTable:
-    """Build and validate a lone :class:`ProbTable`."""
-    t = ProbTable(tuple(vars), probs)
-    validate_table(t)
-    return t
-
-
 def take_stack(vars, probs: np.ndarray) -> ProbTable:
-    """Build and validate a stacked :class:`ProbTable` from a fresh float64
-    array that nothing else holds (an ``np.stack`` or ``einsum`` result),
-    member k being ``probs[k]``: the table takes it over, read-only, with no
-    copy."""
-    t = ProbTable(tuple(vars), probs, stacked=True, _fresh=True)
+    """Build and validate a :class:`ProbTable` from a fresh float64 array
+    that nothing else holds (an ``np.stack`` or ``einsum`` result, or
+    ``p[None]`` for a single fresh ``p``), member k being ``probs[k]``: the
+    table takes it over, read-only, with no copy."""
+    t = ProbTable(tuple(vars), probs, _fresh=True)
     validate_table(t)
     return t
 
 
 def validate_table(t: ProbTable) -> None:
-    """Check the shape, nonnegativity and normalization of a table, or of
-    every member of a stacked one at once (an error names the first member
-    that fails, ``instance k: ...``).
+    """Check the shape, nonnegativity and normalization of every member of a
+    table at once (an error names the first member that fails,
+    ``instance k: ...``).
 
     Raises
     ------
     ShapeMismatch, NegativeMass, NotNormalized
     """
-    lead = t.probs.shape[:1] if t.stacked else ()
     cards = tuple(v.cardinality for v in t.vars)
-    if t.probs.shape != lead + cards:
+    if t.probs.ndim != 1 + len(cards) or t.probs.shape[1:] != cards:
         raise ShapeMismatch(f"tensor shape {t.probs.shape} != "
-                            f"{'a member axis and ' if t.stacked else ''}cardinalities {cards}")
-    flat = t.probs.reshape(lead + (-1,))
+                            f"a member axis and cardinalities {cards}")
+    flat = t.probs.reshape(len(t.probs), -1)
     # written so that a NaN entry fails each comparison
     mn = flat.min(axis=-1)
     raise_for_first(~(mn >= NEGATIVE_MASS_TOL), NegativeMass,
@@ -194,9 +185,9 @@ def validate_table(t: ProbTable) -> None:
 def entropies(t: ProbTable, sets) -> list:
     """Joint entropies H(S) in nats of each set of names S in ``sets``, each
     computed once per table and set from its marginal on the canonical chain
-    (the marginals are held for this call only): floats on a lone table, and
-    on a stacked one read-only arrays with each member's value, equal to the
-    value that member gets alone, bit for bit."""
+    (the marginals are held for this call only): read-only arrays with each
+    member's value, equal to the value that member gets as a stack of one,
+    bit for bit."""
     keys = [frozenset(s) for s in sets]
     held = None
     for key in keys:
@@ -206,18 +197,16 @@ def entropies(t: ProbTable, sets) -> list:
             if held is None:
                 held = {frozenset(t.names): t.probs}
             m = _chain_marginal(t, key, held)
-            h = t._entropies[key] = _row_entropies(m.reshape(len(m) if t.stacked else 1, -1))
+            h = t._entropies[key] = _row_entropies(m.reshape(len(m), -1))
             h.setflags(write=False)
-    if t.stacked:
-        return [t._entropies[key] for key in keys]
-    return [float(t._entropies[key][0]) for key in keys]
+    return [t._entropies[key] for key in keys]
 
 
 def smallest_holding(tables, names):
     """The table with the fewest cells, the first of equal ones, among the
     sequence ``tables`` whose variables include every name in ``names``;
-    raises UnknownVariable when none does.  Stacked tables of equal length
-    compare as their members do."""
+    raises UnknownVariable when none does.  Tables of equal length compare as
+    their members do."""
     names, best = set(names), None
     for t in tables:
         if names.issubset(t.names) and (best is None or t.probs.size < best.probs.size):
@@ -237,17 +226,16 @@ def mi_sets(a, b, c=()) -> list:
 def mutual_information(t, a, b, c=()):
     """Conditional mutual information I(A;B|C) = H(AC) + H(BC) - H(ABC) - H(C)
     in nats, its joint entropies read in one call of the table's memoised
-    :func:`entropies` (H(C) is dropped when C is empty); on a stacked table,
-    an array with one value per member, each equal to that member's value
-    alone.
+    :func:`entropies` (H(C) is dropped when C is empty): an array with one
+    value per member, each equal to that member's value as a stack of one.
 
     ``a``, ``b`` and ``c`` are iterables of variable names; they must be
     pairwise disjoint.  A result in ``[MI_CLAMP, 0)`` is clamped to zero; one
-    below it raises NegativeMass, naming its member of a stacked table.  On
-    a table of mass m, H(A) + H(B) - H(AB) is m I(A;B) - m log m, so for an
-    unconditional I(A;B) on a table heavier than 1 (a product of checked
-    tables, each within ``NORMALIZATION_TOL`` of 1) the floor is ``MI_CLAMP
-    - m log m``; the value itself is not corrected.
+    below it raises NegativeMass, naming its member.  On a table of mass m,
+    H(A) + H(B) - H(AB) is m I(A;B) - m log m, so for an unconditional
+    I(A;B) on a table heavier than 1 (a product of checked tables, each
+    within ``NORMALIZATION_TOL`` of 1) the floor is ``MI_CLAMP - m log m``;
+    the value itself is not corrected.
     """
     a, b, c = set(a), set(b), set(c)
     if a & b or a & c or b & c:
@@ -260,16 +248,13 @@ def mutual_information(t, a, b, c=()):
         val -= hc[0]
     # beyond accumulated-rounding territory for well-formed tables; the mass
     # is summed only when a value falls below MI_CLAMP
-    floor = np.full(np.shape(val), MI_CLAMP)
+    floor = np.full(val.shape, MI_CLAMP)
     if not c and np.any(val < MI_CLAMP):
-        m = t.probs.reshape(floor.shape + (-1,)).sum(axis=-1)
+        m = t.probs.reshape(len(val), -1).sum(axis=-1)
         floor -= np.maximum(m * np.log(m), 0.0)
-    raise_for_first(np.asarray(val < floor), NegativeMass,
-                    lambda k: f"mutual information {np.asarray(val)[k]} below clamp "
-                              f"{float(floor[k])}")
-    if t.stacked:
-        return np.where(val < 0.0, 0.0, val)
-    return 0.0 if val < 0.0 else val
+    raise_for_first(val < floor, NegativeMass,
+                    lambda k: f"mutual information {val[k]} below clamp {float(floor[k])}")
+    return np.where(val < 0.0, 0.0, val)
 
 
 def _check_stochastic(name: str, m: np.ndarray) -> None:
@@ -329,7 +314,8 @@ class ChannelSpec:
         if self.stages is not None:
             return True
         n = self.input.cardinality
-        t = make_table((self.input,) + self.outputs, np.full((n, 1, 1, 1), 1.0 / n) * self.kernel)
+        t = take_stack((self.input,) + self.outputs,
+                       (np.full((n, 1, 1, 1), 1.0 / n) * self.kernel)[None])
         return check_markov(t, (self.input.name,) + self.output_names)
 
     @property
@@ -368,12 +354,13 @@ def build_degraded_joint(p_y1_given_x, p_y2_given_y1, p_z_given_y2) -> ChannelSp
 
 
 def check_markov(t: ProbTable, chain) -> bool:
-    """True iff every cut of the chain satisfies I(past; future | present) <= MARKOV_TOL."""
+    """True iff every cut of the chain satisfies I(past; future | present) <=
+    MARKOV_TOL in every member of the table."""
     chain = list(chain)
     for n in chain:
         t.axis(n)
     for i in range(1, len(chain) - 1):
         past, present, future = chain[:i], [chain[i]], chain[i + 1:]
-        if mutual_information(t, past, future, present) > MARKOV_TOL:
+        if (mutual_information(t, past, future, present) > MARKOV_TOL).any():
             return False
     return True

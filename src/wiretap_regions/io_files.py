@@ -15,8 +15,8 @@ import math
 import numpy as np
 
 from .entropy_algebra import FactorStructure
-from .errors import IoError, ParseError, ValidationError, WiretapError
-from .info_core import ChannelSpec, VarId, make_table
+from .errors import IoError, ParseError, ValidationError, WiretapError, numbered
+from .info_core import ChannelSpec, VarId, take_stack
 from .polytope_fm import SystemStack, VPolytope
 from .regions_discrete import AuxJoint, SweepResult
 from .regions_gaussian import CovSplit, GaussChannel, HGaussChannel
@@ -166,13 +166,15 @@ def parse_channel_file(path):
 
 
 def parse_aux_file(path) -> AuxJoint:
+    """Parse an aux file into an aux of one member; a refusal of the aux
+    names no instance."""
     doc = _Doc(_read(path))
     if doc.scalar("kind") != "aux":
         raise ParseError("expected kind: aux")
-    with _model_from_file():
+    with _model_from_file(), numbered([()]):
         vars_ = tuple(_parse_vars(doc.scalar("vars")))
-        table = doc.tensor("table", [v.cardinality for v in vars_])
-        return AuxJoint(make_table(vars_, table))
+        table = doc.tensor("table", [1] + [v.cardinality for v in vars_])
+        return AuxJoint(take_stack(vars_, table))
 
 
 def parse_split_file(path) -> CovSplit:

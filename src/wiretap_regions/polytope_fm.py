@@ -645,17 +645,15 @@ def block_diagonal_csr(blocks):
 
 
 def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
-    """The :class:`SystemStack` of ``sys`` on the stacked
+    """The :class:`SystemStack` of ``sys`` on the
     :class:`~.info_core.ProbTable` values ``tables`` and symbol arrays
-    ``sym_values``, one member per member of the stacks: in member k each
+    ``sym_values``, one member per member of the tables: in member k each
     symbolic right-hand side takes its value on member k of every table and
     entry k of every symbol, as :func:`~.entropy_algebra.evaluate_all` sums
-    it on that member's lone tables, bit for bit, each entropy read once for
-    the whole stack; one that reads no table or symbol is every member's.  Raises
-    DimensionMismatch for a lone table, or for stacks of different
-    lengths."""
-    if not all(t.stacked for t in tables):
-        raise DimensionMismatch("instantiate takes stacked tables, not a lone one")
+    it on that member's tables as stacks of one, bit for bit, each entropy
+    read once for the whole stack; one that reads no table or symbol is
+    every member's.  Raises DimensionMismatch for tables or symbols of
+    different lengths."""
     sizes = {len(t.probs) for t in tables} | {len(v) for v in (sym_values or {}).values()}
     if len(sizes) != 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "

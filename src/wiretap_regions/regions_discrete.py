@@ -21,7 +21,6 @@ from .errors import (
     NotDegraded,
     UnknownCorollary,
     ValidationError,
-    numbered,
     raise_for_first,
 )
 from .info_core import (
@@ -29,7 +28,6 @@ from .info_core import (
     ProbTable,
     VarId,
     check_vars,
-    make_table,
     mutual_information,
     take_stack,
 )
@@ -66,8 +64,8 @@ AUX_HASH_DECIMALS = 12
 class AuxJoint:
     """Auxiliary joint distribution: a table over (U, X) (kind ``"ux"``) or one
     over (Q, U, V1, V2, X) that factors as p(q,u) p(v1,v2,x|u) (kind
-    ``"layered"``).  A stacked table holds one aux per member, each checked
-    (an error names the first member that fails)."""
+    ``"layered"``), one aux per member of the table, each checked (an error
+    names the first member that fails)."""
 
     table: ProbTable
 
@@ -86,45 +84,39 @@ class AuxJoint:
 
 
 def _check_layered(t: ProbTable) -> None:
-    """Raise InconsistentAux unless the aux table ``t`` (or each member of a
-    stacked one, naming the first that fails) factors as p(q,u)
-    p(v1,v2,x|u): I(Q; V1,V2,X | U) at most ``AUX_TOL``."""
-    resid = np.asarray(mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"}))
+    """Raise InconsistentAux unless each member of the aux table ``t`` (naming
+    the first that fails) factors as p(q,u) p(v1,v2,x|u): I(Q; V1,V2,X | U)
+    at most ``AUX_TOL``."""
+    resid = mutual_information(t, {"Q"}, {"V1", "V2", "X"}, {"U"})
     raise_for_first(resid > AUX_TOL, InconsistentAux, lambda k: f"I(Q; V1,V2,X | U) = "
                     f"{resid[k]:.2e} violates the layered factorization")
 
 
 def _evaluate(aux: AuxJoint, kind: str, refusal: str, fn) -> SystemStack:
-    """``fn`` of the aux's table as a stacked one, which returns a
-    :class:`SystemStack`: one member per member of a stacked aux, and for a
-    lone aux a stack of one, from the table as a stack of one whose errors
-    name no instance.  InconsistentAux(``refusal``) unless the aux is of
+    """``fn`` of the aux's table, a :class:`SystemStack` with one member per
+    member of the aux.  InconsistentAux(``refusal``) unless the aux is of
     ``kind``."""
     if aux.kind != kind:
         raise InconsistentAux(refusal)
-    t = aux.table
-    if t.stacked:
-        return fn(t)
-    with numbered([()]):
-        return fn(ProbTable(t.vars, t.probs[None], stacked=True))
+    return fn(aux.table)
 
 
 def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
-    """Joint tables over (aux vars..., out), one stacked table per output
-    taking over its own product, the outputs named Y1, Y2, Z by position,
+    """Joint tables over (aux vars..., out), one table per output taking over
+    its own product, the outputs named Y1, Y2, Z by position,
     without materializing the full kernel.  A joint is the product of the
     checked aux and channel, so it is not checked again: its mass is the
     aux's mass weighted by the kernel's row sums, each within
     ``NORMALIZATION_TOL`` of 1, and can deviate from 1 by their sum."""
     return tuple(ProbTable(t.vars + (VarId(name, out.cardinality),),
                            np.einsum("...x,xw->...xw", t.probs, ch.pair_kernel(out.name)),
-                           stacked=True, _fresh=True)
+                           _fresh=True)
                  for name, out in zip(OUTPUTS, ch.outputs))
 
 
 def _degraded_constants(t: ProbTable, ch: ChannelSpec) -> dict[str, np.ndarray]:
     """The five information quantities of the degraded regions, one value
-    per member of the stacked aux table ``t``."""
+    per member of the aux table ``t``."""
     if not ch.degraded:
         raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
     t1, t2, tz = _output_joints(t, ch)
@@ -191,8 +183,8 @@ def outer_of(inner: SystemStack) -> SystemStack:
 
 def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     """Five-bound achievable region of the degraded channel for a fixed aux,
-    one member per member of a stacked aux, every information quantity
-    computed once for all of them."""
+    one member per member of the aux, every information quantity computed
+    once for all of them."""
     return _evaluate(aux, "ux", _DEGRADED_AUX,
                      lambda t: five_bound_system(**_degraded_constants(t, ch)))
 
@@ -220,8 +212,8 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     """Ten-bound layered inner region: the bundled chain's certified target
     (``data/elimination_chain/target.sys``, rows and labels in file order)
     evaluated on the aux and the channel's outputs, taken by position as Y1,
-    Y2, Z.  The channel need not be degraded.  One member per member of a
-    stacked aux, from one instantiation of the target."""
+    Y2, Z.  The channel need not be degraded.  One member per member of the
+    aux, from one instantiation of the target."""
     # fm_script imports this module, directly and through io_files, so it is
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
@@ -238,21 +230,16 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:
-    """Embed a (U, X) aux as a layered aux with Q constant, V2 = U, V1 = X."""
+    """Embed a (U, X) aux as a layered aux with Q constant, V2 = U, V1 = X,
+    member by member."""
     if aux.kind != "ux":
         raise InconsistentAux("reduction embeds a (U, X) aux")
-    if aux.table.stacked:
-        raise InconsistentAux("this region takes a lone aux, not a stacked one")
     p = aux.table.probs
-    cu, cx = p.shape
-    arr = np.zeros((1, cu, cx, cu, cx))
-    for u in range(cu):
-        for x in range(cx):
-            arr[0, u, x, u, x] = p[u, x]
-    table = make_table(
-        (VarId("Q", 1), VarId("U", cu), VarId("V1", cx), VarId("V2", cu), VarId("X", cx)),
-        arr)
-    return AuxJoint(table)
+    n, cu, cx = p.shape
+    arr = np.zeros((n, 1, cu, cx, cu, cx))
+    u, x = np.indices((cu, cx))
+    arr[:, 0, u, x, u, x] = p
+    return AuxJoint(take_stack(_aux_vars(LAYERED_VARS, (1, cu, cx, cu, cx)), arr))
 
 
 def _prune_dominated(stack: SystemStack) -> SystemStack:
@@ -411,7 +398,7 @@ def _aux_vars(names, shape) -> tuple[VarId, ...]:
 
 def random_aux_ux(rng: np.random.Generator, card_u: int, card_x: int) -> AuxJoint:
     arr = _ux_probs(rng, card_u, card_x)
-    return AuxJoint(make_table(_aux_vars(UX_VARS, arr.shape), arr))
+    return AuxJoint(take_stack(_aux_vars(UX_VARS, arr.shape), arr[None]))
 
 
 def _ux_probs(rng, card_u: int, card_x: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from .errors import (
     at_instance,
     raise_for_first,
 )
-from .info_core import VarId, build_degraded_joint, make_table
+from .info_core import VarId, build_degraded_joint, take_stack
 from .polytope_fm import IneqSystem, LinIneq, SystemStack, unique_rows
 from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, outer_of,
                                region_stack, specialize_corollary, sweep_systems)
@@ -554,7 +554,7 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
     y2g, k2 = stage(y1g, s2 - s1, 2 * m)
     _, k3 = stage(y2g, sz - s2, 2 * m)
     channel = build_degraded_joint(k1, k2, k3)
-    aux = AuxJoint(make_table((VarId("U", ug.size), VarId("X", xg.size)), aux_arr))
+    aux = AuxJoint(take_stack((VarId("U", ug.size), VarId("X", xg.size)), aux_arr[None]))
     return aux, channel
 
 

@@ -1,26 +1,33 @@
-"""Test inputs the package itself never builds: random layered auxes,
-channel files written in the format ``io_files.parse_channel_file`` reads,
-and numeric systems written by hand or taken apart for Fourier-Motzkin."""
+"""Test inputs the package itself never builds: tables of one distribution,
+random layered auxes, channel files written in the format
+``io_files.parse_channel_file`` reads, and numeric systems written by hand or
+taken apart for Fourier-Motzkin."""
 
 import dataclasses
 
 import numpy as np
 
 from wiretap_regions.entropy_algebra import InfoExpr, evaluate_all
-from wiretap_regions.info_core import ChannelSpec, make_table
+from wiretap_regions.info_core import ChannelSpec, take_stack
 from wiretap_regions.io_files import _stage_blocks
 from wiretap_regions.polytope_fm import IneqSystem, SystemStack
 from wiretap_regions.regions_discrete import LAYERED_VARS, AuxJoint, _aux_vars, _layered_probs
 from wiretap_regions.regions_gaussian import GaussChannel, HGaussChannel
 
 
+def table_of(vars_, probs):
+    """The validated table of the one distribution ``probs`` (copied): a
+    stack of one."""
+    return take_stack(vars_, np.array(probs, dtype=float)[None])
+
+
 def random_aux_layered(rng: np.random.Generator, card_q: int, card_u: int,
                        card_v1: int, card_v2: int, card_x: int,
                        indep_v: bool = False) -> AuxJoint:
-    """A random lone layered aux, drawn as the general sweep draws its
-    samples (``regions_discrete._layered_probs``)."""
+    """A random layered aux of one member, drawn as the general sweep draws
+    its samples (``regions_discrete._layered_probs``)."""
     arr = _layered_probs(rng, card_q, card_u, card_v1, card_v2, card_x, indep_v)
-    return AuxJoint(make_table(_aux_vars(LAYERED_VARS, arr.shape), arr))
+    return AuxJoint(table_of(_aux_vars(LAYERED_VARS, arr.shape), arr))
 
 
 def _mat_lines(name: str, m) -> list[str]:

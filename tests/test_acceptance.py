@@ -197,8 +197,8 @@ def test_c07_fisher_lab():
         worst_m = 0.0
         for _ in range(5):
             mix = random_mixture(rng)
-            worst_m = max(worst_m, debruijn_check(mix, [[0.6 + rng.uniform(0, 1)]],
-                                                  step=1e-4))
+            [r] = debruijn_check([mix], [[[0.6 + rng.uniform(0, 1)]]], step=1e-4)
+            worst_m = max(worst_m, r)
         assert worst_m <= 1e-4
         rep = lemma_suite_check(seed=505, count=200)
         assert rep.worst >= -1e-8

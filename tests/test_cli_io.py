@@ -729,6 +729,34 @@ def test_cli_internal_aux_inconsistency_stays_a_violated_invariant(tmp_path, mon
     assert capsys.readouterr().err.startswith("violated invariant: ")
 
 
+def test_a_refused_aux_file_names_no_instance(tmp_path, capsys):
+    # a file holds one aux, so the refusal of it names no instance
+    aux = "kind: aux\nvars: U 2 X 2\ntable:\n0.6 0.5\n-0.1 0\n"
+    assert main(["region", "eval-inner", "--channel", write(tmp_path, "c.txt", DISCRETE),
+                 "--aux", write(tmp_path, "a.txt", aux)]) == 2
+    assert capsys.readouterr().err == "input error: entry -0.1 below tolerance -1e-15\n"
+
+
+@pytest.mark.parametrize("cmd, aux, module", [
+    ("eval-inner", AUX, "regions_discrete"), ("eval-outer", AUX, "regions_discrete"),
+    ("eval-general", LAYERED_AUX, "fm_script")], ids=["inner", "outer", "general"])
+def test_an_error_evaluating_an_aux_file_names_no_instance(tmp_path, monkeypatch, capsys,
+                                                           cmd, aux, module):
+    # the file's one aux is evaluated as a stack of one; the command strips
+    # the member's name from an error the evaluation raises on it
+    from wiretap_regions.errors import NegativeMass, raise_for_first
+
+    def mutual_information(t, *sets):
+        raise_for_first(np.arange(len(t.probs)) == 0, NegativeMass,
+                        lambda k: "mutual information -1e-09 below clamp -1e-12")
+
+    monkeypatch.setattr(f"wiretap_regions.{module}.mutual_information", mutual_information)
+    assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", DISCRETE),
+                 "--aux", write(tmp_path, "a.txt", aux)]) == 1
+    assert capsys.readouterr().err == ("violated invariant: mutual information -1e-09 "
+                                       "below clamp -1e-12\n")
+
+
 def _layered_aux_text(aux):
     t = aux.table
     rows = t.probs.reshape(-1, t.vars[-1].cardinality)

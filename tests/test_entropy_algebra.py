@@ -24,10 +24,12 @@ from wiretap_regions.errors import (
     EmptyArgument,
     OverlappingSets,
     UnknownVariable,
+    ValidationError,
 )
 from wiretap_regions.fm_script import layered_structure, random_layered_joint, verify_builtin_chain
 from wiretap_regions.io_files import parse_dag_file
-from wiretap_regions.info_core import make_table, mutual_information
+from wiretap_regions.info_core import mutual_information, take_stack
+from wiretap_regions.polytope_fm import LinIneq
 
 
 def test_expand_unconditional():
@@ -38,6 +40,19 @@ def test_expand_unconditional():
 def test_expand_conditional():
     e = expand_mi({"U"}, {"Y2"}, {"Q"})
     assert e == ent({"U", "Q"}) + ent({"Y2", "Q"}) - ent({"U", "Y2", "Q"}) - ent({"Q"})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", [
+    lambda v: LinIneq.of({"x": v}),
+    lambda v: LinIneq.of({"x": 1, "y": Fraction(1, 3)}, v),
+    lambda v: InfoExpr({ent({"U"}): 1}, constant=v),
+    lambda v: InfoExpr(syms={"s": v}),
+], ids=["coefficient", "rhs", "constant", "symbol"])
+def test_a_non_finite_number_entering_the_integer_core_is_a_validation_error(build, value):
+    with pytest.raises(ValidationError,
+                       match=f"^a coefficient or constant must be finite, got {value}$"):
+        build(value)
 
 
 def test_expand_rejects_overlap_and_empty():
@@ -150,7 +165,7 @@ def test_expand_matches_mutual_information_numerically():
 
 def _aux_marginal(t):
     """The (Q, U, V1, V2, X) marginal of a layered joint."""
-    return make_table(t.vars[:5], t.probs.sum(axis=(5, 6, 7)))
+    return take_stack(t.vars[:5], t.probs.sum(axis=(6, 7, 8)))
 
 
 def test_evaluate_reads_each_atom_from_the_smallest_table_holding_it():

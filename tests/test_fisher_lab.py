@@ -100,7 +100,8 @@ def test_debruijn_mixture():
     worst = 0.0
     for _ in range(5):
         mix = random_mixture(rng)
-        worst = max(worst, debruijn_check(mix, [[0.7 + rng.uniform(0, 1)]], step=1e-4))
+        [r] = debruijn_check([mix], [[[0.7 + rng.uniform(0, 1)]]], step=1e-4)
+        worst = max(worst, r)
     assert worst <= 1e-4
 
 
@@ -142,9 +143,10 @@ def test_debruijn_step_out_of_the_cone_raises_step_too_large():
     with pytest.raises(StepTooLarge, match="^step 0.0001 moves Cov"):
         debruijn_check(small, 1e-6 * np.eye(2))
     mix = ScalarMixture([0.0, 0.0, 1.0], [-1.0, 1.0, 0.5], [0.25, 0.25, 0.5])
-    with pytest.raises(StepTooLarge, match="^step 0.9 moves the noise variance 0.5 out of"):
-        debruijn_check(mix, [[0.5]], step=0.9)
-    assert debruijn_check(mix, [[0.5]], step=1e-4) <= 1e-4
+    with pytest.raises(StepTooLarge,
+                       match="^instance 0: step 0.9 moves the noise variance 0.5 out of"):
+        debruijn_check([mix], [[[0.5]]], step=0.9)
+    assert debruijn_check([mix], [[[0.5]]], step=1e-4) <= 1e-4
 
 
 def test_debruijn_command_names_the_step_and_the_instance(capsys):
@@ -194,7 +196,7 @@ def test_a_mixture_takes_one_fisher_pass_when_the_step_is_halved(monkeypatch):
     monkeypatch.setattr(fisher_lab, "mixture_fisher", counting)
     # the residual at step 0.3 is truncation-dominated: the halved step runs
     with pytest.raises(StepTooLarge, match="truncation-dominated"):
-        debruijn_check(mix, [[1.0]], step=0.3)
+        debruijn_check([mix], [[[1.0]]], step=0.3)
     assert passes == [2]   # one pass, its two groups at the unmoved variance
 
 
@@ -562,7 +564,7 @@ def test_mixture_stacks_equal_their_parts():
                                                    for m in mixes]
     var = rng.uniform(0.5, 1.5, size=len(mixes))
     stacked = debruijn_check(mixes, var.reshape(-1, 1, 1))
-    assert stacked.tolist() == [debruijn_check(m, [[v]]) for m, v in zip(mixes, var)]
+    assert stacked.tolist() == [debruijn_check([m], [[[v]]])[0] for m, v in zip(mixes, var)]
     # a stacked check names the instance that breaks it
     with pytest.raises(StepTooLarge, match="^instance 2: step 0.5 moves the noise variance 0.4 "):
         debruijn_check(mixes[:4], np.array([1.0, 1.0, 0.4, 0.3]).reshape(-1, 1, 1), step=0.5)
@@ -1129,7 +1131,7 @@ CHANNEL_2X2 = GaussChannel(S=2 * np.eye(2), Sigma1=0.5 * np.eye(2), Sigma2=np.ey
 @pytest.mark.parametrize("call", [
     lambda: interpolation_t_star(GaussPair(np.eye(4), d_u=2, d_x=2), 1.0, 2.0),
     lambda: interpolation_t_star(GaussPair(np.stack([np.eye(2)] * 3), d_u=1, d_x=1), 1.0, 2.0),
-    lambda: debruijn_check(ANTIPODAL, np.eye(2)),
+    lambda: debruijn_check([ANTIPODAL], np.eye(2)[None]),
     lambda: mixture_region_constants([ANTIPODAL], CHANNEL_2X2),
     lambda: sufficiency_evidence_scalar([ANTIPODAL], CHANNEL_2X2, np.ones((1, 4)))[0],
     lambda: discretize_scalar(CHANNEL_2X2, 0.5),

@@ -45,7 +45,6 @@ from wiretap_regions.info_core import (
     ProbTable,
     VarId,
     build_degraded_joint,
-    make_table,
     mutual_information,
     take_stack,
 )
@@ -115,8 +114,8 @@ def test_ten_bound_region_is_the_chain_target(cards, seed, indep_v):
     kernel = rng.dirichlet(np.ones(cy1 * cy2 * cz), size=cx).reshape(cx, cy1, cy2, cz)
     ch = ChannelSpec(VarId("X", cx), (VarId("Y1", cy1), VarId("Y2", cy2), VarId("Z", cz)),
                      kernel=kernel)
-    joint = make_table(aux.table.vars + ch.outputs,
-                       np.einsum("quabx,xijk->quabxijk", aux.table.probs, kernel))
+    joint = take_stack(aux.table.vars + ch.outputs,
+                       np.einsum("nquabx,xijk->nquabxijk", aux.table.probs, kernel))
     got = eval_general_inner(aux, ch)
     assert got.vars == RATES == target.vars
     assert [(q.label, q.coeffs, q.rel) for q in got.rows.ineqs] == \
@@ -608,8 +607,8 @@ def _certify_row_by_row(kept, extras, tables):
 
 
 def _stack_of(tables):
-    """The stacked table whose members are the lone ``tables``."""
-    return take_stack(tables[0].vars, np.stack([t.probs for t in tables]))
+    """The table whose members are those of ``tables``, in order."""
+    return take_stack(tables[0].vars, np.concatenate([t.probs for t in tables]))
 
 
 @pytest.mark.parametrize("seed", [0, 3, 12])
@@ -730,15 +729,15 @@ def test_unbounded_row_stops_its_own_lps(monkeypatch, lp_whats):
 
 
 def _lone_reference(expr, tables, syms):
-    """Reference evaluation of one right-hand side on lone tables: the
-    constant, then each atom's -sum p log p over the positive cells of its
-    marginal in the smallest table holding it, then each symbol."""
+    """Reference evaluation of one right-hand side on tables of one member:
+    the constant, then each atom's -sum p log p over the positive cells of
+    its marginal in the smallest table holding it, then each symbol."""
     val = float(expr.constant)
     for atom, c in expr.terms.items():
         t = min((t for t in tables if set(atom.subset) <= set(t.names)),
                 key=lambda t: t.probs.size)
         drop = tuple(i for i, n in enumerate(t.names) if n not in atom.subset)
-        arr = t.probs.sum(axis=drop) if drop else t.probs
+        arr = t.probs[0].sum(axis=drop) if drop else t.probs[0]
         p = arr[arr > 0.0]
         val += float(c) * float(-(p * np.log(p)).sum())
     for name, c in expr.syms.items():
@@ -765,13 +764,14 @@ def test_stacked_instantiation_equals_each_member_alone():
         members = instantiate(sys, stack, syms)
         assert len(members) == 9 and members.rows is sys
         for k, table in enumerate(draw()):
-            lone_syms = {n: float(v[0]) for n, v in min_sym_values((_stack_of([table]),)).items()}
-            assert lone_syms == {n: v[k] for n, v in syms.items()}
+            one_syms = min_sym_values((table,))
+            assert {n: v.tolist() for n, v in one_syms.items()} == \
+                {n: [v[k]] for n, v in syms.items()}
             for g, q in zip(members.rhs[k].tolist(), sys.ineqs, strict=True):
                 if isinstance(q.rhs, InfoExpr):
-                    assert g == evaluate_all((q.rhs,), (table,), lone_syms)[0]
+                    assert g == evaluate_all((q.rhs,), (table,), one_syms)[0]
                     # the reference sums each marginal straight from the table
-                    assert abs(g - _lone_reference(q.rhs, (table,), lone_syms)) <= 1e-13
+                    assert abs(g - _lone_reference(q.rhs, (table,), one_syms)) <= 1e-13
                 else:
                     assert g == q.rhs
 
@@ -782,13 +782,6 @@ def test_stacked_instantiation_refuses_stacks_of_other_lengths():
     target = load_fixture("target")
     with pytest.raises(DimensionMismatch, match=r"stacks of \[2, 3\] members"):
         instantiate(target, (_stack_of(tables),), min_sym_values((_stack_of(tables[:2]),)))
-
-
-def test_instantiation_refuses_a_lone_table():
-    table = random_layered_joint(np.random.default_rng(2))
-    syms = min_sym_values((_stack_of([table]),))
-    with pytest.raises(DimensionMismatch, match="stacked tables, not a lone one"):
-        instantiate(load_fixture("target"), (table,), syms)
 
 
 def _count_calls(monkeypatch, name):
@@ -850,7 +843,7 @@ def test_region_eval_general_prints_the_lone_evaluation(tmp_path, capsys):
     aux_path.write_text("kind: aux\nvars: Q 2 U 3 V1 2 V2 2 X 2\ntable:\n" + "".join(
         " ".join(repr(float(x)) for x in row) + "\n" for row in rows))
     tables = [aux.table] + [
-        make_table(aux.table.vars + (VarId(name, 2),),
+        take_stack(aux.table.vars + (VarId(name, 2),),
                    np.einsum("...x,xw->...xw", aux.table.probs, ch.pair_kernel(out.name)))
         for name, out in zip(OUTPUTS, ch.outputs)]
 

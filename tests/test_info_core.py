@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -7,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from generators import table_of
+from wiretap_regions.entropy_algebra import InfoExpr, ent, evaluate_all
 from wiretap_regions.errors import (
     NegativeMass,
     NotNormalized,
     OverlappingSets,
     ShapeMismatch,
     WiretapError,
+    numbered,
 )
 from wiretap_regions.info_core import (
     MI_CLAMP,
@@ -22,7 +26,6 @@ from wiretap_regions.info_core import (
     build_degraded_joint,
     check_markov,
     entropies,
-    make_table,
     mutual_information,
     take_stack,
     validate_table,
@@ -41,17 +44,17 @@ def bsc(p):
 
 
 def test_validate_uniform_ok():
-    validate_table(make_table((X2, Y2), np.full((2, 2), 0.25)))
+    validate_table(table_of((X2, Y2), np.full((2, 2), 0.25)))
 
 
 def test_validate_negative_mass():
     with pytest.raises(NegativeMass):
-        make_table((X2, Y2), np.array([[0.6, 0.5], [-0.1, 0.0]]))
+        table_of((X2, Y2), np.array([[0.6, 0.5], [-0.1, 0.0]]))
 
 
 def test_validate_not_normalized():
     with pytest.raises(NotNormalized):
-        make_table((X2, Y2), np.full((2, 2), 0.225))
+        table_of((X2, Y2), np.full((2, 2), 0.225))
 
 
 OUTS = (VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2))
@@ -59,8 +62,8 @@ NAN_ROW = np.array([[np.nan, 1.0], [0.0, 1.0]])
 
 
 @pytest.mark.parametrize("build", [
-    lambda: make_table((VarId("U", 2),), np.array([np.nan, 1.0])),
-    lambda: make_table((X2, Y2), 0.5 * NAN_ROW),
+    lambda: table_of((VarId("U", 2),), np.array([np.nan, 1.0])),
+    lambda: table_of((X2, Y2), 0.5 * NAN_ROW),
     lambda: ChannelSpec(input=X2, outputs=OUTS, stages=(NAN_ROW, bsc(0.1), bsc(0.1))),
     lambda: ChannelSpec(input=X2, outputs=OUTS, stages=(bsc(0.1), bsc(0.1), NAN_ROW)),
     lambda: ChannelSpec(input=X2, outputs=OUTS,
@@ -84,21 +87,24 @@ def test_validate_shape_mismatch():
     from wiretap_regions.info_core import ProbTable
     with pytest.raises(ShapeMismatch):
         validate_table(ProbTable((X2, Y2), np.full((2, 3), 1 / 6)))
+    # one distribution without its member axis is not a table
+    with pytest.raises(ShapeMismatch, match=r"^tensor shape \(2, 2\) != a member axis and"):
+        take_stack((X2, Y2), np.full((2, 2), 0.25))
 
 
 def test_mi_independent_zero():
-    t = make_table((X2, Y2), np.full((2, 2), 0.25))
+    t = table_of((X2, Y2), np.full((2, 2), 0.25))
     assert mutual_information(t, {"X"}, {"Y"}) == 0.0
 
 
 def test_mi_copy_ln2():
-    t = make_table((X2, Y2), np.array([[0.5, 0.0], [0.0, 0.5]]))
+    t = table_of((X2, Y2), np.array([[0.5, 0.0], [0.0, 0.5]]))
     assert mutual_information(t, {"X"}, {"Y"}) == pytest.approx(math.log(2), abs=1e-12)
 
 
 def test_mi_bsc_direct_summation_oracle():
     p = 0.1
-    t = make_table((X2, Y2), 0.5 * bsc(p))
+    t = table_of((X2, Y2), 0.5 * bsc(p))
     # independent oracle: direct summation over the four cells
     joint = 0.5 * bsc(p)
     px = joint.sum(axis=1)
@@ -111,7 +117,7 @@ def test_mi_bsc_direct_summation_oracle():
 
 
 def test_mi_overlap_and_unknown():
-    t = make_table((X2, Y2), np.full((2, 2), 0.25))
+    t = table_of((X2, Y2), np.full((2, 2), 0.25))
     with pytest.raises(OverlappingSets):
         mutual_information(t, {"X"}, {"X"})
     from wiretap_regions.errors import UnknownVariable
@@ -127,7 +133,7 @@ def cascade_kernel(ch):
 def cascade_joint(ch, p_x):
     """Joint table over (X, Y1, Y2, Z) of a cascade channel and an input distribution."""
     arr = np.reshape(p_x, (-1, 1, 1, 1)) * cascade_kernel(ch)
-    return make_table((ch.input,) + ch.outputs, arr)
+    return table_of((ch.input,) + ch.outputs, arr)
 
 
 def test_degraded_identity_cascade_is_delta():
@@ -161,12 +167,12 @@ def test_markov_false_case():
     for x in range(2):
         for y2 in range(2):
             arr[x, x, y2, x] = 0.25
-    t = make_table((VarId("X", 2), VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)), arr)
+    t = table_of((VarId("X", 2), VarId("Y1", 2), VarId("Y2", 2), VarId("Z", 2)), arr)
     assert not check_markov(t, ["X", "Y1", "Y2", "Z"])
 
 
 def test_markov_length_two_vacuous():
-    t = make_table((X2, Y2), np.full((2, 2), 0.25))
+    t = table_of((X2, Y2), np.full((2, 2), 0.25))
     assert check_markov(t, ["X", "Y"])
 
 
@@ -208,7 +214,7 @@ def test_cascade_dimension_mismatch():
 
 def rand_table(rng, cards):
     vars_ = tuple(VarId(f"T{i}", c) for i, c in enumerate(cards))
-    return make_table(vars_, rng.dirichlet(np.ones(int(np.prod(cards)))).reshape(cards))
+    return table_of(vars_, rng.dirichlet(np.ones(int(np.prod(cards)))).reshape(cards))
 
 
 def test_mi_nonnegative_and_chain_rule():
@@ -247,7 +253,7 @@ def test_sum_identity_over_positions(n):
     names_t2 = [f"B{i}" for i in range(1, n + 1)]
     vars_ = (VarId("Q", 2),) + tuple(VarId(nm, 2) for nm in names_t1 + names_t2)
     for _ in range(5):
-        t = make_table(vars_, rng.dirichlet(np.ones(int(np.prod(cards)))).reshape(cards))
+        t = table_of(vars_, rng.dirichlet(np.ones(int(np.prod(cards)))).reshape(cards))
         lhs = rhs = 0.0
         for i in range(1, n + 1):
             future1 = set(names_t1[i:])
@@ -267,7 +273,7 @@ def test_difference_identity_with_side_message():
     names_b = ["B1", "B2"]
     vars_ = (VarId("Q", 2), VarId("W", 2)) + tuple(VarId(nm, 2) for nm in names_a + names_b)
     for _ in range(5):
-        t = make_table(vars_, rng.dirichlet(np.ones(2 ** 6)).reshape((2,) * 6))
+        t = table_of(vars_, rng.dirichlet(np.ones(2 ** 6)).reshape((2,) * 6))
         lhs = (mutual_information(t, {"W"}, set(names_a), {"Q"})
                - mutual_information(t, {"W"}, set(names_b), {"Q"}))
         rhs = 0.0
@@ -292,10 +298,10 @@ def test_entropy_computes_each_marginal_once(monkeypatch):
     from wiretap_regions import info_core
 
     rng = np.random.default_rng(5)
-    table = make_table((VarId("A", 2), VarId("B", 3), VarId("C", 4)),
-                       rng.dirichlet(np.ones(24)).reshape(2, 3, 4))
+    table = table_of((VarId("A", 2), VarId("B", 3), VarId("C", 4)),
+                     rng.dirichlet(np.ones(24)).reshape(2, 3, 4))
     subsets = [None, ["A"], ["B", "A"], ["A", "B"], {"C", "A"}, ["C"], ("A", "B", "C"), []]
-    expected = [_chain_entropy(table.probs, table.names, table.names if s is None else s)
+    expected = [_chain_entropy(table.probs[0], table.names, table.names if s is None else s)
                 for s in subsets]
     real, summed = info_core._chain_marginal, []
 
@@ -305,12 +311,13 @@ def test_entropy_computes_each_marginal_once(monkeypatch):
         return real(t, key, held)
 
     monkeypatch.setattr(info_core, "_chain_marginal", chain_marginal)
-    assert entropies(table, [table.names if s is None else s for s in subsets]) == expected
+    assert [h[0] for h in entropies(table, [table.names if s is None else s
+                                            for s in subsets])] == expected
     # one batch sums each proper subset once, each from its parent on the
     # chain: {A} from {A, B}, {C} from {A, C} and the empty set from {A}
     assert sorted(map(sorted, summed)) == [[], ["A"], ["A", "B"], ["A", "C"], ["C"]]
     for _ in range(3):
-        assert [entropies(table, [table.names if s is None else s])[0]
+        assert [entropies(table, [table.names if s is None else s])[0][0]
                 for s in subsets] == expected
     assert len(summed) == 5
 
@@ -320,7 +327,7 @@ def _direct_mi(t, a, b, c=()):
     over the supported cells of the joint of A, B and C."""
     names = [n for n in t.names if n in set(a) | set(b) | set(c)]
     drop = tuple(i for i, n in enumerate(t.names) if n not in names)
-    joint = t.probs.sum(axis=drop) if drop else t.probs
+    joint = t.probs[0].sum(axis=drop) if drop else t.probs[0]
 
     def marg(sub):
         keep = tuple(i for i, n in enumerate(names) if n not in sub)
@@ -350,7 +357,7 @@ def _table_and_groups(draw, groups):
         at = np.broadcast_to(f.reshape((-1,) + (1,) * (len(cards) - 1)), tuple(cards[:-1]) + (1,))
         np.put_along_axis(det, at, w.sum(axis=-1, keepdims=True), axis=-1)
         w = det
-    t = make_table(tuple(VarId(f"T{i}", k) for i, k in enumerate(cards)), w / w.sum())
+    t = table_of(tuple(VarId(f"T{i}", k) for i, k in enumerate(cards)), w / w.sum())
     labels = list(range(groups)) + [draw(st.integers(0, groups)) for _ in cards[groups:]]
     return t, [{n for n, g in zip(t.names, labels) if g == k} for k in range(groups)]
 
@@ -405,26 +412,36 @@ def _stack_case(draw, max_vars=4, max_card=4):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(_stack_case())
 def test_stacked_entropy_and_mi_equal_each_lone_table(case):
+    # member k of a stack gets the bits its array gets as a stack of one: every
+    # joint entropy, a mutual information and an expression of entropies, a
+    # symbol and a constant
     cards, arrays, labels = case
     vars_ = tuple(VarId(f"T{i}", k) for i, k in enumerate(cards))
     names = [v.name for v in vars_]
-    lone = [make_table(vars_, a) for a in arrays]
+    ones = [table_of(vars_, a) for a in arrays]
     stack = take_stack(vars_, np.stack(arrays))
     for r in range(len(names) + 1):
         for axes in itertools.combinations(range(len(names)), r):
             subset = [names[i] for i in axes]
             [got] = entropies(stack, [subset])
-            assert got.tolist() == [entropies(t, [subset])[0] for t in lone]
+            assert got.tolist() == [entropies(t, [subset])[0][0] for t in ones]
             # the reference sums the marginal straight from the array
             assert np.abs(got - [_lone_entropy(a, axes) for a in arrays]).max() <= 1e-13
-            # the stacked table keeps one read-only array of member values
+            # the table keeps one read-only array of member values
             memo = stack._entropies[frozenset(subset)]
             assert memo is got and not memo.flags.writeable
-    assert entropies(stack, [names])[0].tolist() == [entropies(t, [names])[0] for t in lone]
     a, b, c = ({n for n, g in zip(names, labels) if g == k} for k in (0, 1, 2))
     if a and b:
         got = mutual_information(stack, a, b, c)
-        assert got.tolist() == [mutual_information(t, a, b, c) for t in lone]
+        assert got.tolist() == [mutual_information(t, a, b, c)[0] for t in ones]
+    # H of each label's variables with coefficient label - 1, s / 3 and 1 / 7
+    groups = [{n for n, g in zip(names, labels) if g == k} for k in range(4)]
+    expr = sum((ent(g) * (k - 1) for k, g in enumerate(groups) if g),
+               InfoExpr(syms={"s": Fraction(1, 3)}, constant=Fraction(1, 7)))
+    sym = np.array([arr.flat[0] for arr in arrays])
+    [got] = evaluate_all([expr], (stack,), {"s": sym})
+    assert got.tolist() == [evaluate_all([expr], (t,), {"s": sym[k:k + 1]})[0][0]
+                            for k, t in enumerate(ones)]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -449,8 +466,8 @@ def test_chained_entropies_do_not_depend_on_the_order_asked(case, data):
     one_at_a_time = take_stack(vars_, np.stack(arrays))
     for i in reversed(order):
         assert entropies(one_at_a_time, [sets[i]])[0].tolist() == got[i].tolist()
-    lone = make_table(vars_, arrays[0])
-    assert [entropies(lone, [sets[i]])[0] for i in order] == [got[i][0] for i in order]
+    one = table_of(vars_, arrays[0])
+    assert [entropies(one, [sets[i]])[0][0] for i in order] == [got[i][0] for i in order]
 
 
 def _peak_bytes(build):
@@ -470,7 +487,7 @@ def test_a_table_takes_over_a_fresh_array_and_copies_a_held_one():
     t, peak = _peak_bytes(lambda: take_stack(vars_, fresh))
     assert peak < 1 << 20 and t.probs is fresh and not fresh.flags.writeable
     held = np.full((1, 2, 1 << 19), 2.0 ** -20)
-    t, peak = _peak_bytes(lambda: ProbTable(vars_, held, stacked=True))
+    t, peak = _peak_bytes(lambda: ProbTable(vars_, held))
     assert peak >= held.nbytes and not np.shares_memory(t.probs, held)
     held[0, 0, 0] = 0.5
     assert t.probs[0, 0, 0] == 2.0 ** -20 and not t.probs.flags.writeable
@@ -480,30 +497,23 @@ def test_a_table_takes_over_a_fresh_array_and_copies_a_held_one():
 def test_mi_below_the_clamp_names_its_table():
     vars_ = (VarId("A", 2), VarId("B", 2))
     stack = take_stack(vars_, np.full((4, 2, 2), 0.25))
-    lone = make_table(vars_, np.full((2, 2), 0.25))
+    one = table_of(vars_, np.full((2, 2), 0.25))
     # an entropy memo that no table could give: I(A;B) = 2 ln 2 - 10 < 0
     stack._entropies[frozenset({"A", "B"})] = np.array([2 * math.log(2)] * 2 + [10.0] * 2)
-    lone._entropies[frozenset({"A", "B"})] = np.array([10.0])
+    one._entropies[frozenset({"A", "B"})] = np.array([10.0])
     with pytest.raises(NegativeMass, match="^instance 2: mutual information -8.6") as e:
         mutual_information(stack, {"A"}, {"B"})
     assert e.value.instance == (2,) and e.value.detail.endswith(f"below clamp {MI_CLAMP}")
-    with pytest.raises(NegativeMass, match="^mutual information -8.6") as e:
-        mutual_information(lone, {"A"}, {"B"})
+    # a stack of one names its member too; the caller holding one input strips it
+    with pytest.raises(NegativeMass, match="^instance 0: mutual information -8.6") as e:
+        mutual_information(one, {"A"}, {"B"})
+    assert e.value.instance == (0,)
+    with pytest.raises(NegativeMass, match="^mutual information -8.6") as e, numbered([()]):
+        mutual_information(one, {"A"}, {"B"})
     assert e.value.instance == ()
     # rounding noise above the clamp reads 0 in every member
     stack._entropies[frozenset({"A", "B"})] = np.full(4, 2 * math.log(2) + 1e-13)
     assert mutual_information(stack, {"A"}, {"B"}).tolist() == [0.0] * 4
-
-
-def test_a_lone_and_a_stacked_table_refuse_each_others_shape():
-    vars_ = (VarId("A", 2), VarId("B", 3))
-    probs = np.full((4, 2, 3), 1 / 6)
-    with pytest.raises(ShapeMismatch, match=r"^tensor shape \(4, 2, 3\) != cardinalities"):
-        make_table(vars_, probs)
-    with pytest.raises(ShapeMismatch, match=r"^tensor shape \(2, 3\) != a member axis and"):
-        take_stack(vars_, np.array(probs[0], dtype=float))
-    assert not make_table(vars_, probs[0]).stacked
-    assert take_stack(vars_, np.array(probs, dtype=float)).stacked
 
 
 def test_a_stack_validates_every_table_and_names_the_first_bad_one():
@@ -514,8 +524,8 @@ def test_a_stack_validates_every_table_and_names_the_first_bad_one():
     assert e.value.instance == (2,)
     with pytest.raises(NegativeMass, match="^instance 1: entry -0.5"):
         take_stack(vars_, np.array([[0.5, 0.5], [1.5, -0.5]]))
-    with pytest.raises(NotNormalized, match="^total mass 1.1"):
-        make_table(vars_, probs[2])
+    with pytest.raises(NotNormalized, match="^instance 0: total mass 1.1"):
+        table_of(vars_, probs[2])
 
 
 def test_an_unconditional_mi_allows_the_mass_of_a_heavy_table():
@@ -524,15 +534,15 @@ def test_an_unconditional_mi_allows_the_mass_of_a_heavy_table():
     # -1.6e-12, which the floor MI_CLAMP - m log m allows, and a value 0
     vars_ = (VarId("A", 2), VarId("B", 2))
     heavy = np.full((3, 2, 2), 0.25 * (1 + 8e-13) ** 2)
-    stack = ProbTable(vars_, heavy, stacked=True)
-    lone = ProbTable(vars_, heavy[0])
+    stack = ProbTable(vars_, heavy)
+    one = ProbTable(vars_, heavy[:1])
     raw = [entropies(t, [{"A"}])[0] + entropies(t, [{"B"}])[0] - entropies(t, [{"A", "B"}])[0]
-           for t in (lone, stack)]
-    assert raw[0] < MI_CLAMP and (raw[1] < MI_CLAMP).all()
-    assert mutual_information(lone, {"A"}, {"B"}) == 0.0
+           for t in (one, stack)]
+    assert (raw[0] < MI_CLAMP).all() and (raw[1] < MI_CLAMP).all()
+    assert mutual_information(one, {"A"}, {"B"}).tolist() == [0.0]
     assert mutual_information(stack, {"A"}, {"B"}).tolist() == [0.0] * 3
     # a conditional value has no mass term: the floor stays MI_CLAMP
-    cond = ProbTable(vars_ + (VarId("C", 1),), heavy[0][..., None])
+    cond = ProbTable(vars_ + (VarId("C", 1),), heavy[:1][..., None])
     cond._entropies[frozenset({"A", "B", "C"})] = np.array([10.0])
     with pytest.raises(NegativeMass, match=f"below clamp {MI_CLAMP}$"):
         mutual_information(cond, {"A"}, {"B"}, {"C"})

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from generators import by_label, random_aux_layered, stack_of, system_of
+from generators import by_label, random_aux_layered, stack_of, system_of, table_of
 from hull_oracle import in_hull
 from wiretap_regions import fm_script, info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
@@ -23,7 +23,6 @@ from wiretap_regions.info_core import (
     ChannelSpec,
     VarId,
     build_degraded_joint,
-    make_table,
     take_stack,
 )
 from wiretap_regions.io_files import region_csv_text
@@ -68,7 +67,7 @@ def bsc(p):
 
 def ux_aux(arr):
     arr = np.asarray(arr, dtype=float)
-    return AuxJoint(make_table((VarId("U", arr.shape[0]), VarId("X", arr.shape[1])), arr))
+    return AuxJoint(table_of((VarId("U", arr.shape[0]), VarId("X", arr.shape[1])), arr))
 
 
 UX_COPY = ux_aux(np.array([[0.5, 0.0], [0.0, 0.5]]))
@@ -211,8 +210,8 @@ def test_general_inner_vacuous_v_layers():
     p_qu = rng.dirichlet(np.ones(4)).reshape(2, 2)
     p_x_u = rng.dirichlet(np.ones(2), size=2)
     arr = np.einsum("qu,a,b,ux->quabx", p_qu, np.full(2, 0.5), np.full(2, 0.5), p_x_u)
-    aux = AuxJoint(make_table((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
-                               VarId("V2", 2), VarId("X", 2)), arr))
+    aux = AuxJoint(table_of((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
+                             VarId("V2", 2), VarId("X", 2)), arr))
     by = by_label(eval_general_inner(aux, ch))
     assert by["rs1"] == pytest.approx(by["rs2"], abs=1e-10)
     assert by["rs12"] == pytest.approx(by["rs1"], abs=1e-10)
@@ -222,8 +221,8 @@ def test_layered_aux_validation():
     rng = np.random.default_rng(15)
     arr = rng.dirichlet(np.ones(32)).reshape(2, 2, 2, 2, 2)
     with pytest.raises(InconsistentAux):
-        AuxJoint(make_table((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
-                             VarId("V2", 2), VarId("X", 2)), arr))
+        AuxJoint(table_of((VarId("Q", 2), VarId("U", 2), VarId("V1", 2),
+                           VarId("V2", 2), VarId("X", 2)), arr))
 
 
 def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
@@ -237,17 +236,28 @@ def test_a_stacked_layered_aux_names_the_member_that_breaks_the_factorization():
         AuxJoint(take_stack(vars_, np.array(probs, dtype=float)))
     assert e.value.instance == (3,)
     with pytest.raises(InconsistentAux) as alone:
-        AuxJoint(make_table(vars_, probs[3]))
-    assert str(alone.value) == e.value.detail
+        AuxJoint(table_of(vars_, probs[3]))
+    assert alone.value.instance == (0,) and alone.value.detail == e.value.detail
 
 
-@pytest.mark.parametrize("evaluate", [lambda aux, ch: reduction_aux(aux)])
-def test_lone_aux_regions_refuse_a_stacked_aux(evaluate):
+def test_reduction_embeds_each_member_of_a_stacked_aux():
+    # member k of the reduction of a stack is the reduction of member k alone,
+    # bit for bit, and its region is member k's degraded region
     probs = np.random.default_rng(4).dirichlet(np.ones(6), size=3).reshape(3, 3, 2)
+    probs[1] = [[0.5, 0.0], [0.0, 0.5], [0.0, 0.0]]   # zero cells
     aux = AuxJoint(take_stack((VarId("U", 3), VarId("X", 2)), probs))
-    assert len(eval_degraded_inner(aux, cascade_channel())) == 3
-    with pytest.raises(InconsistentAux, match="lone aux"):
-        evaluate(aux, cascade_channel())
+    got = reduction_aux(aux)
+    assert got.kind == "layered" and got.table.probs.shape == (3, 1, 3, 2, 3, 2)
+    for k, p in enumerate(probs):
+        want = np.zeros((1, 3, 2, 3, 2))
+        for u in range(3):
+            for x in range(2):
+                want[0, u, x, u, x] = p[u, x]
+        assert got.table.probs[k].tobytes() == want.tobytes()
+        one = reduction_aux(ux_aux(p))
+        assert one.table.probs.tobytes() == want.tobytes()
+    assert region_equal(eval_general_inner(got, cascade_channel()),
+                        eval_degraded_inner(aux, cascade_channel()))
 
 
 def test_corollaries_match_inner_outer():
@@ -327,7 +337,7 @@ def test_corollary_pruning_keeps_the_region_and_drops_every_implied_row(rows):
 
 def _stacked_aux(aux, n):
     t = aux.table
-    return AuxJoint(take_stack(t.vars, np.stack([t.probs] * n)))
+    return AuxJoint(take_stack(t.vars, np.concatenate([t.probs] * n)))
 
 
 @pytest.mark.parametrize("evaluate, module, layered", [
@@ -337,8 +347,9 @@ def _stacked_aux(aux, n):
     (eval_general_inner, fm_script, True),
 ], ids=["inner", "outer", "original", "general"])
 def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, module, layered):
-    # a lone aux is evaluated as a stack of one; an error a stacked check
-    # raises on it keeps the bare message, while a stacked aux names its member
+    # an error a stacked check raises names its member; that a file's one aux
+    # names none is the command's rule (test_cli_io's
+    # test_an_error_evaluating_an_aux_file_names_no_instance)
     def mutual_information(t, *sets):
         raise_for_first(np.arange(len(t.probs)) == len(t.probs) - 1, NegativeMass,
                         lambda k: "mutual information -1e-09 below clamp -1e-12")
@@ -346,10 +357,6 @@ def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, module,
     monkeypatch.setattr(module, "mutual_information", mutual_information)
     aux = (random_aux_layered(np.random.default_rng(3), 2, 2, 2, 2, 2) if layered
            else ux_aux(np.full((2, 2), 0.25)))
-    with pytest.raises(NegativeMass) as lone:
-        evaluate(aux, cascade_channel())
-    assert lone.value.instance == ()
-    assert str(lone.value) == "mutual information -1e-09 below clamp -1e-12"
     with pytest.raises(NegativeMass, match="^instance 2: mutual information") as stacked:
         evaluate(_stacked_aux(aux, 3), cascade_channel())
     assert stacked.value.instance == (2,)
@@ -803,14 +810,14 @@ def _relabelled_model(draw):
     kernel = {"cascade": None, "kernel": np.einsum("xa,ab,bc->xabc", *stages),
               "dense": rng.dirichlet(np.ones(np.prod(cards[1:])), size=3).reshape(cards)}[form]
     ux = rng.dirichlet(np.ones(aux_cards[0] * 3)).reshape(aux_cards[0], 3)
-    layered = random_aux_layered(rng, aux_cards[1], aux_cards[0], *aux_cards[2:], 3).table.probs
+    layered = random_aux_layered(rng, aux_cards[1], aux_cards[0], *aux_cards[2:], 3).table.probs[0]
     outputs = tuple(VarId(n, k) for n, k in zip(("Y1", "Y2", "Z"), cards[1:]))
 
     def model(stages, kernel, ux, layered):
         return (ChannelSpec(VarId("X", 3), outputs, kernel=kernel, stages=stages),
-                AuxJoint(make_table((VarId("U", ux.shape[0]), VarId("X", 3)), ux)),
-                AuxJoint(make_table(tuple(map(VarId, regions_discrete.LAYERED_VARS,
-                                              layered.shape)), layered)))
+                AuxJoint(table_of((VarId("U", ux.shape[0]), VarId("X", 3)), ux)),
+                AuxJoint(table_of(tuple(map(VarId, regions_discrete.LAYERED_VARS,
+                                            layered.shape)), layered)))
 
     if kernel is None:
         moved = [_relabel(s, p) for s, p in zip(stages, ((px, p1), (p1, p2), (p2, pz)))], None

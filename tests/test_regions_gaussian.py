@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wiretap_regions
-from generators import by_label
+from generators import by_label, table_of
 from hull_oracle import in_hull
 from wiretap_regions import regions_gaussian
 from wiretap_regions.errors import (
@@ -20,7 +20,7 @@ from wiretap_regions.errors import (
     WiretapError,
 )
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
-from wiretap_regions.info_core import VarId, build_degraded_joint, make_table, take_stack
+from wiretap_regions.info_core import VarId, build_degraded_joint, take_stack
 from wiretap_regions.regions_discrete import (
     LAYERED_VARS,
     UX_VARS,
@@ -191,7 +191,7 @@ def _evaluator_inputs(draw):
             names = UX_VARS
         vars_ = tuple(map(VarId, names, probs.shape[1:]))
         return (name, ch, AuxJoint(take_stack(vars_, probs)),
-                [AuxJoint(make_table(vars_, p)) for p in probs])
+                [AuxJoint(table_of(vars_, p)) for p in probs])
     d = draw(st.integers(1, 3))
     ch = rand_degraded(rng, d)
     if name.startswith("gauss"):

@@ -252,8 +252,8 @@ def _debruijn_loop(args) -> int:
         rows.append(["gauss", i, debruijn_check(pair, a @ a.T + 0.3 * np.eye(d), step=args.step)])
     for i in range(max(1, args.budget // 5)):
         mix = random_mixture(rng)
-        rows.append(["mixture", i, debruijn_check(mix, [[0.5 + rng.uniform(0, 1)]],
-                                                  step=args.step)])
+        [r] = debruijn_check([mix], [[[0.5 + rng.uniform(0, 1)]]], step=args.step)
+        rows.append(["mixture", i, r])
     worst = max(0.0, *(r for _, _, r in rows))
     return cli._conclude(args, (["kind", "instance", "residual"],
                                 [[kind, i, f"{r:.6e}"] for kind, i, r in rows]),

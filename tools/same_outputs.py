@@ -17,7 +17,8 @@ and the bytes of every file the command wrote.  The commands are:
   beside small input files named as the README names them;
 - lone ``region eval-*`` and ``gauss eval`` commands: every bound, with and
   without ``--vertices``, in both output formats, on generated channels,
-  auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse;
+  auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse,
+  the aux files the parser refuses included;
 - ``fisher lemmas --budget 1000 --mixtures`` and ``fisher debruijn --budget
   200`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
   instances and seeds than the benchmark's ``fisher`` ops;
@@ -174,7 +175,10 @@ def lone_eval_commands(spec, inputs: str) -> list:
     the degraded noise order and on a split over the cap (exit 1), a triple
     split with ``--bound inner`` and a single split with ``--bound general``
     (exit 2), and ``eval-general`` on an aux that breaks the layered
-    factorization (exit 2)."""
+    factorization (exit 2); and every ``region eval-*`` command on three
+    aux files the parser refuses (exit 2): one with a negative entry, one
+    whose mass is off 1 by 1e-9 and a layered one that breaks the
+    factorization."""
     import numpy as np
 
     def write(name, text):
@@ -229,14 +233,23 @@ def lone_eval_commands(spec, inputs: str) -> list:
                                           (ch, triple, "inner"), (ch, single, "general")):
                 commands.append(["lone gauss eval", ["gauss", "eval", "--channel", channel,
                                                      "--split", split, "--bound", bound]])
-    for k in range(2):   # refusal: an aux that breaks the layered factorization
+    heavy = np.full((2, 3), 1.0 / 6.0)
+    heavy[1, 2] += 1e-9
+    refused = {"negative": [[0.3, 0.2, 0.1], [0.3, 0.2, -0.1]], "heavy": heavy}
+    for k in range(2):   # refusals of aux files the parser refuses
         rng = np.random.default_rng([9, k])
         ch = write(f"lone-refuse-ch{k}.txt", spec.CHANNELS["discrete3"](rng))
-        broken = write(f"lone-broken{k}.txt", _matrix_file(
+        auxes = [write(f"lone-broken{k}.txt", _matrix_file(   # breaks the layered factorization
             "aux", {"table": rng.dirichlet(np.ones(72)).reshape(1, -1)},
-            ["vars: Q 2 U 2 V1 3 V2 2 X 3"]))
-        commands.append(["lone region eval",
-                         ["region", "eval-general", "--channel", ch, "--aux", broken]])
+            ["vars: Q 2 U 2 V1 3 V2 2 X 3"]))]
+        if k == 0:
+            auxes += [write(f"lone-{name}.txt", _matrix_file("aux", {"table": table},
+                                                             ["vars: U 2 X 3"]))
+                      for name, table in refused.items()]
+        for aux in auxes:
+            for cmd in ("eval-inner", "eval-outer", "eval-general"):
+                commands.append(["lone region eval",
+                                 ["region", cmd, "--channel", ch, "--aux", aux]])
     return commands
 
 
