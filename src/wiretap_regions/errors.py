@@ -111,7 +111,8 @@ class DimensionTooLarge(WiretapError):
 
 
 class LPFailure(WiretapError):
-    """The LP solver neither solved the LP nor proved it infeasible or unbounded."""
+    """An LP did not end optimal, or its answer failed its own check: a point
+    outside its rows, or an optimum bracket wider than its tolerance."""
 
 
 class ScriptStepMismatch(WiretapError):

@@ -705,8 +705,10 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
     gives all their polytopes.  Rate regions are
     downward closed, so a vertex is covered when some convex combination of
     envelope points dominates it componentwise.  The slack is monotone in the
-    vertex, so only the vertices on a polytope's Pareto front are checked,
-    all of them by one :func:`dominance_slack` LP per mixture.  Passing
+    vertex, so only the vertices on a polytope's Pareto front are checked:
+    every mixture's front is stacked into one :func:`dominance_slack` call,
+    which packs the points into LPs of a bounded row count, and each mixture
+    reports its front's worst slack.  Passing
     ``pareto_front(gauss_points)`` instead of the whole cloud gives the same
     slacks from smaller LPs.  An error names the mixture it concerns,
     ``instance k``.
@@ -731,10 +733,10 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
     vp = vertices(SystemStack(bounds.rows, np.where(b < 0.0, 0.0, b)))
     found = [(dict(zip(labels, row)), [l for l, r in zip(labels, row) if r < 0.0])
              for row in b.tolist()]
-    reports = []
-    # each clamped region holds the origin, so its front is never empty
-    for (constants, clamped), pts in zip(found, np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):
-        worst = float(dominance_slack(pareto_front(pts), gauss_points).max())
-        reports.append(DominanceReport(constants=constants, clamped=clamped, max_slack=worst,
-                                       contained=worst <= slack_tol))
-    return reports
+    fronts = [pareto_front(pts) for pts in np.split(vp.vertices, np.cumsum(vp.counts)[:-1])]
+    # each clamped region holds the origin, so no front is empty
+    starts = np.cumsum([0] + [len(f) for f in fronts[:-1]])
+    worst = np.maximum.reduceat(dominance_slack(np.vstack(fronts), gauss_points), starts)
+    return [DominanceReport(constants=constants, clamped=clamped, max_slack=w,
+                            contained=w <= slack_tol)
+            for (constants, clamped), w in zip(found, worst.tolist())]

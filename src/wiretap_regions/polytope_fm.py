@@ -48,10 +48,12 @@ VERTEX_TOL = 1e-9
 # at or below which the basis is singular and gives no vertex.
 BASIS_DET_RTOL = 1e-12
 CERT_TOL = 1e-9           # largest slack a dropped row may keep and count as redundant,
-                          # and the largest row violation of a support LP's point
-# HiGHS tolerances of every support LP.  At the default feasibility
+                          # the largest row violation of a support LP's point, and
+                          # the widest bracket of a dominance slack, times 1 + max|p|
+# HiGHS tolerances of every support and dominance LP.  At the default feasibility
 # tolerances (1e-7) a certification slack carries noise up to about 6.5e-8,
-# above the 1e-9 a dropped FM row may keep, and the optimum can stop up to
+# above the 1e-9 a dropped FM row may keep, a dominance slack's bracket
+# reaches 7.4e-8 on the benchmark's envelopes, and the optimum can stop up to
 # 1e-7 * |x|_1 short of the maximum.  solve_lp runs every LP, these included,
 # without HiGHS presolve: every LP here is small, feasible and bounded by
 # construction, so presolve only adds time, and it reports some unbounded LPs

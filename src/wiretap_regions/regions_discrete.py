@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     BudgetZero,
     InconsistentAux,
+    LPFailure,
     NotDegraded,
     UnknownCorollary,
     ValidationError,
@@ -32,6 +33,8 @@ from .info_core import (
     take_stack,
 )
 from .polytope_fm import (
+    CERT_LP_OPTIONS,
+    CERT_TOL,
     IneqSystem,
     LinIneq,
     SystemStack,
@@ -325,34 +328,74 @@ def hull_of(points: np.ndarray) -> np.ndarray:
 
 def dominance_slack(points, cloud) -> np.ndarray:
     """Smallest uniform slack s_k making ``points[k] - s_k`` dominated by a
-    convex combination of the rows of ``cloud``, for every row of ``points``,
-    from one LP.
+    convex combination of the rows of ``cloud``, for every row of ``points``.
 
     The slack of p is ``min s`` over simplex weights lambda with
     ``cloud.T @ lambda + s >= p``.  Each row of ``points`` solves its dual
     block, ``max mu.p - t`` over simplex mu with ``mu.g <= t`` for every cloud
-    row g, and the blocks are stacked block-diagonally.  The block's row
+    row g.  The blocks are stacked block-diagonally, in order, into LPs of
+    ``max(1, _DOMINANCE_ROWS // n)`` whole blocks of an n-row cloud (the last
+    LP takes the rest), each solved at ``CERT_LP_OPTIONS``.  A block's row
     multipliers, clipped to >= 0 and renormalised, are weights lambda, and the
     value returned is ``max(p - cloud.T @ lambda)``: the slack that explicit
-    combination of cloud rows achieves.
+    combination of cloud rows achieves, an upper bound on the optimum.  The
+    block's mu, clipped and renormalised, bounds it from below by weak
+    duality: ``mu.p - max_g mu.g``.
 
-    Raises LPFailure when the solver stops without an optimum.
+    Raises LPFailure when the solver stops without an optimum, and when a
+    point's bracket is wider than ``CERT_TOL * (1 + max|p|)``.
     """
     cloud = np.asarray(cloud, dtype=float)
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    n, d = cloud.shape
-    k = p.shape[0]
+    (n, d), per_lp = cloud.shape, max(1, _DOMINANCE_ROWS // len(cloud))
+    k = min(per_lp, len(p))
+    # the rows of a full LP, built once; a shorter last LP takes their top-left corner
+    A_ub = block_diagonal_csr([np.hstack([cloud, -np.ones((n, 1))])] * k)
+    A_eq = block_diagonal_csr([np.append(np.ones(d), 0.0)[None, :]] * k)
+    return np.concatenate([_dominance_lp(p[lo:lo + per_lp], cloud, lo, A_ub, A_eq)
+                           for lo in range(0, len(p), per_lp)])
+
+
+# Inequality rows of one dominance LP: HiGHS costs about 4.6 ms a call whatever
+# its size on these LPs, plus about 1.5 KB of memory a row, so dominance_slack
+# packs whole point blocks up to this many rows (a cloud of more rows gets one
+# block an LP).  On a 2-vCPU x86 VM, `fisher evidence --budget 10` ops took 17%
+# less time than with one LP a mixture at 3,500 rows and +3.5% peak memory, and
+# 20% less at 4,000 rows but +5% memory.
+_DOMINANCE_ROWS = 3500
+
+
+def _simplex_weights(w: np.ndarray) -> np.ndarray:
+    w = np.clip(w, 0.0, None)
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def _dominance_lp(p: np.ndarray, cloud: np.ndarray, first: int, A_ub, A_eq) -> np.ndarray:
+    """The checked slacks of the rows of ``p`` from one LP of one block a
+    row, its rows the top-left corner of the block-diagonal ``A_ub`` and
+    ``A_eq``; ``first`` numbers the first row in an error."""
+    (n, d), k = cloud.shape, len(p)
     # variables (mu, t) per block: minimize t - mu.p subject to cloud @ mu <= t, sum(mu) = 1;
     # always feasible (any simplex mu with t = max of cloud @ mu) and bounded
     # (t - mu.p >= mu.(g - p) for any cloud row g), so the solver returns an optimum
     c = np.hstack([-p, np.ones((k, 1))]).ravel()
-    A_ub = block_diagonal_csr([np.hstack([cloud, -np.ones((n, 1))])] * k)
-    A_eq = block_diagonal_csr([np.append(np.ones(d), 0.0)[None, :]] * k)
+    if A_eq.shape[0] > k:
+        A_ub, A_eq = A_ub[:k * n, :k * (d + 1)], A_eq[:k, :k * (d + 1)]
     res = solve_lp(c, A_ub, np.zeros(k * n), A_eq, np.ones(k),
-                   bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance")
-    lam = np.clip(-res.ineqlin.marginals.reshape(k, n), 0.0, None)
-    lam /= lam.sum(axis=1, keepdims=True)
-    return (p - lam @ cloud).max(axis=1)
+                   bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance",
+                   options=CERT_LP_OPTIONS)
+    lam = _simplex_weights(-res.ineqlin.marginals.reshape(k, n))
+    mu = _simplex_weights(res.x.reshape(k, d + 1)[:, :d])
+    upper = (p - lam @ cloud).max(axis=1)
+    lower = (mu * p).sum(axis=1) - (mu @ cloud.T).max(axis=1)
+    # written so that a NaN bound fails too
+    loose = ~(upper - lower <= CERT_TOL * (1 + np.abs(p).max(axis=1)))
+    if loose.any():
+        i = int(np.flatnonzero(loose)[0])
+        raise LPFailure(f"dominance LP of point {first + i}: its slack bracket "
+                        f"[{lower[i]:.6e}, {upper[i]:.6e}] is wider than "
+                        f"{CERT_TOL:g} * (1 + max|p|)")
+    return upper
 
 
 def _undominated(pts: np.ndarray) -> np.ndarray:

@@ -409,19 +409,28 @@ def test_every_lp_of_a_command_runs_without_presolve(tmp_path, monkeypatch):
         assert all(o["presolve"] is False for o in options), argv
 
 
-def test_fisher_evidence_solves_one_dominance_lp_per_mixture(tmp_path, monkeypatch):
-    from wiretap_regions import regions_discrete
+def test_fisher_evidence_packs_its_dominance_lps_to_the_row_budget(tmp_path, monkeypatch):
+    from wiretap_regions import fisher_lab, regions_discrete
 
-    real, whats = regions_discrete.solve_lp, []
+    real_lp, real_slack, rows, calls = regions_discrete.solve_lp, fisher_lab.dominance_slack, [], []
 
     def solve_lp(*args, what="LP", **kw):
-        whats.append(what)
-        return real(*args, what=what, **kw)
+        if what == "dominance":
+            rows.append(args[1].shape[0])
+        return real_lp(*args, what=what, **kw)
+
+    def dominance_slack(points, cloud):
+        calls.append((len(points), len(cloud)))
+        return real_slack(points, cloud)
 
     monkeypatch.setattr(regions_discrete, "solve_lp", solve_lp)
+    monkeypatch.setattr(fisher_lab, "dominance_slack", dominance_slack)
     assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
                  "--budget", "5"]) == 0
-    assert whats.count("dominance") == 5
+    [(points, n)] = calls   # every mixture's front in one call
+    budget = regions_discrete._DOMINANCE_ROWS
+    assert len(rows) == -(-points // max(1, budget // n))
+    assert max(rows) <= max(budget, n)
 
 
 def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):

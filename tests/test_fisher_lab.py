@@ -1066,9 +1066,14 @@ def test_evidence_stack_matches_lone_calls(lp_whats, monkeypatch):
     monkeypatch.setattr(fisher_lab, "dominance_slack",
                         lambda *args: dominance.append(args) or slack(*args))
     del lp_whats[:]
-    assert sufficiency_evidence_scalar(mixes, ch, env) == lone
-    # one recession LP for the stacked vertices() call, one dominance LP a mixture
-    assert lp_whats == ["recession"] and len(dominance) == len(mixes)
+    stacked = sufficiency_evidence_scalar(mixes, ch, env)
+    # a packed LP's rounding depends on the blocks beside it, so the slacks
+    # may move in the last bits; the rest is exact
+    for a, b in zip(stacked, lone, strict=True):
+        assert (a.constants, a.clamped, a.contained) == (b.constants, b.clamped, b.contained)
+        assert abs(a.max_slack - b.max_slack) <= 1e-12
+    # one recession LP for the stacked vertices() call, one dominance_slack call
+    assert lp_whats == ["recession"] and len(dominance) == 1
     assert sufficiency_evidence_scalar([], ch, env) == []
     over = ScalarMixture([0.0, 0.0], [-3.0, 3.0], [0.5, 0.5])
     with pytest.raises(ValidationError, match="instance 2: mixture second moment"):

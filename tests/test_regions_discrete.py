@@ -720,6 +720,54 @@ def test_batched_dominance_slack_matches_one_lp_per_point(rows, probes):
         assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
 
 
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(_PROBE, min_size=4, max_size=8))
+def test_dominance_slack_does_not_depend_on_how_its_points_are_packed(rows, probes):
+    cloud = np.array(rows)
+    n, real = len(cloud), regions_discrete.solve_lp
+    by_budget = {}
+    # a budget below n gives every point its own LP
+    for budget in (10**6, max(n - 1, 1), n, 2 * n, 3 * n):
+        lps = []
+
+        def solve_lp(*args, **kw):
+            lps.append(args[1].shape[0])
+            return real(*args, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(regions_discrete, "_DOMINANCE_ROWS", budget)
+            mp.setattr(regions_discrete, "solve_lp", solve_lp)
+            by_budget[budget] = dominance_slack(probes, cloud)
+        per_lp = max(1, budget // n)
+        assert len(lps) == -(-len(probes) // per_lp)
+        assert max(lps) <= max(budget, n)
+        assert len(lps) > 1 or budget == 10**6
+    whole = by_budget.pop(10**6)
+    for s in by_budget.values():
+        np.testing.assert_allclose(s, whole, rtol=0, atol=1e-12)
+    for p, s in zip(probes, whole):
+        assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
+
+
+@pytest.mark.parametrize("part", ["marginals", "x"])
+def test_dominance_slack_raises_when_its_bracket_is_loose(monkeypatch, part):
+    # the slack of (1/2, 1/2) over the unit vectors is 0, at lambda = mu = (1/2, 1/2)
+    real = regions_discrete.solve_lp
+
+    def solve_lp(*args, **kw):
+        res = real(*args, **kw)
+        if part == "marginals":   # lambda moves to (1/2 + 1e-6, 1/2 - 1e-6): upper 1e-6
+            res.ineqlin.marginals = res.ineqlin.marginals + np.array([-1e-6, 1e-6])
+        else:                     # mu's first weight gains 1e-6: lower about -5e-7
+            res.x = res.x + np.array([1e-6, 0.0, 0.0])
+        return res
+
+    monkeypatch.setattr(regions_discrete, "solve_lp", solve_lp)
+    with pytest.raises(LPFailure, match=r"dominance LP of point 0: its slack bracket "
+                                        r"\[.*\] is wider than 1e-09"):
+        dominance_slack([0.5, 0.5], np.eye(2))
+
+
 def dense_block_dominance_slack(points, cloud) -> np.ndarray:
     """Reference: dominance_slack's LP with its blocks stacked by scipy's
     block_diag, every zero of the dense blocks stored, and solved with HiGHS

@@ -19,9 +19,11 @@ and the bytes of every file the command wrote.  The commands are:
   without ``--vertices``, in both output formats, on generated channels,
   auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse,
   the aux files the parser refuses included;
-- ``fisher lemmas --budget 1000 --mixtures`` and ``fisher debruijn --budget
-  200`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
-  instances and seeds than the benchmark's ``fisher`` ops;
+- ``fisher lemmas --budget 1000 --mixtures``, ``fisher debruijn --budget
+  200`` and, on one generated scalar channel, ``fisher evidence --budget
+  50`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
+  instances and seeds than the benchmark's ``fisher`` ops, and evidence
+  fronts that span several dominance LPs;
 - ``fm verify-appendix`` at seeds 0 to 9 (``FM_SEEDS``), and at seed 0 with
   ``--instantiations 1`` and ``--instantiations 5``, each writing its CSV:
   more seeds than the benchmark's ``chain_replay`` ops.
@@ -49,7 +51,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 SEEDS = (0, 1)   # the benchmark seeds whose ops are compared
 FISHER_SEEDS = (0, 1, 2, 3)
 FISHER_COMMANDS = (("fisher", "lemmas", "--budget", "1000", "--mixtures"),
-                   ("fisher", "debruijn", "--budget", "200"))
+                   ("fisher", "debruijn", "--budget", "200"),
+                   ("fisher", "evidence", "--budget", "50"))
 FM_SEEDS = range(10)
 
 
@@ -253,10 +256,17 @@ def lone_eval_commands(spec, inputs: str) -> list:
     return commands
 
 
-def fisher_commands() -> list:
+def fisher_commands(spec, inputs: str) -> list:
     """Every command of ``FISHER_COMMANDS`` at every seed of ``FISHER_SEEDS``,
-    its CSV written under ``out/`` of the run directory."""
-    return [["fisher", [*argv, "--seed", str(seed), "--out", f"out/{argv[1]}-seed{seed}.csv"]]
+    its CSV written under ``out/`` of the run directory; ``fisher evidence``
+    takes a scalar Gaussian channel written under ``inputs``."""
+    import numpy as np
+
+    path = os.path.join(inputs, "fisher-g.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(spec.CHANNELS["gauss1"](np.random.default_rng(10)))
+    return [["fisher", [*argv, *(["--channel", path] if argv[1] == "evidence" else []),
+                        "--seed", str(seed), "--out", f"out/{argv[1]}-seed{seed}.csv"]]
             for seed in FISHER_SEEDS for argv in FISHER_COMMANDS]
 
 
@@ -310,7 +320,7 @@ def main(argv=None) -> int:
         os.makedirs(inputs)
         commands = (benchmark_commands(spec, seconds, inputs)
                     + readme_commands(args.change) + lone_eval_commands(spec, inputs)
-                    + fisher_commands() + fm_commands())
+                    + fisher_commands(spec, inputs) + fm_commands())
         files = readme_files()
         procs = [run_tree(tree, os.path.join(work, side), commands, files)
                  for tree, side in ((args.parent, "parent"), (args.change, "change"))]
