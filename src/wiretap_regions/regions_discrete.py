@@ -359,9 +359,9 @@ def dominance_slack(points, cloud) -> np.ndarray:
 # Inequality rows of one dominance LP: HiGHS costs about 4.6 ms a call whatever
 # its size on these LPs, plus about 1.5 KB of memory a row, so dominance_slack
 # packs whole point blocks up to this many rows (a cloud of more rows gets one
-# block an LP).  On a 2-vCPU x86 VM, `fisher evidence --budget 10` ops took 17%
-# less time than with one LP a mixture at 3,500 rows and +3.5% peak memory, and
-# 20% less at 4,000 rows but +5% memory.
+# block an LP).  On a 2-vCPU x86 VM, `fisher evidence --budget 10` ops at 3,500
+# rows took nearly the time they took at 4,000, with +3.5% peak memory over one
+# LP a mixture where 4,000 rows gave +5%.
 _DOMINANCE_ROWS = 3500
 
 
