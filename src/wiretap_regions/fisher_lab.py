@@ -80,6 +80,14 @@ class GaussPair:
     def cov_x(self) -> np.ndarray:
         return self.cov[..., self.d_u:, self.d_u:]
 
+    def noise(self, sigma_n) -> np.ndarray:
+        """``sigma_n`` as noise of X, ``(..., d_x, d_x)``; DimensionMismatch otherwise."""
+        sn = np.asarray(sigma_n, dtype=float)
+        if sn.shape[-2:] != (self.d_x, self.d_x):
+            raise DimensionMismatch(f"noise covariance of shape {sn.shape} is not "
+                                    f"(..., {self.d_x}, {self.d_x})")
+        return sn
+
 
 @dataclass(frozen=True, eq=False)
 class ScalarMixture:
@@ -269,12 +277,6 @@ def mixture_fisher(groups, var, n: int = QUAD_N) -> np.ndarray:
     return _stack_quadrature(groups, var, n)[:, 1]
 
 
-def mixture_cond_fisher(mix: ScalarMixture, var: float) -> float:
-    """J(X + N | U): weighted average of the per-u Fisher informations."""
-    with numbered([()]):
-        return float(mixture_fisher([mix.groups()], [var])[0])
-
-
 # --- Fisher information and the entropy gradient --------------------------------
 
 # Smallest eigenvalue of Cov(X|U) + Sigma_N, relative to its largest, that
@@ -287,7 +289,7 @@ RESIDUAL_TOL = 1e-4
 def gaussian_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     """Conditional Fisher information of X + N given U for a Gaussian pair:
     the inverse of Cov(X|U) + Sigma_N."""
-    m = pair.cov_x_given_u() + np.atleast_2d(np.asarray(sigma_n, dtype=float))
+    m = pair.cov_x_given_u() + pair.noise(sigma_n)
     w = np.linalg.eigvalsh(m)
     low = w.min(axis=-1)
     raise_for_first(low <= FISHER_EIG_RTOL * w.max(axis=-1),
@@ -304,7 +306,7 @@ def _joint_fisher(pair: GaussPair, sigma_n) -> np.ndarray:
     :func:`gaussian_fisher`."""
     k = pair.d_u
     c = pair.cov
-    cy = c[..., k:, k:] + np.atleast_2d(sigma_n)
+    cy = c[..., k:, k:] + pair.noise(sigma_n)
     if not k:
         return np.linalg.inv(cy)
     out = np.empty(cy.shape)
@@ -336,11 +338,11 @@ def _sym_basis(d: int):
 
 
 def debruijn_check(obj, sigma_n, step: float = 1e-4):
-    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2: a
-    float for a lone Gaussian pair, an array for a stack of them, and an
-    array for a list of scalar mixtures with a ``(n, 1, 1)`` stack of noise
-    variances, whose J and h at both moved variances take one stacked
-    quadrature each.
+    """Residual of the entropy-gradient identity grad_Sigma h(X+N|U) = J/2 of
+    Gaussian pairs, of their shape ``lead``, or of a list of scalar mixtures
+    with a ``(n, 1, 1)`` stack of noise variances, whose J and h at both moved
+    variances take one stacked quadrature each: a closed form and a
+    quadrature, so each kind takes its own branch.
 
     Central differences of h along every symmetric direction are compared with
     ``tr(J D)/2``.  If the residual at the requested step is above RESIDUAL_TOL but
@@ -351,7 +353,7 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
     if not 0 < step < math.inf:
         raise ValidationError(f"finite-difference step must be positive and finite, got {step}")
     if isinstance(obj, GaussPair):
-        sn = np.atleast_2d(np.asarray(sigma_n, dtype=float))
+        sn = obj.noise(sigma_n)
         cxu, J = obj.cov_x_given_u(), gaussian_fisher(obj, sn)
         d = sn.shape[-1]
         scale = np.maximum(1.0, np.trace(sn, axis1=-2, axis2=-1) / d)
@@ -364,8 +366,6 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
             try:   # one logdet stack (direction, sign, instance)
                 h = _gauss_cond_entropy(cxu, sn + (t * scale)[..., None, None] * signed)
             except WiretapError as e:   # named by its instance, not its direction and sign
-                if not e.instance:
-                    raise
                 err, message = ((StepTooLarge, f"step {t:g} moves Cov(X|U) + Sigma_N out of "
                                  "the positive-definite cone") if isinstance(e, SingularMatrix)
                                 else (type(e), e.detail))
@@ -397,13 +397,13 @@ def debruijn_check(obj, sigma_n, step: float = 1e-4):
     else:
         raise TypeError(f"unsupported input {type(obj).__name__}")
 
-    r1 = np.asarray(residual(step))
+    r1 = residual(step)
     if (r1 > RESIDUAL_TOL).any():
-        r2 = np.asarray(residual(step / 2.0))
+        r2 = residual(step / 2.0)
         raise_for_first((r1 > RESIDUAL_TOL) & (r2 < 0.5 * r1), StepTooLarge,
                         lambda k: f"residual {r1[k]:.3e} is truncation-dominated "
                                   f"(halving gives {r2[k]:.3e})")
-    return float(r1) if r1.ndim == 0 else r1
+    return r1
 
 
 # --- lemma suite -----------------------------------------------------------------

@@ -62,11 +62,11 @@ MAX_ENTRY = 1e300
 MIN_SCALE = 1e-150
 
 # _sym, check_psd, check_pd, psd_leq, cholesky, logdet, dpc_matrix, project_range,
-# gauss_mi, dpc_identity_check and random_psd_under take a matrix or a stack of
-# matrices (..., d, d) and compute each matrix of a stack exactly as alone.  A
-# matrix that breaks a check raises for the first such instance k of the
-# stack, naming k (see errors.at_instance); a single matrix is a stack with no
-# leading axis, and its messages name no instance.
+# gauss_mi, dpc_identity_check and random_psd_under take matrices (..., d, d),
+# whose leading axes ``lead`` are the stack (a lone matrix has lead == (); a 0-d
+# input is no matrix), and compute each instance exactly as alone, on one path,
+# giving a result of shape lead.  The first instance k that breaks a check
+# raises, naming k (see errors.at_instance); a lone matrix names no instance.
 
 
 def _first_failure(fn, *stacks) -> tuple[tuple, Exception]:
@@ -83,8 +83,6 @@ def _first_failure(fn, *stacks) -> tuple[tuple, Exception]:
 
 def _sym(m) -> np.ndarray:
     a = np.asarray(m, dtype=float)
-    if a.ndim == 0:
-        a = a.reshape(1, 1)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise NotPSD(f"matrix of shape {a.shape} is not square")
     at = a.mT
@@ -128,11 +126,10 @@ def psd_leq(a, b):
     """a <= b in the semidefinite order, within a slack relative to the
     matrices compared: ``lambda_min(b - a) >= -ORDER_TOL * max(|a|_2, |b|_2)``
     (spectral norms, the largest |eigenvalue|), so scaling a and b together
-    does not change the verdict.  A bool (a bool array for a stack)."""
+    does not change the verdict.  A numpy bool of shape ``lead``."""
     a, b = np.broadcast_arrays(_sym(a), _sym(b))
     w = np.linalg.eigvalsh(np.stack([a, b, b - a]))
-    ok = w[2].min(axis=-1) >= -ORDER_TOL * np.abs(w[:2]).max(axis=(0, -1))
-    return bool(ok) if ok.ndim == 0 else ok
+    return w[2].min(axis=-1) >= -ORDER_TOL * np.abs(w[:2]).max(axis=(0, -1))
 
 
 def cholesky(a) -> np.ndarray:
@@ -146,11 +143,10 @@ def cholesky(a) -> np.ndarray:
 
 
 def logdet(m):
-    """log det of a positive definite matrix via Cholesky, a float (an array
-    for a stack); raises on failure."""
+    """log det of a positive definite matrix via Cholesky, of shape ``lead``;
+    raises on failure."""
     chol = cholesky(_sym(m))
-    out = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
 
 
 def scalar_of(m, what: str) -> float:
@@ -222,7 +218,7 @@ class GaussChannel:
                      for name in ("S", "Sigma1", "Sigma2", "SigmaZ"))
 
     @functools.cached_property
-    def degraded(self) -> bool:
+    def degraded(self) -> np.bool_:
         """Noise-covariance order Sigma1 <= Sigma2 <= SigmaZ (Sigma1 > 0 holds
         by construction)."""
         return psd_leq(self.Sigma1, self.Sigma2) and psd_leq(self.Sigma2, self.SigmaZ)
@@ -292,7 +288,7 @@ class CovSplit:
 
     def validate_cap(self, S) -> None:
         total = self.K if self.K is not None else self.K0 + self.K1 + self.K2
-        raise_for_first(~np.asarray(psd_leq(total, S)), CapExceeded,
+        raise_for_first(~psd_leq(total, S), CapExceeded,
                         lambda k: "covariance allocation exceeds the input cap S")
 
 
@@ -365,11 +361,9 @@ def _range_columns(a: np.ndarray):
 def _by_pattern(*keeps):
     """Group a stack's instances by their kept-column patterns, one mask
     ``(..., d_i)`` per covariance: yields ``(where, patterns)`` with ``where``
-    selecting the instances whose masks equal ``patterns``.  A single
-    instance is one group with ``where == ()``."""
-    if keeps[0].ndim == 1:
-        yield (), keeps
-        return
+    the boolean mask of shape ``lead`` selecting the instances whose masks
+    equal ``patterns``.  A lone instance is one group whose ``where`` is a 0-d
+    True, which indexes it as a stack of one."""
     joint = np.concatenate(keeps, axis=-1)
     patterns, _, which = unique_rows(joint.reshape(-1, joint.shape[-1]))
     cuts = np.cumsum([k.shape[-1] for k in keeps])[:-1]
@@ -381,48 +375,49 @@ def project_range(cov) -> list:
     """Orthonormal bases of the range of a covariance, as columns, grouped
     by the eigenvector columns kept: ``[(where, basis)]``, ``basis`` the
     ``(n, d, r)`` stack of the bases of the n covariances ``where`` selects
-    in a stack, or the ``(d, r)`` basis of a single covariance
-    (``where == ()``)."""
+    (see :func:`_by_pattern`; n = 1 for a lone covariance)."""
     v, keep = _range_columns(_sym(cov))
     return [(where, v[where][..., p]) for where, (p,) in _by_pattern(keep)]
 
 
 def gauss_mi(Saa, Sab, Sbb):
     """Mutual information of a jointly Gaussian pair from covariance blocks,
-    a float (an array for a stack).
+    of shape ``lead``.
 
     Degenerate marginals are projected onto their range first; a singular
     conditional covariance (deterministic dependence) raises SingularMatrix.
     Each instance of a stack is computed with the others of its range
     pattern.
     """
-    Saa, Sbb = _sym(Saa), _sym(Sbb)
-    Sab = np.atleast_2d(np.asarray(Sab, dtype=float))
+    Saa, Sab, Sbb = _sym(Saa), np.atleast_2d(np.asarray(Sab, dtype=float)), _sym(Sbb)
+    try:
+        return _gauss_mi(Saa, Sab, Sbb)
+    except WiretapError:
+        k, e = _first_failure(_gauss_mi, Saa, Sab, Sbb)
+        raise at_instance(type(e), k, e.detail) from None
+
+
+def _gauss_mi(Saa, Sab, Sbb) -> np.ndarray:
+    """:func:`gauss_mi` of symmetric blocks; an error names its instance in a group."""
     lead = np.broadcast_shapes(Saa.shape[:-2], Sab.shape[:-2], Sbb.shape[:-2])
     Saa, Sab, Sbb = (np.broadcast_to(m, lead + m.shape[-2:]) for m in (Saa, Sab, Sbb))
     (va, ka), (vb, kb) = _range_columns(Saa), _range_columns(Sbb)
     out = np.zeros(lead)
-    try:
-        for where, (pa, pb) in _by_pattern(ka, kb):
-            if not (pa.any() and pb.any()):
-                continue
-            Pa, Pb = va[where][..., pa], vb[where][..., pb]
-            a = Pa.mT @ Saa[where] @ Pa
-            b = Pb.mT @ Sbb[where] @ Pb
-            c = Pa.mT @ Sab[where] @ Pb
-            cond = b - c.mT @ np.linalg.solve(a, c)
-            out[where] = 0.5 * (logdet(b) - logdet(cond))
-    except WiretapError:
-        if not lead:
-            raise
-        k, e = _first_failure(gauss_mi, Saa, Sab, Sbb)
-        raise at_instance(type(e), k, str(e)) from None
-    return float(out) if not lead else out
+    for where, (pa, pb) in _by_pattern(ka, kb):
+        if not (pa.any() and pb.any()):
+            continue
+        Pa, Pb = va[where][..., pa], vb[where][..., pb]
+        a = Pa.mT @ Saa[where] @ Pa
+        b = Pb.mT @ Sbb[where] @ Pb
+        c = Pa.mT @ Sab[where] @ Pb
+        cond = b - c.mT @ np.linalg.solve(a, c)
+        out[where] = 0.5 * (logdet(b) - logdet(cond))
+    return out
 
 
 def dpc_identity_check(K1, K2, K0, ch: GaussChannel):
-    """Residual of the interference-free rate identity under precoding, a
-    float (an array for stacks of covariance triples).
+    """Residual of the interference-free rate identity under precoding, of
+    the triples' broadcast shape ``lead``.
 
     Builds the jointly Gaussian layered selection (V1 = U1 + A U2 + U with
     A = K1 (K1+Sigma1)^{-1}, V2 = U + U2, X = U + U1 + U2) and compares
@@ -561,18 +556,14 @@ def discretize_scalar(ch: GaussChannel, k_alloc: float):
 # --- sweeps -----------------------------------------------------------------
 
 
-def random_psd_under(rng: np.random.Generator, S: np.ndarray,
-                     size: int | None = None) -> np.ndarray:
-    """Random PSD matrix K <= S: congruence of a random contraction by S^1/2.
-    With ``size``, a stack of that many, drawn in the order of as many calls."""
+def random_psd_under(rng: np.random.Generator, S: np.ndarray, size: int) -> np.ndarray:
+    """A stack of ``size`` random PSD matrices K <= S, each a congruence of a
+    random contraction by S^1/2, drawn in stream order one matrix at a time."""
     d = S.shape[-1]
-    n = 1 if size is None else size
-    g, u = np.empty((n, d, d)), np.empty((n, d))
-    for k in range(n):   # the values and stream of normal(size=(d, d)), uniform(0, 1, d)
+    g, u = np.empty((size, d, d)), np.empty((size, d))
+    for k in range(size):   # the values and stream of normal(size=(d, d)), uniform(0, 1, d)
         rng.standard_normal(out=g[k])
         rng.random(out=u[k])
-    if size is None:
-        g, u = g[0], u[0]
     return _psd_under(S, g, u)
 
 

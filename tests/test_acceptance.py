@@ -13,7 +13,7 @@ from wiretap_regions.fisher_lab import (
     debruijn_check,
     interpolation_t_star,
     lemma_suite_check,
-    mixture_cond_fisher,
+    mixture_fisher,
     random_gauss_pair,
     random_mixture,
     sufficiency_evidence_scalar,
@@ -135,7 +135,7 @@ def gauss_instances(seed, count):
         e = rng.normal(size=(d, d))
         S = e @ e.T + 0.5 * np.eye(d)
         ch = GaussChannel(S=S, Sigma1=s1, Sigma2=s2, SigmaZ=sz)
-        yield CovSplit(K=random_psd_under(rng, S)), ch
+        yield CovSplit(K=random_psd_under(rng, S, 1)[0]), ch
 
 
 def _psd(rng, d):
@@ -208,7 +208,7 @@ def test_c07_fisher_lab():
             s2, sz = 1.0, 2.0
             t, k = interpolation_t_star(mix, s2, sz)
             assert 0.0 <= t <= 1.0
-            k_floor = 1.0 / mixture_cond_fisher(mix, s2) - s2
+            k_floor = 1.0 / mixture_fisher([mix.groups()], [s2])[0] - s2
             assert k >= k_floor - 1e-8
             assert k <= mix.second_moment() + 1e-8
         for _ in range(10):

@@ -9,7 +9,6 @@ PACKAGE = pathlib.Path(wiretap_regions.__file__).parent
 # an acceptance criterion in tests/test_acceptance.py calls it.
 ENTRY_POINTS = {
     ("fisher_lab", "interpolation_t_star"),        # C7: the interpolation argument
-    ("fisher_lab", "mixture_cond_fisher"),         # C7: the interpolation's floor
     ("fisher_lab", "random_gauss_pair"),           # C7: its Gaussian pairs
     ("polytope_fm", "region_equal"),               # C2-C6: region comparison
     ("regions_discrete", "eval_original_inner"),   # C2: the per-message form

@@ -28,7 +28,6 @@ from wiretap_regions.fisher_lab import (
     gaussian_fisher,
     interpolation_t_star,
     lemma_suite_check,
-    mixture_cond_fisher,
     mixture_entropy,
     mixture_fisher,
     mixture_region_constants,
@@ -103,6 +102,19 @@ def test_debruijn_mixture():
         [r] = debruijn_check([mix], [[[0.7 + rng.uniform(0, 1)]]], step=1e-4)
         worst = max(worst, r)
     assert worst <= 1e-4
+
+
+def test_noise_of_another_shape_than_x_is_refused():
+    # d_x = 2: a scalar or 1 x 1 noise broadcast as 0.5 11', and a 3 x 3
+    # noise did not broadcast at all
+    pair = fisher_lab.gauss_pair_of(np.random.default_rng(3).normal(size=(4, 4)))
+    want = [[0.328876, 0.121555], [0.121555, 1.300066]]
+    assert np.abs(gaussian_fisher(pair, 0.5 * np.eye(2)) - want).max() <= 1e-6
+    assert np.abs(fisher_lab._joint_fisher(pair, 0.5 * np.eye(2)) - want).max() <= 1e-6
+    for fn in (gaussian_fisher, fisher_lab._joint_fisher, debruijn_check):
+        for noise in (0.5, [[0.5]], 0.5 * np.eye(3)):
+            with pytest.raises(DimensionMismatch, match="^noise covariance of shape"):
+                fn(pair, noise)
 
 
 def test_debruijn_step_too_large():
@@ -907,8 +919,8 @@ def test_lemma7_closed_form_oracle():
     rng = np.random.default_rng(35)
     mix = random_mixture(rng)
     v1, v2 = 0.6, 1.4
-    j1 = mixture_cond_fisher(mix, v1)
-    j2 = mixture_cond_fisher(mix, v2)
+    j1 = mixture_fisher([mix.groups()], [v1])[0]
+    j2 = mixture_fisher([mix.groups()], [v2])[0]
     assert (1 / j2 - v2) - (1 / j1 - v1) >= -1e-10
 
 
@@ -918,7 +930,7 @@ def test_conditional_h_and_j_come_from_one_pass_per_group(monkeypatch):
         mix = random_mixture(rng)
         var = 0.5 + rng.uniform(0.0, 1.0)
         assert _cond(fisher_lab._stack_quadrature, mix, var) == [
-            _cond(mixture_entropy, mix, var), mixture_cond_fisher(mix, var)]
+            _cond(mixture_entropy, mix, var), mixture_fisher([mix.groups()], [var])[0]]
     tasks = []
     quadrature = fisher_lab._stack_quadrature
 
@@ -953,8 +965,8 @@ def test_interpolation_mixture_bracket():
         t, k = interpolation_t_star(mix, 1.0, 2.0)
         assert 0.0 <= t <= 1.0
         # oracle: dense grid sign change of f(t) - g
-        j2 = mixture_cond_fisher(mix, 1.0)
-        jz = mixture_cond_fisher(mix, 2.0)
+        j2 = mixture_fisher([mix.groups()], [1.0])[0]
+        jz = mixture_fisher([mix.groups()], [2.0])[0]
         g = _cond(mixture_entropy, mix, 2.0) - _cond(mixture_entropy, mix, 1.0)
         kz, k2 = 1 / jz - 2.0, 1 / j2 - 1.0
         ts = np.linspace(0, 1, 201)

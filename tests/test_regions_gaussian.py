@@ -362,6 +362,10 @@ def test_cap_and_degradedness_errors():
                          GaussChannel(I1, 2.0 * I1, I1, 3.0 * I1))
     with pytest.raises(NotPSD):
         CovSplit(K=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    # a bare float is no 1 x 1 matrix: a matrix is (..., d, d)
+    for call in (lambda: GaussChannel(2.0, 0.5, 1.0, 2.0), lambda: check_psd(2.0)):
+        with pytest.raises(NotPSD, match=r"^matrix of shape \(\) is not square$"):
+            call()
 
 
 def test_inner_inside_outer_random():
@@ -369,7 +373,7 @@ def test_inner_inside_outer_random():
     for _ in range(10):
         d = int(rng.integers(1, 4))
         ch = rand_degraded(rng, d)
-        split = CovSplit(K=random_psd_under(rng, ch.S))
+        split = CovSplit(K=random_psd_under(rng, ch.S, 1)[0])
         inner = eval_gauss_inner(split, ch)
         outer = eval_gauss_outer(split, ch)
         for p in vertices(inner).vertices:
@@ -380,7 +384,7 @@ def test_corollaries_match_and_alt_form():
     rng = np.random.default_rng(23)
     for _ in range(5):
         ch = rand_degraded(rng, 2)
-        split = CovSplit(K=random_psd_under(rng, ch.S))
+        split = CovSplit(K=random_psd_under(rng, ch.S, 1)[0])
         inner = eval_gauss_inner(split, ch)
         outer = eval_gauss_outer(split, ch)
         for which in ("cor4", "cor5", "cor6"):
@@ -449,7 +453,7 @@ def test_general_gauss_reduction_to_inner():
     for _ in range(10):
         d = int(rng.integers(1, 3))
         ch = rand_degraded(rng, d)
-        K = random_psd_under(rng, ch.S)
+        K = random_psd_under(rng, ch.S, 1)[0]
         chS = GaussChannel(S=K + (ch.S - K) + 1e-12 * np.eye(d), Sigma1=ch.Sigma1,
                            Sigma2=ch.Sigma2, SigmaZ=ch.SigmaZ)
         split = CovSplit(K0=chS.S - K, K1=K, K2=np.zeros((d, d)))
@@ -475,9 +479,9 @@ def test_general_gauss_swap_symmetry():
     rng = np.random.default_rng(26)
     for _ in range(5):
         ch = rand_degraded(rng, 2)
-        k0 = random_psd_under(rng, ch.S / 3)
-        k1 = random_psd_under(rng, ch.S / 3)
-        k2 = random_psd_under(rng, ch.S / 3)
+        k0 = random_psd_under(rng, ch.S / 3, 1)[0]
+        k1 = random_psd_under(rng, ch.S / 3, 1)[0]
+        k2 = random_psd_under(rng, ch.S / 3, 1)[0]
         swapped_ch = GaussChannel(ch.S, ch.Sigma2, ch.Sigma1, ch.SigmaZ)
         a = eval_general_gauss(CovSplit(K0=k0, K1=k1, K2=k2), swapped_ch, order="12")
         b = eval_general_gauss(CovSplit(K0=k0, K1=k2, K2=k1), ch, order="21")
@@ -499,7 +503,7 @@ def test_bound_monotone_in_private_allocation():
         prev = val
     rng = np.random.default_rng(27)
     ch2 = rand_degraded(rng, 2)
-    K0 = random_psd_under(rng, 0.25 * ch2.S)
+    K0 = random_psd_under(rng, 0.25 * ch2.S, 1)[0]
     a = rng.normal(size=(2, 2))
     delta = a @ a.T
     delta *= 0.2 / np.linalg.eigvalsh(delta).max()
@@ -560,8 +564,8 @@ def _congruent_instances(draw):
     sz = s2 + _pd(rng, d, 0.5)
     q1, _, q2 = np.linalg.svd(rng.normal(size=(d, d)))
     A = q1 @ np.diag(np.exp(rng.uniform(0.0, math.log(50.0), size=d))) @ q2   # cond <= 50
-    K = random_psd_under(rng, S)
-    K0, K1, K2 = (random_psd_under(rng, S / 3) for _ in range(3))
+    K = random_psd_under(rng, S, 1)[0]
+    K0, K1, K2 = (random_psd_under(rng, S / 3, 1)[0] for _ in range(3))
     return (GaussChannel(S, s1, s2, sz), CovSplit(K=K), CovSplit(K0=K0, K1=K1, K2=K2),
             A * 10.0 ** rng.uniform(-1, 1))
 

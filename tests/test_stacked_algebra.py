@@ -29,7 +29,6 @@ from wiretap_regions.fisher_lab import (
     SuiteReport,
     debruijn_check,
     gaussian_fisher,
-    mixture_cond_fisher,
     random_gauss_pair,
     random_mixture,
 )
@@ -71,19 +70,24 @@ def _gram(g):
 
 def _agree(fn, *stacks, first=True):
     """``fn`` on stacks gives, for each instance, exactly what it gives on
-    that instance alone; or, when some instance fails alone, the stack raises
-    the error of a failing instance (the first one if ``first``), naming it."""
+    that instance alone, of the shape of one instance of the stacked result;
+    or, when some instance fails alone, the stack raises the error of a
+    failing instance (the first one if ``first``), naming it.  A lone
+    instance's error names no instance."""
     n = len(stacks[0])
     alone = []
     for k in range(n):
         try:
             alone.append(fn(*(s[k] for s in stacks)))
         except WiretapError as e:
+            assert e.instance == () and e.detail == str(e)
+            assert not str(e).startswith("instance ")
             alone.append(e)
     failed = [k for k, a in enumerate(alone) if isinstance(a, WiretapError)]
     if not failed:
         out = fn(*stacks)
         for k in range(n):
+            assert np.shape(alone[k]) == np.shape(out)[1:]
             assert np.array_equal(out[k], alone[k])
         return
     with pytest.raises(WiretapError) as info:
@@ -149,14 +153,15 @@ def test_project_range_groups_a_stack_by_its_kept_columns():
     assert sorted(np.flatnonzero(where).tolist() for where, _ in groups) == [[0, 2], [1], [3]]
     for where, basis in groups:
         for k, b in zip(np.flatnonzero(where), basis):
-            [(alone_where, alone)] = project_range(covs[k])
-            assert alone_where == () and np.array_equal(b, alone)
+            [(alone_where, alone)] = project_range(covs[k])   # a 0-d True: a stack of one
+            assert np.shape(alone_where) == () and alone_where
+            assert np.array_equal(alone, b[None])
 
 
 def test_random_psd_under_stacks_the_draws_of_as_many_calls():
     S = np.array([[2.0, 0.3], [0.3, 1.5]])
     one, many = np.random.default_rng(5), np.random.default_rng(5)
-    loop = [random_psd_under(one, S) for _ in range(7)]
+    loop = [random_psd_under(one, S, 1)[0] for _ in range(7)]
     assert np.array_equal(random_psd_under(many, S, size=7), np.stack(loop))
     assert one.uniform() == many.uniform()
 
@@ -233,7 +238,7 @@ def _lemma_loop(seed=0, count=200, include_mixtures=False):
             var2 = var1 + rng.uniform(0.1, 1.0)
             hm, jm1 = fisher_lab._stack_quadrature([mix.groups()], [var1],
                                                    fisher_lab.QUAD_N)[0].tolist()
-            jm2 = mixture_cond_fisher(mix, var2)
+            jm2 = fisher_lab.mixture_fisher([mix.groups()], [var2])[0]
             v1 = fisher_lab._cond_var(mix) + var1
             rep.rows.append(("L6", "mixture", i, jm1 - 1.0 / v1))
             rep.rows.append(("L7", "mixture", i, (1.0 / jm2 - var2) - (1.0 / jm1 - var1)))
@@ -265,7 +270,7 @@ def _dpc_loop(args) -> int:
     """``gauss dpc-check`` on random triples as a loop, one triple at a time."""
     ch = cli._load_channel(args.channel, GaussChannel)
     rng = np.random.default_rng(args.seed or 0)
-    triples = ([random_psd_under(rng, ch.S / 3.0) for _ in range(3)]
+    triples = ([random_psd_under(rng, ch.S / 3.0, 1)[0] for _ in range(3)]
                for _ in range(args.budget or 100))
     worst = max(0.0, *(dpc_identity_check(k1, k2, k0, ch) for k0, k1, k2 in triples))
     return cli._conclude(args, None, [f"max precoding-identity residual: {worst:.3e}"],

@@ -19,6 +19,9 @@ and the bytes of every file the command wrote.  The commands are:
   without ``--vertices``, in both output formats, on generated channels,
   auxes and splits, and the refusals (exit 1 or 2) of inputs they refuse,
   the aux files the parser refuses included;
+- lone ``gauss dpc-check --split`` and ``gauss degraded-check`` commands on
+  the same generated channels and triples, a triple with a K1 that is not
+  PSD (exit 2) and channels out of the degraded order (exit 1);
 - ``fisher lemmas --budget 1000 --mixtures``, ``fisher debruijn --budget
   200`` and, on one generated scalar channel, ``fisher evidence --budget
   50`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
@@ -181,7 +184,10 @@ def lone_eval_commands(spec, inputs: str) -> list:
     factorization (exit 2); and every ``region eval-*`` command on three
     aux files the parser refuses (exit 2): one with a negative entry, one
     whose mass is off 1 by 1e-9 and a layered one that breaks the
-    factorization."""
+    factorization.  Beside them, in the group ``lone gauss check``: ``gauss
+    dpc-check --split`` on each generated triple and on one whose K1 is not
+    PSD (exit 2), and ``gauss degraded-check`` on each generated channel and
+    on the channels out of the degraded order (exit 1)."""
     import numpy as np
 
     def write(name, text):
@@ -227,6 +233,9 @@ def lone_eval_commands(spec, inputs: str) -> list:
                     commands.append(["lone gauss eval",
                                      ["gauss", "eval", "--channel", ch, "--split", split,
                                       "--bound", bound, *order, *show]])
+        commands += [["lone gauss check", ["gauss", "dpc-check", "--channel", ch,
+                                           "--split", triple]],
+                     ["lone gauss check", ["gauss", "degraded-check", "--channel", ch]]]
         if k < 2:   # refusals: a channel out of the degraded order, a split over the cap
             rev = write(f"lone-rev{k}.txt", _matrix_file("gauss", {
                 "S": [[2.0 + k]], "Sigma1": [[2.0]], "Sigma2": [[1.0]], "SigmaZ": [[3.0]]}))
@@ -236,6 +245,12 @@ def lone_eval_commands(spec, inputs: str) -> list:
                                           (ch, triple, "inner"), (ch, single, "general")):
                 commands.append(["lone gauss eval", ["gauss", "eval", "--channel", channel,
                                                      "--split", split, "--bound", bound]])
+            commands.append(["lone gauss check", ["gauss", "degraded-check", "--channel", rev]])
+            if k == 0:   # a triple whose K1 is not PSD
+                bad = write("lone-badK1.txt", _matrix_file("split", {
+                    "K0": S / 6, "K1": -S / 6, "K2": S / 6}))
+                commands.append(["lone gauss check", ["gauss", "dpc-check", "--channel", ch,
+                                                      "--split", bad]])
     heavy = np.full((2, 3), 1.0 / 6.0)
     heavy[1, 2] += 1e-9
     refused = {"negative": [[0.3, 0.2, 0.1], [0.3, 0.2, -0.1]], "heavy": heavy}
