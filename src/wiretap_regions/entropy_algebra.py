@@ -26,6 +26,7 @@ from .errors import (
     CyclicStructure,
     EmptyArgument,
     OverlappingSets,
+    UnbalancedExpression,
     UnknownVariable,
     ValidationError,
 )
@@ -229,21 +230,25 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
     """The numeric values of the sequence ``exprs``, each entropy read once
     for all of them from the smallest of the sequence ``tables`` holding its
     variables, a table's entropies asked in one
-    :func:`~.info_core.entropies` call (:func:`atoms_by_table`).
+    :func:`~.info_core.entropies` call (:func:`atoms_by_table`), or from the
+    :class:`OutputSource` given as ``tables``.
 
     Each value is summed as the constant, then every atom term, then every
     symbol term, in the expression's order.  ``tables`` are
-    :class:`~.info_core.ProbTable` values of one length, and ``sym_values``
-    arrays of that length: each value that reads a table or symbol is an
-    array, entry k the value on member k of every table and entry k of every
-    symbol, bit for bit the value on those members as stacks of one; one
-    that reads neither is a float.
+    :class:`~.info_core.ProbTable` values of one length (or a source of as
+    many members), and ``sym_values`` arrays of that length: each value that
+    reads a table or symbol is an array, entry k the value on member k of
+    every table and entry k of every symbol, bit for bit the value on those
+    members as stacks of one; one that reads neither is a float.
     Raises UnknownVariable for a symbol without a value in ``sym_values`` or
     an atom that no table holds."""
     floats = [_floats(e) for e in exprs]
-    known = {}
-    for t, atoms in atoms_by_table(exprs, tables).values():
-        known.update(zip(atoms, entropies(t, [a.subset for a in atoms])))
+    if isinstance(tables, OutputSource):
+        known = tables.atom_values(exprs)
+    else:
+        known = {}
+        for t, atoms in atoms_by_table(exprs, tables).values():
+            known.update(zip(atoms, entropies(t, [a.subset for a in atoms])))
     out = []
     for val, terms, syms in floats:
         for a, c in terms:
@@ -254,6 +259,45 @@ def evaluate_all(exprs, tables, sym_values=None) -> list:
             val = val + c * sym_values[n]
         out.append(val)
     return out
+
+
+class OutputSource:
+    """The entropy source of a continuous law of the inputs U, X and of
+    outputs, each a function of X and its own noise: H(W) reads 0 for a set
+    W of inputs and H(W + {Y}) reads h(Y | W) for one output Y, less a
+    constant of Y, with h(Y | U, X) = h(Y | X).  Both differences cancel in
+    a balanced expression, the only kind it evaluates: for each output the
+    coefficients of the atoms holding it sum to 0, and for each nonempty W
+    so do those of H(W) and every H(W + {Y}).  A subclass gives ``outputs``,
+    its member count as ``len`` and ``_entropies(wanted)``: the h of each
+    ``(Y, W)`` asked, W one of "", "U" and "X", an array of member values."""
+
+    def atom_values(self, exprs) -> dict:
+        """The value of each atom of ``exprs``, every h asked in one
+        ``_entropies`` call; UnbalancedExpression for an expression that is
+        not balanced or an atom with two outputs."""
+        split = {}
+        for e in exprs:
+            sums = {}
+            for a, c in e.nums.items():
+                names = set(a.subset)
+                outs = names - {"U", "X"}
+                if not outs <= set(self.outputs):
+                    raise UnknownVariable(f"{a!r} names neither an input U, X nor an output "
+                                          f"{', '.join(self.outputs)}")
+                if len(outs) > 1:
+                    raise UnbalancedExpression(f"{a!r} holds two outputs")
+                w, y = split[a] = frozenset(names - outs), next(iter(outs), None)
+                for key in (y, w):
+                    sums[key] = sums.get(key, 0) + c
+            if any(c for key, c in sums.items() if key):
+                raise UnbalancedExpression(f"{e!r} is not balanced over the inputs U, X "
+                                           f"and the outputs {', '.join(self.outputs)}")
+        # h(Y | U, X) = h(Y | X): an output depends on U only through X
+        given = {a: (y, "X" if "X" in w else "".join(w)) for a, (w, y) in split.items() if y}
+        wanted = list(dict.fromkeys(given.values()))
+        h = dict(zip(wanted, self._entropies(wanted)))
+        return {a: h[given[a]] if a in given else 0.0 for a in split}
 
 
 def atoms_by_table(exprs, tables) -> dict:

@@ -92,6 +92,11 @@ class CyclicStructure(WiretapError):
     """The declared factorization graph contains a directed cycle."""
 
 
+class UnbalancedExpression(WiretapError):
+    """An expression asked of an output entropy source holds an atom with two
+    outputs, or does not cancel the terms the source leaves out."""
+
+
 # --- inequality systems -----------------------------------------------------
 
 class ZeroCoefficient(WiretapError):

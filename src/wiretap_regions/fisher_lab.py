@@ -39,8 +39,10 @@ from .errors import (
     numbered,
     raise_for_first,
 )
+from .entropy_algebra import OutputSource
 from .polytope_fm import SystemStack, vertices
-from .regions_discrete import dominance_slack, five_bound_system, pareto_front
+from .regions_discrete import (FIVE_BOUNDS, OUTPUTS, dominance_slack, pareto_front,
+                               region_of)
 from .regions_gaussian import (GaussChannel, check_psd, cholesky, logdet, project_range,
                                scalar_of)
 
@@ -658,40 +660,51 @@ def interpolation_t_star(obj, sigma2_sq: float, sigmaz_sq: float):
     return t_star, k_star
 
 
-# Bounds in [-CLAMP_TOL, 0) are clamped to 0 and recorded; lower ones raise.
-# Each bound is a difference of quadrature entropies checked to QUAD_RTOL;
-# ten times that is no quadrature noise.
+# Bounds in [-CLAMP_TOL, 0) are clamped to 0 and recorded; lower ones raise
+# (one within ZERO_BOUND_TOL of 0 already reads 0).  Each bound is a
+# difference of quadrature entropies checked to QUAD_RTOL; ten times that is
+# no quadrature noise.
 CLAMP_TOL = 10 * QUAD_RTOL
 
 
 @dataclass
 class DominanceReport:
-    constants: dict[str, float]     # bound values by label, before any clamp
+    constants: dict[str, float]     # bound values by label, before the clamp
     clamped: list[str]              # labels of the bounds clamped to 0
     max_slack: float
     contained: bool
 
 
-def mixture_region_constants(mixes, ch: GaussChannel) -> list[dict]:
-    """The five information quantities of :func:`five_bound_system` for each
-    of a list of scalar mixture inputs, their entropies by one stacked
-    quadrature; an error names the mixture it concerns, ``instance k``."""
-    _, s1, s2, sz = ch.scalars
-    groups, var = [], []
-    for m in mixes:
-        whole = ((1.0, m.x_points, m.weights),)
-        groups += [whole, whole, m.groups(), m.groups(), m.groups()]
-        var += [s2, sz, s1, s2, sz]
-    with numbered([e // 5 for e in range(len(var))]):
-        h = mixture_entropy(groups, var)
-    return [{
-        "iuy2": h_y2 - h_y2_u,
-        "iuz": h_z - h_z_u,
-        "ixy1_u": h_y1_u - 0.5 * math.log(TWO_PI_E * s1),
-        "ixz": h_z - 0.5 * math.log(TWO_PI_E * sz),
-        "ixz_u": h_z_u - 0.5 * math.log(TWO_PI_E * sz),
-    } for h_y2, h_z, h_y1_u, h_y2_u, h_z_u
-        in h.reshape(-1, 5).tolist()]
+class _MixtureSource(OutputSource):
+    """The entropy source of scalar mixtures on a scalar channel: h(Y) and
+    h(Y | U) of every mixture by one :func:`mixture_entropy` call (an error
+    names its mixture, ``instance k``), h(Y | X) = ½ log 2πe σ_Y."""
+
+    outputs = OUTPUTS
+
+    def __init__(self, mixes, ch: GaussChannel):
+        self.mixes, self.var = mixes, dict(zip(OUTPUTS, ch.scalars[1:]))
+
+    def __len__(self) -> int:
+        return len(self.mixes)
+
+    def _entropies(self, wanted) -> list:
+        quad = [(y, w) for y, w in wanted if w != "X"]
+        h = {(y, "X"): np.full(len(self), 0.5 * math.log(TWO_PI_E * v))
+             for y, v in self.var.items()}
+        if quad:
+            groups = [m.groups() if w else ((1.0, m.x_points, m.weights),)
+                      for m in self.mixes for _, w in quad]
+            with numbered([e // len(quad) for e in range(len(groups))]):
+                values = mixture_entropy(groups, [self.var[y] for y, _ in quad] * len(self))
+            h.update(zip(quad, values.reshape(len(self), len(quad)).T))
+        return [h[key] for key in wanted]
+
+
+def mixture_region_constants(mixes, ch: GaussChannel) -> SystemStack:
+    """The five-bound regions of a list of scalar mixture inputs, one member
+    a mixture, their entropies by one stacked quadrature."""
+    return region_of(FIVE_BOUNDS, _MixtureSource(mixes, ch))
 
 
 def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarray,
@@ -720,9 +733,7 @@ def sufficiency_evidence_scalar(mixes, ch: GaussChannel, gauss_points: np.ndarra
         return []
     raise_for_first(np.array([m.second_moment() for m in mixes]) > ch.scalars[0] * (1 + CAP_RTOL),
                     ValidationError, lambda k: "mixture second moment exceeds the input cap")
-    quantities = mixture_region_constants(mixes, ch)
-    bounds = five_bound_system(**{name: np.array([c[name] for c in quantities])
-                                  for name in quantities[0]})
+    bounds = mixture_region_constants(mixes, ch)
     labels = [q.label for q in bounds.rows.ineqs]
     b = bounds.rhs
     bad = b < -CLAMP_TOL

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .entropy_algebra import InfoExpr, common_denominator, evaluate_all, lincomb
+from .entropy_algebra import (InfoExpr, OutputSource, common_denominator, evaluate_all,
+                              lincomb)
 from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
@@ -648,7 +649,8 @@ def block_diagonal_csr(blocks):
 
 def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
     """The :class:`SystemStack` of ``sys`` on the
-    :class:`~.info_core.ProbTable` values ``tables`` and symbol arrays
+    :class:`~.info_core.ProbTable` values ``tables`` (or an
+    :class:`~.entropy_algebra.OutputSource`) and symbol arrays
     ``sym_values``, one member per member of the tables: in member k each
     symbolic right-hand side takes its value on member k of every table and
     entry k of every symbol, as :func:`~.entropy_algebra.evaluate_all` sums
@@ -656,7 +658,8 @@ def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:
     read once for the whole stack; one that reads no table or symbol is
     every member's.  Raises DimensionMismatch for tables or symbols of
     different lengths."""
-    sizes = {len(t.probs) for t in tables} | {len(v) for v in (sym_values or {}).values()}
+    sizes = ({len(tables)} if isinstance(tables, OutputSource) else
+             {len(t.probs) for t in tables}) | {len(v) for v in (sym_values or {}).values()}
     if len(sizes) != 1:
         raise DimensionMismatch(f"stacks of {sorted(sizes)} members cannot be "
                                 f"instantiated together")

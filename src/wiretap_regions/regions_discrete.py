@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
     raise_for_first,
 )
+from .entropy_algebra import expand_mi
 from .info_core import (
     ChannelSpec,
     ProbTable,
@@ -51,7 +52,7 @@ UX_VARS = ("U", "X")                       # the variables of the two kinds of a
 LAYERED_VARS = ("Q", "U", "V1", "V2", "X")
 # Largest I(Q; V1,V2,X | U) of a layered aux, in nats, absolute.
 AUX_TOL = 1e-10
-ZERO_BOUND_TOL = 1e-12   # a general-region bound this close to 0 is printed as 0
+ZERO_BOUND_TOL = 1e-12   # a region bound this close to 0 is printed as 0
 # Singular value of a flat hull cloud, relative to its largest, above which
 # its direction spans the cloud's affine hull.
 HULL_RANK_RTOL = 1e-9
@@ -95,15 +96,6 @@ def _check_layered(t: ProbTable) -> None:
                     f"{resid[k]:.2e} violates the layered factorization")
 
 
-def _evaluate(aux: AuxJoint, kind: str, refusal: str, fn) -> SystemStack:
-    """``fn`` of the aux's table, a :class:`SystemStack` with one member per
-    member of the aux.  InconsistentAux(``refusal``) unless the aux is of
-    ``kind``."""
-    if aux.kind != kind:
-        raise InconsistentAux(refusal)
-    return fn(aux.table)
-
-
 def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
     """Joint tables over (aux vars..., out), one table per output taking over
     its own product, the outputs named Y1, Y2, Z by position,
@@ -117,42 +109,41 @@ def _output_joints(t: ProbTable, ch: ChannelSpec) -> tuple[ProbTable, ...]:
                  for name, out in zip(OUTPUTS, ch.outputs))
 
 
-def _degraded_constants(t: ProbTable, ch: ChannelSpec) -> dict[str, np.ndarray]:
-    """The five information quantities of the degraded regions, one value
-    per member of the aux table ``t``."""
-    if not ch.degraded:
-        raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
-    t1, t2, tz = _output_joints(t, ch)
+def region_of(rows: IneqSystem, source, sym_values=None) -> SystemStack:
+    """The stack of ``rows`` instantiated on an entropy source (see
+    :func:`~.polytope_fm.instantiate`), one member per member of the source,
+    every bound within ``ZERO_BOUND_TOL`` of 0 read as 0: the one builder of
+    every evaluated region.  A bound is a sum of entropies, so one that is 0
+    (a degenerate input) reads about +-1e-16."""
+    rhs = instantiate(rows, source, sym_values).rhs
+    return SystemStack(rows, np.where(np.abs(rhs) <= ZERO_BOUND_TOL, 0.0, rhs))
+
+
+def _degraded_systems() -> tuple[IneqSystem, IneqSystem]:
+    """The rows of the five-bound region and of the per-message form: the
+    one place that combines the five information quantities of the degraded
+    regions, I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the
+    input law (discrete auxiliaries, Gaussian covariances or scalar
+    mixtures).  The public rates ride on the randomization the eavesdropper
+    can resolve, so ``Rp2 <= I(U;Z)`` and ``Rp1 <= I(X;Z|U)``."""
     y1, y2, z = OUTPUTS
-    return {
-        "iuy2": mutual_information(t2, {"U"}, {y2}),
-        "iuz": mutual_information(tz, {"U"}, {z}),
-        "ixy1_u": mutual_information(t1, {"X"}, {y1}, {"U"}),
-        "ixz": mutual_information(tz, {"X"}, {z}),
-        "ixz_u": mutual_information(tz, {"X"}, {z}, {"U"}),
-    }
+    iuy2, iuz, ixz = expand_mi({"U"}, {y2}), expand_mi({"U"}, {z}), expand_mi({"X"}, {z})
+    ixy1_u, ixz_u = expand_mi({"X"}, {y1}, {"U"}), expand_mi({"X"}, {z}, {"U"})
+
+    def system(rows):
+        return IneqSystem.of(RATES, [LinIneq.of(dict.fromkeys(rates.split(), 1), rhs, label=l)
+                                     for rates, rhs, l in rows])
+    return (system([("Rs2", iuy2 - iuz, "rs2"),
+                    ("Rs1 Rs2", iuy2 + ixy1_u - ixz, "rs12"),
+                    ("Rp2 Rs2", iuy2, "rs2p2"),
+                    ("Rs1 Rp2 Rs2", iuy2 + ixy1_u - ixz_u, "rs12p2"),
+                    ("Rp1 Rs1 Rp2 Rs2", iuy2 + ixy1_u, "total")]),
+            system([("Rp2", iuz, "rp2"), ("Rs2", iuy2 - iuz, "rs2"), ("Rp1", ixz_u, "rp1"),
+                    ("Rs1", ixy1_u - ixz_u, "rs1")]))
 
 
-def _system(rows) -> IneqSystem:
-    return IneqSystem.of(RATES, [LinIneq.of(c, label=l) for c, l in rows])
-
-
-# The rows of the five-bound region and of the per-message form, built once:
-# every stack of either region shares them.
-_FIVE_BOUNDS = _system([
-    ({"Rs2": 1}, "rs2"),
-    ({"Rs1": 1, "Rs2": 1}, "rs12"),
-    ({"Rp2": 1, "Rs2": 1}, "rs2p2"),
-    ({"Rs1": 1, "Rp2": 1, "Rs2": 1}, "rs12p2"),
-    ({"Rp1": 1, "Rs1": 1, "Rp2": 1, "Rs2": 1}, "total"),
-])
-_PER_MESSAGE = _system([
-    ({"Rp2": 1}, "rp2"),
-    ({"Rs2": 1}, "rs2"),
-    ({"Rp1": 1}, "rp1"),
-    ({"Rs1": 1}, "rs1"),
-])
-_DEGRADED_AUX = "degraded-channel bounds take an aux over (U, X)"
+# built once: every stack of either region shares its rows
+FIVE_BOUNDS, _PER_MESSAGE = _degraded_systems()
 
 
 def region_stack(rows: IneqSystem, columns) -> SystemStack:
@@ -160,17 +151,6 @@ def region_stack(rows: IneqSystem, columns) -> SystemStack:
     row: arrays of one length (a member per entry), or floats (a stack of one)."""
     return SystemStack(rows, np.stack(np.broadcast_arrays(*columns), axis=-1)
                        .reshape(-1, len(rows.ineqs)))
-
-
-def five_bound_system(iuy2, iuz, ixy1_u, ixz, ixz_u) -> SystemStack:
-    """Five-bound degraded-channel regions from their five information
-    quantities I(U;Y2), I(U;Z), I(X;Y1|U), I(X;Z) and I(X;Z|U), whatever the
-    input law (discrete auxiliaries, Gaussian covariances or scalar
-    mixtures): one member per entry of the quantities (arrays of one length,
-    or floats for a stack of one), each right-hand side summed in one fixed
-    order."""
-    return region_stack(_FIVE_BOUNDS, (iuy2 - iuz, iuy2 + ixy1_u - ixz, iuy2,
-                                       iuy2 + ixy1_u - ixz_u, iuy2 + ixy1_u))
 
 
 def _take(stack: SystemStack, keep) -> SystemStack:
@@ -184,12 +164,21 @@ def outer_of(inner: SystemStack) -> SystemStack:
     return _take(inner, [i for i, q in enumerate(inner.rows.ineqs) if q.label != "rs12p2"])
 
 
+def _degraded_tables(aux: AuxJoint, ch: ChannelSpec) -> tuple:
+    """The discrete entropy source of a (U, X) aux on a degraded channel: the
+    aux's table and its joint with each output."""
+    if aux.kind != "ux":
+        raise InconsistentAux("degraded-channel bounds take an aux over (U, X)")
+    if not ch.degraded:
+        raise NotDegraded("channel is not flagged degraded (X -> Y1 -> Y2 -> Z)")
+    return (aux.table, *_output_joints(aux.table, ch))
+
+
 def eval_degraded_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     """Five-bound achievable region of the degraded channel for a fixed aux,
-    one member per member of the aux, every information quantity computed
-    once for all of them."""
-    return _evaluate(aux, "ux", _DEGRADED_AUX,
-                     lambda t: five_bound_system(**_degraded_constants(t, ch)))
+    one member per member of the aux, every entropy computed once for all
+    of them."""
+    return region_of(FIVE_BOUNDS, _degraded_tables(aux, ch))
 
 
 def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
@@ -199,16 +188,8 @@ def eval_degraded_outer(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
 
 def eval_original_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     """Pre-elimination per-message form of an aux: each rate bounded
-    individually.
-
-    The public rates ride on the randomization the eavesdropper can resolve,
-    so ``Rp2 <= I(U;Z)`` and ``Rp1 <= I(X;Z|U)``.
-    """
-    def per_message(t):
-        c = _degraded_constants(t, ch)
-        return region_stack(_PER_MESSAGE, (c["iuz"], c["iuy2"] - c["iuz"], c["ixz_u"],
-                                           c["ixy1_u"] - c["ixz_u"]))
-    return _evaluate(aux, "ux", _DEGRADED_AUX, per_message)
+    individually (see :func:`_degraded_systems`)."""
+    return region_of(_PER_MESSAGE, _degraded_tables(aux, ch))
 
 
 def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
@@ -221,15 +202,12 @@ def eval_general_inner(aux: AuxJoint, ch: ChannelSpec) -> SystemStack:
     # imported here; loading the target (once per process) derives no equality span
     from . import fm_script
 
-    def evaluate(t):
-        tables = (t, *_output_joints(t, ch))
-        target = fm_script.load_fixture("target")
-        rhs = instantiate(target, tables, fm_script.min_sym_values(
-            tables, [q.rhs for q in target.ineqs])).rhs
-        # each bound is a sum of entropies, so one that is 0 (a degenerate aux)
-        # reads about +-1e-16; the clamped mutual informations it stands for give 0
-        return SystemStack(target, np.where(np.abs(rhs) <= ZERO_BOUND_TOL, 0.0, rhs))
-    return _evaluate(aux, "layered", "general inner bound takes a layered aux", evaluate)
+    if aux.kind != "layered":
+        raise InconsistentAux("general inner bound takes a layered aux")
+    tables = (aux.table, *_output_joints(aux.table, ch))
+    target = fm_script.load_fixture("target")
+    return region_of(target, tables,
+                     fm_script.min_sym_values(tables, [q.rhs for q in target.ineqs]))
 
 
 def reduction_aux(aux: AuxJoint) -> AuxJoint:

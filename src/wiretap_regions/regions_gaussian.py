@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -30,10 +29,11 @@ from .errors import (
     at_instance,
     raise_for_first,
 )
+from .entropy_algebra import OutputSource
 from .info_core import VarId, build_degraded_joint, take_stack
 from .polytope_fm import IneqSystem, LinIneq, SystemStack, unique_rows
-from .regions_discrete import (RATES, AuxJoint, SweepResult, five_bound_system, outer_of,
-                               region_stack, specialize_corollary, sweep_systems)
+from .regions_discrete import (FIVE_BOUNDS, OUTPUTS, RATES, AuxJoint, SweepResult, outer_of,
+                               region_of, region_stack, specialize_corollary, sweep_systems)
 
 # Semidefinite-order slack, unitless: relative to the larger spectral norm of
 # the two matrices compared (psd_leq), and for a gain quotient's contraction
@@ -122,13 +122,21 @@ def check_pd(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def _check_core(name: str, m: np.ndarray, shape: tuple) -> None:
+    if m.shape[-2:] != tuple(shape):
+        raise DimensionMismatch(f"{name} is {'x'.join(map(str, m.shape[-2:]))} where "
+                                f"{'x'.join(map(str, shape))} is needed")
+
+
 def psd_leq(a, b):
     """a <= b in the semidefinite order, within a slack relative to the
     matrices compared: ``lambda_min(b - a) >= -ORDER_TOL * max(|a|_2, |b|_2)``
     (spectral norms, the largest |eigenvalue|), so scaling a and b together
-    does not change the verdict.  A numpy bool of shape ``lead``."""
-    a, b = np.broadcast_arrays(_sym(a), _sym(b))
-    w = np.linalg.eigvalsh(np.stack([a, b, b - a]))
+    does not change the verdict.  A numpy bool of shape ``lead``;
+    DimensionMismatch for matrices of two sizes."""
+    a, b = _sym(a), _sym(b)
+    _check_core("b", b, a.shape[-2:])
+    w = np.linalg.eigvalsh(np.stack(np.broadcast_arrays(a, b, b - a)))
     return w[2].min(axis=-1) >= -ORDER_TOL * np.abs(w[:2]).max(axis=(0, -1))
 
 
@@ -296,20 +304,23 @@ def _half_logdet_ratio(num, den) -> float:
     return 0.5 * (logdet(num) - logdet(den))
 
 
-def _gauss_constants(K, ch: GaussChannel) -> dict:
-    """The five information quantities of :func:`five_bound_system` for X = U + V
-    with Cov(V) = K and Cov(U) = S - K, from one logdet of their ten matrices:
-    floats, or arrays for a stack of K (and of S)."""
-    S, s1, s2, sz = ch.S, ch.Sigma1, ch.Sigma2, ch.SigmaZ
-    ratios = {
-        "iuy2": (S + s2, K + s2),
-        "iuz": (S + sz, K + sz),
-        "ixy1_u": (K + s1, s1),
-        "ixz": (S + sz, sz),
-        "ixz_u": (K + sz, sz),
-    }
-    ld = logdet(np.stack(np.broadcast_arrays(*itertools.chain(*ratios.values()))))
-    return {name: 0.5 * (ld[2 * i] - ld[2 * i + 1]) for i, name in enumerate(ratios)}
+class _GaussSource(OutputSource):
+    """The entropy source of X = U + V, Cov(V) = K and Cov(U) = S - K (a stack
+    of K, and of S, is one member per K): h(Y), h(Y | U) and h(Y | X) are
+    ½ log det of S + Σ_Y, K + Σ_Y and Σ_Y less ½ d log 2πe, from one logdet."""
+
+    outputs = OUTPUTS
+
+    def __init__(self, K, ch: GaussChannel):
+        self.cov = {"": ch.S, "U": K, "X": 0.0}   # Cov(X | W) for each W
+        self.noise = dict(zip(OUTPUTS, (ch.Sigma1, ch.Sigma2, ch.SigmaZ)))
+
+    def __len__(self) -> int:
+        return math.prod(np.broadcast_shapes(self.cov[""].shape[:-2], self.cov["U"].shape[:-2]))
+
+    def _entropies(self, wanted) -> list:
+        mats = np.broadcast_arrays(*(self.cov[w] + self.noise[y] for y, w in wanted))
+        return list(0.5 * logdet(np.stack(mats)).reshape(len(wanted), -1))
 
 
 def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> SystemStack:
@@ -322,7 +333,7 @@ def eval_gauss_inner(split: CovSplit, ch: GaussChannel) -> SystemStack:
     if split.K is None:
         raise ValidationError("inner bound takes a single-matrix split K")
     split.validate_cap(ch.S)
-    return five_bound_system(**_gauss_constants(split.K, ch))
+    return region_of(FIVE_BOUNDS, _GaussSource(split.K, ch))
 
 
 def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> SystemStack:
@@ -339,9 +350,11 @@ def specialize_gauss_corollary(stack: SystemStack, which: str) -> SystemStack:
 
 
 def dpc_matrix(K1, Sigma1) -> np.ndarray:
-    """Precoding matrix K1 (K1 + Sigma1)^{-1} against known interference."""
+    """Precoding matrix K1 (K1 + Sigma1)^{-1} against known interference;
+    DimensionMismatch for matrices of two sizes."""
     k1 = check_psd(K1, "K1")
     s1 = _sym(Sigma1)
+    _check_core("Sigma1", s1, k1.shape[-2:])
     m = k1 + s1
     try:
         return np.linalg.solve(m.mT, k1.mT).mT
@@ -385,11 +398,13 @@ def gauss_mi(Saa, Sab, Sbb):
     of shape ``lead``.
 
     Degenerate marginals are projected onto their range first; a singular
-    conditional covariance (deterministic dependence) raises SingularMatrix.
+    conditional covariance (deterministic dependence) raises SingularMatrix,
+    and a cross block that does not fit the two marginals DimensionMismatch.
     Each instance of a stack is computed with the others of its range
     pattern.
     """
     Saa, Sab, Sbb = _sym(Saa), np.atleast_2d(np.asarray(Sab, dtype=float)), _sym(Sbb)
+    _check_core("Sab", Sab, (Saa.shape[-1], Sbb.shape[-1]))
     try:
         return _gauss_mi(Saa, Sab, Sbb)
     except WiretapError:

@@ -746,24 +746,26 @@ def test_a_refused_aux_file_names_no_instance(tmp_path, capsys):
     assert capsys.readouterr().err == "input error: entry -0.1 below tolerance -1e-15\n"
 
 
-@pytest.mark.parametrize("cmd, aux, module", [
-    ("eval-inner", AUX, "regions_discrete"), ("eval-outer", AUX, "regions_discrete"),
-    ("eval-general", LAYERED_AUX, "fm_script")], ids=["inner", "outer", "general"])
+@pytest.mark.parametrize("cmd, aux, target", [
+    ("eval-inner", AUX, "entropy_algebra.entropies"),
+    ("eval-outer", AUX, "entropy_algebra.entropies"),
+    ("eval-general", LAYERED_AUX, "fm_script.mutual_information")],
+    ids=["inner", "outer", "general"])
 def test_an_error_evaluating_an_aux_file_names_no_instance(tmp_path, monkeypatch, capsys,
-                                                           cmd, aux, module):
+                                                           cmd, aux, target):
     # the file's one aux is evaluated as a stack of one; the command strips
-    # the member's name from an error the evaluation raises on it
+    # the member's name from an error the evaluation raises on it (the
+    # degraded regions read their entropies through evaluate_all)
     from wiretap_regions.errors import NegativeMass, raise_for_first
 
-    def mutual_information(t, *sets):
+    def fail(t, *sets):
         raise_for_first(np.arange(len(t.probs)) == 0, NegativeMass,
-                        lambda k: "mutual information -1e-09 below clamp -1e-12")
+                        lambda k: "entry -1e-09 below tolerance -1e-15")
 
-    monkeypatch.setattr(f"wiretap_regions.{module}.mutual_information", mutual_information)
+    monkeypatch.setattr(f"wiretap_regions.{target}", fail)
     assert main(["region", cmd, "--channel", write(tmp_path, "c.txt", DISCRETE),
                  "--aux", write(tmp_path, "a.txt", aux)]) == 1
-    assert capsys.readouterr().err == ("violated invariant: mutual information -1e-09 "
-                                       "below clamp -1e-12\n")
+    assert capsys.readouterr().err == "violated invariant: entry -1e-09 below tolerance -1e-15\n"
 
 
 def _layered_aux_text(aux):

@@ -35,8 +35,8 @@ from wiretap_regions.fisher_lab import (
     random_mixture,
     sufficiency_evidence_scalar,
 )
-from wiretap_regions.polytope_fm import vertices
-from wiretap_regions.regions_discrete import dominance_slack, five_bound_system, pareto_front
+from wiretap_regions.polytope_fm import SystemStack, vertices
+from wiretap_regions.regions_discrete import dominance_slack, pareto_front
 from wiretap_regions.regions_gaussian import (GaussChannel, discretize_scalar, logdet,
                                               sweep_covariances)
 
@@ -572,8 +572,8 @@ def test_mixture_stacks_equal_their_parts():
     mixes = [random_mixture(rng) for _ in range(6)]
     mixes = [ScalarMixture(m.u_points, m.x_points * min(1.0, math.sqrt(0.98 / m.second_moment())),
                            m.weights) for m in mixes]
-    assert mixture_region_constants(mixes, ch) == [mixture_region_constants([m], ch)[0]
-                                                   for m in mixes]
+    assert mixture_region_constants(mixes, ch).rhs.tolist() == [
+        mixture_region_constants([m], ch).rhs[0].tolist() for m in mixes]
     var = rng.uniform(0.5, 1.5, size=len(mixes))
     stacked = debruijn_check(mixes, var.reshape(-1, 1, 1))
     assert stacked.tolist() == [debruijn_check([m], [[[v]]])[0] for m, v in zip(mixes, var)]
@@ -1042,7 +1042,7 @@ def test_evidence_antipodal_dominated():
 
 def brute_force_max_slack(mix, ch, env):
     """Largest dominance slack over every vertex of the clamped polytope."""
-    bounds = five_bound_system(**mixture_region_constants([mix], ch)[0])
+    bounds = mixture_region_constants([mix], ch)
     pts = vertices(replace(bounds, rhs=np.maximum(bounds.rhs, 0.0))).vertices
     return max(dominance_slack([p], env)[0] for p in pts)
 
@@ -1093,13 +1093,14 @@ def test_evidence_stack_matches_lone_calls(lp_whats, monkeypatch):
 
 
 def antipodal_constants_with(monkeypatch, rs2):
-    """Patch the mixture constants so that the rs2 bound I(U;Y2) - I(U;Z) is ``rs2``."""
+    """Patch the mixture regions so that the rs2 bound I(U;Y2) - I(U;Z) is ``rs2``."""
     ch = scalar_channel()
     mix = ScalarMixture([0.0, 0.0], [-1.0, 1.0], [0.5, 0.5])
-    [consts] = mixture_region_constants([mix], ch)
-    consts["iuz"] = consts["iuy2"] - rs2
+    bounds = mixture_region_constants([mix], ch)
+    rhs = bounds.rhs.copy()
+    rhs[:, [q.label for q in bounds.rows.ineqs].index("rs2")] = rs2
     monkeypatch.setattr(fisher_lab, "mixture_region_constants",
-                        lambda mixes, c: [dict(consts) for _ in mixes])
+                        lambda mixes, c: SystemStack(bounds.rows, rhs.repeat(len(mixes), axis=0)))
     return mix, ch
 
 

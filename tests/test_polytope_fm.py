@@ -260,9 +260,10 @@ _RATE_CONST = st.one_of(st.integers(0, 8).map(lambda k: k / 4),
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(st.lists(_RATE_CONST, min_size=5, max_size=5), st.booleans())
 def test_five_bound_vertices_match_the_exact_oracle(consts, outer):
-    from wiretap_regions.regions_discrete import five_bound_system, outer_of
+    from region_oracles import five_bound_stack
+    from wiretap_regions.regions_discrete import outer_of
 
-    stack = five_bound_system(*consts)
+    stack = five_bound_stack(*consts)
     _assert_vertices_are_the_oracle(system_of(outer_of(stack) if outer else stack))
 
 

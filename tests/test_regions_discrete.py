@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from generators import by_label, random_aux_layered, stack_of, system_of, table_of
 from hull_oracle import in_hull
+from region_oracles import five_bound_stack
 from wiretap_regions import fm_script, info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
     BudgetZero,
@@ -46,7 +47,6 @@ from wiretap_regions.regions_discrete import (
     eval_degraded_outer,
     eval_general_inner,
     eval_original_inner,
-    five_bound_system,
     hull_of,
     outer_of,
     pareto_front,
@@ -340,24 +340,24 @@ def _stacked_aux(aux, n):
     return AuxJoint(take_stack(t.vars, np.concatenate([t.probs] * n)))
 
 
-@pytest.mark.parametrize("evaluate, module, layered", [
-    (eval_degraded_inner, regions_discrete, False),
-    (eval_degraded_outer, regions_discrete, False),
-    (eval_original_inner, regions_discrete, False),
-    (eval_general_inner, fm_script, True),
+@pytest.mark.parametrize("evaluate, target, layered", [
+    (eval_degraded_inner, "entropy_algebra.entropies", False),
+    (eval_degraded_outer, "entropy_algebra.entropies", False),
+    (eval_original_inner, "entropy_algebra.entropies", False),
+    (eval_general_inner, "fm_script.mutual_information", True),
 ], ids=["inner", "outer", "original", "general"])
-def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, module, layered):
+def test_an_error_on_a_lone_aux_names_no_instance(monkeypatch, evaluate, target, layered):
     # an error a stacked check raises names its member; that a file's one aux
     # names none is the command's rule (test_cli_io's
     # test_an_error_evaluating_an_aux_file_names_no_instance)
-    def mutual_information(t, *sets):
+    def fail(t, *sets):
         raise_for_first(np.arange(len(t.probs)) == len(t.probs) - 1, NegativeMass,
-                        lambda k: "mutual information -1e-09 below clamp -1e-12")
+                        lambda k: "entry -1e-09 below tolerance -1e-15")
 
-    monkeypatch.setattr(module, "mutual_information", mutual_information)
+    monkeypatch.setattr(f"wiretap_regions.{target}", fail)
     aux = (random_aux_layered(np.random.default_rng(3), 2, 2, 2, 2, 2) if layered
            else ux_aux(np.full((2, 2), 0.25)))
-    with pytest.raises(NegativeMass, match="^instance 2: mutual information") as stacked:
+    with pytest.raises(NegativeMass, match="^instance 2: entry -1e-09") as stacked:
         evaluate(_stacked_aux(aux, 3), cascade_channel())
     assert stacked.value.instance == (2,)
 
@@ -618,9 +618,11 @@ _DIRECTION = st.tuples(*[st.integers(-8, 8).map(lambda k: k / 8)] * 4)
 
 
 def test_five_bound_systems_share_their_rows():
-    a = five_bound_system(1.0, 0.25, 2.0, 0.5, 0.75)
-    b = five_bound_system(3.0, 1.0, 0.0, 0.0, 0.0)
-    assert a.rows is b.rows
+    a = five_bound_stack(1.0, 0.25, 2.0, 0.5, 0.75)
+    b = five_bound_stack(3.0, 1.0, 0.0, 0.0, 0.0)
+    ch = cascade_channel()
+    aux = random_aux_ux(np.random.default_rng(3), 3, 2)
+    assert a.rows is b.rows is regions_discrete.FIVE_BOUNDS is eval_degraded_inner(aux, ch).rows
     assert list(by_label(a).items()) == [
         ("rs2", 0.75), ("rs12", 2.5), ("rs2p2", 1.0), ("rs12p2", 2.25), ("total", 3.0)]
     assert [dict(q.coeffs) for q in b.rows.ineqs] == [
@@ -631,7 +633,7 @@ def test_five_bound_systems_share_their_rows():
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.tuples(*[_CONST] * 5), st.lists(_DIRECTION, min_size=3, max_size=3))
 def test_five_bound_vertices_agree_with_support_values(consts, directions):
-    sys = five_bound_system(*consts)
+    sys = five_bound_stack(*consts)
     pts = vertices(sys).vertices
     for d in directions:
         value = support_value([(sys, [dict(zip(RATES, d))])])[0][0]
@@ -658,7 +660,7 @@ _COMPONENT = st.builds(lambda x, scale: x * scale, st.floats(-1.0, 1.0),
 @example((1.8527390215858563, -0.6321863097597636, -0.6552903102988145, 0.3144915126272878,
           1.0), [(1e-07, 0.2535958247649386, 0.03570986999225689, 0.08667615142540286)])
 def test_stacked_support_values_are_vertex_maxima(consts, directions):
-    sys = five_bound_system(*consts)
+    sys = five_bound_stack(*consts)
     objectives = [dict(zip(RATES, d)) for d in directions]
     values = support_value([(sys, objectives)])[0]
     alone = [support_value([(sys, [o])])[0][0] for o in objectives]

@@ -13,6 +13,7 @@ from hull_oracle import in_hull
 from wiretap_regions import regions_gaussian
 from wiretap_regions.errors import (
     CapExceeded,
+    DimensionMismatch,
     NotDegraded,
     NotPSD,
     UnknownCorollary,
@@ -43,6 +44,7 @@ from wiretap_regions.regions_gaussian import (
     eval_gauss_inner,
     eval_gauss_outer,
     eval_general_gauss,
+    gauss_mi,
     psd_leq,
     random_psd_under,
     specialize_gauss_corollary,
@@ -650,3 +652,15 @@ def test_discretization_does_not_depend_on_the_channel_scale(c):
     base, _ = _discrete_inner(1.0, 0.5, 1.0, 2.0, 0.5)
     rates, _ = _discrete_inner(c, 0.5 * c, c, 2.0 * c, 0.5 * c)
     assert np.abs(rates - base).max() <= 1e-12
+
+
+@pytest.mark.parametrize("call", [
+    lambda: gauss_mi(np.eye(2), np.zeros((3, 3)), np.eye(2)),
+    lambda: gauss_mi(np.eye(2), np.zeros((2, 2)), np.eye(3)),
+    lambda: psd_leq(np.eye(2), np.eye(3)),
+    lambda: psd_leq(np.stack([np.eye(2)] * 4), np.eye(3)),
+    lambda: dpc_matrix(np.eye(2), np.eye(3)),
+], ids=["gauss_mi-cross", "gauss_mi-marginal", "psd_leq", "psd_leq-stack", "dpc_matrix"])
+def test_matrices_whose_sizes_disagree_raise_dimension_mismatch(call):
+    with pytest.raises(DimensionMismatch, match=r"is (2x2|3x3|2x3) where (2x2|2x3) is needed"):
+        call()

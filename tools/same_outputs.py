@@ -34,6 +34,16 @@ and the bytes of every file the command wrote.  The commands are:
 A command that raises out of ``cli.main`` is recorded by the exception's
 type and message, not its traceback, whose paths name the tree.  Prints one
 line per group and one per differing command; exits 1 on any difference.
+
+A differing command whose exit code is the same and whose stdout, stderr
+and files differ only in numeric tokens (a number not inside a word) also
+gets the count of its token pairs that moved by more than ``MOVE_FLOOR`` =
+1e-15, split into those that moved by at most one unit in the last printed
+digit (a value that moved in its last bits and rounds the other way) and
+those that moved by more, each with its largest relative move, |a - b| /
+max(|a|, |b|); the summary gives the same over every such command.  Vertex
+lists whose order the last ulp decides show up as moves of more than one
+unit.
 """
 
 from __future__ import annotations
@@ -57,6 +67,9 @@ FISHER_COMMANDS = (("fisher", "lemmas", "--budget", "1000", "--mixtures"),
                    ("fisher", "debruijn", "--budget", "200"),
                    ("fisher", "evidence", "--budget", "50"))
 FM_SEEDS = range(10)
+# Absolute move of a printed number at or below which it is not counted as moved.
+MOVE_FLOOR = 1e-15
+NUMBER = re.compile(r"(?<![\w.])[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?(?!\w)")
 
 
 # --- worker: runs inside each tree's interpreter ------------------------------------
@@ -298,6 +311,42 @@ def fm_commands() -> list:
 # --- comparison ---------------------------------------------------------------------
 
 
+def _last_place(token: str) -> float:
+    """The value of one unit in the last digit a numeric token prints."""
+    mantissa, _, exponent = token.lower().partition("e")
+    return 10.0 ** (int(exponent or 0) - len(mantissa.partition(".")[2]))
+
+
+def numeric_moves(a: dict, b: dict):
+    """``(relative move, move in units of the finer last printed digit)`` of
+    each numeric token pair of two results of one command that moved by
+    more than ``MOVE_FLOOR``, or None when the results differ in their exit
+    code or outside their numeric tokens."""
+    texts = [[r["stdout"], r["stderr"], *r["files"].values()] for r in (a, b)]
+    if a["rc"] != b["rc"] or a["files"].keys() != b["files"].keys():
+        return None
+    moves = []
+    for x, y in zip(*texts):
+        if NUMBER.split(x) != NUMBER.split(y):
+            return None
+        for s, t in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            p, q = float(s), float(t)
+            if abs(p - q) > MOVE_FLOOR:
+                moves.append((abs(p - q) / max(abs(p), abs(q)),
+                              abs(p - q) / min(_last_place(s), _last_place(t))))
+    return moves
+
+
+def _describe(moves) -> str:
+    """How many numbers moved, split at one unit of the last printed digit."""
+    rounding = [rel for rel, units in moves if units <= 1.001]
+    more = [rel for rel, units in moves if units > 1.001]
+    text = (f"{len(moves)} moved, {len(rounding)} by at most one unit in the last printed "
+            f"digit (largest relative move {max(rounding, default=0.0):.2e})")
+    return text + (f", {len(more)} by more (largest relative move {max(more):.2e})"
+                   if more else "")
+
+
 def run_tree(tree: str, run_dir: str, commands: list, files: dict) -> subprocess.Popen:
     os.makedirs(os.path.join(run_dir, "out"))
     for name, text in files.items():
@@ -346,13 +395,18 @@ def main(argv=None) -> int:
         print("error: a worker interpreter stopped before its last command", file=sys.stderr)
         return 1
     groups: dict[str, list] = {}
-    differing = 0
+    differing, numeric = 0, []
     for a, b in zip(*results):
         what = [k for k in ("rc", "stdout", "stderr", "files") if a[k] != b[k]]
         groups.setdefault(a["group"], []).append((not what, a["rc"]))
         if what:
             differing += 1
-            print(f"  differs ({', '.join(what)}): wtr {' '.join(a['argv'])}")
+            moves = numeric_moves(a, b)
+            note = ""
+            if moves is not None:
+                numeric.append(moves)
+                note = f"; numbers only, {_describe(moves)}"
+            print(f"  differs ({', '.join(what)}{note}): wtr {' '.join(a['argv'])}")
     for group, runs in groups.items():
         exits = {}
         for _, rc in runs:
@@ -361,6 +415,10 @@ def main(argv=None) -> int:
               f"(parent exits: {', '.join(f'{rc} x{n}' for rc, n in exits.items())})")
     print(f"same outputs: {len(commands) - differing} of {len(commands)} commands identical "
           f"(exit code, stdout, stderr, written files)")
+    if differing:
+        print(f"numeric moves: {len(numeric)} of the {differing} differing commands differ "
+              f"only in numbers; of their numbers (moves of at most {MOVE_FLOOR:g} not "
+              f"counted) {_describe([m for ms in numeric for m in ms])}")
     return 1 if differing else 0
 
 
