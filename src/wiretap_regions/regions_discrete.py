@@ -39,7 +39,6 @@ from .polytope_fm import (
     IneqSystem,
     LinIneq,
     SystemStack,
-    block_diagonal_csr,
     instantiate,
     solve_lp,
     unique_rows,
@@ -309,38 +308,75 @@ def dominance_slack(points, cloud) -> np.ndarray:
     convex combination of the rows of ``cloud``, for every row of ``points``.
 
     The slack of p is ``min s`` over simplex weights lambda with
-    ``cloud.T @ lambda + s >= p``.  Each row of ``points`` solves its dual
-    block, ``max mu.p - t`` over simplex mu with ``mu.g <= t`` for every cloud
-    row g.  The blocks are stacked block-diagonally, in order, into LPs of
-    ``max(1, _DOMINANCE_ROWS // n)`` whole blocks of an n-row cloud (the last
-    LP takes the rest), each solved at ``CERT_LP_OPTIONS``.  A block's row
-    multipliers, clipped to >= 0 and renormalised, are weights lambda, and the
-    value returned is ``max(p - cloud.T @ lambda)``: the slack that explicit
-    combination of cloud rows achieves, an upper bound on the optimum.  The
-    block's mu, clipped and renormalised, bounds it from below by weak
-    duality: ``mu.p - max_g mu.g``.
+    ``cloud.T @ lambda + s >= p``; its dual is ``max mu.p - t`` over simplex
+    mu with ``mu.g <= t`` for every cloud row g.  Each point solves its dual
+    block over an active set of cloud rows, grown by the exchange method for
+    semi-infinite LPs (Blankenship and Falk, *JOTA* 19, 1976): the set starts
+    as the ``_EXCHANGE_SEED`` rows of largest projection on each unit vector
+    and on the uniform direction, and each round solves the unsettled
+    points' blocks, in order, in LPs of at most ``_DOMINANCE_ROWS`` rows (a
+    block of more is an LP of its own) at ``CERT_LP_OPTIONS``.  A point's
+    bracket has the upper end ``max(p - cloud.T @ lambda)``, the slack its
+    block's row multipliers achieve, clipped to >= 0 and renormalised, and
+    the lower end ``mu.p - max_g mu.g`` over the whole cloud, by weak
+    duality, with its block's mu clipped and renormalised.  Once the bracket
+    is at most ``CERT_TOL * (1 + max|p|)`` the point is settled at the upper
+    end; until then it adds the up to ``_EXCHANGE_ADD`` rows of largest
+    ``mu.g`` above its active rows' largest, at least one a round, so there
+    are at most n rounds.
 
     Raises LPFailure when the solver stops without an optimum, and when a
-    point's bracket is wider than ``CERT_TOL * (1 + max|p|)``.
+    point's bracket is wider than that with no cloud row above its active
+    rows.
     """
     cloud = np.asarray(cloud, dtype=float)
     p = np.atleast_2d(np.asarray(points, dtype=float))
-    (n, d), per_lp = cloud.shape, max(1, _DOMINANCE_ROWS // len(cloud))
-    k = min(per_lp, len(p))
-    # the rows of a full LP, built once; a shorter last LP takes their top-left corner
-    A_ub = block_diagonal_csr([np.hstack([cloud, -np.ones((n, 1))])] * k)
-    A_eq = block_diagonal_csr([np.append(np.ones(d), 0.0)[None, :]] * k)
-    return np.concatenate([_dominance_lp(p[lo:lo + per_lp], cloud, lo, A_ub, A_eq)
-                           for lo in range(0, len(p), per_lp)])
+    n, d = cloud.shape
+    directions = np.vstack([np.eye(d), np.ones(d)])
+    active = np.zeros((len(p), n), dtype=bool)
+    active[:, np.argsort(-(cloud @ directions.T), axis=0, kind="stable")[:_EXCHANGE_SEED]] = True
+    slack, todo = np.empty(len(p)), np.arange(len(p))
+    while todo.size:
+        pt, row = np.nonzero(active[todo])   # (point, row) pairs, point by point
+        starts = np.searchsorted(pt, np.arange(len(todo) + 1))
+        upper, mu = np.empty(len(todo)), np.empty((len(todo), d))
+        for lo, hi in _packs(starts.tolist()):
+            pairs = slice(starts[lo], starts[hi])
+            upper[lo:hi], mu[lo:hi] = _dominance_lp(p[todo[lo:hi]], cloud, pt[pairs] - lo,
+                                                    row[pairs])
+        loose = _exchange(p[todo], cloud, upper, mu, todo, active)
+        slack[todo[~loose]] = upper[~loose]
+        todo = todo[loose]
+    return slack
 
 
-# Inequality rows of one dominance LP: HiGHS costs about 4.6 ms a call whatever
-# its size on these LPs, plus about 1.5 KB of memory a row, so dominance_slack
-# packs whole point blocks up to this many rows (a cloud of more rows gets one
-# block an LP).  On a 2-vCPU x86 VM, `fisher evidence --budget 10` ops at 3,500
-# rows took nearly the time they took at 4,000, with +3.5% peak memory over one
-# LP a mixture where 4,000 rows gave +5%.
+# Inequality rows of one dominance LP.  Measured on one `fisher evidence`
+# envelope on a 2-vCPU x86 VM, one of these LPs costs about 1.9 ms plus about
+# 2.7 us a row (2.7 ms at 283 rows, 11.0 ms at 3,396) and about 1.5 KB of
+# memory a row: the time is in the rows.  dominance_slack packs whole point
+# blocks up to this many rows, so a round costs few calls and its memory
+# follows this budget.
 _DOMINANCE_ROWS = 3500
+# Rows of largest projection on each unit vector and on the uniform direction
+# that every point's active set starts with.
+_EXCHANGE_SEED = 2
+# Most cloud rows an unsettled point adds to its active set in one round.
+_EXCHANGE_ADD = 16
+# Most cells of a (points x cloud) array of mu.g held at once.
+_SCAN_CELLS = 1 << 16
+
+
+def _packs(starts: list):
+    """The ``(lo, hi)`` runs of blocks ``lo`` to ``hi - 1``, block i holding
+    rows ``starts[i]`` to ``starts[i + 1] - 1``, that split the blocks in
+    order into runs of at most ``_DOMINANCE_ROWS`` rows (a block of more
+    rows is a run of its own)."""
+    lo = 0
+    for hi in range(1, len(starts) - 1):
+        if starts[hi + 1] - starts[lo] > _DOMINANCE_ROWS:
+            yield lo, hi
+            lo = hi
+    yield lo, len(starts) - 1
 
 
 def _simplex_weights(w: np.ndarray) -> np.ndarray:
@@ -348,32 +384,68 @@ def _simplex_weights(w: np.ndarray) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _dominance_lp(p: np.ndarray, cloud: np.ndarray, first: int, A_ub, A_eq) -> np.ndarray:
-    """The checked slacks of the rows of ``p`` from one LP of one block a
-    row, its rows the top-left corner of the block-diagonal ``A_ub`` and
-    ``A_eq``; ``first`` numbers the first row in an error."""
-    (n, d), k = cloud.shape, len(p)
-    # variables (mu, t) per block: minimize t - mu.p subject to cloud @ mu <= t, sum(mu) = 1;
-    # always feasible (any simplex mu with t = max of cloud @ mu) and bounded
-    # (t - mu.p >= mu.(g - p) for any cloud row g), so the solver returns an optimum
-    c = np.hstack([-p, np.ones((k, 1))]).ravel()
-    if A_eq.shape[0] > k:
-        A_ub, A_eq = A_ub[:k * n, :k * (d + 1)], A_eq[:k, :k * (d + 1)]
-    res = solve_lp(c, A_ub, np.zeros(k * n), A_eq, np.ones(k),
+def _dominance_lp(p: np.ndarray, cloud: np.ndarray, pt: np.ndarray,
+                  row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One LP of the dual blocks of the rows of ``p``, block ``pt[j]`` holding
+    cloud row ``row[j]``: each point's upper end ``max(p - cloud.T @
+    lambda)`` and its simplex weights mu."""
+    from scipy.sparse import csr_matrix
+
+    (k, d), r = p.shape, len(row)
+    # variables (mu, t) per block: minimize t - mu.p subject to g.mu <= t for each
+    # active row g, sum(mu) = 1; always feasible (any simplex mu with t = max g.mu)
+    # and bounded (t - mu.p >= mu.(g - p) for any active g), so the solver returns
+    # an optimum
+    vals = np.hstack([cloud[row], -np.ones((r, 1))])
+    cols = pt[:, None] * (d + 1) + np.arange(d + 1)
+    nz = vals != 0
+    A_ub = csr_matrix((vals[nz], cols[nz], np.append(0, np.cumsum(nz.sum(axis=1)))),
+                      shape=(r, k * (d + 1)))
+    A_eq = csr_matrix((np.ones(k * d), (np.arange(k)[:, None] * (d + 1) + np.arange(d)).ravel(),
+                       np.arange(k + 1) * d), shape=(k, k * (d + 1)))
+    res = solve_lp(np.hstack([-p, np.ones((k, 1))]).ravel(), A_ub, np.zeros(r), A_eq, np.ones(k),
                    bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance",
                    options=CERT_LP_OPTIONS)
-    lam = _simplex_weights(-res.ineqlin.marginals.reshape(k, n))
-    mu = _simplex_weights(res.x.reshape(k, d + 1)[:, :d])
-    upper = (p - lam @ cloud).max(axis=1)
-    lower = (mu * p).sum(axis=1) - (mu @ cloud.T).max(axis=1)
-    # written so that a NaN bound fails too
-    loose = ~(upper - lower <= CERT_TOL * (1 + np.abs(p).max(axis=1)))
-    if loose.any():
-        i = int(np.flatnonzero(loose)[0])
-        raise LPFailure(f"dominance LP of point {first + i}: its slack bracket "
-                        f"[{lower[i]:.6e}, {upper[i]:.6e}] is wider than "
-                        f"{CERT_TOL:g} * (1 + max|p|)")
-    return upper
+    lam = np.clip(-res.ineqlin.marginals, 0.0, None)
+    lam = lam / np.bincount(pt, lam, minlength=k)[pt]
+    combo = np.stack([np.bincount(pt, lam * vals[:, j], minlength=k) for j in range(d)], axis=1)
+    return (p - combo).max(axis=1), _simplex_weights(res.x.reshape(k, d + 1)[:, :d])
+
+
+def _exchange(p: np.ndarray, cloud: np.ndarray, upper: np.ndarray, mu: np.ndarray,
+              ids: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Which of the points ``ids`` (the rows of ``p``) are unsettled, their
+    bracket ``[mu.p - max_g mu.g, upper]`` wider than ``CERT_TOL * (1 +
+    max|p|)``.  Each adds to its row of ``active`` the up to
+    ``_EXCHANGE_ADD`` cloud rows of largest ``mu.g`` above its active rows'
+    largest, and LPFailure names the first that has none.  ``mu.g`` is held
+    for at most ``_SCAN_CELLS`` (point, row) pairs at a time."""
+    loose = np.zeros(len(p), dtype=bool)
+    per = max(1, _SCAN_CELLS // max(len(cloud), 1))
+    for lo in range(0, len(p), per):
+        part = slice(lo, lo + per)
+        g = mu[part] @ cloud.T
+        lower = (mu[part] * p[part]).sum(axis=1) - g.max(axis=1)
+        # written so that a NaN bound fails too
+        wide = ~(upper[part] - lower <= CERT_TOL * (1 + np.abs(p[part]).max(axis=1)))
+        loose[part] = wide
+        if not wide.any():
+            continue
+        sel = np.flatnonzero(wide)
+        g, pts = g[sel], ids[lo + sel]
+        top = np.where(active[pts], g, -np.inf).max(axis=1)
+        above = np.where(g > top[:, None], g, -np.inf)
+        k = min(_EXCHANGE_ADD, len(cloud))
+        pick = np.argpartition(-above, k - 1, axis=1)[:, :k]
+        new = np.take_along_axis(above, pick, axis=1) > -np.inf
+        stuck = ~new.any(axis=1)
+        if stuck.any():
+            i = sel[stuck.argmax()]
+            raise LPFailure(f"dominance LP of point {ids[lo + i]}: its slack bracket "
+                            f"[{lower[i]:.6e}, {upper[lo + i]:.6e}] is wider than "
+                            f"{CERT_TOL:g} * (1 + max|p|)")
+        active[np.broadcast_to(pts[:, None], pick.shape)[new], pick[new]] = True
+    return loose
 
 
 def _undominated(pts: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
-"""Hull-membership oracle for the sweep tests; no program code needs it."""
+"""Hull-membership and dominance-slack oracles for the sweep and evidence
+tests; no program code needs them."""
 
 import numpy as np
 
@@ -19,3 +20,13 @@ def in_hull(point, points, tol: float = 1e-9) -> bool:
     res = solve_lp(c, A_ub, np.concatenate([p, -p]), A_eq, [1.0], what="hull distance")
     lam = np.clip(res.x[:n], 0.0, None)
     return float(np.abs(pts.T @ (lam / lam.sum()) - p).max()) <= tol
+
+
+def primal_dominance_slack(point, cloud) -> float:
+    """Reference: one point's slack from the primal LP, min s over simplex
+    weights lambda with cloud.T @ lambda + s >= point."""
+    n, d = cloud.shape
+    res = solve_lp(np.append(np.zeros(n), 1.0), np.hstack([-cloud.T, -np.ones((d, 1))]),
+                   -np.asarray(point, dtype=float), np.append(np.ones(n), 0.0)[None, :],
+                   [1.0], bounds=[(0, None)] * n + [(None, None)], what="primal dominance")
+    return float(res.x[-1])

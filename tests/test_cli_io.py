@@ -410,27 +410,33 @@ def test_every_lp_of_a_command_runs_without_presolve(tmp_path, monkeypatch):
 
 
 def test_fisher_evidence_packs_its_dominance_lps_to_the_row_budget(tmp_path, monkeypatch):
+    from hull_oracle import primal_dominance_slack
     from wiretap_regions import fisher_lab, regions_discrete
 
-    real_lp, real_slack, rows, calls = regions_discrete.solve_lp, fisher_lab.dominance_slack, [], []
+    real_lp, real_slack, lps, calls = regions_discrete.solve_lp, fisher_lab.dominance_slack, [], []
 
     def solve_lp(*args, what="LP", **kw):
         if what == "dominance":
-            rows.append(args[1].shape[0])
+            lps.append((args[1].shape[0], args[3].shape[0]))   # rows, point blocks
         return real_lp(*args, what=what, **kw)
 
     def dominance_slack(points, cloud):
-        calls.append((len(points), len(cloud)))
-        return real_slack(points, cloud)
+        calls.append((points, cloud, real_slack(points, cloud)))
+        return calls[-1][-1]
 
     monkeypatch.setattr(regions_discrete, "solve_lp", solve_lp)
     monkeypatch.setattr(fisher_lab, "dominance_slack", dominance_slack)
     assert main(["fisher", "evidence", "--channel", write(tmp_path, "g.txt", GAUSS),
                  "--budget", "5"]) == 0
-    [(points, n)] = calls   # every mixture's front in one call
+    [(points, cloud, slack)] = calls   # every mixture's front in one call
     budget = regions_discrete._DOMINANCE_ROWS
-    assert len(rows) == -(-points // max(1, budget // n))
-    assert max(rows) <= max(budget, n)
+    # no LP over the budget unless one point's active set alone is
+    assert lps and all(r <= budget or k == 1 for r, k in lps)
+    for rows in (1, 200):
+        monkeypatch.setattr(regions_discrete, "_DOMINANCE_ROWS", rows)
+        np.testing.assert_allclose(real_slack(points, cloud), slack, rtol=0, atol=1e-12)
+    for p, s in zip(points, slack):
+        assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
 
 
 def test_fisher_evidence_builds_no_hull(tmp_path, monkeypatch):

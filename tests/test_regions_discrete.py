@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from generators import by_label, random_aux_layered, stack_of, system_of, table_of
-from hull_oracle import in_hull
+from hull_oracle import in_hull, primal_dominance_slack
 from region_oracles import five_bound_stack
 from wiretap_regions import fm_script, info_core, polytope_fm, regions_discrete
 from wiretap_regions.errors import (
@@ -35,7 +35,6 @@ from wiretap_regions.polytope_fm import (
     fm_eliminate,
     max_violation,
     region_equal,
-    solve_lp,
     support_value,
     vertices,
 )
@@ -297,6 +296,15 @@ def test_cor3_alt_contained_per_aux():
         specialize_corollary(eval_degraded_outer(aux, ch), "cor3_alt")
     with pytest.raises(UnknownCorollary):
         specialize_corollary(inner, "cor9")
+
+
+def test_cor3_alt_columns_are_the_per_message_secrecy_rows():
+    # cor3_alt reads rs1 as rs12p2 - rs2p2 and rs2 as rs2: the per-message
+    # form's rs1 and rs2 rows, as exact expressions
+    five = {q.label: q.rhs for q in regions_discrete.FIVE_BOUNDS.ineqs}
+    per_message = {q.label: q.rhs for q in regions_discrete._PER_MESSAGE.ineqs}
+    assert (five["rs12p2"] - five["rs2p2"]).key() == per_message["rs1"].key()
+    assert five["rs2"].key() == per_message["rs2"].key()
 
 
 def test_corollary_pruning_keeps_a_row_a_mixed_sign_row_does_not_imply():
@@ -698,16 +706,6 @@ def test_pareto_front_keeps_what_dominance_needs(rows, dups, probes):
         assert abs(dominance_slack([p], front)[0] - dominance_slack([p], cloud)[0]) <= 1e-9
 
 
-def primal_dominance_slack(point, cloud) -> float:
-    """Reference: one point's slack from the primal LP, min s over simplex
-    weights lambda with cloud.T @ lambda + s >= point."""
-    n, d = cloud.shape
-    res = solve_lp(np.append(np.zeros(n), 1.0), np.hstack([-cloud.T, -np.ones((d, 1))]),
-                   -np.asarray(point, dtype=float), np.append(np.ones(n), 0.0)[None, :],
-                   [1.0], bounds=[(0, None)] * n + [(None, None)], what="primal dominance")
-    return float(res.x[-1])
-
-
 _PROBE = st.tuples(*[st.integers(-4, 12).map(lambda k: k / 8)] * 4)
 
 
@@ -722,33 +720,62 @@ def test_batched_dominance_slack_matches_one_lp_per_point(rows, probes):
         assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
 
 
+def _counting_dominance_lps(monkeypatch, lps):
+    """Patch ``regions_discrete.solve_lp`` to append each LP's (inequality
+    rows, point blocks) to ``lps``."""
+    real = regions_discrete.solve_lp
+
+    def solve_lp(*args, **kw):
+        lps.append((args[1].shape[0], args[3].shape[0]))
+        return real(*args, **kw)
+
+    monkeypatch.setattr(regions_discrete, "solve_lp", solve_lp)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(st.lists(_ROW, min_size=1, max_size=10), st.lists(_PROBE, min_size=4, max_size=8))
+@given(st.lists(_ROW, min_size=1, max_size=40), st.lists(_PROBE, min_size=4, max_size=8))
 def test_dominance_slack_does_not_depend_on_how_its_points_are_packed(rows, probes):
     cloud = np.array(rows)
-    n, real = len(cloud), regions_discrete.solve_lp
     by_budget = {}
-    # a budget below n gives every point its own LP
-    for budget in (10**6, max(n - 1, 1), n, 2 * n, 3 * n):
+    # a budget of one row gives every point its own LP
+    for budget in (10**6, 1, 12, 24, 48):
         lps = []
-
-        def solve_lp(*args, **kw):
-            lps.append(args[1].shape[0])
-            return real(*args, **kw)
-
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(regions_discrete, "_DOMINANCE_ROWS", budget)
-            mp.setattr(regions_discrete, "solve_lp", solve_lp)
+            _counting_dominance_lps(mp, lps)
             by_budget[budget] = dominance_slack(probes, cloud)
-        per_lp = max(1, budget // n)
-        assert len(lps) == -(-len(probes) // per_lp)
-        assert max(lps) <= max(budget, n)
-        assert len(lps) > 1 or budget == 10**6
+        # no LP over the budget unless one point's active set alone is
+        assert all(r <= budget or k == 1 for r, k in lps)
+        assert budget > 1 or len(lps) >= len(probes)
     whole = by_budget.pop(10**6)
     for s in by_budget.values():
         np.testing.assert_allclose(s, whole, rtol=0, atol=1e-12)
     for p, s in zip(probes, whole):
         assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
+
+
+def test_dominance_slack_exchange_reaches_the_full_cloud_optimum():
+    rounds = []
+
+    # dyadic clouds of 20-80 rows drawn uniformly (hypothesis's own lists lean
+    # to repeated rows, most of them dominated); probes inside the cloud's box
+    # need rows the seed does not hold, so most examples take an exchange round
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(20, 80), st.integers(1, 4))
+    def check(seed, n, k):
+        rng = np.random.default_rng(seed)
+        cloud, probes, lps = rng.integers(0, 9, (n, 4)) / 8, rng.integers(3, 8, (k, 4)) / 8, []
+        with pytest.MonkeyPatch.context() as mp:
+            _counting_dominance_lps(mp, lps)
+            slack = dominance_slack(probes, cloud)
+        rounds.append(len(lps))   # a few points: one LP a round
+        np.testing.assert_allclose(slack, dense_block_dominance_slack(probes, cloud),
+                                   rtol=0, atol=1e-9)
+        for p, s in zip(probes, slack):
+            assert abs(s - primal_dominance_slack(p, cloud)) <= 1e-9
+
+    check()
+    assert sum(r >= 2 for r in rounds) > len(rounds) / 2, rounds
 
 
 @pytest.mark.parametrize("part", ["marginals", "x"])

@@ -24,9 +24,11 @@ and the bytes of every file the command wrote.  The commands are:
   PSD (exit 2) and channels out of the degraded order (exit 1);
 - ``fisher lemmas --budget 1000 --mixtures``, ``fisher debruijn --budget
   200`` and, on one generated scalar channel, ``fisher evidence --budget
-  50`` at seeds 0 to 3 (``FISHER_SEEDS``), each writing its CSV: more
-  instances and seeds than the benchmark's ``fisher`` ops, and evidence
-  fronts that span several dominance LPs;
+  50`` at seeds 0 to 3 (``FISHER_SEEDS``), and ``fisher evidence --budget
+  200`` at seed 0 on the same channel (``FISHER_LARGE``), each writing its
+  CSV: more instances and seeds than the benchmark's ``fisher`` ops, and
+  evidence fronts that span several dominance LPs (at budget 200, about
+  1,200 points over about 1,400 envelope rows, many exchange rounds);
 - ``fm verify-appendix`` at seeds 0 to 9 (``FM_SEEDS``), and at seed 0 with
   ``--instantiations 1`` and ``--instantiations 5``, each writing its CSV:
   more seeds than the benchmark's ``chain_replay`` ops.
@@ -66,6 +68,7 @@ FISHER_SEEDS = (0, 1, 2, 3)
 FISHER_COMMANDS = (("fisher", "lemmas", "--budget", "1000", "--mixtures"),
                    ("fisher", "debruijn", "--budget", "200"),
                    ("fisher", "evidence", "--budget", "50"))
+FISHER_LARGE = (("fisher", "evidence", "--budget", "200"), 0)   # a command and its one seed
 FM_SEEDS = range(10)
 # Absolute move of a printed number at or below which it is not counted as moved.
 MOVE_FLOOR = 1e-15
@@ -285,17 +288,19 @@ def lone_eval_commands(spec, inputs: str) -> list:
 
 
 def fisher_commands(spec, inputs: str) -> list:
-    """Every command of ``FISHER_COMMANDS`` at every seed of ``FISHER_SEEDS``,
-    its CSV written under ``out/`` of the run directory; ``fisher evidence``
-    takes a scalar Gaussian channel written under ``inputs``."""
+    """Every command of ``FISHER_COMMANDS`` at every seed of ``FISHER_SEEDS``
+    and ``FISHER_LARGE`` at its seed, its CSV written under ``out/`` of the
+    run directory; ``fisher evidence`` takes a scalar Gaussian channel
+    written under ``inputs``."""
     import numpy as np
 
     path = os.path.join(inputs, "fisher-g.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(spec.CHANNELS["gauss1"](np.random.default_rng(10)))
+    runs = [(argv, seed) for seed in FISHER_SEEDS for argv in FISHER_COMMANDS] + [FISHER_LARGE]
     return [["fisher", [*argv, *(["--channel", path] if argv[1] == "evidence" else []),
-                        "--seed", str(seed), "--out", f"out/{argv[1]}-seed{seed}.csv"]]
-            for seed in FISHER_SEEDS for argv in FISHER_COMMANDS]
+                        "--seed", str(seed), "--out", f"out/{argv[1]}-{argv[3]}-seed{seed}.csv"]]
+            for argv, seed in runs]
 
 
 def fm_commands() -> list:
