@@ -40,7 +40,7 @@ from .errors import (
     raise_for_first,
 )
 from .entropy_algebra import OutputSource
-from .polytope_fm import SystemStack, vertices
+from .polytope_fm import SystemStack, unique_rows, vertices
 from .regions_discrete import (FIVE_BOUNDS, OUTPUTS, dominance_slack, pareto_front,
                                region_of)
 from .regions_gaussian import (GaussChannel, check_psd, cholesky, logdet, project_range,
@@ -119,7 +119,7 @@ class ScalarMixture:
         if not np.isfinite(u).all():
             raise ValidationError("mixture u-points must be finite")
         groups = []
-        for value in _distinct(u):
+        for value in unique_rows(u[:, None])[0][:, 0]:
             m = u == value
             pu = float(w[m].sum())
             if pu > 0:
@@ -152,15 +152,6 @@ QUAD_BLOCK_CELLS = 2 ** 16
 WEIGHT_SUM_TOL = 1e-12
 # Mixture density below which f'^2 / f is taken as 0: f underflows to 0 there.
 DENSITY_FLOOR = 1e-300
-
-
-def _distinct(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of a flat array, as ``np.unique`` gives them;
-    ``np.unique`` itself imports ``numpy.ma`` (numpy 2.4)."""
-    s = np.sort(a)
-    keep = np.ones(s.shape, dtype=bool)
-    keep[1:] = s[1:] != s[:-1]
-    return s[keep]
 
 
 def _stack_quadrature(groups, var, n: int) -> np.ndarray:
@@ -213,7 +204,7 @@ def _stack_quadrature(groups, var, n: int) -> np.ndarray:
     m = rung.min()
     while True:
         here = rung == m
-        for k in _distinct(width[here]):
+        for k in unique_rows(width[here, None])[0][:, 0]:
             group = np.flatnonzero(here & (width == k))
             per = max(1, QUAD_BLOCK_CELLS // (k * m))
             for b in (group[s:s + per] for s in range(0, group.size, per)):

@@ -638,13 +638,27 @@ def _block_lp(blocks) -> list[np.ndarray]:
 
 def block_diagonal_csr(blocks):
     """The block-diagonal CSR matrix of dense 2-d ``blocks`` (a block may
-    have no rows), storing only their nonzero entries: scipy stores every
-    zero of a dense block until it is dropped."""
-    from scipy.sparse import block_diag
+    have no rows), storing only their nonzero entries: every block's rows
+    laid out in one array as wide as the widest block, at the block's
+    column offset, for :func:`csr_rows`."""
+    heights, widths = [len(b) for b in blocks], [b.shape[1] for b in blocks]
+    vals = np.zeros((sum(heights), max(widths)))
+    for b, lo in zip(blocks, itertools.accumulate(heights, initial=0)):
+        vals[lo:lo + len(b), :b.shape[1]] = b
+    offsets = np.cumsum([0] + widths)
+    cols = np.repeat(offsets[:-1], heights)[:, None] + np.arange(vals.shape[1])
+    return csr_rows(vals, cols, offsets[-1])
 
-    m = block_diag(blocks, format="csr")
-    m.eliminate_zeros()
-    return m
+
+def csr_rows(vals: np.ndarray, cols: np.ndarray, width: int):
+    """The CSR matrix of ``width`` columns whose row i holds ``vals[i]`` at
+    the ascending columns ``cols[i]`` (2-d arrays of one shape), storing only
+    the nonzero entries: the sparse assembly of every stacked LP."""
+    from scipy.sparse import csr_matrix
+
+    nz = vals != 0
+    return csr_matrix((vals[nz], cols[nz], np.append(0, np.cumsum(nz.sum(axis=1)))),
+                      shape=(len(vals), width))
 
 
 def instantiate(sys: IneqSystem, tables, sym_values=None) -> SystemStack:

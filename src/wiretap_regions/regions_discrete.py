@@ -39,6 +39,7 @@ from .polytope_fm import (
     IneqSystem,
     LinIneq,
     SystemStack,
+    csr_rows,
     instantiate,
     solve_lp,
     unique_rows,
@@ -244,9 +245,9 @@ def specialize_corollary(stack: SystemStack, which: str) -> SystemStack:
     """Specialize five- or four-bound regions by zeroing designated rates.
 
     ``cor1`` drops the first user's confidential message, ``cor2`` the second
-    user's public message, ``cor3`` both public messages (the secrecy region),
-    and ``cor3_alt`` is the alternate secrecy form with a standalone Rs1 bound
-    (available only on inner regions, which carry the extra constraint).
+    user's public message and ``cor3`` both public messages (the secrecy
+    region).  A corollary reads only the stack's rows: the alternate secrecy
+    form, with its standalone Rs1 bound, is ``cor3`` of the per-message form.
     """
     if which == "cor1":
         return _prune_dominated(_zero_rates(stack, {"Rs1"}))
@@ -254,14 +255,6 @@ def specialize_corollary(stack: SystemStack, which: str) -> SystemStack:
         return _prune_dominated(_zero_rates(stack, {"Rp2"}))
     if which == "cor3":
         return _prune_dominated(_zero_rates(stack, {"Rp1", "Rp2"}))
-    if which == "cor3_alt":
-        col = {q.label: i for i, q in enumerate(stack.rows.ineqs)}
-        if "rs12p2" not in col:
-            raise UnknownCorollary("alternate secrecy form needs the inner system")
-        b = stack.rhs
-        return region_stack(IneqSystem.of(("Rs1", "Rs2"), [
-            LinIneq.of({"Rs2": 1}, label="rs2"), LinIneq.of({"Rs1": 1}, label="rs1")]),
-            (b[:, col["rs2"]], b[:, col["rs12p2"]] - b[:, col["rs2p2"]]))
     raise UnknownCorollary(f"unknown specialization {which!r}")
 
 
@@ -389,20 +382,14 @@ def _dominance_lp(p: np.ndarray, cloud: np.ndarray, pt: np.ndarray,
     """One LP of the dual blocks of the rows of ``p``, block ``pt[j]`` holding
     cloud row ``row[j]``: each point's upper end ``max(p - cloud.T @
     lambda)`` and its simplex weights mu."""
-    from scipy.sparse import csr_matrix
-
     (k, d), r = p.shape, len(row)
     # variables (mu, t) per block: minimize t - mu.p subject to g.mu <= t for each
     # active row g, sum(mu) = 1; always feasible (any simplex mu with t = max g.mu)
     # and bounded (t - mu.p >= mu.(g - p) for any active g), so the solver returns
     # an optimum
     vals = np.hstack([cloud[row], -np.ones((r, 1))])
-    cols = pt[:, None] * (d + 1) + np.arange(d + 1)
-    nz = vals != 0
-    A_ub = csr_matrix((vals[nz], cols[nz], np.append(0, np.cumsum(nz.sum(axis=1)))),
-                      shape=(r, k * (d + 1)))
-    A_eq = csr_matrix((np.ones(k * d), (np.arange(k)[:, None] * (d + 1) + np.arange(d)).ravel(),
-                       np.arange(k + 1) * d), shape=(k, k * (d + 1)))
+    A_ub = csr_rows(vals, pt[:, None] * (d + 1) + np.arange(d + 1), k * (d + 1))
+    A_eq = csr_rows(np.ones((k, d)), np.arange(k)[:, None] * (d + 1) + np.arange(d), k * (d + 1))
     res = solve_lp(np.hstack([-p, np.ones((k, 1))]).ravel(), A_ub, np.zeros(r), A_eq, np.ones(k),
                    bounds=([(0, None)] * d + [(None, None)]) * k, what="dominance",
                    options=CERT_LP_OPTIONS)

@@ -342,8 +342,8 @@ def eval_gauss_outer(split: CovSplit, ch: GaussChannel) -> SystemStack:
 
 
 def specialize_gauss_corollary(stack: SystemStack, which: str) -> SystemStack:
-    """Specializations mirroring the discrete ones (cor4/cor5/cor6/cor6_alt)."""
-    mapping = {"cor4": "cor1", "cor5": "cor2", "cor6": "cor3", "cor6_alt": "cor3_alt"}
+    """Specializations mirroring the discrete ones (cor4/cor5/cor6)."""
+    mapping = {"cor4": "cor1", "cor5": "cor2", "cor6": "cor3"}
     if which not in mapping:
         raise UnknownCorollary(f"unknown specialization {which!r}")
     return specialize_corollary(stack, mapping[which])

@@ -48,6 +48,7 @@ from wiretap_regions.regions_gaussian import (
     GaussChannel,
     HGaussChannel,
     discretize_scalar,
+    dpc_identity_check,
     eval_gauss_inner,
     eval_general_gauss,
 )
@@ -1235,6 +1236,23 @@ def test_cli_dpc_check_refuses_a_single_matrix_split(tmp_path, capsys):
                  "--split", write(tmp_path, "k.txt", "kind: split\nK:\n0.5\n")]) == 2
     assert capsys.readouterr().err == \
         "input error: dpc-check needs a triple split (K0, K1, K2)\n"
+
+
+_GAUSS_2X2 = ("kind: gauss\nS:\n3 0.2\n0.2 2.5\nSigma1:\n0.5 0.1\n0.1 0.4\n"
+              "Sigma2:\n1 0.2\n0.2 0.8\nSigmaZ:\n1.5 0\n0 1.2\n")
+_TRIPLE_2X2 = "kind: split\nK0:\n0.4 0.1\n0.1 0.3\nK1:\n0.5 -0.2\n-0.2 0.6\nK2:\n0.2 0\n0 0.1\n"
+
+
+@pytest.mark.parametrize("channel, triple", [(GAUSS, TRIPLE_1X1), (_GAUSS_2X2, _TRIPLE_2X2)],
+                         ids=["1x1", "2x2"])
+def test_cli_dpc_check_of_a_triple_split_prints_its_residual(tmp_path, capsys, channel,
+                                                             triple):
+    ch_path, split_path = write(tmp_path, "g.txt", channel), write(tmp_path, "t.txt", triple)
+    assert main(["gauss", "dpc-check", "--channel", ch_path, "--split", split_path]) == 0
+    split = parse_split_file(split_path)
+    residual = dpc_identity_check(split.K1, split.K2, split.K0, parse_channel_file(ch_path))
+    assert capsys.readouterr().out == \
+        f"max precoding-identity residual: {max(0.0, float(residual)):.3e}\n"
 
 
 @pytest.mark.parametrize("argv", [

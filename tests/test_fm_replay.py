@@ -669,6 +669,24 @@ def test_empty_instantiation_costs_one_lp(lp_whats):
     assert lp_whats == ["support"]
 
 
+def test_replay_reports_dropped_rows_no_instantiation_exercised(lp_whats):
+    # the kept region a + b <= -1 is empty on every draw, so the rows the
+    # elimination of c drops (b <= I(X;Z) and 0 <= I(X;Z)) are certified by
+    # no instantiation: the step matches, and its report says so
+    r = {"a", "b", "c"}
+    start = IneqSystem.of(("a", "b", "c"),
+                          parse_system("a + b <= -1\nb - c <= 0\nc <= I(X;Z)\n", r))
+    kept = IneqSystem.of(("a", "b"), parse_system("a + b <= -1\n", r))
+    rep = verify_elimination_script(start, [Step(op="eliminate", var="c", expect="kept")],
+                                    {"kept": kept}, EqualitySet([]), np.random.default_rng(0),
+                                    instantiations=2)
+    [step] = rep.steps
+    assert rep.ok and step.matched
+    assert (step.extras_dropped, step.worst_drop_slack) == (2, 0.0)
+    assert step.message == "2 dropped row(s) never exercised (all instantiations empty)"
+    assert lp_whats == []
+
+
 def test_replay_solves_two_support_lps(lp_whats):
     # one classification LP and one stacked support LP serve every step and table
     assert verify_builtin_chain(seed=0).ok

@@ -530,6 +530,33 @@ def test_a_variable_outside_the_stack_is_named_not_read_as_zero(call, name):
         call()
 
 
+_ABCD = ("a", "b", "c", "d")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.permutations(_ABCD), st.integers(0, 2 ** 32 - 1))
+def test_max_violation_reorders_points_given_in_another_variable_order(order, seed):
+    # the same rows over permuted variables (each coefficient stays on its
+    # variable) are the same regions, and a point given in either order has
+    # the same violation; coefficients, bounds and points on a dyadic grid
+    # make every row product exact, so the two orders agree bit for bit
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, 3, size=(5, 4))
+    coeffs[np.arange(5), rng.integers(0, 4, size=5)] = 1   # no row without a rate
+    coeffs[0] = 1   # a total row: every member bounded
+    rows = [LinIneq.of({v: int(c) for v, c in zip(_ABCD, row) if c}) for row in coeffs]
+    rhs = rng.integers(1, 16, size=(3, 5)) / 4
+    stack = SystemStack(IneqSystem.of(_ABCD, rows), rhs)
+    permuted = SystemStack(IneqSystem.of(order, rows), rhs)
+    assert permuted.vars == tuple(order) and len(vertices(permuted).vertices) > 0
+    assert region_equal(stack, permuted) and region_equal(permuted, stack)
+    pts = rng.integers(-4, 21, size=(10, 4)) / 8
+    moved = pts[:, [_ABCD.index(v) for v in order]]
+    assert max_violation(permuted, pts, var_order=_ABCD) == max_violation(stack, pts)
+    assert max_violation(stack, moved, var_order=order) == max_violation(stack, pts)
+    assert max_violation(permuted, moved) == max_violation(stack, pts)
+
+
 def test_support_value_and_infeasible():
     sq = num_sys(("x", "y"), [({"x": 1}, 1), ({"y": 1}, 2)])
     assert support_value([(stack_of(sq), [{"x": 1, "y": 1}])])[0][0] == pytest.approx(3.0)
@@ -771,10 +798,18 @@ def _dense_blocks(draw):
 @given(_dense_blocks())
 def test_block_diagonal_csr_stores_only_the_blocks_nonzeros(blocks):
     from scipy.linalg import block_diag
+    from scipy.sparse import block_diag as sparse_block_diag
 
     got = block_diagonal_csr(blocks)
     np.testing.assert_array_equal(got.toarray(), block_diag(*blocks))
     assert (got.data != 0).all()
+    # the arrays scipy's own assembly stores once its zeros are dropped
+    want = sparse_block_diag(blocks, format="csr")
+    want.eliminate_zeros()
+    assert type(got) is type(want) and got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def test_elimination_order_invariance():

@@ -26,8 +26,16 @@ from wiretap_regions.fisher_lab import (
     random_mixture,
 )
 from wiretap_regions.info_core import build_degraded_joint, take_stack
-from wiretap_regions.polytope_fm import IneqSystem, LinIneq, instantiate
+from wiretap_regions.polytope_fm import (
+    IneqSystem,
+    LinIneq,
+    SystemStack,
+    instantiate,
+    max_violation,
+    vertices,
+)
 from wiretap_regions.regions_discrete import (
+    _PER_MESSAGE,
     UX_VARS,
     AuxJoint,
     _aux_vars,
@@ -35,6 +43,8 @@ from wiretap_regions.regions_discrete import (
     eval_degraded_inner,
     eval_degraded_outer,
     eval_original_inner,
+    region_of,
+    specialize_corollary,
 )
 from wiretap_regions.regions_gaussian import (
     CovSplit,
@@ -74,19 +84,32 @@ def gauss_channel(rng, d) -> GaussChannel:
     return GaussChannel(_pd(rng, d, 2.0), s1, s2, s2 + _pd(rng, d, 0.5))
 
 
-@SETTINGS
-@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
-def test_discrete_regions_match_the_mutual_information_formulas(card_x, extra_u, seed):
+def discrete_case(card_x, extra_u, seed):
+    """A random degraded channel and a stack of (U, X) auxes on it: the three
+    corner auxes (U = X, U constant, U independent) and four random draws."""
     rng = np.random.default_rng(seed)
     card_y = (card_x, card_x + 1, 2)
     ch = build_degraded_joint(*(rng.dirichlet(np.ones(k), size=n)
                                 for n, k in zip((card_x, *card_y), card_y)))
     card_u = card_x + extra_u
-    # the three corner auxes (U = X, U constant, U independent) and random draws
     probs = np.stack(_corner_aux_ux(card_u, card_x)
                      + list(rng.dirichlet(np.ones(card_u * card_x), size=4)
                             .reshape(4, card_u, card_x)))
-    aux = AuxJoint(take_stack(_aux_vars(UX_VARS, probs.shape[1:]), probs))
+    return AuxJoint(take_stack(_aux_vars(UX_VARS, probs.shape[1:]), probs)), ch
+
+
+def gauss_case(rng, d):
+    """A random degraded channel of dimension ``d`` and a stack of splits
+    under its cap: K = 0, S and S/2, and random splits."""
+    ch = gauss_channel(rng, d)
+    return np.concatenate([np.stack([np.zeros((d, d)), ch.S, 0.5 * ch.S]),
+                           random_psd_under(rng, ch.S, 5)]), ch
+
+
+@SETTINGS
+@given(st.integers(2, 4), st.integers(0, 3), st.integers(0, 2 ** 32 - 1))
+def test_discrete_regions_match_the_mutual_information_formulas(card_x, extra_u, seed):
+    aux, ch = discrete_case(card_x, extra_u, seed)
     c = discrete_constants(aux.table, ch)
     assert_columns(eval_degraded_inner(aux, ch), five_bound_columns(**c))
     assert_columns(eval_degraded_outer(aux, ch), five_bound_columns(**c), keep=[0, 1, 2, 4])
@@ -97,10 +120,7 @@ def test_discrete_regions_match_the_mutual_information_formulas(card_x, extra_u,
 @given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_gaussian_regions_match_the_log_det_formulas(d, seed, stacked_caps):
     rng = np.random.default_rng(seed)
-    ch = gauss_channel(rng, d)
-    # K = 0, S and S/2, and random splits under the cap
-    K = np.concatenate([np.stack([np.zeros((d, d)), ch.S, 0.5 * ch.S]),
-                        random_psd_under(rng, ch.S, 5)])
+    K, ch = gauss_case(rng, d)
     if stacked_caps:
         scale = 1.0 + rng.random(len(K))
         ch = ch.with_caps(np.broadcast_to(ch.S, K.shape) * scale[:, None, None])
@@ -111,6 +131,42 @@ def test_gaussian_regions_match_the_log_det_formulas(d, seed, stacked_caps):
     # a lone split is a stack of one
     lone = eval_gauss_inner(CovSplit(K=K[4]), ch.with_caps(ch.S[4] if stacked_caps else ch.S))
     assert_columns(lone, [col[4] for col in columns])
+
+
+def _alternate_form_by_columns(five: SystemStack) -> np.ndarray:
+    """The alternate secrecy form's (rs2, rs1) right-hand sides as they were
+    once computed from the five-bound stack's columns: rs2, and rs12p2 -
+    rs2p2, which is I(X;Y1|U) - I(X;Z|U)."""
+    col = {q.label: five.rhs[:, i] for i, q in enumerate(five.rows.ineqs)}
+    return np.stack([col["rs2"], col["rs12p2"] - col["rs2p2"]], axis=-1)
+
+
+@SETTINGS
+@given(st.sampled_from(["discrete", 1, 2, 3]), st.integers(2, 4), st.integers(0, 3),
+       st.integers(0, 2 ** 32 - 1))
+def test_the_alternate_secrecy_form_is_cor3_of_the_per_message_rows(law, card_x, extra_u,
+                                                                    seed):
+    # the alternate form's standalone Rs1 bound is the per-message rs1 row:
+    # cor3 of the per-message stack reads it, and its region lies inside
+    # cor3 of the five-bound region, member by member (a Gaussian law of
+    # dimension d = law draws no cardinalities)
+    if law == "discrete":
+        aux, ch = discrete_case(card_x, extra_u, seed)
+        per_message, five = eval_original_inner(aux, ch), eval_degraded_inner(aux, ch)
+    else:
+        K, ch = gauss_case(np.random.default_rng(seed), law)
+        per_message = region_of(_PER_MESSAGE, _GaussSource(K, ch))
+        five = eval_gauss_inner(CovSplit(K=K), ch)
+    alt = specialize_corollary(per_message, "cor3")
+    assert alt.vars == ("Rs1", "Rs2")
+    assert [(q.label, dict(q.coeffs)) for q in alt.rows.ineqs] == [("rs2", {"Rs2": 1}),
+                                                                 ("rs1", {"Rs1": 1})]
+    b = _alternate_form_by_columns(five)
+    assert (np.abs(alt.rhs - b) <= 1e-12 * (1 + np.abs(b))).all(), np.abs(alt.rhs - b).max()
+    cor3 = specialize_corollary(five, "cor3")
+    vp = vertices(alt)
+    for k, pts in enumerate(np.split(vp.vertices, np.cumsum(vp.counts)[:-1])):
+        assert max_violation(SystemStack(cor3.rows, cor3.rhs[k]), pts, vp.vars) <= 1e-9
 
 
 def _scalar_channel(rng) -> GaussChannel:

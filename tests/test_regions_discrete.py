@@ -285,26 +285,18 @@ def test_corollary_shapes_generic_aux():
 
 
 def test_cor3_alt_contained_per_aux():
+    # the alternate secrecy form is cor3 of the per-message form; it lies
+    # inside cor3 of the five-bound region, and is no corollary of its own
     ch = cascade_channel()
     aux = ux_aux([[0.3, 0.2], [0.1, 0.4]])
     inner = eval_degraded_inner(aux, ch)
-    alt = specialize_corollary(inner, "cor3_alt")
+    alt = specialize_corollary(eval_original_inner(aux, ch), "cor3")
     cor3 = specialize_corollary(inner, "cor3")
     for p in vertices(alt).vertices:
         assert max_violation(cor3, p, var_order=alt.vars) <= 1e-9
-    with pytest.raises(UnknownCorollary):
-        specialize_corollary(eval_degraded_outer(aux, ch), "cor3_alt")
-    with pytest.raises(UnknownCorollary):
-        specialize_corollary(inner, "cor9")
-
-
-def test_cor3_alt_columns_are_the_per_message_secrecy_rows():
-    # cor3_alt reads rs1 as rs12p2 - rs2p2 and rs2 as rs2: the per-message
-    # form's rs1 and rs2 rows, as exact expressions
-    five = {q.label: q.rhs for q in regions_discrete.FIVE_BOUNDS.ineqs}
-    per_message = {q.label: q.rhs for q in regions_discrete._PER_MESSAGE.ineqs}
-    assert (five["rs12p2"] - five["rs2p2"]).key() == per_message["rs1"].key()
-    assert five["rs2"].key() == per_message["rs2"].key()
+    for which in ("cor3_alt", "cor9"):
+        with pytest.raises(UnknownCorollary):
+            specialize_corollary(inner, which)
 
 
 def test_corollary_pruning_keeps_a_row_a_mixed_sign_row_does_not_imply():

@@ -23,6 +23,7 @@ from wiretap_regions.errors import (
 from wiretap_regions.polytope_fm import max_violation, region_equal, vertices
 from wiretap_regions.info_core import VarId, build_degraded_joint, take_stack
 from wiretap_regions.regions_discrete import (
+    _PER_MESSAGE,
     LAYERED_VARS,
     UX_VARS,
     AuxJoint,
@@ -32,11 +33,13 @@ from wiretap_regions.regions_discrete import (
     eval_degraded_outer,
     eval_general_inner,
     eval_original_inner,
+    region_of,
 )
 from wiretap_regions.regions_gaussian import (
     CovSplit,
     GaussChannel,
     HGaussChannel,
+    _GaussSource,
     check_psd,
     discretize_scalar,
     dpc_identity_check,
@@ -392,24 +395,25 @@ def test_corollaries_match_and_alt_form():
         for which in ("cor4", "cor5", "cor6"):
             assert region_equal(specialize_gauss_corollary(inner, which),
                                 specialize_gauss_corollary(outer, which))
-        alt = specialize_gauss_corollary(inner, "cor6_alt")
+        alt = specialize_gauss_corollary(region_of(_PER_MESSAGE, _GaussSource(split.K, ch)),
+                                         "cor6")
         cor6 = specialize_gauss_corollary(inner, "cor6")
         for p in vertices(alt).vertices:
             assert max_violation(cor6, p, var_order=alt.vars) <= 1e-9
-    with pytest.raises(UnknownCorollary):
-        specialize_gauss_corollary(inner, "cor7")
+    for which in ("cor6_alt", "cor7"):
+        with pytest.raises(UnknownCorollary):
+            specialize_gauss_corollary(inner, which)
 
 
 def test_cor6_alt_union_matches_cor6_union():
-    # unions over sampled K agree within sampling resolution
+    # unions over sampled K agree within sampling resolution: the alternate
+    # form is cor6 of the per-message form
     ch = scalar_channel()
-    ks = np.linspace(0.0, 1.0, 41)
-    pts_alt, pts_c6 = [], []
-    for k in ks:
-        inner = eval_gauss_inner(CovSplit(K=k * I1), ch)
-        pts_alt.append(vertices(specialize_gauss_corollary(inner, "cor6_alt")).vertices)
-        pts_c6.append(vertices(specialize_gauss_corollary(inner, "cor6")).vertices)
-    cloud_alt, cloud_c6 = np.vstack(pts_alt), np.vstack(pts_c6)
+    K = np.linspace(0.0, 1.0, 41)[:, None, None] * I1
+    cloud_alt = vertices(specialize_gauss_corollary(
+        region_of(_PER_MESSAGE, _GaussSource(K, ch)), "cor6")).vertices
+    cloud_c6 = vertices(specialize_gauss_corollary(eval_gauss_inner(CovSplit(K=K), ch),
+                                                   "cor6")).vertices
     for p in cloud_c6:
         assert in_hull(p, cloud_alt, tol=5e-3) or _dominated(p, cloud_alt, 5e-3)
     for p in cloud_alt:
